@@ -76,8 +76,7 @@ def run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
     mode = os.environ.get("GRAFT_KG_MODE", "broadcast")
     t0 = time.perf_counter()
     metrics = build_graph(corpus_path, out_dir, resume=False, mode=mode,
-                          packages_path=packages_path,
-                          concurrency=(max(1, num_cpus // 2), num_cpus))
+                          packages_path=packages_path)
     timings["kg_build"] = round(time.perf_counter() - t0, 3)
     extras["kg_nodes"] = metrics["nodes"]
     extras["kg_edges"] = metrics["edges"]
@@ -98,8 +97,7 @@ def run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
         shutil.rmtree(out_dir_p, ignore_errors=True)
         t0 = time.perf_counter()
         m2 = build_graph(corpus_path, out_dir_p, resume=False,
-                         mode="partitioned", packages_path=packages_path,
-                         concurrency=(max(1, num_cpus // 2), num_cpus))
+                         mode="partitioned", packages_path=packages_path)
         timings["kg_build_partitioned"] = round(time.perf_counter() - t0, 3)
         extras["kg_files_per_sec_partitioned"] = round(
             m2["files"] / timings["kg_build_partitioned"], 1

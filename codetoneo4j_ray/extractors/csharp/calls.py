@@ -65,6 +65,9 @@ def scan_body(
     # per-file value table is built once, not once per member
     if sub is None:
         sub = _Parser(code, {})
+    # a parser built for another token list would silently scan the
+    # wrong stream: only ``sub.i`` is reset per construct
+    assert sub.code is code, "scan_body: shared sub-parser built for other tokens"
     i = start
     if i < end and code[i].value == "{":
         i += 1

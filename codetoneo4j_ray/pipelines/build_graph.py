@@ -2,7 +2,7 @@
 
     read_parquet (repo,path,commit,lang,content)
       → [1a] type-index skim (C# rows only)            map_batches
-      → [1b] extraction                                 actor-pool map_batches
+      → [1b] extraction                                 task map_batches
             ⇒ records/ parquet checkpoint (resumable)
       → [2a] deferred-INVOKES resolution                broadcast member index
       → [2b] endpoint semi-join                         broadcast key set
@@ -79,7 +79,6 @@ def read_corpus_pinned(input_path: str) -> ray.data.Dataset:
 def extract_to_records(
     corpus: ray.data.Dataset,
     min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
-    concurrency=None,
     pkg_meta: dict | None = None,
     no_key: bool = False,
     batch_size: int = 64,
@@ -87,7 +86,7 @@ def extract_to_records(
     """Stages 1a+1b, returning the unified record stream (lazy)."""
     indices = build_type_index(corpus)
     return extract_records(
-        corpus, indices, min_accessibility, concurrency=concurrency,
+        corpus, indices, min_accessibility,
         pkg_meta=pkg_meta, no_key=no_key, batch_size=batch_size,
     )
 
@@ -363,7 +362,6 @@ def build_graph(
     out_dir: str,
     min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
     resume: bool = True,
-    concurrency=None,
     mode: str = "auto",
     packages_path: str | None = None,
     no_key: bool = False,
@@ -415,8 +413,8 @@ def build_graph(
             )
         else:
             records = extract_to_records(corpus, min_accessibility,
-                                         concurrency, pkg_meta=pkg_meta,
-                                         no_key=no_key, batch_size=batch_size)
+                                         pkg_meta=pkg_meta, no_key=no_key,
+                                         batch_size=batch_size)
         # Pin the record stream in the object store (records are
         # metadata-sized — symbols/mentions/file rows, never file
         # content — so the pinned footprint is a small fraction of the

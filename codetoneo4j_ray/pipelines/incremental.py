@@ -3,11 +3,11 @@
 The reference restarts with a git-diff filter and marks deleted files
 (``SolutionProcessor.cs:82-97,301-324``, ``Cypher/MarkFileAsDeleted.cypher``).
 For a Parquet corpus the equivalent is a content diff against the prior
-run's files table:
+run's per-file records:
 
-  changed  = rows whose sha256 differs from (or is absent in) the prior
-             LIVE files table       → re-extracted (stage 1 on the delta)
-  deleted  = prior live file keys absent from the new corpus
+  changed  = handled rows whose sha256 differs from (or is absent in)
+             the prior file records → re-extracted (stage 1 on the delta)
+  deleted  = prior file records' (repo, path) absent from the new corpus
              → their records dropped; tombstoned in files/ and listed
              in the run manifest
   carried  = everything else        → prior records reused verbatim
@@ -33,6 +33,7 @@ import shutil
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 import ray.data
 
@@ -46,7 +47,11 @@ from codetoneo4j_ray.pipelines.build_graph import (
     read_records,
     resolve_mode,
 )
-from codetoneo4j_ray.stages.extract import build_type_index, extract_records
+from codetoneo4j_ray.stages.extract import (
+    build_type_index,
+    extract_records,
+    has_handler,
+)
 from codetoneo4j_ray.state.manifest import corpus_fingerprint, write_manifest
 
 
@@ -60,17 +65,23 @@ def _join_cols(batch: pa.Table) -> pa.Array:
 
 
 def _diff_vs_prior(
-    corpus: ray.data.Dataset, prior_files_dir: str
+    corpus: ray.data.Dataset, prior_out_dir: str
 ) -> tuple[set[tuple[str, str]], list[tuple[str, str]],
            list[tuple[str, str, int]]]:
-    """Bucketed (repo, path) diff of corpus sha256 vs the prior files table.
+    """Bucketed (repo, path) diff of corpus sha256 vs the prior run.
 
     A distributed anti/semi-join — neither the corpus universe nor the
     prior file table is ever collected on the driver; only the *diff*
     (changed + deleted + carried-tombstone keys, delta-sized by
     definition) comes back. Three sides meet in each bucket:
 
-      c = current corpus, p = prior LIVE rows, t = prior tombstones
+      c = current corpus rows some handler takes (the others yield no
+          records, so they are never changed, carried or dropped)
+      p = the prior run's file records, one per extracted (repo, path)
+          (not the files table: it keeps one row per file key, and
+          repo-less keys such as ``client/package.json`` recur across
+          repos, so every other repo's copy would count as changed)
+      t = the prior files table's tombstones
       changed   = c absent from p, or present with a different sha —
                   includes resurrections (c matching only a tombstone)
       deleted   = p absent from c (newly deleted this run)
@@ -81,49 +92,47 @@ def _diff_vs_prior(
     carried_tombstones sorted [(repo, path, deleted_at_sec)])."""
     import pandas as pd
 
-    from codetoneo4j_ray.stages.bucketing import bucketed_apply, bucketed_apply_tasks
+    from codetoneo4j_ray.stages.bucketing import bucketed_apply_tasks
+
+    def side_rows(batch: pa.Table, side: str, sha256,
+                  deleted_at=None) -> pa.Table:
+        n = batch.num_rows
+        return pa.table(
+            {
+                "repo": batch["repo"],
+                "path": batch["path"],
+                "sha256": sha256,
+                "deleted_at": (pa.nulls(n, pa.int64()) if deleted_at is None
+                               else deleted_at),
+                "side": pa.array([side] * n, pa.string()),
+            }
+        )
 
     def cur_meta(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "repo": batch["repo"],
-                "path": batch["path"],
-                "sha256": pa.array(
-                    [sha256_hex(c) for c in batch["content"].to_pylist()],
-                    pa.string(),
-                ),
-                "deleted_at": pa.nulls(n, pa.int64()),
-                "side": pa.array(["c"] * n, pa.string()),
-            }
+        batch = batch.filter(
+            pa.array([has_handler(p) for p in batch["path"].to_pylist()],
+                     pa.bool_())
         )
+        shas = [sha256_hex(c) for c in batch["content"].to_pylist()]
+        return side_rows(batch, "c", pa.array(shas, pa.string()))
 
-    prior_all = ray.data.read_parquet(prior_files_dir)
-    has_tombs = "deleted" in prior_all.schema().names
+    def prior_live(batch: pa.Table) -> pa.Table:
+        return side_rows(batch, "p", batch["sha256"])
 
-    def prior_meta(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if has_tombs:
-            dead = pc.fill_null(batch["deleted"], False)
-            side = pc.if_else(dead, "t", "p")
-            deleted_at = batch["deleted_at"]
-            if not pa.types.is_int64(deleted_at.type):
-                deleted_at = pc.cast(deleted_at, pa.int64())
-        else:
-            side = pa.array(["p"] * n, pa.string())
-            deleted_at = pa.nulls(n, pa.int64())
-        return pa.table(
-            {
-                "repo": batch["repo"],
-                "path": batch["path"],
-                "sha256": batch["sha256"],
-                "deleted_at": deleted_at,
-                "side": side,
-            }
-        )
+    def prior_tombs(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(pc.fill_null(batch["deleted"], False))
+        return side_rows(batch, "t", batch["sha256"],
+                         pc.cast(batch["deleted_at"], pa.int64()))
 
     cur = corpus.map_batches(cur_meta, batch_format="pyarrow")
-    prior = prior_all.map_batches(prior_meta, batch_format="pyarrow")
+    prior = read_records(f"{prior_out_dir}/records", "file").map_batches(
+        prior_live, batch_format="pyarrow"
+    )
+    prior_files = ray.data.read_parquet(f"{prior_out_dir}/files")
+    if "deleted" in prior_files.schema().names:
+        prior = prior.union(
+            prior_files.map_batches(prior_tombs, batch_format="pyarrow")
+        )
 
     def diff(df: pd.DataFrame) -> pd.DataFrame:
         c = df[df["side"] == "c"]
@@ -246,7 +255,6 @@ def build_graph_incremental(
     prior_out_dir: str,
     out_dir: str,
     min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
-    concurrency=None,
     mode: str = "auto",
     packages_path: str | None = None,
     no_key: bool = False,
@@ -282,9 +290,7 @@ def build_graph_incremental(
 
         pkg_meta = load_pkg_meta(packages_path)
     corpus = read_corpus_pinned(input_path)
-    changed, deleted, carried_tombs = _diff_vs_prior(
-        corpus, f"{prior_out_dir}/files"
-    )
+    changed, deleted, carried_tombs = _diff_vs_prior(corpus, prior_out_dir)
 
     # re-extract only the changed rows (broadcast of the *delta* key set —
     # bounded by the diff size, never the corpus)
@@ -310,8 +316,8 @@ def build_graph_incremental(
     # with the delta; the skim is the cheap declaration pass.
     indices = build_type_index(corpus)
     new_records = extract_records(delta, indices, min_accessibility,
-                                  concurrency=concurrency, pkg_meta=pkg_meta,
-                                  no_key=no_key, batch_size=batch_size)
+                                  pkg_meta=pkg_meta, no_key=no_key,
+                                  batch_size=batch_size)
 
     def drop_stale(batch: pa.Table) -> pa.Table:
         from codetoneo4j_ray.stages.link import _cached_get
@@ -347,13 +353,17 @@ def build_graph_incremental(
         "changed_files": len(changed),
         "deleted_files": len(deleted),
         "deleted": [f"{r}:{p}" for r, p in deleted][:1000],
-        "tombstones": len(deleted) + len(carried_tombs),
     }
     for name in ("nodes", "edges", "files"):
         path = f"{out_dir}/{name}"
         shutil.rmtree(path, ignore_errors=True)
         outputs[name].write_parquet(path)
         metrics[name] = _parquet_rows(path)
+    # counted from the output: a deleted (repo, path) whose file key
+    # another repo still holds leaves no tombstone row
+    metrics["tombstones"] = pc.sum(
+        pq.read_table(f"{out_dir}/files", columns=["deleted"])["deleted"]
+    ).as_py() if metrics["files"] else 0
     fp = corpus_fingerprint(input_path, {
         "incremental": True, "min_accessibility": min_accessibility,
         "mode": mode, "packages": packages_path, "no_key": no_key,

@@ -42,7 +42,6 @@ def extract_partitioned(
     num_partitions: int = 8,
     min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
     resume: bool = True,
-    concurrency=None,
 ) -> dict:
     """Stage 1 with per-partition checkpoints; returns per-partition metrics."""
     config = {"min_accessibility": min_accessibility, "p": num_partitions, "v": 2}
@@ -69,6 +68,10 @@ def extract_partitioned(
                 if _os.path.exists(stale):
                     _os.remove(stale)
 
+    # pinned once, on the first partition that is not skipped: every
+    # partition filters the same blocks, and a fully resumed run reads
+    # nothing
+    corpus = None
     for i in range(num_partitions):
         part = f"part-{i:05d}"
         manifest = read_manifest(out_dir, f"records-{part}")
@@ -76,7 +79,8 @@ def extract_partitioned(
             results[part] = {**manifest["metrics"], "skipped": True}
             continue
         t0 = time.perf_counter()
-        corpus = read_corpus_pinned(input_path)
+        if corpus is None:
+            corpus = read_corpus_pinned(input_path)
 
         def in_partition(batch: pa.Table, idx=i) -> pa.Table:
             repos = batch["repo"].to_pylist()
@@ -85,9 +89,7 @@ def extract_partitioned(
 
         part_corpus = corpus.map_batches(in_partition, batch_format="pyarrow")
         indices = build_type_index(part_corpus)
-        records = extract_records(
-            part_corpus, indices, min_accessibility, concurrency=concurrency
-        )
+        records = extract_records(part_corpus, indices, min_accessibility)
         part_dir = f"{records_root}/{part}"
         import shutil
 

@@ -11,8 +11,8 @@ Two passes, neither of which shuffles file content:
           by repo and co-partitioned with a repo-bucketed corpus read
           (same key reused by stage 2's linking).
 
-  pass B  ``extract_records``   — an actor-pool ``map_batches`` running
-          every handler; emits one unified Arrow record stream tagged
+  pass B  ``extract_records``   — a task ``map_batches`` running every
+          handler; emits one unified Arrow record stream tagged
           ``rec_type ∈ {symbol, mention, file, url}`` so a single parse
           produces all outputs (split later by cheap filters).
 """
@@ -30,6 +30,7 @@ from codetoneo4j_ray.extractors.accessibility import DEFAULT_MIN_ACCESSIBILITY
 from codetoneo4j_ray.extractors.csharp.extractor import skim_file
 from codetoneo4j_ray.extractors.csharp.types import RepoTypeIndex
 from codetoneo4j_ray.functions.text import sha256_hex
+from codetoneo4j_ray.stages.link import _cached_get
 
 # Unified stage-1 record schema (symbol ∪ mention ∪ file ∪ url columns).
 RECORD_SCHEMA = pa.schema(
@@ -166,7 +167,7 @@ def build_type_index(corpus: ray.data.Dataset) -> dict[str, RepoTypeIndex]:
     import pandas as pd
 
     from codetoneo4j_ray.extractors.csharp.types import TypeInfo
-    from codetoneo4j_ray.stages.bucketing import bucketed_apply, bucketed_apply_tasks
+    from codetoneo4j_ray.stages.bucketing import bucketed_apply_tasks
 
     idx_rows = corpus.map_batches(skim_batch, batch_format="pyarrow")
 
@@ -216,114 +217,93 @@ def build_type_index(corpus: ray.data.Dataset) -> dict[str, RepoTypeIndex]:
     return {r["repo"]: pickle.loads(r["blob"]) for r in blobs}
 
 
-class ExtractRecords:
-    """Pass-B actor: warm handler state + broadcast type index.
-
-    The reference holds compilations/parsers warm per worker the same way
-    (``SolutionProcessor.cs:256-279``, TS bridge cache); here __init__
-    runs once per actor and ``ray.get`` of the index ref hits the local
-    object store (zero-copy for the plasma-backed buffers).
-    """
-
-    def __init__(self, index_ref=None, min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
-                 pkg_meta_ref=None, no_key: bool = False):
-        self.indices: dict[str, RepoTypeIndex] = (
-            ray.get(index_ref) if index_ref is not None else {}
+def _records_table(
+    repos, paths, commits, contents,
+    indices: dict[str, RepoTypeIndex],
+    min_accessibility: str,
+    pkg_meta: dict | None,
+    no_key: bool,
+) -> pa.Table:
+    """Run every handler over parallel corpus columns; one unified
+    record table (the per-file assembly both stage-1 paths share)."""
+    rows: list[dict] = []
+    for repo, path, commit, content in zip(repos, paths, commits, contents):
+        # repos with no skim rows get the shared empty index rather
+        # than None: in pipeline context "no manifest anywhere" must
+        # mean the TS/Dart handlers SKIP analysis (the reference's
+        # no-project-root behavior), not the unit-test fallback
+        ctx = extract_file(
+            repo, path, content, min_accessibility,
+            indices.get(repo, _NO_SKIM_INDEX), pkg_meta, no_key,
         )
-        self.min_accessibility = min_accessibility
-        # package-metadata side table (nuspec-cache analog): small, read
-        # once per actor from the local object store
-        self.pkg_meta: dict | None = (
-            ray.get(pkg_meta_ref) if pkg_meta_ref is not None else None
+        if ctx is None:
+            continue
+        for s in ctx.symbols:
+            s["rec_type"] = "symbol"
+            rows.append(s)
+        for m in ctx.mentions:
+            m["rec_type"] = "mention"
+            m["path"] = path
+            rows.append(m)
+        for u in ctx.urls:
+            u["rec_type"] = "url"
+            u["path"] = path
+            rows.append(u)
+        ns = ctx.file_namespace_override
+        if ns is None and ctx.namespace:
+            ns = ctx.namespace
+        rows.append(
+            {"rec_type": "file", "key": ctx.file_key, "path": path,
+             "file_name": path.rsplit("/", 1)[-1], "namespace": ns,
+             "sha256": sha256_hex(content), "language": ctx.language,
+             "technology": ctx.technology, "repo": repo, "commit": commit}
         )
-        self.no_key = no_key
+    # Arrow's native pylist ingestion: absent keys → null, one C++ pass
+    # instead of len(schema) × len(rows) Python dict lookups (3× faster)
+    return pa.Table.from_pylist(rows, schema=RECORD_SCHEMA)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows: list[dict] = []
-        repos = batch["repo"].to_pylist()
-        paths = batch["path"].to_pylist()
-        commits = batch["commit"].to_pylist()
-        contents = batch["content"].to_pylist()
-        for repo, path, commit, content in zip(repos, paths, commits, contents):
-            # repos with no skim rows get the shared empty index rather
-            # than None: in pipeline context "no manifest anywhere" must
-            # mean the TS/Dart handlers SKIP analysis (the reference's
-            # no-project-root behavior), not the unit-test fallback
-            ctx = extract_file(
-                repo, path, content, self.min_accessibility,
-                self.indices.get(repo, _NO_SKIM_INDEX), self.pkg_meta,
-                self.no_key,
-            )
-            if ctx is None:
-                continue
-            for s in ctx.symbols:
-                s["rec_type"] = "symbol"
-                rows.append(s)
-            for m in ctx.mentions:
-                m["rec_type"] = "mention"
-                m["path"] = path
-                rows.append(m)
-            for u in ctx.urls:
-                u["rec_type"] = "url"
-                u["path"] = path
-                rows.append(u)
-            ns = ctx.file_namespace_override
-            if ns is None and ctx.namespace:
-                ns = ctx.namespace
-            rows.append(
-                {
-                    "rec_type": "file",
-                    "key": ctx.file_key,
-                    "path": path,
-                    "file_name": path.rsplit("/", 1)[-1],
-                    "namespace": ns,
-                    "sha256": sha256_hex(content),
-                    "language": ctx.language,
-                    "technology": ctx.technology,
-                    "repo": repo,
-                    "commit": commit,
-                }
-            )
-        # Arrow's native pylist ingestion (absent keys → null, same as
-        # the per-field r.get() columnization it replaced, verified
-        # Table.equals — but one C++ pass instead of
-        # len(schema) × len(rows) Python dict lookups, 3× faster)
-        return pa.Table.from_pylist(rows, schema=RECORD_SCHEMA)
+
+def extract_batch(
+    batch: pa.Table,
+    index_ref=None,
+    pkg_meta_ref=None,
+    min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
+    no_key: bool = False,
+) -> pa.Table:
+    """Pass-B batch fn. The broadcast type index and package metadata
+    are fetched once per worker through the stage-2 broadcast cache, so
+    tasks keep the handler state warm without holding a CPU between
+    batches the way a pool actor does."""
+    indices = _cached_get(index_ref) if index_ref is not None else {}
+    pkg_meta = _cached_get(pkg_meta_ref) if pkg_meta_ref is not None else None
+    return _records_table(
+        batch["repo"].to_pylist(), batch["path"].to_pylist(),
+        batch["commit"].to_pylist(), batch["content"].to_pylist(),
+        indices, min_accessibility, pkg_meta, no_key,
+    )
 
 
 def extract_records(
     corpus: ray.data.Dataset,
     indices: dict[str, RepoTypeIndex] | None = None,
     min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
-    concurrency=None,
     batch_size: int = 64,
     pkg_meta: dict | None = None,
     no_key: bool = False,
 ) -> ray.data.Dataset:
-    """corpus → unified record stream (actor pool, Arrow in/out)."""
-    index_ref = ray.put(indices) if indices is not None else None
-    pkg_meta_ref = ray.put(pkg_meta) if pkg_meta is not None else None
-    if concurrency is None:
-        # scale the pool to the cluster — a fixed (1, 8) cap leaves most
-        # of a 32-CPU node idle in the priciest stage (same fix as the
-        # media decode pool, pipelines/multimodal.py:_decode_pool_size)
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:  # noqa: BLE001
-            cpus = 8
-        concurrency = (1, max(8, cpus))
-    kwargs = {"concurrency": concurrency}
+    """corpus → unified record stream (task ``map_batches``, Arrow in/out)."""
+    import functools
+
     return corpus.map_batches(
-        ExtractRecords,
-        fn_constructor_kwargs={
-            "index_ref": index_ref,
-            "min_accessibility": min_accessibility,
-            "pkg_meta_ref": pkg_meta_ref,
-            "no_key": no_key,
-        },
+        functools.partial(
+            extract_batch,
+            index_ref=ray.put(indices) if indices is not None else None,
+            pkg_meta_ref=ray.put(pkg_meta) if pkg_meta is not None else None,
+            min_accessibility=min_accessibility,
+            no_key=no_key,
+        ),
         batch_format="pyarrow",
         batch_size=batch_size,
-        **kwargs,
     )
 
 
@@ -343,7 +323,7 @@ def extract_records_partitioned(
     (the repo exchange) instead of zero, but no structure on any single
     node grows with corpus size — the multi-node configuration the
     broadcast index cannot provide (its dict grows with total declared
-    types). The broadcast actor-pool path stays the single-node default.
+    types). The broadcast-index task path stays the single-node default.
 
     ``salt`` sub-partitions each repo's corpus rows by path hash and
     replicates the (metadata-sized) skim rows to every salted bucket of
@@ -356,7 +336,7 @@ def extract_records_partitioned(
 
     from codetoneo4j_ray.extractors.csharp.extractor import parse_member_types
     from codetoneo4j_ray.extractors.csharp.types import TypeInfo
-    from codetoneo4j_ray.stages.bucketing import bucketed_apply, bucketed_apply_tasks
+    from codetoneo4j_ray.stages.bucketing import bucketed_apply_tasks
 
     pkg_ref = ray.put(pkg_meta) if pkg_meta is not None else None
     salt = max(1, salt)
@@ -427,40 +407,12 @@ def extract_records_partitioned(
                     )
                 else:
                     idx.global_usings.append((row.file_key, row.text))
-        rows: list[dict] = []
         c_part = df[df["__side"] == "c"]
-        for repo, path, commit, content in zip(
-            c_part["repo"], c_part["path"], c_part["commit"], c_part["content"]
-        ):
-            ctx = extract_file(repo, path, content, min_accessibility,
-                              indices.get(repo, _NO_SKIM_INDEX), meta, no_key)
-            if ctx is None:
-                continue
-            for s in ctx.symbols:
-                s["rec_type"] = "symbol"
-                rows.append(s)
-            for m in ctx.mentions:
-                m["rec_type"] = "mention"
-                m["path"] = path
-                rows.append(m)
-            for u in ctx.urls:
-                u["rec_type"] = "url"
-                u["path"] = path
-                rows.append(u)
-            ns = ctx.file_namespace_override
-            if ns is None and ctx.namespace:
-                ns = ctx.namespace
-            rows.append(
-                {"rec_type": "file", "key": ctx.file_key, "path": path,
-                 "file_name": path.rsplit("/", 1)[-1], "namespace": ns,
-                 "sha256": sha256_hex(content), "language": ctx.language,
-                 "technology": ctx.technology, "repo": repo, "commit": commit}
-            )
-        # Arrow-native pylist ingestion, then to pandas for the bucket
-        # machinery — same columns/dtypes as the per-field r.get()
-        # columnization it replaced (verified post-cast Table.equals),
-        # one C++ pass instead of len(schema) × len(rows) dict lookups
-        return pa.Table.from_pylist(rows, schema=RECORD_SCHEMA).to_pandas()
+        # pandas out for the bucket machinery; to_schema restores types
+        return _records_table(
+            c_part["repo"], c_part["path"], c_part["commit"],
+            c_part["content"], indices, min_accessibility, meta, no_key,
+        ).to_pandas()
 
     def to_schema(batch: pa.Table) -> pa.Table:
         # pandas bucket outputs back to the canonical arrow record schema

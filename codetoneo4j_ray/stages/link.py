@@ -266,7 +266,6 @@ def _lookup_site(idx: "MemberIndex | None", kind: str, recv: str, name: str,
 def resolve_mentions(
     records: ray.data.Dataset,
     member_indices: dict[str, MemberIndex],
-    concurrency=None,
 ) -> ray.data.Dataset:
     import functools
 
@@ -377,7 +376,6 @@ def _endpoint_filter_batch(batch: pa.Table, keys_ref=None) -> pa.Table:
 def resolve_edges_broadcast(
     mentions: ray.data.Dataset,
     symbol_keys: set[str],
-    concurrency=None,
 ) -> ray.data.Dataset:
     """Inner-join both endpoints against the declared-symbol key set,
     broadcast once via ``ray.put`` and probed per batch (no shuffle)."""

@@ -607,3 +607,19 @@ public class C
     fields = [s["name"] for s in out["src/F.cs"].symbols
               if s["kind"] == "Field"]
     assert sorted(fields) == ["_map", "other", "threshold"]
+
+
+def test_scan_body_rejects_sub_parser_for_other_tokens():
+    """A shared sub-parser must be built over the same token list that
+    scan_body scans; a mismatched one is refused, not silently used."""
+    import pytest
+
+    from codetoneo4j_ray.extractors.csharp.calls import scan_body
+    from codetoneo4j_ray.extractors.csharp.parser import _Parser, parse_csharp
+
+    code = parse_csharp("{ Foo(1); }").code
+    other = parse_csharp("{ Bar(2); }").code
+    sites = scan_body(code, (0, len(code)), {}, {}, sub=_Parser(code, {}))
+    assert [s.name for s in sites] == ["Foo"]
+    with pytest.raises(AssertionError):
+        scan_body(code, (0, len(code)), {}, {}, sub=_Parser(other, {}))

@@ -114,6 +114,79 @@ def test_old_symbols_gone_new_present(incr):
     assert "r1:N.C" in keys
 
 
+def test_unhandled_rows_never_count_as_changed(ray_session, tmp_path):
+    """Rows no handler takes (docs, images, excluded dirs) yield no
+    records, so editing, adding or keeping them changes nothing:
+    ``changed_files`` counts only the edited + added handled files."""
+    from codetoneo4j_ray.pipelines.build_graph import build_graph
+    from codetoneo4j_ray.pipelines.incremental import build_graph_incremental
+    import ray.data as rd
+
+    def other(path, text):
+        return ("r1", path, "c" * 40, "", text)
+
+    v1 = V1 + [other("README.md", "# r1"), other("img/logo.png", "\x89PNG"),
+               other("bin/Gen.cs", "namespace G;\npublic class Gen { }")]
+    v2 = V2 + [other("README.md", "# r1, edited"),
+               other("img/logo.png", "\x89PNG"),
+               other("docs/notes.txt", "added"),
+               other("bin/Gen.cs", "namespace G;\npublic class Gen2 { }")]
+    p1, p2 = str(tmp_path / "v1.parquet"), str(tmp_path / "v2.parquet")
+    pq.write_table(_corpus(v1), p1)
+    pq.write_table(_corpus(v2), p2)
+    out1, out2, out_full = (str(tmp_path / d) for d in ("o1", "o2", "of"))
+    build_graph(p1, out1)
+    m = build_graph_incremental(p2, out1, out2)
+    build_graph(p2, out_full)
+
+    assert m["changed_files"] == 2  # B edited + C added
+    assert m["deleted"] == ["r1:src/Gone.cs"]
+    for n in ("nodes", "edges", "files"):
+        a = rd.read_parquet(f"{out2}/{n}").to_pandas()
+        b = rd.read_parquet(f"{out_full}/{n}").to_pandas()
+        if n == "files":  # live rows only (tombstones are incremental-only)
+            a = a[~a["deleted"]].drop(columns=["deleted", "deleted_at"])
+        assert _sorted_rows(a).equals(_sorted_rows(b)), f"{n} differs"
+
+
+def test_shared_file_key_across_repos(ray_session, tmp_path):
+    """Non-C# file keys are repo-less paths, so two repos' copies of
+    ``web/site.css`` share one files-table row. The diff runs against
+    the per-(repo, path) file records instead: unchanged copies are not
+    re-extracted, and deleting one repo's copy drops its records."""
+    from codetoneo4j_ray.pipelines.build_graph import build_graph
+    from codetoneo4j_ray.pipelines.incremental import build_graph_incremental
+    import ray.data as rd
+
+    def row(repo, path, text, commit="c" * 40):
+        return (repo, path, commit, "", text)
+
+    shared = [row("ra", "web/site.css", ".a { color: red; }\n"),
+              row("rb", "web/site.css", ".b { color: blue; }\n"),
+              row("rc", "web/site.css", ".c { color: green; }\n")]
+    cs = row("ra", "src/A.cs", "namespace N;\npublic class A { }")
+    v1 = shared + [cs]
+    v2 = shared[:1] + shared[2:] + [
+        row("ra", "src/A.cs", "namespace N;\npublic class A2 { }", "d" * 40)
+    ]
+    p1, p2 = str(tmp_path / "v1.parquet"), str(tmp_path / "v2.parquet")
+    pq.write_table(_corpus(v1), p1)
+    pq.write_table(_corpus(v2), p2)
+    out1, out2, out_full = (str(tmp_path / d) for d in ("o1", "o2", "of"))
+    build_graph(p1, out1)
+    m = build_graph_incremental(p2, out1, out2)
+    build_graph(p2, out_full)
+
+    assert m["changed_files"] == 1  # only src/A.cs
+    assert m["deleted"] == ["rb:web/site.css"]
+    for n in ("nodes", "edges", "files"):
+        a = rd.read_parquet(f"{out2}/{n}").to_pandas()
+        b = rd.read_parquet(f"{out_full}/{n}").to_pandas()
+        if n == "files":  # live rows only (tombstones are incremental-only)
+            a = a[~a["deleted"]].drop(columns=["deleted", "deleted_at"])
+        assert _sorted_rows(a).equals(_sorted_rows(b)), f"{n} differs"
+
+
 def test_incremental_cross_file_reference(ray_session, tmp_path):
     """A changed file calling a method declared in an UNCHANGED file must
     keep its INVOKES edge — the pass-A type index has to cover the full

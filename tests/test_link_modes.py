@@ -75,9 +75,9 @@ def test_graph_modes_output_identical(tmp_path):
         assert da.equals(db), f"{name} differs between modes"
 
 
-def test_stage1_partitioned_matches_actor_pool(tmp_path):
+def test_stage1_partitioned_matches_task_path(tmp_path):
     """Repo-bucketed extraction (no driver index) must produce the same
-    record multiset as the broadcast actor-pool path."""
+    record multiset as the broadcast-index task path."""
     import pandas as pd
 
     from codetoneo4j_ray.pipelines.build_graph import (

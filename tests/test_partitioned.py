@@ -75,3 +75,30 @@ def test_graph_from_partitioned_records(part_out):
     records = records_dataset(part_out["out"])
     nodes = graph_from_records(records)["nodes"]
     assert nodes.count() > 100
+
+
+def test_corpus_pinned_once_and_not_on_resume(part_out, monkeypatch):
+    """The corpus is pinned once per run, on the first partition that is
+    not skipped; a fully resumed run reads nothing."""
+    from codetoneo4j_ray.pipelines import partitioned
+
+    calls = []
+    orig = partitioned.read_corpus_pinned
+
+    def counting(path):
+        calls.append(path)
+        return orig(path)
+
+    monkeypatch.setattr(partitioned, "read_corpus_pinned", counting)
+    corpus, out = part_out["corpus"], part_out["out"]
+    again = partitioned.extract_partitioned(corpus, out, num_partitions=4)
+    assert all(r.get("skipped") for r in again.values())
+    assert calls == []
+
+    partitioned.purge_partition(out, 0)
+    partitioned.purge_partition(out, 3)
+    again = partitioned.extract_partitioned(corpus, out, num_partitions=4)
+    assert [p for p, r in again.items() if not r.get("skipped")] == [
+        "part-00000", "part-00003"
+    ]
+    assert calls == [corpus]

@@ -180,8 +180,7 @@ def main() -> int:
         shutil.rmtree(od, ignore_errors=True)
         t0 = time.perf_counter()
         m = build_graph(corpus, od, resume=False, mode=mode,
-                        packages_path=ensure_packages(REHEARSAL_SF),
-                        concurrency=(16, 32))
+                        packages_path=ensure_packages(REHEARSAL_SF))
         timings[f"kg_build_{mode}"] = round(time.perf_counter() - t0, 1)
         out[f"files_per_sec_{mode}"] = round(
             m["files"] / timings[f"kg_build_{mode}"], 1
