@@ -8,6 +8,10 @@ ONE JSON line:
    "queries": {name: sec, ...}, "sf": ..., "num_cpus": N,
    "kg_files": n, "kg_files_per_sec": r}
 
+kg_build takes the path ``resolve_mode`` picks; the other path is timed
+as kg_build_<path>. ``--path broadcast|partitioned`` pins every build
+to one path instead.
+
 ``--scaling`` runs the kg_build pipeline in two fresh processes
 (num_cpus=8 then 32) on the same pre-generated input and reports both
 throughputs + scaling efficiency (the sandbox stand-in for the north
@@ -16,15 +20,29 @@ rule's N vs 4N node clusters).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
 import subprocess
 import sys
 import time
+from unittest import mock
 
 
-def run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
+def on_path(mode: str | None):
+    """Context in which build_graph takes ``mode`` ("broadcast" or
+    "partitioned") whatever ``resolve_mode`` would pick; None leaves the
+    choice to it. How this harness times either path on one node."""
+    from codetoneo4j_ray.pipelines import build_graph as bg
+
+    if mode is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(bg, "resolve_mode",
+                             lambda corpus_bytes=None: mode)
+
+
+def run_benchmarks(sf_dir: str, num_cpus: int, path: str | None = None) -> dict:
     import ray
     import ray.data
 
@@ -73,36 +91,38 @@ def run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
     timings: dict[str, float] = {}
     extras: dict = {}
 
-    mode = os.environ.get("GRAFT_KG_MODE", "broadcast")
     t0 = time.perf_counter()
-    metrics = build_graph(corpus_path, out_dir, resume=False, mode=mode,
-                          packages_path=packages_path)
+    with on_path(path):
+        metrics = build_graph(corpus_path, out_dir, resume=False,
+                              packages_path=packages_path)
     timings["kg_build"] = round(time.perf_counter() - t0, 3)
     extras["kg_nodes"] = metrics["nodes"]
     extras["kg_edges"] = metrics["edges"]
     extras["kg_files"] = metrics["files"]
     extras["kg_files_per_sec"] = round(metrics["files"] / timings["kg_build"], 1)
+    extras["kg_mode"] = metrics["mode"]
     if metrics.get("stage1_sec"):
         timings["kg_stage1"] = metrics["stage1_sec"]
 
     only_kg = os.environ.get("GRAFT_BENCH_ONLY") == "kg"
 
-    # the multi-node configuration, timed alongside the broadcast default
-    # so every BENCH records both (scaling runs already pin one mode via
-    # GRAFT_KG_MODE and skip this)
-    if not only_kg and mode == "broadcast":
-        out_dir_p = os.path.join(
-            corpus_dir_for_sf(sf_dir), f"bench_out_{num_cpus}_part"
+    # the other path, timed alongside so every BENCH records both
+    # (scaling runs pin one path and skip this)
+    if not only_kg and path is None:
+        other = "partitioned" if metrics["mode"] == "broadcast" else "broadcast"
+        out_dir_o = os.path.join(
+            corpus_dir_for_sf(sf_dir), f"bench_out_{num_cpus}_{other}"
         )
-        shutil.rmtree(out_dir_p, ignore_errors=True)
+        shutil.rmtree(out_dir_o, ignore_errors=True)
         t0 = time.perf_counter()
-        m2 = build_graph(corpus_path, out_dir_p, resume=False,
-                         mode="partitioned", packages_path=packages_path)
-        timings["kg_build_partitioned"] = round(time.perf_counter() - t0, 3)
-        extras["kg_files_per_sec_partitioned"] = round(
-            m2["files"] / timings["kg_build_partitioned"], 1
+        with on_path(other):
+            m2 = build_graph(corpus_path, out_dir_o, resume=False,
+                             packages_path=packages_path)
+        timings[f"kg_build_{other}"] = round(time.perf_counter() - t0, 3)
+        extras[f"kg_files_per_sec_{other}"] = round(
+            m2["files"] / timings[f"kg_build_{other}"], 1
         )
-        shutil.rmtree(out_dir_p, ignore_errors=True)
+        shutil.rmtree(out_dir_o, ignore_errors=True)
 
     def timed(name, fn):
         if only_kg:
@@ -248,14 +268,15 @@ def run_scaling(sf_dir: str, lo: int = 8, hi: int = 32) -> dict:
     ensure_corpus(sf_dir)
 
     def one(ncpu: int) -> tuple[dict, float, float]:
-        # scaling runs use the multi-node (partitioned) linking mode:
-        # zero serial driver work, so throughput tracks cluster size
+        # both phases take the partitioned path: zero serial driver work,
+        # so throughput tracks cluster size (resolve_mode alone would
+        # pick broadcast at 8 CPUs and partitioned at 32)
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu), GRAFT_SF_DIR=sf_dir,
-                   GRAFT_KG_MODE=os.environ.get("GRAFT_KG_MODE", "partitioned"),
                    GRAFT_BENCH_ONLY=os.environ.get("GRAFT_BENCH_ONLY", "kg"))
         probe_before = _burn_time(ncpu)
         out = subprocess.run(
-            [sys.executable, os.path.abspath(__file__)],
+            [sys.executable, os.path.abspath(__file__),
+             "--path", "partitioned"],
             env=env, capture_output=True, text=True, check=True,
             cwd=os.path.dirname(os.path.abspath(__file__)),
         ).stdout
@@ -281,7 +302,7 @@ def run_scaling(sf_dir: str, lo: int = 8, hi: int = 32) -> dict:
     ceiling = round((burn_lo / burn_hi) / (hi / lo), 3)
     return {
         "metric": "kg_build scaling efficiency",
-        "mode": os.environ.get("GRAFT_KG_MODE", "partitioned"),
+        "mode": phases[lo][0][0].get("kg_mode"),
         "sf": sf_dir,
         "interleave": f"{lo}/{hi}/{lo}/{hi}",
         f"sec_{lo}": round(t_lo, 3),
@@ -313,7 +334,9 @@ def main() -> None:
     if "--scaling" in sys.argv:
         print(json.dumps(run_scaling(sf_dir)))
         return
-    result = run_benchmarks(sf_dir, num_cpus)
+    path = (sys.argv[sys.argv.index("--path") + 1]
+            if "--path" in sys.argv else None)
+    result = run_benchmarks(sf_dir, num_cpus, path)
     print(json.dumps(result))
     import ray
 

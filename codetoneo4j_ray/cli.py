@@ -20,16 +20,16 @@ Option parity:
   --min-accessibility   accessibility gate (AccessibilityFilter.cs)
   --batch-size          stage-1 extraction batch size (Program.cs:71-73
                         flush batching analog)
-  --mode                auto | broadcast | partitioned — auto (default)
-                        picks partitioned iff the Ray cluster reports
-                        more than one alive node, so the broadcast-mode
-                        driver structures are never the multi-node
-                        default (override explicitly either way)
   --commits             commits side table → commit subgraph
                         (the --diff-base git-ingestion analog)
   --packages            package-metadata side table (nuspec analog)
   --show-supported-files  handler registry listing
   --purge-data          via the ``purge`` subcommand
+
+No option picks the linking path: a build runs partitioned on a
+multi-node cluster, at 32 or more CPUs, or when the broadcast path's
+driver structures would not fit the reported memory, and broadcast
+otherwise (``pipelines.build_graph.resolve_mode``).
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=["Private", "Protected", "Internal",
                                  "ProtectedOrInternal", "Public"])
         sp.add_argument("--batch-size", type=int, default=64)
-        sp.add_argument("--mode", default="auto",
-                        choices=["auto", "broadcast", "partitioned"])
         sp.add_argument("--commits", help="commits side-table parquet")
         sp.add_argument("--packages", help="package-metadata parquet")
         sp.add_argument("--no-resume", action="store_true")
@@ -118,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
             metrics = build_graph(
                 args.input, args.output,
                 min_accessibility=args.min_accessibility,
-                resume=not args.no_resume, mode=args.mode,
+                resume=not args.no_resume,
                 packages_path=args.packages, no_key=args.no_key,
                 batch_size=args.batch_size,
             )
@@ -132,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
 
             metrics = build_graph_incremental(
                 args.input, args.prior, args.output,
-                min_accessibility=args.min_accessibility, mode=args.mode,
+                min_accessibility=args.min_accessibility,
                 packages_path=args.packages, no_key=args.no_key,
                 batch_size=args.batch_size,
             )

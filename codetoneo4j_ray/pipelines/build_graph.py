@@ -9,6 +9,13 @@
       → [3]  node / edge / file dedup                   combine + groupby
       → [4]  structural edges, sort, write_parquet      nodes/ edges/ files/
 
+``resolve_mode`` alone picks how stages 1 and 2 run, from what the Ray
+session reports: the broadcast path above on one node with fewer than
+32 CPUs while the corpus fits the driver-memory budget; otherwise the
+partitioned path, where stage 1 extracts in repo-keyed buckets
+(``extract_records_partitioned``) and [2a]+[2b] are one repo-keyed
+exchange (``resolve_link_fused``), with no driver-side index.
+
 Every shuffle is metadata-only (keys + record rows); file *content*
 never moves past stage 1b. The reference's pipeline equivalence is the
 full-index run (``SolutionProcessor.ProcessSolution``, SURVEY §3.1).
@@ -26,8 +33,9 @@ from codetoneo4j_ray.stages.extract import build_type_index, extract_records
 from codetoneo4j_ray.stages.link import (
     build_member_indices,
     resolve_edges_broadcast,
+    resolve_link_fused,
     resolve_mentions,
-    strip_internal,
+    symbol_key_set,
 )
 from codetoneo4j_ray.stages.materialize import (
     finalize_files,
@@ -55,8 +63,9 @@ def read_corpus(input_path: str) -> ray.data.Dataset:
 
 def read_corpus_pinned(input_path: str) -> ray.data.Dataset:
     """:func:`read_corpus`, materialized into the object store when the
-    corpus content fits a byte budget (``GRAFT_CORPUS_PIN_BUDGET_BYTES``,
-    default 4 GiB).
+    corpus content fits a quarter of the cluster's object-store memory
+    (``ray.cluster_resources()``; no Ray session yet → stream). The rest
+    of the store holds the pinned records and the exchange blocks.
 
     A single-parquet-file corpus is read by ONE task whose SplitBlocks
     output drips through the streaming executor block by block (measured
@@ -64,14 +73,12 @@ def read_corpus_pinned(input_path: str) -> ray.data.Dataset:
     twice (pass-A skim + pass-B extraction). Pinning the blocks once
     makes both passes read local plasma (skim map 3.7 → 0.7 s). At
     100 TB the corpus is many files (parallel read tasks, no drip) and
-    exceeds any sane budget, so it streams exactly as before."""
+    exceeds the budget, so it streams exactly as before."""
     ds = read_corpus(input_path)
-    budget = int(os.environ.get("GRAFT_CORPUS_PIN_BUDGET_BYTES", 4 << 30))
-    try:
-        est = corpus_content_bytes(input_path)
-    except Exception:  # noqa: BLE001 — non-parquet / odd input: stream
-        est = None
-    if est is not None and est <= budget:
+    store = (ray.cluster_resources().get("object_store_memory", 0)
+             if ray.is_initialized() else 0)
+    est = corpus_content_bytes(input_path)
+    if est is not None and est <= int(store) // 4:
         ds = ds.materialize()
     return ds
 
@@ -182,65 +189,39 @@ def _record_parts(records, records_dir):
 
 
 def _symbol_edges(raw_mentions, symbols, mode):
-    """Stage-2 resolved+endpoint-checked (subj, pred, obj) edges and the
-    resolved mention stream (both lazy).
+    """Stage-2 resolved + endpoint-checked (subj, pred, obj) edges (lazy).
 
-    In broadcast mode this call does the serial driver work (member
+    On the broadcast path this call does the serial driver work (member
     index + symbol-key set, built concurrently); callers that don't need
     edges should avoid it."""
-    mention_cols = ["subj", "pred", "obj", "repo", "ctx_kind", "ctx_name",
-                    "ctx_receiver", "ctx_argc"]
     if mode == "partitioned":
-        from codetoneo4j_ray.stages.link import (
-            resolve_link_fused,
-            resolve_mentions_partitioned,
-        )
+        # one repo-keyed exchange resolves + endpoint-checks the bulk
+        return resolve_link_fused(raw_mentions, symbols)
+    # the two driver-side broadcast structures read disjoint record
+    # partitions (mention vs symbol) — build them concurrently so the
+    # serial plan-build latency is max(t_members, t_keys), not the sum
+    from concurrent.futures import ThreadPoolExecutor
 
-        # one repo-keyed exchange resolves + endpoint-checks the
-        # repo-prefixed bulk; only non-prefixed keys take the two tiny
-        # global semi-join exchanges
-        sym_edges = resolve_link_fused(raw_mentions, symbols)
-        # resolved mention stream only if a consumer asks (lazy — unused
-        # by build_graph, which never writes mentions_raw)
-        resolved = resolve_mentions_partitioned(raw_mentions)
-    else:
-        # the two driver-side broadcast structures read disjoint record
-        # partitions (mention vs symbol) — build them concurrently so the
-        # serial plan-build latency is max(t_members, t_keys), not the sum
-        from concurrent.futures import ThreadPoolExecutor
-
-        def _keys() -> set:
-            keys_df = symbols.select_columns(["key"]).to_pandas()
-            return set(keys_df["key"]) if "key" in keys_df.columns else set()
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fut_members = pool.submit(build_member_indices, raw_mentions)
-            fut_keys = pool.submit(_keys)
-            member_indices = fut_members.result()
-            symbol_keys = fut_keys.result()
-
-        # narrow the mention stream before the resolve/join stages — only
-        # the resolution context columns travel, never the symbol payload
-        mentions = strip_internal(raw_mentions.select_columns(mention_cols))
-        resolved = resolve_mentions(mentions, member_indices)
-
-        sym_edges = resolve_edges_broadcast(
-            resolved.select_columns(["subj", "pred", "obj"]), symbol_keys
-        )
-    return sym_edges, resolved
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        fut_members = pool.submit(build_member_indices, raw_mentions)
+        fut_keys = pool.submit(symbol_key_set, symbols)
+        member_indices = fut_members.result()
+        symbol_keys = fut_keys.result()
+    return resolve_edges_broadcast(
+        resolve_mentions(raw_mentions, member_indices), symbol_keys
+    )
 
 
 def _edges_output(raw_mentions, symbols, records, mode, no_key):
     from codetoneo4j_ray.stages.canonicalize import distinct_sorted
 
-    sym_edges, resolved = _symbol_edges(raw_mentions, symbols, mode)
     # dedup/distinct fused into the output's range-partitioned sort: ONE
     # exchange (see canonicalize.lww_sorted for the exactness argument)
-    edges = distinct_sorted(
-        sym_edges.union(structural_edges(records,
-                                         include_project=not no_key))
+    return distinct_sorted(
+        _symbol_edges(raw_mentions, symbols, mode).union(
+            structural_edges(records, include_project=not no_key)
+        )
     )
-    return edges, resolved
 
 
 def _nodes_output(symbols):
@@ -257,20 +238,16 @@ def _files_output(files):
     return lww_sorted(finalize_files(files), "key", _FILE_TIEBREAK)
 
 
-# "auto" stays broadcast only while the corpus (and hence the
-# driver-assembled type-index / member-index / key-set, which scale
-# with it) fits a single node comfortably. Content bytes are a crude
-# upper proxy — the indices are a small fraction of content — so the
-# default is sized for a 128 GiB node with ample headroom. Override
-# per deployment via GRAFT_BROADCAST_BUDGET_BYTES.
-_BROADCAST_BUDGET_DEFAULT = 8 << 30  # 8 GiB of corpus content
-
-
-def broadcast_byte_budget() -> int:
-    return int(
-        os.environ.get("GRAFT_BROADCAST_BUDGET_BYTES",
-                       _BROADCAST_BUDGET_DEFAULT)
-    )
+# The broadcast path assembles the type index, the member index and the
+# symbol-key set on the driver; together they grew driver RSS by 1.5-1.6
+# bytes per byte of corpus content on sf0.1 (39 MB) and 2.7 on sf0.01
+# (0.4 MB). Rounded up to the larger.
+_DRIVER_BYTES_PER_CONTENT_BYTE = 3
+# On one node the partitioned path has been measured faster at 32 CPUs
+# (sf0.1 and the 10x corpus) and slower at 1 and 4 CPUs (the benchmark
+# corpus, sf0.01, sf0.1); README has the walls. Counts in between are
+# unmeasured.
+_PARTITIONED_MIN_CPUS = 32
 
 
 def corpus_content_bytes(input_path: str) -> int | None:
@@ -304,56 +281,49 @@ def corpus_content_bytes(input_path: str) -> int | None:
     return total if seen else None
 
 
-def resolve_mode(mode: str, corpus_bytes: int | None = None) -> str:
-    """Resolve "auto" to a concrete linking mode: "partitioned" when
-    more than one alive node is attached (the broadcast-mode
-    driver-side structures must never be the default on a real
-    cluster) OR when the corpus-content estimate exceeds the broadcast
-    byte budget (a single fat node on a huge corpus must not assemble
-    a corpus-scale index on the driver either); "broadcast" otherwise
-    (lowest latency while the index fits one machine). Explicit modes
-    pass through so either can still be forced per run."""
-    if mode != "auto":
-        return mode
-    if corpus_bytes is not None and corpus_bytes > broadcast_byte_budget():
-        return "partitioned"
+def resolve_mode(corpus_bytes: int | None = None) -> str:
+    """The one place that picks the stage-1/2 path, from what the Ray
+    session reports: "partitioned" when more than one alive node is
+    attached (the broadcast path's driver-side structures must never be
+    built on a real cluster), when the session has at least
+    ``_PARTITIONED_MIN_CPUS`` CPUs (where partitioned was measured
+    faster), or when the broadcast path's driver structures, estimated
+    from ``corpus_bytes``, would pass a quarter of the memory Ray
+    reports (a single node on a huge corpus must not assemble a
+    corpus-scale index on the driver either); "broadcast" otherwise,
+    and with no Ray session. Both paths write byte-identical outputs."""
     try:
-        alive = [n for n in ray.nodes() if n.get("Alive")]
-    except Exception:
+        alive = sum(1 for n in ray.nodes() if n.get("Alive"))
+        resources = ray.cluster_resources()
+    except Exception:  # noqa: BLE001 — no Ray session yet
         return "broadcast"
-    return "partitioned" if len(alive) > 1 else "broadcast"
+    if alive > 1 or resources.get("CPU", 0) >= _PARTITIONED_MIN_CPUS:
+        return "partitioned"
+    driver_bytes = (corpus_bytes or 0) * _DRIVER_BYTES_PER_CONTENT_BYTE
+    if driver_bytes > resources.get("memory", 0) / 4:
+        return "partitioned"
+    return "broadcast"
 
 
 def graph_from_records(
     records: ray.data.Dataset | None = None,
     records_dir: str | None = None,
-    mode: str = "auto",
     no_key: bool = False,
+    corpus_bytes: int | None = None,
 ) -> dict[str, ray.data.Dataset]:
     """Stages 2–4 from a (re-readable) record stream.
 
     Pass ``records_dir`` (hive-partitioned checkpoint) for partition-
     pruned reads, or an in-memory/materialized ``records`` dataset.
-
-    ``mode``:
-      - "auto"        — partitioned iff the cluster has >1 node
-        (``resolve_mode``).
-      - "broadcast"   — member index + symbol-key set built on the driver
-        and broadcast via ray.put: lowest latency while they fit one node.
-      - "partitioned" — stage 2 runs as hash-partitioned bucket joins on
-        ``repo`` / key with zero serial driver work: the multi-node
-        configuration (scaling benches run this mode).
-    Returns lazy datasets: nodes, edges, files, mentions_raw.
+    Stage 2 runs on the path ``resolve_mode(corpus_bytes)`` picks.
+    Returns lazy datasets: nodes, edges, files.
     """
-    mode = resolve_mode(mode)
+    mode = resolve_mode(corpus_bytes)
     symbols, files, raw_mentions, records = _record_parts(records, records_dir)
-    edges, resolved = _edges_output(raw_mentions, symbols, records, mode,
-                                    no_key)
     return {
         "nodes": _nodes_output(symbols),
-        "edges": edges,
+        "edges": _edges_output(raw_mentions, symbols, records, mode, no_key),
         "files": _files_output(files),
-        "mentions_raw": resolved,
     }
 
 
@@ -362,16 +332,12 @@ def build_graph(
     out_dir: str,
     min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
     resume: bool = True,
-    mode: str = "auto",
     packages_path: str | None = None,
     no_key: bool = False,
     batch_size: int = 64,
 ) -> dict:
     """Full run with a records checkpoint; returns metrics."""
-    # the footer scan only matters (and only runs) when mode is "auto":
-    # explicit modes pass straight through resolve_mode
-    mode = resolve_mode(mode, corpus_bytes=(
-        corpus_content_bytes(input_path) if mode == "auto" else None))
+    mode = resolve_mode(corpus_content_bytes(input_path))
     pkg_stat = None
     if packages_path is not None:
         import os
@@ -468,8 +434,8 @@ def build_graph(
         elif name == "files":
             ds = _files_output(files)
         else:
-            ds, _resolved = _edges_output(raw_mentions, symbols, records_in,
-                                          mode, no_key)
+            ds = _edges_output(raw_mentions, symbols, records_in, mode,
+                               no_key)
         path = f"{out_dir}/{name}"
         shutil.rmtree(path, ignore_errors=True)
         ds.write_parquet(path)

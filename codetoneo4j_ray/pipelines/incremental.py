@@ -42,6 +42,7 @@ from codetoneo4j_ray.functions.text import sha256_hex
 from codetoneo4j_ray.pipelines.build_graph import (
     _parquet_rows,
     _stub_fsspec_http,
+    corpus_content_bytes,
     graph_from_records,
     read_corpus_pinned,
     read_records,
@@ -50,6 +51,7 @@ from codetoneo4j_ray.pipelines.build_graph import (
 from codetoneo4j_ray.stages.extract import (
     build_type_index,
     extract_records,
+    extract_records_partitioned,
     has_handler,
 )
 from codetoneo4j_ray.state.manifest import corpus_fingerprint, write_manifest
@@ -255,7 +257,6 @@ def build_graph_incremental(
     prior_out_dir: str,
     out_dir: str,
     min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
-    mode: str = "auto",
     packages_path: str | None = None,
     no_key: bool = False,
     batch_size: int = 64,
@@ -277,13 +278,6 @@ def build_graph_incremental(
             "read is lazy, and rebuilding in place would delete the prior "
             "checkpoint before it is read"
         )
-    from codetoneo4j_ray.pipelines.build_graph import corpus_content_bytes
-
-    # concrete mode into the run fingerprint (same byte-budget guardrail
-    # as build_graph — the stage-2 index is corpus-sized, not diff-sized;
-    # the footer scan only runs when the mode is actually "auto")
-    mode = resolve_mode(mode, corpus_bytes=(
-        corpus_content_bytes(input_path) if mode == "auto" else None))
     pkg_meta = None
     if packages_path is not None:
         from codetoneo4j_ray.stages.extract import load_pkg_meta
@@ -313,11 +307,19 @@ def build_graph_incremental(
     # chains, global usings) — the incremental==full contract requires the
     # same compilation-wide knowledge the reference re-opens per run
     # (SolutionProcessor.cs:256-279). Stage-1 *parse* cost still scales
-    # with the delta; the skim is the cheap declaration pass.
-    indices = build_type_index(corpus)
-    new_records = extract_records(delta, indices, min_accessibility,
-                                  pkg_meta=pkg_meta, no_key=no_key,
-                                  batch_size=batch_size)
+    # with the delta; the skim is the cheap declaration pass. The index
+    # is corpus-sized, so the path follows build_graph's choice.
+    corpus_bytes = corpus_content_bytes(input_path)
+    if resolve_mode(corpus_bytes) == "partitioned":
+        new_records = extract_records_partitioned(
+            delta, min_accessibility, pkg_meta=pkg_meta, no_key=no_key,
+            index_corpus=corpus,
+        )
+    else:
+        indices = build_type_index(corpus)
+        new_records = extract_records(delta, indices, min_accessibility,
+                                      pkg_meta=pkg_meta, no_key=no_key,
+                                      batch_size=batch_size)
 
     def drop_stale(batch: pa.Table) -> pa.Table:
         from codetoneo4j_ray.stages.link import _cached_get
@@ -343,8 +345,10 @@ def build_graph_incremental(
     merged.write_parquet(records_dir, partition_cols=["rec_type"])
 
     _stub_fsspec_http()
-    outputs = graph_from_records(records_dir=records_dir, mode=mode,
-                                 no_key=no_key)
+    # stage 2's index is corpus-sized too, not diff-sized
+    outputs = graph_from_records(
+        records_dir=records_dir, no_key=no_key, corpus_bytes=corpus_bytes,
+    )
     outputs["files"] = _files_with_tombstones(
         outputs["files"], f"{prior_out_dir}/files", deleted, carried_tombs,
         deleted_at_sec,
@@ -366,7 +370,7 @@ def build_graph_incremental(
     ).as_py() if metrics["files"] else 0
     fp = corpus_fingerprint(input_path, {
         "incremental": True, "min_accessibility": min_accessibility,
-        "mode": mode, "packages": packages_path, "no_key": no_key,
+        "packages": packages_path, "no_key": no_key,
         "prior": os.path.realpath(prior_out_dir),
     })
     write_manifest(out_dir, "graph", fp, metrics)

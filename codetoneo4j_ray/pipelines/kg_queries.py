@@ -36,7 +36,7 @@ from codetoneo4j_ray.stages.link import (
     build_member_indices,
     resolve_edges_broadcast,
     resolve_mentions,
-    strip_internal,
+    symbol_key_set,
 )
 from codetoneo4j_ray.stages.materialize import (
     finalize_files,
@@ -77,13 +77,11 @@ def ensure_kg(sf_dir: str) -> dict[str, str]:
     coalesce(records).write_parquet(paths["records"], partition_cols=["rec_type"])
 
     records_ds = read_records(paths["records"])
-    member_indices = build_member_indices(read_records(paths["records"], "mention"))
-    mention_cols = ["subj", "pred", "obj", "repo", "ctx_kind", "ctx_name",
-                    "ctx_receiver", "ctx_argc"]
+    # stage-2 step A, as the broadcast build runs it; the oracle reads
+    # the resolved mentions back from parquet
     raw_mentions = read_records(paths["records"], "mention")
     resolved = resolve_mentions(
-        strip_internal(raw_mentions.select_columns(mention_cols)),
-        member_indices,
+        raw_mentions, build_member_indices(raw_mentions)
     ).select_columns(["subj", "pred", "obj", "repo"])
     shutil.rmtree(paths["mentions"], ignore_errors=True)
     resolved.write_parquet(paths["mentions"])
@@ -145,14 +143,12 @@ def kg_edges_raw(sf_dir: str) -> ray.data.Dataset:
     that dedup themselves (graph_ops' DISTINCT-pair analytics) read this
     and skip the final table's sort/dedup exchange."""
     paths = ensure_kg(sf_dir)
-    records = read_records(paths["records"])
-    mentions = ray.data.read_parquet(paths["mentions"]).select_columns(
-        ["subj", "pred", "obj"]
+    # stage-2 step B over the cached step-A output
+    sym_edges = resolve_edges_broadcast(
+        ray.data.read_parquet(paths["mentions"]),
+        symbol_key_set(read_records(paths["records"], "symbol")),
     )
-    symbols = read_records(paths["records"], "symbol")
-    symbol_keys = set(symbols.select_columns(["key"]).to_pandas()["key"])
-    sym_edges = resolve_edges_broadcast(mentions, symbol_keys)
-    return sym_edges.union(structural_edges(records))
+    return sym_edges.union(structural_edges(read_records(paths["records"])))
 
 
 def q_kg_edges(sf_dir: str) -> ray.data.Dataset:

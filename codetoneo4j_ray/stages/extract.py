@@ -6,15 +6,18 @@ Two passes, neither of which shuffles file content:
           producing the repo-wide type index (types, namespaces, global
           usings). The index is metadata (≪ content) and is broadcast to
           pass B via ``ray.put`` — the reference gets the same knowledge
-          from the Roslyn Compilation (``SolutionProcessor.cs:256-279``);
-          at multi-node scale the index would instead be hash-partitioned
-          by repo and co-partitioned with a repo-bucketed corpus read
-          (same key reused by stage 2's linking).
+          from the Roslyn Compilation (``SolutionProcessor.cs:256-279``).
 
   pass B  ``extract_records``   — a task ``map_batches`` running every
           handler; emits one unified Arrow record stream tagged
           ``rec_type ∈ {symbol, mention, file, url}`` so a single parse
           produces all outputs (split later by cheap filters).
+
+On the partitioned path (``pipelines.build_graph.resolve_mode``)
+``extract_records_partitioned`` runs both passes in one repo-keyed
+bucket exchange instead: each bucket assembles only its repos' type
+indices (the same key stage 2's linking reuses), so no index is
+broadcast.
 """
 
 from __future__ import annotations
@@ -155,18 +158,59 @@ def skim_batch(batch: pa.Table) -> pa.Table:
     return pa.Table.from_pylist(rows, schema=_TYPE_INDEX_SCHEMA)
 
 
+def _assemble_type_indices(df) -> dict[str, RepoTypeIndex]:
+    """Per-repo type indices from pass-A rows (a DataFrame in the
+    ``_TYPE_INDEX_SCHEMA`` columns)."""
+    from codetoneo4j_ray.extractors.csharp.extractor import parse_member_types
+    from codetoneo4j_ray.extractors.csharp.types import TypeInfo
+
+    # deterministic fragment/using order regardless of shuffle arrival
+    # (partial-class merge + first-matching-using resolution); type rows
+    # carry no file, so fragments of one type order by their content
+    df = df.sort_values(
+        ["repo", "rec_type", "full_name", "arity", "file_key", "text",
+         "bases", "type_params", "members"],
+        kind="stable",
+    )
+    out: dict[str, RepoTypeIndex] = {}
+    for repo, g in df.groupby("repo", sort=False):
+        idx = out[repo] = RepoTypeIndex()
+        for rec, full, arity, isval, kind, bases, tparams, mem, fk, text in zip(
+            g["rec_type"].to_numpy(), g["full_name"].to_numpy(),
+            g["arity"].to_numpy(), g["is_value"].to_numpy(),
+            g["kind"].to_numpy(), g["bases"].to_numpy(),
+            g["type_params"].to_numpy(), g["members"].to_numpy(),
+            g["file_key"].to_numpy(), g["text"].to_numpy(),
+        ):
+            if rec == "type":
+                idx.add_type(
+                    TypeInfo(
+                        full, int(arity), bool(isval), kind,
+                        tuple(b for b in bases.split(";") if b),
+                        tuple(p for p in tparams.split(";") if p),
+                        parse_member_types(mem),
+                    )
+                )
+            elif rec == "pkg_root":
+                roots = idx.npm_roots if kind == "npm" else idx.pub_roots
+                roots[fk] = full if isinstance(full, str) else None
+            else:
+                idx.global_usings.append((fk, text))
+    return out
+
+
 def build_type_index(corpus: ray.data.Dataset) -> dict[str, RepoTypeIndex]:
     """Run pass A and assemble per-repo indices on the driver.
 
     The result is metadata-sized (one row per declared type / global
-    using); ``take_all`` here is bounded and intentional. At 10^12-file
-    scale this would stay a Dataset hash-partitioned by repo.
+    using); ``take_all`` here is bounded and intentional. The
+    partitioned path (``extract_records_partitioned``) keeps it a
+    Dataset hash-partitioned by repo instead.
     """
     import pickle
 
     import pandas as pd
 
-    from codetoneo4j_ray.extractors.csharp.types import TypeInfo
     from codetoneo4j_ray.stages.bucketing import bucketed_apply_tasks
 
     idx_rows = corpus.map_batches(skim_batch, batch_format="pyarrow")
@@ -174,44 +218,9 @@ def build_type_index(corpus: ray.data.Dataset) -> dict[str, RepoTypeIndex]:
     # assemble per-repo indices INSIDE bucketed tasks (repo-partitioned —
     # the pipeline-wide key); the driver only unpickles one blob per repo
     def assemble(df: pd.DataFrame) -> pd.DataFrame:
-        repos, blobs = [], []
-        # deterministic fragment/using order regardless of shuffle
-        # arrival (partial-class merge + first-matching-using resolution)
-        df = df.sort_values(
-            ["repo", "rec_type", "full_name", "arity", "file_key", "text"],
-            kind="stable",
-        )
-        for repo, g in df.groupby("repo", sort=False):
-            idx = RepoTypeIndex()
-            rec_types = g["rec_type"].to_numpy()
-            for rec, full, arity, isval, kind, bases, tparams, mem, fk, text in zip(
-                rec_types, g["full_name"].to_numpy(), g["arity"].to_numpy(),
-                g["is_value"].to_numpy(), g["kind"].to_numpy(),
-                g["bases"].to_numpy(), g["type_params"].to_numpy(),
-                g["members"].to_numpy(),
-                g["file_key"].to_numpy(), g["text"].to_numpy(),
-            ):
-                if rec == "type":
-                    from codetoneo4j_ray.extractors.csharp.extractor import (
-                        parse_member_types,
-                    )
-
-                    idx.add_type(
-                        TypeInfo(
-                            full, int(arity), bool(isval), kind,
-                            tuple(b for b in bases.split(";") if b),
-                            tuple(p for p in tparams.split(";") if p),
-                            parse_member_types(mem),
-                        )
-                    )
-                elif rec == "pkg_root":
-                    roots = idx.npm_roots if kind == "npm" else idx.pub_roots
-                    roots[fk] = full if isinstance(full, str) else None
-                else:
-                    idx.global_usings.append((fk, text))
-            repos.append(repo)
-            blobs.append(pickle.dumps(idx))
-        return pd.DataFrame({"repo": repos, "blob": blobs})
+        indices = _assemble_type_indices(df)
+        return pd.DataFrame({"repo": list(indices),
+                             "blob": [pickle.dumps(i) for i in indices.values()]})
 
     blobs = bucketed_apply_tasks(idx_rows, ["repo"], assemble).take_all()
     return {r["repo"]: pickle.loads(r["blob"]) for r in blobs}
@@ -314,6 +323,7 @@ def extract_records_partitioned(
     pkg_meta: dict | None = None,
     no_key: bool = False,
     salt: int = 4,
+    index_corpus: ray.data.Dataset | None = None,
 ) -> ray.data.Dataset:
     """Fully-partitioned stage 1: no driver-resident type index.
 
@@ -331,11 +341,13 @@ def extract_records_partitioned(
     otherwise cap its parallelism at the repo count, with the largest
     repo gating the whole pass. Exact: each file is extracted once, in
     a bucket holding its repo's full type index.
+
+    ``index_corpus`` (default: ``corpus``) is what the type indices are
+    skimmed from: an incremental run extracts only its changed rows but
+    indexes the whole corpus.
     """
     import pandas as pd
 
-    from codetoneo4j_ray.extractors.csharp.extractor import parse_member_types
-    from codetoneo4j_ray.extractors.csharp.types import TypeInfo
     from codetoneo4j_ray.stages.bucketing import bucketed_apply_tasks
 
     pkg_ref = ray.put(pkg_meta) if pkg_meta is not None else None
@@ -375,38 +387,18 @@ def extract_records_partitioned(
         ]
         return pa.concat_tables(reps) if len(reps) > 1 else reps[0]
 
-    idx_rows = corpus.map_batches(skim_batch, batch_format="pyarrow").map_batches(
+    if index_corpus is None:
+        index_corpus = corpus
+    idx_rows = index_corpus.map_batches(
+        skim_batch, batch_format="pyarrow"
+    ).map_batches(
         index_side, batch_format="pyarrow"
     )
     both = corpus.map_batches(corpus_side, batch_format="pyarrow").union(idx_rows)
 
     def extract_bucket(df: pd.DataFrame) -> pd.DataFrame:
         meta = ray.get(pkg_ref) if pkg_ref is not None else None
-        indices: dict[str, RepoTypeIndex] = {}
-        idx_part = df[df["__side"] == "i"].sort_values(
-            ["repo", "rec_type", "full_name", "arity", "file_key", "text"],
-            kind="stable",
-        )
-        for repo, g in idx_part.groupby("repo", sort=False):
-            idx = indices[repo] = RepoTypeIndex()
-            for row in g.itertuples(index=False):
-                if row.rec_type == "type":
-                    idx.add_type(
-                        TypeInfo(
-                            row.full_name, int(row.arity), bool(row.is_value),
-                            row.kind,
-                            tuple(b for b in row.bases.split(";") if b),
-                            tuple(p for p in row.type_params.split(";") if p),
-                            parse_member_types(row.members),
-                        )
-                    )
-                elif row.rec_type == "pkg_root":
-                    roots = idx.npm_roots if row.kind == "npm" else idx.pub_roots
-                    roots[row.file_key] = (
-                        row.full_name if isinstance(row.full_name, str) else None
-                    )
-                else:
-                    idx.global_usings.append((row.file_key, row.text))
+        indices = _assemble_type_indices(df[df["__side"] == "i"])
         c_part = df[df["__side"] == "c"]
         # pandas out for the bucket machinery; to_schema restores types
         return _records_table(

@@ -6,22 +6,28 @@ semantic model + Neo4j MERGE semantics:
   A. ``resolve_mentions`` — finalize deferred INVOKES targets by member
      lookup (name + arity) against the repo-wide member index, walking
      the resolved internal base-type chain (Roslyn resolves inherited
-     calls to the declaring base type). The member index is built from
-     stage-1's internal ``__MEMBER__`` / ``__BASE__`` rows and broadcast
-     with ``ray.put`` (scale path: hash-partition both sides on repo —
-     the same partitioning key used everywhere else).
+     calls to the declaring base type). The member index is built on
+     the driver from stage-1's internal ``__MEMBER__`` / ``__BASE__``
+     rows (``build_member_indices``) and broadcast with ``ray.put``.
 
-  B. ``resolve_edges`` — the endpoint semi-join:
+  B. ``resolve_edges_broadcast`` — the endpoint semi-join:
      ``Cypher/MergeRelationships.cypher:2-4`` MATCHes BOTH endpoints as
      existing ``src__Symbol`` nodes, silently dropping dangling refs.
-     Small side (distinct symbol keys) is broadcast; a hash-partitioned
-     bucket join is provided for when the key set outgrows one node.
+     The small side (``symbol_key_set``) is broadcast and probed per
+     batch.
+
+``resolve_link_fused`` runs both steps in one repo-keyed bucket
+exchange with no driver-side structure — the path
+``pipelines.build_graph.resolve_mode`` picks on a multi-node cluster, at
+32 or more CPUs, or when the broadcast structures would not fit the
+reported memory.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -82,6 +88,30 @@ class MemberIndex:
         return None
 
 
+# the columns stage 2 reads from the mention partition
+MENTION_COLS = ["subj", "pred", "obj", "repo", "ctx_kind", "ctx_name",
+                "ctx_receiver", "ctx_argc"]
+
+
+def _member_indices(df) -> dict[str, MemberIndex]:
+    """Per-repo member indices from ``__MEMBER__``/``__BASE__`` rows
+    (a DataFrame holding only those rows)."""
+    out: dict[str, MemberIndex] = {}
+    for repo, pred, subj, obj, name, argc in zip(
+        df["repo"].to_numpy(), df["pred"].to_numpy(), df["subj"].to_numpy(),
+        df["obj"].to_numpy(), df["ctx_name"].to_numpy(),
+        df["ctx_argc"].to_numpy(),
+    ):
+        idx = out.get(repo)
+        if idx is None:
+            idx = out[repo] = MemberIndex()
+        if pred == MEMBER_PRED:
+            idx.members[(subj, name)].append((int(argc), obj))
+        else:
+            idx.bases[subj].append(obj)
+    return out
+
+
 def build_member_indices(records: ray.data.Dataset) -> dict[str, MemberIndex]:
     """Collect the internal __MEMBER__/__BASE__ rows (metadata-sized)."""
     df = (
@@ -91,23 +121,7 @@ def build_member_indices(records: ray.data.Dataset) -> dict[str, MemberIndex]:
         .select_columns(["repo", "pred", "subj", "obj", "ctx_name", "ctx_argc"])
         .to_pandas()
     )
-    out: dict[str, MemberIndex] = {}
-    if len(df) == 0:
-        return out
-    is_member = (df["pred"] == MEMBER_PRED).to_numpy()
-    for repo, pred_m, subj, obj, name, argc in zip(
-        df["repo"].to_numpy(), is_member, df["subj"].to_numpy(),
-        df["obj"].to_numpy(), df["ctx_name"].to_numpy(),
-        df["ctx_argc"].to_numpy(),
-    ):
-        idx = out.get(repo)
-        if idx is None:
-            idx = out[repo] = MemberIndex()
-        if pred_m:
-            idx.members[(subj, name)].append((int(argc), obj))
-        else:
-            idx.bases[subj].append(obj)
-    return out
+    return _member_indices(df) if len(df) else {}
 
 
 # ---------------------------------------------------------------------------
@@ -135,20 +149,44 @@ def _cached_get(ref):
     return obj
 
 
+# call-site kinds with no IMethodSymbol fallback: unresolved, Roslyn
+# emits nothing for them
+_DROP_UNRESOLVED = ("mgroup", "cast", "conv", "binop", "unop")
+
+
+def _resolve_deferred(indices: dict[str, MemberIndex], repos, kinds, names,
+                      recvs, argcs, objs) -> np.ndarray:
+    """Resolve deferred call sites in place and return the drop mask.
+
+    ``objs[i]`` becomes the declared member key. Unresolved call targets
+    keep an approximate ``repo:{recv}.{name}(~n)`` key — present in raw
+    mentions (like Roslyn's external-method keys), never matching a
+    declared symbol, hence dropped by step B, exactly as the reference's
+    dangling refs are dropped by MergeRelationships."""
+    drop = np.zeros(len(kinds), dtype=bool)
+    for i, (repo, kind, name, recv, argc) in enumerate(
+        zip(repos, kinds, names, recvs, argcs)
+    ):
+        argc = int(argc)
+        key = _lookup_site(indices.get(repo), kind, recv, name, argc)
+        if key is None:
+            if kind in _DROP_UNRESOLVED:
+                drop[i] = True
+                continue
+            simple = (recv.rsplit(".", 1)[-1].split("<", 1)[0]
+                      if kind == "ctor" else name)
+            key = f"{repo.lower()}:{recv}.{simple}(~{argc})"
+        objs[i] = key
+    return drop
+
+
 def _resolve_batch(batch: pa.Table, index_ref=None) -> pa.Table:
     """Fills ``obj`` for deferred mentions; passes keyed ones through.
-
-    Unresolved call targets keep an approximate ``repo:{recv}.{name}(~n)``
-    key — present in raw mentions (like Roslyn's external-method keys),
-    never matching a declared symbol, hence dropped by step B, exactly as
-    the reference's dangling refs are dropped by MergeRelationships.
 
     Only the deferred rows (``ctx_kind`` set and not "member") cross into
     Python; the pass-through majority stays in Arrow and the updated
     ``obj`` column is spliced back with ``pc.replace_with_mask``.
     """
-    import numpy as np
-
     kinds_col = batch["ctx_kind"]
     dmask = pc.fill_null(
         pc.and_(
@@ -159,31 +197,13 @@ def _resolve_batch(batch: pa.Table, index_ref=None) -> pa.Table:
     )
     if not pc.any(dmask).as_py():
         return batch
-    indices: dict[str, MemberIndex] = _cached_get(index_ref)
     sub = batch.filter(dmask)
     objs = sub["obj"].to_pylist()
-    repos = sub["repo"].to_pylist()
-    kinds = sub["ctx_kind"].to_pylist()
-    names = sub["ctx_name"].to_pylist()
-    recvs = sub["ctx_receiver"].to_pylist()
-    argcs = sub["ctx_argc"].to_pylist()
-    drop_local = np.zeros(len(kinds), dtype=bool)
-    for i, kind in enumerate(kinds):
-        idx = indices.get(repos[i])
-        repo_key = repos[i].lower()
-        recv, name, argc = recvs[i], names[i], int(argcs[i])
-        key = _lookup_site(idx, kind, recv, name, argc)
-        if key is None:
-            if kind in ("mgroup", "cast", "conv", "binop", "unop"):
-                # no IMethodSymbol resolves here → Roslyn emits nothing
-                drop_local[i] = True
-                continue
-            if kind == "ctor":
-                simple = recv.rsplit(".", 1)[-1].split("<", 1)[0]
-                key = f"{repo_key}:{recv}.{simple}(~{argc})"
-            else:
-                key = f"{repo_key}:{recv}.{name}(~{argc})"
-        objs[i] = key
+    drop_local = _resolve_deferred(
+        _cached_get(index_ref), sub["repo"].to_pylist(),
+        sub["ctx_kind"].to_pylist(), sub["ctx_name"].to_pylist(),
+        sub["ctx_receiver"].to_pylist(), sub["ctx_argc"].to_pylist(), objs,
+    )
     obj_col = batch["obj"]
     if isinstance(obj_col, pa.ChunkedArray):
         obj_col = obj_col.combine_chunks()
@@ -264,92 +284,23 @@ def _lookup_site(idx: "MemberIndex | None", kind: str, recv: str, name: str,
 
 
 def resolve_mentions(
-    records: ray.data.Dataset,
+    raw_mentions: ray.data.Dataset,
     member_indices: dict[str, MemberIndex],
 ) -> ray.data.Dataset:
+    """Step A over the raw mention partition: narrow to ``MENTION_COLS``
+    (the symbol payload never travels), drop the internal
+    __MEMBER__/__BASE__ rows, resolve deferred call sites against the
+    broadcast member indices."""
     import functools
 
     index_ref = ray.put(member_indices)
-    return records.map_batches(
-        functools.partial(_resolve_batch, index_ref=index_ref),
-        batch_format="pyarrow",
-    )
-
-
-def resolve_mentions_partitioned(
-    raw_mentions: ray.data.Dataset,
-    num_buckets: int = 64,
-) -> ray.data.Dataset:
-    """Fully distributed step A: no driver-side index, no broadcast.
-
-    Mentions hash-partition by ``repo`` (the pipeline-wide partition
-    key); each bucket rebuilds its repos' member indices from the
-    co-partitioned ``__MEMBER__``/``__BASE__`` rows and resolves its
-    deferred mentions locally. One metadata shuffle, zero serial driver
-    work — the multi-node configuration of stage 2 (the broadcast path
-    remains the low-latency single-node option). Internal rows are
-    consumed here and dropped from the output.
-    """
-    import pandas as pd
-
-    from codetoneo4j_ray.stages.bucketing import bucketed_apply_tasks
-
-    def resolve_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        indices: dict[str, MemberIndex] = {}
-        internal = df["pred"].isin((MEMBER_PRED, BASE_PRED)).to_numpy()
-        for repo, pred, subj, obj, name, argc in zip(
-            df["repo"].to_numpy()[internal],
-            df["pred"].to_numpy()[internal],
-            df["subj"].to_numpy()[internal],
-            df["obj"].to_numpy()[internal],
-            df["ctx_name"].to_numpy()[internal],
-            df["ctx_argc"].to_numpy()[internal],
-        ):
-            idx = indices.get(repo)
-            if idx is None:
-                idx = indices[repo] = MemberIndex()
-            if pred == MEMBER_PRED:
-                idx.members[(subj, name)].append((int(argc), obj))
-            else:
-                idx.bases[subj].append(obj)
-        out = df.loc[~internal].copy()
-        import numpy as np
-
-        deferred = (out["ctx_kind"] != "").to_numpy()
-        if deferred.any():
-            objs = out["obj"].to_numpy(copy=True)
-            drop = np.zeros(len(out), dtype=bool)
-            rows = zip(
-                np.nonzero(deferred)[0],
-                out["repo"].to_numpy()[deferred],
-                out["ctx_kind"].to_numpy()[deferred],
-                out["ctx_name"].to_numpy()[deferred],
-                out["ctx_receiver"].to_numpy()[deferred],
-                out["ctx_argc"].to_numpy()[deferred],
-            )
-            for pos, repo, kind, name, recv, argc in rows:
-                argc = int(argc)
-                key = _lookup_site(indices.get(repo), kind, recv, name, argc)
-                if key is None:
-                    if kind in ("mgroup", "cast", "conv", "binop", "unop"):
-                        drop[pos] = True
-                        continue
-                    repo_key = repo.lower()
-                    if kind == "ctor":
-                        simple = recv.rsplit(".", 1)[-1].split("<", 1)[0]
-                        key = f"{repo_key}:{recv}.{simple}(~{argc})"
-                    else:
-                        key = f"{repo_key}:{recv}.{name}(~{argc})"
-                objs[pos] = key
-            out["obj"] = objs
-            if drop.any():
-                out = out.loc[~drop]
-        return out[["subj", "pred", "obj", "repo"]]
-
-    cols = ["subj", "pred", "obj", "repo", "ctx_kind", "ctx_name",
-            "ctx_receiver", "ctx_argc"]
-    return bucketed_apply_tasks(
-        raw_mentions.select_columns(cols), ["repo"], resolve_bucket, num_buckets
+    return (
+        raw_mentions.select_columns(MENTION_COLS)
+        .filter(expr=f"pred != '{MEMBER_PRED}' and pred != '{BASE_PRED}'")
+        .map_batches(
+            functools.partial(_resolve_batch, index_ref=index_ref),
+            batch_format="pyarrow",
+        )
     )
 
 
@@ -373,100 +324,25 @@ def _endpoint_filter_batch(batch: pa.Table, keys_ref=None) -> pa.Table:
     return batch.filter(keep)
 
 
+def symbol_key_set(symbols: ray.data.Dataset) -> set[str]:
+    """The declared-symbol keys step B broadcasts (driver-collected)."""
+    keys_df = symbols.select_columns(["key"]).to_pandas()
+    return set(keys_df["key"]) if "key" in keys_df.columns else set()
+
+
 def resolve_edges_broadcast(
     mentions: ray.data.Dataset,
     symbol_keys: set[str],
 ) -> ray.data.Dataset:
-    """Inner-join both endpoints against the declared-symbol key set,
+    """(subj, pred, obj) of the mentions whose endpoints are both
+    declared: an inner join against the declared-symbol key set,
     broadcast once via ``ray.put`` and probed per batch (no shuffle)."""
     import functools
 
     keys_ref = ray.put(frozenset(symbol_keys))
-    return mentions.map_batches(
+    return mentions.select_columns(["subj", "pred", "obj"]).map_batches(
         functools.partial(_endpoint_filter_batch, keys_ref=keys_ref),
         batch_format="pyarrow",
-    )
-
-
-def resolve_edges_partitioned(
-    mentions: ray.data.Dataset,
-    symbols: ray.data.Dataset,
-    num_buckets: int = 64,
-    extra_edges: ray.data.Dataset | None = None,
-    distinct: bool = False,
-) -> ray.data.Dataset:
-    """Scale path: explicit hash-partitioned semi-join for when the
-    declared-key set no longer fits a broadcast.
-
-    Two row-preserving filter-joins: mentions hash-bucket on ``subj``
-    with the declared keys and each bucket keeps rows whose subj exists;
-    the survivors repeat on ``obj``. All-to-all traffic is keys + mention
-    rows — never file content.
-
-    With ``distinct=True`` the obj pass also deduplicates triples —
-    globally exact, since equal triples share their obj bucket — and
-    ``extra_edges`` (structural edges that skip endpoint filtering) can
-    ride the same exchange, saving a separate distinct shuffle.
-    """
-    from codetoneo4j_ray.stages.bucketing import bucketed_apply_tasks
-
-    keys = symbols.select_columns(["key"])
-
-    def tagged(ds: ray.data.Dataset, tag: str) -> ray.data.Dataset:
-        def fn(batch: pa.Table) -> pa.Table:
-            batch = batch.select(["subj", "pred", "obj"])
-            return batch.append_column(
-                "__side", pa.array([tag] * batch.num_rows, pa.string())
-            )
-
-        return ds.map_batches(fn, batch_format="pyarrow")
-
-    def keys_side(col: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            vals = batch["key"]
-            n = batch.num_rows
-            cols = {
-                col: vals,
-                "subj" if col != "subj" else "obj": pa.nulls(n, pa.string()),
-                "pred": pa.nulls(n, pa.string()),
-                "__side": pa.array(["k"] * n, pa.string()),
-            }
-            return pa.table(
-                {name: cols[name] for name in ("subj", "pred", "obj", "__side")}
-            )
-
-        return fn
-
-    def semi(ds: ray.data.Dataset, col: str, last: bool) -> ray.data.Dataset:
-        both = ds.union(keys.map_batches(keys_side(col), batch_format="pyarrow"))
-
-        def join_bucket(df):
-            have = set(df.loc[df["__side"] == "k", col].drop_duplicates())
-            m = df[df["__side"] == "m"]
-            out = m[m[col].isin(have)]
-            passthrough = df[df["__side"] == "s"]
-            if len(passthrough):
-                import pandas as pd
-
-                out = pd.concat([out, passthrough], ignore_index=True)
-            if last:
-                if distinct:
-                    out = out.drop_duplicates(subset=["subj", "pred", "obj"])
-                return out[["subj", "pred", "obj"]]
-            return out[["subj", "pred", "obj", "__side"]]
-
-        return bucketed_apply_tasks(both, [col], join_bucket, num_buckets)
-
-    first = semi(tagged(mentions, "m"), "subj", last=False)
-    if extra_edges is not None:
-        first = first.union(tagged(extra_edges, "s"))
-    return semi(first, "obj", last=True)
-
-
-def strip_internal(records: ray.data.Dataset) -> ray.data.Dataset:
-    """Drop the __MEMBER__/__BASE__ helper rows before materialize."""
-    return records.filter(
-        expr=f"pred != '{MEMBER_PRED}' and pred != '{BASE_PRED}'"
     )
 
 
@@ -493,10 +369,9 @@ def _bucket_resolve_and_filter(df):
     membership in the repo-local key set decides exactly what the global
     set would. (Pathological cross-repo key collisions — same relative
     path, different content, one side's symbol accessibility-filtered —
-    could in principle diverge; the mode-equivalence test and the strict
+    could in principle diverge; the path-equivalence tests and the strict
     kg_edges oracle check this continuously.)
     """
-    import numpy as np
     import pandas as pd
 
     is_key = (df["pred"] == _KEY_PRED).to_numpy()
@@ -507,19 +382,7 @@ def _bucket_resolve_and_filter(df):
                          df["subj"].to_numpy()[is_key]):
         keys_by_repo.setdefault(repo, set()).add(key)
 
-    indices: dict[str, MemberIndex] = {}
-    for repo, pred, subj, obj, name, argc in zip(
-        df["repo"].to_numpy()[internal], df["pred"].to_numpy()[internal],
-        df["subj"].to_numpy()[internal], df["obj"].to_numpy()[internal],
-        df["ctx_name"].to_numpy()[internal], df["ctx_argc"].to_numpy()[internal],
-    ):
-        idx = indices.get(repo)
-        if idx is None:
-            idx = indices[repo] = MemberIndex()
-        if pred == MEMBER_PRED:
-            idx.members[(subj, name)].append((int(argc), obj))
-        else:
-            idx.bases[subj].append(obj)
+    indices = _member_indices(df.loc[internal])
 
     out = df.loc[~(is_key | internal)].copy()
     if not len(out):
@@ -528,35 +391,22 @@ def _bucket_resolve_and_filter(df):
              "obj": pd.Series([], dtype=str)}
         )
 
-    # resolve deferred INVOKES (same logic as resolve_mentions_partitioned)
     deferred = (out["ctx_kind"] != "").to_numpy()
     if deferred.any():
         objs = out["obj"].to_numpy(copy=True)
-        drop = np.zeros(len(out), dtype=bool)
-        rows = zip(
-            np.nonzero(deferred)[0],
-            out["repo"].to_numpy()[deferred],
+        d_objs = objs[deferred]
+        d_drop = _resolve_deferred(
+            indices, out["repo"].to_numpy()[deferred],
             out["ctx_kind"].to_numpy()[deferred],
             out["ctx_name"].to_numpy()[deferred],
             out["ctx_receiver"].to_numpy()[deferred],
-            out["ctx_argc"].to_numpy()[deferred],
+            out["ctx_argc"].to_numpy()[deferred], d_objs,
         )
-        for pos, repo, kind, name, recv, argc in rows:
-            argc = int(argc)
-            key = _lookup_site(indices.get(repo), kind, recv, name, argc)
-            if key is None:
-                if kind in ("mgroup", "cast", "conv", "binop", "unop"):
-                    drop[pos] = True
-                    continue
-                repo_key = repo.lower()
-                if kind == "ctor":
-                    simple = recv.rsplit(".", 1)[-1].split("<", 1)[0]
-                    key = f"{repo_key}:{recv}.{simple}(~{argc})"
-                else:
-                    key = f"{repo_key}:{recv}.{name}(~{argc})"
-            objs[pos] = key
+        objs[deferred] = d_objs
         out["obj"] = objs
-        if drop.any():
+        if d_drop.any():
+            drop = np.zeros(len(out), dtype=bool)
+            drop[np.nonzero(deferred)[0][d_drop]] = True
             out = out.loc[~drop]
 
     # vectorized per-repo membership check on both endpoints
@@ -601,9 +451,6 @@ def resolve_link_fused(
     a subj (same salt) so the local distinct still combines them."""
     from codetoneo4j_ray.stages.bucketing import bucketed_apply_tasks
 
-    cols = ["subj", "pred", "obj", "repo", "ctx_kind", "ctx_name",
-            "ctx_receiver", "ctx_argc"]
-
     def keys_as_rows(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
         return pa.table(
@@ -619,7 +466,7 @@ def resolve_link_fused(
             }
         )
 
-    e1_in = raw_mentions.select_columns(cols).union(
+    e1_in = raw_mentions.select_columns(MENTION_COLS).union(
         symbols.select_columns(["key", "repo"]).map_batches(
             keys_as_rows, batch_format="pyarrow"
         )
@@ -629,7 +476,6 @@ def resolve_link_fused(
                               num_buckets)
 
     def add_salt(batch: pa.Table) -> pa.Table:
-        import numpy as np
         import pandas as pd
 
         # keep the Arrow schema explicit: a pandas round-trip re-infers

@@ -116,39 +116,50 @@ def test_cli_build_with_commits_attaches_file_versions(
 
 
 def test_auto_mode_resolution(monkeypatch):
-    """'auto' picks partitioned iff >1 alive node: the broadcast-mode
-    driver structures must never be the default on a real cluster
-    (VERDICT r2 item 7); explicit modes always pass through."""
+    """resolve_mode picks partitioned iff >1 alive node or at least 32
+    CPUs: the broadcast path's driver structures must never be built on
+    a real cluster (VERDICT r2 item 7), and on one node partitioned was
+    measured faster only at 32 CPUs. No Ray session → broadcast."""
     from codetoneo4j_ray.pipelines.build_graph import resolve_mode
 
     one = [{"NodeID": "a", "Alive": True}]
     many = [{"NodeID": "a", "Alive": True}, {"NodeID": "b", "Alive": True}]
     dead_tail = [{"NodeID": "a", "Alive": True}, {"NodeID": "b", "Alive": False}]
 
+    def cpus(n):
+        monkeypatch.setattr("ray.cluster_resources",
+                            lambda: {"CPU": float(n), "memory": 16e9})
+
+    cpus(4)
     monkeypatch.setattr("ray.nodes", lambda: one)
-    assert resolve_mode("auto") == "broadcast"
+    assert resolve_mode() == "broadcast"
     monkeypatch.setattr("ray.nodes", lambda: many)
-    assert resolve_mode("auto") == "partitioned"
+    assert resolve_mode() == "partitioned"
     # a departed node must not flip a single-node cluster to partitioned
     monkeypatch.setattr("ray.nodes", lambda: dead_tail)
-    assert resolve_mode("auto") == "broadcast"
-    # explicit override wins regardless of topology
-    assert resolve_mode("broadcast") == "broadcast"
-    assert resolve_mode("partitioned") == "partitioned"
+    assert resolve_mode() == "broadcast"
+    cpus(31)
+    assert resolve_mode() == "broadcast"
+    cpus(32)
+    assert resolve_mode() == "partitioned"
+
+    def no_session():
+        raise RuntimeError("Ray has not been started yet")
+
+    monkeypatch.setattr("ray.nodes", no_session)
+    assert resolve_mode(corpus_bytes=1 << 50) == "broadcast"
 
 
 def test_auto_mode_byte_budget(monkeypatch, tmp_path):
-    """'auto' flips to partitioned when the corpus-content estimate
-    exceeds GRAFT_BROADCAST_BUDGET_BYTES — a single fat node on a huge
-    corpus must not assemble a corpus-scale index on the driver
-    (VERDICT r4 item 7)."""
+    """resolve_mode flips to partitioned when the broadcast path's
+    driver structures, estimated from the corpus content, pass a quarter
+    of the memory the cluster reports — a single node on a huge corpus
+    must not assemble a corpus-scale index on the driver (VERDICT r4
+    item 7)."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from codetoneo4j_ray.pipelines.build_graph import (
-        corpus_content_bytes,
-        resolve_mode,
-    )
+    from codetoneo4j_ray.pipelines import build_graph as bg
 
     one = [{"NodeID": "a", "Alive": True}]
     monkeypatch.setattr("ray.nodes", lambda: one)
@@ -159,25 +170,30 @@ def test_auto_mode_byte_budget(monkeypatch, tmp_path):
                   "lang": ["cs"], "content": ["class A {}" * 50]}),
         p,
     )
-    est = corpus_content_bytes(p)
+    est = bg.corpus_content_bytes(p)
     assert est and est > 100  # footer-only estimate sees the content bytes
 
-    # single node + corpus under budget → broadcast
-    assert resolve_mode("auto", corpus_bytes=est) == "broadcast"
-    # low budget forces the switch on the same single node
-    monkeypatch.setenv("GRAFT_BROADCAST_BUDGET_BYTES", "1")
-    assert resolve_mode("auto", corpus_bytes=est) == "partitioned"
-    # explicit mode still wins over the budget
-    assert resolve_mode("broadcast", corpus_bytes=est) == "broadcast"
+    def memory(nbytes):
+        monkeypatch.setattr("ray.cluster_resources",
+                            lambda: {"CPU": 4.0, "memory": float(nbytes)})
+
+    # the estimate exactly fills a quarter of memory → broadcast
+    need = 4 * est * bg._DRIVER_BYTES_PER_CONTENT_BYTE
+    memory(need)
+    assert bg.resolve_mode(corpus_bytes=est) == "broadcast"
+    # a little less memory on the same single node → partitioned
+    memory(need - 4)
+    assert bg.resolve_mode(corpus_bytes=est) == "partitioned"
     # no estimate (non-parquet input) keeps topology-only behavior
-    assert corpus_content_bytes(str(tmp_path / "nope.parquet")) is None
-    assert resolve_mode("auto", corpus_bytes=None) == "broadcast"
+    assert bg.corpus_content_bytes(str(tmp_path / "nope.parquet")) is None
+    assert bg.resolve_mode(corpus_bytes=None) == "broadcast"
 
 
-def test_build_graph_honors_byte_budget(monkeypatch, tmp_path):
-    """End-to-end: a tiny budget makes build_graph run partitioned on a
-    single node (metrics['mode']), and the outputs stay byte-identical
-    to a broadcast run of the same corpus."""
+def test_build_graph_honors_byte_budget(ray_session, tmp_path, report_memory):
+    """End-to-end: a cluster reporting too little memory for the
+    broadcast structures makes build_graph run partitioned on a single
+    node (metrics['mode']), and the outputs stay byte-identical to a
+    broadcast run of the same corpus."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
@@ -200,12 +216,12 @@ def test_build_graph_honors_byte_budget(monkeypatch, tmp_path):
         p,
     )
     out_b = str(tmp_path / "out_broadcast")
-    m_b = build_graph(p, out_b, resume=False, mode="auto")
+    m_b = build_graph(p, out_b, resume=False)
     assert m_b["mode"] == "broadcast"
 
-    monkeypatch.setenv("GRAFT_BROADCAST_BUDGET_BYTES", "1")
+    report_memory(1)
     out_p = str(tmp_path / "out_partitioned")
-    m_p = build_graph(p, out_p, resume=False, mode="auto")
+    m_p = build_graph(p, out_p, resume=False)
     assert m_p["mode"] == "partitioned"
 
     for table in ("nodes", "edges", "files"):
@@ -238,16 +254,19 @@ def test_checkpoint_write_failure_surfaces(ray_session, tmp_path,
         bg.build_graph(p, out, no_key=True)
 
 
-def test_corpus_pin_budget(monkeypatch, tmp_path):
+def test_corpus_pin_budget(ray_session, monkeypatch, tmp_path):
     """read_corpus_pinned materializes a small corpus (plasma-pinned
     MaterializedDataset) but streams when the content estimate exceeds
-    GRAFT_CORPUS_PIN_BUDGET_BYTES — the 100 TB shape must never try to
-    materialize the input."""
+    a quarter of the object-store memory the cluster reports — the
+    100 TB shape must never try to materialize the input."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     from ray.data.dataset import MaterializedDataset
 
-    from codetoneo4j_ray.pipelines.build_graph import read_corpus_pinned
+    from codetoneo4j_ray.pipelines.build_graph import (
+        corpus_content_bytes,
+        read_corpus_pinned,
+    )
 
     p = str(tmp_path / "corpus.parquet")
     pq.write_table(
@@ -259,7 +278,15 @@ def test_corpus_pin_budget(monkeypatch, tmp_path):
     assert isinstance(pinned, MaterializedDataset)
     assert pinned.count() == 1
 
-    monkeypatch.setenv("GRAFT_CORPUS_PIN_BUDGET_BYTES", "1")
+    est = corpus_content_bytes(p)
+
+    def store_of(nbytes):
+        monkeypatch.setattr("ray.cluster_resources",
+                            lambda: {"CPU": 4.0, "object_store_memory": nbytes})
+
+    store_of(4.0 * est)  # the estimate exactly fills the budget
+    assert isinstance(read_corpus_pinned(p), MaterializedDataset)
+    store_of(4.0 * est - 4)
     streamed = read_corpus_pinned(p)
     assert not isinstance(streamed, MaterializedDataset)
     assert streamed.count() == 1

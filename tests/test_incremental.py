@@ -303,3 +303,72 @@ def test_tombstone_chain_and_resurrection(ray_session, tmp_path):
     nodes4 = rd.read_parquet(f"{out4}/nodes").to_pandas()
     assert "r1:N.Gone" in set(nodes4["key"])    # symbols re-extracted
     assert m4["changed_files"] == 1 and m4["tombstones"] == 0
+
+
+@pytest.mark.parametrize("forced_by", ["second_node", "low_memory"])
+def test_incremental_partitioned_equals_single_node(
+    ray_session, tmp_path, monkeypatch, add_alive_node, report_memory,
+    fused_link_calls, forced_by,
+):
+    """With a second alive node, or too little reported memory for the
+    broadcast structures, incremental stages 1 and 2 take the
+    partitioned path (repo-bucketed extraction, fused repo-keyed
+    linking) and write the same nodes, edges and files, tombstones
+    included, as on one node with the memory to spare."""
+    import ray.data as rd
+
+    from codetoneo4j_ray.pipelines import build_graph as bg
+    from codetoneo4j_ray.pipelines import incremental as inc
+    from codetoneo4j_ray.sources.synth import ensure_corpus
+
+    bucketed_extract_calls: list[int] = []
+    real_extract = inc.extract_records_partitioned
+
+    def counting(*args, **kwargs):
+        bucketed_extract_calls.append(1)
+        return real_extract(*args, **kwargs)
+
+    monkeypatch.setattr(inc, "extract_records_partitioned", counting)
+
+    rows = pq.read_table(ensure_corpus("/root/testdata/sf0.001")).to_pylist()
+    cs = [i for i, r in enumerate(rows) if r["path"].endswith(".cs")]
+    first = rows[cs[0]]
+    # edit the first C# file, delete the last, add one
+    v2 = [r for i, r in enumerate(rows) if i not in (cs[0], cs[-1])]
+    v2.append(dict(first, commit="d" * 40,
+                   content=first["content"] + "\n// edited\n"))
+    v2.append(dict(first, path="src/Added/Extra.cs", commit="d" * 40,
+                   content="namespace Added;\npublic class Extra {\n"
+                           "  public void Go() { var e = new Extra();"
+                           " e.Stop(); }\n"
+                           "  public void Stop() { }\n}\n"))
+    p1, p2 = str(tmp_path / "v1.parquet"), str(tmp_path / "v2.parquet")
+    pq.write_table(pa.Table.from_pylist(rows, schema=CORPUS_SCHEMA), p1)
+    pq.write_table(pa.Table.from_pylist(v2, schema=CORPUS_SCHEMA), p2)
+    out1 = str(tmp_path / "out1")
+    bg.build_graph(p1, out1)
+
+    def incremental(out: str) -> dict:
+        m = inc.build_graph_incremental(p2, out1, out,
+                                        deleted_at_sec=1_700_000_000)
+        assert m["changed_files"] == 2 and m["deleted_files"] == 1
+        return {n: rd.read_parquet(f"{out}/{n}").to_pandas()
+                for n in ("nodes", "edges", "files")}
+
+    single = incremental(str(tmp_path / "out_single"))
+    assert not fused_link_calls and not bucketed_extract_calls
+    if forced_by == "second_node":
+        add_alive_node()
+    else:
+        report_memory(1)
+    multi = incremental(str(tmp_path / "out_multi"))
+    assert fused_link_calls and bucketed_extract_calls
+
+    assert multi["files"]["deleted"].sum() == 1
+    inv = multi["edges"][multi["edges"]["pred"] == "src__INVOKES"]
+    assert any(o.endswith("Added.Extra.Stop()") for o in inv["obj"])
+    for n in ("nodes", "edges", "files"):
+        a, b = single[n], multi[n]
+        assert list(a.columns) == list(b.columns), n
+        assert (a.dtypes == b.dtypes).all(), n
+        assert _sorted_rows(a).equals(_sorted_rows(b)), f"{n} differs"

@@ -1,4 +1,11 @@
-"""Broadcast vs hash-partitioned endpoint semi-join equivalence."""
+"""Broadcast vs partitioned stage-1/2 equivalence, and the helpers
+both paths share.
+
+``resolve_mode`` picks the partitioned path when more than one alive
+node is attached; these tests force it on one node by reporting a
+second alive node through ``ray.nodes`` (the ``add_alive_node``
+fixture).
+"""
 
 from __future__ import annotations
 
@@ -12,11 +19,16 @@ def _ray(ray_session):
 
 
 def test_partitioned_join_matches_broadcast():
+    """Both endpoint semi-joins keep exactly the mentions a plain-Python
+    semi-join keeps: dangling subj or obj dropped, the self-loop kept,
+    duplicates kept by the broadcast probe (the fused partitioned
+    exchange deduplicates, so it is compared as a set)."""
     import ray.data
 
     from codetoneo4j_ray.stages.link import (
+        MENTION_COLS,
         resolve_edges_broadcast,
-        resolve_edges_partitioned,
+        resolve_link_fused,
     )
 
     keys = [f"k{i}" for i in range(50)]
@@ -26,37 +38,129 @@ def test_partitioned_join_matches_broadcast():
         o = f"k{(i * 7) % 70}"    # some objects dangle
         mentions.append((s, "src__INVOKES", o))
     mentions.append(("k1", "src__CONTAINS", "k1"))   # self-loop
+    mentions.append(("k2", "src__CONTAINS", "k3"))
+    mentions.append(("k2", "src__CONTAINS", "k3"))   # duplicate row
     mentions.append(("k2", "src__CONTAINS", "k51"))  # subj ok, obj dangling
-    mentions.append(("k2", "src__CONTAINS", "k51"))  # duplicate of the above
+    mentions.append(("k52", "src__CONTAINS", "k2"))  # obj ok, subj dangling
 
+    key_set = set(keys)
+    expected = sorted(m for m in mentions if m[0] in key_set and m[2] in key_set)
+    assert ("k1", "src__CONTAINS", "k1") in expected
+    assert expected.count(("k2", "src__CONTAINS", "k3")) == 2
+    assert len(expected) < len(mentions)
+
+    n = len(mentions)
     m_ds = ray.data.from_arrow(
         pa.table(
             {
                 "subj": pa.array([m[0] for m in mentions]),
                 "pred": pa.array([m[1] for m in mentions]),
                 "obj": pa.array([m[2] for m in mentions]),
+                "repo": pa.array(["r"] * n),
+                "ctx_kind": pa.array([""] * n),
+                "ctx_name": pa.nulls(n, pa.string()),
+                "ctx_receiver": pa.nulls(n, pa.string()),
+                "ctx_argc": pa.nulls(n, pa.int32()),
             }
-        )
+        ).select(MENTION_COLS)
     )
-    s_ds = ray.data.from_arrow(pa.table({"key": pa.array(keys)}))
+    s_ds = ray.data.from_arrow(
+        pa.table({"key": pa.array(keys), "repo": pa.array(["r"] * len(keys))})
+    )
 
-    broadcast = resolve_edges_broadcast(m_ds, set(keys)).to_pandas()
-    partitioned = resolve_edges_partitioned(m_ds, s_ds, num_buckets=8).to_pandas()
+    broadcast = resolve_edges_broadcast(m_ds, key_set).to_pandas()
+    assert list(broadcast.columns) == ["subj", "pred", "obj"]
+    assert sorted(map(tuple, broadcast.values)) == expected
 
-    b = set(map(tuple, broadcast[["subj", "pred", "obj"]].drop_duplicates().values))
-    p = set(map(tuple, partitioned[["subj", "pred", "obj"]].values))
-    assert b == p
-    assert ("k1", "src__CONTAINS", "k1") in p
-    assert not any(o == "k51" for _s, _p2, o in p)
+    fused = resolve_link_fused(m_ds, s_ds, num_buckets=8).to_pandas()
+    assert sorted(map(tuple, fused[["subj", "pred", "obj"]].values)) == sorted(
+        set(expected)
+    )
 
 
-def test_graph_modes_output_identical(tmp_path):
+def test_resolve_deferred_fallback_keys_and_drops():
+    """The deferred-INVOKES loop both paths run: a declared member wins;
+    unresolved calls and constructors keep an approximate repo-prefixed
+    key (constructor name without namespace or generic arguments);
+    unresolved method groups are dropped."""
+    from codetoneo4j_ray.stages.link import MemberIndex, _resolve_deferred
+
+    idx = MemberIndex()
+    idx.members[("N.A", "Go")].append((0, "r:N.A.Go()"))
+    rows = [  # (repo, kind, name, receiver, argc)
+        ("R", "call", "Go", "N.A", 0),
+        ("R", "call", "Stop", "N.A", 1),
+        ("R", "ctor", "", "N.List<T>", 2),
+        ("R", "mgroup", "Nope", "N.A", -2),
+        ("Other", "call", "Go", "N.A", 0),  # repo with no member index
+    ]
+    repos, kinds, names, recvs, argcs = map(list, zip(*rows))
+    objs = [""] * len(rows)
+    drop = _resolve_deferred({"R": idx}, repos, kinds, names, recvs, argcs,
+                             objs)
+    assert list(drop) == [False, False, False, True, False]
+    assert objs == ["r:N.A.Go()", "r:N.A.Stop(~1)", "r:N.List<T>.List(~2)",
+                    "", "other:N.A.Go(~0)"]
+
+
+def test_type_index_assembly_ignores_row_order():
+    """Both stage-1 paths assemble type indices from pass-A rows that
+    arrive in shuffle order; partial-class fragments and global usings
+    must merge the same way whatever that order."""
+    from codetoneo4j_ray.stages.extract import _assemble_type_indices, skim_batch
+
+    files = [
+        ("r", "src/A1.cs", "namespace N;\npublic partial class A : IOne"
+                           " { public int X { get; } }"),
+        ("r", "src/A2.cs", "namespace N;\npublic partial class A : ITwo"
+                           " { public int Y; }"),
+        ("r", "src/G.cs", "global using N;\nglobal using System;"),
+        ("r", "client/package.json", '{"name": "web"}'),
+        ("s", "src/B.cs", "namespace M;\npublic struct B<T> { }"),
+    ]
+    df = skim_batch(pa.table({
+        "repo": [f[0] for f in files],
+        "path": [f[1] for f in files],
+        "content": [f[2] for f in files],
+    })).to_pandas()
+
+    def shape(indices):
+        return {repo: (list(i.types.items()), i.global_usings,
+                       sorted(i.namespaces), i.npm_roots, i.pub_roots)
+                for repo, i in indices.items()}
+
+    want = shape(_assemble_type_indices(df))
+    assert want["r"][0][0][1].bases == ("IOne", "ITwo")
+    for seed in range(3):
+        shuffled = df.sample(frac=1, random_state=seed)
+        assert shape(_assemble_type_indices(shuffled)) == want
+
+
+def _graph_both_paths(records_dir, add_alive_node, fused_link_calls):
+    """{table: (single-node frame, two-node frame)} from one checkpoint,
+    checking that each run took the path it should."""
+    from codetoneo4j_ray.pipelines.build_graph import graph_from_records
+
+    def tables():
+        out = graph_from_records(records_dir=records_dir)
+        return {n: out[n].to_pandas().reset_index(drop=True)
+                for n in ("nodes", "edges", "files")}
+
+    single = tables()
+    assert not fused_link_calls
+    add_alive_node()
+    multi = tables()
+    assert fused_link_calls
+    return {n: (single[n], multi[n]) for n in single}
+
+
+def test_graph_modes_output_identical(tmp_path, add_alive_node,
+                                      fused_link_calls):
     """broadcast vs partitioned (fused repo-local linking) must produce
     byte-identical nodes/edges/files over the full synthetic corpus —
     the exactness contract of the repo-prefix local-check optimization."""
     from codetoneo4j_ray.pipelines.build_graph import (
         extract_to_records,
-        graph_from_records,
         read_corpus,
     )
     from codetoneo4j_ray.sources.synth import ensure_corpus
@@ -66,11 +170,9 @@ def test_graph_modes_output_identical(tmp_path):
     extract_to_records(corpus).write_parquet(
         records_dir, partition_cols=["rec_type"]
     )
-    a = graph_from_records(records_dir=records_dir, mode="broadcast")
-    b = graph_from_records(records_dir=records_dir, mode="partitioned")
+    both = _graph_both_paths(records_dir, add_alive_node, fused_link_calls)
     for name in ("nodes", "edges", "files"):
-        da = a[name].to_pandas().reset_index(drop=True)
-        db = b[name].to_pandas().reset_index(drop=True)
+        da, db = both[name]
         assert list(da.columns) == list(db.columns), name
         assert da.equals(db), f"{name} differs between modes"
 
@@ -97,7 +199,8 @@ def test_stage1_partitioned_matches_task_path(tmp_path):
     pd.testing.assert_frame_equal(a_s, b_s, check_dtype=True)
 
 
-def test_modes_agree_on_cross_repo_shaped_corpus(tmp_path):
+def test_modes_agree_on_cross_repo_shaped_corpus(tmp_path, add_alive_node,
+                                                 fused_link_calls):
     """The fused repo-local endpoint check is exact because every
     handler's mention endpoints are self-declared, repo-prefixed, or
     pkg:/url: (also self-declared) — a mention can never be satisfied
@@ -109,7 +212,6 @@ def test_modes_agree_on_cross_repo_shaped_corpus(tmp_path):
 
     from codetoneo4j_ray.pipelines.build_graph import (
         extract_to_records,
-        graph_from_records,
         read_corpus,
     )
     from codetoneo4j_ray.schema import CORPUS_SCHEMA
@@ -142,9 +244,7 @@ def test_modes_agree_on_cross_repo_shaped_corpus(tmp_path):
     extract_to_records(read_corpus(p)).write_parquet(
         records_dir, partition_cols=["rec_type"]
     )
-    a = graph_from_records(records_dir=records_dir, mode="broadcast")
-    b = graph_from_records(records_dir=records_dir, mode="partitioned")
+    both = _graph_both_paths(records_dir, add_alive_node, fused_link_calls)
     for name in ("nodes", "edges", "files"):
-        da = a[name].to_pandas().reset_index(drop=True)
-        db = b[name].to_pandas().reset_index(drop=True)
+        da, db = both[name]
         assert da.equals(db), f"{name} differs"

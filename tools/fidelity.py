@@ -69,6 +69,7 @@ def measure(root: str, exts: tuple[str, ...]) -> dict:
         _record_parts,
         _symbol_edges,
         extract_to_records,
+        resolve_mode,
     )
 
     rows = _corpus_rows(root, exts)
@@ -89,7 +90,7 @@ def measure(root: str, exts: tuple[str, ...]) -> dict:
         return int(ds.map_batches(f, batch_format="pandas").sum("n") or 0)
 
     n_raw = count_invokes(raw_mentions)
-    sym_edges, _resolved = _symbol_edges(raw_mentions, symbols, "broadcast")
+    sym_edges = _symbol_edges(raw_mentions, symbols, resolve_mode())
     n_resolved = count_invokes(sym_edges)
     return {
         "files": len(rows),

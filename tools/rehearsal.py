@@ -29,6 +29,7 @@ import shutil
 import sys
 import threading
 import time
+from unittest import mock
 
 REHEARSAL_SF = "/tmp/rehearsal/sf0.32"
 DOCS_DIR = "/tmp/rehearsal/docs"
@@ -175,12 +176,17 @@ def main() -> int:
     timings["corpus_gen"] = round(time.perf_counter() - t0, 1)
     out["corpus_mb"] = round(os.path.getsize(corpus) / 1e6, 1)
 
+    # each path in turn, whatever resolve_mode would pick on this node
+    from codetoneo4j_ray.pipelines import build_graph as bg
+
     for mode in ("broadcast", "partitioned"):
         od = os.path.join(corpus_dir_for_sf(REHEARSAL_SF), f"reh_{mode}")
         shutil.rmtree(od, ignore_errors=True)
         t0 = time.perf_counter()
-        m = build_graph(corpus, od, resume=False, mode=mode,
-                        packages_path=ensure_packages(REHEARSAL_SF))
+        with mock.patch.object(bg, "resolve_mode",
+                               lambda corpus_bytes=None, mode=mode: mode):
+            m = build_graph(corpus, od, resume=False,
+                            packages_path=ensure_packages(REHEARSAL_SF))
         timings[f"kg_build_{mode}"] = round(time.perf_counter() - t0, 1)
         out[f"files_per_sec_{mode}"] = round(
             m["files"] / timings[f"kg_build_{mode}"], 1
