@@ -3,11 +3,15 @@
     read_parquet (repo,path,commit,lang,content)
       → [1a] type-index skim (C# rows only)            map_batches
       → [1b] extraction                                 task map_batches
-            ⇒ records/ parquet checkpoint (resumable)
+            ⇒ records pinned in the object store; records/ parquet
+              checkpoint (resumable) written in the background
       → [2a] deferred-INVOKES resolution                broadcast member index
       → [2b] endpoint semi-join                         broadcast key set
       → [3]  node / edge / file dedup                   combine + groupby
       → [4]  structural edges, sort, write_parquet      nodes/ edges/ files/
+
+Stages 2–4 (``write_graph``, shared with ``build_graph_incremental``)
+run one thread per output table over the pinned records.
 
 ``resolve_mode`` alone picks how stages 1 and 2 run, from what the Ray
 session reports: the broadcast path above on one node with fewer than
@@ -348,9 +352,7 @@ def build_graph(
               "packages": packages_path, "packages_stat": pkg_stat,
               "no_key": no_key}
     fp = corpus_fingerprint(input_path, config)
-    records_dir = f"{out_dir}/records"
 
-    import shutil
     import time
 
     pkg_meta = None
@@ -359,12 +361,9 @@ def build_graph(
 
         pkg_meta = load_pkg_meta(packages_path)
 
-    stage1_sec = 0.0
-    in_mem = None
-    ckpt_thread = None
+    records = None
+    t0 = time.perf_counter()
     if not (resume and stage_is_complete(out_dir, "records", fp)):
-        t0 = time.perf_counter()
-        shutil.rmtree(records_dir, ignore_errors=True)
         corpus = read_corpus_pinned(input_path)
         if mode == "partitioned":
             # multi-node configuration end-to-end: the repo-bucketed
@@ -381,50 +380,68 @@ def build_graph(
             records = extract_to_records(corpus, min_accessibility,
                                          pkg_meta=pkg_meta, no_key=no_key,
                                          batch_size=batch_size)
-        # Pin the record stream in the object store (records are
-        # metadata-sized — symbols/mentions/file rows, never file
-        # content — so the pinned footprint is a small fraction of the
-        # corpus and spillable) and hand stages 2–4 the pinned blocks
-        # directly: the checkpoint parquet round-trip (write, then
-        # partition reads at the head of every output's serial chain)
-        # comes OFF the critical path. The checkpoint itself still gets
-        # written — resumability unchanged — but in a background thread
-        # that overlaps stage 2–4 compute; its manifest only lands
-        # after the write completes, so a crash mid-write re-runs
-        # stage 1 exactly as before.
-        _stub_fsspec_http()
-        in_mem = records.materialize()
-        stage1_sec = round(time.perf_counter() - t0, 3)
+    metrics = write_graph(out_dir, fp, mode, no_key, records, t0)
+    metrics["mode"] = mode
+    write_manifest(out_dir, "graph", fp, metrics)
+    return metrics
 
-        ckpt_err: list[BaseException] = []
+
+def write_graph(
+    out_dir: str,
+    fp: str,
+    mode: str,
+    no_key: bool,
+    records: ray.data.Dataset | None,
+    t0: float,
+    files_post=None,
+) -> dict:
+    """Stages 2–4 into ``out_dir``'s nodes/, edges/ and files/; returns
+    their row counts and ``stage1_sec``.
+
+    ``records`` (the lazy stage-1 stream, started at ``t0``) is pinned
+    in the object store — metadata-sized, spillable — and stages 2–4
+    read the pinned blocks, so the ``records/`` checkpoint comes off the
+    critical path: a background thread writes it, then its manifest
+    (under ``fp``), so a crash mid-write re-runs stage 1; a failed write
+    is re-raised once the outputs are written. ``records=None`` reads
+    the existing checkpoint. ``files_post`` maps the files output."""
+    import shutil
+    import threading
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+
+    records_dir = f"{out_dir}/records"
+    _stub_fsspec_http()
+    stage1_sec = 0.0
+    ckpt_thread = None
+    ckpt_err: list[BaseException] = []
+    if records is not None:
+        records = records.materialize()
+        stage1_sec = round(time.perf_counter() - t0, 3)
 
         def _write_ckpt() -> None:
             # hive-partition the checkpoint by rec_type (partition-
             # pruned reads on resume); block count bounded at the read
             try:
-                in_mem.write_parquet(records_dir,
-                                     partition_cols=["rec_type"])
+                shutil.rmtree(records_dir, ignore_errors=True)
+                records.write_parquet(records_dir,
+                                      partition_cols=["rec_type"])
                 write_manifest(out_dir, "records", fp,
                                {"rows": _parquet_rows(records_dir),
                                 "wall_sec": stage1_sec})
             except BaseException as e:  # re-raised at the join below
                 ckpt_err.append(e)
 
-        import threading
-
         ckpt_thread = threading.Thread(target=_write_ckpt, daemon=True)
         ckpt_thread.start()
 
-    # Stages 2–4: one thread per output table, each building its own
-    # plan — the nodes/files writes start streaming immediately while the
-    # edges thread does the serial stage-2 prep (broadcast-mode member
-    # index + key set), overlapping that latency instead of gating all
-    # three writes behind it.
-    from concurrent.futures import ThreadPoolExecutor
-
-    _stub_fsspec_http()
+    # One thread per output table, each building its own plan — the
+    # nodes/files writes start streaming immediately while the edges
+    # thread does the serial stage-2 prep (broadcast-mode member index +
+    # key set), overlapping that latency instead of gating all three
+    # writes behind it.
     symbols, files, raw_mentions, records_in = _record_parts(
-        in_mem, records_dir if in_mem is None else None
+        records, records_dir if records is None else None
     )
     metrics: dict = {}
 
@@ -433,6 +450,8 @@ def build_graph(
             ds = _nodes_output(symbols)
         elif name == "files":
             ds = _files_output(files)
+            if files_post is not None:
+                ds = files_post(ds)
         else:
             ds = _edges_output(raw_mentions, symbols, records_in, mode,
                                no_key)
@@ -453,8 +472,6 @@ def build_graph(
                 "records checkpoint write failed"
             ) from ckpt_err[0]
     metrics["stage1_sec"] = stage1_sec
-    metrics["mode"] = mode
-    write_manifest(out_dir, "graph", fp, metrics)
     return metrics
 
 

@@ -22,14 +22,16 @@ deleted_at; a tombstoned file that reappears in the corpus is
 re-extracted and returns to live (the tombstone drops). A fresh full
 build (new index) has no tombstones and keeps the base schema.
 
-Stage 1 cost scales with the delta, not the corpus; stages 2–4 rerun
-over the merged record stream (metadata-sized).
+Stage 1 cost scales with the delta, not the corpus (the full-corpus
+type-index skim overlaps the diff). Stages 2–4 rerun over the merged
+in-memory records (metadata-sized) through ``build_graph.write_graph``,
+the full build's tail, which writes ``records/`` in the background.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
+import time
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -40,15 +42,14 @@ import ray.data
 from codetoneo4j_ray.extractors.accessibility import DEFAULT_MIN_ACCESSIBILITY
 from codetoneo4j_ray.functions.text import sha256_hex
 from codetoneo4j_ray.pipelines.build_graph import (
-    _parquet_rows,
-    _stub_fsspec_http,
     corpus_content_bytes,
-    graph_from_records,
     read_corpus_pinned,
     read_records,
     resolve_mode,
+    write_graph,
 )
 from codetoneo4j_ray.stages.extract import (
+    RECORD_SCHEMA,
     build_type_index,
     extract_records,
     extract_records_partitioned,
@@ -278,13 +279,34 @@ def build_graph_incremental(
             "read is lazy, and rebuilding in place would delete the prior "
             "checkpoint before it is read"
         )
+    t0 = time.perf_counter()
+    fp = corpus_fingerprint(input_path, {
+        "incremental": True, "min_accessibility": min_accessibility,
+        "packages": packages_path, "no_key": no_key,
+        "prior": os.path.realpath(prior_out_dir),
+    })
     pkg_meta = None
     if packages_path is not None:
         from codetoneo4j_ray.stages.extract import load_pkg_meta
 
         pkg_meta = load_pkg_meta(packages_path)
     corpus = read_corpus_pinned(input_path)
-    changed, deleted, carried_tombs = _diff_vs_prior(corpus, prior_out_dir)
+    # pass-A type index over the FULL corpus: a changed file may reference
+    # types/namespaces declared in unchanged files (receiver typing, base
+    # chains, global usings) — the incremental==full contract requires the
+    # same compilation-wide knowledge the reference re-opens per run
+    # (SolutionProcessor.cs:256-279). Stage-1 *parse* cost still scales
+    # with the delta; the skim is the cheap declaration pass. The index
+    # (and stage 2's) is corpus-sized, so the path follows build_graph's
+    # choice.
+    mode = resolve_mode(corpus_content_bytes(input_path))
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        # the broadcast skim needs no diff result: overlap the two
+        fut_diff = pool.submit(_diff_vs_prior, corpus, prior_out_dir)
+        indices = build_type_index(corpus) if mode == "broadcast" else None
+        changed, deleted, carried_tombs = fut_diff.result()
 
     # re-extract only the changed rows (broadcast of the *delta* key set —
     # bounded by the diff size, never the corpus)
@@ -302,21 +324,12 @@ def build_graph_incremental(
     stale = changed | set(deleted) | {(r, p) for r, p, _ in carried_tombs}
     stale_ref = ray.put(_joined_keys(stale))
 
-    # pass-A type index over the FULL corpus: a changed file may reference
-    # types/namespaces declared in unchanged files (receiver typing, base
-    # chains, global usings) — the incremental==full contract requires the
-    # same compilation-wide knowledge the reference re-opens per run
-    # (SolutionProcessor.cs:256-279). Stage-1 *parse* cost still scales
-    # with the delta; the skim is the cheap declaration pass. The index
-    # is corpus-sized, so the path follows build_graph's choice.
-    corpus_bytes = corpus_content_bytes(input_path)
-    if resolve_mode(corpus_bytes) == "partitioned":
+    if mode == "partitioned":
         new_records = extract_records_partitioned(
             delta, min_accessibility, pkg_meta=pkg_meta, no_key=no_key,
             index_corpus=corpus,
         )
     else:
-        indices = build_type_index(corpus)
         new_records = extract_records(delta, indices, min_accessibility,
                                       pkg_meta=pkg_meta, no_key=no_key,
                                       batch_size=batch_size)
@@ -332,46 +345,29 @@ def build_graph_incremental(
         drop_stale, batch_format="pyarrow"
     )
     if changed:
-        # partition-column reads reorder columns; align before union
-        cols = new_records.schema().names
-        merged = new_records.union(carried.select_columns(cols))
+        # both stage-1 paths emit RECORD_SCHEMA; partition-column reads
+        # reorder columns, so align the carried side before the union
+        merged = new_records.union(carried.select_columns(RECORD_SCHEMA.names))
     else:
         # empty delta → extraction yields a schemaless empty dataset
         # (Ray drops all-empty schemas); carry the prior records alone
         merged = carried
 
-    records_dir = f"{out_dir}/records"
-    shutil.rmtree(records_dir, ignore_errors=True)
-    merged.write_parquet(records_dir, partition_cols=["rec_type"])
-
-    _stub_fsspec_http()
-    # stage 2's index is corpus-sized too, not diff-sized
-    outputs = graph_from_records(
-        records_dir=records_dir, no_key=no_key, corpus_bytes=corpus_bytes,
-    )
-    outputs["files"] = _files_with_tombstones(
-        outputs["files"], f"{prior_out_dir}/files", deleted, carried_tombs,
-        deleted_at_sec,
-    )
     metrics: dict = {
         "changed_files": len(changed),
         "deleted_files": len(deleted),
         "deleted": [f"{r}:{p}" for r, p in deleted][:1000],
     }
-    for name in ("nodes", "edges", "files"):
-        path = f"{out_dir}/{name}"
-        shutil.rmtree(path, ignore_errors=True)
-        outputs[name].write_parquet(path)
-        metrics[name] = _parquet_rows(path)
+    metrics.update(write_graph(
+        out_dir, fp, mode, no_key, merged, t0,
+        files_post=lambda files: _files_with_tombstones(
+            files, f"{prior_out_dir}/files", deleted, carried_tombs,
+            deleted_at_sec),
+    ))
     # counted from the output: a deleted (repo, path) whose file key
     # another repo still holds leaves no tombstone row
     metrics["tombstones"] = pc.sum(
         pq.read_table(f"{out_dir}/files", columns=["deleted"])["deleted"]
     ).as_py() if metrics["files"] else 0
-    fp = corpus_fingerprint(input_path, {
-        "incremental": True, "min_accessibility": min_accessibility,
-        "packages": packages_path, "no_key": no_key,
-        "prior": os.path.realpath(prior_out_dir),
-    })
     write_manifest(out_dir, "graph", fp, metrics)
     return metrics

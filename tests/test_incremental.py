@@ -305,6 +305,71 @@ def test_tombstone_chain_and_resurrection(ray_session, tmp_path):
     assert m4["changed_files"] == 1 and m4["tombstones"] == 0
 
 
+def test_incremental_checkpoint_write_failure_surfaces(
+    ray_session, tmp_path, monkeypatch,
+):
+    """A failure inside the background records-checkpoint thread fails
+    the incremental rebuild too, and no graph manifest lands: a later
+    rebuild must never take a partial records dir as its prior."""
+    import codetoneo4j_ray.pipelines.build_graph as bg
+    from codetoneo4j_ray.pipelines.incremental import build_graph_incremental
+    from codetoneo4j_ray.state.manifest import read_manifest
+
+    p1, p2 = str(tmp_path / "v1.parquet"), str(tmp_path / "v2.parquet")
+    pq.write_table(_corpus(V1), p1)
+    pq.write_table(_corpus(V2), p2)
+    out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
+    bg.build_graph(p1, out1)
+
+    real_write = bg.write_manifest
+
+    def boom(out_dir, stage, fp, meta=None):
+        if stage == "records":
+            raise OSError("disk full (simulated)")
+        return real_write(out_dir, stage, fp, meta)
+
+    monkeypatch.setattr(bg, "write_manifest", boom)
+    with pytest.raises(RuntimeError, match="checkpoint write failed"):
+        build_graph_incremental(p2, out1, out2)
+    assert read_manifest(out2, "graph") is None
+
+
+def test_chained_incremental_over_same_corpus(ray_session, tmp_path):
+    """A rebuild whose prior is an incremental run over the same corpus
+    changes nothing: no file re-extracts, every output row and the
+    records count per rec_type equal the prior's. The second run reads
+    the first's records/, so this also pins that the background
+    checkpoint write is complete when the first rebuild returns."""
+    import os
+
+    import ray.data as rd
+
+    from codetoneo4j_ray.pipelines.build_graph import _parquet_rows, build_graph
+    from codetoneo4j_ray.pipelines.incremental import build_graph_incremental
+
+    p1, p2 = str(tmp_path / "v1.parquet"), str(tmp_path / "v2.parquet")
+    pq.write_table(_corpus(V1), p1)
+    pq.write_table(_corpus(V2), p2)
+    out1, out2, out3 = (str(tmp_path / d) for d in ("o1", "o2", "o3"))
+    build_graph(p1, out1)
+    build_graph_incremental(p2, out1, out2, deleted_at_sec=111)
+    m = build_graph_incremental(p2, out2, out3, deleted_at_sec=222)
+
+    assert m["changed_files"] == 0 and m["deleted_files"] == 0
+    for n in ("nodes", "edges", "files"):
+        a = rd.read_parquet(f"{out2}/{n}").to_pandas()
+        b = rd.read_parquet(f"{out3}/{n}").to_pandas()
+        assert _sorted_rows(a).equals(_sorted_rows(b)), f"{n} differs"
+
+    def rows_per_rec_type(out: str) -> dict[str, int]:
+        rec = f"{out}/records"
+        return {d: _parquet_rows(f"{rec}/{d}") for d in os.listdir(rec)}
+
+    prior = rows_per_rec_type(out2)
+    assert {"rec_type=symbol", "rec_type=file"} <= set(prior)
+    assert rows_per_rec_type(out3) == prior
+
+
 @pytest.mark.parametrize("forced_by", ["second_node", "low_memory"])
 def test_incremental_partitioned_equals_single_node(
     ray_session, tmp_path, monkeypatch, add_alive_node, report_memory,
