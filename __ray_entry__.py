@@ -4,9 +4,10 @@ Ray is initialised by the driver before import — nothing here calls
 ray.init()/ray.shutdown(). KG queries run over a deterministic synthetic
 corpus of (repo, path, commit, lang, content) rows (BASELINE.json
 input_hint; the driver's testdata carries no such table); stage-1
-records are persisted to parquet so the DuckDB oracles check the
-distributed stages (linking join, dedup, structural edges, sort) against
-the same inputs — see codetoneo4j_ray/pipelines/kg_queries.py. Data ops
+records come from one full build, whose nodes/edges/files tables the
+queries read, while the DuckDB oracles recompute the distributed stages
+(linking join, dedup, structural edges, sort) from those records — see
+codetoneo4j_ray/pipelines/kg_queries.py. Data ops
 run over the driver's registered views directly.
 """
 

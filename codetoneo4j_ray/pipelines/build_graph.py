@@ -7,7 +7,7 @@
               checkpoint (resumable) written in the background
       → [2a] deferred-INVOKES resolution                broadcast member index
       → [2b] endpoint semi-join                         broadcast key set
-      → [3]  node / edge / file dedup                   combine + groupby
+      → [3]  node / edge / file dedup                   fused into [4]'s sort
       → [4]  structural edges, sort, write_parquet      nodes/ edges/ files/
 
 Stages 2–4 (``write_graph``, shared with ``build_graph_incremental``)
@@ -85,21 +85,6 @@ def read_corpus_pinned(input_path: str) -> ray.data.Dataset:
     if est is not None and est <= int(store) // 4:
         ds = ds.materialize()
     return ds
-
-
-def extract_to_records(
-    corpus: ray.data.Dataset,
-    min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
-    pkg_meta: dict | None = None,
-    no_key: bool = False,
-    batch_size: int = 64,
-) -> ray.data.Dataset:
-    """Stages 1a+1b, returning the unified record stream (lazy)."""
-    indices = build_type_index(corpus)
-    return extract_records(
-        corpus, indices, min_accessibility,
-        pkg_meta=pkg_meta, no_key=no_key, batch_size=batch_size,
-    )
 
 
 def read_records(records_dir: str, rec_type: str | None = None) -> ray.data.Dataset:
@@ -377,9 +362,10 @@ def build_graph(
                 corpus, min_accessibility, pkg_meta=pkg_meta, no_key=no_key
             )
         else:
-            records = extract_to_records(corpus, min_accessibility,
-                                         pkg_meta=pkg_meta, no_key=no_key,
-                                         batch_size=batch_size)
+            records = extract_records(
+                corpus, build_type_index(corpus), min_accessibility,
+                pkg_meta=pkg_meta, no_key=no_key, batch_size=batch_size,
+            )
     metrics = write_graph(out_dir, fp, mode, no_key, records, t0)
     metrics["mode"] = mode
     write_manifest(out_dir, "graph", fp, metrics)

@@ -324,9 +324,9 @@ def _kg_id_tables(sf_dir: str, num_buckets: int):
     once per corpus per session instead of once per op. Returns
     (ids, id_store, rev_store); the Ray objects stay alive while the
     cache holds them (driver-owned refs)."""
-    from codetoneo4j_ray.pipelines.kg_queries import ensure_kg_edges
+    from codetoneo4j_ray.pipelines.kg_queries import ensure_kg
 
-    path = ensure_kg_edges(sf_dir)
+    path = ensure_kg(sf_dir)["edges"]
     key = (path, num_buckets)
     hit = _KG_ID_CACHE.get(key)
     if hit is not None:
@@ -444,14 +444,14 @@ def kg_pagerank(
     scale: int = PAGERANK_SCALE,
 ) -> ray.data.Dataset:
     """Fixed-point PageRank over the final KG edge table (see
-    :func:`pagerank_over`). Reads the once-per-corpus cached distinct
-    edge parquet (ensure_kg_edges) — pred collapse to pairs still
+    :func:`pagerank_over`). Reads the once-per-corpus built edge table
+    (``ensure_kg``'s edges/) — pred collapse to pairs still
     happens inside pagerank_over."""
-    from codetoneo4j_ray.pipelines.kg_queries import ensure_kg_edges
+    from codetoneo4j_ray.pipelines.kg_queries import ensure_kg
 
     nb = target_blocks()
     edges = ray.data.read_parquet(
-        ensure_kg_edges(sf_dir), columns=["subj", "obj"],
+        ensure_kg(sf_dir)["edges"], columns=["subj", "obj"],
         override_num_blocks=nb,
     )
     return pagerank_over(edges, iters=iters, scale=scale, num_buckets=nb,
@@ -680,12 +680,12 @@ def pagerank_oracle_sql(
 def kg_components(sf_dir: str, max_iters: int = CC_MAX_ITERS) -> ray.data.Dataset:
     """True connected components (min-label ids) over the final KG
     edge table (see :func:`components_over`), from the once-per-corpus
-    cached distinct edge parquet."""
-    from codetoneo4j_ray.pipelines.kg_queries import ensure_kg_edges
+    built edge table."""
+    from codetoneo4j_ray.pipelines.kg_queries import ensure_kg
 
     nb = target_blocks()
     edges = ray.data.read_parquet(
-        ensure_kg_edges(sf_dir), columns=["subj", "obj"],
+        ensure_kg(sf_dir)["edges"], columns=["subj", "obj"],
         override_num_blocks=nb,
     )
     return components_over(edges, max_iters=max_iters, num_buckets=nb,
@@ -1190,13 +1190,13 @@ _UNREACHED = 2**62  # depth sentinel; +iters stays far below int64 max
 def kg_bfs_depth(sf_dir: str, max_iters: int = BFS_MAX_ITERS) -> ray.data.Dataset:
     """Directed BFS depth from the repo roots (subjects of
     BFS_ROOT_PRED edges) over the final KG edge table (see
-    :func:`bfs_depth_over`), from the once-per-corpus cached distinct
-    edge parquet."""
-    from codetoneo4j_ray.pipelines.kg_queries import ensure_kg_edges
+    :func:`bfs_depth_over`), from the once-per-corpus built edge
+    table."""
+    from codetoneo4j_ray.pipelines.kg_queries import ensure_kg
 
     nb = target_blocks()
     edges = ray.data.read_parquet(
-        ensure_kg_edges(sf_dir), columns=["subj", "pred", "obj"],
+        ensure_kg(sf_dir)["edges"], columns=["subj", "pred", "obj"],
         override_num_blocks=nb,
     )
     return bfs_depth_over(edges, max_iters=max_iters, num_buckets=nb,
@@ -1390,13 +1390,13 @@ SSSP_MAX_ITERS = 256  # ≥ budget/min-weight rounds always suffice
 
 def kg_sssp(sf_dir: str, max_iters: int = SSSP_MAX_ITERS) -> ray.data.Dataset:
     """Weighted shortest distance from the repo roots over the final KG
-    edge table (see :func:`sssp_over`), from the once-per-corpus cached
-    distinct edge parquet."""
-    from codetoneo4j_ray.pipelines.kg_queries import ensure_kg_edges
+    edge table (see :func:`sssp_over`), from the once-per-corpus built
+    edge table."""
+    from codetoneo4j_ray.pipelines.kg_queries import ensure_kg
 
     nb = target_blocks()
     edges = ray.data.read_parquet(
-        ensure_kg_edges(sf_dir), columns=["subj", "pred", "obj"],
+        ensure_kg(sf_dir)["edges"], columns=["subj", "pred", "obj"],
         override_num_blocks=nb,
     )
     return sssp_over(edges, max_iters=max_iters, num_buckets=nb,
@@ -1587,14 +1587,14 @@ def sssp_oracle_sql(
 
 def kg_triangles(sf_dir: str, k: int = TRIANGLE_TOPK_K) -> ray.data.Dataset:
     """Triangle participation top-k over the final KG edge table (see
-    :func:`triangles_over`). Reads the once-per-corpus cached distinct
-    edge parquet (ensure_kg_edges); the canonical-undirected-pair
+    :func:`triangles_over`). Reads the once-per-corpus built edge table
+    (``ensure_kg``'s edges/); the canonical-undirected-pair
     collapse still folds preds/directions."""
-    from codetoneo4j_ray.pipelines.kg_queries import ensure_kg_edges
+    from codetoneo4j_ray.pipelines.kg_queries import ensure_kg
 
     nb = target_blocks()
     edges = ray.data.read_parquet(
-        ensure_kg_edges(sf_dir), columns=["subj", "obj"],
+        ensure_kg(sf_dir)["edges"], columns=["subj", "obj"],
         override_num_blocks=nb,
     )
     return triangles_over(edges, k=k, num_buckets=nb,

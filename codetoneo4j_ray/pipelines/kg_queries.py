@@ -2,15 +2,17 @@
 
 The driver's correctness gate runs each ``queries()`` callable AND its
 ``oracle_sql()`` string side-by-side. C# parsing is not SQL-expressible,
-so the oracle contract is: stage 1 (extraction) writes its raw record
-stream to Parquet once per scale factor (deterministic: same corpus ⇒
-same records); the *distributed* stages — linking semi-join, dedup,
-structural-edge derivation, sort — are then computed BOTH by Ray (the
-query) and by DuckDB (the oracle) from those same Parquet files.
-Parsing itself is covered by the snippet-level pytest suite
-(tests/test_csharp_extractor.py etc.), mirroring the reference's test
-split (SURVEY §5). The files oracle additionally recomputes sha256 from
-the corpus content in SQL, checking the per-row hash invariant.
+so the oracle contract is: ``ensure_kg`` runs the full build
+(``build_graph``) once per scale factor, which writes the stage-1
+``records/`` checkpoint (deterministic: same corpus ⇒ same records) and
+the ``nodes/``, ``edges/`` and ``files/`` tables. The queries read those
+tables, the build's actual output; the DuckDB oracles recompute stages
+2–4 — linking semi-join, dedup, structural-edge derivation, sort — in
+SQL from ``records/`` alone. Parsing itself is covered by the
+snippet-level pytest suite (tests/test_csharp_extractor.py etc.),
+mirroring the reference's test split (SURVEY §5). The files oracle
+additionally recomputes sha256 from the corpus content in SQL, checking
+the per-row hash invariant.
 """
 
 from __future__ import annotations
@@ -24,28 +26,16 @@ import ray.data
 
 from codetoneo4j_ray.extractors.csharp.extractor import BASE_PRED, MEMBER_PRED
 from codetoneo4j_ray.functions.tags import parse_namespace_tags
-from codetoneo4j_ray.pipelines.build_graph import (
-    extract_to_records,
-    read_corpus_pinned,
-    read_records,
+from codetoneo4j_ray.pipelines.build_graph import build_graph, read_records
+from codetoneo4j_ray.sources.synth import (
+    corpus_dir_for_sf,
+    ensure_corpus,
+    ensure_packages,
 )
-from codetoneo4j_ray.sources.synth import corpus_dir_for_sf, ensure_corpus
-from codetoneo4j_ray.stages.bucketing import coalesce
-from codetoneo4j_ray.stages.canonicalize import dedup_nodes
-from codetoneo4j_ray.stages.link import (
-    build_member_indices,
-    resolve_edges_broadcast,
-    resolve_mentions,
-    symbol_key_set,
-)
-from codetoneo4j_ray.stages.materialize import (
-    finalize_files,
-    finalize_nodes,
-    structural_edges,
-)
+from codetoneo4j_ray.stages.link import build_member_indices, resolve_mentions
 from codetoneo4j_ray.state.manifest import corpus_fingerprint, stage_is_complete, write_manifest
 
-_KG_CONFIG = {"min_accessibility": "Private", "kg_cache_v": 18}
+_KG_CONFIG = {"min_accessibility": "Private", "kg_cache_v": 19}
 
 
 def kg_paths(sf_dir: str) -> dict[str, str]:
@@ -54,29 +44,28 @@ def kg_paths(sf_dir: str) -> dict[str, str]:
         "out": base,
         "corpus": os.path.join(corpus_dir_for_sf(sf_dir), "corpus.parquet"),
         "records": os.path.join(base, "records"),
+        "nodes": os.path.join(base, "nodes"),
+        "edges": os.path.join(base, "edges"),
+        "files": os.path.join(base, "files"),
         "mentions": os.path.join(base, "mentions_resolved"),
         "tags_map": os.path.join(base, "tags_map.parquet"),
     }
 
 
 def ensure_kg(sf_dir: str) -> dict[str, str]:
-    """Generate corpus + run stage 1 + linking once per scale factor."""
+    """Generate the corpus and build its graph once per scale factor.
+
+    ``build_graph`` writes records/, nodes/, edges/ and files/ on the
+    path ``resolve_mode`` picks; the two oracle-only side tables
+    (resolved mentions, namespace tags) are then derived from records/."""
     corpus_path = ensure_corpus(sf_dir)
     paths = kg_paths(sf_dir)
     fp = corpus_fingerprint(corpus_path, _KG_CONFIG)
     if stage_is_complete(paths["out"], "kgcache", fp):
         return paths
-    from codetoneo4j_ray.sources.synth import ensure_packages
-    from codetoneo4j_ray.stages.extract import load_pkg_meta
+    metrics = build_graph(corpus_path, paths["out"], resume=False,
+                          packages_path=ensure_packages(sf_dir))
 
-    corpus = read_corpus_pinned(corpus_path)
-    records = extract_to_records(
-        corpus, pkg_meta=load_pkg_meta(ensure_packages(sf_dir))
-    )
-    shutil.rmtree(paths["records"], ignore_errors=True)
-    coalesce(records).write_parquet(paths["records"], partition_cols=["rec_type"])
-
-    records_ds = read_records(paths["records"])
     # stage-2 step A, as the broadcast build runs it; the oracle reads
     # the resolved mentions back from parquet
     raw_mentions = read_records(paths["records"], "mention")
@@ -90,8 +79,7 @@ def ensure_kg(sf_dir: str) -> dict[str, str]:
     # reimplementing the PascalCase splitter in SQL. Dedup is distributed
     # (per-batch Arrow unique, then Ray's aggregate-based ``unique``) so
     # the driver only ever receives the distinct namespace set — never a
-    # corpus-sized column (this was the last driver-side structure on the
-    # kg path that grew with corpus size).
+    # corpus-sized column.
     import pyarrow.compute as pc
 
     def _ns_batch_distinct(batch: pa.Table) -> pa.Table:
@@ -114,120 +102,65 @@ def ensure_kg(sf_dir: str) -> dict[str, str]:
                   "tag": pa.array(tag_col, pa.string())}),
         paths["tags_map"],
     )
-    write_manifest(paths["out"], "kgcache", fp, {"records": records_ds.count()})
+    write_manifest(paths["out"], "kgcache", fp, metrics)
     return paths
 
 
 # ---------------------------------------------------------------------------
-# Ray-side queries (each re-runs the distributed stages from the records)
+# Ray-side queries (read the build's output tables)
 # ---------------------------------------------------------------------------
 
-_NODE_COLS = [
-    "key", "name", "kind", "class", "fqn", "accessibility", "file_key",
-    "path", "start_line", "end_line", "documentation", "comments",
-    "namespace", "version", "language", "technology", "repo",
-]
+
+def _read_table(sf_dir: str, name: str,
+                columns: list[str] | None = None) -> ray.data.Dataset:
+    return ray.data.read_parquet(ensure_kg(sf_dir)[name], columns=columns)
+
+
+def _group_counts(ds: ray.data.Dataset, by: list[str],
+                  then=None) -> ray.data.Dataset:
+    """Row count per ``by`` group as column ``n``: per-batch partial
+    counts, then one bucketed exact merge; ``then`` maps each merged
+    bucket."""
+    import pandas as pd
+
+    from codetoneo4j_ray.stages.bucketing import bucketed_apply_tasks
+
+    def partial(b: pa.Table) -> pa.Table:
+        df = b.to_pandas().groupby(by, as_index=False).size()
+        return pa.Table.from_pandas(df.rename(columns={"size": "n"}),
+                                    preserve_index=False)
+
+    def merge(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.groupby(by, as_index=False).agg(n=("n", "sum"))
+        return df if then is None else then(df)
+
+    return bucketed_apply_tasks(
+        ds.map_batches(partial, batch_format="pyarrow"), by, merge
+    )
 
 
 def q_kg_nodes(sf_dir: str) -> ray.data.Dataset:
-    from codetoneo4j_ray.stages.canonicalize import _TIEBREAK, lww_sorted
-
-    paths = ensure_kg(sf_dir)
-    symbols = read_records(paths["records"], "symbol")
-    return lww_sorted(finalize_nodes(symbols), "key", _TIEBREAK)
-
-
-def kg_edges_raw(sf_dir: str) -> ray.data.Dataset:
-    """Pre-dedup edge stream (the oracle's ``all_edges`` CTE): linked
-    mention triples ∪ structural edges, duplicates included. Consumers
-    that dedup themselves (graph_ops' DISTINCT-pair analytics) read this
-    and skip the final table's sort/dedup exchange."""
-    paths = ensure_kg(sf_dir)
-    # stage-2 step B over the cached step-A output
-    sym_edges = resolve_edges_broadcast(
-        ray.data.read_parquet(paths["mentions"]),
-        symbol_key_set(read_records(paths["records"], "symbol")),
-    )
-    return sym_edges.union(structural_edges(read_records(paths["records"])))
+    return _read_table(sf_dir, "nodes")
 
 
 def q_kg_edges(sf_dir: str) -> ray.data.Dataset:
-    from codetoneo4j_ray.stages.canonicalize import distinct_sorted
-
-    return distinct_sorted(kg_edges_raw(sf_dir))
-
-
-def ensure_kg_edges(sf_dir: str) -> str:
-    """Distinct (subj, pred, obj) edge table, computed once per corpus
-    and cached as parquet (unsorted — consumers that need order sort
-    themselves). Shared input of the graph-analytics ops, which would
-    otherwise each re-run the linking maps per query."""
-    from codetoneo4j_ray.stages.bucketing import bucketed_apply, coalesce, bucketed_apply_tasks
-
-    paths = ensure_kg(sf_dir)
-    fp = corpus_fingerprint(paths["corpus"], _KG_CONFIG)
-    out = os.path.join(paths["out"], "edges_distinct")
-    if stage_is_complete(paths["out"], "edges_distinct", fp):
-        return out
-    distinct = bucketed_apply_tasks(
-        kg_edges_raw(sf_dir),
-        ["subj", "pred", "obj"],
-        lambda df: df.drop_duplicates(),
-    )
-    shutil.rmtree(out, ignore_errors=True)
-    coalesce(distinct).write_parquet(out)
-    write_manifest(paths["out"], "edges_distinct", fp, {})
-    return out
+    return _read_table(sf_dir, "edges")
 
 
 def q_kg_files(sf_dir: str) -> ray.data.Dataset:
-    from codetoneo4j_ray.stages.canonicalize import _FILE_TIEBREAK, lww_sorted
-
-    paths = ensure_kg(sf_dir)
-    files = read_records(paths["records"], "file")
-    return lww_sorted(finalize_files(files), "key", _FILE_TIEBREAK)
+    return _read_table(sf_dir, "files")
 
 
 def q_kg_symbol_kinds(sf_dir: str) -> ray.data.Dataset:
-    """Node count per (language, kind) after dedup — aggregate sanity."""
-    paths = ensure_kg(sf_dir)
-    symbols = read_records(paths["records"], "symbol")
-    import pandas as pd
-
-    from codetoneo4j_ray.stages.bucketing import bucketed_apply, bucketed_apply_tasks
-
-    def count(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["language", "kind"], as_index=False).size()
-        return g.rename(columns={"size": "n"})
-
-    return (
-        bucketed_apply_tasks(dedup_nodes(symbols), ["language", "kind"], count)
-        .sort(["language", "kind"])
-    )
+    """Node count per (language, kind) — aggregate sanity."""
+    by = ["language", "kind"]
+    return _group_counts(_read_table(sf_dir, "nodes", by), by).sort(by)
 
 
 def q_kg_pred_counts(sf_dir: str) -> ray.data.Dataset:
-    """Edge count per predicate over the FINAL edge table — exercises the
-    full linking+dedup chain feeding a distributed aggregate."""
-    import pandas as pd
-
-    from codetoneo4j_ray.stages.bucketing import bucketed_apply, bucketed_apply_tasks
-
-    edges = q_kg_edges(sf_dir)
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("pred", as_index=False).agg(n=("n", "sum"))
-
-    partial = edges.map_batches(
-        lambda b: pa.Table.from_pandas(
-            b.to_pandas().groupby("pred", as_index=False).size().rename(
-                columns={"size": "n"}
-            ),
-            preserve_index=False,
-        ),
-        batch_format="pyarrow",
-    )
-    return bucketed_apply_tasks(partial, ["pred"], merge).sort("pred")
+    """Edge count per predicate over the final edge table."""
+    return _group_counts(_read_table(sf_dir, "edges", ["pred"]),
+                         ["pred"]).sort("pred")
 
 
 def _commits_path(sf_dir: str) -> str:
@@ -500,21 +433,13 @@ DEGREE_TOPK_K = 20
 
 
 def q_kg_degree_topk(sf_dir: str, k: int = DEGREE_TOPK_K) -> ray.data.Dataset:
-    """Top-k node keys by out-degree over the FINAL edge table — the
+    """Top-k node keys by out-degree over the final edge table — the
     graph-analytics heavy-hitter a KG consumer runs first. Same partial/
     merge/global-top-k pattern as top_tokens: per-batch counts, bucketed
     exact merge by subj, per-bucket local top-k, one global merge."""
     import pandas as pd
 
-    from codetoneo4j_ray.stages.bucketing import bucketed_apply, bucketed_apply_tasks
-
-    edges = q_kg_edges(sf_dir)
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = b.to_pandas().groupby("subj", as_index=False).size().rename(
-            columns={"size": "n"}
-        )
-        return pa.Table.from_pandas(df, preserve_index=False)
+    from codetoneo4j_ray.stages.bucketing import bucketed_apply_tasks
 
     def topk(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["n", "subj"], ascending=[False, True],
@@ -522,10 +447,6 @@ def q_kg_degree_topk(sf_dir: str, k: int = DEGREE_TOPK_K) -> ray.data.Dataset:
         df["n"] = df["n"].astype("int64")
         return df
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        return topk(df.groupby("subj", as_index=False).agg(n=("n", "sum")))
-
-    partials = edges.map_batches(partial, batch_format="pyarrow")
-    return bucketed_apply_tasks(
-        bucketed_apply_tasks(partials, ["subj"], merge), [], topk
-    ).sort("subj")
+    per_subj = _group_counts(_read_table(sf_dir, "edges", ["subj"]),
+                             ["subj"], then=topk)
+    return bucketed_apply_tasks(per_subj, [], topk).sort("subj")

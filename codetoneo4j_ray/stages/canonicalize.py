@@ -8,13 +8,13 @@ Reproduces Neo4j MERGE semantics:
   - edges:  ``apoc.merge.relationship`` = distinct (subj, pred, obj)
     (``Cypher/MergeRelationships.cypher:4``).
 
-Skew handling, two phases:
+Both dedups fuse into the output's range-partitioned sort, two phases:
   1. map-side combine — per-batch dedup collapses hot keys (``pkg:*``
      deps and ``System.*`` targets appear once per *file*) before any
      shuffle, so no reducer sees more than one row per key per block;
-  2. bucketed reduce — keys hash into a bounded number of buckets and
-     each bucket dedups vectorized in pandas (stages.bucketing), instead
-     of one Python call per key.
+  2. per-block reduce after the sort — equal keys share a sort block,
+     so each block dedups vectorized in pandas, instead of one Python
+     call per key.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from codetoneo4j_ray.stages.bucketing import coalesce, bucketed_apply_tasks
-
-_SEP = "\x00"
+from codetoneo4j_ray.stages.bucketing import coalesce
 
 # Total tie-break order: replicated exactly in the DuckDB oracles.
 _TIEBREAK = ["path", "start_line", "end_line", "repo", "namespace", "kind", "accessibility"]
@@ -38,11 +36,6 @@ def _winner_last(df: pd.DataFrame, key: str, order: list[str]) -> pd.DataFrame:
     # pandas' default ('last') would let a NULL-tiebreak row win instead
     df = df.sort_values([key] + order, kind="stable", na_position="first")
     return df.drop_duplicates(subset=[key], keep="last")
-
-
-def _local_dedup_nodes(batch: pa.Table) -> pa.Table:
-    df = _winner_last(batch.to_pandas(), "key", _TIEBREAK)
-    return pa.Table.from_pandas(df, preserve_index=False, schema=batch.schema)
 
 
 def lww_sorted(
@@ -60,11 +53,7 @@ def lww_sorted(
     hot keys collapse to ≤1 row per input block before the shuffle.
     """
 
-    def combine(batch: pa.Table) -> pa.Table:
-        df = _winner_last(batch.to_pandas(), key, order)
-        return pa.Table.from_pandas(df, preserve_index=False, schema=batch.schema)
-
-    def block_winner(batch: pa.Table) -> pa.Table:
+    def winner(batch: pa.Table) -> pa.Table:
         df = _winner_last(batch.to_pandas(), key, order)
         return pa.Table.from_pandas(df, preserve_index=False, schema=batch.schema)
 
@@ -72,9 +61,9 @@ def lww_sorted(
     # sort inherits one reduce partition per upstream block and the
     # shuffle-object count grows quadratically
     return (
-        coalesce(ds.map_batches(combine, batch_format="pyarrow"))
+        coalesce(ds.map_batches(winner, batch_format="pyarrow"))
         .sort(key)
-        .map_batches(block_winner, batch_format="pyarrow", batch_size=None)
+        .map_batches(winner, batch_format="pyarrow", batch_size=None)
     )
 
 
@@ -94,20 +83,4 @@ def distinct_sorted(edges: ray.data.Dataset) -> ray.data.Dataset:
         coalesce(edges.map_batches(local, batch_format="pyarrow"))
         .sort(["subj", "pred", "obj"])
         .map_batches(block_distinct, batch_format="pyarrow", batch_size=None)
-    )
-
-
-def dedup_nodes(symbols: ray.data.Dataset) -> ray.data.Dataset:
-    """One row per key, deterministic last-writer-wins.
-
-    Map-side combine (per-block LWW collapses hot keys) then ONE
-    bucketed exchange doing the exact per-key reduce. A previous design
-    split unique keys past the shuffle, but the caller's final sort
-    moves the full payload regardless — the split's extra materialize +
-    dup-detection shuffle + driver roundtrip cost more wall time at
-    every parallelism level than the single exchange it avoided.
-    """
-    combined = symbols.map_batches(_local_dedup_nodes, batch_format="pyarrow")
-    return bucketed_apply_tasks(
-        combined, ["key"], lambda df: _winner_last(df, "key", _TIEBREAK)
     )

@@ -33,7 +33,7 @@ from codetoneo4j_ray.extractors.accessibility import DEFAULT_MIN_ACCESSIBILITY
 from codetoneo4j_ray.extractors.csharp.extractor import skim_file
 from codetoneo4j_ray.extractors.csharp.types import RepoTypeIndex
 from codetoneo4j_ray.functions.text import sha256_hex
-from codetoneo4j_ray.stages.link import _cached_get
+from codetoneo4j_ray.stages.link import REPO_SALT, _cached_get
 
 # Unified stage-1 record schema (symbol ∪ mention ∪ file ∪ url columns).
 RECORD_SCHEMA = pa.schema(
@@ -322,7 +322,6 @@ def extract_records_partitioned(
     num_buckets: int = 64,
     pkg_meta: dict | None = None,
     no_key: bool = False,
-    salt: int = 4,
     index_corpus: ray.data.Dataset | None = None,
 ) -> ray.data.Dataset:
     """Fully-partitioned stage 1: no driver-resident type index.
@@ -335,11 +334,11 @@ def extract_records_partitioned(
     broadcast index cannot provide (its dict grows with total declared
     types). The broadcast-index task path stays the single-node default.
 
-    ``salt`` sub-partitions each repo's corpus rows by path hash and
-    replicates the (metadata-sized) skim rows to every salted bucket of
-    their repo: extraction — the priciest Python stage — would
-    otherwise cap its parallelism at the repo count, with the largest
-    repo gating the whole pass. Exact: each file is extracted once, in
+    Each repo's corpus rows split into ``REPO_SALT`` sub-buckets by path
+    hash, and the (metadata-sized) skim rows replicate to every
+    sub-bucket of their repo: extraction — the priciest Python stage —
+    would otherwise cap its parallelism at the repo count, with the
+    largest repo gating the whole pass. Exact: each file is extracted once, in
     a bucket holding its repo's full type index.
 
     ``index_corpus`` (default: ``corpus``) is what the type indices are
@@ -351,7 +350,6 @@ def extract_records_partitioned(
     from codetoneo4j_ray.stages.bucketing import bucketed_apply_tasks
 
     pkg_ref = ray.put(pkg_meta) if pkg_meta is not None else None
-    salt = max(1, salt)
 
     # shared union schema: corpus columns + type-index columns + __side
     def corpus_side(batch: pa.Table) -> pa.Table:
@@ -368,7 +366,7 @@ def extract_records_partitioned(
             categorize=False,
         )
         return t.append_column(
-            "__salt", pa.array((h % salt).astype("int32"), pa.int32())
+            "__salt", pa.array((h % REPO_SALT).astype("int32"), pa.int32())
         )
 
     def index_side(batch: pa.Table) -> pa.Table:
@@ -383,9 +381,9 @@ def extract_records_partitioned(
         # replicate skim rows into every salted bucket of their repo
         reps = [
             t.append_column("__salt", pa.array([k] * n, pa.int32()))
-            for k in range(salt)
+            for k in range(REPO_SALT)
         ]
-        return pa.concat_tables(reps) if len(reps) > 1 else reps[0]
+        return pa.concat_tables(reps)
 
     if index_corpus is None:
         index_corpus = corpus

@@ -352,6 +352,13 @@ def resolve_edges_broadcast(
 
 _KEY_PRED = "__KEYROW__"
 
+# Sub-buckets per repo on the partitioned path (stage-1 extraction and
+# the fused linking exchange): each repo's bulk rows split ``REPO_SALT``
+# ways by hash, and its metadata-sized side rows are replicated into
+# every sub-bucket, so a corpus of few large repos does not cap the
+# exchange's parallelism at the repo count.
+REPO_SALT = 4
+
 
 def _bucket_resolve_and_filter(df):
     """Per-repo-bucket: build member indices, resolve deferred mentions,
@@ -428,7 +435,6 @@ def resolve_link_fused(
     raw_mentions: ray.data.Dataset,
     symbols: ray.data.Dataset,
     num_buckets: int = 64,
-    salt: int = 4,
 ) -> ray.data.Dataset:
     """Fully-partitioned stage 2 for edges in ONE exchange.
 
@@ -441,8 +447,8 @@ def resolve_link_fused(
     applied; callers fuse the global distinct + sort into one exchange
     via canonicalize.distinct_sorted.
 
-    ``salt`` sub-partitions each repo's mention rows into ``salt``
-    buckets by subj hash, REPLICATING the (index-sized) key/member/base
+    Each repo's mention rows split into ``REPO_SALT`` sub-buckets by
+    subj hash, REPLICATING the (index-sized) key/member/base
     side rows into every salted bucket of their repo — a corpus of few
     large repos would otherwise cap reduce parallelism at the repo
     count while each bucket runs the Python resolution loop serially.
@@ -471,9 +477,6 @@ def resolve_link_fused(
             keys_as_rows, batch_format="pyarrow"
         )
     )
-    if salt <= 1:
-        return bucketed_apply_tasks(e1_in, ["repo"], _bucket_resolve_and_filter,
-                              num_buckets)
 
     def add_salt(batch: pa.Table) -> pa.Table:
         import pandas as pd
@@ -492,10 +495,10 @@ def resolve_link_fused(
         h = pd.util.hash_array(
             m["subj"].to_numpy(dtype=object), categorize=False
         )
-        m["__salt"] = (h % salt).astype("int32")
+        m["__salt"] = (h % REPO_SALT).astype("int32")
         parts = [m]
         sd = df.loc[side]
-        for k in range(salt):
+        for k in range(REPO_SALT):
             r = sd.copy()
             r["__salt"] = np.int32(k)
             parts.append(r)

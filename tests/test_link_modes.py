@@ -159,15 +159,13 @@ def test_graph_modes_output_identical(tmp_path, add_alive_node,
     """broadcast vs partitioned (fused repo-local linking) must produce
     byte-identical nodes/edges/files over the full synthetic corpus —
     the exactness contract of the repo-prefix local-check optimization."""
-    from codetoneo4j_ray.pipelines.build_graph import (
-        extract_to_records,
-        read_corpus,
-    )
+    from codetoneo4j_ray.pipelines.build_graph import read_corpus
     from codetoneo4j_ray.sources.synth import ensure_corpus
+    from codetoneo4j_ray.stages.extract import build_type_index, extract_records
 
     corpus = read_corpus(ensure_corpus("/root/testdata/sf0.001"))
     records_dir = str(tmp_path / "records")
-    extract_to_records(corpus).write_parquet(
+    extract_records(corpus, build_type_index(corpus)).write_parquet(
         records_dir, partition_cols=["rec_type"]
     )
     both = _graph_both_paths(records_dir, add_alive_node, fused_link_calls)
@@ -177,20 +175,49 @@ def test_graph_modes_output_identical(tmp_path, add_alive_node,
         assert da.equals(db), f"{name} differs between modes"
 
 
+def test_kg_cache_is_the_build_output(tmp_path, monkeypatch, add_alive_node,
+                                      fused_link_calls):
+    """``ensure_kg`` runs the full build, so on a two-node session the KG
+    cache links on the partitioned path, and the kg_edges query (the
+    built edges/ table) equals the DuckDB oracle's recomputation of
+    stages 2-4 from records/."""
+    import duckdb
+
+    from codetoneo4j_ray.pipelines.kg_queries import (
+        ensure_kg,
+        oracle_kg,
+        q_kg_edges,
+    )
+    from codetoneo4j_ray.sources import synth
+
+    monkeypatch.setattr(synth, "_CORPUS_ROOT", str(tmp_path))
+    add_alive_node()
+    sf = "sf0.001"
+    ensure_kg(sf)
+    assert fused_link_calls
+    got = q_kg_edges(sf).to_pandas()[["subj", "pred", "obj"]]
+    exp = duckdb.sql(oracle_kg(sf)["kg_edges"]).df()
+    assert list(exp.columns) == ["subj", "pred", "obj"]
+    assert len(got) == len(exp) > 0
+    assert (sorted(map(tuple, got.itertuples(index=False)))
+            == sorted(map(tuple, exp.itertuples(index=False))))
+
+
 def test_stage1_partitioned_matches_task_path(tmp_path):
     """Repo-bucketed extraction (no driver index) must produce the same
     record multiset as the broadcast-index task path."""
     import pandas as pd
 
-    from codetoneo4j_ray.pipelines.build_graph import (
-        extract_to_records,
-        read_corpus,
-    )
+    from codetoneo4j_ray.pipelines.build_graph import read_corpus
     from codetoneo4j_ray.sources.synth import ensure_corpus
-    from codetoneo4j_ray.stages.extract import extract_records_partitioned
+    from codetoneo4j_ray.stages.extract import (
+        build_type_index,
+        extract_records,
+        extract_records_partitioned,
+    )
 
     corpus = read_corpus(ensure_corpus("/root/testdata/sf0.001"))
-    a = extract_to_records(corpus).to_pandas()
+    a = extract_records(corpus, build_type_index(corpus)).to_pandas()
     b = extract_records_partitioned(corpus).to_pandas()
     assert list(a.columns) == list(b.columns)
     key_cols = list(a.columns)
@@ -210,11 +237,9 @@ def test_modes_agree_on_cross_repo_shaped_corpus(tmp_path, add_alive_node,
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from codetoneo4j_ray.pipelines.build_graph import (
-        extract_to_records,
-        read_corpus,
-    )
+    from codetoneo4j_ray.pipelines.build_graph import read_corpus
     from codetoneo4j_ray.schema import CORPUS_SCHEMA
+    from codetoneo4j_ray.stages.extract import build_type_index, extract_records
 
     rows = [
         # each repo needs a package.json ancestor for TS analysis to run
@@ -241,7 +266,8 @@ def test_modes_agree_on_cross_repo_shaped_corpus(tmp_path, add_alive_node,
     p = str(tmp_path / "c.parquet")
     pq.write_table(t, p)
     records_dir = str(tmp_path / "records")
-    extract_to_records(read_corpus(p)).write_parquet(
+    corpus = read_corpus(p)
+    extract_records(corpus, build_type_index(corpus)).write_parquet(
         records_dir, partition_cols=["rec_type"]
     )
     both = _graph_both_paths(records_dir, add_alive_node, fused_link_calls)

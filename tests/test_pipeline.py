@@ -173,7 +173,7 @@ def test_lww_null_tiebreak_matches_oracle(ray_session):
     import pandas as pd
     import ray.data as rd
 
-    from codetoneo4j_ray.stages.canonicalize import dedup_nodes
+    from codetoneo4j_ray.stages.canonicalize import _TIEBREAK, lww_sorted
 
     rows = pd.DataFrame(
         {
@@ -187,7 +187,7 @@ def test_lww_null_tiebreak_matches_oracle(ray_session):
             "accessibility": ["Public", "Public"],
         }
     )
-    out = dedup_nodes(rd.from_pandas(rows)).to_pandas()
+    out = lww_sorted(rd.from_pandas(rows), "key", _TIEBREAK).to_pandas()
     assert len(out) == 1
     assert out.iloc[0]["namespace"] == "N"  # non-NULL row wins
 

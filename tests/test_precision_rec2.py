@@ -55,10 +55,8 @@ EXPECTED_INVOKES = {
 def emitted(ray_session):
     import ray.data
 
-    from codetoneo4j_ray.pipelines.build_graph import (
-        extract_to_records,
-        graph_from_records,
-    )
+    from codetoneo4j_ray.pipelines.build_graph import graph_from_records
+    from codetoneo4j_ray.stages.extract import build_type_index, extract_records
 
     rows = [("fix2", _F_M, "c" * 40, "csharp", MONEY_CS),
             ("fix2", _F_L, "c" * 40, "csharp", LEDGER_CS)]
@@ -70,7 +68,7 @@ def emitted(ray_session):
             schema=CORPUS_SCHEMA,
         )
     )
-    records = extract_to_records(corpus).materialize()
+    records = extract_records(corpus, build_type_index(corpus)).materialize()
     edges = graph_from_records(records)["edges"].to_pandas()
     return set(map(tuple, edges[["subj", "pred", "obj"]].values))
 

@@ -92,10 +92,8 @@ for s in [_SVC, f"{_SVC}.Make(int)", f"{_SVC}.Log()"]:
 def emitted(ray_session):
     import ray.data
 
-    from codetoneo4j_ray.pipelines.build_graph import (
-        extract_to_records,
-        graph_from_records,
-    )
+    from codetoneo4j_ray.pipelines.build_graph import graph_from_records
+    from codetoneo4j_ray.stages.extract import build_type_index, extract_records
 
     rows = [("fix", p, "c" * 40, "csharp", c) for p, c in FILES.items()]
     cols = list(zip(*rows))
@@ -106,7 +104,7 @@ def emitted(ray_session):
             schema=CORPUS_SCHEMA,
         )
     )
-    records = extract_to_records(corpus).materialize()
+    records = extract_records(corpus, build_type_index(corpus)).materialize()
     edges = graph_from_records(records)["edges"].to_pandas()
     return set(map(tuple, edges[["subj", "pred", "obj"]].values))
 

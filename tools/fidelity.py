@@ -68,15 +68,15 @@ def measure(root: str, exts: tuple[str, ...]) -> dict:
     from codetoneo4j_ray.pipelines.build_graph import (
         _record_parts,
         _symbol_edges,
-        extract_to_records,
         resolve_mode,
     )
+    from codetoneo4j_ray.stages.extract import build_type_index, extract_records
 
     rows = _corpus_rows(root, exts)
     corpus = ray.data.from_arrow(
         pa.Table.from_pylist(rows)
     ).repartition(8)
-    records = extract_to_records(corpus).materialize()
+    records = extract_records(corpus, build_type_index(corpus)).materialize()
     symbols, files, raw_mentions, _rec = _record_parts(records, None)
     n_sym = symbols.count()
 

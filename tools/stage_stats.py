@@ -28,17 +28,18 @@ def main() -> None:
     DataContext.get_current().enable_progress_bars = False
 
     from codetoneo4j_ray.pipelines.build_graph import (
-        extract_to_records,
         graph_from_records,
         read_corpus,
     )
+    from codetoneo4j_ray.stages.extract import build_type_index, extract_records
     from codetoneo4j_ray.sources.synth import ensure_corpus
 
     corpus_path = ensure_corpus(sf_dir)
     out = "/tmp/c2n4j_stats"
     shutil.rmtree(out, ignore_errors=True)
 
-    records = extract_to_records(read_corpus(corpus_path))
+    corpus = read_corpus(corpus_path)
+    records = extract_records(corpus, build_type_index(corpus))
     records.write_parquet(f"{out}/records", partition_cols=["rec_type"])
     print("=" * 70)
     print("STAGE 1 (extraction → records checkpoint)")
