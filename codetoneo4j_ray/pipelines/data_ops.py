@@ -1499,7 +1499,6 @@ def top_tokens(sf_dir: str, k: int = 50) -> ray.data.Dataset:
         merged.map_batches(localtop, batch_format="pyarrow"),
         [],
         final,
-        num_buckets=1,
     ).sort("rank")
 
 

@@ -5,8 +5,9 @@ millions of distinct keys that is pure interpreter overhead. Instead we
 hash keys into a bounded number of buckets (one shuffle, same as any
 groupby), then run a *vectorized* pandas function once per bucket; every
 row of a given key lands in exactly one bucket, so per-key semantics
-(dedup, LWW winner, aggregation) stay exact. At cluster scale the
-bucket count is the reduce-side parallelism knob; hot single keys are
+(dedup, LWW winner, aggregation) stay exact. The bucket count is the
+reduce-side parallelism; it comes from the cluster (``target_blocks()``),
+not a constant, because every bucket costs a task. Hot single keys are
 still collapsed beforehand by map-side combine in the callers.
 """
 
@@ -18,6 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+# not used by the library: the benchmark's bucket-skew probe reads it
 DEFAULT_BUCKETS = 64
 
 
@@ -71,7 +73,7 @@ def _hash_bucket(joined: pa.ChunkedArray | pa.Array, num_buckets: int) -> pa.Arr
 
 
 def add_bucket_column(
-    ds: ray.data.Dataset, key_cols: list[str], num_buckets: int = DEFAULT_BUCKETS
+    ds: ray.data.Dataset, key_cols: list[str], num_buckets: int
 ) -> ray.data.Dataset:
     def add(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -98,11 +100,12 @@ def bucketed_apply(
     ds: ray.data.Dataset,
     key_cols: list[str],
     bucket_fn,
-    num_buckets: int = DEFAULT_BUCKETS,
+    num_buckets: int | None = None,
     keep_bucket: bool = False,
 ) -> ray.data.Dataset:
     """Hash rows into buckets by key_cols; run ``bucket_fn(pandas_df)``
     once per bucket (vectorized). fn must not depend on bucket identity.
+    ``num_buckets`` defaults to ``target_blocks()``.
 
     ``keep_bucket=True`` re-attaches the group's bucket id to the output
     rows — valid ONLY when fn's output keys are drawn from the group's
@@ -117,6 +120,8 @@ def bucketed_apply(
             out["__bucket"] = np.int32(bucket)
         return out
 
+    if num_buckets is None:
+        num_buckets = target_blocks()
     return (
         coalesce(add_bucket_column(ds, key_cols, num_buckets))
         .groupby("__bucket")
@@ -146,16 +151,13 @@ def prebucketed_apply(
     return ds.groupby("__bucket").map_groups(apply, batch_format="pandas")
 
 
-@ray.remote
-def _is_some(x) -> bool:
-    return x is not None
-
-
-@ray.remote
+@ray.remote(num_returns=2)
 def _apply_bucket_pieces(fn, *pieces):
+    """(table or None, non_empty): the flag is its own small object so
+    the driver learns which buckets are empty without fetching tables."""
     tabs = [t for t in pieces if t is not None and t.num_rows]
     if not tabs:
-        return None
+        return None, False
     # permissive: blocks of a unioned input legitimately disagree on
     # all-null column types (null vs the real dtype) — promote like the
     # sort-based exchange did instead of failing the concat
@@ -164,15 +166,15 @@ def _apply_bucket_pieces(fn, *pieces):
     if not len(out):
         # empty frames re-infer object columns as null-type through
         # Arrow — drop the block instead of poisoning the union schema
-        return None
-    return pa.Table.from_pandas(out, preserve_index=False)
+        return None, False
+    return pa.Table.from_pandas(out, preserve_index=False), True
 
 
 def bucketed_apply_tasks(
     ds: ray.data.Dataset,
     key_cols: list[str],
     bucket_fn,
-    num_buckets: int = DEFAULT_BUCKETS,
+    num_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """bucketed_apply via raw split tasks + one task per bucket instead
     of a sort-based groupby exchange. Same exactness contract (every
@@ -181,10 +183,17 @@ def bucketed_apply_tasks(
     (module-level). Wins when the exchange is one-shot and the
     group-by's sort/sample machinery would dominate — the linking
     exchange, not iterative consumers (those pin a BucketStore and run
-    their own loops). Empty buckets produce no block. The store is
-    built unconsolidated: the apply task concatenates its bucket's
-    pieces anyway, so the per-bucket concat layer would only add a
-    task wave plus one extra object-store copy of the whole input."""
+    their own loops). ``num_buckets`` defaults to ``target_blocks()``;
+    empty ``key_cols`` (one global group) always use one bucket. Empty
+    buckets produce no block: each apply task returns a non-empty flag
+    beside its table, and the driver fetches only the flags. The store
+    is built unconsolidated: the apply task concatenates its bucket's
+    pieces anyway, so the per-bucket concat layer would only add a task
+    wave plus one extra object-store copy of the whole input."""
+    if not key_cols:
+        num_buckets = 1
+    elif num_buckets is None:
+        num_buckets = target_blocks()
     store = build_bucket_store(
         add_bucket_column(ds, key_cols, num_buckets), None, num_buckets,
         consolidate=False,
@@ -193,13 +202,9 @@ def bucketed_apply_tasks(
         _apply_bucket_pieces.remote(bucket_fn, *store.pieces[k])
         for k in range(num_buckets)
     ]
-    # drop empty buckets WITHOUT fetching tables to the driver: the
-    # probe task runs next to each object and returns only a bool
-    flags = ray.get([_is_some.remote(r) for r in refs])
-    done = [r for r, ok in zip(refs, flags) if ok]
+    flags = ray.get([flag for _, flag in refs])
+    done = [table for (table, _), ok in zip(refs, flags) if ok]
     if not done:
-        import pandas as pd
-
         return ray.data.from_pandas(pd.DataFrame())
     return ray.data.from_arrow_refs(done)
 
@@ -252,7 +257,7 @@ def sampled_range_bounds(
     return np.unique(qs)
 
 
-def hash_bucket_series(s: pd.Series, num_buckets: int = DEFAULT_BUCKETS) -> np.ndarray:
+def hash_bucket_series(s: pd.Series, num_buckets: int) -> np.ndarray:
     """Map-side bucket ids for a pandas column — the SAME hash as
     add_bucket_column on a single key column, so rows tagged here
     co-locate with keep_bucket=True outputs of that key. Non-string
@@ -266,7 +271,7 @@ def hash_bucket_series(s: pd.Series, num_buckets: int = DEFAULT_BUCKETS) -> np.n
 
 
 def hash_bucket_frame(
-    df: pd.DataFrame, cols: list[str], num_buckets: int = DEFAULT_BUCKETS
+    df: pd.DataFrame, cols: list[str], num_buckets: int
 ) -> np.ndarray:
     """Map-side bucket ids over multiple STRING key columns — matches
     add_bucket_column's \\x1f-joined key exactly (string, non-null
@@ -288,8 +293,9 @@ def hash_bucket_frame(
 # edge list a single time instead of once per iteration, and lets
 # wedge-closing in triangle counting avoid shuffling the wedge stream.
 # At cluster scale each piece lives in the object store (spillable) and
-# is served to whichever node asks; raise num_buckets with data size so
-# a single bucket stays worker-heap-sized.
+# is served to whichever node asks. Callers size the store with
+# target_blocks(), so at a fixed cluster size a bucket grows with the
+# data and must still fit a worker's heap.
 # ---------------------------------------------------------------------------
 
 
@@ -358,7 +364,7 @@ def _concat_pieces(*tables):
 def build_bucket_store(
     ds: ray.data.Dataset,
     key_cols: list[str] | None,
-    num_buckets: int = DEFAULT_BUCKETS,
+    num_buckets: int,
     consolidate: bool = True,
 ) -> BucketStore:
     """Pin ``ds`` into a BucketStore keyed by ``key_cols``. Pass

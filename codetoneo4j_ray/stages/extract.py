@@ -319,7 +319,6 @@ def extract_records(
 def extract_records_partitioned(
     corpus: ray.data.Dataset,
     min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
-    num_buckets: int = 64,
     pkg_meta: dict | None = None,
     no_key: bool = False,
     index_corpus: ray.data.Dataset | None = None,
@@ -421,7 +420,7 @@ def extract_records_partitioned(
         return pa.table(cols, schema=RECORD_SCHEMA)
 
     return bucketed_apply_tasks(
-        both, ["repo", "__salt"], extract_bucket, num_buckets
+        both, ["repo", "__salt"], extract_bucket
     ).map_batches(to_schema, batch_format="pyarrow")
 
 

@@ -434,7 +434,6 @@ def _bucket_resolve_and_filter(df):
 def resolve_link_fused(
     raw_mentions: ray.data.Dataset,
     symbols: ray.data.Dataset,
-    num_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Fully-partitioned stage 2 for edges in ONE exchange.
 
@@ -511,4 +510,4 @@ def resolve_link_fused(
     # raw split-tasks + one resolve task per bucket: the one-shot
     # linking exchange skips the groupby's sort/sample machinery
     return bucketed_apply_tasks(salted, ["repo", "__salt"],
-                                _bucket_resolve_and_filter, num_buckets)
+                                _bucket_resolve_and_filter)

@@ -317,3 +317,43 @@ def test_grouped_split_preserves_bucket_row_order(ray_session):
     # within every key, arrival order == ascending global block order
     for _, g in out.groupby("key"):
         assert g["seq"].is_monotonic_increasing
+
+
+def test_bucketed_apply_tasks_sizes_from_target_blocks(ray_session,
+                                                       monkeypatch):
+    """With no count, the raw-task exchange uses target_blocks() buckets:
+    at most that many output blocks (empty buckets dropped), the same
+    rows as the groupby path. A []-keyed global reduction runs in one
+    bucket whatever target_blocks() says."""
+    import ray.data
+
+    from codetoneo4j_ray.stages import bucketing
+
+    monkeypatch.setattr(bucketing, "target_blocks", lambda: 3)
+
+    def _count_per_key(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("key", as_index=False).agg(n=("v", "sum"))
+
+    def _total(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"n": [int(df["n"].sum())]})
+
+    df = pd.DataFrame(
+        {"key": [f"k{i % 200}" for i in range(600)], "v": range(600)}
+    )
+
+    def ds():
+        return ray.data.from_pandas([df.iloc[:250], df.iloc[250:]])
+
+    tasks = bucketing.bucketed_apply_tasks(ds(), ["key"], _count_per_key)
+    assert tasks.num_blocks() <= 3
+    got = tasks.to_pandas().sort_values("key").reset_index(drop=True)
+    want = (
+        bucketing.bucketed_apply(ds(), ["key"], _count_per_key)
+        .to_pandas().sort_values("key").reset_index(drop=True)
+    )
+    assert len(got) == 200
+    assert got.equals(want)
+
+    total = bucketing.bucketed_apply_tasks(tasks, [], _total)
+    assert total.num_blocks() == 1
+    assert total.to_pandas()["n"].tolist() == [sum(range(600))]

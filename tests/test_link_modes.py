@@ -72,7 +72,7 @@ def test_partitioned_join_matches_broadcast():
     assert list(broadcast.columns) == ["subj", "pred", "obj"]
     assert sorted(map(tuple, broadcast.values)) == expected
 
-    fused = resolve_link_fused(m_ds, s_ds, num_buckets=8).to_pandas()
+    fused = resolve_link_fused(m_ds, s_ds).to_pandas()
     assert sorted(map(tuple, fused[["subj", "pred", "obj"]].values)) == sorted(
         set(expected)
     )
@@ -274,3 +274,56 @@ def test_modes_agree_on_cross_repo_shaped_corpus(tmp_path, add_alive_node,
     for name in ("nodes", "edges", "files"):
         da, db = both[name]
         assert da.equals(db), f"{name} differs"
+
+
+def test_outputs_do_not_depend_on_bucket_count(tmp_path, monkeypatch,
+                                               add_alive_node,
+                                               fused_link_calls):
+    """Every exchange takes its bucket count from ``target_blocks()``;
+    the graph must not depend on it. On both paths, a full build and an
+    incremental rebuild over an edited copy write the same nodes, edges
+    and files (as multisets) with 1 bucket as with 5."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from codetoneo4j_ray.pipelines.build_graph import build_graph
+    from codetoneo4j_ray.pipelines.incremental import build_graph_incremental
+    from codetoneo4j_ray.schema import CORPUS_SCHEMA
+    from codetoneo4j_ray.sources.synth import ensure_corpus
+    from codetoneo4j_ray.stages import bucketing
+
+    v1 = ensure_corpus("/root/testdata/sf0.001")
+    rows = pq.read_table(v1).to_pylist()
+    cs = [i for i, r in enumerate(rows) if r["path"].endswith(".cs")]
+    first = rows[cs[0]]
+    # edit the first C# file, delete the last, add one
+    edited = [r for i, r in enumerate(rows) if i not in (cs[0], cs[-1])]
+    edited.append(dict(first, commit="d" * 40,
+                       content=first["content"] + "\n// edited\n"))
+    edited.append(dict(first, path="src/Added/Extra.cs", commit="d" * 40,
+                       content="namespace Added;\npublic class Extra { }\n"))
+    v2 = str(tmp_path / "v2.parquet")
+    pq.write_table(pa.Table.from_pylist(edited, schema=CORPUS_SCHEMA), v2)
+
+    def tables(out: str) -> dict:
+        return {n: sorted(map(tuple, rd.read_parquet(f"{out}/{n}").to_pandas()
+                              .astype(str).itertuples(index=False)))
+                for n in ("nodes", "edges", "files")}
+
+    def build(path: str, nb: int) -> tuple[dict, dict]:
+        monkeypatch.setattr(bucketing, "target_blocks", lambda: nb)
+        full = str(tmp_path / f"{path}_{nb}_full")
+        incr = str(tmp_path / f"{path}_{nb}_incr")
+        build_graph(v1, full)
+        build_graph_incremental(v2, full, incr, deleted_at_sec=1_700_000_000)
+        return tables(full), tables(incr)
+
+    for path in ("broadcast", "partitioned"):
+        if path == "partitioned":
+            add_alive_node()
+        one, five = build(path, 1), build(path, 5)
+        assert bool(fused_link_calls) == (path == "partitioned")
+        for run, a, b in zip(("full", "incremental"), one, five):
+            for n in a:
+                assert len(a[n]) > 0, (path, run, n)
+                assert a[n] == b[n], f"{path} {run} {n} differs"
