@@ -3,8 +3,8 @@
 The reference stops at materializing the graph into Neo4j, where a
 consumer's first analytical queries are centrality and cohesion
 (degree — already covered by kg_degree_topk — plus PageRank, triangle
-counts, connected components and BFS layering). These run here as
-distributed Ray Data pipelines over the same canonical
+counts, connected components, BFS layering and weighted distance).
+These run here as distributed Ray pipelines over the same canonical
 (subj, pred, obj) table the sinks emit.
 
 Strict-oracle design notes:
@@ -16,14 +16,15 @@ Strict-oracle design notes:
   a SQL oracle. Dangling-node mass is dropped (not redistributed),
   matching the unrolled-CTE oracle literally.
 * ``kg_components`` runs min-label propagation TO CONVERGENCE (the
-  frontier empties), accelerated by pointer-jumping at every
-  checkpoint, so the output is the true connected components — the
-  oracle is an until-fixpoint recursive reachability CTE, not an
-  unrolled approximation. A high safety bound raises instead of
-  returning partial labels.
-* ``kg_bfs_depth`` likewise runs until the BFS wave empties; its
-  safety bound doubles as the oracle's walk-length cap, so whenever
-  the Ray side succeeds the two are exactly equal.
+  frontier empties), accelerated by periodic pointer-jumping, so the
+  output is the true connected components — the oracle is an
+  until-fixpoint recursive reachability CTE, not an unrolled
+  approximation. A high safety bound raises instead of returning
+  partial labels.
+* ``kg_bfs_depth`` and ``kg_sssp`` likewise run until the wave
+  empties (BFS is the unit-weight case of the same relaxation); the
+  safety bound / distance budget doubles as the oracle's walk cap, so
+  whenever the Ray side succeeds the two are exactly equal.
 * ``kg_triangles`` counts each triangle once via degree-ordered
   orientation (every triangle has exactly one vertex whose two other
   corners are both out-neighbors under a total order on (degree, key)),
@@ -32,29 +33,27 @@ Strict-oracle design notes:
   enumerates triangles independently with a key-ordered 3-way
   self-join; the per-node counts must agree exactly.
 
-Scale plan (the part that matters at 100 TB): all four ops first map
+Scale plan (the part that matters at 100 TB): all five ops first map
 node keys to dense ORDER-PRESERVING int64 ids (assign_order_ids), so
-every edge-sized exchange and every per-iteration shuffle carries
+every edge-sized exchange and every per-iteration exchange carries
 8-byte integers instead of repeated long symbol strings
-(``repo:Namespace.Type.Method(params)``), and every groupby/merge is
-numeric. The big sides are pinned ONCE into per-bucket object-store
-pieces (stages/bucketing.BucketStore) and every repeated or
-data-amplifying join becomes a worker-local lookup against those
-pieces:
+(``repo:Namespace.Type.Method(params)``). The int-encoded edge list
+crosses exactly one exchange — the split into a pinned per-bucket
+BucketStore (stages/bucketing), deduped (and degree-attached where an
+op needs it) by the one task per bucket that consolidates the store —
+and every repeated or data-amplifying join becomes a bucket-local
+lookup against those pieces:
 
-* PageRank moves the (already int-encoded) edge list through an
-  exchange exactly once; each of the ``iters`` steps shuffles only
-  node-sized rank rows plus map-side-combined contribution partials
-  (1 exchange per step, vs the naive 2 full edge re-shuffles per
-  step).
-* Components/BFS propagate int64 labels against the pinned adjacency
-  with frontier (delta) filtering; pointer-jumping at checkpoints
-  turns path-shaped convergence from O(diameter) into O(log n)
+* PageRank's ``iters`` steps shuffle only node-sized rank rows plus
+  map-side-combined contribution partials between per-bucket tasks.
+* Components/BFS/SSSP propagate int64 labels against the pinned
+  adjacency with frontier (delta) filtering; pointer-jumping turns
+  path-shaped component convergence from O(diameter) into O(log n)
   rounds.
-* Triangle counting attaches degrees and closes wedges by bucket
-  lookup, so the wedge stream — the largest intermediate in any
-  triangle plan, O(m^1.5) rows — is generated and consumed in one
-  streaming pass and never enters an all-to-all.
+* Triangle counting orients, generates and closes wedges inside one
+  task per bucket of the pinned symmetric adjacency, so the wedge
+  stream — the largest intermediate in any triangle plan, O(m^1.5)
+  rows — never enters an exchange; only per-node counts do.
 """
 
 from __future__ import annotations
@@ -65,11 +64,10 @@ import pyarrow as pa
 import ray.data
 
 from codetoneo4j_ray.stages.bucketing import (
+    apply_store,
     build_bucket_store,
-    bucketed_apply,
     bucketed_apply_tasks,
     hash_bucket_series,
-    prebucketed_apply,
     process_cache,
     target_blocks,
 )
@@ -97,11 +95,9 @@ _MAX_SAFE_SUM = (2**63 - 1) // 85
 CC_MAX_ITERS = 512
 BFS_MAX_ITERS = 256
 
-# checkpoint cadence for iterative lazy chains: Ray's planning and
-# execution overhead grows superlinearly with chained sort stages, so
-# the loops pin the (node-sized) labels every few steps, test
-# convergence there, and (for components) pointer-jump before
-# continuing.
+# pointer-jump cadence of the components loop: the label loop tests
+# convergence after every round, and every _CHAIN_CHECKPOINT-th round
+# (when the loop goes on) it also jumps labels to their labels' labels
 _CHAIN_CHECKPOINT = 3
 
 # rounds executed by the most recent convergence loop of each op in
@@ -114,8 +110,46 @@ def _dedup(df: pd.DataFrame) -> pd.DataFrame:
     return df.drop_duplicates()
 
 
+def _dedup_deg(df: pd.DataFrame) -> pd.DataFrame:
+    """Per-bucket reduce of an int adjacency: distinct (src, dst) plus
+    d = out-degree of src — exact, because every row of a src lands in
+    src's bucket."""
+    df = df.drop_duplicates().copy()
+    df["d"] = df["src"].map(df["src"].value_counts()).astype("int64")
+    return df[["src", "dst", "d"]]
+
+
+def _reduce_by(keys, vals, op=np.add) -> tuple[np.ndarray, np.ndarray]:
+    """Per-key ``op`` reduction (np.add: sum, np.minimum: min) of int64
+    ``vals``: (distinct keys ascending, reduced values), int64
+    throughout — no float64 detour to round sums past 2**53."""
+    keys = np.asarray(keys, dtype="int64")
+    vals = np.asarray(vals, dtype="int64")
+    if not len(keys):
+        return keys, vals
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return keys[starts], op.reduceat(vals, starts)
+
+
+def _pair_rows(b: pa.Table, sym: bool = False, loops: bool = True) -> pa.Table:
+    """Block-distinct (src, dst) string pairs from an edge block's
+    (subj, obj); ``sym`` adds the reverse of every pair, ``loops=False``
+    drops self-loops."""
+    s = b["subj"].to_numpy(zero_copy_only=False)
+    o = b["obj"].to_numpy(zero_copy_only=False)
+    if not loops:
+        keep = s != o
+        s, o = s[keep], o[keep]
+    if sym:
+        s, o = np.concatenate([s, o]), np.concatenate([o, s])
+    df = pd.DataFrame({"src": s, "dst": o}).drop_duplicates()
+    return pa.Table.from_pandas(df, preserve_index=False)
+
+
 # ---------------------------------------------------------------------------
-# int64 node-id encoding shared by all four ops
+# int64 node-id encoding shared by all five ops
 # ---------------------------------------------------------------------------
 
 
@@ -128,15 +162,6 @@ def _ibucket(values, num_buckets: int) -> np.ndarray:
     arr = np.asarray(values, dtype="int64")
     h = pd.util.hash_array(arr, categorize=False)
     return (h % num_buckets).astype(np.int32)
-
-
-def _ibucket2(a, b, num_buckets: int) -> np.ndarray:
-    """Bucket ids for int64 PAIRS (triangle wedge-closing lookups)."""
-    ha = pd.util.hash_array(np.asarray(a, dtype="int64"), categorize=False)
-    hb = pd.util.hash_array(np.asarray(b, dtype="int64"), categorize=False)
-    return ((ha * np.uint64(0x9E3779B97F4A7C15) + hb) % num_buckets).astype(
-        np.int32
-    )
 
 
 @ray.remote
@@ -195,17 +220,20 @@ def assign_order_ids(nodes: ray.data.Dataset) -> ray.data.Dataset:
 
 
 _SERIES_CACHE: dict[tuple, pd.Series] = {}
-_SERIES_CACHE_MAX = 512  # ~2 stores x 64 buckets x 2 directions, LRU-ish
+# LRU-ish bound on the per-process key→val Series: one per
+# (store, bucket, direction), and a store has target_blocks() buckets
+# (≤256), so this holds a couple of stores' worth at full cluster size
+_SERIES_CACHE_MAX = 512
 
 
 class _LookupJoin:
     """Map-side id lookups against a pinned store: batch values are
     grouped by the bucket their key hashes to and mapped through that
-    bucket's key→val Series. The indexed Series is built once per
-    (store, bucket) per worker process — never per batch — so the
-    per-batch cost is pure hash + take. Integer keys hash through
-    _ibucket, strings through hash_bucket_series — matching how each
-    kind of store is tagged at build time."""
+    bucket's key→val Series (first row per key). The indexed Series is
+    built once per (store, bucket) per worker process — never per
+    batch — so the per-batch cost is pure hash + take. Integer keys
+    hash through _ibucket, strings through hash_bucket_series —
+    matching how each kind of store is tagged at build time."""
 
     def __init__(self, store, num_buckets: int):
         self._store = store
@@ -216,7 +244,11 @@ class _LookupJoin:
         s = _SERIES_CACHE.get(ck)
         if s is None:
             df = process_cache(self._store).bucket_df(k)
-            s = df.set_index(key)[val] if not df.empty else pd.Series(dtype=object)
+            s = (
+                df.drop_duplicates(key).set_index(key)[val]
+                if not df.empty
+                else pd.Series(dtype=object)
+            )
             while len(_SERIES_CACHE) >= _SERIES_CACHE_MAX:
                 _SERIES_CACHE.pop(next(iter(_SERIES_CACHE)))
             _SERIES_CACHE[ck] = s
@@ -238,22 +270,12 @@ class _LookupJoin:
 
 class _EncodeAdj(_LookupJoin):
     """(src, dst) strings → int64 nids, tagged map-side with the
-    bucket of src's nid so the encoded adjacency exchanges (for its
-    dedup/degree reduce) on 8-byte keys and pins straight into a
-    BucketStore. ``extra`` names int64 columns (e.g. edge weights)
-    copied through unchanged."""
+    bucket of src's nid so the encoded adjacency splits on 8-byte keys
+    straight into a BucketStore. ``extra`` names int64 columns (e.g.
+    edge weights) copied through unchanged."""
 
-    def __init__(
-        self,
-        store,
-        num_buckets: int,
-        src: str = "src",
-        dst: str = "dst",
-        extra: tuple[str, ...] = (),
-    ):
+    def __init__(self, store, num_buckets: int, extra: tuple[str, ...] = ()):
         super().__init__(store, num_buckets)
-        self._src = src
-        self._dst = dst
         self._extra = extra
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
@@ -268,12 +290,8 @@ class _EncodeAdj(_LookupJoin):
             return pd.DataFrame(cols)
         out = pd.DataFrame(
             {
-                "src": self._mapping(batch[self._src], "node", "nid").astype(
-                    "int64"
-                ),
-                "dst": self._mapping(batch[self._dst], "node", "nid").astype(
-                    "int64"
-                ),
+                "src": self._mapping(batch["src"], "node", "nid").astype("int64"),
+                "dst": self._mapping(batch["dst"], "node", "nid").astype("int64"),
             }
         )
         for c in self._extra:
@@ -282,33 +300,93 @@ class _EncodeAdj(_LookupJoin):
         return out
 
 
-class _DecodeLabels(_LookupJoin):
-    """(node: nid, lbl: nid) → (node, comp) strings via the reverse
-    (nid → node) store."""
+class _Decode(_LookupJoin):
+    """The last step of every string-keyed op: (node: nid, ``val``) →
+    (node, ``out``) with node mapped back to its key through the
+    reverse (nid → node) store, and ``val`` too when ``val_is_nid``
+    (component labels); otherwise ``val`` stays int64. Rows whose
+    ``val`` exceeds ``max_val`` (unreached / over-budget labels) are
+    dropped first."""
+
+    def __init__(self, store, num_buckets: int, val: str, out: str,
+                 val_is_nid: bool = False, max_val: int | None = None):
+        super().__init__(store, num_buckets)
+        self._val = val
+        self._out = out
+        self._val_is_nid = val_is_nid
+        self._max_val = max_val
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
+        if self._max_val is not None:
+            batch = batch[batch[self._val] <= self._max_val]
         if not len(batch):
             return pd.DataFrame(
                 {
                     "node": pd.Series([], dtype=object),
-                    "comp": pd.Series([], dtype=object),
+                    self._out: pd.Series(
+                        [], dtype=object if self._val_is_nid else "int64"
+                    ),
                 }
             )
+        if self._val_is_nid:
+            vals = self._mapping(batch[self._val], "nid", "node")
+        else:
+            vals = batch[self._val].astype("int64")
         return pd.DataFrame(
             {
                 "node": self._mapping(batch["node"], "nid", "node").to_numpy(),
-                "comp": self._mapping(batch["lbl"], "nid", "node").to_numpy(),
+                self._out: vals.to_numpy(),
             }
         )
 
 
-def _tag_by_nid(num_buckets: int):
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
+def _decode(ds: ray.data.Dataset, rev_store, num_buckets: int, val: str,
+            out: str, **kw) -> ray.data.Dataset:
+    """nid-keyed result rows → string-keyed output, sorted by node."""
+    return ds.map_batches(
+        _Decode(rev_store, num_buckets, val, out, **kw),
+        batch_format="pandas",
+        batch_size=None,
+    ).sort("node")
+
+
+def _assign_ids(pairs: ray.data.Dataset, src: str, dst: str,
+                num_buckets: int) -> tuple:
+    """Dense id assignment over the endpoint set of ``pairs``' ``src``
+    and ``dst`` columns. Returns (ids, id_store, rev_store):
+
+    * ids — materialized (node: string, nid: int64), order-preserving;
+    * id_store — node → nid BucketStore (string-hashed);
+    * rev_store — nid → node BucketStore (_ibucket-tagged)."""
+
+    def endpoints(b: pa.Table) -> pa.Table:
+        vals = pd.unique(
+            np.concatenate(
+                [
+                    b[src].to_numpy(zero_copy_only=False),
+                    b[dst].to_numpy(zero_copy_only=False),
+                ]
+            )
+        )
+        return pa.table({"node": pa.array(vals, pa.string())})
+
+    def tag_by_nid(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
         df["__bucket"] = _ibucket(df["nid"], num_buckets)
         return df
 
-    return tag
+    nodes = bucketed_apply_tasks(
+        pairs.map_batches(endpoints, batch_format="pyarrow"),
+        ["node"],
+        _dedup,
+        num_buckets,
+    )
+    ids = assign_order_ids(nodes).materialize()
+    id_store = build_bucket_store(ids, ["node"], num_buckets)
+    rev_store = build_bucket_store(
+        ids.map_batches(tag_by_nid, batch_format="pandas"), None, num_buckets
+    )
+    return ids, id_store, rev_store
 
 
 _KG_ID_CACHE: dict[tuple, tuple] = {}
@@ -316,14 +394,14 @@ _KG_ID_CACHE: dict[tuple, tuple] = {}
 
 def _kg_id_tables(sf_dir: str, num_buckets: int):
     """Once-per-session dense id assignment over the KG edge table's
-    endpoint set, shared by all four kg_* graph ops: the node set (and
+    endpoint set, shared by all five kg_* graph ops: the node set (and
     its order-preserving nids) is identical for pagerank / components /
-    BFS and a superset for triangles (which drops self-loop-only
+    BFS / SSSP and a superset for triangles (which drops self-loop-only
     nodes — a superset mapping preserves order on any subset), so the
     endpoint exchange, the global sort, and both id stores are built
     once per corpus per session instead of once per op. Returns
-    (ids, id_store, rev_store); the Ray objects stay alive while the
-    cache holds them (driver-owned refs)."""
+    _assign_ids' (ids, id_store, rev_store); the Ray objects stay alive
+    while the cache holds them (driver-owned refs)."""
     from codetoneo4j_ray.pipelines.kg_queries import ensure_kg
 
     path = ensure_kg(sf_dir)["edges"]
@@ -334,103 +412,56 @@ def _kg_id_tables(sf_dir: str, num_buckets: int):
     edges = ray.data.read_parquet(
         path, columns=["subj", "obj"], override_num_blocks=num_buckets
     )
-
-    def endpoints(b: pa.Table) -> pa.Table:
-        vals = pd.unique(
-            np.concatenate(
-                [
-                    b["subj"].to_numpy(zero_copy_only=False),
-                    b["obj"].to_numpy(zero_copy_only=False),
-                ]
-            )
-        )
-        return pa.table({"node": pa.array(vals, pa.string())})
-
-    nodes = bucketed_apply_tasks(
-        edges.map_batches(endpoints, batch_format="pyarrow"),
-        ["node"],
-        _dedup,
-        num_buckets,
-    )
-    ids = assign_order_ids(nodes).materialize()
-    id_store = build_bucket_store(ids, ["node"], num_buckets)
-    rev_store = build_bucket_store(
-        ids.map_batches(_tag_by_nid(num_buckets), batch_format="pandas"),
-        None,
-        num_buckets,
-    )
-    out = (ids, id_store, rev_store)
+    out = _assign_ids(edges, "subj", "obj", num_buckets)
     while len(_KG_ID_CACHE) >= 4:
         _KG_ID_CACHE.pop(next(iter(_KG_ID_CACHE)))
     _KG_ID_CACHE[key] = out
     return out
 
 
+def _kg_over(sf_dir: str, op, columns: list[str], **kw) -> ray.data.Dataset:
+    """Run the ``*_over`` op on the once-per-corpus built edge table
+    (``ensure_kg``'s edges/), with the session's shared id tables."""
+    from codetoneo4j_ray.pipelines.kg_queries import ensure_kg
+
+    nb = target_blocks()
+    edges = ray.data.read_parquet(
+        ensure_kg(sf_dir)["edges"], columns=columns, override_num_blocks=nb
+    )
+    return op(edges, num_buckets=nb, id_tables=_kg_id_tables(sf_dir, nb), **kw)
+
+
 def _encode_pairs(
     pairs: ray.data.Dataset,
     num_buckets: int,
-    reduce_fn=None,
-    src: str = "src",
-    dst: str = "dst",
+    reduce_fn=_dedup,
     id_tables: tuple | None = None,
     extra: tuple[str, ...] = (),
 ):
-    """Shared front half of every graph op: map-side-distinct string
-    (src, dst) pairs → dense int64 ids and an int-encoded, exchanged
-    adjacency.
+    """Shared front half of every string-keyed op: (src, dst) string
+    pairs → dense int64 ids and the int-encoded adjacency pinned as a
+    BucketStore keyed by _ibucket(src).
 
-    Returns (ids, id_store, rev_store, adj) where
-
-    * ids — materialized (node: string, nid: int64), order-preserving;
-    * id_store — node → nid BucketStore (string-hashed);
-    * rev_store — nid → node BucketStore (_ibucket-tagged);
-    * adj — materialized (src, dst: int64, __bucket=_ibucket(src), plus
-      whatever ``reduce_fn`` added), deduped per bucket. The ONLY
-      edge-sized exchange in the plan, and it carries 8-byte keys.
-
-    ``reduce_fn(df, bucket)`` defaults to plain dedup; pagerank passes
-    a variant that also attaches exact out-degrees (exact because all
-    rows of a src co-locate). ``id_tables`` supplies a prebuilt
-    (ids, id_store, rev_store) covering (at least) the pairs'
-    endpoints — the kg_* wrappers share one via _kg_id_tables."""
-    pairs = pairs.materialize()
-
-    if id_tables is not None:
-        ids, id_store, rev_store = id_tables
-    else:
-        def endpoints(b: pa.Table) -> pa.Table:
-            vals = pd.unique(
-                np.concatenate(
-                    [
-                        b[src].to_numpy(zero_copy_only=False),
-                        b[dst].to_numpy(zero_copy_only=False),
-                    ]
-                )
-            )
-            return pa.table({"node": pa.array(vals, pa.string())})
-
-        nodes = bucketed_apply_tasks(
-            pairs.map_batches(endpoints, batch_format="pyarrow"),
-            ["node"],
-            _dedup,
-            num_buckets,
-        )
-        ids = assign_order_ids(nodes).materialize()
-        id_store = build_bucket_store(ids, ["node"], num_buckets)
-        rev_store = build_bucket_store(
-            ids.map_batches(_tag_by_nid(num_buckets), batch_format="pandas"),
-            None,
-            num_buckets,
-        )
-    if reduce_fn is None:
-        reduce_fn = lambda df, _k: df.drop_duplicates()  # noqa: E731
+    Returns (ids, rev_store, adj): ``ids`` and ``rev_store`` as in
+    _assign_ids, and ``adj`` the store, reduced per bucket by
+    ``reduce_fn`` — plain dedup by default; pagerank and triangles pass
+    _dedup_deg, which also attaches exact out-degrees. Its split is the
+    ONLY edge-sized exchange of the plan, and it carries 8-byte keys.
+    ``id_tables`` supplies a prebuilt (ids, id_store, rev_store)
+    covering (at least) the pairs' endpoints — the kg_* wrappers share
+    one via _kg_id_tables."""
+    if id_tables is None:
+        # read twice (endpoints, then encode): pin it once
+        pairs = pairs.materialize()
+        id_tables = _assign_ids(pairs, "src", "dst", num_buckets)
+    ids, id_store, rev_store = id_tables
     enc = pairs.map_batches(
-        _EncodeAdj(id_store, num_buckets, src=src, dst=dst, extra=extra),
+        _EncodeAdj(id_store, num_buckets, extra=extra),
         batch_format="pandas",
         batch_size=None,
     )
-    adj = prebucketed_apply(enc, reduce_fn, keep_bucket=True).materialize()
-    return ids, id_store, rev_store, adj
+    adj = build_bucket_store(enc, None, num_buckets, reduce_fn=reduce_fn)
+    return ids, rev_store, adj
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +478,8 @@ def kg_pagerank(
     :func:`pagerank_over`). Reads the once-per-corpus built edge table
     (``ensure_kg``'s edges/) — pred collapse to pairs still
     happens inside pagerank_over."""
-    from codetoneo4j_ray.pipelines.kg_queries import ensure_kg
-
-    nb = target_blocks()
-    edges = ray.data.read_parquet(
-        ensure_kg(sf_dir)["edges"], columns=["subj", "obj"],
-        override_num_blocks=nb,
-    )
-    return pagerank_over(edges, iters=iters, scale=scale, num_buckets=nb,
-                         id_tables=_kg_id_tables(sf_dir, nb))
+    return _kg_over(sf_dir, pagerank_over, ["subj", "obj"],
+                    iters=iters, scale=scale)
 
 
 @ray.remote
@@ -473,14 +497,12 @@ def _rt_pr_step(lbl, num_buckets, adj_refs):
     m = adj.merge(df[["node", "r"]], left_on="src", right_on="node")
     if m.empty:
         return empty
-    c = m["r"].astype("int64") // m["d"].astype("int64")
-    part = (
-        pd.DataFrame({"node": m["dst"].astype("int64"), "c": c})
-        .groupby("node", as_index=False)["c"]
-        .sum()
+    node, c = _reduce_by(
+        m["dst"], m["r"].astype("int64") // m["d"].astype("int64")
     )
-    part["c"] = part["c"].astype("int64")
-    return _route_by_bucket(part, "node", num_buckets)
+    return _route_by_bucket(
+        pd.DataFrame({"node": node, "c": c}), "node", num_buckets
+    )
 
 
 @ray.remote
@@ -496,7 +518,9 @@ def _rt_pr_reduce(lbl, base, *partials):
     m = lbl.to_pandas()[["node"]].copy()
     tabs = [t for t in partials if t is not None]
     if tabs:
-        s = pa.concat_tables(tabs).to_pandas().groupby("node")["c"].sum()
+        cat = pa.concat_tables(tabs)
+        node, c = _reduce_by(cat["node"].to_numpy(), cat["c"].to_numpy())
+        s = pd.Series(c, index=node)
         # reindex keeps int64 end-to-end — a left merge would go
         # through float64 and round sums past 2**53 (mass can reach
         # _MAX_SAFE_SUM ≈ 1.1e17)
@@ -522,35 +546,23 @@ def pagerank_over(
 
     Output: (node, rank_fp) for every node appearing in any edge,
     sorted by node. Node keys are first densely int64-encoded
-    (_encode_pairs), so the one edge exchange, the pinned adjacency,
-    and every per-iteration shuffle carry 8-byte keys; per iteration
-    only rank rows and combined partials move (one exchange), and the
-    whole ``iters``-step loop is a single lazy map→reduce chain
-    executed in one streaming run — no per-step materialization or
-    driver sync. The ranks are pure arithmetic over the graph
-    structure, so the encoding cannot change any output value."""
+    (_encode_pairs), so the one edge exchange and the pinned,
+    degree-attached adjacency carry 8-byte keys. Each step is K
+    contribution tasks over the pinned adjacency plus K reduce tasks
+    over node-sized rank rows, chained by ObjectRefs alone: the driver
+    never waits on a step, only on the final decode. The ranks are
+    pure arithmetic over the graph structure, so the encoding cannot
+    change any output value."""
 
     if num_buckets is None:
-        # buckets double as reduce parallelism AND per-iteration sort
+        # buckets double as reduce parallelism AND per-iteration task
         # fan-in; scale them with the cluster instead of a fixed 64
         num_buckets = target_blocks()
 
-    def to_pairs(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()[["subj", "obj"]].drop_duplicates()
-        return pa.Table.from_pandas(
-            df.rename(columns={"subj": "src", "obj": "dst"}),
-            preserve_index=False,
-        )
-
-    def dedup_deg(df: pd.DataFrame, _k: int) -> pd.DataFrame:
-        df = df.drop_duplicates().copy()
-        df["d"] = df.groupby("src")["src"].transform("size").astype("int64")
-        return df[["src", "dst", "d"]]
-
-    ids, _id_store, rev_store, edges_deg = _encode_pairs(
-        edges.map_batches(to_pairs, batch_format="pyarrow"),
+    ids, rev_store, store = _encode_pairs(
+        edges.map_batches(_pair_rows, batch_format="pyarrow"),
         num_buckets,
-        reduce_fn=dedup_deg,
+        reduce_fn=_dedup_deg,
         id_tables=id_tables,
     )
     # up-front overflow validation: contribution sums are bounded by
@@ -563,7 +575,6 @@ def pagerank_over(
             "pagerank fixed-point mass num_nodes*scale exceeds int64/85; "
             "lower scale"
         )
-    store = build_bucket_store(edges_deg, None, num_buckets)
 
     base = 15 * scale // 100
 
@@ -599,29 +610,7 @@ def pagerank_over(
             ]
         ranks = ray.data.from_arrow_refs(rank_refs)
 
-    class _DecodeRank(_LookupJoin):
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            if not len(batch):
-                return pd.DataFrame(
-                    {
-                        "node": pd.Series([], dtype=object),
-                        "rank_fp": pd.Series([], dtype="int64"),
-                    }
-                )
-            return pd.DataFrame(
-                {
-                    "node": self._mapping(
-                        batch["node"], "nid", "node"
-                    ).to_numpy(),
-                    "rank_fp": batch["r"].astype("int64").to_numpy(),
-                }
-            )
-
-    return ranks.map_batches(
-        _DecodeRank(rev_store, num_buckets),
-        batch_format="pandas",
-        batch_size=None,
-    ).sort("node")
+    return _decode(ranks, rev_store, num_buckets, "r", "rank_fp")
 
 
 def pagerank_oracle_sql(
@@ -681,22 +670,15 @@ def kg_components(sf_dir: str, max_iters: int = CC_MAX_ITERS) -> ray.data.Datase
     """True connected components (min-label ids) over the final KG
     edge table (see :func:`components_over`), from the once-per-corpus
     built edge table."""
-    from codetoneo4j_ray.pipelines.kg_queries import ensure_kg
-
-    nb = target_blocks()
-    edges = ray.data.read_parquet(
-        ensure_kg(sf_dir)["edges"], columns=["subj", "obj"],
-        override_num_blocks=nb,
-    )
-    return components_over(edges, max_iters=max_iters, num_buckets=nb,
-                           id_tables=_kg_id_tables(sf_dir, nb))
+    return _kg_over(sf_dir, components_over, ["subj", "obj"],
+                    max_iters=max_iters)
 
 
 # ---------------------------------------------------------------------------
 # Raw-task iterative core
 #
 # The per-round exchange of an iterative fixpoint is node-sized (8-byte
-# labels), but a Ray Data groupby exchange costs ~2 s of planning +
+# labels), but a Ray Data sort-based exchange costs ~2 s of planning +
 # sort-stage scheduling per round regardless of payload — at sf0.1 the
 # actual label exchange inside a pagerank round was ~0.6 s of a 2.6 s
 # round. So the inner loops run as raw Ray tasks over bucket-pinned
@@ -707,8 +689,8 @@ def kg_components(sf_dir: str, max_iters: int = CC_MAX_ITERS) -> ray.data.Datase
 # adjacency's _ibucket(src) tags, so step task k needs only adjacency
 # piece k and emits candidate partials routed by _ibucket(dst). Each
 # round is K step tasks (num_returns=K min-combined partials) + K
-# reduce tasks (num_returns=2: new labels + changed-count); the driver
-# syncs only on K tiny ints per round. At cluster scale every object
+# reduce tasks (num_returns=2: new labels + (changed, rows)); the driver
+# syncs only on K tiny int pairs per round. At cluster scale every object
 # stays in the object store and K scales with the cluster
 # (target_blocks), exactly like the BucketStore pieces.
 # ---------------------------------------------------------------------------
@@ -776,10 +758,11 @@ def _kret(refs, num_buckets: int) -> list:
 
 
 @ray.remote
-def _rt_min_step(lbl, num_buckets, increment, cutoff, weight_col, adj_refs):
+def _rt_min_step(lbl, num_buckets, cutoff, weight_col, adj_refs):
     """One bucket's propagation map: min-combined neighbor candidates
-    (node, cand) for this bucket's frontier rows, routed by dst
-    bucket. ``adj_refs`` arrives unresolved (inside a list) so the
+    (node, cand = lbl + edge weight, or lbl when ``weight_col`` is
+    None) for this bucket's frontier rows, routed by dst bucket.
+    ``adj_refs`` arrives unresolved (inside a list) so the
     worker-process cache can key on ref identity."""
     empty = _route_empty(num_buckets)
     if lbl is None or lbl.num_rows == 0:
@@ -796,42 +779,37 @@ def _rt_min_step(lbl, num_buckets, increment, cutoff, weight_col, adj_refs):
     m = adj.merge(fr[["node", "lbl"]], left_on="src", right_on="node")
     if m.empty:
         return empty
-    step = m[weight_col] if weight_col else increment
-    part = (
-        pd.DataFrame({"node": m["dst"].astype("int64"),
-                      "cand": (m["lbl"] + step).astype("int64")})
-        .groupby("node", as_index=False)["cand"]
-        .min()
+    step = m[weight_col] if weight_col else 0
+    node, cand = _reduce_by(m["dst"], m["lbl"] + step, np.minimum)
+    return _route_by_bucket(
+        pd.DataFrame({"node": node, "cand": cand}), "node", num_buckets
     )
-    return _route_by_bucket(part, "node", num_buckets)
 
 
 @ray.remote(num_returns=2)
 def _rt_min_reduce(lbl, *partials):
     """One bucket's reduce: lbl ← min(lbl, candidates); returns the new
-    label table and how many labels changed (the driver's convergence
-    signal — K ints per round, never tables)."""
+    label table and (how many labels changed, rows) — the driver's
+    convergence signal and, once converged, which buckets hold labels
+    (K int pairs per round, never tables)."""
     if lbl is None or lbl.num_rows == 0:
-        return _empty_label_tbl(), 0
+        return _empty_label_tbl(), (0, 0)
     tabs = [t for t in partials if t is not None]
     df = lbl.to_pandas()
     if not tabs:
         if bool(df["chg"].any()):
             df = df.copy()
             df["chg"] = False
-            return pa.Table.from_pandas(df, preserve_index=False), 0
-        return lbl, 0
-    cand = (
-        pa.concat_tables(tabs)
-        .to_pandas()
-        .groupby("node")["cand"]
-        .min()
-    )
+            return pa.Table.from_pandas(df, preserve_index=False), (0, len(df))
+        return lbl, (0, len(df))
+    cat = pa.concat_tables(tabs)
+    node, cand = _reduce_by(cat["node"].to_numpy(), cat["cand"].to_numpy(),
+                            np.minimum)
     old = df["lbl"].to_numpy()
     # int64-preserving lookup: reindex with an int fill never routes
     # through float64 (a left merge would, silently rounding values
     # past 2**53); int64-max loses every min() against a real label
-    c = cand.reindex(
+    c = pd.Series(cand, index=node).reindex(
         df["node"].to_numpy(), fill_value=np.iinfo(np.int64).max
     ).to_numpy()
     new = np.minimum(old, c)
@@ -840,7 +818,8 @@ def _rt_min_reduce(lbl, *partials):
         {"node": df["node"].astype("int64"), "lbl": new.astype("int64"),
          "chg": chg}
     )
-    return pa.Table.from_pandas(out, preserve_index=False), int(chg.sum())
+    return (pa.Table.from_pandas(out, preserve_index=False),
+            (int(chg.sum()), len(out)))
 
 
 @ray.remote
@@ -926,7 +905,6 @@ def _rt_label_loop(
     label_refs: list,
     num_buckets: int,
     *,
-    increment: int = 0,
     cutoff: int | None = None,
     weight_col: str | None = None,
     max_iters: int,
@@ -936,12 +914,14 @@ def _rt_label_loop(
 ) -> list:
     """Run min-label propagation rounds over bucket-pinned labels until
     the frontier empties; raise past ``max_iters`` (exact — convergence
-    is tested every round). Returns the final per-bucket label refs."""
+    is tested every round). Returns the final label refs of the buckets
+    that hold labels (at least one ref), so sparse graphs' empty
+    buckets never reach the output."""
     rounds = 0
     while True:
         partials = [
             _kret(_rt_min_step.options(num_returns=num_buckets).remote(
-                label_refs[k], num_buckets, increment, cutoff, weight_col,
+                label_refs[k], num_buckets, cutoff, weight_col,
                 adj.pieces[k],
             ), num_buckets)
             for k in range(num_buckets)
@@ -954,103 +934,16 @@ def _rt_label_loop(
             for k in range(num_buckets)
         ]
         label_refs = [r[0] for r in results]
-        counts = ray.get([r[1] for r in results])
+        stats = ray.get([r[1] for r in results])
         rounds += 1
-        if sum(counts) == 0:
+        if sum(changed for changed, _ in stats) == 0:
             LAST_RUN_ROUNDS[op_name] = rounds
-            return label_refs
+            kept = [r for r, (_, rows) in zip(label_refs, stats) if rows]
+            return kept or label_refs[:1]
         if rounds >= max_iters:
             raise RuntimeError(raise_msg.format(max_iters=max_iters))
         if jump and rounds % _CHAIN_CHECKPOINT == 0:
             label_refs = _rt_pointer_jump(label_refs, num_buckets)
-
-
-def components_over(
-    edges: ray.data.Dataset,
-    max_iters: int = CC_MAX_ITERS,
-    num_buckets: int | None = None,
-    id_tables: tuple | None = None,
-) -> ray.data.Dataset:
-    """TRUE connected components over the symmetric closure of the
-    distinct (subj, obj) pairs: every node starts labeled with its own
-    key; synchronous min-label rounds (each taking the MIN over its
-    own and all neighbors' labels) run UNTIL THE FRONTIER EMPTIES,
-    with a pointer-jump (label ← label-of-label) at every checkpoint
-    so path-shaped components converge in O(log n) rounds rather than
-    O(diameter). At the fixpoint every node's label is exactly its
-    component's minimum key — this is the real CC semantics, and the
-    oracle (components_oracle_sql) is an until-fixpoint recursive
-    reachability query, not an unrolled approximation.
-
-    ``max_iters`` is a pure runaway guard: if the frontier is still
-    non-empty after that many propagation rounds the op RAISES rather
-    than returning partial labels (with jumping, hitting 512 would
-    take a graph beyond any physical size).
-
-    Same topology as pagerank_over — node keys map to dense
-    ORDER-PRESERVING int64 ids (assign_order_ids, so integer MIN
-    agrees with lexicographic MIN), the int-encoded symmetric
-    adjacency is exchanged once and pinned as a BucketStore, and each
-    round is one fused map + one node-sized exchange of 8-byte labels,
-    checkpointed (materialize + convergence test + jump) every
-    _CHAIN_CHECKPOINT rounds. Output (node, comp), sorted by node."""
-    if max_iters < 1:
-        raise ValueError("components_over requires max_iters >= 1")
-    if num_buckets is None:
-        num_buckets = target_blocks()
-
-    def sym_pairs(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()[["subj", "obj"]]
-        out = pd.DataFrame(
-            {
-                "src": np.concatenate([df["subj"].to_numpy(), df["obj"].to_numpy()]),
-                "dst": np.concatenate([df["obj"].to_numpy(), df["subj"].to_numpy()]),
-            }
-        ).drop_duplicates()
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    ids, _id_store, rev_store, adj_enc = _encode_pairs(
-        edges.map_batches(sym_pairs, batch_format="pyarrow"), num_buckets,
-        id_tables=id_tables,
-    )
-    adj = build_bucket_store(adj_enc, None, num_buckets)
-
-    def init_labels(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "node": df["nid"].astype("int64"),
-                "lbl": df["nid"].astype("int64"),
-                "chg": True,
-                "__bucket": _ibucket(df["nid"], num_buckets),
-            }
-        )
-
-    label_refs = _rt_label_loop(
-        adj,
-        _label_store_refs(
-            ids.map_batches(init_labels, batch_format="pandas"), num_buckets
-        ),
-        num_buckets,
-        max_iters=max_iters,
-        op_name="components",
-        jump=True,
-        raise_msg=(
-            "components_over did not converge within {max_iters} "
-            "min-label rounds; raise max_iters"
-        ),
-    )
-    labels = ray.data.from_arrow_refs(label_refs)
-
-    return labels.map_batches(
-        _DecodeLabels(rev_store, num_buckets),
-        batch_format="pandas",
-        batch_size=None,
-    ).sort("node")
-
-
-@ray.remote
-def _rt_has_rows(t) -> bool:
-    return t is not None and t.num_rows > 0
 
 
 @ray.remote
@@ -1076,6 +969,76 @@ def _rt_init_labels_from_adj(*pieces):
     )
 
 
+def _components(adj, num_buckets: int, max_iters: int, op_name: str,
+                who: str) -> ray.data.Dataset:
+    """The one components core: labels seeded per bucket from the
+    pinned SYMMETRIC int adjacency, min-label rounds with pointer
+    jumps until the frontier empties. Returns (node, lbl, chg) label
+    rows, lbl = the minimum int id of node's component."""
+    label_refs = _rt_label_loop(
+        adj,
+        [
+            _rt_init_labels_from_adj.remote(*adj.pieces[k])
+            for k in range(num_buckets)
+        ],
+        num_buckets,
+        max_iters=max_iters,
+        op_name=op_name,
+        jump=True,
+        raise_msg=(
+            who + " did not converge within {max_iters} "
+            "min-label rounds; raise max_iters"
+        ),
+    )
+    return ray.data.from_arrow_refs(label_refs)
+
+
+def components_over(
+    edges: ray.data.Dataset,
+    max_iters: int = CC_MAX_ITERS,
+    num_buckets: int | None = None,
+    id_tables: tuple | None = None,
+) -> ray.data.Dataset:
+    """TRUE connected components over the symmetric closure of the
+    distinct (subj, obj) pairs: every node starts labeled with its own
+    key; synchronous min-label rounds (each taking the MIN over its
+    own and all neighbors' labels) run UNTIL THE FRONTIER EMPTIES,
+    with a pointer-jump (label ← label-of-label) every
+    _CHAIN_CHECKPOINT rounds so path-shaped components converge in
+    O(log n) rounds rather than O(diameter). At the fixpoint every
+    node's label is exactly its component's minimum key — this is the
+    real CC semantics, and the oracle (components_oracle_sql) is an
+    until-fixpoint recursive reachability query, not an unrolled
+    approximation.
+
+    ``max_iters`` is a pure runaway guard: if the frontier is still
+    non-empty after that many propagation rounds the op RAISES rather
+    than returning partial labels (with jumping, hitting 512 would
+    take a graph beyond any physical size).
+
+    Plan: encode → components_over_int's core → decode. The
+    symmetric pairs map to dense ORDER-PRESERVING int64 ids
+    (assign_order_ids, so integer MIN agrees with lexicographic MIN)
+    and are pinned, deduped, as the adjacency store in the one edge
+    exchange; the label loop then runs on those ids exactly as
+    components_over_int does, and only the final labels map back to
+    keys. Output (node, comp), sorted by node."""
+    if max_iters < 1:
+        raise ValueError("components_over requires max_iters >= 1")
+    if num_buckets is None:
+        num_buckets = target_blocks()
+    _ids, rev_store, adj = _encode_pairs(
+        edges.map_batches(_pair_rows, fn_kwargs={"sym": True},
+                          batch_format="pyarrow"),
+        num_buckets,
+        id_tables=id_tables,
+    )
+    labels = _components(adj, num_buckets, max_iters, "components",
+                         "components_over")
+    return _decode(labels, rev_store, num_buckets, "lbl", "comp",
+                   val_is_nid=True)
+
+
 def components_over_int(
     pairs: ray.data.Dataset,
     *,
@@ -1089,10 +1052,11 @@ def components_over_int(
     skips the string-id encode/decode round trip entirely — numeric
     MIN over the caller's own ids is the wanted semantics, so the
     pinned adjacency, per-round 8-byte label exchanges, and the final
-    output all carry those ids directly. Symmetrizes internally; one
-    edge-sized exchange total; labels seeded per bucket from the pinned
-    adjacency (no init exchange). Returns (node, comp) sorted by node;
-    raises past ``max_iters`` like components_over (exact bound)."""
+    output all carry those ids directly. Symmetrizes map-side; one
+    edge-sized exchange total (the store split, deduped per bucket);
+    labels seeded per bucket from the pinned adjacency (no init
+    exchange). Returns (node, comp) sorted by node; raises past
+    ``max_iters`` like components_over (exact bound)."""
     if max_iters < 1:
         raise ValueError("components_over_int requires max_iters >= 1")
     if num_buckets is None:
@@ -1110,27 +1074,9 @@ def components_over_int(
         df["__bucket"] = _ibucket(df["src"], num_buckets)
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    adj_ds = prebucketed_apply(
-        pairs.map_batches(sym, batch_format="pyarrow"),
-        lambda df, _k: df.drop_duplicates(),
-        keep_bucket=True,
-    ).materialize()
-    adj = build_bucket_store(adj_ds, None, num_buckets)
-
-    label_refs = _rt_label_loop(
-        adj,
-        [
-            _rt_init_labels_from_adj.remote(*adj.pieces[k])
-            for k in range(num_buckets)
-        ],
-        num_buckets,
-        max_iters=max_iters,
-        op_name=op_name,
-        jump=True,
-        raise_msg=(
-            op_name + " did not converge within {max_iters} "
-            "min-label rounds; raise max_iters"
-        ),
+    adj = build_bucket_store(
+        pairs.map_batches(sym, batch_format="pyarrow"), None, num_buckets,
+        reduce_fn=_dedup,
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -1141,15 +1087,8 @@ def components_over_int(
             }
         )
 
-    # drop empty buckets without fetching tables (sparse pair graphs
-    # leave many buckets empty; zero-row blocks also trip Ray's
-    # schema-mismatch warning on the final sort)
-    flags = ray.get([_rt_has_rows.remote(r) for r in label_refs])
-    kept = [r for r, ok in zip(label_refs, flags) if ok]
-    if not kept:
-        kept = label_refs[:1]
     return (
-        ray.data.from_arrow_refs(kept)
+        _components(adj, num_buckets, max_iters, op_name, op_name)
         .map_batches(finish, batch_format="pyarrow")
         .sort("node")
     )
@@ -1180,11 +1119,22 @@ def components_oracle_sql(edges_cte: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Multi-source BFS depth (distance from repo roots)
+# Multi-source BFS depth and weighted shortest distance from repo roots
 # ---------------------------------------------------------------------------
 
 BFS_ROOT_PRED = "src__HAS_FILE"  # repo → file edges (see materialize.py preds)
 _UNREACHED = 2**62  # depth sentinel; +iters stays far below int64 max
+
+# edge costs: structural containment (repo→file, file→symbol) is cheap,
+# semantic hops (INVOKES / DEPENDS_ON / HAS_TAG / HAS_URL / ...) cost
+# more — so dist ranks "how far from the project surface a symbol sits
+# semantically", not just hop count. Fixed integer weights keep the
+# whole op BIGINT-exact for the strict oracle.
+_SSSP_CHEAP_PREDS = ("src__HAS_FILE", "src__DECLARES")
+_SSSP_CHEAP_W = 1
+_SSSP_FAR_W = 3
+SSSP_MAX_DIST = 255  # distance budget: output contract AND oracle walk cap
+SSSP_MAX_ITERS = 256  # ≥ budget/min-weight rounds always suffice
 
 
 def kg_bfs_depth(sf_dir: str, max_iters: int = BFS_MAX_ITERS) -> ray.data.Dataset:
@@ -1192,15 +1142,125 @@ def kg_bfs_depth(sf_dir: str, max_iters: int = BFS_MAX_ITERS) -> ray.data.Datase
     BFS_ROOT_PRED edges) over the final KG edge table (see
     :func:`bfs_depth_over`), from the once-per-corpus built edge
     table."""
-    from codetoneo4j_ray.pipelines.kg_queries import ensure_kg
+    return _kg_over(sf_dir, bfs_depth_over, ["subj", "pred", "obj"],
+                    max_iters=max_iters)
 
-    nb = target_blocks()
-    edges = ray.data.read_parquet(
-        ensure_kg(sf_dir)["edges"], columns=["subj", "pred", "obj"],
-        override_num_blocks=nb,
+
+def kg_sssp(sf_dir: str, max_iters: int = SSSP_MAX_ITERS) -> ray.data.Dataset:
+    """Weighted shortest distance from the repo roots over the final KG
+    edge table (see :func:`sssp_over`), from the once-per-corpus built
+    edge table."""
+    return _kg_over(sf_dir, sssp_over, ["subj", "pred", "obj"],
+                    max_iters=max_iters)
+
+
+class _InitDist(_LookupJoin):
+    """ids (node, nid) → bucket-tagged label rows: 0 for the nodes the
+    roots store holds, the unreached sentinel for every other node."""
+
+    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
+        if not len(batch):
+            return pd.DataFrame(
+                {
+                    "node": pd.Series([], dtype="int64"),
+                    "lbl": pd.Series([], dtype="int64"),
+                    "chg": pd.Series([], dtype=bool),
+                    "__bucket": pd.Series([], dtype="int32"),
+                }
+            )
+        is_root = self._mapping(batch["node"], "node", "is_root").notna()
+        return pd.DataFrame(
+            {
+                "node": batch["nid"].astype("int64"),
+                "lbl": np.where(is_root, 0, _UNREACHED).astype("int64"),
+                "chg": True,
+                "__bucket": _ibucket(batch["nid"], self._k),
+            }
+        )
+
+
+def _root_distance_over(
+    edges: ray.data.Dataset,
+    *,
+    roots_pred: str,
+    cheap_preds: tuple[str, ...],
+    far_w: int,
+    budget: int,
+    max_iters: int,
+    num_buckets: int | None,
+    id_tables: tuple | None,
+    op_name: str,
+    out: str,
+    raise_msg: str,
+) -> ray.data.Dataset:
+    """The body shared by bfs_depth_over and sssp_over: multi-source
+    min-distance relaxation over the directed distinct (subj, obj, w)
+    edges, w = _SSSP_CHEAP_W for ``cheap_preds`` and ``far_w``
+    otherwise, from the distinct subjects of ``roots_pred`` edges, run
+    until the frontier empties. Output (node, ``out``) for every node
+    at distance ≤ ``budget``, sorted by node.
+
+    Same machinery as components (dense int64 ids, pinned int-encoded
+    adjacency — the weight rides in it, never an exchange — frontier
+    steps, one node-sized exchange per round) minus the pointer jump
+    (distances are not node ids, so shortcutting does not apply);
+    roots are marked by store lookup, never a driver-side collection.
+    ``budget`` is also the frontier cutoff: a node at distance ≥
+    budget cannot relax any neighbor to ≤ budget (weights ≥ 1), and
+    every ≤-budget path's prefixes are below it, so pruning loses
+    nothing."""
+    if num_buckets is None:
+        num_buckets = target_blocks()
+    cheap = set(cheap_preds)
+
+    def wpairs(b: pa.Table) -> pa.Table:
+        df = b.to_pandas()[["subj", "pred", "obj"]]
+        w = np.where(df["pred"].isin(cheap), _SSSP_CHEAP_W, far_w)
+        out = pd.DataFrame(
+            {"src": df["subj"], "dst": df["obj"], "w": w.astype("int64")}
+        ).drop_duplicates()
+        return pa.Table.from_pandas(out, preserve_index=False)
+
+    ids, rev_store, adj = _encode_pairs(
+        edges.map_batches(wpairs, batch_format="pyarrow"), num_buckets,
+        id_tables=id_tables, extra=("w",),
     )
-    return bfs_depth_over(edges, max_iters=max_iters, num_buckets=nb,
-                          id_tables=_kg_id_tables(sf_dir, nb))
+
+    def root_rows(b: pa.Table) -> pa.Table:
+        df = b.to_pandas()
+        r = df.loc[df["pred"] == roots_pred, ["subj"]].drop_duplicates()
+        return pa.table(
+            {
+                "node": pa.array(r["subj"].to_numpy(), pa.string()),
+                "is_root": pa.array(np.ones(len(r), "int64")),
+            }
+        )
+
+    roots_store = build_bucket_store(
+        edges.map_batches(root_rows, batch_format="pyarrow"), ["node"],
+        num_buckets, reduce_fn=_dedup,
+    )
+    labels = ids.map_batches(
+        _InitDist(roots_store, num_buckets),
+        batch_format="pandas",
+        batch_size=None,
+    )
+    # convergence is tested every round, so a graph whose max finite
+    # distance needs max_iters+1 rounds RAISES at exactly max_iters — it
+    # can never converge past the bound and return distances the
+    # oracle's capped walk doesn't generate
+    label_refs = _rt_label_loop(
+        adj,
+        _label_store_refs(labels, num_buckets),
+        num_buckets,
+        cutoff=budget,
+        weight_col="w",
+        max_iters=max_iters,
+        op_name=op_name,
+        raise_msg=raise_msg,
+    )
+    return _decode(ray.data.from_arrow_refs(label_refs), rev_store,
+                   num_buckets, "lbl", out, max_val=budget)
 
 
 def bfs_depth_over(
@@ -1225,121 +1285,20 @@ def bfs_depth_over(
     whenever the Ray side succeeds the two are exactly equal — raise
     both together for unusually deep graphs.
 
-    Same machinery as components_over (dense int64 ids, pinned
-    int-encoded adjacency, frontier steps, one node-sized exchange per
-    hop) minus the pointer jump (depths are not node ids, so
-    shortcutting does not apply); roots are marked by store lookup,
-    never a driver-side collection."""
+    The unit-weight case of sssp_over's relaxation
+    (_root_distance_over), with no budget short of the sentinel."""
     if max_iters < 1:
         raise ValueError("bfs_depth_over requires max_iters >= 1")
-    if num_buckets is None:
-        num_buckets = target_blocks()
-
-    def dir_pairs(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()[["subj", "obj"]].drop_duplicates()
-        return pa.Table.from_pandas(
-            df.rename(columns={"subj": "src", "obj": "dst"}),
-            preserve_index=False,
-        )
-
-    ids, _id_store, rev_store, adj_enc = _encode_pairs(
-        edges.map_batches(dir_pairs, batch_format="pyarrow"), num_buckets,
-        id_tables=id_tables,
-    )
-    adj = build_bucket_store(adj_enc, None, num_buckets)
-
-    def root_rows(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        r = df.loc[df["pred"] == roots_pred, ["subj"]].drop_duplicates()
-        return pa.table({"node": pa.array(r["subj"].to_numpy(), pa.string())})
-
-    roots = bucketed_apply(
-        edges.map_batches(root_rows, batch_format="pyarrow"),
-        ["node"],
-        _dedup,
-        num_buckets,
-        keep_bucket=True,
-    )
-
-    def mark(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["is_root"] = 1
-        return df
-
-    roots_store = build_bucket_store(
-        roots.map_batches(mark, batch_format="pandas"), None, num_buckets
-    )
-
-    class _InitDepth(_LookupJoin):
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            if not len(batch):
-                return pd.DataFrame(
-                    {
-                        "node": pd.Series([], dtype="int64"),
-                        "lbl": pd.Series([], dtype="int64"),
-                        "chg": pd.Series([], dtype=bool),
-                        "__bucket": pd.Series([], dtype="int32"),
-                    }
-                )
-            is_root = self._mapping(batch["node"], "node", "is_root").notna()
-            return pd.DataFrame(
-                {
-                    "node": batch["nid"].astype("int64"),
-                    "lbl": np.where(is_root, 0, _UNREACHED).astype("int64"),
-                    "chg": True,
-                    "__bucket": _ibucket(batch["nid"], num_buckets),
-                }
-            )
-
-    labels = ids.map_batches(
-        _InitDepth(roots_store, num_buckets),
-        batch_format="pandas",
-        batch_size=None,
-    )
-
-    # convergence is tested every round, so a graph whose max finite
-    # depth is max_iters+1 RAISES at exactly max_iters — it can never
-    # converge past the bound and return depths the oracle's capped
-    # walk doesn't generate (ADVICE r4)
-    label_refs = _rt_label_loop(
-        adj,
-        _label_store_refs(labels, num_buckets),
-        num_buckets,
-        increment=1,
-        cutoff=_UNREACHED,
-        max_iters=max_iters,
-        op_name="bfs",
+    return _root_distance_over(
+        edges, roots_pred=roots_pred, cheap_preds=(), far_w=1,
+        budget=_UNREACHED - 1, max_iters=max_iters,
+        num_buckets=num_buckets, id_tables=id_tables, op_name="bfs",
+        out="depth",
         raise_msg=(
             "bfs_depth_over did not converge within {max_iters} "
             "rounds; raise max_iters (and the oracle cap) together"
         ),
     )
-    labels = ray.data.from_arrow_refs(label_refs)
-
-    class _DecodeDepth(_LookupJoin):
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            batch = batch[batch["lbl"] < _UNREACHED]
-            if not len(batch):
-                return pd.DataFrame(
-                    {
-                        "node": pd.Series([], dtype=object),
-                        "depth": pd.Series([], dtype="int64"),
-                    }
-                )
-            return pd.DataFrame(
-                {
-                    "node": self._mapping(
-                        batch["node"], "nid", "node"
-                    ).to_numpy(),
-                    "depth": batch["lbl"].astype("int64").to_numpy(),
-                }
-            )
-
-    return labels.map_batches(
-        _DecodeDepth(rev_store, num_buckets),
-        batch_format="pandas",
-        batch_size=None,
-    ).sort("node")
 
 
 def bfs_depth_oracle_sql(
@@ -1372,37 +1331,6 @@ def bfs_depth_oracle_sql(
     """
 
 
-# ---------------------------------------------------------------------------
-# Weighted multi-source shortest distance (cost from repo roots)
-# ---------------------------------------------------------------------------
-
-# edge costs: structural containment (repo→file, file→symbol) is cheap,
-# semantic hops (INVOKES / DEPENDS_ON / HAS_TAG / HAS_URL / ...) cost
-# more — so dist ranks "how far from the project surface a symbol sits
-# semantically", not just hop count. Fixed integer weights keep the
-# whole op BIGINT-exact for the strict oracle.
-_SSSP_CHEAP_PREDS = ("src__HAS_FILE", "src__DECLARES")
-_SSSP_CHEAP_W = 1
-_SSSP_FAR_W = 3
-SSSP_MAX_DIST = 255  # distance budget: output contract AND oracle walk cap
-SSSP_MAX_ITERS = 256  # ≥ budget/min-weight rounds always suffice
-
-
-def kg_sssp(sf_dir: str, max_iters: int = SSSP_MAX_ITERS) -> ray.data.Dataset:
-    """Weighted shortest distance from the repo roots over the final KG
-    edge table (see :func:`sssp_over`), from the once-per-corpus built
-    edge table."""
-    from codetoneo4j_ray.pipelines.kg_queries import ensure_kg
-
-    nb = target_blocks()
-    edges = ray.data.read_parquet(
-        ensure_kg(sf_dir)["edges"], columns=["subj", "pred", "obj"],
-        override_num_blocks=nb,
-    )
-    return sssp_over(edges, max_iters=max_iters, num_buckets=nb,
-                     id_tables=_kg_id_tables(sf_dir, nb))
-
-
 def sssp_over(
     edges: ray.data.Dataset,
     roots_pred: str = BFS_ROOT_PRED,
@@ -1426,124 +1354,20 @@ def sssp_over(
     every ≤-budget path's prefixes are themselves ≤ budget. Positive
     integer weights bound convergence by budget/min-weight rounds, so
     ``max_iters`` = 256 can only trip on a genuine runaway — and then
-    it RAISES rather than returning partial distances. Same pinned
-    int64 machinery as components/BFS; the per-edge weight rides the
-    pinned adjacency, never an exchange."""
+    it RAISES rather than returning partial distances (see
+    _root_distance_over for the shared plan)."""
     if max_iters < 1:
         raise ValueError("sssp_over requires max_iters >= 1")
-    if num_buckets is None:
-        num_buckets = target_blocks()
-
-    cheap = set(cheap_preds)
-
-    def wpairs(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()[["subj", "pred", "obj"]]
-        w = np.where(
-            df["pred"].isin(cheap), _SSSP_CHEAP_W, _SSSP_FAR_W
-        ).astype("int64")
-        out = pd.DataFrame(
-            {"src": df["subj"], "dst": df["obj"], "w": w}
-        ).drop_duplicates()
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    ids, _id_store, rev_store, adj_enc = _encode_pairs(
-        edges.map_batches(wpairs, batch_format="pyarrow"), num_buckets,
-        id_tables=id_tables, extra=("w",),
-    )
-    adj = build_bucket_store(adj_enc, None, num_buckets)
-
-    def root_rows(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        r = df.loc[df["pred"] == roots_pred, ["subj"]].drop_duplicates()
-        return pa.table({"node": pa.array(r["subj"].to_numpy(), pa.string())})
-
-    roots = bucketed_apply(
-        edges.map_batches(root_rows, batch_format="pyarrow"),
-        ["node"],
-        _dedup,
-        num_buckets,
-        keep_bucket=True,
-    )
-
-    def mark(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["is_root"] = 1
-        return df
-
-    roots_store = build_bucket_store(
-        roots.map_batches(mark, batch_format="pandas"), None, num_buckets
-    )
-
-    class _InitDist(_LookupJoin):
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            if not len(batch):
-                return pd.DataFrame(
-                    {
-                        "node": pd.Series([], dtype="int64"),
-                        "lbl": pd.Series([], dtype="int64"),
-                        "chg": pd.Series([], dtype=bool),
-                        "__bucket": pd.Series([], dtype="int32"),
-                    }
-                )
-            is_root = self._mapping(batch["node"], "node", "is_root").notna()
-            return pd.DataFrame(
-                {
-                    "node": batch["nid"].astype("int64"),
-                    "lbl": np.where(is_root, 0, _UNREACHED).astype("int64"),
-                    "chg": True,
-                    "__bucket": _ibucket(batch["nid"], num_buckets),
-                }
-            )
-
-    labels = ids.map_batches(
-        _InitDist(roots_store, num_buckets),
-        batch_format="pandas",
-        batch_size=None,
-    )
-
-    # cutoff = budget: a node at dist ≥ budget cannot relax any
-    # neighbor to ≤ budget (weights ≥ 1), and every ≤-budget path's
-    # intermediate true distances are below the budget, so pruning
-    # loses nothing. max_iters is exact (tested every round).
-    label_refs = _rt_label_loop(
-        adj,
-        _label_store_refs(labels, num_buckets),
-        num_buckets,
-        cutoff=budget,
-        weight_col="w",
-        max_iters=max_iters,
-        op_name="sssp",
+    return _root_distance_over(
+        edges, roots_pred=roots_pred, cheap_preds=tuple(cheap_preds),
+        far_w=_SSSP_FAR_W, budget=budget, max_iters=max_iters,
+        num_buckets=num_buckets, id_tables=id_tables, op_name="sssp",
+        out="dist",
         raise_msg=(
             "sssp_over did not converge within {max_iters} "
             "relaxation rounds; raise max_iters"
         ),
     )
-    labels = ray.data.from_arrow_refs(label_refs)
-
-    class _DecodeDist(_LookupJoin):
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            batch = batch[batch["lbl"] <= budget]
-            if not len(batch):
-                return pd.DataFrame(
-                    {
-                        "node": pd.Series([], dtype=object),
-                        "dist": pd.Series([], dtype="int64"),
-                    }
-                )
-            return pd.DataFrame(
-                {
-                    "node": self._mapping(
-                        batch["node"], "nid", "node"
-                    ).to_numpy(),
-                    "dist": batch["lbl"].astype("int64").to_numpy(),
-                }
-            )
-
-    return labels.map_batches(
-        _DecodeDist(rev_store, num_buckets),
-        batch_format="pandas",
-        batch_size=None,
-    ).sort("node")
 
 
 def sssp_oracle_sql(
@@ -1590,97 +1414,53 @@ def kg_triangles(sf_dir: str, k: int = TRIANGLE_TOPK_K) -> ray.data.Dataset:
     :func:`triangles_over`). Reads the once-per-corpus built edge table
     (``ensure_kg``'s edges/); the canonical-undirected-pair
     collapse still folds preds/directions."""
-    from codetoneo4j_ray.pipelines.kg_queries import ensure_kg
-
-    nb = target_blocks()
-    edges = ray.data.read_parquet(
-        ensure_kg(sf_dir)["edges"], columns=["subj", "obj"],
-        override_num_blocks=nb,
-    )
-    return triangles_over(edges, k=k, num_buckets=nb,
-                          id_tables=_kg_id_tables(sf_dir, nb))
+    return _kg_over(sf_dir, triangles_over, ["subj", "obj"], k=k)
 
 
-class _DegOrient:
-    """Attach (deg_a, deg_b) to undirected int-encoded pairs by
-    degree-store lookup and orient each edge from its (degree, nid)-
-    smaller endpoint — identical to (degree, key) order because the
-    nids are order-preserving."""
+class _BucketTriangles(_LookupJoin):
+    """One bucket of the pinned symmetric, degree-attached adjacency
+    (src, dst, d = deg(src)) → per-node triangle-participation partial
+    counts (node, n_tri), tagged by _ibucket(node) for the count merge.
 
-    def __init__(self, store, num_buckets: int):
-        self._store = store
-        self._k = num_buckets
+    In one task: look up deg(dst) in dst's own bucket (where dst is a
+    src row), keep the edges oriented from their (degree, nid)-smaller
+    endpoint — every oriented out-edge of a src sits in src's bucket,
+    so wedges (center = src, a < b its oriented out-neighbors) are
+    generated locally — and close each wedge by looking (a, b) up in
+    a's bucket. The O(m^1.5) wedge rows never leave the task."""
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        if not len(batch):
-            return pd.DataFrame(
-                {
-                    "src": pd.Series([], dtype="int64"),
-                    "dst": pd.Series([], dtype="int64"),
-                    "__bucket": pd.Series([], dtype="int32"),
-                }
-            )
+    def __call__(self, adj: pd.DataFrame) -> pd.DataFrame:
+        s = adj["src"].to_numpy(dtype="int64")
+        t = adj["dst"].to_numpy(dtype="int64")
+        ds = adj["d"].to_numpy(dtype="int64")
+        dt = self._mapping(adj["dst"], "src", "d").to_numpy(dtype="int64")
+        # (degree, nid) order ≡ (degree, key) order: nids preserve it
+        fwd = (ds < dt) | ((ds == dt) & (s < t))
+        o = pd.DataFrame({"center": s[fwd], "a": t[fwd]})
+        wedges = o.merge(o.rename(columns={"a": "b"}), on="center")
+        wedges = wedges[wedges["a"] < wedges["b"]]
+        ka = _ibucket(wedges["a"], self._k)
         cache = process_cache(self._store)
-        ka = _ibucket(batch["a"], self._k)
-        kb = _ibucket(batch["b"], self._k)
-        need = np.unique(np.concatenate([ka, kb]))
-        frames = [cache.bucket_df(int(x)) for x in need]
-        frames = [f for f in frames if not f.empty]
-        dm = pd.concat(frames).set_index("node")["d"]
-        a = batch["a"].to_numpy(dtype="int64")
-        b = batch["b"].to_numpy(dtype="int64")
-        da = batch["a"].map(dm).to_numpy(dtype="int64")
-        db = batch["b"].map(dm).to_numpy(dtype="int64")
-        a_first = (da < db) | ((da == db) & (a < b))
-        out = pd.DataFrame(
-            {"src": np.where(a_first, a, b), "dst": np.where(a_first, b, a)}
+        hits = []
+        for k in np.unique(ka):
+            e = cache.bucket_df(int(k))[["src", "dst"]]
+            m = wedges[ka == k].merge(
+                e.rename(columns={"src": "a", "dst": "b"}), on=["a", "b"]
+            )
+            hits += [m["center"], m["a"], m["b"]]
+        cnt = (
+            pd.concat(hits).value_counts()
+            if hits
+            else pd.Series([], dtype="int64")
         )
-        out["__bucket"] = _ibucket(out["src"], self._k)
-        return out
-
-
-class _CloseWedges:
-    """Close wedges against the pinned undirected-edge store and emit
-    per-node triangle-participation partial counts — a pure streaming
-    consumer, so the O(m^1.5) wedge rows never enter an exchange."""
-
-    def __init__(self, store, num_buckets: int):
-        self._store = store
-        self._k = num_buckets
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        cache = process_cache(self._store)
-        outs = []
-        if len(batch):
-            ids = _ibucket2(batch["a"], batch["b"], self._k)
-            for kk in np.unique(ids):
-                e = cache.bucket_df(int(kk))
-                if e.empty:
-                    continue
-                w = batch[ids == kk]
-                m = w.merge(e, on=["a", "b"], how="inner")
-                if m.empty:
-                    continue
-                cnt = pd.concat([m["center"], m["a"], m["b"]]).value_counts()
-                outs.append(
-                    pd.DataFrame(
-                        {
-                            "node": cnt.index.to_numpy(dtype="int64"),
-                            "n_tri": cnt.to_numpy().astype("int64"),
-                        }
-                    )
-                )
-        if outs:
-            out = pd.concat(outs, ignore_index=True)
-        else:
-            out = pd.DataFrame(
-                {
-                    "node": pd.Series([], dtype="int64"),
-                    "n_tri": pd.Series([], dtype="int64"),
-                }
-            )
-        out["__bucket"] = _ibucket(out["node"], self._k)
-        return out
+        nodes = cnt.index.to_numpy(dtype="int64")
+        return pd.DataFrame(
+            {
+                "node": nodes,
+                "n_tri": cnt.to_numpy().astype("int64"),
+                "__bucket": _ibucket(nodes, self._k),
+            }
+        )
 
 
 def triangles_over(
@@ -1693,129 +1473,44 @@ def triangles_over(
     self-loop-free distinct pair graph of an edge dataset.
 
     Plan (Cohen's degree-oriented MapReduce scheme), entirely over
-    dense int64 node ids: canonical undirected string pairs map-side →
-    int encoding (_encode_pairs: the one edge exchange, 16-byte rows)
-    → per-node degrees (one node-sized exchange, pinned as a
-    BucketStore) → degree attach + orientation by store lookup (no
-    exchange) → per-source wedge generation (one exchange of the
-    oriented int edges; out-degree ≤ O(sqrt(m)) by the orientation) →
-    wedge closing by undirected-store lookup (no exchange — wedges
-    stream straight into partial counts) → count merge + local-topk /
-    global-merge, tie-broken by nid ≡ key order → decode the ≤k
-    winners back to strings. Output (node, n_tri), ordered by node."""
+    dense int64 node ids: symmetric self-loop-free string pairs
+    map-side → int encoding pinned as the symmetric adjacency with
+    exact degrees attached (_encode_pairs: the one edge exchange) →
+    one task per bucket orients, generates and closes wedges by
+    bucket lookups (_BucketTriangles: no exchange) → count merge (one
+    node-sized exchange) + local top-k / global top-k, tie-broken by
+    nid ≡ key order → decode the ≤k winners back to strings. Output
+    (node, n_tri), ordered by node."""
 
     if num_buckets is None:
         num_buckets = target_blocks()
 
-    def undirected(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df = df[df["subj"] != df["obj"]]
-        s = df["subj"].to_numpy()
-        o = df["obj"].to_numpy()
-        swap = s < o
-        out = pd.DataFrame(
-            {"a": np.where(swap, s, o), "b": np.where(swap, o, s)}
-        ).drop_duplicates()
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    # a < b on strings ⇒ src < dst on the order-preserving nids, so the
-    # canonical orientation survives the encoding unchanged
-    _ids, _id_store, rev_store, und = _encode_pairs(
-        edges.map_batches(undirected, batch_format="pyarrow"),
+    _ids, rev_store, adj = _encode_pairs(
+        edges.map_batches(_pair_rows, fn_kwargs={"sym": True, "loops": False},
+                          batch_format="pyarrow"),
         num_buckets,
-        src="a",
-        dst="b",
+        reduce_fn=_dedup_deg,
         id_tables=id_tables,
     )
+    partials = apply_store(adj, _BucketTriangles(adj, num_buckets))
 
-    def as_ab(df: pd.DataFrame) -> pd.DataFrame:
-        return df.rename(columns={"src": "a", "dst": "b"})
-
-    und_ab = und.drop_columns(["__bucket"]).map_batches(
-        as_ab, batch_format="pandas"
-    )
-
-    def deg_partial(df: pd.DataFrame) -> pd.DataFrame:
-        cnt = pd.concat([df["a"], df["b"]]).value_counts()
-        out = pd.DataFrame(
-            {
-                "node": cnt.index.to_numpy(dtype="int64"),
-                "d": cnt.to_numpy().astype("int64"),
-            }
-        )
-        out["__bucket"] = _ibucket(out["node"], num_buckets)
-        return out
-
-    deg = prebucketed_apply(
-        und_ab.map_batches(deg_partial, batch_format="pandas"),
-        lambda df, _k: df.groupby("node", as_index=False).agg(d=("d", "sum")),
-        keep_bucket=True,
-    )
-    deg_store = build_bucket_store(deg, None, num_buckets)
-
-    def tag_pair(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__bucket"] = _ibucket2(df["a"], df["b"], num_buckets)
-        return df
-
-    und_store = build_bucket_store(
-        und_ab.map_batches(tag_pair, batch_format="pandas"), None, num_buckets
-    )
-
-    oriented = und_ab.map_batches(
-        _DegOrient(deg_store, num_buckets), batch_format="pandas"
-    )
-
-    def wedges(df: pd.DataFrame, _k: int) -> pd.DataFrame:
-        m = df.merge(df, on="src")
-        m = m[m["dst_x"] < m["dst_y"]]
-        return pd.DataFrame(
-            {"a": m["dst_x"], "b": m["dst_y"], "center": m["src"]}
-        )
-
-    tri_partial = prebucketed_apply(oriented, wedges).map_batches(
-        _CloseWedges(und_store, num_buckets), batch_format="pandas"
-    )
-
-    def topk_i(df: pd.DataFrame) -> pd.DataFrame:
+    def topk(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(
             ["n_tri", "node"], ascending=[False, True], kind="stable"
         ).head(k)
         df["n_tri"] = df["n_tri"].astype("int64")
         return df
 
-    def merge_counts(df: pd.DataFrame, _k: int) -> pd.DataFrame:
-        return topk_i(
-            df.groupby("node", as_index=False).agg(n_tri=("n_tri", "sum"))
-        )
+    def merge_counts(df: pd.DataFrame) -> pd.DataFrame:
+        node, n_tri = _reduce_by(df["node"], df["n_tri"])
+        return topk(pd.DataFrame({"node": node, "n_tri": n_tri}))
 
-    winners = bucketed_apply_tasks(
-        prebucketed_apply(tri_partial, merge_counts), [], topk_i
+    counts = apply_store(
+        build_bucket_store(partials, None, num_buckets, consolidate=False),
+        merge_counts,
     )
-
-    class _DecodeCount(_LookupJoin):
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            if not len(batch):
-                return pd.DataFrame(
-                    {
-                        "node": pd.Series([], dtype=object),
-                        "n_tri": pd.Series([], dtype="int64"),
-                    }
-                )
-            return pd.DataFrame(
-                {
-                    "node": self._mapping(
-                        batch["node"], "nid", "node"
-                    ).to_numpy(),
-                    "n_tri": batch["n_tri"].astype("int64").to_numpy(),
-                }
-            )
-
-    return winners.map_batches(
-        _DecodeCount(rev_store, num_buckets),
-        batch_format="pandas",
-        batch_size=None,
-    ).sort("node")
+    winners = bucketed_apply_tasks(counts, [], topk)
+    return _decode(winners, rev_store, num_buckets, "n_tri", "n_tri")
 
 
 def triangles_oracle_sql(edges_cte: str, k: int = TRIANGLE_TOPK_K) -> str:

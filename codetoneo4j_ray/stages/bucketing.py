@@ -2,13 +2,18 @@
 
 ``groupby(key).map_groups(fn)`` invokes Python once per group — with
 millions of distinct keys that is pure interpreter overhead. Instead we
-hash keys into a bounded number of buckets (one shuffle, same as any
-groupby), then run a *vectorized* pandas function once per bucket; every
-row of a given key lands in exactly one bucket, so per-key semantics
-(dedup, LWW winner, aggregation) stay exact. The bucket count is the
-reduce-side parallelism; it comes from the cluster (``target_blocks()``),
-not a constant, because every bucket costs a task. Hot single keys are
-still collapsed beforehand by map-side combine in the callers.
+hash keys into a bounded number of buckets, split every input block
+into per-bucket object-store pieces with raw tasks (one wave), then run
+a *vectorized* pandas function once per bucket in one task per bucket;
+every row of a given key lands in exactly one bucket, so per-key
+semantics (dedup, LWW winner, aggregation) stay exact. The same split
+either feeds that apply wave once (:func:`bucketed_apply_tasks`) or is
+pinned as a :class:`BucketStore` that iterative and lookup consumers
+read many times (:func:`build_bucket_store`, optionally reduced per
+bucket on the way in). The bucket count is the reduce-side parallelism;
+it comes from the cluster (``target_blocks()``), not a constant,
+because every bucket costs a task. Hot single keys are still collapsed
+beforehand by map-side combine in the callers.
 """
 
 from __future__ import annotations
@@ -96,6 +101,8 @@ def add_bucket_column(
     return ds.map_batches(add, batch_format="pyarrow")
 
 
+# not used by the library: the benchmark's bucketing probe times this
+# sort-based groupby exchange against bucketed_apply_tasks
 def bucketed_apply(
     ds: ray.data.Dataset,
     key_cols: list[str],
@@ -129,40 +136,23 @@ def bucketed_apply(
     )
 
 
-def prebucketed_apply(
-    ds: ray.data.Dataset, bucket_fn, keep_bucket: bool = False
-) -> ray.data.Dataset:
-    """bucketed_apply over rows that already carry a ``__bucket`` column
-    (e.g. produced by a keep_bucket=True stage or computed map-side with
-    :func:`hash_bucket_series`). One exchange, no re-hash, no coalesce —
-    callers feed it map outputs of already-exchanged datasets, whose
-    block count is bounded by the bucket count, so the sort fan-in is
-    bounded by construction. ``bucket_fn`` receives the bucket-id as a
-    second argument."""
-
-    def apply(group: pd.DataFrame) -> pd.DataFrame:
-        bucket = int(group["__bucket"].iloc[0]) if len(group) else 0
-        out = bucket_fn(group.drop(columns="__bucket"), bucket)
-        if keep_bucket:
-            out = out.copy()
-            out["__bucket"] = np.int32(bucket)
-        return out
-
-    return ds.groupby("__bucket").map_groups(apply, batch_format="pandas")
-
-
 @ray.remote(num_returns=2)
 def _apply_bucket_pieces(fn, *pieces):
-    """(table or None, non_empty): the flag is its own small object so
-    the driver learns which buckets are empty without fetching tables."""
+    """One bucket's task: ``fn`` over the pandas concatenation of the
+    bucket's pieces, or the plain Arrow concatenation when ``fn`` is
+    None. Returns (table or None, non_empty): the flag is its own small
+    object so the driver learns which buckets are empty without
+    fetching tables."""
     tabs = [t for t in pieces if t is not None and t.num_rows]
     if not tabs:
         return None, False
     # permissive: blocks of a unioned input legitimately disagree on
     # all-null column types (null vs the real dtype) — promote like the
     # sort-based exchange did instead of failing the concat
-    df = pa.concat_tables(tabs, promote_options="permissive").to_pandas()
-    out = fn(df)
+    table = pa.concat_tables(tabs, promote_options="permissive")
+    if fn is None:
+        return table, True
+    out = fn(table.to_pandas())
     if not len(out):
         # empty frames re-infer object columns as null-type through
         # Arrow — drop the block instead of poisoning the union schema
@@ -176,20 +166,16 @@ def bucketed_apply_tasks(
     bucket_fn,
     num_buckets: int | None = None,
 ) -> ray.data.Dataset:
-    """bucketed_apply via raw split tasks + one task per bucket instead
-    of a sort-based groupby exchange. Same exactness contract (every
-    row of a key lands in exactly one bucket, ``bucket_fn`` must not
-    depend on bucket identity); ``bucket_fn`` must be picklable
-    (module-level). Wins when the exchange is one-shot and the
-    group-by's sort/sample machinery would dominate — the linking
-    exchange, not iterative consumers (those pin a BucketStore and run
-    their own loops). ``num_buckets`` defaults to ``target_blocks()``;
-    empty ``key_cols`` (one global group) always use one bucket. Empty
-    buckets produce no block: each apply task returns a non-empty flag
-    beside its table, and the driver fetches only the flags. The store
-    is built unconsolidated: the apply task concatenates its bucket's
-    pieces anyway, so the per-bucket concat layer would only add a task
-    wave plus one extra object-store copy of the whole input."""
+    """Hash rows into buckets by ``key_cols`` with raw split tasks, then
+    run ``bucket_fn(pandas_df)`` once per bucket in one task per bucket
+    (:func:`apply_store`) — no sort-based groupby exchange. Every row
+    of a key lands in exactly one bucket, and ``bucket_fn`` must not
+    depend on bucket identity. ``num_buckets`` defaults to
+    ``target_blocks()``; empty ``key_cols`` (one global group) always
+    use one bucket. The split is left unconsolidated: the apply task
+    concatenates its bucket's pieces anyway, so a per-bucket concat
+    layer would only add a task wave plus one extra object-store copy
+    of the whole input."""
     if not key_cols:
         num_buckets = 1
     elif num_buckets is None:
@@ -198,15 +184,7 @@ def bucketed_apply_tasks(
         add_bucket_column(ds, key_cols, num_buckets), None, num_buckets,
         consolidate=False,
     )
-    refs = [
-        _apply_bucket_pieces.remote(bucket_fn, *store.pieces[k])
-        for k in range(num_buckets)
-    ]
-    flags = ray.get([flag for _, flag in refs])
-    done = [table for (table, _), ok in zip(refs, flags) if ok]
-    if not done:
-        return ray.data.from_pandas(pd.DataFrame())
-    return ray.data.from_arrow_refs(done)
+    return apply_store(store, bucket_fn)
 
 
 def sampled_range_bounds(
@@ -288,10 +266,11 @@ def hash_bucket_frame(
 # ---------------------------------------------------------------------------
 # Pinned bucket store: the partitioned-broadcast side of iterative and
 # lookup joins. The big side is hashed into per-bucket object-store
-# pieces ONCE; consumers (actor pools) fetch only the buckets their
-# batch touches and cache them. This is what lets PageRank move the
-# edge list a single time instead of once per iteration, and lets
-# wedge-closing in triangle counting avoid shuffling the wedge stream.
+# pieces ONCE; consumers (raw tasks and map_batches callables) fetch
+# only the buckets they touch and keep them in a per-process cache.
+# This is what lets PageRank move the edge list a single time instead
+# of once per iteration, and lets wedge-closing in triangle counting
+# avoid shuffling the wedge stream.
 # At cluster scale each piece lives in the object store (spillable) and
 # is served to whichever node asks. Callers size the store with
 # target_blocks(), so at a fixed cluster size a bucket grows with the
@@ -351,43 +330,40 @@ class BucketStore:
         self.token = f"{first.hex() if first is not None else ''}:{num_buckets}"
 
 
-@ray.remote
-def _concat_pieces(*tables):
-    ts = [t for t in tables if t is not None]
-    if not ts:
-        return None
-    # see _apply_bucket_pieces: unioned inputs can carry null-typed
-    # all-null columns in some blocks
-    return pa.concat_tables(ts, promote_options="permissive")
-
-
 def build_bucket_store(
     ds: ray.data.Dataset,
     key_cols: list[str] | None,
     num_buckets: int,
     consolidate: bool = True,
+    reduce_fn=None,
 ) -> BucketStore:
     """Pin ``ds`` into a BucketStore keyed by ``key_cols``. Pass
-    key_cols=None when rows already carry __bucket (keep_bucket=True
-    upstream) to skip the re-hash pass.
+    key_cols=None when rows already carry __bucket (tagged map-side)
+    to skip the re-hash pass.
 
     Input blocks are grouped to at most ~2× cluster CPUs split tasks
     (contiguous chunks, so per-bucket row order is identical to an
     ungrouped split): a fragmented input would otherwise create
     O(blocks × buckets) tiny objects in the split wave.
 
-    With ``consolidate=True`` (default) each bucket is consolidated to
-    ONE object (a second, per-bucket concat task layer) whenever the
-    split produced multiple pieces: a store handle then carries
-    num_buckets refs instead of num_groups × num_buckets. The handle
-    rides inside every map task of every consumer stage, and each
-    ObjectRef costs serialization + ownership registration per task —
-    for an iterative consumer (PageRank, label propagation) the
-    unconsolidated 64×64 ref matrix dominated per-iteration wall time.
-    One-shot consumers (``bucketed_apply_tasks``) pass
-    ``consolidate=False``: their single apply wave concatenates the
-    pieces itself, so the concat layer would only re-copy the whole
-    dataset through the object store once more."""
+    ``reduce_fn(pandas_df)`` runs once per bucket over the bucket's
+    whole content and its output is what gets pinned — a dedup or
+    per-key aggregate in the same task that consolidates the bucket,
+    so a reduced store costs one split wave plus one task per bucket,
+    and an empty output pins None. Its output keys must hash to the
+    bucket of the input keys they came from (dedup, aggregate, or
+    columns attached per key), or lookups against the store miss.
+
+    Without ``reduce_fn``, ``consolidate=True`` (default) still runs
+    that per-bucket task as a plain concat whenever the split produced
+    multiple pieces: a store handle then carries num_buckets refs
+    instead of num_groups × num_buckets. The handle rides inside every
+    task of every consumer stage, and each ObjectRef costs
+    serialization + ownership registration per task — for an iterative
+    consumer (PageRank, label propagation) the unconsolidated 64×64 ref
+    matrix dominated per-iteration wall time. One-shot consumers
+    (``bucketed_apply_tasks``) pass ``consolidate=False``: their single
+    apply wave concatenates the pieces itself."""
     if key_cols is not None:
         ds = add_bucket_column(ds, key_cols, num_buckets)
     mat = ds.materialize()
@@ -410,15 +386,29 @@ def build_bucket_store(
         # num_returns=1 yields a bare ObjectRef, not a 1-list
         per_group = [[r] for r in per_group]
     pieces = [[pg[k] for pg in per_group] for k in range(num_buckets)]
-    if consolidate and len(per_group) > 1:
-        pieces = [[_concat_pieces.remote(*p)] for p in pieces]
+    if reduce_fn is not None or (consolidate and len(per_group) > 1):
+        pieces = [[_apply_bucket_pieces.remote(reduce_fn, *p)[0]] for p in pieces]
     return BucketStore(pieces, num_buckets)
 
 
+def apply_store(store: BucketStore, fn) -> ray.data.Dataset:
+    """Run ``fn(pandas_df)`` once per bucket of ``store`` (one task per
+    bucket) and return the outputs as a Dataset. Empty buckets produce
+    no block: each task returns a non-empty flag beside its table, and
+    the driver fetches only the flags."""
+    refs = [_apply_bucket_pieces.remote(fn, *p) for p in store.pieces]
+    flags = ray.get([flag for _, flag in refs])
+    done = [table for (table, _), ok in zip(refs, flags) if ok]
+    if not done:
+        return ray.data.from_pandas(pd.DataFrame())
+    return ray.data.from_arrow_refs(done)
+
+
 class BucketCache:
-    """Per-actor LRU over BucketStore buckets (as pandas frames). The
-    cap bounds actor heap: a re-fetch after eviction hits the local
-    object store, not a recompute."""
+    """LRU over BucketStore buckets (as pandas frames), one per store in
+    each worker process (see :func:`process_cache`). The cap bounds the
+    worker's heap: a re-fetch after eviction hits the local object
+    store, not a recompute."""
 
     def __init__(self, store: BucketStore, cap: int = 16):
         self._store = store

@@ -555,6 +555,7 @@ def test_iterative_ops_single_bucket():
         components_over_int,
         pagerank_over,
         sssp_over,
+        triangles_over,
     )
 
     got = components_over_int(
@@ -564,11 +565,14 @@ def test_iterative_ops_single_bucket():
         9: 9, 10: 9, 1000: 9, 42: 42,
     }
 
+    # f1 -> s1 -> s2 plus the closing s2 -> f1: one triangle, and no
+    # new shortest path from the root
     edges = ray.data.from_items(
         [
             {"subj": "repo:r", "obj": "f1", "pred": "src__HAS_FILE"},
             {"subj": "f1", "obj": "s1", "pred": "src__DECLARES"},
             {"subj": "s1", "obj": "s2", "pred": "sym__INVOKES"},
+            {"subj": "s2", "obj": "f1", "pred": "sym__INVOKES"},
         ]
     )
     pairs = edges.select_columns(["subj", "obj"])
@@ -585,3 +589,82 @@ def test_iterative_ops_single_bucket():
         pr = pagerank_over(pairs, num_buckets=nb).to_pandas()
         assert len(pr) == 4
         assert (pr["rank_fp"] > 0).all()
+        tri = triangles_over(pairs, num_buckets=nb).to_pandas()
+        assert dict(zip(tri["node"], tri["n_tri"])) == {
+            "f1": 1, "s1": 1, "s2": 1,
+        }
+
+
+def test_graph_ops_run_without_sort_based_exchange(monkeypatch):
+    """Every graph op runs on the raw-task exchange alone: with
+    ray.data.Dataset.groupby made to raise, the five string ops and
+    components_over_int still match their DuckDB oracles on a graph
+    with a triangle, a self-loop and an unreachable island."""
+    import pandas as pd
+    import ray.data
+
+    from codetoneo4j_ray.pipelines import graph_ops
+
+    rows = [
+        ("r", "src__HAS_FILE", "f"),
+        ("f", "src__DECLARES", "a"),
+        ("a", "sym__INVOKES", "b"),
+        ("b", "sym__INVOKES", "c"),
+        ("c", "sym__INVOKES", "a"),
+        ("b", "sym__DEPENDS_ON", "b"),
+        ("x", "sym__INVOKES", "y"),
+    ]
+
+    def no_groupby(*_a, **_k):
+        raise AssertionError("sort-based groupby exchange used")
+
+    monkeypatch.setattr(ray.data.Dataset, "groupby", no_groupby)
+    con = duckdb.connect()
+    con.register(
+        "edge_rows", pd.DataFrame(rows, columns=["subj", "pred", "obj"])
+    )
+    cte = "all_edges AS (SELECT subj, pred, obj FROM edge_rows)"
+
+    def canon(df):
+        return sorted(map(tuple, df.astype(str).to_numpy().tolist()))
+
+    for op in ("pagerank", "components", "bfs_depth", "sssp", "triangles"):
+        got = getattr(graph_ops, f"{op}_over")(_edges_ds(rows)).to_pandas()
+        want = con.execute(getattr(graph_ops, f"{op}_oracle_sql")(cte)).df()
+        assert len(got) > 0, op
+        assert list(got.columns) == list(want.columns), op
+        assert canon(got) == canon(want), op
+
+    ids = {n: i for i, n in enumerate(sorted({r[0] for r in rows}
+                                             | {r[2] for r in rows}))}
+    int_rows = [(ids[a], p, ids[b]) for a, p, b in rows]
+    con.register(
+        "int_rows", pd.DataFrame(int_rows, columns=["subj", "pred", "obj"])
+    )
+    got = graph_ops.components_over_int(
+        _int_pairs_ds([(a, b) for a, _, b in int_rows])
+    ).to_pandas()
+    want = con.execute(graph_ops.components_oracle_sql(
+        "all_edges AS (SELECT subj, pred, obj FROM int_rows)")).df()
+    assert canon(got) == canon(want)
+
+
+def test_reduce_by_matches_pandas_groupby():
+    """_reduce_by (the per-key int64 sum/min inside the rank, label and
+    triangle-count tasks) equals pandas' groupby, sums past 2**53
+    included, and passes empty input through."""
+    import numpy as np
+    import pandas as pd
+
+    from codetoneo4j_ray.pipelines.graph_ops import _reduce_by
+
+    rng = np.random.default_rng(5)
+    keys = rng.integers(-50, 50, 500) * 2**40
+    vals = rng.integers(0, 2**58, 500)
+    for op, how in ((np.add, "sum"), (np.minimum, "min")):
+        k, v = _reduce_by(keys, vals, op)
+        ref = pd.Series(vals).groupby(keys).agg(how)
+        assert k.tolist() == ref.index.tolist()
+        assert v.tolist() == ref.tolist()
+    k, v = _reduce_by([], [])
+    assert len(k) == len(v) == 0
