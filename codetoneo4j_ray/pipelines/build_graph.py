@@ -55,58 +55,71 @@ from codetoneo4j_ray.state.manifest import (
 CORPUS_COLUMNS = ["repo", "path", "commit", "lang", "content"]
 
 
-def read_corpus(input_path: str) -> ray.data.Dataset:
-    from codetoneo4j_ray.stages.bucketing import target_blocks
+def read_corpus(
+    input_path: str, content_bytes: int | None = None
+) -> ray.data.Dataset:
+    """The corpus in ``blocks_for(content bytes, cluster_cpus())``
+    blocks: every downstream op inherits the count (extraction runs one
+    task per block, so each CPU gets one), and Ray's all-to-all
+    exchanges degrade quadratically with it. ``content_bytes`` is
+    :func:`corpus_content_bytes`, read here from the footers when the
+    caller has not already."""
+    from codetoneo4j_ray.stages.bucketing import blocks_for, cluster_cpus
 
-    # bound block count up front: every downstream op inherits it, and
-    # Ray's all-to-all exchanges degrade quadratically with block count
+    if content_bytes is None:
+        content_bytes = corpus_content_bytes(input_path)
     return ray.data.read_parquet(
-        input_path, columns=CORPUS_COLUMNS, override_num_blocks=target_blocks()
+        input_path, columns=CORPUS_COLUMNS,
+        override_num_blocks=blocks_for(content_bytes, cluster_cpus()),
     )
 
 
-def read_corpus_pinned(input_path: str) -> ray.data.Dataset:
+def read_corpus_pinned(
+    input_path: str, content_bytes: int | None = None
+) -> ray.data.Dataset:
     """:func:`read_corpus`, materialized into the object store when the
     corpus content fits a quarter of the cluster's object-store memory
     (``ray.cluster_resources()``; no Ray session yet → stream). The rest
     of the store holds the pinned records and the exchange blocks.
 
-    A single-parquet-file corpus is read by ONE task whose SplitBlocks
-    output drips through the streaming executor block by block (measured
-    ~3.3 s for a 0.1 s read at bench scale) — and stage 1 pays that drip
-    twice (pass-A skim + pass-B extraction). Pinning the blocks once
-    makes both passes read local plasma (skim map 3.7 → 0.7 s). At
-    100 TB the corpus is many files (parallel read tasks, no drip) and
-    exceeds the budget, so it streams exactly as before."""
-    ds = read_corpus(input_path)
+    Stage 1 reads the corpus twice (pass-A skim + pass-B extraction),
+    and a single-parquet-file corpus split into several blocks drips
+    through the streaming executor block by block; pinning the blocks
+    once makes both passes read local plasma. At 100 TB the corpus is
+    many files (parallel read tasks, no drip) and exceeds the budget,
+    so it streams."""
+    if content_bytes is None:
+        content_bytes = corpus_content_bytes(input_path)
+    ds = read_corpus(input_path, content_bytes)
     store = (ray.cluster_resources().get("object_store_memory", 0)
              if ray.is_initialized() else 0)
-    est = corpus_content_bytes(input_path)
-    if est is not None and est <= int(store) // 4:
+    if content_bytes is not None and content_bytes <= int(store) // 4:
         ds = ds.materialize()
     return ds
 
 
+def read_parquet_sized(path: str, **kwargs) -> ray.data.Dataset:
+    """``read_parquet`` in ``blocks_for`` of the files' footer bytes
+    (:func:`parquet_bytes`) blocks. Ray's default read parallelism
+    splits a metadata-sized file into a dozen blocks, and every
+    downstream map runs one task per block."""
+    from codetoneo4j_ray.stages.bucketing import blocks_for
+
+    return ray.data.read_parquet(
+        path, override_num_blocks=blocks_for(parquet_bytes(path)), **kwargs
+    )
+
+
 def read_records(records_dir: str, rec_type: str | None = None) -> ray.data.Dataset:
-    """Read the (hive-partitioned by rec_type) records checkpoint.
+    """Read the (hive-partitioned by rec_type) records checkpoint, sized
+    from its footers (:func:`read_parquet_sized`).
 
     ``rec_type=...`` reads only that partition's files — the row-group
     pruning that lets the files/symbols stages skip the mention bulk.
     A partition dir that was never written (e.g. a corpus producing zero
-    mentions) reads as a typed empty dataset, not a crash.
-
-    Block count is bounded to target_blocks() like the corpus read:
-    Ray's default read parallelism splits the mention partition into
-    ~13 blocks per file (208 at bench scale), and every downstream map
-    runs one task per block while the output sort's shuffle-object
-    count grows with fan-in — bounding at the source is cheaper than
-    coalescing after."""
-    from codetoneo4j_ray.stages.bucketing import target_blocks
-
+    mentions) reads as a typed empty dataset, not a crash."""
     if rec_type is None:
-        return ray.data.read_parquet(
-            records_dir, override_num_blocks=target_blocks()
-        )
+        return read_parquet_sized(records_dir)
     part_dir = f"{records_dir}/rec_type={rec_type}"
     if not os.path.isdir(part_dir):
         from codetoneo4j_ray.stages.extract import RECORD_SCHEMA
@@ -114,9 +127,7 @@ def read_records(records_dir: str, rec_type: str | None = None) -> ray.data.Data
         # partition-dir reads drop the hive column; match that shape
         empty = pa.schema([f for f in RECORD_SCHEMA if f.name != "rec_type"])
         return ray.data.from_arrow(empty.empty_table())
-    return ray.data.read_parquet(
-        part_dir, override_num_blocks=target_blocks()
-    )
+    return read_parquet_sized(part_dir)
 
 
 def _structural_input(records_dir, symbols, files):
@@ -201,7 +212,7 @@ def _symbol_edges(raw_mentions, symbols, mode):
     )
 
 
-def _edges_output(raw_mentions, symbols, records, mode, no_key):
+def _edges_output(raw_mentions, symbols, records, mode, no_key, num_blocks):
     from codetoneo4j_ray.stages.canonicalize import distinct_sorted
 
     # dedup/distinct fused into the output's range-partitioned sort: ONE
@@ -209,22 +220,34 @@ def _edges_output(raw_mentions, symbols, records, mode, no_key):
     return distinct_sorted(
         _symbol_edges(raw_mentions, symbols, mode).union(
             structural_edges(records, include_project=not no_key)
-        )
+        ),
+        num_blocks,
     )
 
 
-def _nodes_output(symbols):
+def _nodes_output(symbols, num_blocks):
     from codetoneo4j_ray.stages.canonicalize import _TIEBREAK, lww_sorted
 
     # finalize (truncate-8000 + projection) runs BEFORE the node shuffle
     # so untruncated doc strings never move
-    return lww_sorted(finalize_nodes(symbols), "key", _TIEBREAK)
+    return lww_sorted(finalize_nodes(symbols), "key", _TIEBREAK, num_blocks)
 
 
-def _files_output(files):
+def _files_output(files, num_blocks):
     from codetoneo4j_ray.stages.canonicalize import _FILE_TIEBREAK, lww_sorted
 
-    return lww_sorted(finalize_files(files), "key", _FILE_TIEBREAK)
+    return lww_sorted(finalize_files(files), "key", _FILE_TIEBREAK, num_blocks)
+
+
+def _output_blocks(records, records_dir) -> int:
+    """Block count of the three output sorts: ``blocks_for`` the pinned
+    records' bytes (block metadata), or the checkpoint's footer bytes
+    when stages 2–4 read it instead."""
+    from codetoneo4j_ray.stages.bucketing import blocks_for
+
+    if records is not None:
+        return blocks_for(records.size_bytes())
+    return blocks_for(parquet_bytes(records_dir))
 
 
 # The broadcast path assembles the type index, the member index and the
@@ -239,24 +262,36 @@ _DRIVER_BYTES_PER_CONTENT_BYTE = 3
 _PARTITIONED_MIN_CPUS = 32
 
 
+def _footers(path: str) -> list:
+    """Parquet footers (``FileMetaData``) of ``path`` or of every
+    ``.parquet`` file below it."""
+    import pyarrow.parquet as pq
+
+    paths = []
+    if os.path.isdir(path):
+        for root, _dirs, files in os.walk(path):
+            paths += [os.path.join(root, f) for f in files
+                      if f.endswith(".parquet")]
+    else:
+        paths = [path]
+    return [pq.ParquetFile(p).metadata for p in paths]
+
+
+def parquet_bytes(path: str) -> int:
+    """Uncompressed bytes of every row group under ``path``, from the
+    footers only (no data read)."""
+    return sum(md.row_group(rg).total_byte_size
+               for md in _footers(path) for rg in range(md.num_row_groups))
+
+
 def corpus_content_bytes(input_path: str) -> int | None:
     """Uncompressed byte size of the corpus ``content`` column, from
     parquet footers only (no data read). None when the estimate can't
     be made (missing column / non-parquet input)."""
-    import pyarrow.parquet as pq
-
-    paths = []
-    if os.path.isdir(input_path):
-        for root, _dirs, files in os.walk(input_path):
-            paths += [os.path.join(root, f) for f in files
-                      if f.endswith(".parquet")]
-    else:
-        paths = [input_path]
     total = 0
     seen = False
     try:
-        for p in paths:
-            md = pq.ParquetFile(p).metadata
+        for md in _footers(input_path):
             names = {md.schema.column(i).name: i
                      for i in range(md.num_columns)}
             if "content" not in names:
@@ -308,11 +343,15 @@ def graph_from_records(
     Returns lazy datasets: nodes, edges, files.
     """
     mode = resolve_mode(corpus_bytes)
+    if records is not None:
+        records = records.materialize()
+    nb = _output_blocks(records, records_dir)
     symbols, files, raw_mentions, records = _record_parts(records, records_dir)
     return {
-        "nodes": _nodes_output(symbols),
-        "edges": _edges_output(raw_mentions, symbols, records, mode, no_key),
-        "files": _files_output(files),
+        "nodes": _nodes_output(symbols, nb),
+        "edges": _edges_output(raw_mentions, symbols, records, mode, no_key,
+                               nb),
+        "files": _files_output(files, nb),
     }
 
 
@@ -326,7 +365,8 @@ def build_graph(
     batch_size: int = 64,
 ) -> dict:
     """Full run with a records checkpoint; returns metrics."""
-    mode = resolve_mode(corpus_content_bytes(input_path))
+    content_bytes = corpus_content_bytes(input_path)
+    mode = resolve_mode(content_bytes)
     pkg_stat = None
     if packages_path is not None:
         import os
@@ -349,7 +389,7 @@ def build_graph(
     records = None
     t0 = time.perf_counter()
     if not (resume and stage_is_complete(out_dir, "records", fp)):
-        corpus = read_corpus_pinned(input_path)
+        corpus = read_corpus_pinned(input_path, content_bytes)
         if mode == "partitioned":
             # multi-node configuration end-to-end: the repo-bucketed
             # extraction holds per-bucket indices only — nothing on the
@@ -426,6 +466,7 @@ def write_graph(
     # thread does the serial stage-2 prep (broadcast-mode member index +
     # key set), overlapping that latency instead of gating all three
     # writes behind it.
+    nb = _output_blocks(records, records_dir)
     symbols, files, raw_mentions, records_in = _record_parts(
         records, records_dir if records is None else None
     )
@@ -433,14 +474,14 @@ def write_graph(
 
     def write_one(name: str) -> tuple[str, int]:
         if name == "nodes":
-            ds = _nodes_output(symbols)
+            ds = _nodes_output(symbols, nb)
         elif name == "files":
-            ds = _files_output(files)
+            ds = _files_output(files, nb)
             if files_post is not None:
                 ds = files_post(ds)
         else:
             ds = _edges_output(raw_mentions, symbols, records_in, mode,
-                               no_key)
+                               no_key, nb)
         path = f"{out_dir}/{name}"
         shutil.rmtree(path, ignore_errors=True)
         ds.write_parquet(path)
@@ -491,13 +532,4 @@ def _stub_fsspec_http() -> None:
 
 def _parquet_rows(path: str) -> int:
     """Row count from parquet footers — no dataset re-read."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    total = 0
-    for root, _dirs, files in os.walk(path):
-        for f in files:
-            if f.endswith(".parquet"):
-                total += pq.ParquetFile(os.path.join(root, f)).metadata.num_rows
-    return total
+    return sum(md.num_rows for md in _footers(path))

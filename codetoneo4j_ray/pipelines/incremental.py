@@ -44,6 +44,7 @@ from codetoneo4j_ray.functions.text import sha256_hex
 from codetoneo4j_ray.pipelines.build_graph import (
     corpus_content_bytes,
     read_corpus_pinned,
+    read_parquet_sized,
     read_records,
     resolve_mode,
     write_graph,
@@ -131,7 +132,7 @@ def _diff_vs_prior(
     prior = read_records(f"{prior_out_dir}/records", "file").map_batches(
         prior_live, batch_format="pyarrow"
     )
-    prior_files = ray.data.read_parquet(f"{prior_out_dir}/files")
+    prior_files = read_parquet_sized(f"{prior_out_dir}/files")
     if "deleted" in prior_files.schema().names:
         prior = prior.union(
             prior_files.map_batches(prior_tombs, batch_format="pyarrow")
@@ -247,7 +248,7 @@ def _files_with_tombstones(
         out = out.append_column("deleted", pa.array([True] * n, pa.bool_()))
         return out.append_column("deleted_at", pa.array(ts, pa.int64()))
 
-    tombs = ray.data.read_parquet(prior_files_dir).map_batches(
+    tombs = read_parquet_sized(prior_files_dir).map_batches(
         tomb_rows, batch_format="pyarrow"
     )
     return live_out.union(tombs).sort("key")
@@ -290,7 +291,8 @@ def build_graph_incremental(
         from codetoneo4j_ray.stages.extract import load_pkg_meta
 
         pkg_meta = load_pkg_meta(packages_path)
-    corpus = read_corpus_pinned(input_path)
+    content_bytes = corpus_content_bytes(input_path)
+    corpus = read_corpus_pinned(input_path, content_bytes)
     # pass-A type index over the FULL corpus: a changed file may reference
     # types/namespaces declared in unchanged files (receiver typing, base
     # chains, global usings) — the incremental==full contract requires the
@@ -299,7 +301,7 @@ def build_graph_incremental(
     # with the delta; the skim is the cheap declaration pass. The index
     # (and stage 2's) is corpus-sized, so the path follows build_graph's
     # choice.
-    mode = resolve_mode(corpus_content_bytes(input_path))
+    mode = resolve_mode(content_bytes)
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1) as pool:

@@ -10,9 +10,17 @@ semantics (dedup, LWW winner, aggregation) stay exact. The same split
 either feeds that apply wave once (:func:`bucketed_apply_tasks`) or is
 pinned as a :class:`BucketStore` that iterative and lookup consumers
 read many times (:func:`build_bucket_store`, optionally reduced per
-bucket on the way in). The bucket count is the reduce-side parallelism;
-it comes from the cluster (``target_blocks()``), not a constant,
-because every bucket costs a task. Hot single keys are still collapsed
+bucket on the way in).
+
+Every block and bucket count on the build path comes from one rule,
+:func:`blocks_for`: the bytes the stage carries over Ray Data's own
+minimum block size, capped by ``target_blocks()`` (~2× the cluster's
+CPUs) and floored at the cluster's CPUs for CPU-bound stages. Every
+block and bucket costs a task, so a metadata-sized stage runs in one
+block on any cluster, and only data that fills blocks spreads out. The
+exchanges size themselves after materializing their input, from its
+block metadata, and hash inside the split tasks, so choosing the count
+costs no second execution. Hot single keys are still collapsed
 beforehand by map-side combine in the callers.
 """
 
@@ -28,24 +36,45 @@ import ray.data
 DEFAULT_BUCKETS = 64
 
 
+def cluster_cpus() -> int:
+    """CPUs the Ray session reports (8 with no session)."""
+    try:
+        return int(ray.cluster_resources().get("CPU", 8))
+    except Exception:  # noqa: BLE001
+        return 8
+
+
 def target_blocks() -> int:
-    """Sensible block count for all-to-all ops: ~2× cluster CPUs.
+    """Upper bound on the block count of any all-to-all op: ~2× cluster
+    CPUs.
 
     Ray's sort-based exchanges scale O(blocks²) in task count; feeding
     them hundreds of tiny blocks dominates wall time at small scale.
     """
-    import ray
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:  # noqa: BLE001
-        cpus = 8
-    return max(8, min(256, cpus * 2))
+    return max(8, min(256, cluster_cpus() * 2))
 
 
-def coalesce(ds: ray.data.Dataset) -> ray.data.Dataset:
-    """Repartition down to target_blocks() when the dataset is fragmented."""
-    return ds.repartition(target_blocks())
+def blocks_for(nbytes: int | None, min_blocks: int = 1) -> int:
+    """Block (or bucket) count for a stage carrying ``nbytes``: one per
+    ``DataContext.target_min_block_size`` (Ray Data's floor on block
+    size), at least ``min_blocks``, at most ``target_blocks()``. CPU-
+    bound stages pass ``min_blocks=cluster_cpus()`` so every CPU gets
+    a block. An unknown size (None) gets the cap."""
+    cap = target_blocks()
+    if nbytes is None:
+        return cap
+    per_block = ray.data.DataContext.get_current().target_min_block_size
+    return min(cap, max(min_blocks, -(-int(nbytes) // per_block), 1))
+
+
+def coalesce(ds: ray.data.Dataset, num_blocks: int) -> ray.data.Dataset:
+    """Merge ``ds`` down to ``num_blocks`` blocks. Never splits: a
+    dataset whose plan already yields at most that many blocks passes
+    through untouched (no repartition barrier at all)."""
+    known = ds._plan.initial_num_blocks()
+    if known is not None and known <= num_blocks:
+        return ds
+    return ds.repartition(num_blocks)
 
 
 def _key_strings(batch: pa.Table, col: str) -> pa.ChunkedArray:
@@ -77,26 +106,30 @@ def _hash_bucket(joined: pa.ChunkedArray | pa.Array, num_buckets: int) -> pa.Arr
     return pa.array(h.astype(np.int32), pa.int32())
 
 
+def _bucket_ids(table: pa.Table, key_cols: list[str], num_buckets: int) -> pa.Array:
+    """Bucket id of every row of ``table`` by ``key_cols``; all 0 for
+    empty ``key_cols`` (one global group)."""
+    if not key_cols or not table.num_rows:
+        return pa.array(np.zeros(table.num_rows, np.int32), pa.int32())
+    cols = [_key_strings(table, c) for c in key_cols]
+    if len(cols) == 1:
+        joined = cols[0]
+    else:
+        # \x1f (unit separator), not \x00: pandas' vectorized string
+        # concat silently truncates at NUL, and hash_bucket_frame
+        # must reproduce this join byte-for-byte map-side. Separator
+        # collisions only coarsen bucket identity, never split a key.
+        joined = pc.binary_join_element_wise(*cols, "\x1f")
+    return _hash_bucket(joined, num_buckets)
+
+
 def add_bucket_column(
     ds: ray.data.Dataset, key_cols: list[str], num_buckets: int
 ) -> ray.data.Dataset:
     def add(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("__bucket", pa.array([], pa.int32()))
-        if not key_cols:  # single global group (small final reductions)
-            return batch.append_column(
-                "__bucket", pa.array([0] * batch.num_rows, pa.int32())
-            )
-        cols = [_key_strings(batch, c) for c in key_cols]
-        if len(cols) == 1:
-            joined = cols[0]
-        else:
-            # \x1f (unit separator), not \x00: pandas' vectorized string
-            # concat silently truncates at NUL, and hash_bucket_frame
-            # must reproduce this join byte-for-byte map-side. Separator
-            # collisions only coarsen bucket identity, never split a key.
-            joined = pc.binary_join_element_wise(*cols, "\x1f")
-        return batch.append_column("__bucket", _hash_bucket(joined, num_buckets))
+        return batch.append_column(
+            "__bucket", _bucket_ids(batch, key_cols, num_buckets)
+        )
 
     return ds.map_batches(add, batch_format="pyarrow")
 
@@ -130,7 +163,7 @@ def bucketed_apply(
     if num_buckets is None:
         num_buckets = target_blocks()
     return (
-        coalesce(add_bucket_column(ds, key_cols, num_buckets))
+        coalesce(add_bucket_column(ds, key_cols, num_buckets), target_blocks())
         .groupby("__bucket")
         .map_groups(apply, batch_format="pandas")
     )
@@ -165,24 +198,23 @@ def bucketed_apply_tasks(
     key_cols: list[str],
     bucket_fn,
     num_buckets: int | None = None,
+    min_buckets: int = 1,
 ) -> ray.data.Dataset:
     """Hash rows into buckets by ``key_cols`` with raw split tasks, then
     run ``bucket_fn(pandas_df)`` once per bucket in one task per bucket
     (:func:`apply_store`) — no sort-based groupby exchange. Every row
     of a key lands in exactly one bucket, and ``bucket_fn`` must not
     depend on bucket identity. ``num_buckets`` defaults to
-    ``target_blocks()``; empty ``key_cols`` (one global group) always
-    use one bucket. The split is left unconsolidated: the apply task
-    concatenates its bucket's pieces anyway, so a per-bucket concat
-    layer would only add a task wave plus one extra object-store copy
-    of the whole input."""
+    ``blocks_for(input bytes, min_buckets)``; CPU-bound bucket fns pass
+    ``min_buckets=cluster_cpus()``. Empty ``key_cols`` (one global
+    group) always use one bucket. The split is left unconsolidated:
+    the apply task concatenates its bucket's pieces anyway, so a
+    per-bucket concat layer would only add a task wave plus one extra
+    object-store copy of the whole input."""
     if not key_cols:
         num_buckets = 1
-    elif num_buckets is None:
-        num_buckets = target_blocks()
     store = build_bucket_store(
-        add_bucket_column(ds, key_cols, num_buckets), None, num_buckets,
-        consolidate=False,
+        ds, key_cols, num_buckets, consolidate=False, min_buckets=min_buckets
     )
     return apply_store(store, bucket_fn)
 
@@ -272,25 +304,30 @@ def hash_bucket_frame(
 # of once per iteration, and lets wedge-closing in triangle counting
 # avoid shuffling the wedge stream.
 # At cluster scale each piece lives in the object store (spillable) and
-# is served to whichever node asks. Callers size the store with
-# target_blocks(), so at a fixed cluster size a bucket grows with the
-# data and must still fit a worker's heap.
+# is served to whichever node asks. A store sized by blocks_for keeps
+# buckets near a block's size until the cap; an explicit count (graph
+# ops pass target_blocks()) fixes it, so at a fixed cluster size a
+# bucket grows with the data and must still fit a worker's heap.
 # ---------------------------------------------------------------------------
 
 
 @ray.remote
-def _split_block(num_buckets: int, *blocks):
-    """One shuffle map task: split pre-bucketed block(s) into K pieces
-    (None for empty buckets). Returned as num_returns=K objects so the
-    driver only ever holds refs, never data. Accepts several blocks per
-    task (grouped by the caller) so a fragmented input doesn't create
-    O(blocks × buckets) tiny objects — object creation/registration,
-    not the filter, dominates the wave once blocks outnumber CPUs."""
+def _split_block(num_buckets: int, key_cols: list[str] | None, *blocks):
+    """One shuffle map task: split block(s) into K pieces (None for
+    empty buckets), hashing rows by ``key_cols`` — or, for None, by the
+    ``__bucket`` column the rows were tagged with map-side. Returned as
+    num_returns=K objects so the driver only ever holds refs, never
+    data. Accepts several blocks per task (grouped by the caller) so a
+    fragmented input doesn't create O(blocks × buckets) tiny objects —
+    object creation/registration, not the filter, dominates the wave
+    once blocks outnumber CPUs."""
     tables = []
     for block in blocks:
         if isinstance(block, pd.DataFrame):
             block = pa.Table.from_pandas(block, preserve_index=False)
-        if block.num_rows and "__bucket" in block.column_names:
+        if block.num_rows and (
+            key_cols is not None or "__bucket" in block.column_names
+        ):
             tables.append(block)
     if not tables:
         # num_returns=1 makes the whole return value ONE object — a
@@ -298,15 +335,19 @@ def _split_block(num_buckets: int, *blocks):
         return None if num_buckets == 1 else tuple([None] * num_buckets)
     # permissive: blocks of a unioned input can disagree on all-null
     # column types (null vs the real dtype)
-    table = (
+    body = (
         tables[0]
         if len(tables) == 1
         else pa.concat_tables(tables, promote_options="permissive")
     )
-    ids = table["__bucket"].to_numpy(zero_copy_only=False)
-    body = table.drop_columns(["__bucket"])
+    if key_cols is None:
+        ids = body["__bucket"]
+        body = body.drop_columns(["__bucket"])
+    elif num_buckets > 1:
+        ids = _bucket_ids(body, key_cols, num_buckets)
     if num_buckets == 1:
         return body
+    ids = ids.to_numpy(zero_copy_only=False)
     out = []
     for k in range(num_buckets):
         mask = ids == k
@@ -333,18 +374,21 @@ class BucketStore:
 def build_bucket_store(
     ds: ray.data.Dataset,
     key_cols: list[str] | None,
-    num_buckets: int,
+    num_buckets: int | None = None,
     consolidate: bool = True,
     reduce_fn=None,
+    min_buckets: int = 1,
 ) -> BucketStore:
-    """Pin ``ds`` into a BucketStore keyed by ``key_cols``. Pass
-    key_cols=None when rows already carry __bucket (tagged map-side)
-    to skip the re-hash pass.
+    """Pin ``ds`` into a BucketStore keyed by ``key_cols``; the split
+    tasks hash the rows. Pass key_cols=None when rows already carry
+    __bucket (tagged map-side). ``num_buckets`` defaults to
+    ``blocks_for(input bytes, min_buckets)``, read from the
+    materialized input's block metadata — no second execution.
 
-    Input blocks are grouped to at most ~2× cluster CPUs split tasks
-    (contiguous chunks, so per-bucket row order is identical to an
-    ungrouped split): a fragmented input would otherwise create
-    O(blocks × buckets) tiny objects in the split wave.
+    Input blocks are grouped into ``blocks_for(input bytes,
+    cluster_cpus())`` split tasks (contiguous chunks, so per-bucket row
+    order is identical to an ungrouped split): a fragmented input would
+    otherwise create O(blocks × buckets) tiny objects in the split wave.
 
     ``reduce_fn(pandas_df)`` runs once per bucket over the bucket's
     whole content and its output is what gets pinned — a dedup or
@@ -364,15 +408,16 @@ def build_bucket_store(
     matrix dominated per-iteration wall time. One-shot consumers
     (``bucketed_apply_tasks``) pass ``consolidate=False``: their single
     apply wave concatenates the pieces itself."""
-    if key_cols is not None:
-        ds = add_bucket_column(ds, key_cols, num_buckets)
     mat = ds.materialize()
+    nbytes = mat.size_bytes()
+    if num_buckets is None:
+        num_buckets = blocks_for(nbytes, min_buckets)
     block_refs = [
         br
         for bundle in mat.iter_internal_ref_bundles()
         for br in bundle.block_refs
     ]
-    ngroups = target_blocks()
+    ngroups = blocks_for(nbytes, cluster_cpus())
     if len(block_refs) > ngroups:
         bounds = np.linspace(0, len(block_refs), ngroups + 1).astype(int)
         groups = [
@@ -381,7 +426,7 @@ def build_bucket_store(
     else:
         groups = [[r] for r in block_refs]
     split = _split_block.options(num_returns=num_buckets)
-    per_group = [split.remote(num_buckets, *grp) for grp in groups]
+    per_group = [split.remote(num_buckets, key_cols, *grp) for grp in groups]
     if num_buckets == 1:
         # num_returns=1 yields a bare ObjectRef, not a 1-list
         per_group = [[r] for r in per_group]

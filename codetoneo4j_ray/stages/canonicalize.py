@@ -23,7 +23,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from codetoneo4j_ray.stages.bucketing import coalesce
+from codetoneo4j_ray.stages.bucketing import coalesce, target_blocks
 
 # Total tie-break order: replicated exactly in the DuckDB oracles.
 _TIEBREAK = ["path", "start_line", "end_line", "repo", "namespace", "kind", "accessibility"]
@@ -39,7 +39,8 @@ def _winner_last(df: pd.DataFrame, key: str, order: list[str]) -> pd.DataFrame:
 
 
 def lww_sorted(
-    ds: ray.data.Dataset, key: str, order: list[str]
+    ds: ray.data.Dataset, key: str, order: list[str],
+    num_blocks: int | None = None,
 ) -> ray.data.Dataset:
     """Exact LWW dedup fused into the output sort — ONE exchange.
 
@@ -51,6 +52,10 @@ def lww_sorted(
     fully contained in one block, and a per-block (batch_size=None)
     vectorized winner-pick is globally exact. Map-side combine first so
     hot keys collapse to ≤1 row per input block before the shuffle.
+
+    The sort runs in at most ``num_blocks`` blocks (default
+    ``target_blocks()``); the build passes ``blocks_for`` of the pinned
+    records' bytes.
     """
 
     def winner(batch: pa.Table) -> pa.Table:
@@ -61,15 +66,19 @@ def lww_sorted(
     # sort inherits one reduce partition per upstream block and the
     # shuffle-object count grows quadratically
     return (
-        coalesce(ds.map_batches(winner, batch_format="pyarrow"))
+        coalesce(ds.map_batches(winner, batch_format="pyarrow"),
+                 num_blocks or target_blocks())
         .sort(key)
         .map_batches(winner, batch_format="pyarrow", batch_size=None)
     )
 
 
-def distinct_sorted(edges: ray.data.Dataset) -> ray.data.Dataset:
+def distinct_sorted(
+    edges: ray.data.Dataset, num_blocks: int | None = None
+) -> ray.data.Dataset:
     """Exact distinct (subj, pred, obj) fused into the output sort — ONE
-    exchange (same equal-keys-share-a-block argument as lww_sorted)."""
+    exchange (same equal-keys-share-a-block argument and block count as
+    lww_sorted)."""
 
     def local(batch: pa.Table) -> pa.Table:
         df = batch.select(["subj", "pred", "obj"]).to_pandas().drop_duplicates()
@@ -80,7 +89,8 @@ def distinct_sorted(edges: ray.data.Dataset) -> ray.data.Dataset:
         return pa.Table.from_pandas(df, preserve_index=False, schema=batch.schema)
 
     return (
-        coalesce(edges.map_batches(local, batch_format="pyarrow"))
+        coalesce(edges.map_batches(local, batch_format="pyarrow"),
+                 num_blocks or target_blocks())
         .sort(["subj", "pred", "obj"])
         .map_batches(block_distinct, batch_format="pyarrow", batch_size=None)
     )

@@ -346,7 +346,10 @@ def extract_records_partitioned(
     """
     import pandas as pd
 
-    from codetoneo4j_ray.stages.bucketing import bucketed_apply_tasks
+    from codetoneo4j_ray.stages.bucketing import (
+        bucketed_apply_tasks,
+        cluster_cpus,
+    )
 
     pkg_ref = ray.put(pkg_meta) if pkg_meta is not None else None
 
@@ -419,8 +422,9 @@ def extract_records_partitioned(
             cols[fld.name] = col
         return pa.table(cols, schema=RECORD_SCHEMA)
 
+    # extraction is CPU-bound: at least one bucket per CPU
     return bucketed_apply_tasks(
-        both, ["repo", "__salt"], extract_bucket
+        both, ["repo", "__salt"], extract_bucket, min_buckets=cluster_cpus()
     ).map_batches(to_schema, batch_format="pyarrow")
 
 

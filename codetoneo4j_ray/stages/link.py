@@ -454,7 +454,10 @@ def resolve_link_fused(
     Exact by construction: every salted bucket sees its repo's full
     index + key set, resolution is per-row, and duplicate triples share
     a subj (same salt) so the local distinct still combines them."""
-    from codetoneo4j_ray.stages.bucketing import bucketed_apply_tasks
+    from codetoneo4j_ray.stages.bucketing import (
+        bucketed_apply_tasks,
+        cluster_cpus,
+    )
 
     def keys_as_rows(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
@@ -508,6 +511,8 @@ def resolve_link_fused(
 
     salted = e1_in.map_batches(add_salt, batch_format="pyarrow")
     # raw split-tasks + one resolve task per bucket: the one-shot
-    # linking exchange skips the groupby's sort/sample machinery
+    # linking exchange skips the groupby's sort/sample machinery; the
+    # Python resolution loop is CPU-bound, so every CPU gets a bucket
     return bucketed_apply_tasks(salted, ["repo", "__salt"],
-                                _bucket_resolve_and_filter)
+                                _bucket_resolve_and_filter,
+                                min_buckets=cluster_cpus())

@@ -321,10 +321,11 @@ def test_grouped_split_preserves_bucket_row_order(ray_session):
 
 def test_bucketed_apply_tasks_sizes_from_target_blocks(ray_session,
                                                        monkeypatch):
-    """With no count, the raw-task exchange uses target_blocks() buckets:
-    at most that many output blocks (empty buckets dropped), the same
-    rows as the groupby path. A []-keyed global reduction runs in one
-    bucket whatever target_blocks() says."""
+    """With no count, the raw-task exchange sizes its buckets from the
+    input bytes, capped by target_blocks(): at most that many output
+    blocks (empty buckets dropped), the same rows as the groupby path.
+    A []-keyed global reduction runs in one bucket whatever
+    target_blocks() says."""
     import ray.data
 
     from codetoneo4j_ray.stages import bucketing
@@ -357,3 +358,83 @@ def test_bucketed_apply_tasks_sizes_from_target_blocks(ray_session,
     total = bucketing.bucketed_apply_tasks(tasks, [], _total)
     assert total.num_blocks() == 1
     assert total.to_pandas()["n"].tolist() == [sum(range(600))]
+
+
+def test_blocks_for_sizes_from_bytes(ray_session, monkeypatch):
+    """blocks_for: one block per target_min_block_size of input, at
+    least min_blocks, at most target_blocks(); unknown size → the cap."""
+    import ray
+    import ray.data
+
+    from codetoneo4j_ray.stages import bucketing
+    from codetoneo4j_ray.stages.bucketing import blocks_for, cluster_cpus
+
+    per_block = ray.data.DataContext.get_current().target_min_block_size
+    cap = bucketing.target_blocks()
+    assert blocks_for(0) == 1
+    assert blocks_for(10) == 1
+    assert blocks_for(per_block) == 1
+    assert blocks_for(per_block + 1) == 2
+    assert blocks_for(10**15) == cap
+    assert blocks_for(None) == cap
+    assert blocks_for(10, min_blocks=3) == 3
+    # a CPU-bound stage keeps one block per CPU even on tiny input
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 32.0})
+    assert cluster_cpus() == 32
+    assert blocks_for(10, min_blocks=cluster_cpus()) >= 32
+
+
+def test_global_reduction_stays_one_bucket(ray_session, monkeypatch):
+    """A []-keyed reduction runs in one bucket even when the byte rule
+    would give every other exchange the cap."""
+    import ray.data
+
+    from codetoneo4j_ray.stages import bucketing
+
+    ctx = ray.data.DataContext.get_current()
+    monkeypatch.setattr(ctx, "target_min_block_size", 1)
+    df = pd.DataFrame({"key": [f"k{i % 50}" for i in range(500)],
+                       "v": range(500)})
+    ds = ray.data.from_pandas([df.iloc[:250], df.iloc[250:]])
+    keyed = bucketing.bucketed_apply_tasks(
+        ds, ["key"], lambda d: d, min_buckets=4
+    ).materialize()
+    assert keyed.num_blocks() > 1
+    total = bucketing.bucketed_apply_tasks(
+        keyed, [], lambda d: pd.DataFrame({"n": [int(d["v"].sum())]}),
+        min_buckets=4,
+    )
+    assert total.num_blocks() == 1
+    assert total.to_pandas()["n"].tolist() == [sum(range(500))]
+
+
+def test_coalesce_never_raises_block_count(ray_session):
+    import ray.data
+
+    from codetoneo4j_ray.stages.bucketing import coalesce
+
+    df = pd.DataFrame({"a": range(100)})
+    one = ray.data.from_pandas(df)
+    assert coalesce(one, 8).materialize().num_blocks() == 1
+    six = ray.data.from_pandas([df.iloc[i::6] for i in range(6)])
+    merged = coalesce(six, 2).materialize()
+    assert merged.num_blocks() == 2
+    assert sorted(merged.to_pandas()["a"]) == list(range(100))
+
+
+def test_build_writes_outputs_sized_from_records(ray_session, tmp_path):
+    """A metadata-sized build writes each output in at most
+    blocks_for(records bytes) files, not one per target_blocks()."""
+    import os
+
+    from codetoneo4j_ray.pipelines.build_graph import build_graph, parquet_bytes
+    from codetoneo4j_ray.sources.synth import ensure_corpus
+    from codetoneo4j_ray.stages.bucketing import blocks_for
+
+    out = str(tmp_path / "kg")
+    build_graph(ensure_corpus("/root/testdata/sf0.001"), out, resume=False)
+    want = blocks_for(parquet_bytes(f"{out}/records"))
+    for name in ("nodes", "edges", "files"):
+        files = [f for f in os.listdir(f"{out}/{name}")
+                 if f.endswith(".parquet")]
+        assert 1 <= len(files) <= want, (name, len(files), want)

@@ -279,10 +279,15 @@ def test_modes_agree_on_cross_repo_shaped_corpus(tmp_path, add_alive_node,
 def test_outputs_do_not_depend_on_bucket_count(tmp_path, monkeypatch,
                                                add_alive_node,
                                                fused_link_calls):
-    """Every exchange takes its bucket count from ``target_blocks()``;
-    the graph must not depend on it. On both paths, a full build and an
-    incremental rebuild over an edited copy write the same nodes, edges
-    and files (as multisets) with 1 bucket as with 5."""
+    """Every block and bucket count comes from ``blocks_for``, capped by
+    ``target_blocks()``; the graph must not depend on it. With a 1-byte
+    minimum block size every count reaches the cap, so on both paths a
+    full build and an incremental rebuild over an edited copy run with
+    1 bucket and with 5, and must write the same nodes, edges and files
+    (as multisets). The 5-bucket builds write each output in at least 2
+    files, so more than one bucket was exercised."""
+    import os
+
     import pyarrow.parquet as pq
     import ray.data as rd
 
@@ -314,9 +319,22 @@ def test_outputs_do_not_depend_on_bucket_count(tmp_path, monkeypatch,
         monkeypatch.setattr(bucketing, "target_blocks", lambda: nb)
         full = str(tmp_path / f"{path}_{nb}_full")
         incr = str(tmp_path / f"{path}_{nb}_incr")
-        build_graph(v1, full)
-        build_graph_incremental(v2, full, incr, deleted_at_sec=1_700_000_000)
+        # batch_size=8: at the default 64 the 56-file corpus reaches the
+        # broadcast extraction as one batch, i.e. one records block,
+        # and the output sorts never merge more blocks than they get
+        build_graph(v1, full, batch_size=8)
+        build_graph_incremental(v2, full, incr, batch_size=8,
+                                deleted_at_sec=1_700_000_000)
+        if nb > 1:
+            for out in (full, incr):
+                for n in ("nodes", "edges", "files"):
+                    written = [f for f in os.listdir(f"{out}/{n}")
+                               if f.endswith(".parquet")]
+                    assert len(written) >= 2, (path, out, n, written)
         return tables(full), tables(incr)
+
+    monkeypatch.setattr(rd.DataContext.get_current(),
+                        "target_min_block_size", 1)
 
     for path in ("broadcast", "partitioned"):
         if path == "partitioned":
