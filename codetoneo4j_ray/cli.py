@@ -18,7 +18,8 @@ Option parity:
   --no-key              null repoKey: keys become ":{display}", no
                         Project edges (OptionsBinder.cs:89-99)
   --min-accessibility   accessibility gate (AccessibilityFilter.cs)
-  --batch-size          stage-1 extraction batch size (Program.cs:71-73
+  --batch-size          stage-1 extraction batch size in rows; default
+                        one batch per corpus block (Program.cs:71-73
                         flush batching analog)
   --commits             commits side table → commit subgraph
                         (the --diff-base git-ingestion analog)
@@ -51,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--min-accessibility", default="Private",
                         choices=["Private", "Protected", "Internal",
                                  "ProtectedOrInternal", "Public"])
-        sp.add_argument("--batch-size", type=int, default=64)
+        sp.add_argument("--batch-size", type=int, default=None)
         sp.add_argument("--commits", help="commits side-table parquet")
         sp.add_argument("--packages", help="package-metadata parquet")
         sp.add_argument("--no-resume", action="store_true")

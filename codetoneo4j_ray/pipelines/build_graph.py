@@ -5,20 +5,30 @@
       → [1b] extraction                                 task map_batches
             ⇒ records pinned in the object store; records/ parquet
               checkpoint (resumable) written in the background
-      → [2a] deferred-INVOKES resolution                broadcast member index
-      → [2b] endpoint semi-join                         broadcast key set
-      → [3]  node / edge / file dedup                   fused into [4]'s sort
-      → [4]  structural edges, sort, write_parquet      nodes/ edges/ files/
+      → stages 2–4, raw tasks over the pinned records blocks:
+        wave 1  one scan task per block        member/base rows, declared
+                                               keys, bounded key samples
+        driver  member index + key set (broadcast), range bounds
+        wave 2  one map task per block         [2a] deferred-INVOKES
+                                               resolution, [2b] endpoint
+                                               check, [4] structural edges,
+                                               node/file finalize, map-side
+                                               [3] dedup, range split
+        wave 3  one task per (output, range)   [3] sort + dedup, write
+                                               nodes|edges|files/part-k
 
 Stages 2–4 (``write_graph``, shared with ``build_graph_incremental``)
-run one thread per output table over the pinned records.
+run no Ray Data sort and no driver collect: every output is range-
+partitioned on its key (``stages.canonicalize``), so each part file is
+sorted and the parts in name order are globally sorted.
 
 ``resolve_mode`` alone picks how stages 1 and 2 run, from what the Ray
 session reports: the broadcast path above on one node with fewer than
 32 CPUs while the corpus fits the driver-memory budget; otherwise the
 partitioned path, where stage 1 extracts in repo-keyed buckets
 (``extract_records_partitioned``) and [2a]+[2b] are one repo-keyed
-exchange (``resolve_link_fused``), with no driver-side index.
+exchange (``resolve_link_fused``), with no driver-side index, whose
+bucket outputs feed the edges' range split.
 
 Every shuffle is metadata-only (keys + record rows); file *content*
 never moves past stage 1b. The reference's pipeline equivalence is the
@@ -28,23 +38,44 @@ full-index run (``SolutionProcessor.ProcessSolution``, SURVEY §3.1).
 from __future__ import annotations
 
 import os
+import shutil
 
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import ray
 import ray.data
 
 from codetoneo4j_ray.extractors.accessibility import DEFAULT_MIN_ACCESSIBILITY
-from codetoneo4j_ray.stages.extract import build_type_index, extract_records
+from codetoneo4j_ray.extractors.csharp.extractor import BASE_PRED, MEMBER_PRED
+from codetoneo4j_ray.schema import TRIPLE_SCHEMA
+from codetoneo4j_ray.stages.canonicalize import (
+    EDGES,
+    FILES,
+    NODES,
+    SAMPLE_KEYS,
+    canonical,
+    key_sample,
+    range_bounds,
+    reduce_range,
+    split_ranges,
+)
+from codetoneo4j_ray.stages.extract import (
+    RECORD_SCHEMA,
+    build_type_index,
+    extract_records,
+)
 from codetoneo4j_ray.stages.link import (
-    build_member_indices,
-    resolve_edges_broadcast,
+    MENTION_COLS,
+    _endpoint_filter_batch,
+    _member_indices,
+    _resolve_batch,
     resolve_link_fused,
-    resolve_mentions,
-    symbol_key_set,
 )
 from codetoneo4j_ray.stages.materialize import (
     finalize_files,
     finalize_nodes,
-    structural_edges,
+    structural_edges_batch,
 )
 from codetoneo4j_ray.state.manifest import (
     corpus_fingerprint,
@@ -130,126 +161,6 @@ def read_records(records_dir: str, rec_type: str | None = None) -> ray.data.Data
     return read_parquet_sized(part_dir)
 
 
-def _structural_input(records_dir, symbols, files):
-    """symbol ∪ file ∪ url partitions, re-tagged with the hive column
-    (partition-dir reads drop it) — the mention bulk never gets read."""
-    import functools
-    import os
-
-    def tag(batch: pa.Table, rt: str) -> pa.Table:
-        # partition-dir reads usually drop the hive column, but some
-        # writers keep it — only add when absent
-        if "rec_type" in batch.column_names:
-            return batch
-        return batch.append_column(
-            "rec_type", pa.array([rt] * batch.num_rows, pa.string())
-        )
-
-    parts = [
-        symbols.map_batches(functools.partial(tag, rt="symbol"),
-                            batch_format="pyarrow"),
-        files.map_batches(functools.partial(tag, rt="file"),
-                          batch_format="pyarrow"),
-    ]
-    url_dir = f"{records_dir}/rec_type=url"
-    if os.path.isdir(url_dir) and any(
-        f.endswith(".parquet") for f in os.listdir(url_dir)
-    ):
-        parts.append(
-            read_records(records_dir, "url").map_batches(
-                functools.partial(tag, rt="url"), batch_format="pyarrow"
-            )
-        )
-    ds = parts[0]
-    for p in parts[1:]:
-        ds = ds.union(p)
-    return ds
-
-
-def _record_parts(records, records_dir):
-    """(symbols, files, raw_mentions, structural-input) from either a
-    hive-partitioned checkpoint dir (partition-pruned reads) or an
-    in-memory record stream."""
-    if records_dir is not None:
-        symbols = read_records(records_dir, "symbol")
-        files = read_records(records_dir, "file")
-        raw_mentions = read_records(records_dir, "mention")
-        # structural edges derive only from symbol/file/url rows — skip
-        # the mention partition (the bulk of the checkpoint) entirely
-        records = _structural_input(records_dir, symbols, files)
-    else:
-        symbols = records.filter(expr="rec_type == 'symbol'")
-        files = records.filter(expr="rec_type == 'file'")
-        raw_mentions = records.filter(expr="rec_type == 'mention'")
-        # same mention-skip as the checkpoint path: structural edges
-        # never derive from mention rows (structural_edges_batch has no
-        # mention branch), so drop the bulk before the Python row scan
-        records = records.filter(expr="rec_type != 'mention'")
-    return symbols, files, raw_mentions, records
-
-
-def _symbol_edges(raw_mentions, symbols, mode):
-    """Stage-2 resolved + endpoint-checked (subj, pred, obj) edges (lazy).
-
-    On the broadcast path this call does the serial driver work (member
-    index + symbol-key set, built concurrently); callers that don't need
-    edges should avoid it."""
-    if mode == "partitioned":
-        # one repo-keyed exchange resolves + endpoint-checks the bulk
-        return resolve_link_fused(raw_mentions, symbols)
-    # the two driver-side broadcast structures read disjoint record
-    # partitions (mention vs symbol) — build them concurrently so the
-    # serial plan-build latency is max(t_members, t_keys), not the sum
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        fut_members = pool.submit(build_member_indices, raw_mentions)
-        fut_keys = pool.submit(symbol_key_set, symbols)
-        member_indices = fut_members.result()
-        symbol_keys = fut_keys.result()
-    return resolve_edges_broadcast(
-        resolve_mentions(raw_mentions, member_indices), symbol_keys
-    )
-
-
-def _edges_output(raw_mentions, symbols, records, mode, no_key, num_blocks):
-    from codetoneo4j_ray.stages.canonicalize import distinct_sorted
-
-    # dedup/distinct fused into the output's range-partitioned sort: ONE
-    # exchange (see canonicalize.lww_sorted for the exactness argument)
-    return distinct_sorted(
-        _symbol_edges(raw_mentions, symbols, mode).union(
-            structural_edges(records, include_project=not no_key)
-        ),
-        num_blocks,
-    )
-
-
-def _nodes_output(symbols, num_blocks):
-    from codetoneo4j_ray.stages.canonicalize import _TIEBREAK, lww_sorted
-
-    # finalize (truncate-8000 + projection) runs BEFORE the node shuffle
-    # so untruncated doc strings never move
-    return lww_sorted(finalize_nodes(symbols), "key", _TIEBREAK, num_blocks)
-
-
-def _files_output(files, num_blocks):
-    from codetoneo4j_ray.stages.canonicalize import _FILE_TIEBREAK, lww_sorted
-
-    return lww_sorted(finalize_files(files), "key", _FILE_TIEBREAK, num_blocks)
-
-
-def _output_blocks(records, records_dir) -> int:
-    """Block count of the three output sorts: ``blocks_for`` the pinned
-    records' bytes (block metadata), or the checkpoint's footer bytes
-    when stages 2–4 read it instead."""
-    from codetoneo4j_ray.stages.bucketing import blocks_for
-
-    if records is not None:
-        return blocks_for(records.size_bytes())
-    return blocks_for(parquet_bytes(records_dir))
-
-
 # The broadcast path assembles the type index, the member index and the
 # symbol-key set on the driver; together they grew driver RSS by 1.5-1.6
 # bytes per byte of corpus content on sf0.1 (39 MB) and 2.7 on sf0.01
@@ -329,30 +240,216 @@ def resolve_mode(corpus_bytes: int | None = None) -> str:
     return "broadcast"
 
 
+_INTERNAL_PREDS = pa.array([MEMBER_PRED, BASE_PRED], pa.string())
+_MEMBER_COLS = ["repo", "pred", "subj", "obj", "ctx_name", "ctx_argc"]
+_OUTPUTS = (("nodes", NODES), ("edges", EDGES), ("files", FILES))
+
+
+def _of_type(block: pa.Table, rt, rec_type: str) -> pa.Table:
+    return block.filter(pc.equal(rt, rec_type))
+
+
+def _internal(mentions: pa.Table):
+    """Mask of the internal __MEMBER__/__BASE__ rows among mentions."""
+    return pc.is_in(mentions["pred"], value_set=_INTERNAL_PREDS)
+
+
+@ray.remote
+def _scan_block(block: pa.Table, broadcast: bool, rate: float):
+    """Wave 1 over one records block: (member/base rows, declared keys)
+    for the broadcast path's driver structures (None otherwise), and the
+    key samples of the node, edge and file outputs (None at rate 0)."""
+    rt = block["rec_type"]
+    symbols = _of_type(block, rt, "symbol")
+    mentions = _of_type(block, rt, "mention")
+    internal = _internal(mentions)
+    members = keys = samples = None
+    if broadcast:
+        members = mentions.filter(internal).select(_MEMBER_COLS)
+        keys = symbols["key"]
+    if rate:
+        # edge subjects: mention subjects and the DECLARES side of the
+        # structural edges — the bulk of both; bounds only set balance
+        subjects = pa.chunked_array(
+            mentions.filter(pc.invert(internal))["subj"].chunks
+            + symbols["file_key"].chunks, pa.string())
+        samples = (key_sample(symbols["key"], rate),
+                   key_sample(subjects, rate),
+                   key_sample(_of_type(block, rt, "file")["key"], rate))
+    return members, keys, samples
+
+
+@ray.remote
+def _map_block(block: pa.Table, link_refs, bounds, no_key: bool):
+    """Wave 2 over one records block: every output's map side. Returns
+    the pieces of nodes, edges and files, one per range of each (in
+    that order), then (mentions_in, mentions_resolved).
+
+    ``link_refs`` = (member-index ref, key-set ref) resolves and
+    endpoint-checks the block's mentions (broadcast path); None leaves
+    them to ``resolve_link_fused`` (partitioned path)."""
+    rt = block["rec_type"]
+    mentions = _of_type(block, rt, "mention")
+    mentions = mentions.filter(pc.invert(_internal(mentions)))
+    edges = [structural_edges_batch(block.filter(pc.not_equal(rt, "mention")),
+                                    include_project=not no_key)]
+    resolved = 0
+    if link_refs is not None:
+        index_ref, keys_ref = link_refs
+        linked = _resolve_batch(mentions.select(MENTION_COLS), index_ref)
+        linked = _endpoint_filter_batch(linked.select(["subj", "pred", "obj"]),
+                                        keys_ref)
+        resolved = linked.num_rows
+        edges.append(linked)
+    # finalize (truncate-8000 + projection) runs before the split, so
+    # untruncated doc strings never move
+    tables = (
+        finalize_nodes(_of_type(block, rt, "symbol")),
+        pa.concat_tables(edges, promote_options="permissive"),
+        finalize_files(_of_type(block, rt, "file")),
+    )
+    pieces = [p for t, (_, canon), b in zip(tables, _OUTPUTS, bounds)
+              for p in split_ranges(canonical(t, canon), canon.split, b)]
+    return (*pieces, (mentions.num_rows, resolved))
+
+
+@ray.remote
+def _map_link_block(block: pa.Table, bounds):
+    """Wave 2 over one ``resolve_link_fused`` output block (partitioned
+    path): the edges' range pieces, then the resolved-row count."""
+    edges = canonical(block.select(["subj", "pred", "obj"]), EDGES)
+    return (*split_ranges(edges, EDGES.split, bounds),
+            pc.sum(block["n"]).as_py())
+
+
+def _empty_output(name: str, files_post=None) -> pa.Table:
+    """The empty table of one output, with the schema its rows have."""
+    if name == "edges":
+        return TRIPLE_SCHEMA.empty_table()
+    empty = RECORD_SCHEMA.empty_table()
+    if name == "nodes":
+        return finalize_nodes(empty)
+    files = finalize_files(empty)
+    return files if files_post is None else files_post(
+        files, lambda keys: pa.array([False] * len(keys), pa.bool_()))
+
+
+def _block_refs(ds: ray.data.Dataset) -> list:
+    """Refs of the materialized ``ds``'s non-empty blocks (empty ones
+    can lack the schema)."""
+    return [br for bundle in ds.iter_internal_ref_bundles()
+            for br, meta in bundle.blocks if meta.num_rows]
+
+
+def _graph_tail(records: ray.data.Dataset, mode: str, no_key: bool,
+                out_dir: str | None = None, files_post=None):
+    """Stages 2–4 over the pinned ``records`` as three raw-task waves
+    (module docstring). Each output has up to ``blocks_for(records'
+    bytes)`` ranges. With ``out_dir`` every non-empty range is written
+    to ``{out_dir}/{output}/part-{k:05d}.parquet``. ``files_post`` runs
+    in each files reduce task (see ``reduce_range``).
+
+    Returns ({output: [(table ref, rows)] per range}, mentions_in,
+    mentions_resolved). Every task submitted here has finished when it
+    returns or raises."""
+    from codetoneo4j_ray.stages.bucketing import blocks_for
+
+    blocks = _block_refs(records)
+    num_ranges = blocks_for(records.size_bytes())
+    nrows = records.count()
+    rate = min(1.0, SAMPLE_KEYS / nrows) if num_ranges > 1 and nrows else 0.0
+    broadcast = mode != "partitioned"
+    submitted: list = []
+
+    def submit(refs):
+        submitted.extend(refs if isinstance(refs, (list, tuple)) else [refs])
+        return refs
+
+    try:
+        scans = []
+        if broadcast or rate:
+            scans = ray.get([submit(_scan_block.remote(b, broadcast, rate))
+                             for b in blocks])
+        link_refs = None
+        if broadcast:
+            members = [m for m, _, _ in scans if m.num_rows]
+            index = (_member_indices(pa.concat_tables(members).to_pandas())
+                     if members else {})
+            keys = frozenset(k for _, ks, _ in scans for k in ks.to_pylist())
+            link_refs = (ray.put(index), ray.put(keys))
+        bounds = [range_bounds([s[i] for _, _, s in scans if s is not None],
+                               num_ranges) for i in range(len(_OUTPUTS))]
+        nret = sum(len(b) + 1 for b in bounds) + 1
+        maps = [submit(_map_block.options(num_returns=nret).remote(
+            b, link_refs, bounds, no_key)) for b in blocks]
+        link_maps = []
+        if not broadcast:
+            linked = resolve_link_fused(
+                records.filter(expr="rec_type == 'mention'"),
+                records.filter(expr="rec_type == 'symbol'"),
+            )
+            link_maps = [submit(_map_link_block.options(
+                num_returns=len(bounds[1]) + 2).remote(b, bounds[1]))
+                for b in _block_refs(linked)]
+
+        outputs: dict = {}
+        offset = 0
+        for (name, canon), b in zip(_OUTPUTS, bounds):
+            path = None
+            if out_dir is not None:
+                path = f"{out_dir}/{name}"
+                shutil.rmtree(path, ignore_errors=True)
+                os.makedirs(path)
+            post = files_post if name == "files" else None
+            outputs[name] = []
+            for k in range(len(b) + 1):
+                pieces = [m[offset + k] for m in maps]
+                if name == "edges":
+                    pieces += [m[k] for m in link_maps]
+                part = f"{path}/part-{k:05d}.parquet" if path else None
+                outputs[name].append(submit(reduce_range.remote(
+                    canon, part, post, b, k, *pieces)))
+            offset += len(b) + 1
+        rows = iter(ray.get([r for refs in outputs.values() for _, r in refs]))
+        outputs = {name: [(t, next(rows)) for t, _ in refs]
+                   for name, refs in outputs.items()}
+        for name, parts in outputs.items():
+            if out_dir is not None and not any(n for _, n in parts):
+                # an empty output still reads back: one empty part
+                pq.write_table(_empty_output(name, files_post),
+                               f"{out_dir}/{name}/part-00000.parquet")
+        counts = ray.get([m[-1] for m in maps])
+        mentions_in = sum(n for n, _ in counts)
+        resolved = (sum(r for _, r in counts)
+                    + sum(ray.get([m[-1] for m in link_maps])))
+    finally:
+        # no task outlives the build, on success or error
+        if submitted:
+            ray.wait(submitted, num_returns=len(submitted),
+                     fetch_local=False)
+    return outputs, mentions_in, resolved
+
+
 def graph_from_records(
     records: ray.data.Dataset | None = None,
     records_dir: str | None = None,
     no_key: bool = False,
     corpus_bytes: int | None = None,
 ) -> dict[str, ray.data.Dataset]:
-    """Stages 2–4 from a (re-readable) record stream.
-
-    Pass ``records_dir`` (hive-partitioned checkpoint) for partition-
-    pruned reads, or an in-memory/materialized ``records`` dataset.
-    Stage 2 runs on the path ``resolve_mode(corpus_bytes)`` picks.
-    Returns lazy datasets: nodes, edges, files.
-    """
-    mode = resolve_mode(corpus_bytes)
-    if records is not None:
-        records = records.materialize()
-    nb = _output_blocks(records, records_dir)
-    symbols, files, raw_mentions, records = _record_parts(records, records_dir)
-    return {
-        "nodes": _nodes_output(symbols, nb),
-        "edges": _edges_output(raw_mentions, symbols, records, mode, no_key,
-                               nb),
-        "files": _files_output(files, nb),
-    }
+    """Stages 2–4 from a records stream or a ``records_dir`` checkpoint,
+    on the path ``resolve_mode(corpus_bytes)`` picks, without writing:
+    returns the nodes, edges and files (each sorted by key) as datasets
+    over the reduce tasks' tables."""
+    if records is None:
+        records = read_records(records_dir)
+    outputs, _, _ = _graph_tail(records.materialize(),
+                                resolve_mode(corpus_bytes), no_key)
+    out = {}
+    for name, parts in outputs.items():
+        tables = [t for t, rows in parts if rows]
+        out[name] = (ray.data.from_arrow_refs(tables) if tables
+                     else ray.data.from_arrow(_empty_output(name)))
+    return out
 
 
 def build_graph(
@@ -362,15 +459,13 @@ def build_graph(
     resume: bool = True,
     packages_path: str | None = None,
     no_key: bool = False,
-    batch_size: int = 64,
+    batch_size: int | None = None,
 ) -> dict:
     """Full run with a records checkpoint; returns metrics."""
     content_bytes = corpus_content_bytes(input_path)
     mode = resolve_mode(content_bytes)
     pkg_stat = None
     if packages_path is not None:
-        import os
-
         st = os.stat(packages_path)
         pkg_stat = f"{st.st_size}:{st.st_mtime_ns}"
     config = {"min_accessibility": min_accessibility, "v": 3,
@@ -422,19 +517,22 @@ def write_graph(
     files_post=None,
 ) -> dict:
     """Stages 2–4 into ``out_dir``'s nodes/, edges/ and files/; returns
-    their row counts and ``stage1_sec``.
+    their row counts, ``mentions_in`` (non-internal mention rows),
+    ``mentions_resolved`` (rows left after resolution and the endpoint
+    check, before the distinct) and ``stage1_sec``.
 
     ``records`` (the lazy stage-1 stream, started at ``t0``) is pinned
     in the object store — metadata-sized, spillable — and stages 2–4
-    read the pinned blocks, so the ``records/`` checkpoint comes off the
-    critical path: a background thread writes it, then its manifest
-    (under ``fp``), so a crash mid-write re-runs stage 1; a failed write
-    is re-raised once the outputs are written. ``records=None`` reads
-    the existing checkpoint. ``files_post`` maps the files output."""
-    import shutil
+    run as raw tasks over the pinned blocks (``_graph_tail``), so the
+    ``records/`` checkpoint comes off the critical path: a background
+    thread writes it, then its manifest (under ``fp``), so a crash
+    mid-write re-runs stage 1; a failed write is re-raised once the
+    outputs are written. ``records=None`` pins the existing checkpoint
+    instead, so a resumed build sizes its ranges from the same
+    in-memory bytes as a fresh one. ``files_post(table, in_range)``
+    runs in each files reduce task after the dedup."""
     import threading
     import time
-    from concurrent.futures import ThreadPoolExecutor
 
     records_dir = f"{out_dir}/records"
     _stub_fsspec_http()
@@ -446,8 +544,9 @@ def write_graph(
         stage1_sec = round(time.perf_counter() - t0, 3)
 
         def _write_ckpt() -> None:
-            # hive-partition the checkpoint by rec_type (partition-
-            # pruned reads on resume); block count bounded at the read
+            # hive-partition the checkpoint by rec_type (the incremental
+            # diff reads only rec_type=file); block count bounded at the
+            # read
             try:
                 shutil.rmtree(records_dir, ignore_errors=True)
                 records.write_parquet(records_dir,
@@ -460,44 +559,23 @@ def write_graph(
 
         ckpt_thread = threading.Thread(target=_write_ckpt, daemon=True)
         ckpt_thread.start()
+    else:
+        records = read_records(records_dir).materialize()
 
-    # One thread per output table, each building its own plan — the
-    # nodes/files writes start streaming immediately while the edges
-    # thread does the serial stage-2 prep (broadcast-mode member index +
-    # key set), overlapping that latency instead of gating all three
-    # writes behind it.
-    nb = _output_blocks(records, records_dir)
-    symbols, files, raw_mentions, records_in = _record_parts(
-        records, records_dir if records is None else None
-    )
-    metrics: dict = {}
-
-    def write_one(name: str) -> tuple[str, int]:
-        if name == "nodes":
-            ds = _nodes_output(symbols, nb)
-        elif name == "files":
-            ds = _files_output(files, nb)
-            if files_post is not None:
-                ds = files_post(ds)
-        else:
-            ds = _edges_output(raw_mentions, symbols, records_in, mode,
-                               no_key, nb)
-        path = f"{out_dir}/{name}"
-        shutil.rmtree(path, ignore_errors=True)
-        ds.write_parquet(path)
-        return name, _parquet_rows(path)
-
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        for name, rows in pool.map(write_one, ("nodes", "edges", "files")):
-            metrics[name] = rows
-    if ckpt_thread is not None:
-        ckpt_thread.join()
-        if ckpt_err:
-            # a swallowed checkpoint failure would report success while
-            # leaving a partial, manifest-less records dir behind
-            raise RuntimeError(
-                "records checkpoint write failed"
-            ) from ckpt_err[0]
+    try:
+        outputs, mentions_in, resolved = _graph_tail(
+            records, mode, no_key, out_dir, files_post)
+    finally:
+        if ckpt_thread is not None:
+            ckpt_thread.join()
+    if ckpt_err:
+        # a swallowed checkpoint failure would report success while
+        # leaving a partial, manifest-less records dir behind
+        raise RuntimeError("records checkpoint write failed") from ckpt_err[0]
+    metrics: dict = {name: sum(rows for _, rows in parts)
+                     for name, parts in outputs.items()}
+    metrics["mentions_in"] = mentions_in
+    metrics["mentions_resolved"] = resolved
     metrics["stage1_sec"] = stage1_sec
     return metrics
 

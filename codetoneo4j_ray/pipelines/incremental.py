@@ -25,11 +25,14 @@ build (new index) has no tombstones and keeps the base schema.
 Stage 1 cost scales with the delta, not the corpus (the full-corpus
 type-index skim overlaps the diff). Stages 2–4 rerun over the merged
 in-memory records (metadata-sized) through ``build_graph.write_graph``,
-the full build's tail, which writes ``records/`` in the background.
+the full build's raw-task tail, which writes ``records/`` in the
+background; the tombstone rows join each files range in its reduce
+task, after the LWW dedup (``_files_with_tombstones``).
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 
@@ -42,6 +45,7 @@ import ray.data
 from codetoneo4j_ray.extractors.accessibility import DEFAULT_MIN_ACCESSIBILITY
 from codetoneo4j_ray.functions.text import sha256_hex
 from codetoneo4j_ray.pipelines.build_graph import (
+    _block_refs,
     corpus_content_bytes,
     read_corpus_pinned,
     read_parquet_sized,
@@ -56,6 +60,7 @@ from codetoneo4j_ray.stages.extract import (
     extract_records_partitioned,
     has_handler,
 )
+from codetoneo4j_ray.stages.materialize import finalize_files
 from codetoneo4j_ray.state.manifest import corpus_fingerprint, write_manifest
 
 
@@ -197,41 +202,25 @@ def _diff_vs_prior(
     return changed, deleted, tombstones
 
 
-_BASE_FILE_COLS = [
-    "key", "path", "file_name", "namespace", "sha256", "language",
-    "technology", "repo", "commit",
-]
-
-
-def _files_with_tombstones(
-    live: ray.data.Dataset,
+def _tombstone_blocks(
     prior_files_dir: str,
     deleted: list[tuple[str, str]],
     carried_tombs: list[tuple[str, str, int]],
     deleted_at_sec: int | None,
-) -> ray.data.Dataset:
-    """Live rows + tombstone rows (``MarkFileAsDeleted.cypher:1-5``): a
-    deleted file keeps its prior-run properties with deleted=true and
+) -> list:
+    """Pinned blocks of tombstone rows (``MarkFileAsDeleted.cypher:1-5``):
+    a deleted file keeps its prior-run properties with deleted=true and
     its deletion stamp (new deletions get this run's stamp; carried
     tombstones keep their original). Tombstone props come from a
     broadcast-filtered scan of the prior files table — the broadcast is
-    the delta-sized key set, never a file table."""
+    the delta-sized key set, never a file table. No deletions → []."""
     import time
 
     run_ts = int(time.time()) if deleted_at_sec is None else int(deleted_at_sec)
     stamp = {(r, p): run_ts for r, p in deleted}
     stamp.update({(r, p): ts for r, p, ts in carried_tombs})
-
-    def live_cols(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        out = batch.select(_BASE_FILE_COLS)
-        out = out.append_column("deleted", pa.array([False] * n, pa.bool_()))
-        return out.append_column("deleted_at", pa.nulls(n, pa.int64()))
-
-    live_out = live.map_batches(live_cols, batch_format="pyarrow")
     if not stamp:
-        return live_out
-
+        return []
     keys_ref = ray.put(_joined_keys(set(stamp)))
     stamp_ref = ray.put(stamp)
 
@@ -244,14 +233,33 @@ def _files_with_tombstones(
         stamps: dict = _cached_get(stamp_ref)
         ts = [stamps[(r, p)] for r, p in
               zip(sel["repo"].to_pylist(), sel["path"].to_pylist())]
-        out = sel.select(_BASE_FILE_COLS)
+        out = finalize_files(sel)
         out = out.append_column("deleted", pa.array([True] * n, pa.bool_()))
         return out.append_column("deleted_at", pa.array(ts, pa.int64()))
 
-    tombs = read_parquet_sized(prior_files_dir).map_batches(
+    return _block_refs(read_parquet_sized(prior_files_dir).map_batches(
         tomb_rows, batch_format="pyarrow"
-    )
-    return live_out.union(tombs).sort("key")
+    ).materialize())
+
+
+def _files_with_tombstones(tomb_blocks: list, live: pa.Table | None,
+                           in_range) -> pa.Table | None:
+    """One files range of an incremental build (``write_graph``'s
+    ``files_post``): the live rows, deleted=false / deleted_at=null,
+    plus the tombstone rows whose key the range owns, sorted by key
+    (live rows first among equal keys)."""
+    parts = []
+    if live is not None:
+        n = live.num_rows
+        parts.append(
+            live.append_column("deleted", pa.array([False] * n, pa.bool_()))
+            .append_column("deleted_at", pa.nulls(n, pa.int64())))
+    if tomb_blocks:
+        parts += [t.filter(in_range(t["key"])) for t in ray.get(tomb_blocks)]
+    if not parts:
+        return None
+    out = pa.concat_tables(parts)
+    return out.take(pc.sort_indices(out, sort_keys=[("key", "ascending")]))
 
 
 def build_graph_incremental(
@@ -261,7 +269,7 @@ def build_graph_incremental(
     min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
     packages_path: str | None = None,
     no_key: bool = False,
-    batch_size: int = 64,
+    batch_size: int | None = None,
     deleted_at_sec: int | None = None,
 ) -> dict:
     """Rebuild against a prior run: extract only changed files.
@@ -360,11 +368,11 @@ def build_graph_incremental(
         "deleted_files": len(deleted),
         "deleted": [f"{r}:{p}" for r, p in deleted][:1000],
     }
+    tomb_blocks = _tombstone_blocks(f"{prior_out_dir}/files", deleted,
+                                    carried_tombs, deleted_at_sec)
     metrics.update(write_graph(
         out_dir, fp, mode, no_key, merged, t0,
-        files_post=lambda files: _files_with_tombstones(
-            files, f"{prior_out_dir}/files", deleted, carried_tombs,
-            deleted_at_sec),
+        files_post=functools.partial(_files_with_tombstones, tomb_blocks),
     ))
     # counted from the output: a deleted (repo, path) whose file key
     # another repo still holds leaves no tombstone row

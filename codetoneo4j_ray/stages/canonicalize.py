@@ -1,4 +1,5 @@
-"""Stage 3 — canonicalization (global dedup).
+"""Stage 3 — canonicalization (global dedup), as a range-partitioned
+raw-task exchange.
 
 Reproduces Neo4j MERGE semantics:
   - nodes:  ``MERGE (n:src__Symbol {key}) SET …`` = one row per key,
@@ -8,89 +9,150 @@ Reproduces Neo4j MERGE semantics:
   - edges:  ``apoc.merge.relationship`` = distinct (subj, pred, obj)
     (``Cypher/MergeRelationships.cypher:4``).
 
-Both dedups fuse into the output's range-partitioned sort, two phases:
-  1. map-side combine — per-batch dedup collapses hot keys (``pkg:*``
-     deps and ``System.*`` targets appear once per *file*) before any
-     shuffle, so no reducer sees more than one row per key per block;
-  2. per-block reduce after the sort — equal keys share a sort block,
-     so each block dedups vectorized in pandas, instead of one Python
-     call per key.
+Both dedups run in one exchange with the output's sort:
+  1. map side, per input block — :func:`canonical` (sort + dedup)
+     collapses hot keys (``pkg:*`` deps and ``System.*`` targets appear
+     once per *file*) before anything moves, then :func:`split_ranges`
+     cuts the block into one piece per key range;
+  2. one :func:`reduce_range` task per range concatenates its pieces,
+     runs :func:`canonical` again and writes ``part-{k:05d}.parquet``.
+
+The ranges come from fixed bounds: :func:`range_bounds` over the
+bounded per-block samples of :func:`key_sample`. :func:`range_ids` is a
+pure function of the split column, so every row of a key (and every
+copy of an edge, which shares its subj) lands in one range and the
+per-range reduce is globally exact. Ranges are ordered by key and each
+part is sorted, so the parts read back in name order are globally
+sorted. The bounds only decide balance, never the result.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray.data
-
-from codetoneo4j_ray.stages.bucketing import coalesce, target_blocks
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import ray
 
 # Total tie-break order: replicated exactly in the DuckDB oracles.
 _TIEBREAK = ["path", "start_line", "end_line", "repo", "namespace", "kind", "accessibility"]
 _FILE_TIEBREAK = ["path", "repo"]
 
-
-def _winner_last(df: pd.DataFrame, key: str, order: list[str]) -> pd.DataFrame:
-    # na_position='first' makes NULL the minimum, matching the oracle's
-    # ORDER BY … DESC under DuckDB's default NULLS LAST (null = smallest);
-    # pandas' default ('last') would let a NULL-tiebreak row win instead
-    df = df.sort_values([key] + order, kind="stable", na_position="first")
-    return df.drop_duplicates(subset=[key], keep="last")
+# Sampled keys per output the driver holds (in expectation) to place
+# the range bounds; one block never returns more than twice this.
+SAMPLE_KEYS = 4096
 
 
-def lww_sorted(
-    ds: ray.data.Dataset, key: str, order: list[str],
-    num_blocks: int | None = None,
-) -> ray.data.Dataset:
-    """Exact LWW dedup fused into the output sort — ONE exchange.
+@dataclass(frozen=True)
+class Canon:
+    """How one output is canonicalized: ``split`` is the column its
+    ranges split on, ``order`` its full sort order (``split`` first),
+    and the last row of each run of equal ``unique`` columns survives."""
 
-    Ray's range-partitioned sort assigns every row with equal sort-key to
-    the same reduce partition (boundary assignment is a pure function of
-    the value), and each sort reduce emits exactly one block per
-    partition (``sort_task_spec.py:148-161`` → ``merge_sorted_blocks``,
-    no dynamic splitting). So after ``sort(key)`` every equal-key run is
-    fully contained in one block, and a per-block (batch_size=None)
-    vectorized winner-pick is globally exact. Map-side combine first so
-    hot keys collapse to ≤1 row per input block before the shuffle.
+    split: str
+    order: tuple
+    unique: tuple
 
-    The sort runs in at most ``num_blocks`` blocks (default
-    ``target_blocks()``); the build passes ``blocks_for`` of the pinned
-    records' bytes.
-    """
 
-    def winner(batch: pa.Table) -> pa.Table:
-        df = _winner_last(batch.to_pandas(), key, order)
-        return pa.Table.from_pandas(df, preserve_index=False, schema=batch.schema)
+NODES = Canon("key", ("key", *_TIEBREAK), ("key",))
+FILES = Canon("key", ("key", *_FILE_TIEBREAK), ("key",))
+EDGES = Canon("subj", ("subj", "pred", "obj"), ("subj", "pred", "obj"))
 
-    # coalesce is a cheap block merge (no all-to-all) — without it the
-    # sort inherits one reduce partition per upstream block and the
-    # shuffle-object count grows quadratically
-    return (
-        coalesce(ds.map_batches(winner, batch_format="pyarrow"),
-                 num_blocks or target_blocks())
-        .sort(key)
-        .map_batches(winner, batch_format="pyarrow", batch_size=None)
+
+def canonical(table: pa.Table, canon: Canon) -> pa.Table:
+    """``table`` sorted by ``canon.order`` with one row per ``canon.unique``
+    value: the last in sort order (the LWW winner; for edges, where
+    ``unique`` is every column, a plain distinct).
+
+    Nulls sort first, matching the oracle's ORDER BY … DESC under
+    DuckDB's default NULLS LAST (null = smallest), so a NULL-tiebreak row
+    never beats a non-NULL one. The sort is stable."""
+    if not table.num_rows:
+        return table
+    idx = pc.sort_indices(
+        table, sort_keys=[(c, "ascending") for c in canon.order],
+        null_placement="at_start",
     )
+    table = table.take(idx)
+    dup = (table.select(list(canon.unique)).to_pandas()
+           .duplicated(keep="last").to_numpy())
+    return table.filter(pa.array(~dup)) if dup.any() else table
 
 
-def distinct_sorted(
-    edges: ray.data.Dataset, num_blocks: int | None = None
-) -> ray.data.Dataset:
-    """Exact distinct (subj, pred, obj) fused into the output sort — ONE
-    exchange (same equal-keys-share-a-block argument and block count as
-    lww_sorted)."""
+def key_sample(keys, rate: float) -> np.ndarray:
+    """Sorted sample of the non-null ``keys`` whose hash falls below
+    ``rate`` — a pure function of each key, so the union over blocks is
+    the same however the rows are blocked — thinned evenly to at most
+    2 × ``SAMPLE_KEYS``. ``rate`` = ``SAMPLE_KEYS`` / rows keeps the
+    driver's total near ``SAMPLE_KEYS``."""
+    v = np.asarray(pc.drop_null(keys).to_numpy(zero_copy_only=False),
+                   dtype=object)
+    if rate < 1.0:
+        h = pd.util.hash_array(v, categorize=False)
+        v = v[h < np.uint64(int(rate * 2**64))]
+    v = np.sort(v)
+    cap = 2 * SAMPLE_KEYS
+    if len(v) > cap:
+        v = v[np.linspace(0, len(v) - 1, cap).astype(int)]
+    return v
 
-    def local(batch: pa.Table) -> pa.Table:
-        df = batch.select(["subj", "pred", "obj"]).to_pandas().drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False)
 
-    def block_distinct(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False, schema=batch.schema)
+def range_bounds(samples: list[np.ndarray], num_ranges: int) -> np.ndarray:
+    """At most ``num_ranges - 1`` sorted, distinct bounds at the
+    quantiles of the pooled samples; an output has ``len(bounds) + 1``
+    ranges (one when there is nothing to split)."""
+    pooled = [s for s in samples if s is not None and len(s)]
+    if num_ranges <= 1 or not pooled:
+        return np.array([], dtype=object)
+    s = np.sort(np.concatenate(pooled))
+    picks = s[(np.arange(1, num_ranges) * len(s)) // num_ranges]
+    return np.unique(picks)
 
-    return (
-        coalesce(edges.map_batches(local, batch_format="pyarrow"),
-                 num_blocks or target_blocks())
-        .sort(["subj", "pred", "obj"])
-        .map_batches(block_distinct, batch_format="pyarrow", batch_size=None)
-    )
+
+def range_ids(keys, bounds: np.ndarray) -> np.ndarray:
+    """Range of each key: the count of bounds ≤ key (nulls go to 0)."""
+    v = pc.fill_null(keys, "").to_numpy(zero_copy_only=False)
+    return np.searchsorted(bounds, np.asarray(v, dtype=object), side="right")
+
+
+def split_ranges(table: pa.Table | None, col: str,
+                 bounds: np.ndarray) -> list:
+    """``table`` cut into ``len(bounds) + 1`` pieces by :func:`range_ids`
+    of ``col``; an empty piece is None."""
+    n = len(bounds) + 1
+    if table is None or not table.num_rows:
+        return [None] * n
+    if n == 1:
+        return [table]
+    ids = range_ids(table[col], bounds)
+    order = np.argsort(ids, kind="stable")
+    cuts = np.searchsorted(ids[order], np.arange(n + 1))
+    return [table.take(order[a:b]) if b > a else None
+            for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+@ray.remote(num_returns=2)
+def reduce_range(canon: Canon, path: str | None, post, bounds: np.ndarray,
+                 k: int, *pieces):
+    """Range ``k`` of one output: :func:`canonical` over its pieces, then
+    ``post(table or None, in_range)`` when given, where
+    ``in_range(keys)`` masks the keys range ``k`` owns. With ``path``
+    the non-empty result is written there and (None, rows) returned;
+    else (table, rows). A range with no rows writes no file."""
+    tabs = [t for t in pieces if t is not None and t.num_rows]
+    # permissive: pieces can disagree on all-null column types
+    table = (canonical(pa.concat_tables(tabs, promote_options="permissive"),
+                       canon) if tabs else None)
+    if post is not None:
+        table = post(table,
+                     lambda keys: pa.array(range_ids(keys, bounds) == k))
+    rows = table.num_rows if table is not None else 0
+    if path is None:
+        return table, rows
+    if rows:
+        pq.write_table(table, path)
+    return None, rows
+

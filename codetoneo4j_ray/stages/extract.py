@@ -296,11 +296,15 @@ def extract_records(
     corpus: ray.data.Dataset,
     indices: dict[str, RepoTypeIndex] | None = None,
     min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
-    batch_size: int = 64,
+    batch_size: int | None = None,
     pkg_meta: dict | None = None,
     no_key: bool = False,
 ) -> ray.data.Dataset:
-    """corpus → unified record stream (task ``map_batches``, Arrow in/out)."""
+    """corpus → unified record stream (task ``map_batches``, Arrow in/out).
+
+    ``batch_size=None`` extracts each corpus block as one batch, so the
+    records keep the corpus read's block count (its CPU floor); a row
+    count bundles small blocks until a batch has that many rows."""
     import functools
 
     return corpus.map_batches(

@@ -3,18 +3,22 @@
 Two sub-steps, mirroring what the reference gets from the Roslyn
 semantic model + Neo4j MERGE semantics:
 
-  A. ``resolve_mentions`` — finalize deferred INVOKES targets by member
-     lookup (name + arity) against the repo-wide member index, walking
-     the resolved internal base-type chain (Roslyn resolves inherited
-     calls to the declaring base type). The member index is built on
-     the driver from stage-1's internal ``__MEMBER__`` / ``__BASE__``
-     rows (``build_member_indices``) and broadcast with ``ray.put``.
+  A. resolve deferred INVOKES targets by member lookup (name + arity)
+     against the repo-wide member index, walking the resolved internal
+     base-type chain (Roslyn resolves inherited calls to the declaring
+     base type). The per-repo indices are assembled from stage-1's
+     internal ``__MEMBER__`` / ``__BASE__`` rows (``_member_indices``)
+     and broadcast with ``ray.put``; ``_resolve_batch`` probes them.
 
-  B. ``resolve_edges_broadcast`` — the endpoint semi-join:
-     ``Cypher/MergeRelationships.cypher:2-4`` MATCHes BOTH endpoints as
-     existing ``src__Symbol`` nodes, silently dropping dangling refs.
-     The small side (``symbol_key_set``) is broadcast and probed per
-     batch.
+  B. the endpoint semi-join: ``Cypher/MergeRelationships.cypher:2-4``
+     MATCHes BOTH endpoints as existing ``src__Symbol`` nodes, silently
+     dropping dangling refs. The declared-key set is broadcast and
+     probed per batch (``_endpoint_filter_batch``).
+
+The build's broadcast path runs both batch functions inside its
+stage 2–4 map tasks (``pipelines.build_graph``); ``resolve_mentions``
+and ``resolve_edges_broadcast`` are the same steps over a Dataset, for
+the KG oracle's side table and offline tools.
 
 ``resolve_link_fused`` runs both steps in one repo-keyed bucket
 exchange with no driver-side structure — the path
@@ -324,12 +328,6 @@ def _endpoint_filter_batch(batch: pa.Table, keys_ref=None) -> pa.Table:
     return batch.filter(keep)
 
 
-def symbol_key_set(symbols: ray.data.Dataset) -> set[str]:
-    """The declared-symbol keys step B broadcasts (driver-collected)."""
-    keys_df = symbols.select_columns(["key"]).to_pandas()
-    return set(keys_df["key"]) if "key" in keys_df.columns else set()
-
-
 def resolve_edges_broadcast(
     mentions: ray.data.Dataset,
     symbol_keys: set[str],
@@ -395,7 +393,7 @@ def _bucket_resolve_and_filter(df):
     if not len(out):
         return pd.DataFrame(
             {"subj": pd.Series([], dtype=str), "pred": pd.Series([], dtype=str),
-             "obj": pd.Series([], dtype=str)}
+             "obj": pd.Series([], dtype=str), "n": pd.Series([], dtype=int)}
         )
 
     deferred = (out["ctx_kind"] != "").to_numpy()
@@ -427,8 +425,10 @@ def _bucket_resolve_and_filter(df):
         )
     out = out.loc[keep]
     # local distinct: all of a repo's mentions share this bucket, so this
-    # is a combine; the global distinct fuses into the final sort
-    return out[["subj", "pred", "obj"]].drop_duplicates()
+    # is a combine; ``n`` keeps how many resolved rows each triple stands
+    # for, and the global distinct runs in the output's range exchange
+    return (out.groupby(["subj", "pred", "obj"], sort=False, dropna=False)
+            .size().reset_index(name="n"))
 
 
 def resolve_link_fused(
@@ -442,9 +442,10 @@ def resolve_link_fused(
     bucket resolves deferred INVOKES and endpoint-checks both ends
     against its repos' key sets with zero driver state and zero further
     exchanges (see _bucket_resolve_and_filter for why repo-local checks
-    are exact). Output is (subj, pred, obj) with per-bucket distinct
-    applied; callers fuse the global distinct + sort into one exchange
-    via canonicalize.distinct_sorted.
+    are exact). Output is (subj, pred, obj, n): per-bucket distinct
+    triples, each with the count ``n`` of resolved mention rows it
+    stands for; the global distinct runs in the output's range exchange
+    (``stages.canonicalize``).
 
     Each repo's mention rows split into ``REPO_SALT`` sub-buckets by
     subj hash, REPLICATING the (index-sized) key/member/base

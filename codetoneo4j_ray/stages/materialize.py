@@ -1,4 +1,4 @@
-"""Stage 4 — structural edges + sorted, deduplicated Parquet outputs.
+"""Stage 4 — structural edges and the node/file output projections.
 
 Structural (flush-time) edges the reference creates outside the
 relBuffer, reproduced here from the record stream:
@@ -14,7 +14,6 @@ relBuffer, reproduced here from the record stream:
 from __future__ import annotations
 
 import pyarrow as pa
-import ray.data
 
 from codetoneo4j_ray.functions.tags import parse_namespace_tags
 from codetoneo4j_ray.functions.text import truncate_indexed
@@ -88,49 +87,30 @@ def structural_edges_batch(batch: pa.Table, include_project: bool = True) -> pa.
     return _triples(subjs, preds, objs)
 
 
-def structural_edges(
-    records: ray.data.Dataset, include_project: bool = True
-) -> ray.data.Dataset:
-    import functools
+_NODE_COLS = [
+    "key", "name", "kind", "class", "fqn", "accessibility", "file_key",
+    "path", "start_line", "end_line", "documentation", "comments",
+    "namespace", "version", "language", "technology", "repo",
+]
+_FILE_COLS = [
+    "key", "path", "file_name", "namespace", "sha256", "language",
+    "technology", "repo", "commit",
+]
 
-    return records.map_batches(
-        functools.partial(structural_edges_batch,
-                          include_project=include_project),
-        batch_format="pyarrow",
-    )
 
-
-def finalize_nodes(nodes: ray.data.Dataset) -> ray.data.Dataset:
-    """Apply the 8000-char indexed-string truncation
-    (Neo4jFlushService.cs:76-77) and project to the output schema."""
-
-    def fix(batch: pa.Table) -> pa.Table:
-        doc = pa.array(
-            [truncate_indexed(v) for v in batch["documentation"].to_pylist()],
-            pa.string(),
+def finalize_nodes(symbols: pa.Table) -> pa.Table:
+    """Symbol rows → node rows: the 8000-char indexed-string truncation
+    (Neo4jFlushService.cs:76-77) and the output projection."""
+    out = symbols.select(_NODE_COLS)
+    for col in ("documentation", "comments"):
+        out = out.set_column(
+            out.schema.get_field_index(col), col,
+            pa.array([truncate_indexed(v) for v in out[col].to_pylist()],
+                     pa.string()),
         )
-        com = pa.array(
-            [truncate_indexed(v) for v in batch["comments"].to_pylist()],
-            pa.string(),
-        )
-        batch = batch.set_column(
-            batch.schema.get_field_index("documentation"), "documentation", doc
-        )
-        return batch.set_column(
-            batch.schema.get_field_index("comments"), "comments", com
-        )
-
-    cols = [
-        "key", "name", "kind", "class", "fqn", "accessibility", "file_key",
-        "path", "start_line", "end_line", "documentation", "comments",
-        "namespace", "version", "language", "technology", "repo",
-    ]
-    return nodes.map_batches(fix, batch_format="pyarrow").select_columns(cols)
+    return out
 
 
-def finalize_files(files: ray.data.Dataset) -> ray.data.Dataset:
-    cols = [
-        "key", "path", "file_name", "namespace", "sha256", "language",
-        "technology", "repo", "commit",
-    ]
-    return files.select_columns(cols)
+def finalize_files(files: pa.Table) -> pa.Table:
+    """File rows → the files output's projection."""
+    return files.select(_FILE_COLS)

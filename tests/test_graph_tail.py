@@ -1,0 +1,272 @@
+"""Stages 2–4 as raw tasks over the pinned records (``build_graph.
+_graph_tail``): the exchange contract, its edge cases, the stage-2
+counts it reports, and the block counts around it.
+
+The sf0.001 digests below are the outputs of the Ray Data sort-based
+tail this exchange replaced (a fresh build, and an incremental rebuild
+with an edit, an addition and a deletion). Recompute them with
+``_digests`` whenever the build's output changes on purpose.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+
+import pyarrow as pa
+import pyarrow.dataset as pds
+import pyarrow.parquet as pq
+import pytest
+
+SF = "sf0.001"  # corpus scale for sources.synth.ensure_corpus
+DELETED_AT = 1_700_000_000
+FULL = {"nodes": (271, "a98facd5751c0ab7"), "edges": (1180, "3330f7b26a7e9ec7"),
+        "files": (41, "afe0d7e6f8f35427")}
+INCR = {"nodes": (270, "52888a57cb63caaf"), "edges": (1175, "0b9f837b26a909e4"),
+        "files": (42, "62b3529610e87442")}
+OUTPUTS = ("nodes", "edges", "files")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _ray(ray_session):
+    yield
+
+
+def _digests(out: str) -> dict:
+    """{output: (rows, order-insensitive digest of every row)}."""
+    res = {}
+    for n in OUTPUTS:
+        t = pds.dataset(f"{out}/{n}", format="parquet").to_table()
+        cols = sorted(t.column_names)
+        rows = sorted(repr(r) for r in zip(*[t[c].to_pylist() for c in cols]))
+        h = hashlib.sha256("\n".join([repr(cols)] + rows).encode())
+        res[n] = (t.num_rows, h.hexdigest()[:16])
+    return res
+
+
+def _parts(out: str, name: str) -> list[str]:
+    return sorted(f for f in os.listdir(f"{out}/{name}")
+                  if f.endswith(".parquet"))
+
+
+def _assert_sorted(out: str) -> None:
+    """The part files, read in name order, are globally sorted."""
+    for n in OUTPUTS:
+        t = pa.concat_tables([pq.read_table(f"{out}/{n}/{f}")
+                              for f in _parts(out, n)])
+        cols = ["subj", "pred", "obj"] if n == "edges" else ["key"]
+        rows = list(zip(*[t[c].to_pylist() for c in cols]))
+        assert rows == sorted(rows), n
+
+
+def _edited_corpus(tmp_path) -> str:
+    """sf0.001 with its first C# file edited, its last deleted and one
+    file added."""
+    from codetoneo4j_ray.schema import CORPUS_SCHEMA
+    from codetoneo4j_ray.sources.synth import ensure_corpus
+
+    rows = pq.read_table(ensure_corpus(SF)).to_pylist()
+    cs = [i for i, r in enumerate(rows) if r["path"].endswith(".cs")]
+    first = rows[cs[0]]
+    edited = [r for i, r in enumerate(rows) if i not in (cs[0], cs[-1])]
+    edited.append(dict(first, commit="d" * 40,
+                       content=first["content"] + "\n// edited\n"))
+    edited.append(dict(first, path="src/Added/Extra.cs", commit="d" * 40,
+                       content="namespace Added;\npublic class Extra { }\n"))
+    path = str(tmp_path / "v2.parquet")
+    pq.write_table(pa.Table.from_pylist(edited, schema=CORPUS_SCHEMA), path)
+    return path
+
+
+@pytest.fixture
+def no_sort_in_tail(monkeypatch):
+    """``Dataset.sort`` raises anywhere; ``Dataset.to_pandas`` and
+    ``take_all`` raise while ``write_graph`` (stages 2–4) runs."""
+    import ray.data
+
+    from codetoneo4j_ray.pipelines import build_graph as bg
+    from codetoneo4j_ray.pipelines import incremental as inc
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("Dataset.sort ran")
+
+    monkeypatch.setattr(ray.data.Dataset, "sort", no_sort)
+    in_tail: list[int] = []
+    for name in ("to_pandas", "take_all"):
+        def guarded(self, *args, _real=getattr(ray.data.Dataset, name),
+                    _name=name, **kwargs):
+            assert not in_tail, f"Dataset.{_name} collected in stages 2-4"
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ray.data.Dataset, name, guarded)
+    real = bg.write_graph
+
+    def write_graph(*args, **kwargs):
+        in_tail.append(1)
+        try:
+            return real(*args, **kwargs)
+        finally:
+            in_tail.pop()
+
+    monkeypatch.setattr(bg, "write_graph", write_graph)
+    monkeypatch.setattr(inc, "write_graph", write_graph)
+
+
+@pytest.mark.parametrize("path", ["broadcast", "partitioned"])
+def test_stages_2_4_run_without_sort_or_collect(path, tmp_path,
+                                                no_sort_in_tail,
+                                                add_alive_node,
+                                                fused_link_calls):
+    """With ``Dataset.sort`` raising and no driver collect allowed in
+    stages 2–4, a fresh build, a resumed build and an incremental
+    rebuild with a deletion (tombstones) finish on both paths, with the
+    sort-based tail's outputs, globally sorted."""
+    from codetoneo4j_ray.pipelines.build_graph import build_graph
+    from codetoneo4j_ray.pipelines.incremental import build_graph_incremental
+    from codetoneo4j_ray.sources.synth import ensure_corpus
+
+    if path == "partitioned":
+        add_alive_node()
+    v1, v2 = ensure_corpus(SF), _edited_corpus(tmp_path)
+    full, incr = str(tmp_path / "full"), str(tmp_path / "incr")
+    assert build_graph(v1, full, resume=False)["mode"] == path
+    assert _digests(full) == FULL
+    _assert_sorted(full)
+    resumed = build_graph(v1, full)
+    assert resumed["stage1_sec"] == 0.0  # read the checkpoint
+    assert _digests(full) == FULL
+    _assert_sorted(full)
+    m = build_graph_incremental(v2, full, incr, deleted_at_sec=DELETED_AT)
+    assert m["deleted_files"] == 1 and m["tombstones"] == 1
+    assert _digests(incr) == INCR
+    _assert_sorted(incr)
+    assert bool(fused_link_calls) == (path == "partitioned")
+
+
+def test_empty_range_writes_no_file(tmp_path, monkeypatch):
+    """A range that receives no rows writes no part file, and the
+    output still reads back whole and in key order. A bound below every
+    key ("") leaves range 0 of every output empty."""
+    import numpy as np
+
+    from codetoneo4j_ray.pipelines import build_graph as bg
+    from codetoneo4j_ray.sources.synth import ensure_corpus
+
+    real = bg.range_bounds
+    monkeypatch.setattr(bg, "range_bounds", lambda samples, n: np.concatenate(
+        [np.array([""], dtype=object), real(samples, n)]))
+    out = str(tmp_path / "kg")
+    bg.build_graph(ensure_corpus(SF), out, resume=False)
+    for n in OUTPUTS:
+        parts = _parts(out, n)
+        assert parts and "part-00000.parquet" not in parts, (n, parts)
+    assert _digests(out) == FULL
+    _assert_sorted(out)
+
+
+@pytest.mark.parametrize("path", ["broadcast", "partitioned"])
+def test_build_without_csharp_files(path, tmp_path, add_alive_node):
+    """A corpus with no C# files and zero mention rows (bare HTML and
+    package.json files: file rows only, so no node either) builds on
+    both paths, and every output reads back — the empty nodes output
+    as one empty part with the nodes schema."""
+    import ray.data
+
+    from codetoneo4j_ray.pipelines.build_graph import build_graph
+    from codetoneo4j_ray.schema import CORPUS_SCHEMA
+
+    rows = [
+        ("r", "web/index.html", "c" * 40, "html", "<html><body></body></html>"),
+        ("r", "client/package.json", "c" * 40, "json", '{"name": "c"}'),
+        ("s", "web/index.html", "c" * 40, "html", "<html></html>"),
+    ]
+    p = str(tmp_path / "c.parquet")
+    pq.write_table(pa.Table.from_pylist(
+        [dict(zip(CORPUS_SCHEMA.names, r)) for r in rows],
+        schema=CORPUS_SCHEMA), p)
+    if path == "partitioned":
+        add_alive_node()
+    out = str(tmp_path / "kg")
+    m = build_graph(p, out, resume=False)
+    assert m["mode"] == path
+    assert not os.path.isdir(f"{out}/records/rec_type=mention")
+    assert m["mentions_in"] == m["mentions_resolved"] == 0
+    assert (m["nodes"], m["edges"], m["files"]) == (0, 3, 2)
+    for n in OUTPUTS:
+        ds = ray.data.read_parquet(f"{out}/{n}")
+        assert ds.count() == m[n], n
+    assert "documentation" in ray.data.read_parquet(f"{out}/nodes").columns()
+    _assert_sorted(out)
+
+
+def test_stage2_counts_from_the_tasks(tmp_path, add_alive_node,
+                                      fused_link_calls):
+    """``mentions_in`` is the checkpoint's non-internal mention rows,
+    ``mentions_resolved`` (after resolution and the endpoint check,
+    before the distinct) is no more, and both paths report the same
+    values."""
+    import pyarrow.compute as pc
+
+    from codetoneo4j_ray.extractors.csharp.extractor import (
+        BASE_PRED,
+        MEMBER_PRED,
+    )
+    from codetoneo4j_ray.pipelines.build_graph import build_graph
+    from codetoneo4j_ray.sources.synth import ensure_corpus
+
+    v1 = ensure_corpus(SF)
+    broadcast = build_graph(v1, str(tmp_path / "b"), resume=False)
+    pred = pq.read_table(f"{tmp_path}/b/records/rec_type=mention",
+                         columns=["pred"])["pred"]
+    internal = pc.is_in(pred, value_set=pa.array([MEMBER_PRED, BASE_PRED]))
+    want = len(pred) - pc.sum(internal).as_py()
+    assert broadcast["mentions_in"] == want > 0
+    assert 0 < broadcast["mentions_resolved"] <= broadcast["mentions_in"]
+    add_alive_node()
+    partitioned = build_graph(v1, str(tmp_path / "p"), resume=False)
+    assert fused_link_calls
+    for k in ("mentions_in", "mentions_resolved"):
+        assert partitioned[k] == broadcast[k], k
+
+
+def test_resumed_build_writes_the_fresh_part_files(tmp_path, monkeypatch):
+    """A resumed build pins the checkpoint and sizes its ranges from
+    the same in-memory bytes as a fresh build: the same part files per
+    output, with equal rows. At a 150 kB minimum block size the sf0.001
+    records (~340 kB in memory, ~80–110 kB of parquet footer bytes)
+    take 3 ranges either way, not 3 fresh and 1 resumed."""
+    import ray.data
+
+    from codetoneo4j_ray.pipelines.build_graph import build_graph
+    from codetoneo4j_ray.sources.synth import ensure_corpus
+
+    monkeypatch.setattr(ray.data.DataContext.get_current(),
+                        "target_min_block_size", 150_000)
+    out = str(tmp_path / "kg")
+    fresh = build_graph(ensure_corpus(SF), out, resume=False)
+    fresh_parts = {n: _parts(out, n) for n in OUTPUTS}
+    assert max(len(p) for p in fresh_parts.values()) > 1
+    digests = _digests(out)
+    resumed = build_graph(ensure_corpus(SF), out)
+    assert resumed["stage1_sec"] == 0.0
+    assert {n: _parts(out, n) for n in OUTPUTS} == fresh_parts
+    assert {n: resumed[n] for n in OUTPUTS} == {n: fresh[n] for n in OUTPUTS}
+    assert _digests(out) == digests
+
+
+def test_extraction_keeps_the_corpus_block_count(monkeypatch):
+    """At 4 CPUs with a 1-byte minimum block size, broadcast extraction
+    yields one records block per corpus block (one batch per block),
+    so the corpus read's CPU floor reaches extraction."""
+    import ray.data
+
+    from codetoneo4j_ray.pipelines.build_graph import read_corpus
+    from codetoneo4j_ray.sources.synth import ensure_corpus
+    from codetoneo4j_ray.stages.extract import build_type_index, extract_records
+
+    monkeypatch.setattr(ray.data.DataContext.get_current(),
+                        "target_min_block_size", 1)
+    corpus = read_corpus(ensure_corpus(SF)).materialize()
+    records = extract_records(corpus, build_type_index(corpus)).materialize()
+    assert corpus.num_blocks() > 1
+    assert records.num_blocks() == corpus.num_blocks()

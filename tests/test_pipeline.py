@@ -166,14 +166,46 @@ def test_entry_contract(ray_session):
     assert {"media_decode_meta", "media_frame_sample"} <= set(sql)
 
 
+def _range_exchange(tables, canon, num_ranges):
+    """The build's canonicalize exchange over ``tables`` (one per map
+    task): sample, bounds, map-side dedup + range split, one reduce task
+    per range; the ranges concatenated in order."""
+    import pyarrow as pa
+    import ray
+
+    from codetoneo4j_ray.stages.canonicalize import (
+        canonical,
+        key_sample,
+        range_bounds,
+        reduce_range,
+        split_ranges,
+    )
+
+    bounds = range_bounds([key_sample(t[canon.split], 1.0) for t in tables],
+                          num_ranges)
+    pieces = [split_ranges(canonical(t, canon), canon.split, bounds)
+              for t in tables]
+    refs = [reduce_range.remote(canon, None, None, bounds, k,
+                                *[p[k] for p in pieces])[0]
+            for k in range(len(bounds) + 1)]
+    return pa.concat_tables([t for t in ray.get(refs) if t is not None])
+
+
+def _blocks(df, n):
+    import numpy as np
+    import pyarrow as pa
+
+    return [pa.Table.from_pandas(df.iloc[idx], preserve_index=False)
+            for idx in np.array_split(np.arange(len(df)), n)]
+
+
 def test_lww_null_tiebreak_matches_oracle(ray_session):
     """Duplicate key where one candidate has NULL in a tiebreak column:
     the winner must be the greatest non-NULL row (NULL = smallest),
     matching the DuckDB oracle's ORDER BY … DESC under NULLS LAST."""
     import pandas as pd
-    import ray.data as rd
 
-    from codetoneo4j_ray.stages.canonicalize import _TIEBREAK, lww_sorted
+    from codetoneo4j_ray.stages.canonicalize import NODES
 
     rows = pd.DataFrame(
         {
@@ -187,21 +219,20 @@ def test_lww_null_tiebreak_matches_oracle(ray_session):
             "accessibility": ["Public", "Public"],
         }
     )
-    out = lww_sorted(rd.from_pandas(rows), "key", _TIEBREAK).to_pandas()
+    out = _range_exchange(_blocks(rows, 1), NODES, 1).to_pandas()
     assert len(out) == 1
     assert out.iloc[0]["namespace"] == "N"  # non-NULL row wins
 
 
 def test_sort_fused_dedup_hot_key_stress(ray_session):
-    """Regression guard for the lww_sorted/distinct_sorted invariant:
-    Ray's range-partitioned sort must keep every equal-key run inside
-    one reduce block (sort_task_spec.py reduce emits one block per
-    partition). A 50k-copy hot key + 100k distinct keys across 64 input
-    blocks must collapse to exactly one winner, the greatest tiebreak."""
+    """Regression guard for the range exchange's invariant: the range
+    split is a pure function of the key, so every equal-key run lands
+    in one reduce task. A 50k-copy hot key + 100k distinct keys across
+    64 input blocks must collapse to exactly one winner, the greatest
+    tiebreak, and come out globally sorted."""
     import pandas as pd
-    import ray.data as rd
 
-    from codetoneo4j_ray.stages.canonicalize import distinct_sorted, lww_sorted
+    from codetoneo4j_ray.stages.canonicalize import EDGES, Canon
 
     n_hot, n_uniq = 50_000, 100_000
     df = pd.DataFrame(
@@ -210,8 +241,8 @@ def test_sort_fused_dedup_hot_key_stress(ray_session):
             "path": [f"p{i % 977}" for i in range(n_hot)] + ["p"] * n_uniq,
         }
     )
-    ds = rd.from_pandas(df).repartition(64)
-    out = lww_sorted(ds, "key", ["path"]).to_pandas()
+    lww = Canon("key", ("key", "path"), ("key",))
+    out = _range_exchange(_blocks(df, 64), lww, 8).to_pandas()
     assert len(out) == n_uniq + 1
     assert out["key"].is_unique
     # winner = lexicographic max of the tiebreak strings
@@ -227,7 +258,6 @@ def test_sort_fused_dedup_hot_key_stress(ray_session):
             "obj": ["o"] * (n_hot + n_uniq),
         }
     )
-    tds = rd.from_pandas(trip).repartition(64)
-    tout = distinct_sorted(tds).to_pandas()
+    tout = _range_exchange(_blocks(trip, 64), EDGES, 8).to_pandas()
     assert len(tout) == n_uniq + 1
     assert not tout.duplicated().any()

@@ -65,19 +65,20 @@ def measure(root: str, exts: tuple[str, ...]) -> dict:
     import pyarrow as pa
     import ray.data
 
-    from codetoneo4j_ray.pipelines.build_graph import (
-        _record_parts,
-        _symbol_edges,
-        resolve_mode,
-    )
     from codetoneo4j_ray.stages.extract import build_type_index, extract_records
+    from codetoneo4j_ray.stages.link import (
+        build_member_indices,
+        resolve_edges_broadcast,
+        resolve_mentions,
+    )
 
     rows = _corpus_rows(root, exts)
     corpus = ray.data.from_arrow(
         pa.Table.from_pylist(rows)
     ).repartition(8)
     records = extract_records(corpus, build_type_index(corpus)).materialize()
-    symbols, files, raw_mentions, _rec = _record_parts(records, None)
+    symbols = records.filter(expr="rec_type == 'symbol'")
+    raw_mentions = records.filter(expr="rec_type == 'mention'")
     n_sym = symbols.count()
 
     def count_invokes(ds) -> int:
@@ -90,7 +91,12 @@ def measure(root: str, exts: tuple[str, ...]) -> dict:
         return int(ds.map_batches(f, batch_format="pandas").sum("n") or 0)
 
     n_raw = count_invokes(raw_mentions)
-    sym_edges = _symbol_edges(raw_mentions, symbols, resolve_mode())
+    # stage 2 as the broadcast build runs it
+    keys = set(symbols.select_columns(["key"]).to_pandas()["key"])
+    sym_edges = resolve_edges_broadcast(
+        resolve_mentions(raw_mentions, build_member_indices(raw_mentions)),
+        keys,
+    )
     n_resolved = count_invokes(sym_edges)
     return {
         "files": len(rows),

@@ -2,10 +2,12 @@
 
 Usage:  python tools/stage_stats.py [sf_dir]
 
-Runs stage 1 + the nodes/edges outputs over the synthetic corpus and
-prints ``ds.stats()`` for each consuming pipeline — wall/cpu/memory per
-operator, the feedback loop used while tuning (block coalescing, bucket
-counts, narrow projections; see BASELINE.md §2)."""
+Runs stage 1 over the synthetic corpus and prints its ``ds.stats()`` —
+wall/cpu/memory per operator, the feedback loop used while tuning
+(block coalescing, bucket counts, narrow projections; see BASELINE.md
+§2) — then stages 2–4 from the checkpoint, which run as raw tasks
+(``build_graph._graph_tail``) with no Ray Data operators, so only their
+row counts are printed."""
 
 from __future__ import annotations
 
@@ -46,11 +48,9 @@ def main() -> None:
     print(records.stats())
 
     outputs = graph_from_records(records_dir=f"{out}/records")
-    for name in ("nodes", "edges"):
-        outputs[name].write_parquet(f"{out}/{name}")
-        print("=" * 70)
-        print(f"OUTPUT PIPELINE: {name}")
-        print(outputs[name].stats())
+    print("=" * 70)
+    for name in ("nodes", "edges", "files"):
+        print(f"OUTPUT {name}: {outputs[name].count()} rows")
     ray.shutdown()
 
 
