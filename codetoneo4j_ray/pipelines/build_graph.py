@@ -1,14 +1,23 @@
 """Flagship pipeline: Parquet corpus → canonical KG triple tables.
 
-    read_parquet (repo,path,commit,lang,content)
-      → [1a] type-index skim (C# rows only)            map_batches
-      → [1b] extraction                                 task map_batches
-            ⇒ records pinned in the object store; records/ parquet
-              checkpoint (resumable) written in the background
+Every stage runs as raw Ray tasks over pinned blocks; no Ray Data
+execution is on the build path:
+
+      raw read tasks                            corpus blocks (repo, path,
+                                                commit, lang, content),
+                                                pinned under the budget
+      → [1a] pass A: one skim task per block    type-index rows → repo-
+                                                bucketed assembly →
+                                                broadcast index
+      → [1b] pass B: one extraction task        records blocks, pinned in
+             per block                          the object store
       → stages 2–4, raw tasks over the pinned records blocks:
         wave 1  one scan task per block        member/base rows, declared
-                                               keys, bounded key samples
-        driver  member index + key set (broadcast), range bounds
+                                               keys, bounded key samples;
+                                               the block written as
+                                               records/rec_type=X/part-k
+        driver  records manifest, member index + key set (broadcast),
+                range bounds
         wave 2  one map task per block         [2a] deferred-INVOKES
                                                resolution, [2b] endpoint
                                                check, [4] structural edges,
@@ -16,6 +25,9 @@
                                                [3] dedup, range split
         wave 3  one task per (output, range)   [3] sort + dedup, write
                                                nodes|edges|files/part-k
+
+Each wave ends at a driver barrier, where the build takes that stage's
+wall (``stage_sec`` in its metrics, :class:`StageWalls`).
 
 Stages 2–4 (``write_graph``, shared with ``build_graph_incremental``)
 run no Ray Data sort and no driver collect: every output is range-
@@ -31,14 +43,17 @@ exchange (``resolve_link_fused``), with no driver-side index, whose
 bucket outputs feed the edges' range split.
 
 Every shuffle is metadata-only (keys + record rows); file *content*
-never moves past stage 1b. The reference's pipeline equivalence is the
+never moves past stage 1b (on the partitioned path it crosses the
+repo-keyed extraction exchange once). The reference's pipeline equivalence is the
 full-index run (``SolutionProcessor.ProcessSolution``, SURVEY §3.1).
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import shutil
+import time
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -49,6 +64,14 @@ import ray.data
 from codetoneo4j_ray.extractors.accessibility import DEFAULT_MIN_ACCESSIBILITY
 from codetoneo4j_ray.extractors.csharp.extractor import BASE_PRED, MEMBER_PRED
 from codetoneo4j_ray.schema import TRIPLE_SCHEMA
+from codetoneo4j_ray.stages.bucketing import (
+    Blocks,
+    blocks_for,
+    cluster_cpus,
+    parquet_files,
+    plan_reads,
+    read_blocks,
+)
 from codetoneo4j_ray.stages.canonicalize import (
     EDGES,
     FILES,
@@ -63,7 +86,8 @@ from codetoneo4j_ray.stages.canonicalize import (
 from codetoneo4j_ray.stages.extract import (
     RECORD_SCHEMA,
     build_type_index,
-    extract_records,
+    extract_blocks,
+    extract_records_partitioned,
 )
 from codetoneo4j_ray.stages.link import (
     MENTION_COLS,
@@ -86,47 +110,35 @@ from codetoneo4j_ray.state.manifest import (
 CORPUS_COLUMNS = ["repo", "path", "commit", "lang", "content"]
 
 
-def read_corpus(
-    input_path: str, content_bytes: int | None = None
-) -> ray.data.Dataset:
-    """The corpus in ``blocks_for(content bytes, cluster_cpus())``
-    blocks: every downstream op inherits the count (extraction runs one
-    task per block, so each CPU gets one), and Ray's all-to-all
-    exchanges degrade quadratically with it. ``content_bytes`` is
-    :func:`corpus_content_bytes`, read here from the footers when the
-    caller has not already."""
-    from codetoneo4j_ray.stages.bucketing import blocks_for, cluster_cpus
+def read_corpus_blocks(
+    input_path: str, content_bytes: int | None = None,
+    batch_size: int | None = None,
+) -> Blocks:
+    """The corpus in ``blocks_for(content bytes, cluster_cpus())`` raw
+    read blocks (:func:`~codetoneo4j_ray.stages.bucketing.plan_reads`):
+    every stage-1 pass runs one task per block, so each CPU gets one.
+    ``content_bytes`` is :func:`corpus_content_bytes`, read here from
+    the footers when the caller has not already; ``batch_size`` caps a
+    block's rows where the files allow.
 
+    When the content fits a quarter of the cluster's object-store
+    memory (``ray.cluster_resources()``; no Ray session → over budget)
+    raw read tasks pin the blocks once and both passes (pass-A skim,
+    pass-B extraction) reuse the refs; this returns once they have
+    finished. The rest of the store holds the records and the exchange
+    blocks. Over the budget (the 100 TB shape) the blocks are
+    :class:`~codetoneo4j_ray.stages.bucketing.ParquetSlice` specs and
+    each pass's tasks read their own slice, so the corpus is read once
+    per pass and never held whole."""
     if content_bytes is None:
         content_bytes = corpus_content_bytes(input_path)
-    return ray.data.read_parquet(
-        input_path, columns=CORPUS_COLUMNS,
-        override_num_blocks=blocks_for(content_bytes, cluster_cpus()),
-    )
-
-
-def read_corpus_pinned(
-    input_path: str, content_bytes: int | None = None
-) -> ray.data.Dataset:
-    """:func:`read_corpus`, materialized into the object store when the
-    corpus content fits a quarter of the cluster's object-store memory
-    (``ray.cluster_resources()``; no Ray session yet → stream). The rest
-    of the store holds the pinned records and the exchange blocks.
-
-    Stage 1 reads the corpus twice (pass-A skim + pass-B extraction),
-    and a single-parquet-file corpus split into several blocks drips
-    through the streaming executor block by block; pinning the blocks
-    once makes both passes read local plasma. At 100 TB the corpus is
-    many files (parallel read tasks, no drip) and exceeds the budget,
-    so it streams."""
-    if content_bytes is None:
-        content_bytes = corpus_content_bytes(input_path)
-    ds = read_corpus(input_path, content_bytes)
+    pieces = plan_reads(input_path, blocks_for(content_bytes, cluster_cpus()),
+                        CORPUS_COLUMNS, batch_size)
     store = (ray.cluster_resources().get("object_store_memory", 0)
              if ray.is_initialized() else 0)
     if content_bytes is not None and content_bytes <= int(store) // 4:
-        ds = ds.materialize()
-    return ds
+        return read_blocks(pieces)
+    return Blocks(pieces, None, content_bytes)
 
 
 def read_parquet_sized(path: str, **kwargs) -> ray.data.Dataset:
@@ -134,8 +146,6 @@ def read_parquet_sized(path: str, **kwargs) -> ray.data.Dataset:
     (:func:`parquet_bytes`) blocks. Ray's default read parallelism
     splits a metadata-sized file into a dozen blocks, and every
     downstream map runs one task per block."""
-    from codetoneo4j_ray.stages.bucketing import blocks_for
-
     return ray.data.read_parquet(
         path, override_num_blocks=blocks_for(parquet_bytes(path)), **kwargs
     )
@@ -153,12 +163,58 @@ def read_records(records_dir: str, rec_type: str | None = None) -> ray.data.Data
         return read_parquet_sized(records_dir)
     part_dir = f"{records_dir}/rec_type={rec_type}"
     if not os.path.isdir(part_dir):
-        from codetoneo4j_ray.stages.extract import RECORD_SCHEMA
-
         # partition-dir reads drop the hive column; match that shape
         empty = pa.schema([f for f in RECORD_SCHEMA if f.name != "rec_type"])
         return ray.data.from_arrow(empty.empty_table())
     return read_parquet_sized(part_dir)
+
+
+def _as_records(fn, table: pa.Table) -> pa.Table:
+    """A checkpoint table in ``RECORD_SCHEMA`` (schema column order and
+    types), then ``fn`` when given."""
+    table = pa.table(
+        {f.name: (table[f.name].cast(f.type) if f.name in table.column_names
+                  else pa.nulls(table.num_rows, f.type))
+         for f in RECORD_SCHEMA}, schema=RECORD_SCHEMA)
+    return fn(table) if fn is not None else table
+
+
+def read_records_blocks(records_dir: str, rec_type: str | None = None,
+                        fn=None) -> Blocks:
+    """The records checkpoint (or its ``rec_type`` partition) read by raw
+    tasks into ``RECORD_SCHEMA`` blocks, ``fn(table)`` applied in each
+    task; ``blocks_for(footer bytes, cluster_cpus())`` blocks. Any
+    ``*.parquet`` under ``rec_type=*/`` is read, whatever wrote it (the
+    scan wave's ``part-{k:05d}.parquet``, or an older build's Ray Data
+    partitioned write); ``rec_type`` comes from the directory name. A
+    partition never written reads as no blocks."""
+    path = records_dir if rec_type is None else f"{records_dir}/rec_type={rec_type}"
+    if not os.path.isdir(path):
+        return Blocks([], 0, 0)
+    pieces = plan_reads(path, blocks_for(parquet_bytes(path), cluster_cpus()))
+    return read_blocks(pieces, functools.partial(_as_records, fn))
+
+
+class StageWalls:
+    """Per-stage walls of one build (``stage_sec`` in its metrics), each
+    taken at the driver barrier that ends the stage's wave: a wall runs
+    from the previous barrier to its own, so the walls add up to the
+    build's wall up to the last barrier. ``scan`` includes the records
+    checkpoint; a stage a build does not run reads 0."""
+
+    STAGES = ("read", "skim", "extract", "scan", "map", "reduce")
+
+    def __init__(self) -> None:
+        self.sec = dict.fromkeys(self.STAGES, 0.0)
+        self._start = self._last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.sec[stage] = round(self.sec[stage] + now - self._last, 4)
+        self._last = now
+
+    def elapsed(self) -> float:
+        return time.perf_counter() - self._start
 
 
 # The broadcast path assembles the type index, the member index and the
@@ -176,16 +232,7 @@ _PARTITIONED_MIN_CPUS = 32
 def _footers(path: str) -> list:
     """Parquet footers (``FileMetaData``) of ``path`` or of every
     ``.parquet`` file below it."""
-    import pyarrow.parquet as pq
-
-    paths = []
-    if os.path.isdir(path):
-        for root, _dirs, files in os.walk(path):
-            paths += [os.path.join(root, f) for f in files
-                      if f.endswith(".parquet")]
-    else:
-        paths = [path]
-    return [pq.ParquetFile(p).metadata for p in paths]
+    return [pq.ParquetFile(p).metadata for p in parquet_files(path)]
 
 
 def parquet_bytes(path: str) -> int:
@@ -254,12 +301,33 @@ def _internal(mentions: pa.Table):
     return pc.is_in(mentions["pred"], value_set=_INTERNAL_PREDS)
 
 
+def _write_parts(block: pa.Table, rt, records_dir: str, k: int) -> None:
+    """Block ``k``'s rows as records checkpoint files, one per rec_type
+    present: ``{records_dir}/rec_type=X/part-{k:05d}.parquet`` (the
+    hive layout; the directory carries the column)."""
+    for value in pc.unique(rt).to_pylist():
+        part_dir = f"{records_dir}/rec_type={value}"
+        os.makedirs(part_dir, exist_ok=True)
+        pq.write_table(_of_type(block, rt, value).drop_columns(["rec_type"]),
+                       f"{part_dir}/part-{k:05d}.parquet")
+
+
 @ray.remote
-def _scan_block(block: pa.Table, broadcast: bool, rate: float):
-    """Wave 1 over one records block: (member/base rows, declared keys)
-    for the broadcast path's driver structures (None otherwise), and the
-    key samples of the node, edge and file outputs (None at rate 0)."""
+def _scan_block(block: pa.Table, broadcast: bool, rate: float,
+                records_dir: str | None, k: int):
+    """Wave 1 over records block ``k``: (member/base rows, declared keys)
+    for the broadcast path's driver structures (None otherwise), the key
+    samples of the node, edge and file outputs (None at rate 0), and,
+    with ``records_dir``, the block written as the records checkpoint —
+    a failed write is returned as the last value, for the driver to
+    report as a checkpoint failure."""
     rt = block["rec_type"]
+    err = None
+    if records_dir is not None:
+        try:
+            _write_parts(block, rt, records_dir, k)
+        except Exception as e:  # noqa: BLE001 — reported by the driver
+            err = e
     symbols = _of_type(block, rt, "symbol")
     mentions = _of_type(block, rt, "mention")
     internal = _internal(mentions)
@@ -276,7 +344,7 @@ def _scan_block(block: pa.Table, broadcast: bool, rate: float):
         samples = (key_sample(symbols["key"], rate),
                    key_sample(subjects, rate),
                    key_sample(_of_type(block, rt, "file")["key"], rate))
-    return members, keys, samples
+    return members, keys, samples, err
 
 
 @ray.remote
@@ -334,31 +402,32 @@ def _empty_output(name: str, files_post=None) -> pa.Table:
         files, lambda keys: pa.array([False] * len(keys), pa.bool_()))
 
 
-def _block_refs(ds: ray.data.Dataset) -> list:
-    """Refs of the materialized ``ds``'s non-empty blocks (empty ones
-    can lack the schema)."""
-    return [br for bundle in ds.iter_internal_ref_bundles()
-            for br, meta in bundle.blocks if meta.num_rows]
-
-
-def _graph_tail(records: ray.data.Dataset, mode: str, no_key: bool,
-                out_dir: str | None = None, files_post=None):
-    """Stages 2–4 over the pinned ``records`` as three raw-task waves
-    (module docstring). Each output has up to ``blocks_for(records'
+def _graph_tail(records: Blocks, mode: str, no_key: bool,
+                out_dir: str | None = None, files_post=None,
+                checkpoint: tuple[str, dict] | None = None,
+                walls: StageWalls | None = None):
+    """Stages 2–4 over the pinned ``records`` blocks as three raw-task
+    waves (module docstring). Each output has up to ``blocks_for(records'
     bytes)`` ranges. With ``out_dir`` every non-empty range is written
     to ``{out_dir}/{output}/part-{k:05d}.parquet``. ``files_post`` runs
     in each files reduce task (see ``reduce_range``).
 
+    With ``checkpoint`` = (fingerprint, manifest metrics) the scan wave
+    also writes the records checkpoint into ``{out_dir}/records`` and
+    its manifest follows the wave; a failed part or manifest write
+    raises ``RuntimeError("records checkpoint write failed")``.
+    ``walls`` gets the scan, map and reduce walls.
+
     Returns ({output: [(table ref, rows)] per range}, mentions_in,
     mentions_resolved). Every task submitted here has finished when it
     returns or raises."""
-    from codetoneo4j_ray.stages.bucketing import blocks_for
-
-    blocks = _block_refs(records)
-    num_ranges = blocks_for(records.size_bytes())
-    nrows = records.count()
+    walls = walls or StageWalls()
+    blocks = records.refs
+    num_ranges = blocks_for(records.nbytes)
+    nrows = records.rows
     rate = min(1.0, SAMPLE_KEYS / nrows) if num_ranges > 1 and nrows else 0.0
     broadcast = mode != "partitioned"
+    records_dir = f"{out_dir}/records" if checkpoint is not None else None
     submitted: list = []
 
     def submit(refs):
@@ -367,30 +436,39 @@ def _graph_tail(records: ray.data.Dataset, mode: str, no_key: bool,
 
     try:
         scans = []
-        if broadcast or rate:
-            scans = ray.get([submit(_scan_block.remote(b, broadcast, rate))
-                             for b in blocks])
+        if broadcast or rate or records_dir:
+            scans = ray.get([submit(_scan_block.remote(
+                b, broadcast, rate, records_dir, k))
+                for k, b in enumerate(blocks)])
+        if records_dir is not None:
+            failed = [e for *_, e in scans if e is not None]
+            try:
+                if failed:
+                    raise failed[0]
+                write_manifest(out_dir, "records", *checkpoint)
+            except Exception as e:
+                # a swallowed failure would report success while leaving
+                # a partial, manifest-less records dir behind
+                raise RuntimeError("records checkpoint write failed") from e
+        walls.lap("scan")
         link_refs = None
         if broadcast:
-            members = [m for m, _, _ in scans if m.num_rows]
+            members = [m for m, _, _, _ in scans if m.num_rows]
             index = (_member_indices(pa.concat_tables(members).to_pandas())
                      if members else {})
-            keys = frozenset(k for _, ks, _ in scans for k in ks.to_pylist())
+            keys = frozenset(k for _, ks, _, _ in scans
+                             for k in ks.to_pylist())
             link_refs = (ray.put(index), ray.put(keys))
-        bounds = [range_bounds([s[i] for _, _, s in scans if s is not None],
+        bounds = [range_bounds([s[i] for _, _, s, _ in scans if s is not None],
                                num_ranges) for i in range(len(_OUTPUTS))]
         nret = sum(len(b) + 1 for b in bounds) + 1
         maps = [submit(_map_block.options(num_returns=nret).remote(
             b, link_refs, bounds, no_key)) for b in blocks]
         link_maps = []
         if not broadcast:
-            linked = resolve_link_fused(
-                records.filter(expr="rec_type == 'mention'"),
-                records.filter(expr="rec_type == 'symbol'"),
-            )
             link_maps = [submit(_map_link_block.options(
                 num_returns=len(bounds[1]) + 2).remote(b, bounds[1]))
-                for b in _block_refs(linked)]
+                for b in resolve_link_fused(records).refs]
 
         outputs: dict = {}
         offset = 0
@@ -410,6 +488,9 @@ def _graph_tail(records: ray.data.Dataset, mode: str, no_key: bool,
                 outputs[name].append(submit(reduce_range.remote(
                     canon, part, post, b, k, *pieces)))
             offset += len(b) + 1
+        counts = ray.get([m[-1] for m in maps])
+        link_counts = ray.get([m[-1] for m in link_maps])
+        walls.lap("map")
         rows = iter(ray.get([r for refs in outputs.values() for _, r in refs]))
         outputs = {name: [(t, next(rows)) for t, _ in refs]
                    for name, refs in outputs.items()}
@@ -418,10 +499,9 @@ def _graph_tail(records: ray.data.Dataset, mode: str, no_key: bool,
                 # an empty output still reads back: one empty part
                 pq.write_table(_empty_output(name, files_post),
                                f"{out_dir}/{name}/part-00000.parquet")
-        counts = ray.get([m[-1] for m in maps])
+        walls.lap("reduce")
         mentions_in = sum(n for n, _ in counts)
-        resolved = (sum(r for _, r in counts)
-                    + sum(ray.get([m[-1] for m in link_maps])))
+        resolved = sum(r for _, r in counts) + sum(link_counts)
     finally:
         # no task outlives the build, on success or error
         if submitted:
@@ -431,25 +511,53 @@ def _graph_tail(records: ray.data.Dataset, mode: str, no_key: bool,
 
 
 def graph_from_records(
-    records: ray.data.Dataset | None = None,
+    records: Blocks | None = None,
     records_dir: str | None = None,
     no_key: bool = False,
     corpus_bytes: int | None = None,
 ) -> dict[str, ray.data.Dataset]:
-    """Stages 2–4 from a records stream or a ``records_dir`` checkpoint,
+    """Stages 2–4 from records blocks or a ``records_dir`` checkpoint,
     on the path ``resolve_mode(corpus_bytes)`` picks, without writing:
     returns the nodes, edges and files (each sorted by key) as datasets
     over the reduce tasks' tables."""
     if records is None:
-        records = read_records(records_dir)
-    outputs, _, _ = _graph_tail(records.materialize(),
-                                resolve_mode(corpus_bytes), no_key)
+        records = read_records_blocks(records_dir)
+    outputs, _, _ = _graph_tail(records, resolve_mode(corpus_bytes), no_key)
     out = {}
     for name, parts in outputs.items():
         tables = [t for t, rows in parts if rows]
         out[name] = (ray.data.from_arrow_refs(tables) if tables
                      else ray.data.from_arrow(_empty_output(name)))
     return out
+
+
+def extract_corpus(
+    corpus: Blocks,
+    mode: str = "broadcast",
+    min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
+    pkg_meta: dict | None = None,
+    no_key: bool = False,
+    walls: StageWalls | None = None,
+) -> Blocks:
+    """Stage 1 over the corpus blocks on the ``mode`` path: pass A
+    (``build_type_index``), then pass B — one extraction task per block
+    with the broadcast index, or the partitioned path's repo-bucketed
+    exchange. ``walls`` gets the skim and extract walls."""
+    walls = walls or StageWalls()
+    partitioned = mode == "partitioned"
+    indices, skims, _ = build_type_index(corpus, assemble=not partitioned)
+    walls.lap("skim")
+    if partitioned:
+        # multi-node configuration end-to-end: the repo-bucketed
+        # extraction holds per-bucket indices only — nothing on the
+        # driver or any worker grows with corpus size
+        records = extract_records_partitioned(
+            corpus, skims, min_accessibility, pkg_meta, no_key)
+    else:
+        records = extract_blocks(corpus, indices, min_accessibility,
+                                 pkg_meta, no_key)
+    walls.lap("extract")
+    return records
 
 
 def build_graph(
@@ -461,7 +569,10 @@ def build_graph(
     no_key: bool = False,
     batch_size: int | None = None,
 ) -> dict:
-    """Full run with a records checkpoint; returns metrics."""
+    """Full run with a records checkpoint; returns metrics.
+    ``batch_size`` caps the rows of a corpus block (see
+    :func:`read_corpus_blocks`)."""
+    walls = StageWalls()
     content_bytes = corpus_content_bytes(input_path)
     mode = resolve_mode(content_bytes)
     pkg_stat = None
@@ -473,8 +584,6 @@ def build_graph(
               "no_key": no_key}
     fp = corpus_fingerprint(input_path, config)
 
-    import time
-
     pkg_meta = None
     if packages_path is not None:
         from codetoneo4j_ray.stages.extract import load_pkg_meta
@@ -482,26 +591,12 @@ def build_graph(
         pkg_meta = load_pkg_meta(packages_path)
 
     records = None
-    t0 = time.perf_counter()
     if not (resume and stage_is_complete(out_dir, "records", fp)):
-        corpus = read_corpus_pinned(input_path, content_bytes)
-        if mode == "partitioned":
-            # multi-node configuration end-to-end: the repo-bucketed
-            # extraction holds per-bucket indices only — nothing on the
-            # driver or any worker grows with corpus size
-            from codetoneo4j_ray.stages.extract import (
-                extract_records_partitioned,
-            )
-
-            records = extract_records_partitioned(
-                corpus, min_accessibility, pkg_meta=pkg_meta, no_key=no_key
-            )
-        else:
-            records = extract_records(
-                corpus, build_type_index(corpus), min_accessibility,
-                pkg_meta=pkg_meta, no_key=no_key, batch_size=batch_size,
-            )
-    metrics = write_graph(out_dir, fp, mode, no_key, records, t0)
+        corpus = read_corpus_blocks(input_path, content_bytes, batch_size)
+        walls.lap("read")
+        records = extract_corpus(corpus, mode, min_accessibility, pkg_meta,
+                                 no_key, walls)
+    metrics = write_graph(out_dir, fp, mode, no_key, records, walls)
     metrics["mode"] = mode
     write_manifest(out_dir, "graph", fp, metrics)
     return metrics
@@ -512,100 +607,42 @@ def write_graph(
     fp: str,
     mode: str,
     no_key: bool,
-    records: ray.data.Dataset | None,
-    t0: float,
+    records: Blocks | None,
+    walls: StageWalls,
     files_post=None,
 ) -> dict:
     """Stages 2–4 into ``out_dir``'s nodes/, edges/ and files/; returns
     their row counts, ``mentions_in`` (non-internal mention rows),
     ``mentions_resolved`` (rows left after resolution and the endpoint
-    check, before the distinct) and ``stage1_sec``.
+    check, before the distinct), ``stage1_sec`` and ``stage_sec`` (the
+    ``walls``, started when the build started).
 
-    ``records`` (the lazy stage-1 stream, started at ``t0``) is pinned
-    in the object store — metadata-sized, spillable — and stages 2–4
-    run as raw tasks over the pinned blocks (``_graph_tail``), so the
-    ``records/`` checkpoint comes off the critical path: a background
-    thread writes it, then its manifest (under ``fp``), so a crash
-    mid-write re-runs stage 1; a failed write is re-raised once the
-    outputs are written. ``records=None`` pins the existing checkpoint
-    instead, so a resumed build sizes its ranges from the same
+    Stages 2–4 run as raw tasks over the pinned ``records`` blocks
+    (``_graph_tail``), whose scan wave also writes the ``records/``
+    checkpoint; its manifest (under ``fp``) follows the wave, so a
+    crash mid-write re-runs stage 1. ``records=None`` reads the
+    existing checkpoint instead (a resumed build), sized from the same
     in-memory bytes as a fresh one. ``files_post(table, in_range)``
     runs in each files reduce task after the dedup."""
-    import threading
-    import time
-
     records_dir = f"{out_dir}/records"
-    _stub_fsspec_http()
+    checkpoint = None
     stage1_sec = 0.0
-    ckpt_thread = None
-    ckpt_err: list[BaseException] = []
-    if records is not None:
-        records = records.materialize()
-        stage1_sec = round(time.perf_counter() - t0, 3)
-
-        def _write_ckpt() -> None:
-            # hive-partition the checkpoint by rec_type (the incremental
-            # diff reads only rec_type=file); block count bounded at the
-            # read
-            try:
-                shutil.rmtree(records_dir, ignore_errors=True)
-                records.write_parquet(records_dir,
-                                      partition_cols=["rec_type"])
-                write_manifest(out_dir, "records", fp,
-                               {"rows": _parquet_rows(records_dir),
-                                "wall_sec": stage1_sec})
-            except BaseException as e:  # re-raised at the join below
-                ckpt_err.append(e)
-
-        ckpt_thread = threading.Thread(target=_write_ckpt, daemon=True)
-        ckpt_thread.start()
+    if records is None:
+        records = read_records_blocks(records_dir)
+        walls.lap("read")
     else:
-        records = read_records(records_dir).materialize()
-
-    try:
-        outputs, mentions_in, resolved = _graph_tail(
-            records, mode, no_key, out_dir, files_post)
-    finally:
-        if ckpt_thread is not None:
-            ckpt_thread.join()
-    if ckpt_err:
-        # a swallowed checkpoint failure would report success while
-        # leaving a partial, manifest-less records dir behind
-        raise RuntimeError("records checkpoint write failed") from ckpt_err[0]
+        stage1_sec = round(walls.elapsed(), 3)
+        shutil.rmtree(records_dir, ignore_errors=True)
+        checkpoint = (fp, {"rows": records.rows, "wall_sec": stage1_sec})
+    outputs, mentions_in, resolved = _graph_tail(
+        records, mode, no_key, out_dir, files_post, checkpoint, walls)
     metrics: dict = {name: sum(rows for _, rows in parts)
                      for name, parts in outputs.items()}
     metrics["mentions_in"] = mentions_in
     metrics["mentions_resolved"] = resolved
     metrics["stage1_sec"] = stage1_sec
+    metrics["stage_sec"] = dict(walls.sec)
     return metrics
-
-
-def _stub_fsspec_http() -> None:
-    """Make fsspec.implementations.http importable for concurrent writers.
-
-    Ray's write path lazily imports it per call; in this environment the
-    real module fails (no aiohttp) and two threads importing at once can
-    leave a half-initialized module cached, raising ImportError past
-    Ray's ModuleNotFoundError guard. A stub HTTPFileSystem (only ever
-    used in isinstance checks, which correctly return False) removes the
-    race."""
-    import sys
-    import types
-
-    try:
-        from fsspec.implementations.http import HTTPFileSystem  # noqa: F401
-
-        return
-    except ImportError:
-        pass
-    sys.modules.pop("fsspec.implementations.http", None)
-    mod = types.ModuleType("fsspec.implementations.http")
-
-    class HTTPFileSystem:  # noqa: N801 — name must match the real class
-        pass
-
-    mod.HTTPFileSystem = HTTPFileSystem
-    sys.modules["fsspec.implementations.http"] = mod
 
 
 def _parquet_rows(path: str) -> int:

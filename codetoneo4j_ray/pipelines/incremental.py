@@ -22,12 +22,25 @@ deleted_at; a tombstoned file that reappears in the corpus is
 re-extracted and returns to live (the tombstone drops). A fresh full
 build (new index) has no tombstones and keeps the base schema.
 
-Stage 1 cost scales with the delta, not the corpus (the full-corpus
-type-index skim overlaps the diff). Stages 2–4 rerun over the merged
-in-memory records (metadata-sized) through ``build_graph.write_graph``,
-the full build's raw-task tail, which writes ``records/`` in the
-background; the tombstone rows join each files range in its reduce
-task, after the LWW dedup (``_files_with_tombstones``).
+Every step is a raw-task wave over pinned blocks, as in the full build:
+
+  read     the corpus blocks (``build_graph.read_corpus_blocks``), and
+           the prior file records and tombstones (raw read tasks)
+  pass A   one skim task per corpus block returns its type-index rows
+           AND its handled files' (repo, path, sha256), so one pass over
+           the content feeds both the full-corpus type index and the
+           diff (``_diff``, a (repo, path)-bucketed exchange)
+  pass B   extraction of the changed files only (the changed-key filter
+           runs inside the tasks); the carried records come from raw
+           read tasks over the prior checkpoint, which drop the stale
+           keys; the tombstone rows from one raw task over the prior
+           files/
+  tail     ``build_graph.write_graph``, the full build's raw-task tail,
+           whose scan wave writes ``records/``; the tombstone rows join
+           each files range in its reduce task, after the LWW dedup
+           (``_files_with_tombstones``).
+
+Stage-1 parse cost scales with the delta, not the corpus.
 """
 
 from __future__ import annotations
@@ -36,61 +49,134 @@ import functools
 import os
 import time
 
+import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
-import ray.data
 
 from codetoneo4j_ray.extractors.accessibility import DEFAULT_MIN_ACCESSIBILITY
 from codetoneo4j_ray.functions.text import sha256_hex
 from codetoneo4j_ray.pipelines.build_graph import (
-    _block_refs,
+    StageWalls,
     corpus_content_bytes,
-    read_corpus_pinned,
-    read_parquet_sized,
-    read_records,
+    read_corpus_blocks,
+    read_records_blocks,
     resolve_mode,
     write_graph,
 )
+from codetoneo4j_ray.stages.bucketing import (
+    Blocks,
+    ParquetSlice,
+    bucketed_apply_tasks,
+    parquet_files,
+    read_blocks,
+)
 from codetoneo4j_ray.stages.extract import (
-    RECORD_SCHEMA,
     build_type_index,
-    extract_records,
+    extract_blocks,
     extract_records_partitioned,
+    filter_keys,
     has_handler,
+    joined_keys,
 )
 from codetoneo4j_ray.stages.materialize import finalize_files
 from codetoneo4j_ray.state.manifest import corpus_fingerprint, write_manifest
 
 
-def _joined_keys(keys: set[tuple[str, str]]) -> pa.Array:
-    """(repo, path) set → Arrow string array for vectorized pc.is_in."""
-    return pa.array([f"{r}\x00{p}" for r, p in keys], pa.string())
+def _side_rows(side: str, table: pa.Table, sha256=None,
+               deleted_at=None) -> pa.Table:
+    """One side of the diff: (repo, path, sha256, deleted_at, side)."""
+    n = table.num_rows
+    return pa.table({
+        "repo": table["repo"],
+        "path": table["path"],
+        "sha256": table["sha256"] if sha256 is None else sha256,
+        "deleted_at": (pa.nulls(n, pa.int64()) if deleted_at is None
+                       else deleted_at),
+        "side": pa.array([side] * n, pa.string()),
+    })
 
 
-def _join_cols(batch: pa.Table) -> pa.Array:
-    return pc.binary_join_element_wise(batch["repo"], batch["path"], "\x00")
+def _current_side(block: pa.Table) -> pa.Table:
+    """c: the corpus rows some handler takes (the others yield no
+    records, so they are never changed, carried or dropped), run by the
+    pass-A skim task over the same block."""
+    block = block.filter(pa.array(
+        [has_handler(p) for p in block["path"].to_pylist()], pa.bool_()))
+    return _side_rows("c", block, pa.array(
+        [sha256_hex(c) for c in block["content"].to_pylist()], pa.string()))
 
 
-def _diff_vs_prior(
-    corpus: ray.data.Dataset, prior_out_dir: str
-) -> tuple[set[tuple[str, str]], list[tuple[str, str]],
-           list[tuple[str, str, int]]]:
-    """Bucketed (repo, path) diff of corpus sha256 vs the prior run.
+def _tombstone_side(table: pa.Table) -> pa.Table:
+    """t: the prior files table's tombstone rows."""
+    table = table.filter(pc.fill_null(table["deleted"], False))
+    return _side_rows("t", table,
+                      deleted_at=pc.cast(table["deleted_at"], pa.int64()))
+
+
+def _prior_sides(prior_out_dir: str) -> Blocks:
+    """The diff's prior sides, read by raw tasks: p, the prior run's
+    file records, one per extracted (repo, path) (not the files table:
+    it keeps one row per file key, and repo-less keys such as
+    ``client/package.json`` recur across repos, so every other repo's
+    copy would count as changed); t, the prior files table's
+    tombstones (when it has the ``deleted`` column)."""
+    prior = read_records_blocks(f"{prior_out_dir}/records", "file",
+                                functools.partial(_side_rows, "p"))
+    files_dir = f"{prior_out_dir}/files"
+    if "deleted" in pq.read_schema(parquet_files(files_dir)[0]).names:
+        prior += read_blocks([ParquetSlice(tuple(parquet_files(files_dir)))],
+                             _tombstone_side)
+    return prior
+
+
+def _diff_bucket(df: pd.DataFrame) -> pd.DataFrame:
+    """One (repo, path) bucket of the diff (see :func:`_diff`)."""
+    c = df[df["side"] == "c"]
+    p = df[df["side"] == "p"]
+    t = df[df["side"] == "t"]
+    m = c.merge(p[["repo", "path", "sha256"]], on=["repo", "path"],
+                how="outer", suffixes=("_c", "_p"), indicator=True)
+    changed = m[
+        (m["_merge"] == "left_only")
+        | ((m["_merge"] == "both") & (m["sha256_c"] != m["sha256_p"]))
+    ]
+    deleted = m[m["_merge"] == "right_only"]
+    if len(t):
+        tm = t.merge(c[["repo", "path"]], on=["repo", "path"],
+                     how="left", indicator=True)
+        tomb = tm[tm["_merge"] == "left_only"]
+    else:
+        tomb = t
+    return pd.DataFrame({
+        "repo": pd.concat([changed["repo"], deleted["repo"], tomb["repo"]],
+                          ignore_index=True).to_numpy(),
+        "path": pd.concat([changed["path"], deleted["path"], tomb["path"]],
+                          ignore_index=True).to_numpy(),
+        "status": ["changed"] * len(changed)
+        + ["deleted"] * len(deleted) + ["tomb"] * len(tomb),
+        "deleted_at": np.concatenate([
+            np.full(len(changed) + len(deleted), -1, dtype=np.int64),
+            tomb["deleted_at"].to_numpy(dtype=np.int64)
+            if len(tomb) else np.array([], dtype=np.int64),
+        ]),
+    })
+
+
+def _diff(current: Blocks, prior: Blocks) -> tuple[
+        set[tuple[str, str]], list[tuple[str, str]],
+        list[tuple[str, str, int]]]:
+    """Bucketed (repo, path) diff of the corpus sha256 vs the prior run.
 
     A distributed anti/semi-join — neither the corpus universe nor the
     prior file table is ever collected on the driver; only the *diff*
     (changed + deleted + carried-tombstone keys, delta-sized by
     definition) comes back. Three sides meet in each bucket:
 
-      c = current corpus rows some handler takes (the others yield no
-          records, so they are never changed, carried or dropped)
-      p = the prior run's file records, one per extracted (repo, path)
-          (not the files table: it keeps one row per file key, and
-          repo-less keys such as ``client/package.json`` recur across
-          repos, so every other repo's copy would count as changed)
-      t = the prior files table's tombstones
+      c = ``current`` (:func:`_current_side`)
+      p, t = ``prior`` (:func:`_prior_sides`)
       changed   = c absent from p, or present with a different sha —
                   includes resurrections (c matching only a tombstone)
       deleted   = p absent from c (newly deleted this run)
@@ -99,107 +185,37 @@ def _diff_vs_prior(
 
     Returns (changed_keys, deleted_keys sorted,
     carried_tombstones sorted [(repo, path, deleted_at_sec)])."""
-    import pandas as pd
-
-    from codetoneo4j_ray.stages.bucketing import bucketed_apply_tasks
-
-    def side_rows(batch: pa.Table, side: str, sha256,
-                  deleted_at=None) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "repo": batch["repo"],
-                "path": batch["path"],
-                "sha256": sha256,
-                "deleted_at": (pa.nulls(n, pa.int64()) if deleted_at is None
-                               else deleted_at),
-                "side": pa.array([side] * n, pa.string()),
-            }
-        )
-
-    def cur_meta(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(
-            pa.array([has_handler(p) for p in batch["path"].to_pylist()],
-                     pa.bool_())
-        )
-        shas = [sha256_hex(c) for c in batch["content"].to_pylist()]
-        return side_rows(batch, "c", pa.array(shas, pa.string()))
-
-    def prior_live(batch: pa.Table) -> pa.Table:
-        return side_rows(batch, "p", batch["sha256"])
-
-    def prior_tombs(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pc.fill_null(batch["deleted"], False))
-        return side_rows(batch, "t", batch["sha256"],
-                         pc.cast(batch["deleted_at"], pa.int64()))
-
-    cur = corpus.map_batches(cur_meta, batch_format="pyarrow")
-    prior = read_records(f"{prior_out_dir}/records", "file").map_batches(
-        prior_live, batch_format="pyarrow"
-    )
-    prior_files = read_parquet_sized(f"{prior_out_dir}/files")
-    if "deleted" in prior_files.schema().names:
-        prior = prior.union(
-            prior_files.map_batches(prior_tombs, batch_format="pyarrow")
-        )
-
-    def diff(df: pd.DataFrame) -> pd.DataFrame:
-        c = df[df["side"] == "c"]
-        p = df[df["side"] == "p"]
-        t = df[df["side"] == "t"]
-        m = c.merge(p[["repo", "path", "sha256"]], on=["repo", "path"],
-                    how="outer", suffixes=("_c", "_p"), indicator=True)
-        changed = m[
-            (m["_merge"] == "left_only")
-            | ((m["_merge"] == "both") & (m["sha256_c"] != m["sha256_p"]))
-        ]
-        deleted = m[m["_merge"] == "right_only"]
-        if len(t):
-            tm = t.merge(c[["repo", "path"]], on=["repo", "path"],
-                         how="left", indicator=True)
-            tomb = tm[tm["_merge"] == "left_only"]
-        else:
-            tomb = t
-        import numpy as np
-
-        return pd.DataFrame(
-            {
-                "repo": pd.concat(
-                    [changed["repo"], deleted["repo"], tomb["repo"]],
-                    ignore_index=True,
-                ).to_numpy(),
-                "path": pd.concat(
-                    [changed["path"], deleted["path"], tomb["path"]],
-                    ignore_index=True,
-                ).to_numpy(),
-                "status": ["changed"] * len(changed)
-                + ["deleted"] * len(deleted) + ["tomb"] * len(tomb),
-                "deleted_at": np.concatenate([
-                    np.full(len(changed) + len(deleted), -1, dtype=np.int64),
-                    tomb["deleted_at"].to_numpy(dtype=np.int64)
-                    if len(tomb) else np.array([], dtype=np.int64),
-                ]),
-            }
-        )
-
-    out = bucketed_apply_tasks(cur.union(prior), ["repo", "path"], diff).to_pandas()
-    if "status" not in out.columns:
+    out = bucketed_apply_tasks(current + prior, ["repo", "path"],
+                               _diff_bucket).table()
+    if out is None:
         return set(), [], []
-    changed = set(
-        zip(out.loc[out["status"] == "changed", "repo"],
-            out.loc[out["status"] == "changed", "path"])
-    )
-    deleted = sorted(
-        zip(out.loc[out["status"] == "deleted", "repo"],
-            out.loc[out["status"] == "deleted", "path"])
-    )
-    t_rows = out.loc[out["status"] == "tomb"]
+    out = out.to_pandas()
+
+    def keys(status: str) -> pd.DataFrame:
+        return out.loc[out["status"] == status]
+
+    changed = set(zip(keys("changed")["repo"], keys("changed")["path"]))
+    deleted = sorted(zip(keys("deleted")["repo"], keys("deleted")["path"]))
+    t_rows = keys("tomb")
     tombstones = sorted(
-        (r, p_, int(d))
-        for r, p_, d in zip(t_rows["repo"], t_rows["path"],
-                            t_rows["deleted_at"])
-    )
+        (r, p_, int(d)) for r, p_, d in
+        zip(t_rows["repo"], t_rows["path"], t_rows["deleted_at"]))
     return changed, deleted, tombstones
+
+
+@ray.remote
+def _tombstone_rows(files: ParquetSlice, keys: pa.Array,
+                    stamps: dict) -> pa.Table:
+    """The tombstone rows (``MarkFileAsDeleted.cypher:1-5``) from the
+    prior files table: a deleted file keeps its prior-run properties
+    with deleted=true and its deletion stamp."""
+    sel = filter_keys(files.read(), keys, keep=True)
+    ts = [stamps[(r, p)] for r, p in
+          zip(sel["repo"].to_pylist(), sel["path"].to_pylist())]
+    out = finalize_files(sel)
+    out = out.append_column(
+        "deleted", pa.array([True] * sel.num_rows, pa.bool_()))
+    return out.append_column("deleted_at", pa.array(ts, pa.int64()))
 
 
 def _tombstone_blocks(
@@ -208,38 +224,17 @@ def _tombstone_blocks(
     carried_tombs: list[tuple[str, str, int]],
     deleted_at_sec: int | None,
 ) -> list:
-    """Pinned blocks of tombstone rows (``MarkFileAsDeleted.cypher:1-5``):
-    a deleted file keeps its prior-run properties with deleted=true and
-    its deletion stamp (new deletions get this run's stamp; carried
-    tombstones keep their original). Tombstone props come from a
-    broadcast-filtered scan of the prior files table — the broadcast is
-    the delta-sized key set, never a file table. No deletions → []."""
-    import time
-
+    """Refs of the tombstone rows, from one raw task over the prior
+    files table (new deletions get this run's stamp; carried tombstones
+    keep their original). What moves is the delta-sized key set, never
+    a file table. No deletions → []."""
     run_ts = int(time.time()) if deleted_at_sec is None else int(deleted_at_sec)
     stamp = {(r, p): run_ts for r, p in deleted}
     stamp.update({(r, p): ts for r, p, ts in carried_tombs})
     if not stamp:
         return []
-    keys_ref = ray.put(_joined_keys(set(stamp)))
-    stamp_ref = ray.put(stamp)
-
-    def tomb_rows(batch: pa.Table) -> pa.Table:
-        from codetoneo4j_ray.stages.link import _cached_get
-
-        keys: pa.Array = _cached_get(keys_ref)
-        sel = batch.filter(pc.is_in(_join_cols(batch), value_set=keys))
-        n = sel.num_rows
-        stamps: dict = _cached_get(stamp_ref)
-        ts = [stamps[(r, p)] for r, p in
-              zip(sel["repo"].to_pylist(), sel["path"].to_pylist())]
-        out = finalize_files(sel)
-        out = out.append_column("deleted", pa.array([True] * n, pa.bool_()))
-        return out.append_column("deleted_at", pa.array(ts, pa.int64()))
-
-    return _block_refs(read_parquet_sized(prior_files_dir).map_batches(
-        tomb_rows, batch_format="pyarrow"
-    ).materialize())
+    files = ParquetSlice(tuple(parquet_files(prior_files_dir)))
+    return [_tombstone_rows.remote(files, joined_keys(stamp), stamp)]
 
 
 def _files_with_tombstones(tomb_blocks: list, live: pa.Table | None,
@@ -277,18 +272,18 @@ def build_graph_incremental(
     ``packages_path`` and ``no_key`` must match the full run's — the
     incremental==full contract includes the URL side-table lookups and
     the key scheme of re-extracted files (a mixed-key graph would stop
-    linking carried and re-extracted symbols).
+    linking carried and re-extracted symbols). ``batch_size`` is
+    ``build_graph``'s.
 
     ``deleted_at_sec`` stamps this run's NEW tombstones (defaults to the
     wall clock); carried tombstones keep their original stamp.
     """
     if os.path.realpath(out_dir) == os.path.realpath(prior_out_dir):
         raise ValueError(
-            "out_dir must differ from prior_out_dir: the carried-records "
-            "read is lazy, and rebuilding in place would delete the prior "
-            "checkpoint before it is read"
+            "out_dir must differ from prior_out_dir: rebuilding in place "
+            "would overwrite the prior checkpoint the rebuild reads"
         )
-    t0 = time.perf_counter()
+    walls = StageWalls()
     fp = corpus_fingerprint(input_path, {
         "incremental": True, "min_accessibility": min_accessibility,
         "packages": packages_path, "no_key": no_key,
@@ -300,78 +295,51 @@ def build_graph_incremental(
 
         pkg_meta = load_pkg_meta(packages_path)
     content_bytes = corpus_content_bytes(input_path)
-    corpus = read_corpus_pinned(input_path, content_bytes)
+    # the index (and stage 2's) is corpus-sized, so the path follows
+    # build_graph's choice
+    mode = resolve_mode(content_bytes)
+    partitioned = mode == "partitioned"
+    corpus = read_corpus_blocks(input_path, content_bytes, batch_size)
+    prior = _prior_sides(prior_out_dir)
+    walls.lap("read")
     # pass-A type index over the FULL corpus: a changed file may reference
     # types/namespaces declared in unchanged files (receiver typing, base
     # chains, global usings) — the incremental==full contract requires the
     # same compilation-wide knowledge the reference re-opens per run
     # (SolutionProcessor.cs:256-279). Stage-1 *parse* cost still scales
-    # with the delta; the skim is the cheap declaration pass. The index
-    # (and stage 2's) is corpus-sized, so the path follows build_graph's
-    # choice.
-    mode = resolve_mode(content_bytes)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        # the broadcast skim needs no diff result: overlap the two
-        fut_diff = pool.submit(_diff_vs_prior, corpus, prior_out_dir)
-        indices = build_type_index(corpus) if mode == "broadcast" else None
-        changed, deleted, carried_tombs = fut_diff.result()
+    # with the delta; the skim is the cheap declaration pass.
+    indices, skims, current = build_type_index(
+        corpus, assemble=not partitioned, extra=_current_side)
+    changed, deleted, carried_tombs = _diff(current, prior)
+    walls.lap("skim")
 
     # re-extract only the changed rows (broadcast of the *delta* key set —
     # bounded by the diff size, never the corpus)
-    changed_ref = ray.put(_joined_keys(changed))
-
-    def changed_only(batch: pa.Table) -> pa.Table:
-        from codetoneo4j_ray.stages.link import _cached_get
-
-        keys: pa.Array = _cached_get(changed_ref)
-        joined = _join_cols(batch)
-        return batch.filter(pc.is_in(joined, value_set=keys))
-
-    delta = corpus.map_batches(changed_only, batch_format="pyarrow")
-
-    stale = changed | set(deleted) | {(r, p) for r, p, _ in carried_tombs}
-    stale_ref = ray.put(_joined_keys(stale))
-
-    if mode == "partitioned":
-        new_records = extract_records_partitioned(
-            delta, min_accessibility, pkg_meta=pkg_meta, no_key=no_key,
-            index_corpus=corpus,
-        )
-    else:
-        new_records = extract_records(delta, indices, min_accessibility,
-                                      pkg_meta=pkg_meta, no_key=no_key,
-                                      batch_size=batch_size)
-
-    def drop_stale(batch: pa.Table) -> pa.Table:
-        from codetoneo4j_ray.stages.link import _cached_get
-
-        stale_keys: pa.Array = _cached_get(stale_ref)
-        joined = _join_cols(batch)
-        return batch.filter(pc.invert(pc.is_in(joined, value_set=stale_keys)))
-
-    carried = read_records(f"{prior_out_dir}/records").map_batches(
-        drop_stale, batch_format="pyarrow"
-    )
+    records = Blocks([], 0, 0)
     if changed:
-        # both stage-1 paths emit RECORD_SCHEMA; partition-column reads
-        # reorder columns, so align the carried side before the union
-        merged = new_records.union(carried.select_columns(RECORD_SCHEMA.names))
-    else:
-        # empty delta → extraction yields a schemaless empty dataset
-        # (Ray drops all-empty schemas); carry the prior records alone
-        merged = carried
+        changed_ref = ray.put(joined_keys(changed))
+        if partitioned:
+            records = extract_records_partitioned(
+                corpus, skims, min_accessibility, pkg_meta, no_key,
+                changed_ref=changed_ref)
+        else:
+            records = extract_blocks(corpus, indices, min_accessibility,
+                                     pkg_meta, no_key, changed_ref)
+    stale = changed | set(deleted) | {(r, p) for r, p, _ in carried_tombs}
+    records += read_records_blocks(
+        f"{prior_out_dir}/records", fn=functools.partial(
+            filter_keys, keys=ray.put(joined_keys(stale)), keep=False))
+    tomb_blocks = _tombstone_blocks(f"{prior_out_dir}/files", deleted,
+                                    carried_tombs, deleted_at_sec)
+    walls.lap("extract")
 
     metrics: dict = {
         "changed_files": len(changed),
         "deleted_files": len(deleted),
         "deleted": [f"{r}:{p}" for r, p in deleted][:1000],
     }
-    tomb_blocks = _tombstone_blocks(f"{prior_out_dir}/files", deleted,
-                                    carried_tombs, deleted_at_sec)
     metrics.update(write_graph(
-        out_dir, fp, mode, no_key, merged, t0,
+        out_dir, fp, mode, no_key, records, walls,
         files_post=functools.partial(_files_with_tombstones, tomb_blocks),
     ))
     # counted from the output: a deleted (repo, path) whose file key

@@ -22,14 +22,24 @@ exchanges size themselves after materializing their input, from its
 block metadata, and hash inside the split tasks, so choosing the count
 costs no second execution. Hot single keys are still collapsed
 beforehand by map-side combine in the callers.
+
+The build path runs no Ray Data execution at all: its stages hold
+:class:`Blocks` (refs of Arrow tables in the object store, with their
+rows and in-memory bytes), read parquet with raw tasks over
+:class:`ParquetSlice` specs (:func:`read_blocks`), and feed the same
+split/apply primitive with them, which then returns :class:`Blocks`.
 """
 
 from __future__ import annotations
+
+import os
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray.data
 
 # not used by the library: the benchmark's bucket-skew probe reads it
@@ -65,6 +75,146 @@ def blocks_for(nbytes: int | None, min_blocks: int = 1) -> int:
         return cap
     per_block = ray.data.DataContext.get_current().target_min_block_size
     return min(cap, max(min_blocks, -(-int(nbytes) // per_block), 1))
+
+
+@dataclass
+class Blocks:
+    """A stage's data as raw-task blocks: ``refs`` of Arrow tables in the
+    object store (or :class:`ParquetSlice` specs each consumer reads
+    itself), their total ``rows`` and in-memory ``nbytes`` (None when
+    unknown). Empty tables need not be listed."""
+
+    refs: list
+    rows: int | None = None
+    nbytes: int | None = None
+
+    @classmethod
+    def of(cls, refs: list, sizes: list) -> "Blocks":
+        """The non-empty ``refs`` among tables of (rows, bytes)
+        ``sizes``."""
+        return cls([r for r, (n, _) in zip(refs, sizes) if n],
+                   sum(n for n, _ in sizes), sum(b for _, b in sizes))
+
+    def __add__(self, other: "Blocks") -> "Blocks":
+        def total(a, b):
+            return None if a is None or b is None else a + b
+
+        return Blocks(self.refs + other.refs, total(self.rows, other.rows),
+                      total(self.nbytes, other.nbytes))
+
+    def table(self) -> pa.Table | None:
+        """The pinned tables concatenated on the driver (None when
+        empty): only for metadata-sized results."""
+        tabs = [t for t in ray.get(self.refs) if t.num_rows]
+        return (pa.concat_tables(tabs, promote_options="permissive")
+                if tabs else None)
+
+
+def parquet_files(path: str) -> list[str]:
+    """``path`` itself, or every ``.parquet`` file below it, sorted."""
+    if not os.path.isdir(path):
+        return [path]
+    return sorted(os.path.join(root, f) for root, _dirs, files in os.walk(path)
+                  for f in files if f.endswith(".parquet"))
+
+
+@dataclass(frozen=True)
+class ParquetSlice:
+    """One block of a raw-task read: whole files, or rows [start, stop)
+    of one file (``rows``). A slice reads only the row groups it
+    overlaps. A ``key=value`` parent directory (hive layout) adds
+    column ``key`` when the files lack it."""
+
+    paths: tuple
+    columns: tuple | None = None
+    rows: tuple | None = None
+
+    def read(self) -> pa.Table:
+        tabs = [self._read_file(p) for p in self.paths]
+        return (tabs[0] if len(tabs) == 1
+                else pa.concat_tables(tabs, promote_options="permissive"))
+
+    def _read_file(self, path: str) -> pa.Table:
+        f = pq.ParquetFile(path)
+        names = f.schema_arrow.names
+        cols = (None if self.columns is None
+                else [c for c in self.columns if c in names])
+        if self.rows is None:
+            t = f.read(columns=cols)
+        else:
+            start, stop = self.rows
+            md, first, groups = f.metadata, 0, []
+            for g in range(md.num_row_groups):
+                n = md.row_group(g).num_rows
+                if first < stop and first + n > start:
+                    if not groups:
+                        offset = first
+                    groups.append(g)
+                first += n
+            t = f.read_row_groups(groups, columns=cols).slice(
+                start - offset, stop - start)
+        key, sep, value = os.path.basename(os.path.dirname(path)).partition("=")
+        if sep and key not in names and (self.columns is None
+                                         or key in self.columns):
+            t = t.append_column(key, pa.array([value] * t.num_rows,
+                                              pa.string()))
+        return t
+
+
+def plan_reads(path: str, num_blocks: int, columns=None,
+               max_rows: int | None = None) -> list[ParquetSlice]:
+    """About ``num_blocks`` read blocks over the parquet files of
+    ``path``: contiguous groups of whole files when there are at least
+    that many files, else each file cut into equal row slices.
+    ``max_rows`` raises the count to at least total rows / ``max_rows``.
+    Row counts come from the footers (no data read)."""
+    paths = parquet_files(path)
+    if not paths:
+        return []
+    cols = tuple(columns) if columns is not None else None
+    rows = [pq.ParquetFile(p).metadata.num_rows for p in paths]
+    if max_rows:
+        num_blocks = max(num_blocks, -(-sum(rows) // max_rows))
+    if len(paths) >= num_blocks:
+        cuts = np.linspace(0, len(paths), num_blocks + 1).astype(int)
+        return [ParquetSlice(tuple(paths[a:b]), cols)
+                for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
+    per_file = -(-num_blocks // len(paths))
+    out = []
+    for p, n in zip(paths, rows):
+        cuts = np.unique(np.linspace(0, n, min(per_file, max(n, 1)) + 1)
+                         .astype(int))
+        out += [ParquetSlice((p,), cols, (int(a), int(b)))
+                for a, b in zip(cuts[:-1], cuts[1:])]
+    return out
+
+
+def load_block(block) -> pa.Table | None:
+    """A block as a table: a :class:`ParquetSlice` is read here, a
+    pandas block converted."""
+    if isinstance(block, ParquetSlice):
+        return block.read()
+    if isinstance(block, pd.DataFrame):
+        return pa.Table.from_pandas(block, preserve_index=False)
+    return block
+
+
+@ray.remote(num_returns=2)
+def _read_block(piece: ParquetSlice, fn):
+    """One read task: the slice, through ``fn`` when given, and its
+    (rows, in-memory bytes)."""
+    table = piece.read()
+    if fn is not None:
+        table = fn(table)
+    return table, (table.num_rows, table.nbytes)
+
+
+def read_blocks(pieces: list[ParquetSlice], fn=None) -> Blocks:
+    """One raw read task per slice, ``fn(table)`` applied inside it;
+    returns once every read has finished, with the non-empty tables'
+    refs, rows and in-memory bytes."""
+    refs = [_read_block.remote(p, fn) for p in pieces]
+    return Blocks.of([t for t, _ in refs], ray.get([s for _, s in refs]))
 
 
 def coalesce(ds: ray.data.Dataset, num_blocks: int) -> ray.data.Dataset:
@@ -172,34 +322,37 @@ def bucketed_apply(
 @ray.remote(num_returns=2)
 def _apply_bucket_pieces(fn, *pieces):
     """One bucket's task: ``fn`` over the pandas concatenation of the
-    bucket's pieces, or the plain Arrow concatenation when ``fn`` is
-    None. Returns (table or None, non_empty): the flag is its own small
-    object so the driver learns which buckets are empty without
+    bucket's pieces (``fn`` may return a DataFrame or an Arrow table),
+    or the plain Arrow concatenation when ``fn`` is None. Returns
+    (table or None, (rows, in-memory bytes)): the sizes are their own
+    small object so the driver learns which buckets are empty without
     fetching tables."""
     tabs = [t for t in pieces if t is not None and t.num_rows]
     if not tabs:
-        return None, False
+        return None, (0, 0)
     # permissive: blocks of a unioned input legitimately disagree on
     # all-null column types (null vs the real dtype) — promote like the
     # sort-based exchange did instead of failing the concat
     table = pa.concat_tables(tabs, promote_options="permissive")
-    if fn is None:
-        return table, True
-    out = fn(table.to_pandas())
-    if not len(out):
-        # empty frames re-infer object columns as null-type through
-        # Arrow — drop the block instead of poisoning the union schema
-        return None, False
-    return pa.Table.from_pandas(out, preserve_index=False), True
+    if fn is not None:
+        table = fn(table.to_pandas())
+        if not len(table):
+            # empty frames re-infer object columns as null-type through
+            # Arrow — drop the block instead of poisoning the union schema
+            return None, (0, 0)
+        if isinstance(table, pd.DataFrame):
+            table = pa.Table.from_pandas(table, preserve_index=False)
+    return table, (table.num_rows, table.nbytes)
 
 
 def bucketed_apply_tasks(
-    ds: ray.data.Dataset,
+    ds: ray.data.Dataset | Blocks,
     key_cols: list[str],
     bucket_fn,
     num_buckets: int | None = None,
     min_buckets: int = 1,
-) -> ray.data.Dataset:
+    map_fn=None,
+) -> ray.data.Dataset | Blocks:
     """Hash rows into buckets by ``key_cols`` with raw split tasks, then
     run ``bucket_fn(pandas_df)`` once per bucket in one task per bucket
     (:func:`apply_store`) — no sort-based groupby exchange. Every row
@@ -210,13 +363,18 @@ def bucketed_apply_tasks(
     group) always use one bucket. The split is left unconsolidated:
     the apply task concatenates its bucket's pieces anyway, so a
     per-bucket concat layer would only add a task wave plus one extra
-    object-store copy of the whole input."""
+    object-store copy of the whole input.
+
+    A Dataset in gives a Dataset out; :class:`Blocks` in give Blocks
+    out, and ``map_fn(block)`` (see :func:`build_bucket_store`) runs in
+    the split tasks."""
     if not key_cols:
         num_buckets = 1
     store = build_bucket_store(
-        ds, key_cols, num_buckets, consolidate=False, min_buckets=min_buckets
+        ds, key_cols, num_buckets, consolidate=False, min_buckets=min_buckets,
+        map_fn=map_fn,
     )
-    return apply_store(store, bucket_fn)
+    return apply_store(store, bucket_fn, as_blocks=isinstance(ds, Blocks))
 
 
 def sampled_range_bounds(
@@ -312,10 +470,12 @@ def hash_bucket_frame(
 
 
 @ray.remote
-def _split_block(num_buckets: int, key_cols: list[str] | None, *blocks):
+def _split_block(num_buckets: int, key_cols: list[str] | None, map_fn,
+                 *blocks):
     """One shuffle map task: split block(s) into K pieces (None for
     empty buckets), hashing rows by ``key_cols`` — or, for None, by the
-    ``__bucket`` column the rows were tagged with map-side. Returned as
+    ``__bucket`` column the rows were tagged with map-side — after
+    ``map_fn(block)`` when given. Returned as
     num_returns=K objects so the driver only ever holds refs, never
     data. Accepts several blocks per task (grouped by the caller) so a
     fragmented input doesn't create O(blocks × buckets) tiny objects —
@@ -323,8 +483,7 @@ def _split_block(num_buckets: int, key_cols: list[str] | None, *blocks):
     once blocks outnumber CPUs."""
     tables = []
     for block in blocks:
-        if isinstance(block, pd.DataFrame):
-            block = pa.Table.from_pandas(block, preserve_index=False)
+        block = map_fn(block) if map_fn is not None else load_block(block)
         if block.num_rows and (
             key_cols is not None or "__bucket" in block.column_names
         ):
@@ -372,18 +531,22 @@ class BucketStore:
 
 
 def build_bucket_store(
-    ds: ray.data.Dataset,
+    ds: ray.data.Dataset | Blocks,
     key_cols: list[str] | None,
     num_buckets: int | None = None,
     consolidate: bool = True,
     reduce_fn=None,
     min_buckets: int = 1,
+    map_fn=None,
 ) -> BucketStore:
     """Pin ``ds`` into a BucketStore keyed by ``key_cols``; the split
     tasks hash the rows. Pass key_cols=None when rows already carry
     __bucket (tagged map-side). ``num_buckets`` defaults to
     ``blocks_for(input bytes, min_buckets)``, read from the
-    materialized input's block metadata — no second execution.
+    materialized input's block metadata — no second execution — or
+    from :class:`Blocks`' ``nbytes``. ``map_fn(block)`` turns each input
+    block (a table or a :class:`ParquetSlice`) into the table to split,
+    inside the split task.
 
     Input blocks are grouped into ``blocks_for(input bytes,
     cluster_cpus())`` split tasks (contiguous chunks, so per-bucket row
@@ -408,15 +571,18 @@ def build_bucket_store(
     matrix dominated per-iteration wall time. One-shot consumers
     (``bucketed_apply_tasks``) pass ``consolidate=False``: their single
     apply wave concatenates the pieces itself."""
-    mat = ds.materialize()
-    nbytes = mat.size_bytes()
+    if isinstance(ds, Blocks):
+        block_refs, nbytes = ds.refs, ds.nbytes
+    else:
+        mat = ds.materialize()
+        nbytes = mat.size_bytes()
+        block_refs = [
+            br
+            for bundle in mat.iter_internal_ref_bundles()
+            for br in bundle.block_refs
+        ]
     if num_buckets is None:
         num_buckets = blocks_for(nbytes, min_buckets)
-    block_refs = [
-        br
-        for bundle in mat.iter_internal_ref_bundles()
-        for br in bundle.block_refs
-    ]
     ngroups = blocks_for(nbytes, cluster_cpus())
     if len(block_refs) > ngroups:
         bounds = np.linspace(0, len(block_refs), ngroups + 1).astype(int)
@@ -426,7 +592,8 @@ def build_bucket_store(
     else:
         groups = [[r] for r in block_refs]
     split = _split_block.options(num_returns=num_buckets)
-    per_group = [split.remote(num_buckets, key_cols, *grp) for grp in groups]
+    per_group = [split.remote(num_buckets, key_cols, map_fn, *grp)
+                 for grp in groups]
     if num_buckets == 1:
         # num_returns=1 yields a bare ObjectRef, not a 1-list
         per_group = [[r] for r in per_group]
@@ -436,17 +603,20 @@ def build_bucket_store(
     return BucketStore(pieces, num_buckets)
 
 
-def apply_store(store: BucketStore, fn) -> ray.data.Dataset:
+def apply_store(store: BucketStore, fn,
+                as_blocks: bool = False) -> ray.data.Dataset | Blocks:
     """Run ``fn(pandas_df)`` once per bucket of ``store`` (one task per
-    bucket) and return the outputs as a Dataset. Empty buckets produce
-    no block: each task returns a non-empty flag beside its table, and
-    the driver fetches only the flags."""
+    bucket) and return the outputs as a Dataset, or as :class:`Blocks`
+    with ``as_blocks``. Empty buckets produce no block: each task
+    returns its sizes beside its table, and the driver fetches only the
+    sizes."""
     refs = [_apply_bucket_pieces.remote(fn, *p) for p in store.pieces]
-    flags = ray.get([flag for _, flag in refs])
-    done = [table for (table, _), ok in zip(refs, flags) if ok]
-    if not done:
+    done = Blocks.of([t for t, _ in refs], ray.get([s for _, s in refs]))
+    if as_blocks:
+        return done
+    if not done.refs:
         return ray.data.from_pandas(pd.DataFrame())
-    return ray.data.from_arrow_refs(done)
+    return ray.data.from_arrow_refs(done.refs)
 
 
 class BucketCache:

@@ -1,31 +1,40 @@
-"""Stage 1 — extraction over the corpus.
+"""Stage 1 — extraction over the corpus, as raw Ray tasks over the
+corpus blocks (``pipelines.build_graph.read_corpus_blocks``: pinned
+table refs, or read slices each task reads itself). Two passes, neither
+of which shuffles file content:
 
-Two passes, neither of which shuffles file content:
+  pass A  ``build_type_index``  — one skim task per corpus block: a cheap
+          declaration skim over C# rows (plus project-root manifest
+          markers) producing type-index rows, assembled into per-repo
+          indices in repo-bucketed tasks. The index is metadata (≪
+          content) and is broadcast to pass B via ``ray.put`` — the
+          reference gets the same knowledge from the Roslyn Compilation
+          (``SolutionProcessor.cs:256-279``). An incremental build's
+          skim task also returns the block's (repo, path, sha256) rows,
+          so one pass over the content feeds the diff too.
 
-  pass A  ``build_type_index``  — a cheap declaration skim over C# rows
-          producing the repo-wide type index (types, namespaces, global
-          usings). The index is metadata (≪ content) and is broadcast to
-          pass B via ``ray.put`` — the reference gets the same knowledge
-          from the Roslyn Compilation (``SolutionProcessor.cs:256-279``).
-
-  pass B  ``extract_records``   — a task ``map_batches`` running every
-          handler; emits one unified Arrow record stream tagged
-          ``rec_type ∈ {symbol, mention, file, url}`` so a single parse
-          produces all outputs (split later by cheap filters).
+  pass B  ``extract_blocks``    — one extraction task per corpus block
+          running every handler; emits one unified Arrow record table
+          per block tagged ``rec_type ∈ {symbol, mention, file, url}``
+          so a single parse produces all outputs (split later by cheap
+          filters). An incremental build's changed-key filter runs
+          inside the task.
 
 On the partitioned path (``pipelines.build_graph.resolve_mode``)
-``extract_records_partitioned`` runs both passes in one repo-keyed
-bucket exchange instead: each bucket assembles only its repos' type
-indices (the same key stage 2's linking reuses), so no index is
-broadcast.
+``extract_records_partitioned`` runs pass B as one repo-keyed bucket
+exchange over the corpus blocks and the pass-A rows instead: each
+bucket assembles only its repos' type indices (the same key stage 2's
+linking reuses), so no index is broadcast.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
-import ray.data
 
 from codetoneo4j_ray.config import is_excluded, resolve_handler
 from codetoneo4j_ray.extractors import extract_file
@@ -33,6 +42,12 @@ from codetoneo4j_ray.extractors.accessibility import DEFAULT_MIN_ACCESSIBILITY
 from codetoneo4j_ray.extractors.csharp.extractor import skim_file
 from codetoneo4j_ray.extractors.csharp.types import RepoTypeIndex
 from codetoneo4j_ray.functions.text import sha256_hex
+from codetoneo4j_ray.stages.bucketing import (
+    Blocks,
+    bucketed_apply_tasks,
+    cluster_cpus,
+    load_block,
+)
 from codetoneo4j_ray.stages.link import REPO_SALT, _cached_get
 
 # Unified stage-1 record schema (symbol ∪ mention ∪ file ∪ url columns).
@@ -97,10 +112,6 @@ _TYPE_INDEX_SCHEMA = pa.schema(
         ("alias", pa.string()),
     ]
 )
-
-
-def _is_csharp_row(path: str) -> bool:
-    return path.endswith(".cs") and not is_excluded(path)
 
 
 def _manifest_name(path: str, content: str) -> tuple[str, str | None] | None:
@@ -199,31 +210,75 @@ def _assemble_type_indices(df) -> dict[str, RepoTypeIndex]:
     return out
 
 
-def build_type_index(corpus: ray.data.Dataset) -> dict[str, RepoTypeIndex]:
-    """Run pass A and assemble per-repo indices on the driver.
+def joined_keys(keys) -> pa.Array:
+    """(repo, path) pairs → Arrow string array for vectorized pc.is_in."""
+    return pa.array([f"{r}\x00{p}" for r, p in keys], pa.string())
 
-    The result is metadata-sized (one row per declared type / global
-    using); ``take_all`` here is bounded and intentional. The
-    partitioned path (``extract_records_partitioned``) keeps it a
-    Dataset hash-partitioned by repo instead.
-    """
+
+def _join_cols(table: pa.Table) -> pa.Array:
+    return pc.binary_join_element_wise(table["repo"], table["path"], "\x00")
+
+
+def filter_keys(table: pa.Table, keys, keep: bool) -> pa.Table:
+    """The rows of ``table`` whose (repo, path) is (``keep``) or is not
+    in ``keys``: a :func:`joined_keys` array, or a ref to one (fetched
+    once per worker through the broadcast cache); None keeps every
+    row."""
+    if keys is None:
+        return table
+    if isinstance(keys, ray.ObjectRef):
+        keys = _cached_get(keys)
+    mask = pc.is_in(_join_cols(table), value_set=keys)
+    return table.filter(mask if keep else pc.invert(mask))
+
+
+@ray.remote(num_returns=3)
+def _skim_block(block, extra):
+    """Pass A over one corpus block: its type-index rows, ``extra(block)``
+    (an empty table without ``extra``), and the (rows, bytes) of both."""
+    block = load_block(block)
+    skim = skim_batch(block)
+    more = extra(block) if extra is not None else pa.table({})
+    return skim, more, ((skim.num_rows, skim.nbytes),
+                        (more.num_rows, more.nbytes))
+
+
+def _assemble_blobs(df):
+    """One repo bucket of pass-A rows → (repo, pickled RepoTypeIndex)."""
     import pickle
 
     import pandas as pd
 
-    from codetoneo4j_ray.stages.bucketing import bucketed_apply_tasks
+    indices = _assemble_type_indices(df)
+    return pd.DataFrame({"repo": list(indices),
+                         "blob": [pickle.dumps(i) for i in indices.values()]})
 
-    idx_rows = corpus.map_batches(skim_batch, batch_format="pyarrow")
 
-    # assemble per-repo indices INSIDE bucketed tasks (repo-partitioned —
-    # the pipeline-wide key); the driver only unpickles one blob per repo
-    def assemble(df: pd.DataFrame) -> pd.DataFrame:
-        indices = _assemble_type_indices(df)
-        return pd.DataFrame({"repo": list(indices),
-                             "blob": [pickle.dumps(i) for i in indices.values()]})
+def build_type_index(corpus: Blocks, assemble: bool = True, extra=None):
+    """Pass A: one skim task per corpus block. With ``assemble`` the
+    per-repo indices are assembled in repo-bucketed tasks (repo is the
+    pipeline-wide key) and the driver unpickles one blob per repo — the
+    result is metadata-sized (one row per declared type / global
+    using). ``extra(block)`` runs in the same tasks over the same
+    blocks (the incremental diff's current side), so one pass over the
+    content feeds both.
 
-    blobs = bucketed_apply_tasks(idx_rows, ["repo"], assemble).take_all()
-    return {r["repo"]: pickle.loads(r["blob"]) for r in blobs}
+    Returns (indices or None, the skim rows, ``extra``'s rows), the
+    rows as :class:`Blocks`; every skim task has finished."""
+    import pickle
+
+    refs = [_skim_block.remote(b, extra) for b in corpus.refs]
+    sizes = ray.get([s for _, _, s in refs])
+    skims = Blocks.of([r[0] for r in refs], [s[0] for s in sizes])
+    more = Blocks.of([r[1] for r in refs], [s[1] for s in sizes])
+    indices = None
+    if assemble:
+        blobs = (bucketed_apply_tasks(skims, ["repo"], _assemble_blobs).table()
+                 if skims.refs else None)
+        indices = ({} if blobs is None else
+                   {r: pickle.loads(b) for r, b in
+                    zip(blobs["repo"].to_pylist(), blobs["blob"].to_pylist())})
+    return indices, skims, more
 
 
 def _records_table(
@@ -272,164 +327,116 @@ def _records_table(
     return pa.Table.from_pylist(rows, schema=RECORD_SCHEMA)
 
 
-def extract_batch(
-    batch: pa.Table,
-    index_ref=None,
-    pkg_meta_ref=None,
-    min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
-    no_key: bool = False,
-) -> pa.Table:
-    """Pass-B batch fn. The broadcast type index and package metadata
-    are fetched once per worker through the stage-2 broadcast cache, so
-    tasks keep the handler state warm without holding a CPU between
-    batches the way a pool actor does."""
-    indices = _cached_get(index_ref) if index_ref is not None else {}
+@ray.remote(num_returns=2)
+def _extract_block(block, refs: tuple, min_accessibility: str, no_key: bool,
+                   changed):
+    """Pass B over one corpus block (its ``changed`` rows only, when
+    given): the records table and its (rows, bytes). ``refs`` = (type
+    index ref, package metadata ref or None), nested so Ray passes the
+    refs, and each worker fetches them once through the stage-2
+    broadcast cache."""
+    index_ref, pkg_meta_ref = refs
+    block = filter_keys(load_block(block), changed, keep=True)
     pkg_meta = _cached_get(pkg_meta_ref) if pkg_meta_ref is not None else None
-    return _records_table(
-        batch["repo"].to_pylist(), batch["path"].to_pylist(),
-        batch["commit"].to_pylist(), batch["content"].to_pylist(),
-        indices, min_accessibility, pkg_meta, no_key,
+    table = _records_table(
+        block["repo"].to_pylist(), block["path"].to_pylist(),
+        block["commit"].to_pylist(), block["content"].to_pylist(),
+        _cached_get(index_ref), min_accessibility, pkg_meta, no_key,
     )
+    return table, (table.num_rows, table.nbytes)
 
 
-def extract_records(
-    corpus: ray.data.Dataset,
-    indices: dict[str, RepoTypeIndex] | None = None,
+def extract_blocks(
+    corpus: Blocks,
+    indices: dict[str, RepoTypeIndex],
     min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
-    batch_size: int | None = None,
     pkg_meta: dict | None = None,
     no_key: bool = False,
-) -> ray.data.Dataset:
-    """corpus → unified record stream (task ``map_batches``, Arrow in/out).
+    changed_ref=None,
+) -> Blocks:
+    """Pass B on the broadcast path: one extraction task per corpus
+    block, so the records keep the corpus read's block count (its CPU
+    floor). ``changed_ref`` (a :func:`joined_keys` ref) extracts only
+    those files. Returns once every task has finished."""
+    shared = (ray.put(indices),
+              ray.put(pkg_meta) if pkg_meta is not None else None)
+    refs = [_extract_block.remote(b, shared, min_accessibility, no_key,
+                                  changed_ref) for b in corpus.refs]
+    return Blocks.of([t for t, _ in refs], ray.get([s for _, s in refs]))
 
-    ``batch_size=None`` extracts each corpus block as one batch, so the
-    records keep the corpus read's block count (its CPU floor); a row
-    count bundles small blocks until a batch has that many rows."""
-    import functools
 
-    return corpus.map_batches(
-        functools.partial(
-            extract_batch,
-            index_ref=ray.put(indices) if indices is not None else None,
-            pkg_meta_ref=ray.put(pkg_meta) if pkg_meta is not None else None,
-            min_accessibility=min_accessibility,
-            no_key=no_key,
-        ),
-        batch_format="pyarrow",
-        batch_size=batch_size,
+def _salted_rows(changed_ref, block) -> pa.Table:
+    """Split-task map of the partitioned extraction exchange: corpus
+    rows (``changed_ref``'s only, when given) get a ``REPO_SALT``
+    sub-bucket by path hash; pass-A rows (no ``content`` column) are
+    replicated into every sub-bucket of their repo."""
+    import pandas as pd
+
+    block = load_block(block)
+    if "content" not in block.column_names:
+        return pa.concat_tables([
+            block.append_column(
+                "__salt", pa.array(np.full(block.num_rows, k, np.int32)))
+            for k in range(REPO_SALT)])
+    block = filter_keys(block, changed_ref, keep=True).select(
+        ["repo", "path", "commit", "content"])
+    h = pd.util.hash_array(
+        np.asarray(block["path"].to_pylist(), dtype=object), categorize=False)
+    return block.append_column(
+        "__salt", pa.array((h % REPO_SALT).astype("int32"), pa.int32()))
+
+
+def _extract_bucket(min_accessibility: str, no_key: bool, pkg_ref, df):
+    """One (repo, salt) bucket: its repos' type indices from the pass-A
+    rows (``rec_type`` set), then its corpus rows' records."""
+    is_index = (df["rec_type"].notna() if "rec_type" in df
+                else np.zeros(len(df), dtype=bool))
+    corpus = df[~is_index]
+    if "content" not in corpus or not len(corpus):
+        return RECORD_SCHEMA.empty_table()
+    return _records_table(
+        corpus["repo"], corpus["path"], corpus["commit"], corpus["content"],
+        _assemble_type_indices(df[is_index]) if is_index.any() else {},
+        min_accessibility,
+        _cached_get(pkg_ref) if pkg_ref is not None else None, no_key,
     )
 
 
 def extract_records_partitioned(
-    corpus: ray.data.Dataset,
+    corpus: Blocks,
+    skims: Blocks,
     min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
     pkg_meta: dict | None = None,
     no_key: bool = False,
-    index_corpus: ray.data.Dataset | None = None,
-) -> ray.data.Dataset:
-    """Fully-partitioned stage 1: no driver-resident type index.
+    changed_ref=None,
+) -> Blocks:
+    """Pass B on the partitioned path: no driver-resident type index.
 
-    Pass-A skim rows and corpus rows hash-partition by ``repo`` (the
-    pipeline-wide key); each bucket assembles ONLY its repos' type
-    indices and extracts its repos' files. Content crosses the wire once
-    (the repo exchange) instead of zero, but no structure on any single
-    node grows with corpus size — the multi-node configuration the
-    broadcast index cannot provide (its dict grows with total declared
-    types). The broadcast-index task path stays the single-node default.
+    The pass-A rows ``skims`` and the corpus rows hash-partition by
+    ``repo`` (the pipeline-wide key) in one split/apply exchange; each
+    bucket assembles ONLY its repos' type indices and extracts its
+    repos' files. Content crosses the wire once (the repo exchange)
+    instead of zero, but no structure on any single node grows with
+    corpus size — the multi-node configuration the broadcast index
+    cannot provide (its dict grows with total declared types).
 
-    Each repo's corpus rows split into ``REPO_SALT`` sub-buckets by path
-    hash, and the (metadata-sized) skim rows replicate to every
-    sub-bucket of their repo: extraction — the priciest Python stage —
-    would otherwise cap its parallelism at the repo count, with the
-    largest repo gating the whole pass. Exact: each file is extracted once, in
-    a bucket holding its repo's full type index.
-
-    ``index_corpus`` (default: ``corpus``) is what the type indices are
-    skimmed from: an incremental run extracts only its changed rows but
-    indexes the whole corpus.
-    """
-    import pandas as pd
-
-    from codetoneo4j_ray.stages.bucketing import (
-        bucketed_apply_tasks,
-        cluster_cpus,
-    )
-
+    Each repo's corpus rows split into ``REPO_SALT`` sub-buckets by
+    path hash, and the (metadata-sized) pass-A rows replicate to every
+    sub-bucket of their repo (:func:`_salted_rows`): extraction — the
+    priciest Python stage — would otherwise cap its parallelism at the
+    repo count, with the largest repo gating the whole pass. Exact:
+    each file is extracted once, in a bucket holding its repo's full
+    type index. ``changed_ref`` extracts only those files; the index
+    still comes from every ``skims`` row (an incremental run indexes
+    the whole corpus)."""
     pkg_ref = ray.put(pkg_meta) if pkg_meta is not None else None
-
-    # shared union schema: corpus columns + type-index columns + __side
-    def corpus_side(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols = {"__side": pa.array(["c"] * n, pa.string())}
-        for name in ("repo", "path", "commit", "content"):
-            cols[name] = batch[name]
-        for fld in _TYPE_INDEX_SCHEMA:
-            if fld.name not in cols:
-                cols[fld.name] = pa.nulls(n, fld.type)
-        t = pa.table(cols)
-        h = pd.util.hash_array(
-            np.asarray(batch["path"].to_pylist(), dtype=object),
-            categorize=False,
-        )
-        return t.append_column(
-            "__salt", pa.array((h % REPO_SALT).astype("int32"), pa.int32())
-        )
-
-    def index_side(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols = {"__side": pa.array(["i"] * n, pa.string())}
-        for fld in _TYPE_INDEX_SCHEMA:
-            cols[fld.name] = batch[fld.name]
-        for name in ("path", "commit", "content"):
-            if name not in cols:
-                cols[name] = pa.nulls(n, pa.string())
-        t = pa.table(cols)
-        # replicate skim rows into every salted bucket of their repo
-        reps = [
-            t.append_column("__salt", pa.array([k] * n, pa.int32()))
-            for k in range(REPO_SALT)
-        ]
-        return pa.concat_tables(reps)
-
-    if index_corpus is None:
-        index_corpus = corpus
-    idx_rows = index_corpus.map_batches(
-        skim_batch, batch_format="pyarrow"
-    ).map_batches(
-        index_side, batch_format="pyarrow"
-    )
-    both = corpus.map_batches(corpus_side, batch_format="pyarrow").union(idx_rows)
-
-    def extract_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        meta = ray.get(pkg_ref) if pkg_ref is not None else None
-        indices = _assemble_type_indices(df[df["__side"] == "i"])
-        c_part = df[df["__side"] == "c"]
-        # pandas out for the bucket machinery; to_schema restores types
-        return _records_table(
-            c_part["repo"], c_part["path"], c_part["commit"],
-            c_part["content"], indices, min_accessibility, meta, no_key,
-        ).to_pandas()
-
-    def to_schema(batch: pa.Table) -> pa.Table:
-        # pandas bucket outputs back to the canonical arrow record schema
-        cols = {}
-        for fld in RECORD_SCHEMA:
-            if fld.name in batch.column_names:
-                col = batch[fld.name]
-                col = (
-                    pa.nulls(batch.num_rows, fld.type)
-                    if pa.types.is_null(col.type)
-                    else col.combine_chunks().cast(fld.type)
-                )
-            else:
-                col = pa.nulls(batch.num_rows, fld.type)
-            cols[fld.name] = col
-        return pa.table(cols, schema=RECORD_SCHEMA)
-
     # extraction is CPU-bound: at least one bucket per CPU
     return bucketed_apply_tasks(
-        both, ["repo", "__salt"], extract_bucket, min_buckets=cluster_cpus()
-    ).map_batches(to_schema, batch_format="pyarrow")
+        corpus + skims, ["repo", "__salt"],
+        functools.partial(_extract_bucket, min_accessibility, no_key, pkg_ref),
+        min_buckets=cluster_cpus(),
+        map_fn=functools.partial(_salted_rows, changed_ref),
+    )
 
 
 def load_pkg_meta(packages_path: str) -> dict:

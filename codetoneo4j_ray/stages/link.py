@@ -431,21 +431,70 @@ def _bucket_resolve_and_filter(df):
             .size().reset_index(name="n"))
 
 
-def resolve_link_fused(
-    raw_mentions: ray.data.Dataset,
-    symbols: ray.data.Dataset,
-) -> ray.data.Dataset:
-    """Fully-partitioned stage 2 for edges in ONE exchange.
+def _keys_as_rows(symbols: pa.Table) -> pa.Table:
+    """Declared-key rows in the mention columns (pred ``_KEY_PRED``)."""
+    n = symbols.num_rows
+    return pa.table(
+        {
+            "subj": symbols["key"],
+            "pred": pa.array([_KEY_PRED] * n, pa.string()),
+            "obj": pa.nulls(n, pa.string()),
+            "repo": symbols["repo"],
+            "ctx_kind": pa.array([""] * n, pa.string()),
+            "ctx_name": pa.nulls(n, pa.string()),
+            "ctx_receiver": pa.nulls(n, pa.string()),
+            "ctx_argc": pa.nulls(n, pa.int32()),
+        }
+    )
+
+
+def _salted_link_rows(block: pa.Table) -> pa.Table:
+    """Split-task map of the fused exchange over one records block: its
+    mention rows and declared-key rows, mentions salted by subj hash,
+    key/member/base rows replicated into every salted bucket."""
+    import pandas as pd
+
+    rt = block["rec_type"]
+    mentions = block.filter(pc.equal(rt, "mention")).select(MENTION_COLS)
+    keys = _keys_as_rows(block.filter(pc.equal(rt, "symbol")))
+    batch = pa.concat_tables([mentions, keys.cast(mentions.schema)])
+    # keep the Arrow schema explicit: a pandas round-trip re-infers
+    # all-null columns as null-type and int32 NaNs as double, which
+    # breaks the per-bucket concat
+    schema = batch.schema.append(pa.field("__salt", pa.int32()))
+    df = batch.to_pandas()
+    if not len(df):
+        df["__salt"] = pd.Series([], dtype="int32")
+        return pa.Table.from_pandas(df, schema=schema, preserve_index=False)
+    side = df["pred"].isin((_KEY_PRED, MEMBER_PRED, BASE_PRED)).to_numpy()
+    m = df.loc[~side].copy()
+    h = pd.util.hash_array(m["subj"].to_numpy(dtype=object), categorize=False)
+    m["__salt"] = (h % REPO_SALT).astype("int32")
+    parts = [m]
+    sd = df.loc[side]
+    for k in range(REPO_SALT):
+        r = sd.copy()
+        r["__salt"] = np.int32(k)
+        parts.append(r)
+    return pa.Table.from_pandas(
+        pd.concat(parts, ignore_index=True), schema=schema,
+        preserve_index=False,
+    )
+
+
+def resolve_link_fused(records):
+    """Fully-partitioned stage 2 for edges in ONE exchange over the
+    records blocks (``stages.bucketing.Blocks``).
 
     Mentions, the internal __MEMBER__/__BASE__ rows AND the declared-key
     rows all hash-partition by ``repo`` — the pipeline-wide key — so each
     bucket resolves deferred INVOKES and endpoint-checks both ends
     against its repos' key sets with zero driver state and zero further
     exchanges (see _bucket_resolve_and_filter for why repo-local checks
-    are exact). Output is (subj, pred, obj, n): per-bucket distinct
-    triples, each with the count ``n`` of resolved mention rows it
-    stands for; the global distinct runs in the output's range exchange
-    (``stages.canonicalize``).
+    are exact). Output is (subj, pred, obj, n) blocks: per-bucket
+    distinct triples, each with the count ``n`` of resolved mention rows
+    it stands for; the global distinct runs in the output's range
+    exchange (``stages.canonicalize``).
 
     Each repo's mention rows split into ``REPO_SALT`` sub-buckets by
     subj hash, REPLICATING the (index-sized) key/member/base
@@ -460,60 +509,10 @@ def resolve_link_fused(
         cluster_cpus,
     )
 
-    def keys_as_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "subj": batch["key"],
-                "pred": pa.array([_KEY_PRED] * n, pa.string()),
-                "obj": pa.nulls(n, pa.string()),
-                "repo": batch["repo"],
-                "ctx_kind": pa.array([""] * n, pa.string()),
-                "ctx_name": pa.nulls(n, pa.string()),
-                "ctx_receiver": pa.nulls(n, pa.string()),
-                "ctx_argc": pa.nulls(n, pa.int32()),
-            }
-        )
-
-    e1_in = raw_mentions.select_columns(MENTION_COLS).union(
-        symbols.select_columns(["key", "repo"]).map_batches(
-            keys_as_rows, batch_format="pyarrow"
-        )
-    )
-
-    def add_salt(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        # keep the Arrow schema explicit: a pandas round-trip re-infers
-        # all-null columns as null-type and int32 NaNs as double, which
-        # breaks the per-bucket concat
-        schema = batch.schema.append(pa.field("__salt", pa.int32()))
-        df = batch.to_pandas()
-        if not len(df):
-            df["__salt"] = pd.Series([], dtype="int32")
-            return pa.Table.from_pandas(df, schema=schema,
-                                        preserve_index=False)
-        side = df["pred"].isin((_KEY_PRED, MEMBER_PRED, BASE_PRED)).to_numpy()
-        m = df.loc[~side].copy()
-        h = pd.util.hash_array(
-            m["subj"].to_numpy(dtype=object), categorize=False
-        )
-        m["__salt"] = (h % REPO_SALT).astype("int32")
-        parts = [m]
-        sd = df.loc[side]
-        for k in range(REPO_SALT):
-            r = sd.copy()
-            r["__salt"] = np.int32(k)
-            parts.append(r)
-        return pa.Table.from_pandas(
-            pd.concat(parts, ignore_index=True), schema=schema,
-            preserve_index=False,
-        )
-
-    salted = e1_in.map_batches(add_salt, batch_format="pyarrow")
     # raw split-tasks + one resolve task per bucket: the one-shot
     # linking exchange skips the groupby's sort/sample machinery; the
     # Python resolution loop is CPU-bound, so every CPU gets a bucket
-    return bucketed_apply_tasks(salted, ["repo", "__salt"],
+    return bucketed_apply_tasks(records, ["repo", "__salt"],
                                 _bucket_resolve_and_filter,
-                                min_buckets=cluster_cpus())
+                                min_buckets=cluster_cpus(),
+                                map_fn=_salted_link_rows)

@@ -255,18 +255,18 @@ def test_checkpoint_write_failure_surfaces(ray_session, tmp_path,
 
 
 def test_corpus_pin_budget(ray_session, monkeypatch, tmp_path):
-    """read_corpus_pinned materializes a small corpus (plasma-pinned
-    MaterializedDataset) but streams when the content estimate exceeds
-    a quarter of the object-store memory the cluster reports — the
-    100 TB shape must never try to materialize the input."""
+    """read_corpus_blocks pins a small corpus with raw read tasks, and
+    both stage-1 passes reuse the pinned refs; when the content estimate
+    exceeds a quarter of the object-store memory the cluster reports it
+    hands out read slices instead, so each pass re-reads — the 100 TB
+    shape must never try to pin the input. Both builds write the same
+    outputs."""
     import pyarrow as pa
     import pyarrow.parquet as pq
-    from ray.data.dataset import MaterializedDataset
+    import ray
 
-    from codetoneo4j_ray.pipelines.build_graph import (
-        corpus_content_bytes,
-        read_corpus_pinned,
-    )
+    from codetoneo4j_ray.pipelines import build_graph as bg
+    from codetoneo4j_ray.stages.bucketing import ParquetSlice
 
     p = str(tmp_path / "corpus.parquet")
     pq.write_table(
@@ -274,19 +274,75 @@ def test_corpus_pin_budget(ray_session, monkeypatch, tmp_path):
                   "lang": ["cs"], "content": ["class A {}" * 50]}),
         p,
     )
-    pinned = read_corpus_pinned(p)
-    assert isinstance(pinned, MaterializedDataset)
-    assert pinned.count() == 1
+    pinned = bg.read_corpus_blocks(p)
+    assert pinned.refs and all(isinstance(r, ray.ObjectRef)
+                               for r in pinned.refs)
+    assert pinned.table().num_rows == 1
 
-    est = corpus_content_bytes(p)
+    est = bg.corpus_content_bytes(p)
+    real = ray.cluster_resources()
 
     def store_of(nbytes):
-        monkeypatch.setattr("ray.cluster_resources",
-                            lambda: {"CPU": 4.0, "object_store_memory": nbytes})
+        monkeypatch.setattr("ray.cluster_resources", lambda: {
+            **real, "CPU": 4.0, "object_store_memory": nbytes})
 
     store_of(4.0 * est)  # the estimate exactly fills the budget
-    assert isinstance(read_corpus_pinned(p), MaterializedDataset)
+    assert isinstance(bg.read_corpus_blocks(p).refs[0], ray.ObjectRef)
     store_of(4.0 * est - 4)
-    streamed = read_corpus_pinned(p)
-    assert not isinstance(streamed, MaterializedDataset)
-    assert streamed.count() == 1
+    streamed = bg.read_corpus_blocks(p)
+    assert all(isinstance(r, ParquetSlice) for r in streamed.refs)
+    assert sum(r.read().num_rows for r in streamed.refs) == 1
+
+    # what each stage-1 pass is handed, per build
+    passes: list = []
+    for name in ("build_type_index", "extract_blocks"):
+        def record(corpus, *args, _real=getattr(bg, name), **kwargs):
+            passes.append(list(corpus.refs))
+            return _real(corpus, *args, **kwargs)
+
+        monkeypatch.setattr(bg, name, record)
+
+    def graph(out: str) -> dict:
+        bg.build_graph(p, out, resume=False)
+        return {n: pq.read_table(f"{out}/{n}").to_pylist()
+                for n in ("nodes", "edges", "files")}
+
+    store_of(4.0 * est)
+    under = graph(str(tmp_path / "under"))
+    skim, extract = passes
+    assert skim == extract and isinstance(skim[0], ray.ObjectRef)
+    passes.clear()
+    store_of(4.0 * est - 4)
+    over = graph(str(tmp_path / "over"))
+    skim, extract = passes
+    assert skim == extract and isinstance(skim[0], ParquetSlice)
+    assert under == over and under["nodes"]
+
+
+def test_checkpoint_part_write_failure_surfaces(ray_session, tmp_path,
+                                                monkeypatch):
+    """A records part file the scan wave fails to write (here: a plain
+    file sits where the records dir must go) fails the build with the
+    checkpoint error, and no graph manifest lands."""
+    import os
+    import shutil
+
+    import pytest
+
+    import codetoneo4j_ray.pipelines.build_graph as bg
+    from codetoneo4j_ray.state.manifest import read_manifest
+
+    real_rmtree = shutil.rmtree
+
+    def rmtree(path, *args, **kwargs):
+        real_rmtree(path, *args, **kwargs)
+        if str(path).endswith("/records"):
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w") as f:
+                f.write("in the way")
+
+    monkeypatch.setattr(bg.shutil, "rmtree", rmtree)
+    out = str(tmp_path / "out_part_fail")
+    with pytest.raises(RuntimeError, match="checkpoint write failed"):
+        bg.build_graph(_corpus(tmp_path), out)
+    assert read_manifest(out, "graph") is None

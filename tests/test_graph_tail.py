@@ -256,17 +256,107 @@ def test_resumed_build_writes_the_fresh_part_files(tmp_path, monkeypatch):
 
 def test_extraction_keeps_the_corpus_block_count(monkeypatch):
     """At 4 CPUs with a 1-byte minimum block size, broadcast extraction
-    yields one records block per corpus block (one batch per block),
+    yields one records block per corpus block (one task per block),
     so the corpus read's CPU floor reaches extraction."""
     import ray.data
 
-    from codetoneo4j_ray.pipelines.build_graph import read_corpus
+    from codetoneo4j_ray.pipelines.build_graph import (
+        extract_corpus,
+        read_corpus_blocks,
+    )
     from codetoneo4j_ray.sources.synth import ensure_corpus
-    from codetoneo4j_ray.stages.extract import build_type_index, extract_records
 
     monkeypatch.setattr(ray.data.DataContext.get_current(),
                         "target_min_block_size", 1)
-    corpus = read_corpus(ensure_corpus(SF)).materialize()
-    records = extract_records(corpus, build_type_index(corpus)).materialize()
-    assert corpus.num_blocks() > 1
-    assert records.num_blocks() == corpus.num_blocks()
+    corpus = read_corpus_blocks(ensure_corpus(SF))
+    records = extract_corpus(corpus)
+    assert len(corpus.refs) > 1
+    assert len(records.refs) == len(corpus.refs)
+
+
+# {rec_type: (rows, digest)} of the records checkpoint, recorded from
+# the Ray Data stage 1 this raw-task stage 1 replaced (same builds as
+# FULL and INCR)
+RECORDS_FULL = {"file": (52, "666d7c90bd867d9c"),
+                "mention": (790, "fcdfdd72ac0aaff6"),
+                "symbol": (308, "600495b4b3961e89")}
+RECORDS_INCR = {"file": (52, "a50e5319b68e9898"),
+                "mention": (788, "fadfadaaefb3bf73"),
+                "symbol": (307, "d38e2af3bca62c29")}
+
+
+def _records_digests(out: str) -> dict:
+    """{rec_type: (rows, digest)} of ``out``'s records checkpoint."""
+    res = {}
+    for d in sorted(os.listdir(f"{out}/records")):
+        t = pds.dataset(f"{out}/records/{d}", format="parquet").to_table()
+        cols = sorted(c for c in t.column_names if c != "rec_type")
+        rows = sorted(repr(r) for r in zip(*[t[c].to_pylist() for c in cols]))
+        h = hashlib.sha256("\n".join([repr(cols)] + rows).encode())
+        res[d.split("=", 1)[1]] = (t.num_rows, h.hexdigest()[:16])
+    return res
+
+
+@pytest.mark.parametrize("path", ["broadcast", "partitioned"])
+def test_build_runs_no_ray_data_execution(path, tmp_path, monkeypatch,
+                                          add_alive_node, fused_link_calls):
+    """With ``ray.data.read_parquet``, ``Dataset.materialize``,
+    ``Dataset.write_parquet`` and every Ray Data execution raising, a
+    fresh build, a resumed build and an incremental rebuild with a
+    deletion finish on both paths, with the Ray Data stage 1's outputs
+    and records checkpoint."""
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from codetoneo4j_ray.pipelines.build_graph import build_graph
+    from codetoneo4j_ray.pipelines.incremental import build_graph_incremental
+    from codetoneo4j_ray.sources.synth import ensure_corpus
+
+    def no_ray_data(*args, **kwargs):
+        raise AssertionError("a Ray Data execution ran")
+
+    monkeypatch.setattr(ray.data, "read_parquet", no_ray_data)
+    for obj, name in ((ray.data.Dataset, "materialize"),
+                      (ray.data.Dataset, "write_parquet"),
+                      (StreamingExecutor, "execute")):
+        monkeypatch.setattr(obj, name, no_ray_data)
+    if path == "partitioned":
+        add_alive_node()
+    v1, v2 = ensure_corpus(SF), _edited_corpus(tmp_path)
+    full, incr = str(tmp_path / "full"), str(tmp_path / "incr")
+    assert build_graph(v1, full, resume=False)["mode"] == path
+    assert _digests(full) == FULL
+    assert _records_digests(full) == RECORDS_FULL
+    assert build_graph(v1, full)["stage1_sec"] == 0.0  # read the checkpoint
+    assert _digests(full) == FULL
+    m = build_graph_incremental(v2, full, incr, deleted_at_sec=DELETED_AT)
+    assert m["deleted_files"] == 1 and m["tombstones"] == 1
+    assert _digests(incr) == INCR
+    assert _records_digests(incr) == RECORDS_INCR
+    assert bool(fused_link_calls) == (path == "partitioned")
+
+
+def test_stage_walls_add_up_to_the_build(tmp_path):
+    """``stage_sec`` holds the read, skim, extract, scan, map and reduce
+    walls of a fresh, a resumed and an incremental build: none is
+    negative, and together they cover the build's wall to within 5%
+    without exceeding it."""
+    import time
+
+    from codetoneo4j_ray.pipelines.build_graph import StageWalls, build_graph
+    from codetoneo4j_ray.pipelines.incremental import build_graph_incremental
+    from codetoneo4j_ray.sources.synth import ensure_corpus
+
+    v1, v2 = ensure_corpus(SF), _edited_corpus(tmp_path)
+    full, incr = str(tmp_path / "full"), str(tmp_path / "incr")
+    for build in (lambda: build_graph(v1, full, resume=False),
+                  lambda: build_graph(v1, full),
+                  lambda: build_graph_incremental(v2, full, incr)):
+        t0 = time.perf_counter()
+        walls = build()["stage_sec"]
+        wall = time.perf_counter() - t0
+        assert tuple(walls) == StageWalls.STAGES
+        assert all(s >= 0 for s in walls.values()), walls
+        assert 0.95 * wall <= sum(walls.values()) <= wall, (walls, wall)

@@ -437,3 +437,42 @@ def test_incremental_partitioned_equals_single_node(
         assert list(a.columns) == list(b.columns), n
         assert (a.dtypes == b.dtypes).all(), n
         assert _sorted_rows(a).equals(_sorted_rows(b)), f"{n} differs"
+
+
+def test_incremental_over_a_ray_data_checkpoint(incr, tmp_path):
+    """A prior checkpoint written the earlier way — Ray Data's
+    ``write_parquet(partition_cols=["rec_type"])``, with Ray's part file
+    names — still serves as the prior of an incremental rebuild, which
+    equals a full rebuild."""
+    import os
+    import shutil
+
+    import pyarrow.dataset as pds
+    import ray.data as rd
+
+    from codetoneo4j_ray.pipelines.build_graph import build_graph
+    from codetoneo4j_ray.pipelines.incremental import build_graph_incremental
+
+    p1, p2 = str(tmp_path / "v1.parquet"), str(tmp_path / "v2.parquet")
+    pq.write_table(_corpus(V1), p1)
+    pq.write_table(_corpus(V2), p2)
+    out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
+    build_graph(p1, out1)
+    records = pds.dataset(f"{out1}/records", format="parquet",
+                          partitioning="hive").to_table()
+    shutil.rmtree(f"{out1}/records")
+    rd.from_arrow(records).write_parquet(f"{out1}/records",
+                                         partition_cols=["rec_type"])
+    parts = [f for d in os.listdir(f"{out1}/records")
+             for f in os.listdir(f"{out1}/records/{d}")]
+    assert parts and not any(f.startswith("part-") for f in parts)
+
+    m = build_graph_incremental(p2, out1, out2)
+    assert m["changed_files"] == 2 and m["deleted_files"] == 1
+    for n in ("nodes", "edges", "files"):
+        a = rd.read_parquet(f"{out2}/{n}").to_pandas()
+        if n == "files":
+            assert list(a.loc[a["deleted"], "path"]) == ["src/Gone.cs"]
+            a = a[~a["deleted"]].drop(columns=["deleted", "deleted_at"])
+        b = incr["full"][n]
+        assert _sorted_rows(a).equals(_sorted_rows(b)), f"{n} differs"

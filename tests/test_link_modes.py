@@ -23,8 +23,10 @@ def test_partitioned_join_matches_broadcast():
     semi-join keeps: dangling subj or obj dropped, the self-loop kept,
     duplicates kept by the broadcast probe (the fused partitioned
     exchange deduplicates, so it is compared as a set)."""
+    import ray
     import ray.data
 
+    from codetoneo4j_ray.stages.bucketing import Blocks
     from codetoneo4j_ray.stages.link import (
         MENTION_COLS,
         resolve_edges_broadcast,
@@ -50,29 +52,31 @@ def test_partitioned_join_matches_broadcast():
     assert len(expected) < len(mentions)
 
     n = len(mentions)
-    m_ds = ray.data.from_arrow(
-        pa.table(
-            {
-                "subj": pa.array([m[0] for m in mentions]),
-                "pred": pa.array([m[1] for m in mentions]),
-                "obj": pa.array([m[2] for m in mentions]),
-                "repo": pa.array(["r"] * n),
-                "ctx_kind": pa.array([""] * n),
-                "ctx_name": pa.nulls(n, pa.string()),
-                "ctx_receiver": pa.nulls(n, pa.string()),
-                "ctx_argc": pa.nulls(n, pa.int32()),
-            }
-        ).select(MENTION_COLS)
-    )
-    s_ds = ray.data.from_arrow(
-        pa.table({"key": pa.array(keys), "repo": pa.array(["r"] * len(keys))})
-    )
+    m_table = pa.table(
+        {
+            "subj": pa.array([m[0] for m in mentions]),
+            "pred": pa.array([m[1] for m in mentions]),
+            "obj": pa.array([m[2] for m in mentions]),
+            "repo": pa.array(["r"] * n),
+            "ctx_kind": pa.array([""] * n),
+            "ctx_name": pa.nulls(n, pa.string()),
+            "ctx_receiver": pa.nulls(n, pa.string()),
+            "ctx_argc": pa.nulls(n, pa.int32()),
+        }
+    ).select(MENTION_COLS)
+    s_table = pa.table({"key": pa.array(keys),
+                        "repo": pa.array(["r"] * len(keys))})
+    m_ds = ray.data.from_arrow(m_table)
 
     broadcast = resolve_edges_broadcast(m_ds, key_set).to_pandas()
     assert list(broadcast.columns) == ["subj", "pred", "obj"]
     assert sorted(map(tuple, broadcast.values)) == expected
 
-    fused = resolve_link_fused(m_ds, s_ds).to_pandas()
+    records = pa.concat_tables(
+        [t.append_column("rec_type", pa.array([rt] * t.num_rows))
+         for t, rt in ((m_table, "mention"), (s_table, "symbol"))],
+        promote_options="default")
+    fused = resolve_link_fused(Blocks([ray.put(records)])).table().to_pandas()
     assert sorted(map(tuple, fused[["subj", "pred", "obj"]].values)) == sorted(
         set(expected)
     )
@@ -136,13 +140,13 @@ def test_type_index_assembly_ignores_row_order():
         assert shape(_assemble_type_indices(shuffled)) == want
 
 
-def _graph_both_paths(records_dir, add_alive_node, fused_link_calls):
-    """{table: (single-node frame, two-node frame)} from one checkpoint,
-    checking that each run took the path it should."""
+def _graph_both_paths(records, add_alive_node, fused_link_calls):
+    """{table: (single-node frame, two-node frame)} from one set of
+    records blocks, checking that each run took the path it should."""
     from codetoneo4j_ray.pipelines.build_graph import graph_from_records
 
     def tables():
-        out = graph_from_records(records_dir=records_dir)
+        out = graph_from_records(records)
         return {n: out[n].to_pandas().reset_index(drop=True)
                 for n in ("nodes", "edges", "files")}
 
@@ -159,16 +163,15 @@ def test_graph_modes_output_identical(tmp_path, add_alive_node,
     """broadcast vs partitioned (fused repo-local linking) must produce
     byte-identical nodes/edges/files over the full synthetic corpus —
     the exactness contract of the repo-prefix local-check optimization."""
-    from codetoneo4j_ray.pipelines.build_graph import read_corpus
-    from codetoneo4j_ray.sources.synth import ensure_corpus
-    from codetoneo4j_ray.stages.extract import build_type_index, extract_records
-
-    corpus = read_corpus(ensure_corpus("/root/testdata/sf0.001"))
-    records_dir = str(tmp_path / "records")
-    extract_records(corpus, build_type_index(corpus)).write_parquet(
-        records_dir, partition_cols=["rec_type"]
+    from codetoneo4j_ray.pipelines.build_graph import (
+        extract_corpus,
+        read_corpus_blocks,
     )
-    both = _graph_both_paths(records_dir, add_alive_node, fused_link_calls)
+    from codetoneo4j_ray.sources.synth import ensure_corpus
+
+    records = extract_corpus(
+        read_corpus_blocks(ensure_corpus("/root/testdata/sf0.001")))
+    both = _graph_both_paths(records, add_alive_node, fused_link_calls)
     for name in ("nodes", "edges", "files"):
         da, db = both[name]
         assert list(da.columns) == list(db.columns), name
@@ -208,17 +211,15 @@ def test_stage1_partitioned_matches_task_path(tmp_path):
     record multiset as the broadcast-index task path."""
     import pandas as pd
 
-    from codetoneo4j_ray.pipelines.build_graph import read_corpus
-    from codetoneo4j_ray.sources.synth import ensure_corpus
-    from codetoneo4j_ray.stages.extract import (
-        build_type_index,
-        extract_records,
-        extract_records_partitioned,
+    from codetoneo4j_ray.pipelines.build_graph import (
+        extract_corpus,
+        read_corpus_blocks,
     )
+    from codetoneo4j_ray.sources.synth import ensure_corpus
 
-    corpus = read_corpus(ensure_corpus("/root/testdata/sf0.001"))
-    a = extract_records(corpus, build_type_index(corpus)).to_pandas()
-    b = extract_records_partitioned(corpus).to_pandas()
+    corpus = read_corpus_blocks(ensure_corpus("/root/testdata/sf0.001"))
+    a = extract_corpus(corpus, "broadcast").table().to_pandas()
+    b = extract_corpus(corpus, "partitioned").table().to_pandas()
     assert list(a.columns) == list(b.columns)
     key_cols = list(a.columns)
     a_s = a.sort_values(key_cols, kind="stable").reset_index(drop=True)
@@ -237,9 +238,11 @@ def test_modes_agree_on_cross_repo_shaped_corpus(tmp_path, add_alive_node,
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from codetoneo4j_ray.pipelines.build_graph import read_corpus
+    from codetoneo4j_ray.pipelines.build_graph import (
+        extract_corpus,
+        read_corpus_blocks,
+    )
     from codetoneo4j_ray.schema import CORPUS_SCHEMA
-    from codetoneo4j_ray.stages.extract import build_type_index, extract_records
 
     rows = [
         # each repo needs a package.json ancestor for TS analysis to run
@@ -265,12 +268,8 @@ def test_modes_agree_on_cross_repo_shaped_corpus(tmp_path, add_alive_node,
     )
     p = str(tmp_path / "c.parquet")
     pq.write_table(t, p)
-    records_dir = str(tmp_path / "records")
-    corpus = read_corpus(p)
-    extract_records(corpus, build_type_index(corpus)).write_parquet(
-        records_dir, partition_cols=["rec_type"]
-    )
-    both = _graph_both_paths(records_dir, add_alive_node, fused_link_calls)
+    records = extract_corpus(read_corpus_blocks(p))
+    both = _graph_both_paths(records, add_alive_node, fused_link_calls)
     for name in ("nodes", "edges", "files"):
         da, db = both[name]
         assert da.equals(db), f"{name} differs"

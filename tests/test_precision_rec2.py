@@ -53,22 +53,25 @@ EXPECTED_INVOKES = {
 
 @pytest.fixture(scope="module")
 def emitted(ray_session):
-    import ray.data
+    import ray
 
-    from codetoneo4j_ray.pipelines.build_graph import graph_from_records
-    from codetoneo4j_ray.stages.extract import build_type_index, extract_records
+    from codetoneo4j_ray.pipelines.build_graph import (
+        extract_corpus,
+        graph_from_records,
+    )
+    from codetoneo4j_ray.stages.bucketing import Blocks
 
     rows = [("fix2", _F_M, "c" * 40, "csharp", MONEY_CS),
             ("fix2", _F_L, "c" * 40, "csharp", LEDGER_CS)]
     cols = list(zip(*rows))
-    corpus = ray.data.from_arrow(
+    corpus = Blocks([ray.put(
         pa.table(
             {f.name: pa.array(list(cols[i]), pa.string())
              for i, f in enumerate(CORPUS_SCHEMA)},
             schema=CORPUS_SCHEMA,
         )
-    )
-    records = extract_records(corpus, build_type_index(corpus)).materialize()
+    )])
+    records = extract_corpus(corpus)
     edges = graph_from_records(records)["edges"].to_pandas()
     return set(map(tuple, edges[["subj", "pred", "obj"]].values))
 

@@ -90,21 +90,24 @@ for s in [_SVC, f"{_SVC}.Make(int)", f"{_SVC}.Log()"]:
 
 @pytest.fixture(scope="module")
 def emitted(ray_session):
-    import ray.data
+    import ray
 
-    from codetoneo4j_ray.pipelines.build_graph import graph_from_records
-    from codetoneo4j_ray.stages.extract import build_type_index, extract_records
+    from codetoneo4j_ray.pipelines.build_graph import (
+        extract_corpus,
+        graph_from_records,
+    )
+    from codetoneo4j_ray.stages.bucketing import Blocks
 
     rows = [("fix", p, "c" * 40, "csharp", c) for p, c in FILES.items()]
     cols = list(zip(*rows))
-    corpus = ray.data.from_arrow(
+    corpus = Blocks([ray.put(
         pa.table(
             {f.name: pa.array(list(cols[i]), pa.string())
              for i, f in enumerate(CORPUS_SCHEMA)},
             schema=CORPUS_SCHEMA,
         )
-    )
-    records = extract_records(corpus, build_type_index(corpus)).materialize()
+    )])
+    records = extract_corpus(corpus)
     edges = graph_from_records(records)["edges"].to_pandas()
     return set(map(tuple, edges[["subj", "pred", "obj"]].values))
 

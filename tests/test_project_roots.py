@@ -132,9 +132,11 @@ def test_dart_no_pubspec_ancestor_skips_analysis():
 def test_pipeline_collects_manifest_roots(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
-    from codetoneo4j_ray.pipelines.build_graph import read_corpus
+    from codetoneo4j_ray.pipelines.build_graph import (
+        extract_corpus,
+        read_corpus_blocks,
+    )
     from codetoneo4j_ray.schema import CORPUS_SCHEMA
-    from codetoneo4j_ray.stages.extract import build_type_index, extract_records
 
     rows = [
         ("repoX", "client/package.json", "c" * 40, "json",
@@ -157,8 +159,7 @@ def test_pipeline_collects_manifest_roots(ray_session, tmp_path):
     )
     p = str(tmp_path / "c.parquet")
     pq.write_table(t, p)
-    corpus = read_corpus(p)
-    recs = extract_records(corpus, build_type_index(corpus)).to_pandas()
+    recs = extract_corpus(read_corpus_blocks(p)).table().to_pandas()
     sym = recs[recs["rec_type"] == "symbol"]
     fqns = set(sym["fqn"])
     assert "@web-client/src/app.ts::AppRoot" in fqns

@@ -65,7 +65,8 @@ def measure(root: str, exts: tuple[str, ...]) -> dict:
     import pyarrow as pa
     import ray.data
 
-    from codetoneo4j_ray.stages.extract import build_type_index, extract_records
+    from codetoneo4j_ray.pipelines.build_graph import extract_corpus
+    from codetoneo4j_ray.stages.bucketing import Blocks
     from codetoneo4j_ray.stages.link import (
         build_member_indices,
         resolve_edges_broadcast,
@@ -73,10 +74,8 @@ def measure(root: str, exts: tuple[str, ...]) -> dict:
     )
 
     rows = _corpus_rows(root, exts)
-    corpus = ray.data.from_arrow(
-        pa.Table.from_pylist(rows)
-    ).repartition(8)
-    records = extract_records(corpus, build_type_index(corpus)).materialize()
+    corpus = Blocks([ray.put(pa.Table.from_pylist(rows))])
+    records = ray.data.from_arrow_refs(extract_corpus(corpus).refs)
     symbols = records.filter(expr="rec_type == 'symbol'")
     raw_mentions = records.filter(expr="rec_type == 'mention'")
     n_sym = symbols.count()

@@ -1,18 +1,15 @@
-"""Print Ray Data per-stage stats for the flagship pipeline.
+"""Print per-stage stats for the flagship pipeline.
 
 Usage:  python tools/stage_stats.py [sf_dir]
 
-Runs stage 1 over the synthetic corpus and prints its ``ds.stats()`` —
-wall/cpu/memory per operator, the feedback loop used while tuning
-(block coalescing, bucket counts, narrow projections; see BASELINE.md
-§2) — then stages 2–4 from the checkpoint, which run as raw tasks
-(``build_graph._graph_tail``) with no Ray Data operators, so only their
-row counts are printed."""
+Runs stage 1 over the synthetic corpus as the build does (raw tasks,
+no Ray Data operators) and prints its block counts, records size and
+the read/skim/extract walls, then stages 2–4 over the same records,
+printing only their row counts."""
 
 from __future__ import annotations
 
 import os
-import shutil
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -30,24 +27,26 @@ def main() -> None:
     DataContext.get_current().enable_progress_bars = False
 
     from codetoneo4j_ray.pipelines.build_graph import (
+        StageWalls,
+        extract_corpus,
         graph_from_records,
-        read_corpus,
+        read_corpus_blocks,
     )
-    from codetoneo4j_ray.stages.extract import build_type_index, extract_records
     from codetoneo4j_ray.sources.synth import ensure_corpus
 
     corpus_path = ensure_corpus(sf_dir)
-    out = "/tmp/c2n4j_stats"
-    shutil.rmtree(out, ignore_errors=True)
-
-    corpus = read_corpus(corpus_path)
-    records = extract_records(corpus, build_type_index(corpus))
-    records.write_parquet(f"{out}/records", partition_cols=["rec_type"])
+    walls = StageWalls()
+    corpus = read_corpus_blocks(corpus_path)
+    walls.lap("read")
+    records = extract_corpus(corpus, walls=walls)
     print("=" * 70)
-    print("STAGE 1 (extraction → records checkpoint)")
-    print(records.stats())
+    print("STAGE 1 (read → skim → extraction)")
+    print(f"corpus blocks: {len(corpus.refs)}, records blocks: "
+          f"{len(records.refs)}, records rows: {records.rows}, "
+          f"in-memory bytes: {records.nbytes}")
+    print({k: v for k, v in walls.sec.items() if v})
 
-    outputs = graph_from_records(records_dir=f"{out}/records")
+    outputs = graph_from_records(records)
     print("=" * 70)
     for name in ("nodes", "edges", "files"):
         print(f"OUTPUT {name}: {outputs[name].count()} rows")
