@@ -8,10 +8,6 @@ ONE JSON line:
    "queries": {name: sec, ...}, "sf": ..., "num_cpus": N,
    "kg_files": n, "kg_files_per_sec": r}
 
-kg_build takes the path ``resolve_mode`` picks; the other path is timed
-as kg_build_<path>. ``--path broadcast|partitioned`` pins every build
-to one path instead.
-
 ``--scaling`` runs the kg_build pipeline in two fresh processes
 (num_cpus=8 then 32) on the same pre-generated input and reports both
 throughputs + scaling efficiency (the sandbox stand-in for the north
@@ -20,29 +16,15 @@ rule's N vs 4N node clusters).
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import shutil
 import subprocess
 import sys
 import time
-from unittest import mock
 
 
-def on_path(mode: str | None):
-    """Context in which build_graph takes ``mode`` ("broadcast" or
-    "partitioned") whatever ``resolve_mode`` would pick; None leaves the
-    choice to it. How this harness times either path on one node."""
-    from codetoneo4j_ray.pipelines import build_graph as bg
-
-    if mode is None:
-        return contextlib.nullcontext()
-    return mock.patch.object(bg, "resolve_mode",
-                             lambda corpus_bytes=None: mode)
-
-
-def run_benchmarks(sf_dir: str, num_cpus: int, path: str | None = None) -> dict:
+def run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
     import ray
     import ray.data
 
@@ -92,37 +74,17 @@ def run_benchmarks(sf_dir: str, num_cpus: int, path: str | None = None) -> dict:
     extras: dict = {}
 
     t0 = time.perf_counter()
-    with on_path(path):
-        metrics = build_graph(corpus_path, out_dir, resume=False,
-                              packages_path=packages_path)
+    metrics = build_graph(corpus_path, out_dir, resume=False,
+                          packages_path=packages_path)
     timings["kg_build"] = round(time.perf_counter() - t0, 3)
     extras["kg_nodes"] = metrics["nodes"]
     extras["kg_edges"] = metrics["edges"]
     extras["kg_files"] = metrics["files"]
     extras["kg_files_per_sec"] = round(metrics["files"] / timings["kg_build"], 1)
-    extras["kg_mode"] = metrics["mode"]
     if metrics.get("stage1_sec"):
         timings["kg_stage1"] = metrics["stage1_sec"]
 
     only_kg = os.environ.get("GRAFT_BENCH_ONLY") == "kg"
-
-    # the other path, timed alongside so every BENCH records both
-    # (scaling runs pin one path and skip this)
-    if not only_kg and path is None:
-        other = "partitioned" if metrics["mode"] == "broadcast" else "broadcast"
-        out_dir_o = os.path.join(
-            corpus_dir_for_sf(sf_dir), f"bench_out_{num_cpus}_{other}"
-        )
-        shutil.rmtree(out_dir_o, ignore_errors=True)
-        t0 = time.perf_counter()
-        with on_path(other):
-            m2 = build_graph(corpus_path, out_dir_o, resume=False,
-                             packages_path=packages_path)
-        timings[f"kg_build_{other}"] = round(time.perf_counter() - t0, 3)
-        extras[f"kg_files_per_sec_{other}"] = round(
-            m2["files"] / timings[f"kg_build_{other}"], 1
-        )
-        shutil.rmtree(out_dir_o, ignore_errors=True)
 
     def timed(name, fn):
         if only_kg:
@@ -269,15 +231,11 @@ def run_scaling(sf_dir: str, lo: int = 8, hi: int = 32) -> dict:
     ensure_corpus(sf_dir)
 
     def one(ncpu: int) -> tuple[dict, float, float]:
-        # both phases take the partitioned path: zero serial driver work,
-        # so throughput tracks cluster size (resolve_mode alone would
-        # pick broadcast at 8 CPUs and partitioned at 32)
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu), GRAFT_SF_DIR=sf_dir,
                    GRAFT_BENCH_ONLY=os.environ.get("GRAFT_BENCH_ONLY", "kg"))
         probe_before = _burn_time(ncpu)
         out = subprocess.run(
-            [sys.executable, os.path.abspath(__file__),
-             "--path", "partitioned"],
+            [sys.executable, os.path.abspath(__file__)],
             env=env, capture_output=True, text=True, check=True,
             cwd=os.path.dirname(os.path.abspath(__file__)),
         ).stdout
@@ -303,7 +261,6 @@ def run_scaling(sf_dir: str, lo: int = 8, hi: int = 32) -> dict:
     ceiling = round((burn_lo / burn_hi) / (hi / lo), 3)
     return {
         "metric": "kg_build scaling efficiency",
-        "mode": phases[lo][0][0].get("kg_mode"),
         "sf": sf_dir,
         "interleave": f"{lo}/{hi}/{lo}/{hi}",
         f"sec_{lo}": round(t_lo, 3),
@@ -335,9 +292,7 @@ def main() -> None:
     if "--scaling" in sys.argv:
         print(json.dumps(run_scaling(sf_dir)))
         return
-    path = (sys.argv[sys.argv.index("--path") + 1]
-            if "--path" in sys.argv else None)
-    result = run_benchmarks(sf_dir, num_cpus, path)
+    result = run_benchmarks(sf_dir, num_cpus)
     print(json.dumps(result))
     import ray
 

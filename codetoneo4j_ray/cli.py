@@ -27,10 +27,9 @@ Option parity:
   --show-supported-files  handler registry listing
   --purge-data          via the ``purge`` subcommand
 
-No option picks the linking path: a build runs partitioned on a
-multi-node cluster, at 32 or more CPUs, or when the broadcast path's
-driver structures would not fit the reported memory, and broadcast
-otherwise (``pipelines.build_graph.resolve_mode``).
+Every build takes one path on any cluster: stages 1 and 2 hold their
+indices in repo-keyed bucket stores that the driver never fetches, so
+no option tunes them (``pipelines.build_graph``).
 """
 
 from __future__ import annotations

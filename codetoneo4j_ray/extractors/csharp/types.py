@@ -262,9 +262,9 @@ class TypeInfo:
 class RepoTypeIndex:
     """Per-repo symbol-table slice used for name resolution.
 
-    Built by the pass-A skim (stages.extract.build_type_index) and shipped
-    to pass-B extraction actors via ``ray.put`` broadcast — the
-    "broadcast/partitioned symbol table" of the north star's stage 2.
+    Built by the pass-A skim (stages.extract.build_type_index) into a
+    repo-keyed bucket store, from which each pass-B extraction task
+    loads the indices of its block's repos.
     """
 
     def __init__(self) -> None:

@@ -6,45 +6,48 @@ execution is on the build path:
       raw read tasks                            corpus blocks (repo, path,
                                                 commit, lang, content),
                                                 pinned under the budget
-      → [1a] pass A: one skim task per block    type-index rows → repo-
-                                                bucketed assembly →
-                                                broadcast index
+      → [1a] pass A: one skim task per block    type-index rows → one task
+                                                per repo bucket pins its
+                                                repos' type indices
       → [1b] pass B: one extraction task        records blocks, pinned in
-             per block                          the object store
+             per block, with its repos'         the object store
+             type-index buckets
       → stages 2–4, raw tasks over the pinned records blocks:
-        wave 1  one scan task per block        member/base rows, declared
-                                               keys, bounded key samples;
-                                               the block written as
+        wave 1  one scan task per block        member/base rows + declared
+                                               keys split by repo bucket,
+                                               bounded key samples; the
+                                               block written as
                                                records/rec_type=X/part-k
-        driver  records manifest, member index + key set (broadcast),
-                range bounds
+        driver  records manifest, range bounds; tasks sized from the
+                index rows' bytes pin per-repo member indices + key sets
         wave 2  one map task per block         [2a] deferred-INVOKES
                                                resolution, [2b] endpoint
-                                               check, [4] structural edges,
-                                               node/file finalize, map-side
-                                               [3] dedup, range split
+                                               check against the block's
+                                               repos' buckets, [4]
+                                               structural edges, node/file
+                                               finalize, map-side [3]
+                                               dedup, range split
         wave 3  one task per (output, range)   [3] sort + dedup, write
                                                nodes|edges|files/part-k
 
 Each wave ends at a driver barrier, where the build takes that stage's
 wall (``stage_sec`` in its metrics, :class:`StageWalls`).
 
+Every index stages 1 and 2 need is keyed by repo — the reference
+indexes one solution per run and resolves every cross-reference inside
+it, and in the corpus model a repo is a solution — so each index lives
+in a repo-keyed bucket store, built by raw tasks and never fetched by
+the driver, and a task holds only the indices of the repos in its
+block. Nothing on the driver grows with the corpus, and no content or
+mention row moves by repo.
+
 Stages 2–4 (``write_graph``, shared with ``build_graph_incremental``)
 run no Ray Data sort and no driver collect: every output is range-
 partitioned on its key (``stages.canonicalize``), so each part file is
 sorted and the parts in name order are globally sorted.
 
-``resolve_mode`` alone picks how stages 1 and 2 run, from what the Ray
-session reports: the broadcast path above on one node with fewer than
-32 CPUs while the corpus fits the driver-memory budget; otherwise the
-partitioned path, where stage 1 extracts in repo-keyed buckets
-(``extract_records_partitioned``) and [2a]+[2b] are one repo-keyed
-exchange (``resolve_link_fused``), with no driver-side index, whose
-bucket outputs feed the edges' range split.
-
 Every shuffle is metadata-only (keys + record rows); file *content*
-never moves past stage 1b (on the partitioned path it crosses the
-repo-keyed extraction exchange once). The reference's pipeline equivalence is the
+never moves past stage 1b. The reference's pipeline equivalence is the
 full-index run (``SolutionProcessor.ProcessSolution``, SURVEY §3.1).
 """
 
@@ -62,15 +65,17 @@ import ray
 import ray.data
 
 from codetoneo4j_ray.extractors.accessibility import DEFAULT_MIN_ACCESSIBILITY
-from codetoneo4j_ray.extractors.csharp.extractor import BASE_PRED, MEMBER_PRED
 from codetoneo4j_ray.schema import TRIPLE_SCHEMA
 from codetoneo4j_ray.stages.bucketing import (
     Blocks,
+    BucketStore,
     blocks_for,
     cluster_cpus,
     parquet_files,
     plan_reads,
     read_blocks,
+    keyed_store,
+    split_table,
 )
 from codetoneo4j_ray.stages.canonicalize import (
     EDGES,
@@ -87,14 +92,13 @@ from codetoneo4j_ray.stages.extract import (
     RECORD_SCHEMA,
     build_type_index,
     extract_blocks,
-    extract_records_partitioned,
 )
 from codetoneo4j_ray.stages.link import (
     MENTION_COLS,
-    _endpoint_filter_batch,
-    _member_indices,
-    _resolve_batch,
-    resolve_link_fused,
+    _index_blobs,
+    index_rows,
+    internal_mask,
+    link_block,
 )
 from codetoneo4j_ray.stages.materialize import (
     finalize_files,
@@ -217,18 +221,6 @@ class StageWalls:
         return time.perf_counter() - self._start
 
 
-# The broadcast path assembles the type index, the member index and the
-# symbol-key set on the driver; together they grew driver RSS by 1.5-1.6
-# bytes per byte of corpus content on sf0.1 (39 MB) and 2.7 on sf0.01
-# (0.4 MB). Rounded up to the larger.
-_DRIVER_BYTES_PER_CONTENT_BYTE = 3
-# On one node the partitioned path has been measured faster at 32 CPUs
-# (sf0.1 and the 10x corpus) and slower at 1 and 4 CPUs (the benchmark
-# corpus, sf0.01, sf0.1); README has the walls. Counts in between are
-# unmeasured.
-_PARTITIONED_MIN_CPUS = 32
-
-
 def _footers(path: str) -> list:
     """Parquet footers (``FileMetaData``) of ``path`` or of every
     ``.parquet`` file below it."""
@@ -263,42 +255,11 @@ def corpus_content_bytes(input_path: str) -> int | None:
     return total if seen else None
 
 
-def resolve_mode(corpus_bytes: int | None = None) -> str:
-    """The one place that picks the stage-1/2 path, from what the Ray
-    session reports: "partitioned" when more than one alive node is
-    attached (the broadcast path's driver-side structures must never be
-    built on a real cluster), when the session has at least
-    ``_PARTITIONED_MIN_CPUS`` CPUs (where partitioned was measured
-    faster), or when the broadcast path's driver structures, estimated
-    from ``corpus_bytes``, would pass a quarter of the memory Ray
-    reports (a single node on a huge corpus must not assemble a
-    corpus-scale index on the driver either); "broadcast" otherwise,
-    and with no Ray session. Both paths write byte-identical outputs."""
-    try:
-        alive = sum(1 for n in ray.nodes() if n.get("Alive"))
-        resources = ray.cluster_resources()
-    except Exception:  # noqa: BLE001 — no Ray session yet
-        return "broadcast"
-    if alive > 1 or resources.get("CPU", 0) >= _PARTITIONED_MIN_CPUS:
-        return "partitioned"
-    driver_bytes = (corpus_bytes or 0) * _DRIVER_BYTES_PER_CONTENT_BYTE
-    if driver_bytes > resources.get("memory", 0) / 4:
-        return "partitioned"
-    return "broadcast"
-
-
-_INTERNAL_PREDS = pa.array([MEMBER_PRED, BASE_PRED], pa.string())
-_MEMBER_COLS = ["repo", "pred", "subj", "obj", "ctx_name", "ctx_argc"]
 _OUTPUTS = (("nodes", NODES), ("edges", EDGES), ("files", FILES))
 
 
 def _of_type(block: pa.Table, rt, rec_type: str) -> pa.Table:
     return block.filter(pc.equal(rt, rec_type))
-
-
-def _internal(mentions: pa.Table):
-    """Mask of the internal __MEMBER__/__BASE__ rows among mentions."""
-    return pc.is_in(mentions["pred"], value_set=_INTERNAL_PREDS)
 
 
 def _write_parts(block: pa.Table, rt, records_dir: str, k: int) -> None:
@@ -313,14 +274,14 @@ def _write_parts(block: pa.Table, rt, records_dir: str, k: int) -> None:
 
 
 @ray.remote
-def _scan_block(block: pa.Table, broadcast: bool, rate: float,
+def _scan_block(block: pa.Table, num_buckets: int, rate: float,
                 records_dir: str | None, k: int):
-    """Wave 1 over records block ``k``: (member/base rows, declared keys)
-    for the broadcast path's driver structures (None otherwise), the key
-    samples of the node, edge and file outputs (None at rate 0), and,
-    with ``records_dir``, the block written as the records checkpoint —
-    a failed write is returned as the last value, for the driver to
-    report as a checkpoint failure."""
+    """Wave 1 over records block ``k``: its link-index rows
+    (``link.index_rows``) split into ``num_buckets`` repo buckets, one
+    return each, then (the key samples of the node, edge and file
+    outputs, None at rate 0; with ``records_dir``, the error of writing
+    the block as the records checkpoint, None when it was written; the
+    link-index rows' bytes)."""
     rt = block["rec_type"]
     err = None
     if records_dir is not None:
@@ -328,66 +289,49 @@ def _scan_block(block: pa.Table, broadcast: bool, rate: float,
             _write_parts(block, rt, records_dir, k)
         except Exception as e:  # noqa: BLE001 — reported by the driver
             err = e
-    symbols = _of_type(block, rt, "symbol")
-    mentions = _of_type(block, rt, "mention")
-    internal = _internal(mentions)
-    members = keys = samples = None
-    if broadcast:
-        members = mentions.filter(internal).select(_MEMBER_COLS)
-        keys = symbols["key"]
+    samples = None
     if rate:
+        symbols = _of_type(block, rt, "symbol")
+        mentions = _of_type(block, rt, "mention")
         # edge subjects: mention subjects and the DECLARES side of the
         # structural edges — the bulk of both; bounds only set balance
         subjects = pa.chunked_array(
-            mentions.filter(pc.invert(internal))["subj"].chunks
+            mentions.filter(pc.invert(internal_mask(mentions)))["subj"].chunks
             + symbols["file_key"].chunks, pa.string())
         samples = (key_sample(symbols["key"], rate),
                    key_sample(subjects, rate),
                    key_sample(_of_type(block, rt, "file")["key"], rate))
-    return members, keys, samples, err
+    rows = index_rows(block)
+    return (*split_table(rows, ["repo"], num_buckets),
+            (samples, err, rows.nbytes))
 
 
 @ray.remote
-def _map_block(block: pa.Table, link_refs, bounds, no_key: bool):
-    """Wave 2 over one records block: every output's map side. Returns
-    the pieces of nodes, edges and files, one per range of each (in
-    that order), then (mentions_in, mentions_resolved).
-
-    ``link_refs`` = (member-index ref, key-set ref) resolves and
-    endpoint-checks the block's mentions (broadcast path); None leaves
-    them to ``resolve_link_fused`` (partitioned path)."""
+def _map_block(block: pa.Table, link_store: BucketStore, bounds,
+               no_key: bool):
+    """Wave 2 over one records block: every output's map side, the
+    block's mentions resolved and endpoint-checked against their repos'
+    buckets of ``link_store``. Returns the pieces of nodes, edges and
+    files, one per range of each (in that order), then (mentions_in,
+    mentions_resolved)."""
     rt = block["rec_type"]
     mentions = _of_type(block, rt, "mention")
-    mentions = mentions.filter(pc.invert(_internal(mentions)))
-    edges = [structural_edges_batch(block.filter(pc.not_equal(rt, "mention")),
-                                    include_project=not no_key)]
-    resolved = 0
-    if link_refs is not None:
-        index_ref, keys_ref = link_refs
-        linked = _resolve_batch(mentions.select(MENTION_COLS), index_ref)
-        linked = _endpoint_filter_batch(linked.select(["subj", "pred", "obj"]),
-                                        keys_ref)
-        resolved = linked.num_rows
-        edges.append(linked)
+    mentions = mentions.filter(pc.invert(internal_mask(mentions)))
+    linked = link_block(mentions.select(MENTION_COLS), link_store)
+    edges = pa.concat_tables(
+        [structural_edges_batch(block.filter(pc.not_equal(rt, "mention")),
+                                include_project=not no_key), linked],
+        promote_options="permissive")
     # finalize (truncate-8000 + projection) runs before the split, so
     # untruncated doc strings never move
     tables = (
         finalize_nodes(_of_type(block, rt, "symbol")),
-        pa.concat_tables(edges, promote_options="permissive"),
+        edges,
         finalize_files(_of_type(block, rt, "file")),
     )
     pieces = [p for t, (_, canon), b in zip(tables, _OUTPUTS, bounds)
               for p in split_ranges(canonical(t, canon), canon.split, b)]
-    return (*pieces, (mentions.num_rows, resolved))
-
-
-@ray.remote
-def _map_link_block(block: pa.Table, bounds):
-    """Wave 2 over one ``resolve_link_fused`` output block (partitioned
-    path): the edges' range pieces, then the resolved-row count."""
-    edges = canonical(block.select(["subj", "pred", "obj"]), EDGES)
-    return (*split_ranges(edges, EDGES.split, bounds),
-            pc.sum(block["n"]).as_py())
+    return (*pieces, (mentions.num_rows, linked.num_rows))
 
 
 def _empty_output(name: str, files_post=None) -> pa.Table:
@@ -402,15 +346,17 @@ def _empty_output(name: str, files_post=None) -> pa.Table:
         files, lambda keys: pa.array([False] * len(keys), pa.bool_()))
 
 
-def _graph_tail(records: Blocks, mode: str, no_key: bool,
+def _graph_tail(records: Blocks, no_key: bool,
                 out_dir: str | None = None, files_post=None,
                 checkpoint: tuple[str, dict] | None = None,
                 walls: StageWalls | None = None):
     """Stages 2–4 over the pinned ``records`` blocks as three raw-task
     waves (module docstring). Each output has up to ``blocks_for(records'
-    bytes)`` ranges. With ``out_dir`` every non-empty range is written
-    to ``{out_dir}/{output}/part-{k:05d}.parquet``. ``files_post`` runs
-    in each files reduce task (see ``reduce_range``).
+    bytes)`` ranges, and the link index is split in as many repo
+    buckets (its rows are a part of the records). With ``out_dir``
+    every non-empty range is written to
+    ``{out_dir}/{output}/part-{k:05d}.parquet``. ``files_post`` runs in
+    each files reduce task (see ``reduce_range``).
 
     With ``checkpoint`` = (fingerprint, manifest metrics) the scan wave
     also writes the records checkpoint into ``{out_dir}/records`` and
@@ -426,7 +372,6 @@ def _graph_tail(records: Blocks, mode: str, no_key: bool,
     num_ranges = blocks_for(records.nbytes)
     nrows = records.rows
     rate = min(1.0, SAMPLE_KEYS / nrows) if num_ranges > 1 and nrows else 0.0
-    broadcast = mode != "partitioned"
     records_dir = f"{out_dir}/records" if checkpoint is not None else None
     submitted: list = []
 
@@ -435,13 +380,12 @@ def _graph_tail(records: Blocks, mode: str, no_key: bool,
         return refs
 
     try:
-        scans = []
-        if broadcast or rate or records_dir:
-            scans = ray.get([submit(_scan_block.remote(
-                b, broadcast, rate, records_dir, k))
-                for k, b in enumerate(blocks)])
+        scan = _scan_block.options(num_returns=num_ranges + 1)
+        scans = [submit(scan.remote(b, num_ranges, rate, records_dir, k))
+                 for k, b in enumerate(blocks)]
+        metas = ray.get([s[-1] for s in scans])
         if records_dir is not None:
-            failed = [e for *_, e in scans if e is not None]
+            failed = [e for _, e, _ in metas if e is not None]
             try:
                 if failed:
                     raise failed[0]
@@ -451,24 +395,16 @@ def _graph_tail(records: Blocks, mode: str, no_key: bool,
                 # a partial, manifest-less records dir behind
                 raise RuntimeError("records checkpoint write failed") from e
         walls.lap("scan")
-        link_refs = None
-        if broadcast:
-            members = [m for m, _, _, _ in scans if m.num_rows]
-            index = (_member_indices(pa.concat_tables(members).to_pandas())
-                     if members else {})
-            keys = frozenset(k for _, ks, _, _ in scans
-                             for k in ks.to_pylist())
-            link_refs = (ray.put(index), ray.put(keys))
-        bounds = [range_bounds([s[i] for _, _, s, _ in scans if s is not None],
+        # tasks sized from the index rows' bytes pin the per-repo
+        # indices; no index row reaches the driver
+        link_store = keyed_store([s[:-1] for s in scans], num_ranges,
+                                 _index_blobs, sum(n for *_, n in metas))
+        submit(list(dict.fromkeys(r for p in link_store.pieces for r in p)))
+        bounds = [range_bounds([s[i] for s, _, _ in metas if s is not None],
                                num_ranges) for i in range(len(_OUTPUTS))]
         nret = sum(len(b) + 1 for b in bounds) + 1
         maps = [submit(_map_block.options(num_returns=nret).remote(
-            b, link_refs, bounds, no_key)) for b in blocks]
-        link_maps = []
-        if not broadcast:
-            link_maps = [submit(_map_link_block.options(
-                num_returns=len(bounds[1]) + 2).remote(b, bounds[1]))
-                for b in resolve_link_fused(records).refs]
+            b, link_store, bounds, no_key)) for b in blocks]
 
         outputs: dict = {}
         offset = 0
@@ -481,15 +417,11 @@ def _graph_tail(records: Blocks, mode: str, no_key: bool,
             post = files_post if name == "files" else None
             outputs[name] = []
             for k in range(len(b) + 1):
-                pieces = [m[offset + k] for m in maps]
-                if name == "edges":
-                    pieces += [m[k] for m in link_maps]
                 part = f"{path}/part-{k:05d}.parquet" if path else None
                 outputs[name].append(submit(reduce_range.remote(
-                    canon, part, post, b, k, *pieces)))
+                    canon, part, post, b, k, *[m[offset + k] for m in maps])))
             offset += len(b) + 1
         counts = ray.get([m[-1] for m in maps])
-        link_counts = ray.get([m[-1] for m in link_maps])
         walls.lap("map")
         rows = iter(ray.get([r for refs in outputs.values() for _, r in refs]))
         outputs = {name: [(t, next(rows)) for t, _ in refs]
@@ -501,7 +433,7 @@ def _graph_tail(records: Blocks, mode: str, no_key: bool,
                                f"{out_dir}/{name}/part-00000.parquet")
         walls.lap("reduce")
         mentions_in = sum(n for n, _ in counts)
-        resolved = sum(r for _, r in counts) + sum(link_counts)
+        resolved = sum(r for _, r in counts)
     finally:
         # no task outlives the build, on success or error
         if submitted:
@@ -514,15 +446,13 @@ def graph_from_records(
     records: Blocks | None = None,
     records_dir: str | None = None,
     no_key: bool = False,
-    corpus_bytes: int | None = None,
 ) -> dict[str, ray.data.Dataset]:
     """Stages 2–4 from records blocks or a ``records_dir`` checkpoint,
-    on the path ``resolve_mode(corpus_bytes)`` picks, without writing:
-    returns the nodes, edges and files (each sorted by key) as datasets
-    over the reduce tasks' tables."""
+    without writing: returns the nodes, edges and files (each sorted by
+    key) as datasets over the reduce tasks' tables."""
     if records is None:
         records = read_records_blocks(records_dir)
-    outputs, _, _ = _graph_tail(records, resolve_mode(corpus_bytes), no_key)
+    outputs, _, _ = _graph_tail(records, no_key)
     out = {}
     for name, parts in outputs.items():
         tables = [t for t, rows in parts if rows]
@@ -533,29 +463,19 @@ def graph_from_records(
 
 def extract_corpus(
     corpus: Blocks,
-    mode: str = "broadcast",
     min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
     pkg_meta: dict | None = None,
     no_key: bool = False,
     walls: StageWalls | None = None,
 ) -> Blocks:
-    """Stage 1 over the corpus blocks on the ``mode`` path: pass A
-    (``build_type_index``), then pass B — one extraction task per block
-    with the broadcast index, or the partitioned path's repo-bucketed
-    exchange. ``walls`` gets the skim and extract walls."""
+    """Stage 1 over the corpus blocks: pass A (``build_type_index``),
+    then pass B, one extraction task per block with its repos' type
+    indices. ``walls`` gets the skim and extract walls."""
     walls = walls or StageWalls()
-    partitioned = mode == "partitioned"
-    indices, skims, _ = build_type_index(corpus, assemble=not partitioned)
+    type_store, _ = build_type_index(corpus)
     walls.lap("skim")
-    if partitioned:
-        # multi-node configuration end-to-end: the repo-bucketed
-        # extraction holds per-bucket indices only — nothing on the
-        # driver or any worker grows with corpus size
-        records = extract_records_partitioned(
-            corpus, skims, min_accessibility, pkg_meta, no_key)
-    else:
-        records = extract_blocks(corpus, indices, min_accessibility,
-                                 pkg_meta, no_key)
+    records = extract_blocks(corpus, type_store, min_accessibility, pkg_meta,
+                             no_key)
     walls.lap("extract")
     return records
 
@@ -574,7 +494,6 @@ def build_graph(
     :func:`read_corpus_blocks`)."""
     walls = StageWalls()
     content_bytes = corpus_content_bytes(input_path)
-    mode = resolve_mode(content_bytes)
     pkg_stat = None
     if packages_path is not None:
         st = os.stat(packages_path)
@@ -594,10 +513,9 @@ def build_graph(
     if not (resume and stage_is_complete(out_dir, "records", fp)):
         corpus = read_corpus_blocks(input_path, content_bytes, batch_size)
         walls.lap("read")
-        records = extract_corpus(corpus, mode, min_accessibility, pkg_meta,
-                                 no_key, walls)
-    metrics = write_graph(out_dir, fp, mode, no_key, records, walls)
-    metrics["mode"] = mode
+        records = extract_corpus(corpus, min_accessibility, pkg_meta, no_key,
+                                 walls)
+    metrics = write_graph(out_dir, fp, no_key, records, walls)
     write_manifest(out_dir, "graph", fp, metrics)
     return metrics
 
@@ -605,7 +523,6 @@ def build_graph(
 def write_graph(
     out_dir: str,
     fp: str,
-    mode: str,
     no_key: bool,
     records: Blocks | None,
     walls: StageWalls,
@@ -635,7 +552,7 @@ def write_graph(
         shutil.rmtree(records_dir, ignore_errors=True)
         checkpoint = (fp, {"rows": records.rows, "wall_sec": stage1_sec})
     outputs, mentions_in, resolved = _graph_tail(
-        records, mode, no_key, out_dir, files_post, checkpoint, walls)
+        records, no_key, out_dir, files_post, checkpoint, walls)
     metrics: dict = {name: sum(rows for _, rows in parts)
                      for name, parts in outputs.items()}
     metrics["mentions_in"] = mentions_in

@@ -28,13 +28,14 @@ Every step is a raw-task wave over pinned blocks, as in the full build:
            the prior file records and tombstones (raw read tasks)
   pass A   one skim task per corpus block returns its type-index rows
            AND its handled files' (repo, path, sha256), so one pass over
-           the content feeds both the full-corpus type index and the
-           diff (``_diff``, a (repo, path)-bucketed exchange)
+           the content feeds both the full-corpus type-index store and
+           the diff (``_diff``, a (repo, path)-bucketed exchange)
   pass B   extraction of the changed files only (the changed-key filter
-           runs inside the tasks); the carried records come from raw
-           read tasks over the prior checkpoint, which drop the stale
-           keys; the tombstone rows from one raw task over the prior
-           files/
+           runs inside the tasks, which load their block's repos' type
+           indices as in the full build); the carried records come from
+           raw read tasks over the prior checkpoint, which drop the
+           stale keys; the tombstone rows from one raw task over the
+           prior files/
   tail     ``build_graph.write_graph``, the full build's raw-task tail,
            whose scan wave writes ``records/``; the tombstone rows join
            each files range in its reduce task, after the LWW dedup
@@ -63,7 +64,6 @@ from codetoneo4j_ray.pipelines.build_graph import (
     corpus_content_bytes,
     read_corpus_blocks,
     read_records_blocks,
-    resolve_mode,
     write_graph,
 )
 from codetoneo4j_ray.stages.bucketing import (
@@ -76,7 +76,6 @@ from codetoneo4j_ray.stages.bucketing import (
 from codetoneo4j_ray.stages.extract import (
     build_type_index,
     extract_blocks,
-    extract_records_partitioned,
     filter_keys,
     has_handler,
     joined_keys,
@@ -294,12 +293,8 @@ def build_graph_incremental(
         from codetoneo4j_ray.stages.extract import load_pkg_meta
 
         pkg_meta = load_pkg_meta(packages_path)
-    content_bytes = corpus_content_bytes(input_path)
-    # the index (and stage 2's) is corpus-sized, so the path follows
-    # build_graph's choice
-    mode = resolve_mode(content_bytes)
-    partitioned = mode == "partitioned"
-    corpus = read_corpus_blocks(input_path, content_bytes, batch_size)
+    corpus = read_corpus_blocks(input_path, corpus_content_bytes(input_path),
+                                batch_size)
     prior = _prior_sides(prior_out_dir)
     walls.lap("read")
     # pass-A type index over the FULL corpus: a changed file may reference
@@ -308,8 +303,7 @@ def build_graph_incremental(
     # same compilation-wide knowledge the reference re-opens per run
     # (SolutionProcessor.cs:256-279). Stage-1 *parse* cost still scales
     # with the delta; the skim is the cheap declaration pass.
-    indices, skims, current = build_type_index(
-        corpus, assemble=not partitioned, extra=_current_side)
+    type_store, current = build_type_index(corpus, extra=_current_side)
     changed, deleted, carried_tombs = _diff(current, prior)
     walls.lap("skim")
 
@@ -317,14 +311,9 @@ def build_graph_incremental(
     # bounded by the diff size, never the corpus)
     records = Blocks([], 0, 0)
     if changed:
-        changed_ref = ray.put(joined_keys(changed))
-        if partitioned:
-            records = extract_records_partitioned(
-                corpus, skims, min_accessibility, pkg_meta, no_key,
-                changed_ref=changed_ref)
-        else:
-            records = extract_blocks(corpus, indices, min_accessibility,
-                                     pkg_meta, no_key, changed_ref)
+        records = extract_blocks(corpus, type_store, min_accessibility,
+                                 pkg_meta, no_key,
+                                 ray.put(joined_keys(changed)))
     stale = changed | set(deleted) | {(r, p) for r, p, _ in carried_tombs}
     records += read_records_blocks(
         f"{prior_out_dir}/records", fn=functools.partial(
@@ -339,7 +328,7 @@ def build_graph_incremental(
         "deleted": [f"{r}:{p}" for r, p in deleted][:1000],
     }
     metrics.update(write_graph(
-        out_dir, fp, mode, no_key, records, walls,
+        out_dir, fp, no_key, records, walls,
         files_post=functools.partial(_files_with_tombstones, tomb_blocks),
     ))
     # counted from the output: a deleted (repo, path) whose file key

@@ -21,18 +21,31 @@ import os
 import shutil
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 import ray.data
 
 from codetoneo4j_ray.extractors.csharp.extractor import BASE_PRED, MEMBER_PRED
 from codetoneo4j_ray.functions.tags import parse_namespace_tags
-from codetoneo4j_ray.pipelines.build_graph import build_graph, read_records
+from codetoneo4j_ray.pipelines.build_graph import (
+    build_graph,
+    read_records,
+    read_records_blocks,
+)
 from codetoneo4j_ray.sources.synth import (
     corpus_dir_for_sf,
     ensure_corpus,
     ensure_packages,
 )
-from codetoneo4j_ray.stages.link import build_member_indices, resolve_mentions
+from codetoneo4j_ray.stages.bucketing import build_bucket_store
+from codetoneo4j_ray.stages.link import (
+    MENTION_COLS,
+    _index_blobs,
+    index_rows,
+    internal_mask,
+    resolve_block,
+)
 from codetoneo4j_ray.state.manifest import corpus_fingerprint, stage_is_complete, write_manifest
 
 _KG_CONFIG = {"min_accessibility": "Private", "kg_cache_v": 19}
@@ -52,12 +65,25 @@ def kg_paths(sf_dir: str) -> dict[str, str]:
     }
 
 
+_RESOLVED_SCHEMA = pa.schema([(c, pa.string())
+                              for c in ("subj", "pred", "obj", "repo")])
+
+
+@ray.remote
+def _write_resolved(block: pa.Table, store, path: str) -> None:
+    """One records block's non-internal mentions after step A, written
+    to ``path`` as (subj, pred, obj, repo)."""
+    block = block.filter(pc.invert(internal_mask(block)))
+    resolved = resolve_block(block.select(MENTION_COLS), store)
+    pq.write_table(resolved.select(_RESOLVED_SCHEMA.names), path)
+
+
 def ensure_kg(sf_dir: str) -> dict[str, str]:
     """Generate the corpus and build its graph once per scale factor.
 
-    ``build_graph`` writes records/, nodes/, edges/ and files/ on the
-    path ``resolve_mode`` picks; the two oracle-only side tables
-    (resolved mentions, namespace tags) are then derived from records/."""
+    ``build_graph`` writes records/, nodes/, edges/ and files/; the two
+    oracle-only side tables (resolved mentions, namespace tags) are then
+    derived from records/."""
     corpus_path = ensure_corpus(sf_dir)
     paths = kg_paths(sf_dir)
     fp = corpus_fingerprint(corpus_path, _KG_CONFIG)
@@ -66,22 +92,26 @@ def ensure_kg(sf_dir: str) -> dict[str, str]:
     metrics = build_graph(corpus_path, paths["out"], resume=False,
                           packages_path=ensure_packages(sf_dir))
 
-    # stage-2 step A, as the broadcast build runs it; the oracle reads
-    # the resolved mentions back from parquet
-    raw_mentions = read_records(paths["records"], "mention")
-    resolved = resolve_mentions(
-        raw_mentions, build_member_indices(raw_mentions)
-    ).select_columns(["subj", "pred", "obj", "repo"])
+    # stage-2 step A over the mention partition with the build's own
+    # per-repo member-index buckets, one raw task per block; the oracle
+    # reads the resolved mentions back from parquet
+    mentions = read_records_blocks(paths["records"], "mention")
+    store = build_bucket_store(mentions, ["repo"], reduce_fn=_index_blobs,
+                               map_fn=index_rows)
     shutil.rmtree(paths["mentions"], ignore_errors=True)
-    resolved.write_parquet(paths["mentions"])
+    os.makedirs(paths["mentions"])
+    ray.get([_write_resolved.remote(
+        b, store, f"{paths['mentions']}/part-{k:05d}.parquet")
+        for k, b in enumerate(mentions.refs)])
+    if not mentions.refs:
+        pq.write_table(_RESOLVED_SCHEMA.empty_table(),
+                       f"{paths['mentions']}/part-00000.parquet")
 
     # namespace → tag side table so the oracle can join instead of
     # reimplementing the PascalCase splitter in SQL. Dedup is distributed
     # (per-batch Arrow unique, then Ray's aggregate-based ``unique``) so
     # the driver only ever receives the distinct namespace set — never a
     # corpus-sized column.
-    import pyarrow.compute as pc
-
     def _ns_batch_distinct(batch: pa.Table) -> pa.Table:
         col = pc.drop_null(batch.column("namespace").combine_chunks()).unique()
         return pa.table({"namespace": col})

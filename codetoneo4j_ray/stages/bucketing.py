@@ -33,6 +33,7 @@ split/apply primitive with them, which then returns :class:`Blocks`.
 from __future__ import annotations
 
 import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,9 +267,8 @@ def _bucket_ids(table: pa.Table, key_cols: list[str], num_buckets: int) -> pa.Ar
         joined = cols[0]
     else:
         # \x1f (unit separator), not \x00: pandas' vectorized string
-        # concat silently truncates at NUL, and hash_bucket_frame
-        # must reproduce this join byte-for-byte map-side. Separator
-        # collisions only coarsen bucket identity, never split a key.
+        # concat silently truncates at NUL. Separator collisions only
+        # coarsen bucket identity, never split a key.
         joined = pc.binary_join_element_wise(*cols, "\x1f")
     return _hash_bucket(joined, num_buckets)
 
@@ -438,21 +438,6 @@ def hash_bucket_series(s: pd.Series, num_buckets: int) -> np.ndarray:
     return (h % num_buckets).astype(np.int32)
 
 
-def hash_bucket_frame(
-    df: pd.DataFrame, cols: list[str], num_buckets: int
-) -> np.ndarray:
-    """Map-side bucket ids over multiple STRING key columns — matches
-    add_bucket_column's \\x1f-joined key exactly (string, non-null
-    columns only; see the separator note in add_bucket_column — NUL
-    would be truncated by pandas' vectorized string concat)."""
-    if len(cols) == 1:
-        return hash_bucket_series(df[cols[0]], num_buckets)
-    joined = df[cols[0]]
-    for c in cols[1:]:
-        joined = joined + "\x1f" + df[c]
-    return hash_bucket_series(joined, num_buckets)
-
-
 # ---------------------------------------------------------------------------
 # Pinned bucket store: the partitioned-broadcast side of iterative and
 # lookup joins. The big side is hashed into per-bucket object-store
@@ -499,19 +484,27 @@ def _split_block(num_buckets: int, key_cols: list[str] | None, map_fn,
         if len(tables) == 1
         else pa.concat_tables(tables, promote_options="permissive")
     )
+    ids = None
     if key_cols is None:
         ids = body["__bucket"]
         body = body.drop_columns(["__bucket"])
-    elif num_buckets > 1:
-        ids = _bucket_ids(body, key_cols, num_buckets)
+    pieces = split_table(body, key_cols, num_buckets, ids)
+    return pieces[0] if num_buckets == 1 else tuple(pieces)
+
+
+def split_table(table: pa.Table, key_cols: list[str] | None,
+                num_buckets: int, ids=None) -> list:
+    """``table``'s rows in ``num_buckets`` pieces (None for an empty
+    one), by the hash of ``key_cols`` or by the bucket ``ids`` given:
+    the split of :func:`build_bucket_store`, also run by raw tasks that
+    split their own output for :func:`keyed_store`."""
     if num_buckets == 1:
-        return body
+        return [table if table.num_rows else None]
+    if ids is None:
+        ids = _bucket_ids(table, key_cols, num_buckets)
     ids = ids.to_numpy(zero_copy_only=False)
-    out = []
-    for k in range(num_buckets):
-        mask = ids == k
-        out.append(body.filter(pa.array(mask)) if mask.any() else None)
-    return tuple(out)
+    return [table.filter(pa.array(ids == k)) if (ids == k).any() else None
+            for k in range(num_buckets)]
 
 
 class BucketStore:
@@ -601,6 +594,72 @@ def build_bucket_store(
     if reduce_fn is not None or (consolidate and len(per_group) > 1):
         pieces = [[_apply_bucket_pieces.remote(reduce_fn, *p)[0]] for p in pieces]
     return BucketStore(pieces, num_buckets)
+
+
+def keyed_store(per_group: list, num_buckets: int, reduce_fn,
+                nbytes: int) -> BucketStore:
+    """A store for keyed lookups (:func:`load_blobs`) over the outputs
+    of raw tasks that split their own rows (``per_group``: each task's
+    ``num_buckets`` piece refs, from :func:`split_table`, in input
+    order). ``reduce_fn`` pins runs of adjacent buckets in
+    ``blocks_for(nbytes)`` tasks, ``nbytes`` being the rows' bytes, so
+    a split whose count came from an upper bound costs only the tasks
+    its rows need. A bucket's pinned object then also holds the other
+    buckets of its run, which keyed lookups skip."""
+    runs = np.array_split(np.arange(num_buckets),
+                          min(num_buckets, blocks_for(nbytes)))
+    pieces = []
+    for run in runs:
+        ref = _apply_bucket_pieces.remote(
+            reduce_fn, *[pg[k] for k in run for pg in per_group])[0]
+        pieces += [[ref]] * len(run)
+    return BucketStore(pieces, num_buckets)
+
+
+def blob_frame(key: str, objs: dict) -> pd.DataFrame:
+    """``objs`` as rows of (``key``, pickled ``blob``): a store's
+    ``reduce_fn`` output that :func:`load_blobs` reads back by key."""
+    return pd.DataFrame({key: list(objs),
+                         "blob": [pickle.dumps(o) for o in objs.values()]})
+
+
+def load_blobs(store: BucketStore, key: str, values) -> dict:
+    """{value: unpickled blob} of the :func:`blob_frame` rows of
+    ``store`` whose ``key`` is in ``values``, fetching only the buckets
+    those values hash to (:func:`blob_bucket`)."""
+    values = pd.Series(sorted(set(values)), dtype=object)
+    ids = hash_bucket_series(values, store.num_buckets)
+    out: dict = {}
+    for k in np.unique(ids):
+        blobs = blob_bucket(store, key, int(k))
+        out.update((v, blobs[v]) for v in values[ids == k] if v in blobs)
+    return out
+
+
+# Worker-process LRU of unpickled blob buckets, keyed by the bucket's
+# pinned objects: the tasks of a stage that a reused worker runs fetch
+# and unpickle each object once, also when it pins several buckets
+# (keyed_store). It holds no ObjectRef, so a store nobody else holds is
+# freed in the object store.
+_BLOB_BUCKETS: dict = {}
+_MAX_BLOB_BUCKETS = 16
+
+
+def blob_bucket(store: BucketStore, key: str, k: int) -> dict:
+    """Bucket ``k`` of a :func:`blob_frame` store as {key: unpickled
+    blob}, from this process's LRU or fetched once."""
+    pinned = tuple(r.hex() for r in store.pieces[k])
+    hit = _BLOB_BUCKETS.pop(pinned, None)
+    if hit is None:
+        tables = [t for t in ray.get(store.pieces[k]) if t is not None]
+        hit = {}
+        for t in tables:
+            hit.update(zip(t[key].to_pylist(),
+                           map(pickle.loads, t["blob"].to_pylist())))
+        while len(_BLOB_BUCKETS) >= _MAX_BLOB_BUCKETS:
+            _BLOB_BUCKETS.pop(next(iter(_BLOB_BUCKETS)))
+    _BLOB_BUCKETS[pinned] = hit  # re-insert = LRU refresh
+    return hit
 
 
 def apply_store(store: BucketStore, fn,

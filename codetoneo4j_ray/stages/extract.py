@@ -5,33 +5,26 @@ of which shuffles file content:
 
   pass A  ``build_type_index``  — one skim task per corpus block: a cheap
           declaration skim over C# rows (plus project-root manifest
-          markers) producing type-index rows, assembled into per-repo
-          indices in repo-bucketed tasks. The index is metadata (≪
-          content) and is broadcast to pass B via ``ray.put`` — the
-          reference gets the same knowledge from the Roslyn Compilation
-          (``SolutionProcessor.cs:256-279``). An incremental build's
-          skim task also returns the block's (repo, path, sha256) rows,
-          so one pass over the content feeds the diff too.
+          markers) producing type-index rows, reduced into a repo-keyed
+          bucket store of per-repo indices. The index is metadata (≪
+          content) and never reaches the driver — the reference gets
+          the same knowledge from the Roslyn Compilation of one solution
+          (``SolutionProcessor.cs:256-279``; here a repo is a solution).
+          An incremental build's skim task also returns the block's
+          (repo, path, sha256) rows, so one pass over the content feeds
+          the diff too.
 
   pass B  ``extract_blocks``    — one extraction task per corpus block
-          running every handler; emits one unified Arrow record table
-          per block tagged ``rec_type ∈ {symbol, mention, file, url}``
-          so a single parse produces all outputs (split later by cheap
-          filters). An incremental build's changed-key filter runs
-          inside the task.
-
-On the partitioned path (``pipelines.build_graph.resolve_mode``)
-``extract_records_partitioned`` runs pass B as one repo-keyed bucket
-exchange over the corpus blocks and the pass-A rows instead: each
-bucket assembles only its repos' type indices (the same key stage 2's
-linking reuses), so no index is broadcast.
+          running every handler with the type indices of the block's
+          repos, loaded from their buckets; emits one unified Arrow
+          record table per block tagged ``rec_type ∈ {symbol, mention,
+          file, url}`` so a single parse produces all outputs (split
+          later by cheap filters). An incremental build's changed-key
+          filter runs inside the task.
 """
 
 from __future__ import annotations
 
-import functools
-
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -44,11 +37,13 @@ from codetoneo4j_ray.extractors.csharp.types import RepoTypeIndex
 from codetoneo4j_ray.functions.text import sha256_hex
 from codetoneo4j_ray.stages.bucketing import (
     Blocks,
-    bucketed_apply_tasks,
-    cluster_cpus,
+    BucketStore,
+    blob_frame,
+    build_bucket_store,
     load_block,
+    load_blobs,
 )
-from codetoneo4j_ray.stages.link import REPO_SALT, _cached_get
+from codetoneo4j_ray.stages.link import _cached_get
 
 # Unified stage-1 record schema (symbol ∪ mention ∪ file ∪ url columns).
 RECORD_SCHEMA = pa.schema(
@@ -245,40 +240,29 @@ def _skim_block(block, extra):
 
 def _assemble_blobs(df):
     """One repo bucket of pass-A rows → (repo, pickled RepoTypeIndex)."""
-    import pickle
-
-    import pandas as pd
-
-    indices = _assemble_type_indices(df)
-    return pd.DataFrame({"repo": list(indices),
-                         "blob": [pickle.dumps(i) for i in indices.values()]})
+    return blob_frame("repo", _assemble_type_indices(df))
 
 
-def build_type_index(corpus: Blocks, assemble: bool = True, extra=None):
-    """Pass A: one skim task per corpus block. With ``assemble`` the
-    per-repo indices are assembled in repo-bucketed tasks (repo is the
-    pipeline-wide key) and the driver unpickles one blob per repo — the
-    result is metadata-sized (one row per declared type / global
-    using). ``extra(block)`` runs in the same tasks over the same
-    blocks (the incremental diff's current side), so one pass over the
-    content feeds both.
+def build_type_index(corpus: Blocks, extra=None):
+    """Pass A: one skim task per corpus block, its rows reduced into a
+    repo-keyed :class:`~codetoneo4j_ray.stages.bucketing.BucketStore`
+    of per-repo type indices (repo is the pipeline-wide key), sized
+    from the rows' bytes. The store is metadata-sized (one row per
+    declared type / global using) and the driver never fetches it:
+    each pass-B task loads only its block's repos. ``extra(block)``
+    runs in the same tasks over the same blocks (the incremental
+    diff's current side), so one pass over the content feeds both.
 
-    Returns (indices or None, the skim rows, ``extra``'s rows), the
-    rows as :class:`Blocks`; every skim task has finished."""
-    import pickle
-
+    Returns (the type-index store, ``extra``'s rows as
+    :class:`Blocks`); every skim and assembly task has finished."""
     refs = [_skim_block.remote(b, extra) for b in corpus.refs]
     sizes = ray.get([s for _, _, s in refs])
     skims = Blocks.of([r[0] for r in refs], [s[0] for s in sizes])
     more = Blocks.of([r[1] for r in refs], [s[1] for s in sizes])
-    indices = None
-    if assemble:
-        blobs = (bucketed_apply_tasks(skims, ["repo"], _assemble_blobs).table()
-                 if skims.refs else None)
-        indices = ({} if blobs is None else
-                   {r: pickle.loads(b) for r, b in
-                    zip(blobs["repo"].to_pylist(), blobs["blob"].to_pylist())})
-    return indices, skims, more
+    store = build_bucket_store(skims, ["repo"], reduce_fn=_assemble_blobs)
+    pinned = [r for p in store.pieces for r in p]
+    ray.wait(pinned, num_returns=len(pinned), fetch_local=False)
+    return store, more
 
 
 def _records_table(
@@ -289,7 +273,7 @@ def _records_table(
     no_key: bool,
 ) -> pa.Table:
     """Run every handler over parallel corpus columns; one unified
-    record table (the per-file assembly both stage-1 paths share)."""
+    record table."""
     rows: list[dict] = []
     for repo, path, commit, content in zip(repos, paths, commits, contents):
         # repos with no skim rows get the shared empty index rather
@@ -328,115 +312,44 @@ def _records_table(
 
 
 @ray.remote(num_returns=2)
-def _extract_block(block, refs: tuple, min_accessibility: str, no_key: bool,
-                   changed):
+def _extract_block(block, type_store: BucketStore, pkg_refs: list,
+                   min_accessibility: str, no_key: bool, changed):
     """Pass B over one corpus block (its ``changed`` rows only, when
-    given): the records table and its (rows, bytes). ``refs`` = (type
-    index ref, package metadata ref or None), nested so Ray passes the
-    refs, and each worker fetches them once through the stage-2
-    broadcast cache."""
-    index_ref, pkg_meta_ref = refs
+    given): the records table and its (rows, bytes). The type indices
+    of the block's repos come from ``type_store``'s buckets; the
+    package metadata (in ``pkg_refs``, a list so Ray passes the ref;
+    empty without) is fetched once per worker through the broadcast
+    cache."""
     block = filter_keys(load_block(block), changed, keep=True)
-    pkg_meta = _cached_get(pkg_meta_ref) if pkg_meta_ref is not None else None
+    repos = block["repo"].to_pylist()
+    pkg_meta = _cached_get(pkg_refs[0]) if pkg_refs else None
     table = _records_table(
-        block["repo"].to_pylist(), block["path"].to_pylist(),
+        repos, block["path"].to_pylist(),
         block["commit"].to_pylist(), block["content"].to_pylist(),
-        _cached_get(index_ref), min_accessibility, pkg_meta, no_key,
+        load_blobs(type_store, "repo", repos), min_accessibility, pkg_meta,
+        no_key,
     )
     return table, (table.num_rows, table.nbytes)
 
 
 def extract_blocks(
     corpus: Blocks,
-    indices: dict[str, RepoTypeIndex],
+    type_store: BucketStore,
     min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
     pkg_meta: dict | None = None,
     no_key: bool = False,
     changed_ref=None,
 ) -> Blocks:
-    """Pass B on the broadcast path: one extraction task per corpus
-    block, so the records keep the corpus read's block count (its CPU
-    floor). ``changed_ref`` (a :func:`joined_keys` ref) extracts only
-    those files. Returns once every task has finished."""
-    shared = (ray.put(indices),
-              ray.put(pkg_meta) if pkg_meta is not None else None)
-    refs = [_extract_block.remote(b, shared, min_accessibility, no_key,
-                                  changed_ref) for b in corpus.refs]
+    """Pass B: one extraction task per corpus block, so the records keep
+    the corpus read's block count (its CPU floor), each task holding
+    only its block's repos' type indices (``type_store``, from
+    :func:`build_type_index`). ``changed_ref`` (a :func:`joined_keys`
+    ref) extracts only those files. Returns once every task has
+    finished."""
+    pkg_refs = [ray.put(pkg_meta)] if pkg_meta is not None else []
+    refs = [_extract_block.remote(b, type_store, pkg_refs, min_accessibility,
+                                  no_key, changed_ref) for b in corpus.refs]
     return Blocks.of([t for t, _ in refs], ray.get([s for _, s in refs]))
-
-
-def _salted_rows(changed_ref, block) -> pa.Table:
-    """Split-task map of the partitioned extraction exchange: corpus
-    rows (``changed_ref``'s only, when given) get a ``REPO_SALT``
-    sub-bucket by path hash; pass-A rows (no ``content`` column) are
-    replicated into every sub-bucket of their repo."""
-    import pandas as pd
-
-    block = load_block(block)
-    if "content" not in block.column_names:
-        return pa.concat_tables([
-            block.append_column(
-                "__salt", pa.array(np.full(block.num_rows, k, np.int32)))
-            for k in range(REPO_SALT)])
-    block = filter_keys(block, changed_ref, keep=True).select(
-        ["repo", "path", "commit", "content"])
-    h = pd.util.hash_array(
-        np.asarray(block["path"].to_pylist(), dtype=object), categorize=False)
-    return block.append_column(
-        "__salt", pa.array((h % REPO_SALT).astype("int32"), pa.int32()))
-
-
-def _extract_bucket(min_accessibility: str, no_key: bool, pkg_ref, df):
-    """One (repo, salt) bucket: its repos' type indices from the pass-A
-    rows (``rec_type`` set), then its corpus rows' records."""
-    is_index = (df["rec_type"].notna() if "rec_type" in df
-                else np.zeros(len(df), dtype=bool))
-    corpus = df[~is_index]
-    if "content" not in corpus or not len(corpus):
-        return RECORD_SCHEMA.empty_table()
-    return _records_table(
-        corpus["repo"], corpus["path"], corpus["commit"], corpus["content"],
-        _assemble_type_indices(df[is_index]) if is_index.any() else {},
-        min_accessibility,
-        _cached_get(pkg_ref) if pkg_ref is not None else None, no_key,
-    )
-
-
-def extract_records_partitioned(
-    corpus: Blocks,
-    skims: Blocks,
-    min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
-    pkg_meta: dict | None = None,
-    no_key: bool = False,
-    changed_ref=None,
-) -> Blocks:
-    """Pass B on the partitioned path: no driver-resident type index.
-
-    The pass-A rows ``skims`` and the corpus rows hash-partition by
-    ``repo`` (the pipeline-wide key) in one split/apply exchange; each
-    bucket assembles ONLY its repos' type indices and extracts its
-    repos' files. Content crosses the wire once (the repo exchange)
-    instead of zero, but no structure on any single node grows with
-    corpus size — the multi-node configuration the broadcast index
-    cannot provide (its dict grows with total declared types).
-
-    Each repo's corpus rows split into ``REPO_SALT`` sub-buckets by
-    path hash, and the (metadata-sized) pass-A rows replicate to every
-    sub-bucket of their repo (:func:`_salted_rows`): extraction — the
-    priciest Python stage — would otherwise cap its parallelism at the
-    repo count, with the largest repo gating the whole pass. Exact:
-    each file is extracted once, in a bucket holding its repo's full
-    type index. ``changed_ref`` extracts only those files; the index
-    still comes from every ``skims`` row (an incremental run indexes
-    the whole corpus)."""
-    pkg_ref = ray.put(pkg_meta) if pkg_meta is not None else None
-    # extraction is CPU-bound: at least one bucket per CPU
-    return bucketed_apply_tasks(
-        corpus + skims, ["repo", "__salt"],
-        functools.partial(_extract_bucket, min_accessibility, no_key, pkg_ref),
-        min_buckets=cluster_cpus(),
-        map_fn=functools.partial(_salted_rows, changed_ref),
-    )
 
 
 def load_pkg_meta(packages_path: str) -> dict:

@@ -4,27 +4,38 @@ Two sub-steps, mirroring what the reference gets from the Roslyn
 semantic model + Neo4j MERGE semantics:
 
   A. resolve deferred INVOKES targets by member lookup (name + arity)
-     against the repo-wide member index, walking the resolved internal
+     against the repo's member index, walking the resolved internal
      base-type chain (Roslyn resolves inherited calls to the declaring
-     base type). The per-repo indices are assembled from stage-1's
-     internal ``__MEMBER__`` / ``__BASE__`` rows (``_member_indices``)
-     and broadcast with ``ray.put``; ``_resolve_batch`` probes them.
+     base type). ``_member_indices`` assembles it from stage-1's
+     internal ``__MEMBER__`` / ``__BASE__`` rows; ``_resolve_batch``
+     probes it.
 
   B. the endpoint semi-join: ``Cypher/MergeRelationships.cypher:2-4``
      MATCHes BOTH endpoints as existing ``src__Symbol`` nodes, silently
-     dropping dangling refs. The declared-key set is broadcast and
-     probed per batch (``_endpoint_filter_batch``).
+     dropping dangling refs. ``_endpoint_filter_batch`` probes each
+     mention's endpoints against its repo's declared-key set.
 
-The build's broadcast path runs both batch functions inside its
-stage 2–4 map tasks (``pipelines.build_graph``); ``resolve_mentions``
-and ``resolve_edges_broadcast`` are the same steps over a Dataset, for
-the KG oracle's side table and offline tools.
+Both indices are keyed by repo: the reference indexes one solution per
+run and resolves every cross-reference inside it
+(``SolutionProcessor.cs:256-279``), and in the corpus model a repo is a
+solution. ``index_rows`` takes a records block's share of them, and
+``_index_blobs`` reduces one repo bucket of those rows into a
+per-repo (member index, key set) blob of a bucket store; ``link_block``
+(steps A and B) and ``resolve_block`` (step A, for the KG oracle's
+side table) load only the buckets of the repos in front of them. The
+build's stage 2–4 map tasks run ``link_block``
+(``pipelines.build_graph``).
 
-``resolve_link_fused`` runs both steps in one repo-keyed bucket
-exchange with no driver-side structure — the path
-``pipelines.build_graph.resolve_mode`` picks on a multi-node cluster, at
-32 or more CPUs, or when the broadcast structures would not fit the
-reported memory.
+Why the repo-local endpoint check equals a global one: every mention
+endpoint is either (a) a repo-prefixed key (``{repo.lower()}:...``,
+SymbolMapper.cs:43-47), declarable only by this repo, or (b) a
+file-key-anchored / ``pkg:`` / ``url:`` key emitted by a handler that
+declares the matching symbol in the same file (TextSymbolMapper keys,
+PackageDependencyHandlerBase.cs:28-45). Either way the declaring
+candidates live in the mention's repo. (Pathological cross-repo key
+collisions — same relative path, different content, one side's symbol
+accessibility-filtered — could in principle diverge; the strict
+kg_edges oracle, which checks globally, tests this continuously.)
 """
 
 from __future__ import annotations
@@ -35,9 +46,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-import ray.data
 
 from codetoneo4j_ray.extractors.csharp.extractor import BASE_PRED, MEMBER_PRED
+from codetoneo4j_ray.stages.bucketing import BucketStore, blob_frame, load_blobs
 
 _MAX_BASE_DEPTH = 16
 
@@ -116,18 +127,6 @@ def _member_indices(df) -> dict[str, MemberIndex]:
     return out
 
 
-def build_member_indices(records: ray.data.Dataset) -> dict[str, MemberIndex]:
-    """Collect the internal __MEMBER__/__BASE__ rows (metadata-sized)."""
-    df = (
-        records.filter(
-            expr=f"pred == '{MEMBER_PRED}' or pred == '{BASE_PRED}'"
-        )
-        .select_columns(["repo", "pred", "subj", "obj", "ctx_name", "ctx_argc"])
-        .to_pandas()
-    )
-    return _member_indices(df) if len(df) else {}
-
-
 # ---------------------------------------------------------------------------
 # step A: resolve deferred INVOKES
 # ---------------------------------------------------------------------------
@@ -184,8 +183,10 @@ def _resolve_deferred(indices: dict[str, MemberIndex], repos, kinds, names,
     return drop
 
 
-def _resolve_batch(batch: pa.Table, index_ref=None) -> pa.Table:
-    """Fills ``obj`` for deferred mentions; passes keyed ones through.
+def _resolve_batch(batch: pa.Table,
+                   indices: dict[str, MemberIndex]) -> pa.Table:
+    """Fills ``obj`` for deferred mentions from the per-repo member
+    ``indices``; passes keyed ones through.
 
     Only the deferred rows (``ctx_kind`` set and not "member") cross into
     Python; the pass-through majority stays in Arrow and the updated
@@ -204,7 +205,7 @@ def _resolve_batch(batch: pa.Table, index_ref=None) -> pa.Table:
     sub = batch.filter(dmask)
     objs = sub["obj"].to_pylist()
     drop_local = _resolve_deferred(
-        _cached_get(index_ref), sub["repo"].to_pylist(),
+        indices, sub["repo"].to_pylist(),
         sub["ctx_kind"].to_pylist(), sub["ctx_name"].to_pylist(),
         sub["ctx_receiver"].to_pylist(), sub["ctx_argc"].to_pylist(), objs,
     )
@@ -287,232 +288,94 @@ def _lookup_site(idx: "MemberIndex | None", kind: str, recv: str, name: str,
     return idx.lookup(recv, name, argc)
 
 
-def resolve_mentions(
-    raw_mentions: ray.data.Dataset,
-    member_indices: dict[str, MemberIndex],
-) -> ray.data.Dataset:
-    """Step A over the raw mention partition: narrow to ``MENTION_COLS``
-    (the symbol payload never travels), drop the internal
-    __MEMBER__/__BASE__ rows, resolve deferred call sites against the
-    broadcast member indices."""
-    import functools
-
-    index_ref = ray.put(member_indices)
-    return (
-        raw_mentions.select_columns(MENTION_COLS)
-        .filter(expr=f"pred != '{MEMBER_PRED}' and pred != '{BASE_PRED}'")
-        .map_batches(
-            functools.partial(_resolve_batch, index_ref=index_ref),
-            batch_format="pyarrow",
-        )
-    )
-
-
 # ---------------------------------------------------------------------------
 # step B: endpoint semi-join (MergeRelationships semantics)
 # ---------------------------------------------------------------------------
 
 
-def _endpoint_filter_batch(batch: pa.Table, keys_ref=None) -> pa.Table:
-    # probe against the broadcast frozenset: the hash table is built ONCE
-    # (driver-side) and deserialized once per worker via _cached_get —
-    # pc.is_in(value_set=...) would rebuild a |keys|-sized hash table on
-    # EVERY batch, which measured ~60 ms/call at 240 k keys and dominated
-    # the edges pipeline's CPU
-    keys: frozenset = _cached_get(keys_ref)
+def _endpoint_filter_batch(batch: pa.Table,
+                           keys: dict[str, frozenset]) -> pa.Table:
+    """The rows of ``batch`` whose subj and obj are both declared keys
+    of the row's repo (``keys``): a frozenset probe per row, where
+    ``pc.is_in(value_set=...)`` would rebuild a key-set-sized hash
+    table on every call."""
+    none: frozenset = frozenset()
     keep = pa.array(
-        [s in keys and o in keys
-         for s, o in zip(batch["subj"].to_pylist(), batch["obj"].to_pylist())],
+        [s in ks and o in ks for s, o, ks in zip(
+            batch["subj"].to_pylist(), batch["obj"].to_pylist(),
+            (keys.get(r, none) for r in batch["repo"].to_pylist()))],
         pa.bool_(),
     )
     return batch.filter(keep)
 
 
-def resolve_edges_broadcast(
-    mentions: ray.data.Dataset,
-    symbol_keys: set[str],
-) -> ray.data.Dataset:
-    """(subj, pred, obj) of the mentions whose endpoints are both
-    declared: an inner join against the declared-symbol key set,
-    broadcast once via ``ray.put`` and probed per batch (no shuffle)."""
-    import functools
-
-    keys_ref = ray.put(frozenset(symbol_keys))
-    return mentions.select_columns(["subj", "pred", "obj"]).map_batches(
-        functools.partial(_endpoint_filter_batch, keys_ref=keys_ref),
-        batch_format="pyarrow",
-    )
-
-
 # ---------------------------------------------------------------------------
-# fused partitioned linking: one big exchange + small global leftovers
+# the per-repo index store
 # ---------------------------------------------------------------------------
 
-_KEY_PRED = "__KEYROW__"
+_INTERNAL_PREDS = pa.array([MEMBER_PRED, BASE_PRED], pa.string())
 
-# Sub-buckets per repo on the partitioned path (stage-1 extraction and
-# the fused linking exchange): each repo's bulk rows split ``REPO_SALT``
-# ways by hash, and its metadata-sized side rows are replicated into
-# every sub-bucket, so a corpus of few large repos does not cap the
-# exchange's parallelism at the repo count.
-REPO_SALT = 4
+# a records block's share of the link index: its __MEMBER__/__BASE__
+# rows, and its declared keys as rows with a null pred (key in subj)
+_INDEX_SCHEMA = pa.schema([
+    ("repo", pa.string()), ("pred", pa.string()), ("subj", pa.string()),
+    ("obj", pa.string()), ("ctx_name", pa.string()),
+    ("ctx_argc", pa.int32()),
+])
 
 
-def _bucket_resolve_and_filter(df):
-    """Per-repo-bucket: build member indices, resolve deferred mentions,
-    and endpoint-check BOTH endpoints against the repo-local key set.
+def internal_mask(mentions: pa.Table):
+    """Mask of the internal __MEMBER__/__BASE__ rows among mentions."""
+    return pc.is_in(mentions["pred"], value_set=_INTERNAL_PREDS)
 
-    Exactness argument — why repo-local equals the global semi-join:
-    a run of the reference indexes ONE solution; every symbol
-    cross-reference it emits is intra-solution, and in the corpus model
-    a repo IS a solution. Concretely every mention endpoint is either
-    (a) a repo-prefixed key (``{repo.lower()}:...``, SymbolMapper.cs:43-47),
-    declarable only by this repo, or (b) a file-key-anchored / ``pkg:`` /
-    ``url:`` key emitted by a handler that declares the matching symbol
-    in the same file (TextSymbolMapper keys, PackageDependencyHandlerBase
-    .cs:28-45). Either way the declaring candidates live in this repo, so
-    membership in the repo-local key set decides exactly what the global
-    set would. (Pathological cross-repo key collisions — same relative
-    path, different content, one side's symbol accessibility-filtered —
-    could in principle diverge; the path-equivalence tests and the strict
-    kg_edges oracle check this continuously.)
-    """
-    import pandas as pd
 
-    is_key = (df["pred"] == _KEY_PRED).to_numpy()
-    internal = df["pred"].isin((MEMBER_PRED, BASE_PRED)).to_numpy()
+def index_rows(block: pa.Table) -> pa.Table:
+    """A records block's share of the link index, in ``_INDEX_SCHEMA``:
+    its internal mention rows and its symbols' declared keys."""
+    rt = block["rec_type"]
+    mentions = block.filter(pc.equal(rt, "mention"))
+    members = mentions.filter(internal_mask(mentions))
+    symbols = block.filter(pc.equal(rt, "symbol"))
+    n = symbols.num_rows
+    keys = pa.table({
+        "repo": symbols["repo"], "pred": pa.nulls(n, pa.string()),
+        "subj": symbols["key"], "obj": pa.nulls(n, pa.string()),
+        "ctx_name": pa.nulls(n, pa.string()),
+        "ctx_argc": pa.nulls(n, pa.int32()),
+    }, schema=_INDEX_SCHEMA)
+    return pa.concat_tables(
+        [members.select(_INDEX_SCHEMA.names).cast(_INDEX_SCHEMA), keys])
 
-    keys_by_repo: dict[str, set] = {}
+
+def _index_blobs(df):
+    """One repo bucket of :func:`index_rows` → (repo, pickled (member
+    index, frozenset of declared keys)), a bucket-store reduce."""
+    is_key = df["pred"].isna().to_numpy()
+    indices = _member_indices(df.loc[~is_key])
+    keys: dict[str, set] = {}
     for repo, key in zip(df["repo"].to_numpy()[is_key],
                          df["subj"].to_numpy()[is_key]):
-        keys_by_repo.setdefault(repo, set()).add(key)
-
-    indices = _member_indices(df.loc[internal])
-
-    out = df.loc[~(is_key | internal)].copy()
-    if not len(out):
-        return pd.DataFrame(
-            {"subj": pd.Series([], dtype=str), "pred": pd.Series([], dtype=str),
-             "obj": pd.Series([], dtype=str), "n": pd.Series([], dtype=int)}
-        )
-
-    deferred = (out["ctx_kind"] != "").to_numpy()
-    if deferred.any():
-        objs = out["obj"].to_numpy(copy=True)
-        d_objs = objs[deferred]
-        d_drop = _resolve_deferred(
-            indices, out["repo"].to_numpy()[deferred],
-            out["ctx_kind"].to_numpy()[deferred],
-            out["ctx_name"].to_numpy()[deferred],
-            out["ctx_receiver"].to_numpy()[deferred],
-            out["ctx_argc"].to_numpy()[deferred], d_objs,
-        )
-        objs[deferred] = d_objs
-        out["obj"] = objs
-        if d_drop.any():
-            drop = np.zeros(len(out), dtype=bool)
-            drop[np.nonzero(deferred)[0][d_drop]] = True
-            out = out.loc[~drop]
-
-    # vectorized per-repo membership check on both endpoints
-    keep = np.ones(len(out), dtype=bool)
-    for repo, grp in out.groupby("repo", sort=False):
-        kset = keys_by_repo.get(repo, set())
-        loc = out.index.get_indexer(grp.index)
-        keep[loc] = (
-            grp["subj"].isin(kset).to_numpy()
-            & grp["obj"].isin(kset).to_numpy()
-        )
-    out = out.loc[keep]
-    # local distinct: all of a repo's mentions share this bucket, so this
-    # is a combine; ``n`` keeps how many resolved rows each triple stands
-    # for, and the global distinct runs in the output's range exchange
-    return (out.groupby(["subj", "pred", "obj"], sort=False, dropna=False)
-            .size().reset_index(name="n"))
+        keys.setdefault(repo, set()).add(key)
+    return blob_frame("repo", {
+        repo: (indices.get(repo) or MemberIndex(),
+               frozenset(keys.get(repo, ())))
+        for repo in sorted(set(indices) | set(keys))})
 
 
-def _keys_as_rows(symbols: pa.Table) -> pa.Table:
-    """Declared-key rows in the mention columns (pred ``_KEY_PRED``)."""
-    n = symbols.num_rows
-    return pa.table(
-        {
-            "subj": symbols["key"],
-            "pred": pa.array([_KEY_PRED] * n, pa.string()),
-            "obj": pa.nulls(n, pa.string()),
-            "repo": symbols["repo"],
-            "ctx_kind": pa.array([""] * n, pa.string()),
-            "ctx_name": pa.nulls(n, pa.string()),
-            "ctx_receiver": pa.nulls(n, pa.string()),
-            "ctx_argc": pa.nulls(n, pa.int32()),
-        }
-    )
+def resolve_block(mentions: pa.Table, store: BucketStore) -> pa.Table:
+    """Step A over non-internal mention rows (``MENTION_COLS``) against
+    the member indices of their repos in ``store``."""
+    indices = load_blobs(store, "repo", mentions["repo"].to_pylist())
+    return _resolve_batch(mentions, {r: i for r, (i, _) in indices.items()})
 
 
-def _salted_link_rows(block: pa.Table) -> pa.Table:
-    """Split-task map of the fused exchange over one records block: its
-    mention rows and declared-key rows, mentions salted by subj hash,
-    key/member/base rows replicated into every salted bucket."""
-    import pandas as pd
-
-    rt = block["rec_type"]
-    mentions = block.filter(pc.equal(rt, "mention")).select(MENTION_COLS)
-    keys = _keys_as_rows(block.filter(pc.equal(rt, "symbol")))
-    batch = pa.concat_tables([mentions, keys.cast(mentions.schema)])
-    # keep the Arrow schema explicit: a pandas round-trip re-infers
-    # all-null columns as null-type and int32 NaNs as double, which
-    # breaks the per-bucket concat
-    schema = batch.schema.append(pa.field("__salt", pa.int32()))
-    df = batch.to_pandas()
-    if not len(df):
-        df["__salt"] = pd.Series([], dtype="int32")
-        return pa.Table.from_pandas(df, schema=schema, preserve_index=False)
-    side = df["pred"].isin((_KEY_PRED, MEMBER_PRED, BASE_PRED)).to_numpy()
-    m = df.loc[~side].copy()
-    h = pd.util.hash_array(m["subj"].to_numpy(dtype=object), categorize=False)
-    m["__salt"] = (h % REPO_SALT).astype("int32")
-    parts = [m]
-    sd = df.loc[side]
-    for k in range(REPO_SALT):
-        r = sd.copy()
-        r["__salt"] = np.int32(k)
-        parts.append(r)
-    return pa.Table.from_pandas(
-        pd.concat(parts, ignore_index=True), schema=schema,
-        preserve_index=False,
-    )
-
-
-def resolve_link_fused(records):
-    """Fully-partitioned stage 2 for edges in ONE exchange over the
-    records blocks (``stages.bucketing.Blocks``).
-
-    Mentions, the internal __MEMBER__/__BASE__ rows AND the declared-key
-    rows all hash-partition by ``repo`` — the pipeline-wide key — so each
-    bucket resolves deferred INVOKES and endpoint-checks both ends
-    against its repos' key sets with zero driver state and zero further
-    exchanges (see _bucket_resolve_and_filter for why repo-local checks
-    are exact). Output is (subj, pred, obj, n) blocks: per-bucket
-    distinct triples, each with the count ``n`` of resolved mention rows
-    it stands for; the global distinct runs in the output's range
-    exchange (``stages.canonicalize``).
-
-    Each repo's mention rows split into ``REPO_SALT`` sub-buckets by
-    subj hash, REPLICATING the (index-sized) key/member/base
-    side rows into every salted bucket of their repo — a corpus of few
-    large repos would otherwise cap reduce parallelism at the repo
-    count while each bucket runs the Python resolution loop serially.
-    Exact by construction: every salted bucket sees its repo's full
-    index + key set, resolution is per-row, and duplicate triples share
-    a subj (same salt) so the local distinct still combines them."""
-    from codetoneo4j_ray.stages.bucketing import (
-        bucketed_apply_tasks,
-        cluster_cpus,
-    )
-
-    # raw split-tasks + one resolve task per bucket: the one-shot
-    # linking exchange skips the groupby's sort/sample machinery; the
-    # Python resolution loop is CPU-bound, so every CPU gets a bucket
-    return bucketed_apply_tasks(records, ["repo", "__salt"],
-                                _bucket_resolve_and_filter,
-                                min_buckets=cluster_cpus(),
-                                map_fn=_salted_link_rows)
+def link_block(mentions: pa.Table, store: BucketStore) -> pa.Table:
+    """Steps A and B over non-internal mention rows (``MENTION_COLS``)
+    against the indices of their repos in ``store``: the (subj, pred,
+    obj) rows left, duplicates kept."""
+    indices = load_blobs(store, "repo", mentions["repo"].to_pylist())
+    resolved = _resolve_batch(mentions,
+                              {r: i for r, (i, _) in indices.items()})
+    return _endpoint_filter_batch(
+        resolved, {r: k for r, (_, k) in indices.items()}
+    ).select(["subj", "pred", "obj"])

@@ -24,8 +24,8 @@ def ray_session():
 @pytest.fixture
 def add_alive_node(monkeypatch):
     """Call to make ``ray.nodes`` report one more alive node, as a
-    two-node cluster would: ``resolve_mode`` then picks the
-    partitioned path."""
+    two-node cluster would. The build takes one path on any cluster,
+    so builds under it must write what single-node builds write."""
     import ray
 
     def add() -> None:
@@ -38,9 +38,9 @@ def add_alive_node(monkeypatch):
 @pytest.fixture
 def report_memory(monkeypatch):
     """Call with a byte count to make ``ray.cluster_resources`` report
-    that much memory, every other resource unchanged: below what the
-    broadcast path's driver structures need, ``resolve_mode`` picks the
-    partitioned path."""
+    that much memory, every other resource unchanged. No driver
+    structure of the build grows with the corpus, so builds under it
+    must succeed and write what builds with memory to spare write."""
     import ray
 
     real = ray.cluster_resources
@@ -50,20 +50,3 @@ def report_memory(monkeypatch):
                             lambda: {**real(), "memory": float(nbytes)})
 
     return report
-
-
-@pytest.fixture
-def fused_link_calls(monkeypatch):
-    """A list that grows by one each time a build links on the
-    partitioned path (``stages.link.resolve_link_fused``)."""
-    from codetoneo4j_ray.pipelines import build_graph as bg
-    from codetoneo4j_ray.stages import link
-
-    calls: list[int] = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return link.resolve_link_fused(*args, **kwargs)
-
-    monkeypatch.setattr(bg, "resolve_link_fused", counting)
-    return calls

@@ -3,7 +3,7 @@
 Every exchange in the engine rides on three properties:
 1. the bucket hash is a pure per-value function, identical between the
    Arrow block path (add_bucket_column) and the pandas map-side path
-   (hash_bucket_series / hash_bucket_frame);
+   (hash_bucket_series);
 2. bucketed_apply co-locates all rows of a key in exactly one group,
    and keep_bucket re-tags outputs with ids that re-hash to themselves;
 3. a BucketStore round-trips its source rows exactly, partitioned so
@@ -24,29 +24,18 @@ from codetoneo4j_ray.stages.bucketing import (
     add_bucket_column,
     bucketed_apply,
     build_bucket_store,
-    hash_bucket_frame,
     hash_bucket_series,
 )
 
 K = 16
 
 
-def _arrow_buckets(values: list[str], cols: int = 1) -> list[int]:
+def _arrow_buckets(values: list[str]) -> list[int]:
     """Bucket ids via the Arrow block path."""
     import ray.data
 
-    if cols == 1:
-        t = pa.table({"a": pa.array(values, pa.string())})
-        keys = ["a"]
-    else:
-        t = pa.table(
-            {
-                "a": pa.array([v[0] for v in values], pa.string()),
-                "b": pa.array([v[1] for v in values], pa.string()),
-            }
-        )
-        keys = ["a", "b"]
-    ds = add_bucket_column(ray.data.from_arrow(t), keys, K)
+    t = pa.table({"a": pa.array(values, pa.string())})
+    ds = add_bucket_column(ray.data.from_arrow(t), ["a"], K)
     return [r["__bucket"] for r in ds.take_all()]
 
 
@@ -59,28 +48,6 @@ def _arrow_buckets(values: list[str], cols: int = 1) -> list[int]:
 def test_map_side_hash_matches_arrow_path_single_key(ray_session, vals):
     got = list(hash_bucket_series(pd.Series(vals, dtype=object), K))
     assert got == _arrow_buckets(vals)
-
-
-@settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(
-    st.lists(
-        st.tuples(
-            st.text(min_size=0, max_size=8), st.text(min_size=0, max_size=8)
-        ),
-        min_size=1,
-        max_size=15,
-    )
-)
-def test_map_side_hash_matches_arrow_path_two_keys(ray_session, pairs):
-    df = pd.DataFrame(
-        {"a": [p[0] for p in pairs], "b": [p[1] for p in pairs]}
-    )
-    got = list(hash_bucket_frame(df, ["a", "b"], K))
-    assert got == _arrow_buckets(pairs, cols=2)
 
 
 def test_int_keys_hash_like_their_decimal_strings(ray_session):

@@ -115,85 +115,10 @@ def test_cli_build_with_commits_attaches_file_versions(
     assert os.path.isdir(f"{out}/commit_nodes")
 
 
-def test_auto_mode_resolution(monkeypatch):
-    """resolve_mode picks partitioned iff >1 alive node or at least 32
-    CPUs: the broadcast path's driver structures must never be built on
-    a real cluster (VERDICT r2 item 7), and on one node partitioned was
-    measured faster only at 32 CPUs. No Ray session → broadcast."""
-    from codetoneo4j_ray.pipelines.build_graph import resolve_mode
-
-    one = [{"NodeID": "a", "Alive": True}]
-    many = [{"NodeID": "a", "Alive": True}, {"NodeID": "b", "Alive": True}]
-    dead_tail = [{"NodeID": "a", "Alive": True}, {"NodeID": "b", "Alive": False}]
-
-    def cpus(n):
-        monkeypatch.setattr("ray.cluster_resources",
-                            lambda: {"CPU": float(n), "memory": 16e9})
-
-    cpus(4)
-    monkeypatch.setattr("ray.nodes", lambda: one)
-    assert resolve_mode() == "broadcast"
-    monkeypatch.setattr("ray.nodes", lambda: many)
-    assert resolve_mode() == "partitioned"
-    # a departed node must not flip a single-node cluster to partitioned
-    monkeypatch.setattr("ray.nodes", lambda: dead_tail)
-    assert resolve_mode() == "broadcast"
-    cpus(31)
-    assert resolve_mode() == "broadcast"
-    cpus(32)
-    assert resolve_mode() == "partitioned"
-
-    def no_session():
-        raise RuntimeError("Ray has not been started yet")
-
-    monkeypatch.setattr("ray.nodes", no_session)
-    assert resolve_mode(corpus_bytes=1 << 50) == "broadcast"
-
-
-def test_auto_mode_byte_budget(monkeypatch, tmp_path):
-    """resolve_mode flips to partitioned when the broadcast path's
-    driver structures, estimated from the corpus content, pass a quarter
-    of the memory the cluster reports — a single node on a huge corpus
-    must not assemble a corpus-scale index on the driver (VERDICT r4
-    item 7)."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from codetoneo4j_ray.pipelines import build_graph as bg
-
-    one = [{"NodeID": "a", "Alive": True}]
-    monkeypatch.setattr("ray.nodes", lambda: one)
-
-    p = str(tmp_path / "corpus.parquet")
-    pq.write_table(
-        pa.table({"repo": ["r"], "path": ["a.cs"], "commit": ["c"],
-                  "lang": ["cs"], "content": ["class A {}" * 50]}),
-        p,
-    )
-    est = bg.corpus_content_bytes(p)
-    assert est and est > 100  # footer-only estimate sees the content bytes
-
-    def memory(nbytes):
-        monkeypatch.setattr("ray.cluster_resources",
-                            lambda: {"CPU": 4.0, "memory": float(nbytes)})
-
-    # the estimate exactly fills a quarter of memory → broadcast
-    need = 4 * est * bg._DRIVER_BYTES_PER_CONTENT_BYTE
-    memory(need)
-    assert bg.resolve_mode(corpus_bytes=est) == "broadcast"
-    # a little less memory on the same single node → partitioned
-    memory(need - 4)
-    assert bg.resolve_mode(corpus_bytes=est) == "partitioned"
-    # no estimate (non-parquet input) keeps topology-only behavior
-    assert bg.corpus_content_bytes(str(tmp_path / "nope.parquet")) is None
-    assert bg.resolve_mode(corpus_bytes=None) == "broadcast"
-
-
 def test_build_graph_honors_byte_budget(ray_session, tmp_path, report_memory):
-    """End-to-end: a cluster reporting too little memory for the
-    broadcast structures makes build_graph run partitioned on a single
-    node (metrics['mode']), and the outputs stay byte-identical to a
-    broadcast run of the same corpus."""
+    """End-to-end: no driver structure of the build grows with the
+    corpus, so a cluster reporting 1 byte of memory builds the corpus
+    and writes the same outputs as one with memory to spare."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
@@ -215,19 +140,20 @@ def test_build_graph_honors_byte_budget(ray_session, tmp_path, report_memory):
         }),
         p,
     )
-    out_b = str(tmp_path / "out_broadcast")
-    m_b = build_graph(p, out_b, resume=False)
-    assert m_b["mode"] == "broadcast"
+    out_a = str(tmp_path / "out_spare")
+    m_a = build_graph(p, out_a, resume=False)
 
     report_memory(1)
-    out_p = str(tmp_path / "out_partitioned")
-    m_p = build_graph(p, out_p, resume=False)
-    assert m_p["mode"] == "partitioned"
+    out_b = str(tmp_path / "out_1_byte")
+    m_b = build_graph(p, out_b, resume=False)
+    assert {k: m_b[k] for k in ("nodes", "edges", "files")} == {
+        k: m_a[k] for k in ("nodes", "edges", "files")}
 
     for table in ("nodes", "edges", "files"):
-        a = rd.read_parquet(f"{out_b}/{table}").to_pandas()
-        b = rd.read_parquet(f"{out_p}/{table}").to_pandas()
+        a = rd.read_parquet(f"{out_a}/{table}").to_pandas()
+        b = rd.read_parquet(f"{out_b}/{table}").to_pandas()
         pd_testing_cols = sorted(a.columns)
+        assert len(a) > 0, table
         assert a[pd_testing_cols].equals(b[pd_testing_cols])
 
 

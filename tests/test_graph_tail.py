@@ -112,24 +112,20 @@ def no_sort_in_tail(monkeypatch):
     monkeypatch.setattr(inc, "write_graph", write_graph)
 
 
-@pytest.mark.parametrize("path", ["broadcast", "partitioned"])
-def test_stages_2_4_run_without_sort_or_collect(path, tmp_path,
-                                                no_sort_in_tail,
-                                                add_alive_node,
-                                                fused_link_calls):
+def test_stages_2_4_run_without_sort_or_collect(tmp_path, no_sort_in_tail,
+                                                add_alive_node):
     """With ``Dataset.sort`` raising and no driver collect allowed in
     stages 2–4, a fresh build, a resumed build and an incremental
-    rebuild with a deletion (tombstones) finish on both paths, with the
-    sort-based tail's outputs, globally sorted."""
+    rebuild with a deletion (tombstones) finish on a session reporting
+    two nodes, with the sort-based tail's outputs, globally sorted."""
     from codetoneo4j_ray.pipelines.build_graph import build_graph
     from codetoneo4j_ray.pipelines.incremental import build_graph_incremental
     from codetoneo4j_ray.sources.synth import ensure_corpus
 
-    if path == "partitioned":
-        add_alive_node()
+    add_alive_node()
     v1, v2 = ensure_corpus(SF), _edited_corpus(tmp_path)
     full, incr = str(tmp_path / "full"), str(tmp_path / "incr")
-    assert build_graph(v1, full, resume=False)["mode"] == path
+    build_graph(v1, full, resume=False)
     assert _digests(full) == FULL
     _assert_sorted(full)
     resumed = build_graph(v1, full)
@@ -140,7 +136,6 @@ def test_stages_2_4_run_without_sort_or_collect(path, tmp_path,
     assert m["deleted_files"] == 1 and m["tombstones"] == 1
     assert _digests(incr) == INCR
     _assert_sorted(incr)
-    assert bool(fused_link_calls) == (path == "partitioned")
 
 
 def test_empty_range_writes_no_file(tmp_path, monkeypatch):
@@ -164,12 +159,11 @@ def test_empty_range_writes_no_file(tmp_path, monkeypatch):
     _assert_sorted(out)
 
 
-@pytest.mark.parametrize("path", ["broadcast", "partitioned"])
-def test_build_without_csharp_files(path, tmp_path, add_alive_node):
+def test_build_without_csharp_files(tmp_path, add_alive_node):
     """A corpus with no C# files and zero mention rows (bare HTML and
-    package.json files: file rows only, so no node either) builds on
-    both paths, and every output reads back — the empty nodes output
-    as one empty part with the nodes schema."""
+    package.json files: file rows only, so no node either) builds on a
+    session reporting two nodes, and every output reads back — the
+    empty nodes output as one empty part with the nodes schema."""
     import ray.data
 
     from codetoneo4j_ray.pipelines.build_graph import build_graph
@@ -184,11 +178,9 @@ def test_build_without_csharp_files(path, tmp_path, add_alive_node):
     pq.write_table(pa.Table.from_pylist(
         [dict(zip(CORPUS_SCHEMA.names, r)) for r in rows],
         schema=CORPUS_SCHEMA), p)
-    if path == "partitioned":
-        add_alive_node()
+    add_alive_node()
     out = str(tmp_path / "kg")
     m = build_graph(p, out, resume=False)
-    assert m["mode"] == path
     assert not os.path.isdir(f"{out}/records/rec_type=mention")
     assert m["mentions_in"] == m["mentions_resolved"] == 0
     assert (m["nodes"], m["edges"], m["files"]) == (0, 3, 2)
@@ -199,12 +191,11 @@ def test_build_without_csharp_files(path, tmp_path, add_alive_node):
     _assert_sorted(out)
 
 
-def test_stage2_counts_from_the_tasks(tmp_path, add_alive_node,
-                                      fused_link_calls):
+def test_stage2_counts_from_the_tasks(tmp_path, add_alive_node):
     """``mentions_in`` is the checkpoint's non-internal mention rows,
     ``mentions_resolved`` (after resolution and the endpoint check,
-    before the distinct) is no more, and both paths report the same
-    values."""
+    before the distinct) is no more, and a session reporting two nodes
+    reports the same values."""
     import pyarrow.compute as pc
 
     from codetoneo4j_ray.extractors.csharp.extractor import (
@@ -215,18 +206,17 @@ def test_stage2_counts_from_the_tasks(tmp_path, add_alive_node,
     from codetoneo4j_ray.sources.synth import ensure_corpus
 
     v1 = ensure_corpus(SF)
-    broadcast = build_graph(v1, str(tmp_path / "b"), resume=False)
-    pred = pq.read_table(f"{tmp_path}/b/records/rec_type=mention",
+    one = build_graph(v1, str(tmp_path / "one"), resume=False)
+    pred = pq.read_table(f"{tmp_path}/one/records/rec_type=mention",
                          columns=["pred"])["pred"]
     internal = pc.is_in(pred, value_set=pa.array([MEMBER_PRED, BASE_PRED]))
     want = len(pred) - pc.sum(internal).as_py()
-    assert broadcast["mentions_in"] == want > 0
-    assert 0 < broadcast["mentions_resolved"] <= broadcast["mentions_in"]
+    assert one["mentions_in"] == want > 0
+    assert 0 < one["mentions_resolved"] <= one["mentions_in"]
     add_alive_node()
-    partitioned = build_graph(v1, str(tmp_path / "p"), resume=False)
-    assert fused_link_calls
+    two = build_graph(v1, str(tmp_path / "two"), resume=False)
     for k in ("mentions_in", "mentions_resolved"):
-        assert partitioned[k] == broadcast[k], k
+        assert two[k] == one[k], k
 
 
 def test_resumed_build_writes_the_fresh_part_files(tmp_path, monkeypatch):
@@ -255,8 +245,8 @@ def test_resumed_build_writes_the_fresh_part_files(tmp_path, monkeypatch):
 
 
 def test_extraction_keeps_the_corpus_block_count(monkeypatch):
-    """At 4 CPUs with a 1-byte minimum block size, broadcast extraction
-    yields one records block per corpus block (one task per block),
+    """At 4 CPUs with a 1-byte minimum block size, extraction yields
+    one records block per corpus block (one task per block),
     so the corpus read's CPU floor reaches extraction."""
     import ray.data
 
@@ -297,14 +287,13 @@ def _records_digests(out: str) -> dict:
     return res
 
 
-@pytest.mark.parametrize("path", ["broadcast", "partitioned"])
-def test_build_runs_no_ray_data_execution(path, tmp_path, monkeypatch,
-                                          add_alive_node, fused_link_calls):
+def test_build_runs_no_ray_data_execution(tmp_path, monkeypatch,
+                                          add_alive_node):
     """With ``ray.data.read_parquet``, ``Dataset.materialize``,
     ``Dataset.write_parquet`` and every Ray Data execution raising, a
     fresh build, a resumed build and an incremental rebuild with a
-    deletion finish on both paths, with the Ray Data stage 1's outputs
-    and records checkpoint."""
+    deletion finish on a session reporting two nodes, with the Ray Data
+    stage 1's outputs and records checkpoint."""
     import ray.data
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor,
@@ -322,11 +311,10 @@ def test_build_runs_no_ray_data_execution(path, tmp_path, monkeypatch,
                       (ray.data.Dataset, "write_parquet"),
                       (StreamingExecutor, "execute")):
         monkeypatch.setattr(obj, name, no_ray_data)
-    if path == "partitioned":
-        add_alive_node()
+    add_alive_node()
     v1, v2 = ensure_corpus(SF), _edited_corpus(tmp_path)
     full, incr = str(tmp_path / "full"), str(tmp_path / "incr")
-    assert build_graph(v1, full, resume=False)["mode"] == path
+    build_graph(v1, full, resume=False)
     assert _digests(full) == FULL
     assert _records_digests(full) == RECORDS_FULL
     assert build_graph(v1, full)["stage1_sec"] == 0.0  # read the checkpoint
@@ -335,7 +323,6 @@ def test_build_runs_no_ray_data_execution(path, tmp_path, monkeypatch,
     assert m["deleted_files"] == 1 and m["tombstones"] == 1
     assert _digests(incr) == INCR
     assert _records_digests(incr) == RECORDS_INCR
-    assert bool(fused_link_calls) == (path == "partitioned")
 
 
 def test_stage_walls_add_up_to_the_build(tmp_path):

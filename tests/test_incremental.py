@@ -372,28 +372,17 @@ def test_chained_incremental_over_same_corpus(ray_session, tmp_path):
 
 @pytest.mark.parametrize("forced_by", ["second_node", "low_memory"])
 def test_incremental_partitioned_equals_single_node(
-    ray_session, tmp_path, monkeypatch, add_alive_node, report_memory,
-    fused_link_calls, forced_by,
+    ray_session, tmp_path, add_alive_node, report_memory, forced_by,
 ):
-    """With a second alive node, or too little reported memory for the
-    broadcast structures, incremental stages 1 and 2 take the
-    partitioned path (repo-bucketed extraction, fused repo-keyed
-    linking) and write the same nodes, edges and files, tombstones
-    included, as on one node with the memory to spare."""
+    """With a second alive node, or 1 byte of reported memory, the
+    incremental build (one path on any cluster) writes the same nodes,
+    edges and files, tombstones included, as on one node with the
+    memory to spare."""
     import ray.data as rd
 
     from codetoneo4j_ray.pipelines import build_graph as bg
     from codetoneo4j_ray.pipelines import incremental as inc
     from codetoneo4j_ray.sources.synth import ensure_corpus
-
-    bucketed_extract_calls: list[int] = []
-    real_extract = inc.extract_records_partitioned
-
-    def counting(*args, **kwargs):
-        bucketed_extract_calls.append(1)
-        return real_extract(*args, **kwargs)
-
-    monkeypatch.setattr(inc, "extract_records_partitioned", counting)
 
     rows = pq.read_table(ensure_corpus("/root/testdata/sf0.001")).to_pylist()
     cs = [i for i, r in enumerate(rows) if r["path"].endswith(".cs")]
@@ -421,13 +410,11 @@ def test_incremental_partitioned_equals_single_node(
                 for n in ("nodes", "edges", "files")}
 
     single = incremental(str(tmp_path / "out_single"))
-    assert not fused_link_calls and not bucketed_extract_calls
     if forced_by == "second_node":
         add_alive_node()
     else:
         report_memory(1)
     multi = incremental(str(tmp_path / "out_multi"))
-    assert fused_link_calls and bucketed_extract_calls
 
     assert multi["files"]["deleted"].sum() == 1
     inv = multi["edges"][multi["edges"]["pred"] == "src__INVOKES"]

@@ -1,16 +1,31 @@
-"""Broadcast vs partitioned stage-1/2 equivalence, and the helpers
-both paths share.
+"""The one stage-1/2 path: per-repo indices in repo-keyed bucket
+stores, built by raw tasks and loaded per block, never on the driver;
+its outputs on any cluster shape, and the helpers it runs.
 
-``resolve_mode`` picks the partitioned path when more than one alive
-node is attached; these tests force it on one node by reporting a
-second alive node through ``ray.nodes`` (the ``add_alive_node``
-fixture).
+The digests below were recorded from the two paths this one replaced
+(a broadcast path, with driver-built indices, and a partitioned path,
+with repo-keyed exchanges), which agreed on them.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
+
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
+
+# {output: (rows, digest)} of graph_from_records over sf0.001 (the same
+# as the full build's, tests/test_graph_tail.py FULL) and over the
+# cross-repo-shaped corpus below
+SF_GRAPH = {"nodes": (271, "a98facd5751c0ab7"),
+            "edges": (1180, "3330f7b26a7e9ec7"),
+            "files": (41, "afe0d7e6f8f35427")}
+XREPO_GRAPH = {"nodes": (4, "75ffeb81c5598312"),
+               "edges": (14, "f6539e8b95c10728"),
+               "files": (4, "3fe9730e76bca41a")}
+OUTPUTS = ("nodes", "edges", "files")
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -18,72 +33,35 @@ def _ray(ray_session):
     yield
 
 
-def test_partitioned_join_matches_broadcast():
-    """Both endpoint semi-joins keep exactly the mentions a plain-Python
-    semi-join keeps: dangling subj or obj dropped, the self-loop kept,
-    duplicates kept by the broadcast probe (the fused partitioned
-    exchange deduplicates, so it is compared as a set)."""
+def _digest(t: pa.Table) -> tuple[int, str]:
+    """(rows, order-insensitive digest of every row)."""
+    cols = sorted(t.column_names)
+    rows = sorted(repr(r) for r in zip(*[t[c].to_pylist() for c in cols]))
+    h = hashlib.sha256("\n".join([repr(cols)] + rows).encode())
+    return t.num_rows, h.hexdigest()[:16]
+
+
+def _graph_digests(records) -> dict:
+    """{output: (rows, digest)} of stages 2-4 over records blocks."""
     import ray
-    import ray.data
 
-    from codetoneo4j_ray.stages.bucketing import Blocks
-    from codetoneo4j_ray.stages.link import (
-        MENTION_COLS,
-        resolve_edges_broadcast,
-        resolve_link_fused,
-    )
+    from codetoneo4j_ray.pipelines.build_graph import graph_from_records
 
-    keys = [f"k{i}" for i in range(50)]
-    mentions = []
-    for i in range(200):
-        s = f"k{i % 60}"          # some subjects dangle (k50..k59)
-        o = f"k{(i * 7) % 70}"    # some objects dangle
-        mentions.append((s, "src__INVOKES", o))
-    mentions.append(("k1", "src__CONTAINS", "k1"))   # self-loop
-    mentions.append(("k2", "src__CONTAINS", "k3"))
-    mentions.append(("k2", "src__CONTAINS", "k3"))   # duplicate row
-    mentions.append(("k2", "src__CONTAINS", "k51"))  # subj ok, obj dangling
-    mentions.append(("k52", "src__CONTAINS", "k2"))  # obj ok, subj dangling
+    out = graph_from_records(records)
+    return {n: _digest(pa.concat_tables(ray.get(out[n].to_arrow_refs())))
+            for n in OUTPUTS}
 
-    key_set = set(keys)
-    expected = sorted(m for m in mentions if m[0] in key_set and m[2] in key_set)
-    assert ("k1", "src__CONTAINS", "k1") in expected
-    assert expected.count(("k2", "src__CONTAINS", "k3")) == 2
-    assert len(expected) < len(mentions)
 
-    n = len(mentions)
-    m_table = pa.table(
-        {
-            "subj": pa.array([m[0] for m in mentions]),
-            "pred": pa.array([m[1] for m in mentions]),
-            "obj": pa.array([m[2] for m in mentions]),
-            "repo": pa.array(["r"] * n),
-            "ctx_kind": pa.array([""] * n),
-            "ctx_name": pa.nulls(n, pa.string()),
-            "ctx_receiver": pa.nulls(n, pa.string()),
-            "ctx_argc": pa.nulls(n, pa.int32()),
-        }
-    ).select(MENTION_COLS)
-    s_table = pa.table({"key": pa.array(keys),
-                        "repo": pa.array(["r"] * len(keys))})
-    m_ds = ray.data.from_arrow(m_table)
+def _out_digests(out: str) -> dict:
+    """{output: (rows, digest)} of a build's output directory."""
+    import pyarrow.dataset as pds
 
-    broadcast = resolve_edges_broadcast(m_ds, key_set).to_pandas()
-    assert list(broadcast.columns) == ["subj", "pred", "obj"]
-    assert sorted(map(tuple, broadcast.values)) == expected
-
-    records = pa.concat_tables(
-        [t.append_column("rec_type", pa.array([rt] * t.num_rows))
-         for t, rt in ((m_table, "mention"), (s_table, "symbol"))],
-        promote_options="default")
-    fused = resolve_link_fused(Blocks([ray.put(records)])).table().to_pandas()
-    assert sorted(map(tuple, fused[["subj", "pred", "obj"]].values)) == sorted(
-        set(expected)
-    )
+    return {n: _digest(pds.dataset(f"{out}/{n}", format="parquet").to_table())
+            for n in OUTPUTS}
 
 
 def test_resolve_deferred_fallback_keys_and_drops():
-    """The deferred-INVOKES loop both paths run: a declared member wins;
+    """The deferred-INVOKES loop of step A: a declared member wins;
     unresolved calls and constructors keep an approximate repo-prefixed
     key (constructor name without namespace or generic arguments);
     unresolved method groups are dropped."""
@@ -108,9 +86,9 @@ def test_resolve_deferred_fallback_keys_and_drops():
 
 
 def test_type_index_assembly_ignores_row_order():
-    """Both stage-1 paths assemble type indices from pass-A rows that
-    arrive in shuffle order; partial-class fragments and global usings
-    must merge the same way whatever that order."""
+    """Pass A assembles type indices from rows that arrive in bucket
+    order; partial-class fragments and global usings must merge the
+    same way whatever that order."""
     from codetoneo4j_ray.stages.extract import _assemble_type_indices, skim_batch
 
     files = [
@@ -140,29 +118,10 @@ def test_type_index_assembly_ignores_row_order():
         assert shape(_assemble_type_indices(shuffled)) == want
 
 
-def _graph_both_paths(records, add_alive_node, fused_link_calls):
-    """{table: (single-node frame, two-node frame)} from one set of
-    records blocks, checking that each run took the path it should."""
-    from codetoneo4j_ray.pipelines.build_graph import graph_from_records
-
-    def tables():
-        out = graph_from_records(records)
-        return {n: out[n].to_pandas().reset_index(drop=True)
-                for n in ("nodes", "edges", "files")}
-
-    single = tables()
-    assert not fused_link_calls
-    add_alive_node()
-    multi = tables()
-    assert fused_link_calls
-    return {n: (single[n], multi[n]) for n in single}
-
-
-def test_graph_modes_output_identical(tmp_path, add_alive_node,
-                                      fused_link_calls):
-    """broadcast vs partitioned (fused repo-local linking) must produce
-    byte-identical nodes/edges/files over the full synthetic corpus —
-    the exactness contract of the repo-prefix local-check optimization."""
+def test_graph_modes_output_identical(add_alive_node):
+    """Stages 2-4 over the sf0.001 records write the digests both
+    former paths wrote, on one node and on a session reporting a
+    second alive node."""
     from codetoneo4j_ray.pipelines.build_graph import (
         extract_corpus,
         read_corpus_blocks,
@@ -171,19 +130,17 @@ def test_graph_modes_output_identical(tmp_path, add_alive_node,
 
     records = extract_corpus(
         read_corpus_blocks(ensure_corpus("/root/testdata/sf0.001")))
-    both = _graph_both_paths(records, add_alive_node, fused_link_calls)
-    for name in ("nodes", "edges", "files"):
-        da, db = both[name]
-        assert list(da.columns) == list(db.columns), name
-        assert da.equals(db), f"{name} differs between modes"
+    assert _graph_digests(records) == SF_GRAPH
+    add_alive_node()
+    assert _graph_digests(records) == SF_GRAPH
 
 
-def test_kg_cache_is_the_build_output(tmp_path, monkeypatch, add_alive_node,
-                                      fused_link_calls):
-    """``ensure_kg`` runs the full build, so on a two-node session the KG
-    cache links on the partitioned path, and the kg_edges query (the
-    built edges/ table) equals the DuckDB oracle's recomputation of
-    stages 2-4 from records/."""
+def test_kg_cache_is_the_build_output(tmp_path, monkeypatch, add_alive_node):
+    """``ensure_kg`` runs the full build (here on a session reporting a
+    second alive node), and the kg_edges query (the built edges/ table)
+    equals the DuckDB oracle's recomputation of stages 2-4 from
+    records/, which joins the resolved-mention side table that
+    ``ensure_kg`` derives with raw tasks."""
     import duckdb
 
     from codetoneo4j_ray.pipelines.kg_queries import (
@@ -197,7 +154,6 @@ def test_kg_cache_is_the_build_output(tmp_path, monkeypatch, add_alive_node,
     add_alive_node()
     sf = "sf0.001"
     ensure_kg(sf)
-    assert fused_link_calls
     got = q_kg_edges(sf).to_pandas()[["subj", "pred", "obj"]]
     exp = duckdb.sql(oracle_kg(sf)["kg_edges"]).df()
     assert list(exp.columns) == ["subj", "pred", "obj"]
@@ -206,37 +162,13 @@ def test_kg_cache_is_the_build_output(tmp_path, monkeypatch, add_alive_node,
             == sorted(map(tuple, exp.itertuples(index=False))))
 
 
-def test_stage1_partitioned_matches_task_path(tmp_path):
-    """Repo-bucketed extraction (no driver index) must produce the same
-    record multiset as the broadcast-index task path."""
-    import pandas as pd
-
-    from codetoneo4j_ray.pipelines.build_graph import (
-        extract_corpus,
-        read_corpus_blocks,
-    )
-    from codetoneo4j_ray.sources.synth import ensure_corpus
-
-    corpus = read_corpus_blocks(ensure_corpus("/root/testdata/sf0.001"))
-    a = extract_corpus(corpus, "broadcast").table().to_pandas()
-    b = extract_corpus(corpus, "partitioned").table().to_pandas()
-    assert list(a.columns) == list(b.columns)
-    key_cols = list(a.columns)
-    a_s = a.sort_values(key_cols, kind="stable").reset_index(drop=True)
-    b_s = b.sort_values(key_cols, kind="stable").reset_index(drop=True)
-    pd.testing.assert_frame_equal(a_s, b_s, check_dtype=True)
-
-
-def test_modes_agree_on_cross_repo_shaped_corpus(tmp_path, add_alive_node,
-                                                 fused_link_calls):
-    """The fused repo-local endpoint check is exact because every
-    handler's mention endpoints are self-declared, repo-prefixed, or
-    pkg:/url: (also self-declared) — a mention can never be satisfied
-    ONLY by another repo. This corpus shapes the tempting counterexample
-    (repo A imports a file only repo B has) and asserts the modes still
-    agree byte-for-byte."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
+def test_modes_agree_on_cross_repo_shaped_corpus(tmp_path, add_alive_node):
+    """The repo-local endpoint check is exact because every handler's
+    mention endpoints are self-declared, repo-prefixed, or pkg:/url:
+    (also self-declared) — a mention can never be satisfied ONLY by
+    another repo. This corpus shapes the tempting counterexample (repo
+    A imports a file only repo B has) and the graph keeps the digests
+    the global check wrote, on one node and under a second node."""
 
     from codetoneo4j_ray.pipelines.build_graph import (
         extract_corpus,
@@ -269,25 +201,19 @@ def test_modes_agree_on_cross_repo_shaped_corpus(tmp_path, add_alive_node,
     p = str(tmp_path / "c.parquet")
     pq.write_table(t, p)
     records = extract_corpus(read_corpus_blocks(p))
-    both = _graph_both_paths(records, add_alive_node, fused_link_calls)
-    for name in ("nodes", "edges", "files"):
-        da, db = both[name]
-        assert da.equals(db), f"{name} differs"
+    assert _graph_digests(records) == XREPO_GRAPH
+    add_alive_node()
+    assert _graph_digests(records) == XREPO_GRAPH
 
 
-def test_outputs_do_not_depend_on_bucket_count(tmp_path, monkeypatch,
-                                               add_alive_node,
-                                               fused_link_calls):
+def test_outputs_do_not_depend_on_bucket_count(tmp_path, monkeypatch):
     """Every block and bucket count comes from ``blocks_for``, capped by
     ``target_blocks()``; the graph must not depend on it. With a 1-byte
-    minimum block size every count reaches the cap, so on both paths a
-    full build and an incremental rebuild over an edited copy run with
-    1 bucket and with 5, and must write the same nodes, edges and files
-    (as multisets). The 5-bucket builds write each output in at least 2
+    minimum block size every count reaches the cap, so a full build and
+    an incremental rebuild over an edited copy run with 1 bucket and
+    with 5, and must write the same nodes, edges and files (as
+    multisets). The 5-bucket builds write each output in at least 2
     files, so more than one bucket was exercised."""
-    import os
-
-    import pyarrow.parquet as pq
     import ray.data as rd
 
     from codetoneo4j_ray.pipelines.build_graph import build_graph
@@ -312,35 +238,241 @@ def test_outputs_do_not_depend_on_bucket_count(tmp_path, monkeypatch,
     def tables(out: str) -> dict:
         return {n: sorted(map(tuple, rd.read_parquet(f"{out}/{n}").to_pandas()
                               .astype(str).itertuples(index=False)))
-                for n in ("nodes", "edges", "files")}
+                for n in OUTPUTS}
 
-    def build(path: str, nb: int) -> tuple[dict, dict]:
+    def build(nb: int) -> tuple[dict, dict]:
         monkeypatch.setattr(bucketing, "target_blocks", lambda: nb)
-        full = str(tmp_path / f"{path}_{nb}_full")
-        incr = str(tmp_path / f"{path}_{nb}_incr")
-        # batch_size=8: at the default 64 the 56-file corpus reaches the
-        # broadcast extraction as one batch, i.e. one records block,
-        # and the output sorts never merge more blocks than they get
+        full = str(tmp_path / f"{nb}_full")
+        incr = str(tmp_path / f"{nb}_incr")
+        # batch_size=8: at the default 64 the 56-file corpus reaches
+        # extraction as one block, i.e. one records block, and the
+        # output exchanges never merge more blocks than they get
         build_graph(v1, full, batch_size=8)
         build_graph_incremental(v2, full, incr, batch_size=8,
                                 deleted_at_sec=1_700_000_000)
         if nb > 1:
             for out in (full, incr):
-                for n in ("nodes", "edges", "files"):
+                for n in OUTPUTS:
                     written = [f for f in os.listdir(f"{out}/{n}")
                                if f.endswith(".parquet")]
-                    assert len(written) >= 2, (path, out, n, written)
+                    assert len(written) >= 2, (out, n, written)
         return tables(full), tables(incr)
 
     monkeypatch.setattr(rd.DataContext.get_current(),
                         "target_min_block_size", 1)
+    one, five = build(1), build(5)
+    for run, a, b in zip(("full", "incremental"), one, five):
+        for n in a:
+            assert len(a[n]) > 0, (run, n)
+            assert a[n] == b[n], f"{run} {n} differs"
 
-    for path in ("broadcast", "partitioned"):
-        if path == "partitioned":
-            add_alive_node()
-        one, five = build(path, 1), build(path, 5)
-        assert bool(fused_link_calls) == (path == "partitioned")
-        for run, a, b in zip(("full", "incremental"), one, five):
-            for n in a:
-                assert len(a[n]) > 0, (path, run, n)
-                assert a[n] == b[n], f"{path} {run} {n} differs"
+
+# per repo: A calls B's own and inherited methods, D constructs A and
+# calls it, E-H pad the repo to eight files
+_REPO_FILES = {
+    "src/A.cs": "namespace N { public class A { public void Run() { "
+                "var b = new B(); b.Go(); b.Base(); } } }",
+    "src/B.cs": "namespace N { public class B : C { public void Go() { } } }",
+    "src/C.cs": "namespace N { public class C { public void Base() { } } }",
+    "src/D.cs": "namespace N { public class D { public void M() { "
+                "new A().Run(); } } }",
+    **{f"src/{c}.cs": f"namespace N {{ public class {c} {{ }} }}"
+       for c in "EFGH"},
+}
+_REPOS = ("alpha", "bravo", "charlie", "delta")
+
+
+def _repo_rows(repo: str) -> list[dict]:
+    return [{"repo": repo, "path": p, "commit": "c" * 40, "lang": "cs",
+             "content": c} for p, c in _REPO_FILES.items()]
+
+
+def _one_repo_per_block(tmp_path, monkeypatch):
+    """At a 1-byte minimum block size (so every store has the cap of
+    8 buckets): a corpus dir of one file per repo, read in blocks of one
+    repo each, and one file of the same rows dealt round-robin, read in
+    blocks that each hold every repo. Returns (dir, file)."""
+    import ray.data
+
+    from codetoneo4j_ray.schema import CORPUS_SCHEMA
+
+    monkeypatch.setattr(ray.data.DataContext.get_current(),
+                        "target_min_block_size", 1)
+    by_repo = tmp_path / "by_repo"
+    by_repo.mkdir()
+    for repo in _REPOS:
+        pq.write_table(pa.Table.from_pylist(_repo_rows(repo),
+                                            schema=CORPUS_SCHEMA),
+                       str(by_repo / f"{repo}.parquet"))
+    dealt = [r for rows in zip(*map(_repo_rows, _REPOS)) for r in rows]
+    mixed = str(tmp_path / "mixed.parquet")
+    pq.write_table(pa.Table.from_pylist(dealt, schema=CORPUS_SCHEMA), mixed)
+    return str(by_repo), mixed
+
+
+def _block_repos(corpus) -> list[set]:
+    import ray
+
+    return [set(ray.get(b)["repo"].to_pylist()) for b in corpus.refs]
+
+
+def test_no_index_is_built_on_the_driver(tmp_path, monkeypatch):
+    """No type index, member index or key set is assembled in, or put
+    into the object store from, the driver process, on fresh, resumed
+    and incremental builds and in ``ensure_kg``'s side table: the
+    assembly functions, wrapped wherever the package holds them, never
+    run here, and ``ray.put`` is never handed an index; yet the builds
+    write the recorded outputs."""
+    import sys
+
+    import ray
+
+    from codetoneo4j_ray.extractors.csharp.types import RepoTypeIndex
+    from codetoneo4j_ray.pipelines.build_graph import build_graph
+    from codetoneo4j_ray.pipelines.incremental import build_graph_incremental
+    from codetoneo4j_ray.pipelines.kg_queries import ensure_kg
+    from codetoneo4j_ray.sources import synth
+    from codetoneo4j_ray.stages import extract, link
+
+    pids: list[tuple[str, int]] = []
+    for name, real in (("_assemble_type_indices",
+                        extract._assemble_type_indices),
+                       ("_member_indices", link._member_indices)):
+        def wrapped(*args, _real=real, _name=name, **kwargs):
+            pids.append((_name, os.getpid()))
+            return _real(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("codetoneo4j_ray")
+                    and getattr(mod, name, None) is real):
+                monkeypatch.setattr(mod, name, wrapped)
+
+    def is_index(obj) -> bool:
+        values = obj.values() if isinstance(obj, dict) else ()
+        return isinstance(obj, (frozenset, RepoTypeIndex,
+                                link.MemberIndex)) or any(
+            isinstance(v, (RepoTypeIndex, link.MemberIndex)) for v in values)
+
+    real_put = ray.put
+
+    def put(obj, *args, **kwargs):
+        assert not is_index(obj), f"the driver put a {type(obj).__name__}"
+        return real_put(obj, *args, **kwargs)
+
+    monkeypatch.setattr(ray, "put", put)
+
+    from codetoneo4j_ray.schema import CORPUS_SCHEMA
+
+    v1 = synth.ensure_corpus("/root/testdata/sf0.001")
+    rows = pq.read_table(v1).to_pylist()
+    rows.append(dict(rows[0], path="src/Added/Extra.cs", content=(
+        "namespace Added;\npublic class Extra {\n"
+        "  public void Go() { var e = new Extra(); e.Stop(); }\n"
+        "  public void Stop() { }\n}\n")))
+    v2 = str(tmp_path / "v2.parquet")
+    pq.write_table(pa.Table.from_pylist(rows, schema=CORPUS_SCHEMA), v2)
+    full, incr = str(tmp_path / "full"), str(tmp_path / "incr")
+    build_graph(v1, full, resume=False)
+    assert _out_digests(full) == SF_GRAPH
+    assert build_graph(v1, full)["stage1_sec"] == 0.0  # resumed
+    assert _out_digests(full) == SF_GRAPH
+    assert build_graph_incremental(v2, full, incr)["changed_files"] == 1
+    # resolved through the added repo's member index
+    assert any(e["pred"] == "src__INVOKES"
+               and e["subj"].endswith("Added.Extra.Go()")
+               and e["obj"].endswith("Added.Extra.Stop()")
+               for e in pq.read_table(f"{incr}/edges").to_pylist())
+    monkeypatch.setattr(synth, "_CORPUS_ROOT", str(tmp_path / "kg"))
+    ensure_kg("sf0.001")
+    assert not [pid for _, pid in pids if pid == os.getpid()], pids
+
+
+def test_tasks_load_only_their_repos_buckets(tmp_path, monkeypatch):
+    """With one repo per corpus block (and so per records block) and 8
+    buckets in each store, every extraction task and every stage-2 map
+    task fetches only the bucket its own repo hashes to, from the type
+    store and the link store. The task bodies run in this process,
+    where bucket loads are recorded."""
+    import pandas as pd
+    import ray
+
+    from codetoneo4j_ray.extractors.accessibility import (
+        DEFAULT_MIN_ACCESSIBILITY,
+    )
+    from codetoneo4j_ray.pipelines import build_graph as bg
+    from codetoneo4j_ray.stages import bucketing
+    from codetoneo4j_ray.stages.extract import (
+        _extract_block,
+        build_type_index,
+        extract_blocks,
+    )
+    from codetoneo4j_ray.stages.link import _index_blobs
+
+    by_repo, _ = _one_repo_per_block(tmp_path, monkeypatch)
+    corpus = bg.read_corpus_blocks(by_repo)
+    assert all(len(r) == 1 for r in _block_repos(corpus))
+    assert len(corpus.refs) > len(_REPOS)
+
+    fetched: list[tuple[str, int]] = []
+    real = bucketing.blob_bucket
+
+    def blob_bucket(store, key, k):
+        fetched.append((store.token, k))
+        return real(store, key, k)
+
+    monkeypatch.setattr(bucketing, "blob_bucket", blob_bucket)
+
+    def own_bucket(repo: str, store) -> set:
+        k = bucketing.hash_bucket_series(pd.Series([repo], dtype=object),
+                                         store.num_buckets)[0]
+        return {(store.token, int(k))}
+
+    type_store, _ = build_type_index(corpus)
+    assert type_store.num_buckets == 8
+    for block, (repo,) in zip(corpus.refs, _block_repos(corpus)):
+        fetched.clear()
+        records, _ = _extract_block._function(
+            ray.get(block), type_store, [], DEFAULT_MIN_ACCESSIBILITY,
+            False, None)
+        assert records.num_rows and set(fetched) == own_bucket(
+            repo, type_store), (repo, fetched)
+
+    records = extract_blocks(corpus, type_store)
+    assert all(len(r) == 1 for r in _block_repos(records))
+    # the build's scan wave and bucket pinning (``_graph_tail``)
+    n = bucketing.blocks_for(records.nbytes)
+    assert n == 8
+    scans = [bg._scan_block.options(num_returns=n + 1).remote(
+        b, n, 0.0, None, k) for k, b in enumerate(records.refs)]
+    link_store = bucketing.keyed_store(
+        [s[:-1] for s in scans], n, _index_blobs,
+        sum(m[-1] for m in ray.get([s[-1] for s in scans])))
+    bounds = [bg.range_bounds([], 1)] * len(bg._OUTPUTS)
+    resolved = 0
+    for block, (repo,) in zip(records.refs, _block_repos(records)):
+        fetched.clear()
+        *_, (mentions, linked) = bg._map_block._function(
+            ray.get(block), link_store, bounds, False)
+        resolved += linked
+        # a block without mentions to link fetches nothing
+        assert set(fetched) == (own_bucket(repo, link_store) if mentions
+                                else set()), (repo, fetched)
+    assert resolved > 0
+
+
+def test_block_layout_does_not_change_the_graph(tmp_path, monkeypatch):
+    """The corpus of the test above, with its rows dealt round-robin so
+    that every block holds every repo (each task then loads every
+    repo's bucket), builds the same graph as when each block holds one
+    repo."""
+    from codetoneo4j_ray.pipelines import build_graph as bg
+
+    by_repo, mixed = _one_repo_per_block(tmp_path, monkeypatch)
+    assert all(r == set(_REPOS) for r in _block_repos(
+        bg.read_corpus_blocks(mixed)))
+    out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+    bg.build_graph(by_repo, out_a, resume=False)
+    bg.build_graph(mixed, out_b, resume=False)
+    want = _out_digests(out_a)
+    assert want["edges"][0] > 0
+    assert _out_digests(out_b) == want

@@ -63,43 +63,40 @@ def _corpus_rows(root: str, exts: tuple[str, ...]) -> list[dict]:
 
 def measure(root: str, exts: tuple[str, ...]) -> dict:
     import pyarrow as pa
-    import ray.data
+    import pyarrow.compute as pc
+    import ray
 
     from codetoneo4j_ray.pipelines.build_graph import extract_corpus
-    from codetoneo4j_ray.stages.bucketing import Blocks
+    from codetoneo4j_ray.stages.bucketing import Blocks, build_bucket_store
     from codetoneo4j_ray.stages.link import (
-        build_member_indices,
-        resolve_edges_broadcast,
-        resolve_mentions,
+        MENTION_COLS,
+        _index_blobs,
+        index_rows,
+        internal_mask,
+        link_block,
     )
 
     rows = _corpus_rows(root, exts)
     corpus = Blocks([ray.put(pa.Table.from_pylist(rows))])
-    records = ray.data.from_arrow_refs(extract_corpus(corpus).refs)
-    symbols = records.filter(expr="rec_type == 'symbol'")
-    raw_mentions = records.filter(expr="rec_type == 'mention'")
-    n_sym = symbols.count()
+    records = extract_corpus(corpus)
+    # stage 2 as the build runs it: the per-repo index store, then
+    # steps A and B over the mentions (a tree's records fit the driver)
+    store = build_bucket_store(records, ["repo"], reduce_fn=_index_blobs,
+                               map_fn=index_rows)
+    table = records.table()
+    rt = table["rec_type"]
+    mentions = table.filter(pc.equal(rt, "mention"))
+    mentions = mentions.filter(pc.invert(internal_mask(mentions)))
 
-    def count_invokes(ds) -> int:
-        import pandas as pd
+    def count_invokes(t: pa.Table) -> int:
+        return pc.sum(pc.match_substring(t["pred"], "INVOKES")).as_py() or 0
 
-        def f(df: pd.DataFrame) -> pd.DataFrame:
-            n = int(df["pred"].str.contains("INVOKES").sum()) if len(df) else 0
-            return pd.DataFrame({"n": [n]})
-
-        return int(ds.map_batches(f, batch_format="pandas").sum("n") or 0)
-
-    n_raw = count_invokes(raw_mentions)
-    # stage 2 as the broadcast build runs it
-    keys = set(symbols.select_columns(["key"]).to_pandas()["key"])
-    sym_edges = resolve_edges_broadcast(
-        resolve_mentions(raw_mentions, build_member_indices(raw_mentions)),
-        keys,
-    )
-    n_resolved = count_invokes(sym_edges)
+    n_raw = count_invokes(mentions)
+    n_resolved = count_invokes(link_block(mentions.select(MENTION_COLS),
+                                          store))
     return {
         "files": len(rows),
-        "symbols": n_sym,
+        "symbols": pc.sum(pc.equal(rt, "symbol")).as_py() or 0,
         "invokes_raw": n_raw,
         "invokes_resolved": n_resolved,
         "resolved_pct": round(100.0 * n_resolved / n_raw, 1) if n_raw else None,

@@ -7,7 +7,7 @@ the synth generator's quadratic repos x files-per-repo scaling:
 a 50k-row documents table (10x sf0.1, same schema/word model, planted
 exact + near dups), then runs
 
-  * kg_build, both linking modes;
+  * kg_build;
   * the dedup family (exact, minhash, dup_clusters);
   * the iterative graph ops (pagerank + components) over the 10x KG,
     recording rounds-to-fixpoint at the larger diameter;
@@ -29,7 +29,6 @@ import shutil
 import sys
 import threading
 import time
-from unittest import mock
 
 REHEARSAL_SF = "/tmp/rehearsal/sf0.32"
 DOCS_DIR = "/tmp/rehearsal/docs"
@@ -176,25 +175,17 @@ def main() -> int:
     timings["corpus_gen"] = round(time.perf_counter() - t0, 1)
     out["corpus_mb"] = round(os.path.getsize(corpus) / 1e6, 1)
 
-    # each path in turn, whatever resolve_mode would pick on this node
-    from codetoneo4j_ray.pipelines import build_graph as bg
-
-    for mode in ("broadcast", "partitioned"):
-        od = os.path.join(corpus_dir_for_sf(REHEARSAL_SF), f"reh_{mode}")
-        shutil.rmtree(od, ignore_errors=True)
-        t0 = time.perf_counter()
-        with mock.patch.object(bg, "resolve_mode",
-                               lambda corpus_bytes=None, mode=mode: mode):
-            m = build_graph(corpus, od, resume=False,
-                            packages_path=ensure_packages(REHEARSAL_SF))
-        timings[f"kg_build_{mode}"] = round(time.perf_counter() - t0, 1)
-        out[f"files_per_sec_{mode}"] = round(
-            m["files"] / timings[f"kg_build_{mode}"], 1
-        )
-        out["kg_files"] = m["files"]
-        out["kg_nodes"] = m["nodes"]
-        out["kg_edges"] = m["edges"]
-        shutil.rmtree(od, ignore_errors=True)
+    od = os.path.join(corpus_dir_for_sf(REHEARSAL_SF), "reh_build")
+    shutil.rmtree(od, ignore_errors=True)
+    t0 = time.perf_counter()
+    m = build_graph(corpus, od, resume=False,
+                    packages_path=ensure_packages(REHEARSAL_SF))
+    timings["kg_build"] = round(time.perf_counter() - t0, 1)
+    out["files_per_sec"] = round(m["files"] / timings["kg_build"], 1)
+    out["kg_files"] = m["files"]
+    out["kg_nodes"] = m["nodes"]
+    out["kg_edges"] = m["edges"]
+    shutil.rmtree(od, ignore_errors=True)
 
     docs = ensure_documents()
     for name, fn in (
