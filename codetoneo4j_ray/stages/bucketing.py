@@ -636,29 +636,35 @@ def load_blobs(store: BucketStore, key: str, values) -> dict:
     return out
 
 
-# Worker-process LRU of unpickled blob buckets, keyed by the bucket's
-# pinned objects: the tasks of a stage that a reused worker runs fetch
-# and unpickle each object once, also when it pins several buckets
-# (keyed_store). It holds no ObjectRef, so a store nobody else holds is
-# freed in the object store.
-_BLOB_BUCKETS: dict = {}
-_MAX_BLOB_BUCKETS = 16
+# Worker-process cache of unpickled blob buckets for the most recent
+# stores (a build's type-index and link-index stores), keyed within a
+# store by the bucket's pinned objects: the tasks of a stage that a
+# reused worker runs fetch and unpickle each object once, also when it
+# pins several buckets (keyed_store). Older stores' entries are
+# dropped, so a worker does not carry earlier builds' indices in its
+# heap, and no ObjectRef is held, so a store nobody else holds is freed
+# in the object store.
+_BLOB_STORES: dict = {}
+_MAX_BLOB_STORES = 2
 
 
 def blob_bucket(store: BucketStore, key: str, k: int) -> dict:
     """Bucket ``k`` of a :func:`blob_frame` store as {key: unpickled
-    blob}, from this process's LRU or fetched once."""
+    blob}, from this process's cache or fetched once."""
+    buckets = _BLOB_STORES.pop(store.token, None)
+    if buckets is None:
+        buckets = {}
+        while len(_BLOB_STORES) >= _MAX_BLOB_STORES:
+            _BLOB_STORES.pop(next(iter(_BLOB_STORES)))
+    _BLOB_STORES[store.token] = buckets  # re-insert = LRU refresh
     pinned = tuple(r.hex() for r in store.pieces[k])
-    hit = _BLOB_BUCKETS.pop(pinned, None)
+    hit = buckets.get(pinned)
     if hit is None:
-        tables = [t for t in ray.get(store.pieces[k]) if t is not None]
-        hit = {}
-        for t in tables:
-            hit.update(zip(t[key].to_pylist(),
-                           map(pickle.loads, t["blob"].to_pylist())))
-        while len(_BLOB_BUCKETS) >= _MAX_BLOB_BUCKETS:
-            _BLOB_BUCKETS.pop(next(iter(_BLOB_BUCKETS)))
-    _BLOB_BUCKETS[pinned] = hit  # re-insert = LRU refresh
+        hit = buckets[pinned] = {}
+        for t in ray.get(store.pieces[k]):
+            if t is not None:
+                hit.update(zip(t[key].to_pylist(),
+                               map(pickle.loads, t["blob"].to_pylist())))
     return hit
 
 
