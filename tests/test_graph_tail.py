@@ -25,6 +25,10 @@ FULL = {"nodes": (271, "a98facd5751c0ab7"), "edges": (1180, "3330f7b26a7e9ec7"),
 INCR = {"nodes": (270, "52888a57cb63caaf"), "edges": (1175, "0b9f837b26a909e4"),
         "files": (42, "62b3529610e87442")}
 OUTPUTS = ("nodes", "edges", "files")
+# Session shapes a build runs on: "broadcast" is the one-node session
+# and "partitioned" the two-node one (``add_alive_node``), named after
+# the paths those sessions once chose. The build takes one path on both.
+SESSIONS = ["broadcast", "partitioned"]
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -112,17 +116,21 @@ def no_sort_in_tail(monkeypatch):
     monkeypatch.setattr(inc, "write_graph", write_graph)
 
 
-def test_stages_2_4_run_without_sort_or_collect(tmp_path, no_sort_in_tail,
+@pytest.mark.parametrize("path", SESSIONS)
+def test_stages_2_4_run_without_sort_or_collect(path, tmp_path,
+                                                no_sort_in_tail,
                                                 add_alive_node):
     """With ``Dataset.sort`` raising and no driver collect allowed in
     stages 2–4, a fresh build, a resumed build and an incremental
-    rebuild with a deletion (tombstones) finish on a session reporting
-    two nodes, with the sort-based tail's outputs, globally sorted."""
+    rebuild with a deletion (tombstones) finish on a one-node and on a
+    two-node session, with the sort-based tail's outputs, globally
+    sorted."""
     from codetoneo4j_ray.pipelines.build_graph import build_graph
     from codetoneo4j_ray.pipelines.incremental import build_graph_incremental
     from codetoneo4j_ray.sources.synth import ensure_corpus
 
-    add_alive_node()
+    if path == "partitioned":
+        add_alive_node()
     v1, v2 = ensure_corpus(SF), _edited_corpus(tmp_path)
     full, incr = str(tmp_path / "full"), str(tmp_path / "incr")
     build_graph(v1, full, resume=False)
@@ -159,11 +167,12 @@ def test_empty_range_writes_no_file(tmp_path, monkeypatch):
     _assert_sorted(out)
 
 
-def test_build_without_csharp_files(tmp_path, add_alive_node):
+@pytest.mark.parametrize("path", SESSIONS)
+def test_build_without_csharp_files(path, tmp_path, add_alive_node):
     """A corpus with no C# files and zero mention rows (bare HTML and
     package.json files: file rows only, so no node either) builds on a
-    session reporting two nodes, and every output reads back — the
-    empty nodes output as one empty part with the nodes schema."""
+    one-node and on a two-node session, and every output reads back —
+    the empty nodes output as one empty part with the nodes schema."""
     import ray.data
 
     from codetoneo4j_ray.pipelines.build_graph import build_graph
@@ -178,7 +187,8 @@ def test_build_without_csharp_files(tmp_path, add_alive_node):
     pq.write_table(pa.Table.from_pylist(
         [dict(zip(CORPUS_SCHEMA.names, r)) for r in rows],
         schema=CORPUS_SCHEMA), p)
-    add_alive_node()
+    if path == "partitioned":
+        add_alive_node()
     out = str(tmp_path / "kg")
     m = build_graph(p, out, resume=False)
     assert not os.path.isdir(f"{out}/records/rec_type=mention")
@@ -287,13 +297,14 @@ def _records_digests(out: str) -> dict:
     return res
 
 
-def test_build_runs_no_ray_data_execution(tmp_path, monkeypatch,
+@pytest.mark.parametrize("path", SESSIONS)
+def test_build_runs_no_ray_data_execution(path, tmp_path, monkeypatch,
                                           add_alive_node):
     """With ``ray.data.read_parquet``, ``Dataset.materialize``,
     ``Dataset.write_parquet`` and every Ray Data execution raising, a
     fresh build, a resumed build and an incremental rebuild with a
-    deletion finish on a session reporting two nodes, with the Ray Data
-    stage 1's outputs and records checkpoint."""
+    deletion finish on a one-node and on a two-node session, with the
+    Ray Data stage 1's outputs and records checkpoint."""
     import ray.data
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor,
@@ -311,7 +322,8 @@ def test_build_runs_no_ray_data_execution(tmp_path, monkeypatch,
                       (ray.data.Dataset, "write_parquet"),
                       (StreamingExecutor, "execute")):
         monkeypatch.setattr(obj, name, no_ray_data)
-    add_alive_node()
+    if path == "partitioned":
+        add_alive_node()
     v1, v2 = ensure_corpus(SF), _edited_corpus(tmp_path)
     full, incr = str(tmp_path / "full"), str(tmp_path / "incr")
     build_graph(v1, full, resume=False)
