@@ -63,11 +63,12 @@ def scan_body(
     # trivia-free sub-parser passes an empty lead list; callers scanning
     # many members of one file pass a shared ``sub`` so the parser's
     # per-file value table is built once, not once per member
-    if sub is None:
-        sub = _Parser(code, {})
     # a parser built for another token list would silently scan the
     # wrong stream: only ``sub.i`` is reset per construct
-    assert sub.code is code, "scan_body: shared sub-parser built for other tokens"
+    assert sub is None or sub.code is code, (
+        "scan_body: shared sub-parser built for other tokens")
+    if sub is None:
+        sub = _Parser(code, {})
     i = start
     if i < end and code[i].value == "{":
         i += 1

@@ -145,34 +145,6 @@ def read_corpus_blocks(
     return Blocks(pieces, None, content_bytes)
 
 
-def read_parquet_sized(path: str, **kwargs) -> ray.data.Dataset:
-    """``read_parquet`` in ``blocks_for`` of the files' footer bytes
-    (:func:`parquet_bytes`) blocks. Ray's default read parallelism
-    splits a metadata-sized file into a dozen blocks, and every
-    downstream map runs one task per block."""
-    return ray.data.read_parquet(
-        path, override_num_blocks=blocks_for(parquet_bytes(path)), **kwargs
-    )
-
-
-def read_records(records_dir: str, rec_type: str | None = None) -> ray.data.Dataset:
-    """Read the (hive-partitioned by rec_type) records checkpoint, sized
-    from its footers (:func:`read_parquet_sized`).
-
-    ``rec_type=...`` reads only that partition's files — the row-group
-    pruning that lets the files/symbols stages skip the mention bulk.
-    A partition dir that was never written (e.g. a corpus producing zero
-    mentions) reads as a typed empty dataset, not a crash."""
-    if rec_type is None:
-        return read_parquet_sized(records_dir)
-    part_dir = f"{records_dir}/rec_type={rec_type}"
-    if not os.path.isdir(part_dir):
-        # partition-dir reads drop the hive column; match that shape
-        empty = pa.schema([f for f in RECORD_SCHEMA if f.name != "rec_type"])
-        return ray.data.from_arrow(empty.empty_table())
-    return read_parquet_sized(part_dir)
-
-
 def _as_records(fn, table: pa.Table) -> pa.Table:
     """A checkpoint table in ``RECORD_SCHEMA`` (schema column order and
     types), then ``fn`` when given."""

@@ -8,6 +8,7 @@ agree bit-exactly regardless of summation order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 
@@ -1042,6 +1043,28 @@ def embedding_quantize(sf_dir: str) -> ray.data.Dataset:
     )
 
 
+def _topk_rows(k: int, df: pd.DataFrame) -> pd.DataFrame:
+    """The ``k`` best rows of each query_id (highest sim_micro, then
+    lowest vec_id), ranked from 1."""
+    df = df.sort_values(["query_id", "sim_micro", "vec_id"],
+                        ascending=[True, False, True],
+                        kind="stable").groupby("query_id", sort=False).head(k)
+    return pd.DataFrame({
+        "query_id": df["query_id"].to_numpy(),
+        "rank": df.groupby("query_id", sort=False).cumcount().to_numpy() + 1,
+        "vec_id": df["vec_id"].to_numpy(),
+        "sim_micro": df["sim_micro"].to_numpy(),
+    })
+
+
+def _topk_per_query(scored: ray.data.Dataset, k: int) -> ray.data.Dataset:
+    """Per-query top-k merge of both ann ops: one raw-task hash exchange
+    on query_id, the top-k in one vectorized task per bucket."""
+    return bucketed_apply_tasks(
+        scored, ["query_id"], functools.partial(_topk_rows, k)
+    ).sort(["query_id", "rank"])
+
+
 def ann_topk(sf_dir: str, n_queries: int = 8, k: int = 10) -> ray.data.Dataset:
     """Brute-force cosine top-k against a broadcast query matrix.
 
@@ -1086,18 +1109,8 @@ def ann_topk(sf_dir: str, n_queries: int = 8, k: int = 10) -> ray.data.Dataset:
             }
         )
 
-    def topk(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(
-            ["sim_micro", "vec_id"], ascending=[False, True], kind="stable"
-        ).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "rank", "vec_id", "sim_micro"]]
-
     scored = _emb(sf_dir).map_batches(score, batch_format="pyarrow")
-    return scored.groupby("query_id").map_groups(topk, batch_format="pandas").sort(
-        ["query_id", "rank"]
-    )
+    return _topk_per_query(scored, k)
 
 
 # Below this row count the near-dup pair search runs EXACT (distributed
@@ -1272,7 +1285,7 @@ def ann_ivf(sf_dir: str, n_queries: int = 8, k: int = 10, n_cells: int = 16,
     sample (driver holds k×dim only); the inverted-file *scan* runs as
     map_batches — each batch assigns its vectors to cells and scores them
     against only the queries probing that cell set; per-query top-k
-    merges via groupby. Approximate — recall vs ann_topk in pytest."""
+    merges as in ann_topk. Approximate — recall vs ann_topk in pytest."""
     centers = _train_centroids(sf_dir, n_cells)
     q_ids, q = _query_vectors(sf_dir, n_queries)
     qn = q / np.linalg.norm(q, axis=1, keepdims=True)
@@ -1300,18 +1313,8 @@ def ann_ivf(sf_dir: str, n_queries: int = 8, k: int = 10, n_cells: int = 16,
             }
         )
 
-    def topk(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(
-            ["sim_micro", "vec_id"], ascending=[False, True], kind="stable"
-        ).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "rank", "vec_id", "sim_micro"]]
-
     scored = _emb(sf_dir).map_batches(scan, batch_format="pyarrow")
-    return scored.groupby("query_id").map_groups(topk, batch_format="pandas").sort(
-        ["query_id", "rank"]
-    )
+    return _topk_per_query(scored, k)
 
 
 def embedding_kmeans(sf_dir: str, k: int = 8, iters: int = 10) -> ray.data.Dataset:
@@ -2752,26 +2755,11 @@ def pricing_summary(sf_dir: str) -> ray.data.Dataset:
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "l_returnflag": [group["l_returnflag"].iloc[0]],
-                "l_linestatus": [group["l_linestatus"].iloc[0]],
-                "sum_qty": [group["sum_qty"].sum()],
-                "sum_base_price": [group["sum_base_price"].sum()],
-                "sum_disc_price": [group["sum_disc_price"].sum()],
-                "count_order": [group["count_order"].sum()],
-            }
-        )
-
-    return (
-        ray.data.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_returnflag", "l_linestatus", "l_quantity",
-                     "l_extendedprice", "l_discount"],
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .map_groups(merge, batch_format="pandas")
-        .sort(["l_returnflag", "l_linestatus"])
-    )
+    keys = ["l_returnflag", "l_linestatus"]
+    partials = ray.data.read_parquet(
+        f"{sf_dir}/lineitem.parquet",
+        columns=[*keys, "l_quantity", "l_extendedprice", "l_discount"],
+    ).map_batches(partial, batch_format="pyarrow")
+    return bucketed_apply_tasks(
+        partials, keys, lambda df: df.groupby(keys, as_index=False).sum()
+    ).sort(keys)

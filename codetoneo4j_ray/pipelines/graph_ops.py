@@ -58,6 +58,8 @@ lookup against those pieces:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -65,10 +67,11 @@ import ray.data
 
 from codetoneo4j_ray.stages.bucketing import (
     apply_store,
+    bucket_frame,
     build_bucket_store,
     bucketed_apply_tasks,
+    cached_view,
     hash_bucket_series,
-    process_cache,
     target_blocks,
 )
 
@@ -219,40 +222,23 @@ def assign_order_ids(nodes: ray.data.Dataset) -> ray.data.Dataset:
     )
 
 
-_SERIES_CACHE: dict[tuple, pd.Series] = {}
-# LRU-ish bound on the per-process key→val Series: one per
-# (store, bucket, direction), and a store has target_blocks() buckets
-# (≤256), so this holds a couple of stores' worth at full cluster size
-_SERIES_CACHE_MAX = 512
-
-
 class _LookupJoin:
     """Map-side id lookups against a pinned store: batch values are
     grouped by the bucket their key hashes to and mapped through that
     bucket's key→val Series (first row per key). The indexed Series is
-    built once per (store, bucket) per worker process — never per
-    batch — so the per-batch cost is pure hash + take. Integer keys
-    hash through _ibucket, strings through hash_bucket_series —
-    matching how each kind of store is tagged at build time."""
+    built once per bucket per worker process (:func:`cached_view`) —
+    never per batch — so the per-batch cost is pure hash + take.
+    Integer keys hash through _ibucket, strings through
+    hash_bucket_series — matching how each kind of store is tagged at
+    build time."""
 
-    def __init__(self, store, num_buckets: int):
+    def __init__(self, store):
         self._store = store
-        self._k = num_buckets
+        self._k = store.num_buckets
 
     def _bucket_series(self, k: int, key: str, val: str) -> pd.Series:
-        ck = (self._store.token, k, key, val)
-        s = _SERIES_CACHE.get(ck)
-        if s is None:
-            df = process_cache(self._store).bucket_df(k)
-            s = (
-                df.drop_duplicates(key).set_index(key)[val]
-                if not df.empty
-                else pd.Series(dtype=object)
-            )
-            while len(_SERIES_CACHE) >= _SERIES_CACHE_MAX:
-                _SERIES_CACHE.pop(next(iter(_SERIES_CACHE)))
-            _SERIES_CACHE[ck] = s
-        return s
+        return cached_view(self._store.pieces[k], ("series", key, val),
+                           functools.partial(_key_series, key, val))
 
     def _mapping(self, values: pd.Series, key: str, val: str) -> pd.Series:
         if pd.api.types.is_integer_dtype(values):
@@ -268,14 +254,22 @@ class _LookupJoin:
         return pd.Series(out, index=values.index)
 
 
+def _key_series(key: str, val: str, table: pa.Table | None) -> pd.Series:
+    """A bucket's ``key`` → ``val`` Series, first row per key."""
+    if table is None:
+        return pd.Series(dtype=object)
+    df = table.select([key, val]).to_pandas()
+    return df.drop_duplicates(key).set_index(key)[val]
+
+
 class _EncodeAdj(_LookupJoin):
     """(src, dst) strings → int64 nids, tagged map-side with the
     bucket of src's nid so the encoded adjacency splits on 8-byte keys
     straight into a BucketStore. ``extra`` names int64 columns (e.g.
     edge weights) copied through unchanged."""
 
-    def __init__(self, store, num_buckets: int, extra: tuple[str, ...] = ()):
-        super().__init__(store, num_buckets)
+    def __init__(self, store, extra: tuple[str, ...] = ()):
+        super().__init__(store)
         self._extra = extra
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
@@ -308,9 +302,9 @@ class _Decode(_LookupJoin):
     ``val`` exceeds ``max_val`` (unreached / over-budget labels) are
     dropped first."""
 
-    def __init__(self, store, num_buckets: int, val: str, out: str,
+    def __init__(self, store, val: str, out: str,
                  val_is_nid: bool = False, max_val: int | None = None):
-        super().__init__(store, num_buckets)
+        super().__init__(store)
         self._val = val
         self._out = out
         self._val_is_nid = val_is_nid
@@ -340,11 +334,11 @@ class _Decode(_LookupJoin):
         )
 
 
-def _decode(ds: ray.data.Dataset, rev_store, num_buckets: int, val: str,
+def _decode(ds: ray.data.Dataset, rev_store, val: str,
             out: str, **kw) -> ray.data.Dataset:
     """nid-keyed result rows → string-keyed output, sorted by node."""
     return ds.map_batches(
-        _Decode(rev_store, num_buckets, val, out, **kw),
+        _Decode(rev_store, val, out, **kw),
         batch_format="pandas",
         batch_size=None,
     ).sort("node")
@@ -456,7 +450,7 @@ def _encode_pairs(
         id_tables = _assign_ids(pairs, "src", "dst", num_buckets)
     ids, id_store, rev_store = id_tables
     enc = pairs.map_batches(
-        _EncodeAdj(id_store, num_buckets, extra=extra),
+        _EncodeAdj(id_store, extra=extra),
         batch_format="pandas",
         batch_size=None,
     )
@@ -490,7 +484,7 @@ def _rt_pr_step(lbl, num_buckets, adj_refs):
     empty = _route_empty(num_buckets)
     if lbl is None or lbl.num_rows == 0:
         return empty
-    adj = _cached_bucket_df(adj_refs)
+    adj = bucket_frame(adj_refs)
     if adj.empty:
         return empty
     df = lbl.to_pandas()
@@ -610,7 +604,7 @@ def pagerank_over(
             ]
         ranks = ray.data.from_arrow_refs(rank_refs)
 
-    return _decode(ranks, rev_store, num_buckets, "r", "rank_fp")
+    return _decode(ranks, rev_store, "r", "rank_fp")
 
 
 def pagerank_oracle_sql(
@@ -690,33 +684,12 @@ def kg_components(sf_dir: str, max_iters: int = CC_MAX_ITERS) -> ray.data.Datase
 # piece k and emits candidate partials routed by _ibucket(dst). Each
 # round is K step tasks (num_returns=K min-combined partials) + K
 # reduce tasks (num_returns=2: new labels + (changed, rows)); the driver
-# syncs only on K tiny int pairs per round. At cluster scale every object
-# stays in the object store and K scales with the cluster
-# (target_blocks), exactly like the BucketStore pieces.
+# syncs only on K tiny int pairs per round. Step tasks read their
+# adjacency piece through the worker bucket cache (bucketing.bucket_frame),
+# so a reused worker process fetches each piece once across all rounds.
+# At cluster scale every object stays in the object store and K scales
+# with the cluster (target_blocks), exactly like the BucketStore pieces.
 # ---------------------------------------------------------------------------
-
-_RT_TBL_CACHE: dict[str, pd.DataFrame] = {}
-_RT_TBL_CACHE_MAX = 192  # ~1-2 stores' worth of buckets per worker
-
-
-def _cached_bucket_df(refs) -> pd.DataFrame:
-    """Worker-process cache of a pinned bucket (list of ObjectRefs →
-    concatenated DataFrame), keyed by ref identity — the raw-task
-    analog of process_cache, so reused worker processes fetch each
-    adjacency bucket once across all rounds."""
-    key = refs[0].hex() if refs else ""
-    df = _RT_TBL_CACHE.get(key)
-    if df is None:
-        tabs = [t for t in ray.get(list(refs)) if t is not None]
-        df = (
-            pa.concat_tables(tabs).to_pandas()
-            if tabs
-            else pd.DataFrame()
-        )
-        while len(_RT_TBL_CACHE) >= _RT_TBL_CACHE_MAX:
-            _RT_TBL_CACHE.pop(next(iter(_RT_TBL_CACHE)))
-        _RT_TBL_CACHE[key] = df
-    return df
 
 
 def _empty_label_tbl() -> pa.Table:
@@ -773,7 +746,7 @@ def _rt_min_step(lbl, num_buckets, cutoff, weight_col, adj_refs):
         fr = fr[fr["lbl"] < cutoff]
     if fr.empty:
         return empty
-    adj = _cached_bucket_df(adj_refs)
+    adj = bucket_frame(adj_refs)
     if adj.empty:
         return empty
     m = adj.merge(fr[["node", "lbl"]], left_on="src", right_on="node")
@@ -1035,7 +1008,7 @@ def components_over(
     )
     labels = _components(adj, num_buckets, max_iters, "components",
                          "components_over")
-    return _decode(labels, rev_store, num_buckets, "lbl", "comp",
+    return _decode(labels, rev_store, "lbl", "comp",
                    val_is_nid=True)
 
 
@@ -1241,7 +1214,7 @@ def _root_distance_over(
         num_buckets, reduce_fn=_dedup,
     )
     labels = ids.map_batches(
-        _InitDist(roots_store, num_buckets),
+        _InitDist(roots_store),
         batch_format="pandas",
         batch_size=None,
     )
@@ -1259,8 +1232,8 @@ def _root_distance_over(
         op_name=op_name,
         raise_msg=raise_msg,
     )
-    return _decode(ray.data.from_arrow_refs(label_refs), rev_store,
-                   num_buckets, "lbl", out, max_val=budget)
+    return _decode(ray.data.from_arrow_refs(label_refs), rev_store, "lbl",
+                   out, max_val=budget)
 
 
 def bfs_depth_over(
@@ -1440,10 +1413,9 @@ class _BucketTriangles(_LookupJoin):
         wedges = o.merge(o.rename(columns={"a": "b"}), on="center")
         wedges = wedges[wedges["a"] < wedges["b"]]
         ka = _ibucket(wedges["a"], self._k)
-        cache = process_cache(self._store)
         hits = []
         for k in np.unique(ka):
-            e = cache.bucket_df(int(k))[["src", "dst"]]
+            e = bucket_frame(self._store.pieces[int(k)])[["src", "dst"]]
             m = wedges[ka == k].merge(
                 e.rename(columns={"src": "a", "dst": "b"}), on=["a", "b"]
             )
@@ -1492,7 +1464,7 @@ def triangles_over(
         reduce_fn=_dedup_deg,
         id_tables=id_tables,
     )
-    partials = apply_store(adj, _BucketTriangles(adj, num_buckets))
+    partials = apply_store(adj, _BucketTriangles(adj))
 
     def topk(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(
@@ -1510,7 +1482,7 @@ def triangles_over(
         merge_counts,
     )
     winners = bucketed_apply_tasks(counts, [], topk)
-    return _decode(winners, rev_store, num_buckets, "n_tri", "n_tri")
+    return _decode(winners, rev_store, "n_tri", "n_tri")
 
 
 def triangles_oracle_sql(edges_cte: str, k: int = TRIANGLE_TOPK_K) -> str:

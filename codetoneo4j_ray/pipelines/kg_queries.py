@@ -28,11 +28,7 @@ import ray.data
 
 from codetoneo4j_ray.extractors.csharp.extractor import BASE_PRED, MEMBER_PRED
 from codetoneo4j_ray.functions.tags import parse_namespace_tags
-from codetoneo4j_ray.pipelines.build_graph import (
-    build_graph,
-    read_records,
-    read_records_blocks,
-)
+from codetoneo4j_ray.pipelines.build_graph import build_graph, read_records_blocks
 from codetoneo4j_ray.sources.synth import (
     corpus_dir_for_sf,
     ensure_corpus,
@@ -78,6 +74,10 @@ def _write_resolved(block: pa.Table, store, path: str) -> None:
     pq.write_table(resolved.select(_RESOLVED_SCHEMA.names), path)
 
 
+def _distinct_namespaces(table: pa.Table) -> pa.Table:
+    return pa.table({"namespace": pc.unique(pc.drop_null(table["namespace"]))})
+
+
 def ensure_kg(sf_dir: str) -> dict[str, str]:
     """Generate the corpus and build its graph once per scale factor.
 
@@ -108,20 +108,13 @@ def ensure_kg(sf_dir: str) -> dict[str, str]:
                        f"{paths['mentions']}/part-00000.parquet")
 
     # namespace → tag side table so the oracle can join instead of
-    # reimplementing the PascalCase splitter in SQL. Dedup is distributed
-    # (per-batch Arrow unique, then Ray's aggregate-based ``unique``) so
-    # the driver only ever receives the distinct namespace set — never a
-    # corpus-sized column.
-    def _ns_batch_distinct(batch: pa.Table) -> pa.Table:
-        col = pc.drop_null(batch.column("namespace").combine_chunks()).unique()
-        return pa.table({"namespace": col})
-
-    distinct_ns = (
-        read_records(paths["records"], "symbol")
-        .select_columns(["namespace"])
-        .map_batches(_ns_batch_distinct, batch_format="pyarrow")
-        .unique("namespace")
-    )
+    # reimplementing the PascalCase splitter in SQL. Each read task
+    # keeps only its block's distinct namespaces, so the driver only
+    # ever receives metadata-sized tables — never a corpus-sized column.
+    found = read_records_blocks(paths["records"], "symbol",
+                                fn=_distinct_namespaces).table()
+    distinct_ns = (set(found["namespace"].to_pylist()) if found is not None
+                   else ())
     ns_col, tag_col = [], []
     for ns in sorted(n for n in distinct_ns if n is not None and n.strip()):
         for tag in parse_namespace_tags(ns):

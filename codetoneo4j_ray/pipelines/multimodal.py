@@ -1,13 +1,14 @@
 """Multimodal column plumbing (decode stubbed — no image/audio libs here).
 
 Pattern for 100 TB media pipelines: opaque ``binary`` payload column +
-typed metadata, small batches (payload × batch_size × concurrency must
-fit the worker heap), decode/feature stages as actor pools. The real
-decoder would live in ``MediaDecode.__init__`` (model/codec load, once
-per actor); this container has no imaging libraries, so ``decode`` is a
-deterministic fake over the payload bytes — the Ray-side plumbing
-(schema, actor signature, batch sizing, output layout) is real and
-tested.
+typed metadata, small batches (payload × batch_size × concurrent tasks
+must fit the worker heap), decode/feature stages as plain batch
+functions that run in Ray Data's task pool. A real codec would load
+once per worker process (behind ``functools.cache``) where
+:func:`media_decode` calls ``_fake_decode``; this container has no
+imaging libraries, so the decode is a deterministic fake over the
+payload bytes — the Ray-side plumbing (schema, batch sizing, output
+layout) is real and tested.
 """
 
 from __future__ import annotations
@@ -38,26 +39,17 @@ def _fake_decode(payload: bytes) -> dict:
     }
 
 
-class MediaDecode:
-    """Actor-pool decode stage: __init__ once per actor (codec load site),
-    __call__ per small batch of binary payloads."""
-
-    def __init__(self):
-        self.decoder = _fake_decode  # real codec handle would load here
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["media_id"].to_pylist()
-        payloads = batch["payload"].to_pylist()
-        metas = [self.decoder(p) for p in payloads]
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.int64()),
-                "n_bytes": pa.array([m["n_bytes"] for m in metas], pa.int64()),
-                "width": pa.array([m["width"] for m in metas], pa.int64()),
-                "height": pa.array([m["height"] for m in metas], pa.int64()),
-                "n_frames": pa.array([m["n_frames"] for m in metas], pa.int64()),
-            }
-        )
+def media_decode(batch: pa.Table) -> pa.Table:
+    """Decode stage: one call per small batch of binary payloads →
+    typed metadata."""
+    metas = [_fake_decode(p) for p in batch["payload"].to_pylist()]
+    return pa.table(
+        {
+            "media_id": batch["media_id"].cast(pa.int64()),
+            **{c: pa.array([m[c] for m in metas], pa.int64())
+               for c in ("n_bytes", "width", "height", "n_frames")},
+        }
+    )
 
 
 def media_from_documents(sf_dir: str) -> ray.data.Dataset:
@@ -80,42 +72,30 @@ def media_from_documents(sf_dir: str) -> ray.data.Dataset:
     ).map_batches(wrap, batch_format="pyarrow")
 
 
-def _decode_pool_size() -> tuple[int, int]:
-    """Actor-pool bounds derived from cluster CPUs — a fixed (1, 4) pool
-    starves a 32-CPU node; at cluster scale the pool tracks node count."""
-    import ray
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:  # noqa: BLE001
-        cpus = 4
-    return (1, max(2, cpus))
-
-
 def _decoded(sf_dir: str) -> ray.data.Dataset:
-    """documents → binary payloads → actor-pool decode (shared by every
-    media query so batch sizing / pool bounds live in one place).
+    """documents → binary payloads → decode (shared by every media query
+    so batch sizing lives in one place).
 
     batch_size kept small: with real media each row is MBs and a batch ×
-    pool must fit in the worker heap."""
+    concurrent tasks must fit in the worker heap."""
     return media_from_documents(sf_dir).map_batches(
-        MediaDecode, batch_format="pyarrow", batch_size=64,
-        concurrency=_decode_pool_size(),
+        media_decode, batch_format="pyarrow", batch_size=64
     )
 
 
 def media_decode_meta(sf_dir: str) -> ray.data.Dataset:
-    """documents → binary payloads → actor-pool decode → typed metadata."""
+    """documents → binary payloads → decode → typed metadata."""
     return _decoded(sf_dir).sort("media_id")
+
 
 def media_frame_sample(sf_dir: str, stride: int = 2) -> ray.data.Dataset:
     """Decode → frame-sample expansion: every ``stride``-th frame index
     becomes its own row with a deterministic per-frame feature digest
     (the real pipeline would emit a decoded frame tensor / embedding
     here). The expansion is the flat-map shape of video pipelines: row
-    counts grow by the sample factor, so it runs AFTER the actor-pool
-    decode and before any shuffle, letting the streaming executor
-    pipeline the fan-out."""
+    counts grow by the sample factor, so it runs AFTER the decode and
+    before any shuffle, letting the streaming executor pipeline the
+    fan-out."""
     import hashlib
 
     def sample(batch: pa.Table) -> pa.Table:

@@ -1,7 +1,8 @@
-"""Bucketed group-apply: the scalable alternative to per-key map_groups.
+"""Bucketed group-apply: the scalable alternative to a per-key group map.
 
-``groupby(key).map_groups(fn)`` invokes Python once per group — with
-millions of distinct keys that is pure interpreter overhead. Instead we
+Ray Data's ``groupby(key)`` group map invokes Python once per group —
+with millions of distinct keys that is pure interpreter overhead, on
+top of a sort-based exchange. Instead we
 hash keys into a bounded number of buckets, split every input block
 into per-bucket object-store pieces with raw tasks (one wave), then run
 a *vectorized* pandas function once per bucket in one task per bucket;
@@ -28,12 +29,19 @@ The build path runs no Ray Data execution at all: its stages hold
 rows and in-memory bytes), read parquet with raw tasks over
 :class:`ParquetSlice` specs (:func:`read_blocks`), and feed the same
 split/apply primitive with them, which then returns :class:`Blocks`.
+
+Consumers that read a pinned bucket more than once (index lookups,
+iterative graph ops) go through one worker-process cache,
+:func:`cached_view`, keyed by the bucket's pinned objects and bounded by
+the Arrow bytes it was built from.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -442,7 +450,7 @@ def hash_bucket_series(s: pd.Series, num_buckets: int) -> np.ndarray:
 # Pinned bucket store: the partitioned-broadcast side of iterative and
 # lookup joins. The big side is hashed into per-bucket object-store
 # pieces ONCE; consumers (raw tasks and map_batches callables) fetch
-# only the buckets they touch and keep them in a per-process cache.
+# only the buckets they touch and keep them in the worker cache below.
 # This is what lets PageRank move the edge list a single time instead
 # of once per iteration, and lets wedge-closing in triangle counting
 # avoid shuffling the wedge stream.
@@ -512,15 +520,13 @@ class BucketStore:
 
     ``pieces[k]`` is the list of ObjectRefs whose concatenation is the
     full content of bucket k (minus the __bucket column). Serializable —
-    ship it inside map_batches callables; consumers go through
-    :func:`process_cache` so the fetched buckets survive across stages
-    in each reused worker process."""
+    ship it inside tasks and map_batches callables; consumers read
+    buckets through :func:`cached_view`, so a fetched bucket survives
+    across the tasks and stages each reused worker process runs."""
 
     def __init__(self, pieces: list[list], num_buckets: int):
         self.pieces = pieces
         self.num_buckets = num_buckets
-        first = next((p[0] for p in pieces if p), None)
-        self.token = f"{first.hex() if first is not None else ''}:{num_buckets}"
 
 
 def build_bucket_store(
@@ -626,46 +632,23 @@ def blob_frame(key: str, objs: dict) -> pd.DataFrame:
 def load_blobs(store: BucketStore, key: str, values) -> dict:
     """{value: unpickled blob} of the :func:`blob_frame` rows of
     ``store`` whose ``key`` is in ``values``, fetching only the buckets
-    those values hash to (:func:`blob_bucket`)."""
+    those values hash to, each unpickled once per worker process
+    (:func:`cached_view`)."""
     values = pd.Series(sorted(set(values)), dtype=object)
     ids = hash_bucket_series(values, store.num_buckets)
     out: dict = {}
     for k in np.unique(ids):
-        blobs = blob_bucket(store, key, int(k))
+        blobs = cached_view(store.pieces[int(k)], ("blobs", key),
+                            functools.partial(_unpickle_blobs, key))
         out.update((v, blobs[v]) for v in values[ids == k] if v in blobs)
     return out
 
 
-# Worker-process cache of unpickled blob buckets for the most recent
-# stores (a build's type-index and link-index stores), keyed within a
-# store by the bucket's pinned objects: the tasks of a stage that a
-# reused worker runs fetch and unpickle each object once, also when it
-# pins several buckets (keyed_store). Older stores' entries are
-# dropped, so a worker does not carry earlier builds' indices in its
-# heap, and no ObjectRef is held, so a store nobody else holds is freed
-# in the object store.
-_BLOB_STORES: dict = {}
-_MAX_BLOB_STORES = 2
-
-
-def blob_bucket(store: BucketStore, key: str, k: int) -> dict:
-    """Bucket ``k`` of a :func:`blob_frame` store as {key: unpickled
-    blob}, from this process's cache or fetched once."""
-    buckets = _BLOB_STORES.pop(store.token, None)
-    if buckets is None:
-        buckets = {}
-        while len(_BLOB_STORES) >= _MAX_BLOB_STORES:
-            _BLOB_STORES.pop(next(iter(_BLOB_STORES)))
-    _BLOB_STORES[store.token] = buckets  # re-insert = LRU refresh
-    pinned = tuple(r.hex() for r in store.pieces[k])
-    hit = buckets.get(pinned)
-    if hit is None:
-        hit = buckets[pinned] = {}
-        for t in ray.get(store.pieces[k]):
-            if t is not None:
-                hit.update(zip(t[key].to_pylist(),
-                               map(pickle.loads, t["blob"].to_pylist())))
-    return hit
+def _unpickle_blobs(key: str, table: pa.Table | None) -> dict:
+    if table is None:
+        return {}
+    return dict(zip(table[key].to_pylist(),
+                    map(pickle.loads, table["blob"].to_pylist())))
 
 
 def apply_store(store: BucketStore, fn,
@@ -684,49 +667,59 @@ def apply_store(store: BucketStore, fn,
     return ray.data.from_arrow_refs(done.refs)
 
 
-class BucketCache:
-    """LRU over BucketStore buckets (as pandas frames), one per store in
-    each worker process (see :func:`process_cache`). The cap bounds the
-    worker's heap: a re-fetch after eviction hits the local object
-    store, not a recompute."""
+# ---------------------------------------------------------------------------
+# The worker-process bucket cache. Ray reuses worker processes across the
+# tasks and stages of a session, so each process keeps the views it built
+# of pinned buckets (a pandas frame, unpickled blobs, a key → value
+# Series), keyed by the hex ids of the bucket's pinned objects and the
+# view's name: an iterative op's rounds and a build stage's tasks fetch
+# and build each view once per process. It holds no ObjectRef or store
+# handle, so a store nobody else holds is freed in the object store, and
+# it drops least-recently-used views once the Arrow bytes they were
+# built from pass :func:`cache_bound`.
+# ---------------------------------------------------------------------------
 
-    def __init__(self, store: BucketStore, cap: int = 16):
-        self._store = store
-        self._cap = cap
-        self._cache: dict[int, pd.DataFrame] = {}
-
-    def bucket_df(self, k: int) -> pd.DataFrame:
-        hit = self._cache.pop(k, None)
-        if hit is not None:
-            self._cache[k] = hit  # refresh LRU position
-            return hit
-        tables = [t for t in ray.get(self._store.pieces[k]) if t is not None]
-        if tables:
-            df = pa.concat_tables(tables).to_pandas()
-        else:
-            df = pd.DataFrame()
-        if len(self._cache) >= self._cap:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[k] = df
-        return df
+# (pinned object ids, view name) → (view, Arrow bytes it was built from)
+_VIEWS: OrderedDict = OrderedDict()
 
 
-_PROCESS_BUCKET_CACHES: dict[str, BucketCache] = {}
-_MAX_PROCESS_STORES = 4
+@functools.cache
+def cache_bound() -> int:
+    """Arrow bytes whose views one worker process keeps: a quarter of
+    the ``memory`` Ray reports per CPU, since a view (pandas columns,
+    Python objects) outweighs the Arrow bytes it was built from. Asked
+    once per process: each ask is a round trip to Ray's control
+    store."""
+    res = ray.cluster_resources()
+    return int(res.get("memory", 0) / max(res.get("CPU", 1), 1)) // 4
 
 
-def process_cache(store: BucketStore, cap: int = 16) -> BucketCache:
-    """Worker-process-level BucketCache, keyed by the store's identity.
-    Ray reuses worker processes across the stages of a session, so an
-    iterative pipeline's later stages hit buckets already fetched by
-    earlier ones — without paying actor-pool startup per stage. Only
-    the most recent _MAX_PROCESS_STORES stores stay cached: a session
-    running many queries would otherwise accumulate every query's
-    pinned tables in every worker's heap."""
-    c = _PROCESS_BUCKET_CACHES.pop(store.token, None)
-    if c is None:
-        c = BucketCache(store, cap)
-        while len(_PROCESS_BUCKET_CACHES) >= _MAX_PROCESS_STORES:
-            _PROCESS_BUCKET_CACHES.pop(next(iter(_PROCESS_BUCKET_CACHES)))
-    _PROCESS_BUCKET_CACHES[store.token] = c  # re-insert = LRU refresh
-    return c
+def cached_view(refs: list, view, build):
+    """``build(table)`` for the bucket pinned as ``refs`` (``table`` is
+    their Arrow concatenation, None when every piece is empty), from
+    this process's cache or built once and kept under ``view``, the
+    name of what ``build`` makes. A view larger than the bound is
+    returned but not kept."""
+    key = (tuple(r.hex() for r in refs), view)
+    hit = _VIEWS.get(key)
+    if hit is not None:
+        _VIEWS.move_to_end(key)
+        return hit[0]
+    tabs = [t for t in ray.get(list(refs)) if t is not None]
+    table = pa.concat_tables(tabs, promote_options="permissive") if tabs else None
+    value = build(table)
+    _VIEWS[key] = (value, table.nbytes if table is not None else 0)
+    held, bound = sum(n for _, n in _VIEWS.values()), cache_bound()
+    while held > bound:
+        held -= _VIEWS.popitem(last=False)[1][1]
+    return value
+
+
+def bucket_frame(refs: list) -> pd.DataFrame:
+    """The bucket pinned as ``refs`` as one pandas frame (empty, with no
+    columns, when it holds no rows), through the worker cache."""
+    return cached_view(refs, "frame", _to_frame)
+
+
+def _to_frame(table: pa.Table | None) -> pd.DataFrame:
+    return table.to_pandas() if table is not None else pd.DataFrame()

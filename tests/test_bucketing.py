@@ -19,9 +19,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from codetoneo4j_ray.stages import bucketing
 from codetoneo4j_ray.stages.bucketing import (
-    BucketCache,
     add_bucket_column,
+    bucket_frame,
     bucketed_apply,
     build_bucket_store,
     hash_bucket_series,
@@ -104,10 +105,9 @@ def test_bucket_store_round_trip_partitions_exactly(ray_session):
     )
     ds = ray.data.from_pandas([df.iloc[i::3].reset_index(drop=True) for i in range(3)])
     store = build_bucket_store(ds, ["key"], K)
-    cache = BucketCache(store)
     seen = []
     for k in range(K):
-        part = cache.bucket_df(k)
+        part = bucket_frame(store.pieces[k])
         if part.empty:
             continue
         # bucket k holds exactly the rows whose key hashes to k
@@ -122,19 +122,108 @@ def test_bucket_store_round_trip_partitions_exactly(ray_session):
     pd.testing.assert_frame_equal(got[["key", "val"]], exp)
 
 
-def test_bucket_cache_eviction_refetches_consistently(ray_session):
+def test_bucket_cache_eviction_refetches_consistently(ray_session,
+                                                    monkeypatch):
+    import ray
     import ray.data
 
     df = pd.DataFrame({"key": [f"x{i}" for i in range(64)], "v": 1})
     store = build_bucket_store(ray.data.from_pandas([df]), ["key"], K)
-    cache = BucketCache(store, cap=2)
-    first = {k: cache.bucket_df(k).copy() for k in range(K)}
-    # everything but the last two got evicted; refetch must agree
-    again = {k: cache.bucket_df(k) for k in range(K)}
+    # a bound of about two buckets' bytes
+    biggest = max(t.nbytes for p in store.pieces for t in ray.get(p)
+                  if t is not None)
+    monkeypatch.setattr(bucketing, "cache_bound", lambda: 2 * biggest)
+    first = {k: bucket_frame(store.pieces[k]).copy() for k in range(K)}
+    # everything but the last few got evicted; refetch must agree
+    again = {k: bucket_frame(store.pieces[k]) for k in range(K)}
     for k in range(K):
         pd.testing.assert_frame_equal(
             first[k].reset_index(drop=True), again[k].reset_index(drop=True)
         )
+
+
+def _held_bytes() -> int:
+    return sum(n for _, n in bucketing._VIEWS.values())
+
+
+def test_bucket_cache_holds_at_most_its_bound(ray_session, monkeypatch):
+    """Loading more buckets than fit keeps the cache's held bytes at or
+    under its bound, and a bucket read again after its eviction holds
+    the same rows."""
+    import ray
+    import ray.data
+
+    df = pd.DataFrame({"key": [f"y{i}" for i in range(400)],
+                       "v": np.arange(400, dtype="int64")})
+    store = build_bucket_store(ray.data.from_pandas([df]), ["key"], K)
+    sizes = [sum(t.nbytes for t in ray.get(p) if t is not None)
+             for p in store.pieces]
+    bound = sum(sizes) // 3
+    monkeypatch.setattr(bucketing, "cache_bound", lambda: bound)
+    first = {}
+    for k in range(K):
+        first[k] = bucket_frame(store.pieces[k]).copy()
+        assert _held_bytes() <= bound
+    cached = [key for key in bucketing._VIEWS
+              if key[0] in {tuple(r.hex() for r in p) for p in store.pieces}]
+    assert 0 < len(cached) < K
+    for k in range(K):
+        pd.testing.assert_frame_equal(bucket_frame(store.pieces[k]), first[k])
+        assert _held_bytes() <= bound
+    assert sum(len(f) for f in first.values()) == 400
+
+
+def test_bucket_cache_holds_no_object_refs(ray_session):
+    """The cache keeps the views it built (frames, unpickled blobs,
+    key → value Series), never the ObjectRefs or store handles they
+    were fetched through, so a store nobody else holds is freed."""
+    import gc
+    import weakref
+
+    import ray
+    import ray.data
+
+    from codetoneo4j_ray.pipelines.graph_ops import _LookupJoin
+    from codetoneo4j_ray.stages.bucketing import (
+        BucketStore,
+        blob_frame,
+        load_blobs,
+    )
+
+    df = pd.DataFrame({"repo": [f"r{i}" for i in range(40)],
+                       "val": np.arange(40, dtype="int64")})
+    blobs = build_bucket_store(
+        ray.data.from_pandas([df]), ["repo"], 4,
+        reduce_fn=lambda d: blob_frame(
+            "repo", {r: {"v": int(v)} for r, v in zip(d["repo"], d["val"])}))
+    frames = build_bucket_store(ray.data.from_pandas([df]), ["repo"], 4)
+    assert load_blobs(blobs, "repo", ["r1", "r7"]) == {
+        "r1": {"v": 1}, "r7": {"v": 7}}
+    for k in range(4):
+        bucket_frame(frames.pieces[k])
+        _LookupJoin(frames)._bucket_series(k, "repo", "val")
+    assert len(bucketing._VIEWS) >= 6
+
+    def walk(obj):
+        yield obj
+        if isinstance(obj, dict):
+            for kv in obj.items():
+                yield from walk(kv)
+        elif isinstance(obj, (tuple, list)):
+            for x in obj:
+                yield from walk(x)
+        elif isinstance(obj, pd.DataFrame):
+            for c in obj:
+                yield from walk(list(obj[c]))
+        elif isinstance(obj, pd.Series):
+            yield from walk(list(obj.index) + list(obj))
+
+    held = list(walk(list(bucketing._VIEWS.items())))
+    assert not [o for o in held if isinstance(o, (ray.ObjectRef, BucketStore))]
+    gone = [weakref.ref(blobs), weakref.ref(frames)]
+    del blobs, frames
+    gc.collect()
+    assert all(r() is None for r in gone)
 
 
 def test_assign_order_ids_dense_and_order_preserving(ray_session):
@@ -174,15 +263,13 @@ def test_bucket_store_consolidates_multi_block_input(ray_session):
     import ray
     import ray.data
 
-    from codetoneo4j_ray.stages.bucketing import BucketCache, build_bucket_store
-
     ds = ray.data.from_pandas(
         [pd.DataFrame({"key": [f"k{i}-{b}" for i in range(50)]}) for b in range(6)]
     )
     store = build_bucket_store(ds, ["key"], K)
     assert all(len(p) == 1 for p in store.pieces)
     # content unchanged by consolidation: every input row in exactly one bucket
-    total = sum(len(BucketCache(store).bucket_df(k)) for k in range(K))
+    total = sum(len(bucket_frame(store.pieces[k])) for k in range(K))
     assert total == 300
 
 

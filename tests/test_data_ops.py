@@ -357,6 +357,88 @@ def test_media_decode_stub():
     assert (df.n_frames == df.n_bytes % 16).all()
 
 
+_ONE_CPU_MEDIA = """
+import ray
+from ray.data import DataContext
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", object_store_memory=256 * 1024**2)
+DataContext.get_current().enable_progress_bars = False
+try:
+    from codetoneo4j_ray.pipelines.multimodal import (
+        media_decode_meta,
+        media_frame_sample,
+    )
+
+    print(media_decode_meta({sf!r}).count(),
+          media_frame_sample({sf!r}).count())
+finally:
+    ray.shutdown()
+"""
+
+
+def test_media_decode_runs_on_one_cpu_session():
+    """The decode stage needs no CPU of its own beyond the tasks it
+    runs: both media queries finish on a one-CPU Ray session."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (root, os.environ.get("PYTHONPATH")) if p)}
+    env.pop("RAY_ADDRESS", None)
+    # its own process group, so a hung session's Ray processes are
+    # killed with it
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_MEDIA.format(sf=SF)], cwd=root,
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=150)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    assert proc.returncode == 0, err[-2000:]
+    n_meta, n_frames = map(int, out.split()[-2:])
+    assert n_meta == 500 and n_frames > 0
+
+
+def test_ann_and_pricing_run_without_sort_based_exchange(monkeypatch):
+    """ann_topk, ann_ivf and pricing_summary run on the raw-task
+    exchange alone: with ray.data.Dataset.groupby made to raise,
+    ann_topk and pricing_summary match their DuckDB oracles and ann_ivf
+    (approximate, no strict oracle) its own unpatched output."""
+    import duckdb
+    import pandas as pd
+    import ray.data
+
+    import __ray_entry__ as entry
+    from codetoneo4j_ray.pipelines import data_ops
+
+    ivf = data_ops.ann_ivf(SF).to_pandas()
+
+    def no_groupby(*_a, **_k):
+        raise AssertionError("sort-based groupby exchange used")
+
+    monkeypatch.setattr(ray.data.Dataset, "groupby", no_groupby)
+    pd.testing.assert_frame_equal(data_ops.ann_ivf(SF).to_pandas(), ivf)
+    con = duckdb.connect()
+    for t in ("embeddings", "lineitem"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"read_parquet('{SF}/{t}.parquet')")
+    oracles = entry.oracle_sql()
+    for name in ("ann_topk", "pricing_summary"):
+        got = getattr(data_ops, name)(SF).to_pandas()
+        want = con.execute(oracles[name]).fetchdf()
+        assert len(got) > 0, name
+        assert list(got.columns) == list(want.columns), name
+        assert got.astype(str).equals(want.astype(str)), name
+
+
 def test_events_sessionize_gap_semantics(tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq

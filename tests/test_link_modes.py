@@ -413,19 +413,19 @@ def test_tasks_load_only_their_repos_buckets(tmp_path, monkeypatch):
     assert all(len(r) == 1 for r in _block_repos(corpus))
     assert len(corpus.refs) > len(_REPOS)
 
-    fetched: list[tuple[str, int]] = []
-    real = bucketing.blob_bucket
+    fetched: list[tuple[str, ...]] = []
+    real = bucketing.cached_view
 
-    def blob_bucket(store, key, k):
-        fetched.append((store.token, k))
-        return real(store, key, k)
+    def cached_view(refs, view, build):
+        fetched.append(tuple(r.hex() for r in refs))
+        return real(refs, view, build)
 
-    monkeypatch.setattr(bucketing, "blob_bucket", blob_bucket)
+    monkeypatch.setattr(bucketing, "cached_view", cached_view)
 
     def own_bucket(repo: str, store) -> set:
         k = bucketing.hash_bucket_series(pd.Series([repo], dtype=object),
                                          store.num_buckets)[0]
-        return {(store.token, int(k))}
+        return {tuple(r.hex() for r in store.pieces[int(k)])}
 
     type_store, _ = build_type_index(corpus)
     assert type_store.num_buckets == 8
