@@ -19,7 +19,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from codetoneo4j_ray.stages.bucketing import bucketed_apply_tasks
+from codetoneo4j_ray.stages.bucketing import Blocks, bucketed_apply_tasks
 from codetoneo4j_ray.stages.link import _cached_get
 
 
@@ -517,6 +517,11 @@ def minhash_oracle_sql(jaccard_threshold: float = 0.8) -> str:
     """
 
 
+@ray.remote
+def _as_clusters(comp: pa.Table) -> pa.Table:
+    return comp.rename_columns(["doc_id", "cluster_rep"])
+
+
 def dup_clusters(
     sf_dir: str, jaccard_threshold: float = 0.8, max_iters: int = 50
 ) -> ray.data.Dataset:
@@ -524,40 +529,24 @@ def dup_clusters(
     canonical dedup post-step (pick ONE representative per transitive
     duplicate cluster, not per pair). Returns (doc_id, cluster_rep) for
     every doc that appears in at least one near-dup pair, where
-    cluster_rep = min doc_id of its component.
+    cluster_rep = min doc_id of its component, sorted by doc_id.
 
-    Runs on graph_ops' pinned-BucketStore label loop
-    (components_over_int): the symmetric pair adjacency is exchanged
-    ONCE and pinned (int64 doc ids ride directly — no string-id encode),
-    then each min-label round is one raw task per bucket exchanging only
-    8-byte (node, label) rows, with pointer-jumping at checkpoints, until
-    the frontier empties. Per-round traffic is bounded by the pair graph,
-    never the corpus; convergence is exact (raise past max_iters rather
-    than returning partial labels — the oracle is a true transitive
-    closure)."""
-    from codetoneo4j_ray.pipelines.graph_ops import components_over_int
+    Runs graph_ops' ``components_over`` on the int64 (doc_a, doc_b)
+    pairs: the doc ids are keys like any other (numeric MIN, numeric
+    order), the symmetric pair adjacency is exchanged ONCE and pinned,
+    then each min-label round is one raw task per id range exchanging
+    only 8-byte (node, label) rows, with pointer-jumping at
+    checkpoints, until the frontier empties. Per-round traffic is
+    bounded by the pair graph, never the corpus; convergence is exact
+    (raise past max_iters rather than returning partial labels — the
+    oracle is a true transitive closure)."""
+    from codetoneo4j_ray.pipelines.graph_ops import components_over
 
-    pairs = doc_dedup_minhash(sf_dir, jaccard_threshold).materialize()
-    if pairs.count() == 0:
-        return pairs  # empty: driver tolerates schemaless empty results
-
-    comp = components_over_int(
-        pairs,
-        max_iters=max_iters,
-        src="doc_a",
-        dst="doc_b",
-        op_name="dup_clusters",
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": pc.cast(batch["node"], pa.int64()),
-                "cluster_rep": pc.cast(batch["comp"], pa.int64()),
-            }
-        )
-
-    return comp.map_batches(finish, batch_format="pyarrow").sort("doc_id")
+    pairs = Blocks.of_dataset(doc_dedup_minhash(sf_dir, jaccard_threshold)
+                              .rename_columns({"doc_a": "subj",
+                                               "doc_b": "obj"}))
+    comp = components_over(pairs, max_iters=max_iters)
+    return Blocks([_as_clusters.remote(r) for r in comp.refs]).dataset()
 
 
 def dup_clusters_oracle_sql(jaccard_threshold: float = 0.8) -> str:

@@ -33,46 +33,77 @@ Strict-oracle design notes:
   enumerates triangles independently with a key-ordered 3-way
   self-join; the per-node counts must agree exactly.
 
-Scale plan (the part that matters at 100 TB): all five ops first map
-node keys to dense ORDER-PRESERVING int64 ids (assign_order_ids), so
-every edge-sized exchange and every per-iteration exchange carries
-8-byte integers instead of repeated long symbol strings
-(``repo:Namespace.Type.Method(params)``). The int-encoded edge list
-crosses exactly one exchange — the split into a pinned per-bucket
-BucketStore (stages/bucketing), deduped (and degree-attached where an
-op needs it) by the one task per bucket that consolidates the store —
-and every repeated or data-amplifying join becomes a bucket-local
-lookup against those pieces:
+Scale plan (the part that matters at 100 TB): all five ops run on one
+encoded graph (:func:`encode_graph`), built and iterated by raw Ray
+tasks with no Ray Data execution:
+
+* Node keys become dense ORDER-PRESERVING int64 ids through the
+  sample → bounds → split exchange of the build's graph tail
+  (``canonicalize.key_sample`` / ``range_bounds`` / ``range_ids``):
+  each key range sorts its distinct endpoints, so a key's id is its
+  range's offset plus its position, the offsets a prefix over the
+  ranges' counts. No global sort, and integer MIN or order over ids
+  is key MIN or order (code-point order for strings, as in DuckDB's
+  ORDER BY), so every edge-sized and per-iteration exchange carries
+  8-byte integers instead of repeated long symbol strings
+  (``repo:Namespace.Type.Method(params)``).
+* The edges cross one exchange, encoded map-side into (src, dst, pred
+  code) rows split by the range of src and pinned, distinct, one
+  object per range: the directed adjacency. Its symmetric view
+  (components, triangles) is derived from it by one more int-only
+  exchange; per-op views (out-degrees, weights, roots) are derived
+  inside the bucket tasks through the worker cache
+  (``bucketing.cached_view``).
+* The range is the bucket of everything after: range k's labels are
+  the ids in [offset[k], offset[k+1]), a row routes to
+  ``searchsorted(offsets, id)``, each range decodes its own rows, and
+  the decoded ranges concatenated in order are sorted by node.
+* The range count is ``blocks_for(adjacency bytes)``: a graph that
+  fits one block runs in one range on any cluster.
+
+On that substrate:
 
 * PageRank's ``iters`` steps shuffle only node-sized rank rows plus
-  map-side-combined contribution partials between per-bucket tasks.
+  map-side-combined contribution partials between per-range tasks.
 * Components/BFS/SSSP propagate int64 labels against the pinned
   adjacency with frontier (delta) filtering; pointer-jumping turns
   path-shaped component convergence from O(diameter) into O(log n)
   rounds.
 * Triangle counting orients, generates and closes wedges inside one
-  task per bucket of the pinned symmetric adjacency, so the wedge
-  stream — the largest intermediate in any triangle plan, O(m^1.5)
-  rows — never enters an exchange; only per-node counts do.
+  task per range of the symmetric adjacency, so the wedge stream —
+  the largest intermediate in any triangle plan, O(m^1.5) rows —
+  never enters an exchange; only per-node counts do.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray
 import ray.data
 
 from codetoneo4j_ray.stages.bucketing import (
-    apply_store,
+    Blocks,
+    blocks_for,
     bucket_frame,
-    build_bucket_store,
-    bucketed_apply_tasks,
     cached_view,
-    hash_bucket_series,
-    target_blocks,
+    load_block,
+    parquet_files,
+    plan_reads,
+    read_blocks,
+    split_by_ids,
+)
+from codetoneo4j_ray.stages.canonicalize import (
+    SAMPLE_KEYS,
+    key_sample,
+    range_bounds,
+    range_ids,
 )
 
 PAGERANK_SCALE = 1_000_000_000  # rank fixed-point unit (1e-9 of total mass)
@@ -109,19 +140,6 @@ _CHAIN_CHECKPOINT = 3
 LAST_RUN_ROUNDS: dict[str, int] = {}
 
 
-def _dedup(df: pd.DataFrame) -> pd.DataFrame:
-    return df.drop_duplicates()
-
-
-def _dedup_deg(df: pd.DataFrame) -> pd.DataFrame:
-    """Per-bucket reduce of an int adjacency: distinct (src, dst) plus
-    d = out-degree of src — exact, because every row of a src lands in
-    src's bucket."""
-    df = df.drop_duplicates().copy()
-    df["d"] = df["src"].map(df["src"].value_counts()).astype("int64")
-    return df[["src", "dst", "d"]]
-
-
 def _reduce_by(keys, vals, op=np.add) -> tuple[np.ndarray, np.ndarray]:
     """Per-key ``op`` reduction (np.add: sum, np.minimum: min) of int64
     ``vals``: (distinct keys ascending, reduced values), int64
@@ -136,326 +154,294 @@ def _reduce_by(keys, vals, op=np.add) -> tuple[np.ndarray, np.ndarray]:
     return keys[starts], op.reduceat(vals, starts)
 
 
-def _pair_rows(b: pa.Table, sym: bool = False, loops: bool = True) -> pa.Table:
-    """Block-distinct (src, dst) string pairs from an edge block's
-    (subj, obj); ``sym`` adds the reverse of every pair, ``loops=False``
-    drops self-loops."""
-    s = b["subj"].to_numpy(zero_copy_only=False)
-    o = b["obj"].to_numpy(zero_copy_only=False)
-    if not loops:
-        keep = s != o
-        s, o = s[keep], o[keep]
-    if sym:
-        s, o = np.concatenate([s, o]), np.concatenate([o, s])
-    df = pd.DataFrame({"src": s, "dst": o}).drop_duplicates()
-    return pa.Table.from_pandas(df, preserve_index=False)
-
-
 # ---------------------------------------------------------------------------
-# int64 node-id encoding shared by all five ops
+# The encoded graph shared by all five ops
 # ---------------------------------------------------------------------------
 
+# directed adjacency rows: node ids and the edge's pred code (its index
+# in the graph's sorted preds; -1 for an edge table without preds)
+_ADJ = pa.schema([("src", pa.int64()), ("dst", pa.int64()),
+                  ("pred", pa.int32())])
+_SYM = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
+_ADJ_ROW_BYTES = sum(f.type.bit_width for f in _ADJ) // 8
 
-def _ibucket(values, num_buckets: int) -> np.ndarray:
-    """Bucket ids for int64 keys — the numeric analog of
-    hash_bucket_series, without the stringify round-trip. Only valid
-    for co-locating with stores whose tags were ALSO produced by this
-    function (the graph ops' nid-keyed stores), never with
-    add_bucket_column's string-cast buckets."""
-    arr = np.asarray(values, dtype="int64")
-    h = pd.util.hash_array(arr, categorize=False)
-    return (h % num_buckets).astype(np.int32)
+
+@dataclass
+class EncodedGraph:
+    """An edge table as dense int64 node ids (module docstring). Range
+    k holds the ids [``offsets[k]``, ``offsets[k + 1]``): ``nodes[k]`` is
+    the ref of its sorted distinct keys (column ``node``; None for an
+    empty range) and ``adj[k]`` of its directed (src, dst, pred) rows,
+    src in the range. ``preds`` are the sorted distinct preds the pred
+    codes index."""
+
+    nodes: list
+    offsets: np.ndarray
+    preds: list
+    adj: list
+    _sym: list | None = None
+
+    @property
+    def num_ranges(self) -> int:
+        return len(self.adj)
+
+    def ranges(self):
+        """(first id, end id) of each range."""
+        return zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
+
+    def code(self, pred: str) -> int | None:
+        return self.preds.index(pred) if pred in self.preds else None
+
+    def sym(self) -> list:
+        """Per range, the ref of the distinct symmetric (src, dst) rows
+        with src in the range; built on first use by one int-only
+        exchange of the directed adjacency."""
+        if self._sym is None:
+            n = self.num_ranges
+            rev = [_split_remote(_rt_symmetric, n, a, self.offsets)
+                   for a in self.adj]
+            self._sym = _pinned([_rt_distinct.remote(
+                _SYM, *[r[k] for r in rev]) for k in range(n)])
+        return self._sym
+
+
+def _pinned(refs: list) -> list:
+    """``refs`` once their tasks have finished. Range tasks get these
+    refs inside a list (unresolved, so the worker cache keys on their
+    identity), which Ray does not wait for: a task blocked on one in
+    ``ray.get`` gives up its CPU, and Ray starts another worker process
+    to run what it waits on."""
+    ray.wait(refs, num_returns=len(refs), fetch_local=False)
+    return refs
+
+
+def _endpoints(table: pa.Table) -> pa.ChunkedArray:
+    return pa.chunked_array(table["subj"].chunks + table["obj"].chunks,
+                            table["subj"].type)
+
+
+def _routed(df: pd.DataFrame, col: str, offsets: np.ndarray) -> tuple:
+    """A routing task's returns: ``df``'s rows as Arrow pieces, one per
+    range of their ``col`` ids (None when empty), then the row count
+    (a last return keeps the pieces a list at one range)."""
+    n = len(offsets) - 1
+    if df.empty:
+        return (*[None] * n, 0)
+    ids = np.searchsorted(offsets, df[col].to_numpy(), side="right") - 1
+    table = pa.Table.from_pandas(df, preserve_index=False)
+    return (*split_by_ids(table, ids, n), len(df))
+
+
+def _split_remote(task, n: int, *args) -> list:
+    """Submit a routing task (:func:`_routed`); its ``n`` piece refs."""
+    return task.options(num_returns=n + 1).remote(*args)[:-1]
 
 
 @ray.remote
-def _stamp_ids(block, offset: int):
-    """Stamp a sorted node block with its global dense rank range."""
-    if isinstance(block, pd.DataFrame):
-        t = pa.Table.from_pandas(block, preserve_index=False)
-    else:
-        t = block
-    if t.num_rows == 0 or "node" not in t.column_names:
-        # Ray drops the schema of empty blocks through sort
-        return pa.table(
-            {
-                "node": pa.array([], pa.string()),
-                "nid": pa.array([], pa.int64()),
-            }
-        )
-    return pa.table(
-        {
-            "node": t["node"],
-            "nid": pa.array(
-                np.arange(offset, offset + t.num_rows, dtype="int64")
-            ),
-        }
-    )
+def _rt_sample(block, rate: float) -> np.ndarray:
+    """An edge block's endpoint key sample."""
+    return key_sample(_endpoints(load_block(block)), rate)
 
 
-def assign_order_ids(nodes: ray.data.Dataset) -> ray.data.Dataset:
-    """(node: string, distinct) → (node, nid: int64) with nid the dense
-    ORDER-PRESERVING rank of node in global key order — so integer MIN
-    over nids agrees with lexicographic MIN over keys. One Ray sort
-    range-partitions the keys; per-block offsets come from block
-    METADATA only (a driver-side prefix over block row counts, never
-    rows); ids are stamped by raw tasks over the sorted block refs
-    (the same block-ref pattern as build_bucket_store)."""
-    snodes = nodes.sort("node").materialize()
-    refs: list = []
-    counts: list[int] = []
-    for bundle in snodes.iter_internal_ref_bundles():
-        for ref, meta in zip(bundle.block_refs, bundle.metadata):
-            refs.append(ref)
-            counts.append(meta.num_rows)
-    if not refs:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "node": pa.array([], pa.string()),
-                    "nid": pa.array([], pa.int64()),
-                }
-            )
-        )
-    offsets = np.concatenate([[0], np.cumsum(counts[:-1])]).tolist()
-    return ray.data.from_arrow_refs(
-        [_stamp_ids.remote(r, int(off)) for r, off in zip(refs, offsets)]
-    )
+@ray.remote
+def _rt_split_keys(block, bounds: np.ndarray):
+    """An edge block's distinct endpoint keys, one piece per key range,
+    then the block's distinct preds."""
+    table = load_block(block)
+    keys = pc.drop_null(pc.unique(_endpoints(table)))
+    preds = (pc.drop_null(pc.unique(table["pred"])).to_pylist()
+             if "pred" in table.column_names else [])
+    return (*split_by_ids(pa.table({"node": keys}), range_ids(keys, bounds),
+                          len(bounds) + 1), preds)
 
 
-class _LookupJoin:
-    """Map-side id lookups against a pinned store: batch values are
-    grouped by the bucket their key hashes to and mapped through that
-    bucket's key→val Series (first row per key). The indexed Series is
-    built once per bucket per worker process (:func:`cached_view`) —
-    never per batch — so the per-batch cost is pure hash + take.
-    Integer keys hash through _ibucket, strings through
-    hash_bucket_series — matching how each kind of store is tagged at
-    build time."""
-
-    def __init__(self, store):
-        self._store = store
-        self._k = store.num_buckets
-
-    def _bucket_series(self, k: int, key: str, val: str) -> pd.Series:
-        return cached_view(self._store.pieces[k], ("series", key, val),
-                           functools.partial(_key_series, key, val))
-
-    def _mapping(self, values: pd.Series, key: str, val: str) -> pd.Series:
-        if pd.api.types.is_integer_dtype(values):
-            ids = _ibucket(values.to_numpy(), self._k)
-        else:
-            ids = hash_bucket_series(values, self._k)
-        vnp = values.to_numpy()
-        out = np.empty(len(values), dtype=object)
-        for k in np.unique(ids):
-            mask = ids == k
-            s = self._bucket_series(int(k), key, val)
-            out[mask] = pd.Series(vnp[mask]).map(s).to_numpy()
-        return pd.Series(out, index=values.index)
+@ray.remote(num_returns=2)
+def _rt_range_nodes(*pieces):
+    """A key range's node table (its distinct keys, sorted: a key's id
+    is the range's offset plus its row) and its node count."""
+    tabs = [t for t in pieces if t is not None]
+    if not tabs:
+        return None, 0
+    keys = pc.unique(pa.concat_tables(tabs)["node"])
+    keys = keys.take(pc.sort_indices(keys))
+    return pa.table({"node": keys}), len(keys)
 
 
-def _key_series(key: str, val: str, table: pa.Table | None) -> pd.Series:
-    """A bucket's ``key`` → ``val`` Series, first row per key."""
-    if table is None:
-        return pd.Series(dtype=object)
-    df = table.select([key, val]).to_pandas()
-    return df.drop_duplicates(key).set_index(key)[val]
+def _key_index(table: pa.Table) -> pd.Index:
+    return pd.Index(table["node"].to_numpy(zero_copy_only=False))
 
 
-class _EncodeAdj(_LookupJoin):
-    """(src, dst) strings → int64 nids, tagged map-side with the
-    bucket of src's nid so the encoded adjacency splits on 8-byte keys
-    straight into a BucketStore. ``extra`` names int64 columns (e.g.
-    edge weights) copied through unchanged."""
-
-    def __init__(self, store, extra: tuple[str, ...] = ()):
-        super().__init__(store)
-        self._extra = extra
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        if not len(batch):
-            cols = {
-                "src": pd.Series([], dtype="int64"),
-                "dst": pd.Series([], dtype="int64"),
-            }
-            for c in self._extra:
-                cols[c] = pd.Series([], dtype="int64")
-            cols["__bucket"] = pd.Series([], dtype="int32")
-            return pd.DataFrame(cols)
-        out = pd.DataFrame(
-            {
-                "src": self._mapping(batch["src"], "node", "nid").astype("int64"),
-                "dst": self._mapping(batch["dst"], "node", "nid").astype("int64"),
-            }
-        )
-        for c in self._extra:
-            out[c] = batch[c].astype("int64").to_numpy()
-        out["__bucket"] = _ibucket(out["src"], self._k)
-        return out
-
-
-class _Decode(_LookupJoin):
-    """The last step of every string-keyed op: (node: nid, ``val``) →
-    (node, ``out``) with node mapped back to its key through the
-    reverse (nid → node) store, and ``val`` too when ``val_is_nid``
-    (component labels); otherwise ``val`` stays int64. Rows whose
-    ``val`` exceeds ``max_val`` (unreached / over-budget labels) are
-    dropped first."""
-
-    def __init__(self, store, val: str, out: str,
-                 val_is_nid: bool = False, max_val: int | None = None):
-        super().__init__(store)
-        self._val = val
-        self._out = out
-        self._val_is_nid = val_is_nid
-        self._max_val = max_val
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        if self._max_val is not None:
-            batch = batch[batch[self._val] <= self._max_val]
-        if not len(batch):
-            return pd.DataFrame(
-                {
-                    "node": pd.Series([], dtype=object),
-                    self._out: pd.Series(
-                        [], dtype=object if self._val_is_nid else "int64"
-                    ),
-                }
-            )
-        if self._val_is_nid:
-            vals = self._mapping(batch[self._val], "nid", "node")
-        else:
-            vals = batch[self._val].astype("int64")
-        return pd.DataFrame(
-            {
-                "node": self._mapping(batch["node"], "nid", "node").to_numpy(),
-                self._out: vals.to_numpy(),
-            }
-        )
-
-
-def _decode(ds: ray.data.Dataset, rev_store, val: str,
-            out: str, **kw) -> ray.data.Dataset:
-    """nid-keyed result rows → string-keyed output, sorted by node."""
-    return ds.map_batches(
-        _Decode(rev_store, val, out, **kw),
-        batch_format="pandas",
-        batch_size=None,
-    ).sort("node")
-
-
-def _assign_ids(pairs: ray.data.Dataset, src: str, dst: str,
-                num_buckets: int) -> tuple:
-    """Dense id assignment over the endpoint set of ``pairs``' ``src``
-    and ``dst`` columns. Returns (ids, id_store, rev_store):
-
-    * ids — materialized (node: string, nid: int64), order-preserving;
-    * id_store — node → nid BucketStore (string-hashed);
-    * rev_store — nid → node BucketStore (_ibucket-tagged)."""
-
-    def endpoints(b: pa.Table) -> pa.Table:
-        vals = pd.unique(
-            np.concatenate(
-                [
-                    b[src].to_numpy(zero_copy_only=False),
-                    b[dst].to_numpy(zero_copy_only=False),
-                ]
-            )
-        )
-        return pa.table({"node": pa.array(vals, pa.string())})
-
-    def tag_by_nid(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__bucket"] = _ibucket(df["nid"], num_buckets)
-        return df
-
-    nodes = bucketed_apply_tasks(
-        pairs.map_batches(endpoints, batch_format="pyarrow"),
-        ["node"],
-        _dedup,
-        num_buckets,
-    )
-    ids = assign_order_ids(nodes).materialize()
-    id_store = build_bucket_store(ids, ["node"], num_buckets)
-    rev_store = build_bucket_store(
-        ids.map_batches(tag_by_nid, batch_format="pandas"), None, num_buckets
-    )
-    return ids, id_store, rev_store
-
-
-_KG_ID_CACHE: dict[tuple, tuple] = {}
-
-
-def _kg_id_tables(sf_dir: str, num_buckets: int):
-    """Once-per-session dense id assignment over the KG edge table's
-    endpoint set, shared by all five kg_* graph ops: the node set (and
-    its order-preserving nids) is identical for pagerank / components /
-    BFS / SSSP and a superset for triangles (which drops self-loop-only
-    nodes — a superset mapping preserves order on any subset), so the
-    endpoint exchange, the global sort, and both id stores are built
-    once per corpus per session instead of once per op. Returns
-    _assign_ids' (ids, id_store, rev_store); the Ray objects stay alive
-    while the cache holds them (driver-owned refs)."""
-    from codetoneo4j_ray.pipelines.kg_queries import ensure_kg
-
-    path = ensure_kg(sf_dir)["edges"]
-    key = (path, num_buckets)
-    hit = _KG_ID_CACHE.get(key)
-    if hit is not None:
-        return hit
-    edges = ray.data.read_parquet(
-        path, columns=["subj", "obj"], override_num_blocks=num_buckets
-    )
-    out = _assign_ids(edges, "subj", "obj", num_buckets)
-    while len(_KG_ID_CACHE) >= 4:
-        _KG_ID_CACHE.pop(next(iter(_KG_ID_CACHE)))
-    _KG_ID_CACHE[key] = out
+def _ids(keys, nodes: list, offsets: np.ndarray,
+         bounds: np.ndarray) -> np.ndarray:
+    """int64 node ids of ``keys``, every one a node, looked up in the
+    node tables of their ranges."""
+    r = range_ids(keys, bounds)
+    v = keys.to_numpy(zero_copy_only=False)
+    out = np.empty(len(v), dtype=np.int64)
+    for k in np.unique(r):
+        m = r == k
+        index = cached_view([nodes[k]], "index", _key_index)
+        out[m] = offsets[k] + index.get_indexer(v[m])
     return out
 
 
-def _kg_over(sf_dir: str, op, columns: list[str], **kw) -> ray.data.Dataset:
-    """Run the ``*_over`` op on the once-per-corpus built edge table
-    (``ensure_kg``'s edges/), with the session's shared id tables."""
+@ray.remote
+def _rt_encode(block, nodes: list, offsets: np.ndarray, bounds: np.ndarray,
+               preds: list):
+    """An edge block as distinct (src, dst, pred) int rows routed by the
+    range of src."""
+    table = load_block(block)
+    pred = (pd.Index(preds).get_indexer(
+        table["pred"].to_numpy(zero_copy_only=False))
+        if "pred" in table.column_names else np.full(table.num_rows, -1))
+    df = pd.DataFrame({
+        "src": _ids(table["subj"], nodes, offsets, bounds),
+        "dst": _ids(table["obj"], nodes, offsets, bounds),
+        "pred": pred.astype("int32"),
+    }).drop_duplicates()
+    return _routed(df, "src", offsets)
+
+
+@ray.remote
+def _rt_symmetric(adj: pa.Table, offsets: np.ndarray):
+    """A range's directed pairs and their reverses, distinct, routed by
+    the range of their new src."""
+    adj = adj.to_pandas()
+    df = pd.DataFrame({
+        "src": np.concatenate([adj["src"], adj["dst"]]),
+        "dst": np.concatenate([adj["dst"], adj["src"]]),
+    }).drop_duplicates()
+    return _routed(df, "src", offsets)
+
+
+@ray.remote
+def _rt_distinct(schema: pa.Schema, *pieces) -> pa.Table:
+    """A range's pinned adjacency: the distinct rows of its pieces."""
+    tabs = [t for t in pieces if t is not None]
+    if not tabs:
+        return schema.empty_table()
+    df = pa.concat_tables(tabs).to_pandas().drop_duplicates()
+    return pa.Table.from_pandas(df, schema=schema, preserve_index=False)
+
+
+def encode_graph(edges: Blocks) -> EncodedGraph:
+    """Encode the (subj, obj[, pred]) rows of ``edges`` (keys of any one
+    orderable type) into an :class:`EncodedGraph` in
+    ``blocks_for(adjacency bytes)`` key ranges, by raw tasks: a key
+    sample wave (when there is more than one range), then one wave per
+    block splitting its distinct endpoints by range, one task per range
+    sorting its keys, one wave per block encoding and routing its edges,
+    and one task per range pinning its distinct adjacency rows. The
+    driver holds only samples, counts and preds."""
+    rows = edges.rows
+    num_ranges = blocks_for(None if rows is None else rows * _ADJ_ROW_BYTES)
+    bounds = np.array([], dtype=object)
+    if num_ranges > 1 and edges.refs:
+        rate = min(1.0, SAMPLE_KEYS / (2 * rows)) if rows else 1.0
+        bounds = range_bounds(
+            ray.get([_rt_sample.remote(b, rate) for b in edges.refs]),
+            num_ranges)
+    n = len(bounds) + 1
+    split = [_rt_split_keys.options(num_returns=n + 1).remote(b, bounds)
+             for b in edges.refs]
+    ranges = [_rt_range_nodes.remote(*[s[k] for s in split])
+              for k in range(n)]
+    counts = ray.get([c for _, c in ranges])
+    preds = sorted(set().union(*ray.get([s[-1] for s in split])))
+    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    nodes = [t for t, _ in ranges]
+    enc = [_split_remote(_rt_encode, n, b, nodes, offsets, bounds, preds)
+           for b in edges.refs]
+    adj = [_rt_distinct.remote(_ADJ, *[e[k] for e in enc]) for k in range(n)]
+    return EncodedGraph(nodes, offsets, preds, _pinned(adj))
+
+
+def _over(edges: Blocks | ray.data.Dataset, op, **kw):
+    """``op(encoded edges, **kw)``: :class:`Blocks` in, Blocks out; a
+    Dataset in (its one execution, the materialize), a Dataset out."""
+    if isinstance(edges, Blocks):
+        return op(encode_graph(edges), **kw)
+    return op(encode_graph(Blocks.of_dataset(edges)), **kw).dataset()
+
+
+# encoded KG edge tables, keyed by their part files and mtimes: the
+# kg_* ops of a session share one per corpus (the last four corpora)
+_KG_GRAPHS: dict[tuple, EncodedGraph] = {}
+
+
+def _kg(sf_dir: str, op, **kw) -> ray.data.Dataset:
+    """``op`` on the encoded edge table of ``ensure_kg(sf_dir)``, read
+    by raw tasks once per corpus and session."""
+    from codetoneo4j_ray.pipelines.build_graph import parquet_bytes
     from codetoneo4j_ray.pipelines.kg_queries import ensure_kg
 
-    nb = target_blocks()
-    edges = ray.data.read_parquet(
-        ensure_kg(sf_dir)["edges"], columns=columns, override_num_blocks=nb
-    )
-    return op(edges, num_buckets=nb, id_tables=_kg_id_tables(sf_dir, nb), **kw)
+    path = ensure_kg(sf_dir)["edges"]
+    key = tuple((f, os.stat(f).st_mtime_ns) for f in parquet_files(path))
+    graph = _KG_GRAPHS.get(key)
+    if graph is None:
+        graph = encode_graph(read_blocks(plan_reads(
+            path, blocks_for(parquet_bytes(path)), ["subj", "pred", "obj"])))
+        while len(_KG_GRAPHS) >= 4:
+            _KG_GRAPHS.pop(next(iter(_KG_GRAPHS)))
+        _KG_GRAPHS[key] = graph
+    return op(graph, **kw).dataset()
 
 
-def _encode_pairs(
-    pairs: ray.data.Dataset,
-    num_buckets: int,
-    reduce_fn=_dedup,
-    id_tables: tuple | None = None,
-    extra: tuple[str, ...] = (),
-):
-    """Shared front half of every string-keyed op: (src, dst) string
-    pairs → dense int64 ids and the int-encoded adjacency pinned as a
-    BucketStore keyed by _ibucket(src).
+@ray.remote(num_returns=2)
+def _rt_decode(table: pa.Table, nodes: list, offsets: np.ndarray, val: str,
+               out: str, val_is_nid: bool, max_val: int | None):
+    """(node, ``val``) id rows → (node, ``out``) key rows sorted by node,
+    ``val`` decoded too when it holds ids (component labels); rows
+    whose ``val`` exceeds ``max_val`` (unreached or over budget) are
+    dropped. Returns the table and its (rows, bytes)."""
+    df = table.to_pandas()
+    if max_val is not None:
+        df = df[df[val] <= max_val]
+    df = df.sort_values("node", kind="stable")
+    vals = df[val].to_numpy().astype("int64")
+    out_table = pa.table({
+        "node": _keys(df["node"].to_numpy(), nodes, offsets),
+        out: _keys(vals, nodes, offsets) if val_is_nid else pa.array(vals),
+    })
+    return out_table, (out_table.num_rows, out_table.nbytes)
 
-    Returns (ids, rev_store, adj): ``ids`` and ``rev_store`` as in
-    _assign_ids, and ``adj`` the store, reduced per bucket by
-    ``reduce_fn`` — plain dedup by default; pagerank and triangles pass
-    _dedup_deg, which also attaches exact out-degrees. Its split is the
-    ONLY edge-sized exchange of the plan, and it carries 8-byte keys.
-    ``id_tables`` supplies a prebuilt (ids, id_store, rev_store)
-    covering (at least) the pairs' endpoints — the kg_* wrappers share
-    one via _kg_id_tables."""
-    if id_tables is None:
-        # read twice (endpoints, then encode): pin it once
-        pairs = pairs.materialize()
-        id_tables = _assign_ids(pairs, "src", "dst", num_buckets)
-    ids, id_store, rev_store = id_tables
-    enc = pairs.map_batches(
-        _EncodeAdj(id_store, extra=extra),
-        batch_format="pandas",
-        batch_size=None,
-    )
-    adj = build_bucket_store(enc, None, num_buckets, reduce_fn=reduce_fn)
-    return ids, rev_store, adj
+
+def _keys(ids: np.ndarray, nodes: list, offsets: np.ndarray):
+    """The keys of node ``ids``, in order, taken from the node tables of
+    their ranges."""
+    r = np.searchsorted(offsets, ids, side="right") - 1
+    order = np.argsort(r, kind="stable")
+    ids, r = ids[order], r[order]
+    parts = [ray.get(nodes[k])["node"].take(ids[r == k] - offsets[k])
+             for k in np.unique(r)]
+    if not parts:
+        return pa.array([], pa.null())
+    return pa.chunked_array(parts).take(np.argsort(order))
+
+
+def _decode(refs: list, graph: EncodedGraph, out: str, val: str = "lbl",
+            val_is_nid: bool = False, max_val: int | None = None) -> Blocks:
+    """:func:`_rt_decode` over each of ``refs``; the non-empty results in
+    order, so sorted by node."""
+    done = [_rt_decode.remote(t, graph.nodes, graph.offsets, val, out,
+                              val_is_nid, max_val) for t in refs]
+    return Blocks.of([t for t, _ in done], ray.get([s for _, s in done]))
+
+
+@ray.remote
+def _rt_init_labels(lo: int, hi: int, fill: int | None, roots=None):
+    """The label table (node, lbl, chg) of the range of ids [lo, hi):
+    each node labeled with its own id when ``fill`` is None, else with
+    ``fill`` except 0 for the roots, given as (adjacency refs, pred
+    code): the subjects of that pred's edges."""
+    node = np.arange(lo, hi, dtype=np.int64)
+    lbl = node.copy() if fill is None else np.full(len(node), fill, np.int64)
+    if roots is not None:
+        adj_refs, code = roots
+        adj = bucket_frame(adj_refs)
+        lbl[np.isin(node, adj.loc[adj["pred"] == code, "src"])] = 0
+    return pa.table({"node": node, "lbl": lbl,
+                     "chg": np.ones(len(node), dtype=bool)})
 
 
 # ---------------------------------------------------------------------------
@@ -469,142 +455,94 @@ def kg_pagerank(
     scale: int = PAGERANK_SCALE,
 ) -> ray.data.Dataset:
     """Fixed-point PageRank over the final KG edge table (see
-    :func:`pagerank_over`). Reads the once-per-corpus built edge table
-    (``ensure_kg``'s edges/) — pred collapse to pairs still
-    happens inside pagerank_over."""
-    return _kg_over(sf_dir, pagerank_over, ["subj", "obj"],
-                    iters=iters, scale=scale)
+    :func:`pagerank_over`), on the once-per-corpus encoded edge table
+    (``ensure_kg``'s edges/)."""
+    return _kg(sf_dir, _pagerank, iters=iters, scale=scale)
+
+
+def _out_degrees(table: pa.Table) -> pd.DataFrame:
+    """Distinct directed (src, dst) pairs with d = src's out-degree:
+    exact, because every pair of a src sits in src's range."""
+    df = table.select(["src", "dst"]).to_pandas().drop_duplicates()
+    df["d"] = df["src"].map(df["src"].value_counts()).astype("int64")
+    return df
 
 
 @ray.remote
-def _rt_pr_step(lbl, num_buckets, adj_refs):
-    """One bucket's contribution map: per-dst partial sums of
-    r(u) // outdeg(u) over this bucket's pinned adjacency piece,
-    map-side combined and routed by dst bucket."""
-    empty = _route_empty(num_buckets)
-    if lbl is None or lbl.num_rows == 0:
-        return empty
-    adj = bucket_frame(adj_refs)
-    if adj.empty:
-        return empty
-    df = lbl.to_pandas()
-    m = adj.merge(df[["node", "r"]], left_on="src", right_on="node")
-    if m.empty:
-        return empty
-    node, c = _reduce_by(
-        m["dst"], m["r"].astype("int64") // m["d"].astype("int64")
-    )
-    return _route_by_bucket(
-        pd.DataFrame({"node": node, "c": c}), "node", num_buckets
-    )
+def _rt_pr_step(lbl: pa.Table, offsets: np.ndarray, adj_refs: list):
+    """One range's contribution map: per-dst partial sums of
+    r(u) // outdeg(u) over its pinned adjacency, map-side combined and
+    routed by the range of dst."""
+    adj = cached_view(adj_refs, "out_degrees", _out_degrees)
+    m = adj.merge(lbl.select(["node", "lbl"]).to_pandas(),
+                  left_on="src", right_on="node")
+    node, c = _reduce_by(m["dst"], m["lbl"] // m["d"])
+    return _routed(pd.DataFrame({"node": node, "c": c}), "node", offsets)
 
 
 @ray.remote
-def _rt_pr_reduce(lbl, base, *partials):
-    """One bucket's power step: r' = base + 85*sum(contribs)//100 for
-    every node this bucket owns (dangling targets survive because the
-    node list comes from the bucket's own label table, never from the
+def _rt_pr_reduce(lbl: pa.Table, base: int, *partials):
+    """One range's power step: r' = base + 85*sum(contribs)//100 for
+    every node of the range (dangling targets survive because the node
+    list comes from the range's own rank table, never from the
     contribution stream)."""
-    if lbl is None or lbl.num_rows == 0:
-        return pa.table(
-            {"node": pa.array([], pa.int64()), "r": pa.array([], pa.int64())}
-        )
-    m = lbl.to_pandas()[["node"]].copy()
+    node = lbl["node"].to_numpy()
+    c = np.zeros(len(node), dtype=np.int64)
     tabs = [t for t in partials if t is not None]
     if tabs:
         cat = pa.concat_tables(tabs)
-        node, c = _reduce_by(cat["node"].to_numpy(), cat["c"].to_numpy())
-        s = pd.Series(c, index=node)
+        keys, sums = _reduce_by(cat["node"].to_numpy(), cat["c"].to_numpy())
         # reindex keeps int64 end-to-end — a left merge would go
         # through float64 and round sums past 2**53 (mass can reach
         # _MAX_SAFE_SUM ≈ 1.1e17)
-        m["c"] = s.reindex(m["node"].to_numpy(), fill_value=0).to_numpy()
-    else:
-        m["c"] = np.int64(0)
-    m["r"] = (base + 85 * m["c"].astype("int64") // 100).astype("int64")
-    return pa.Table.from_pandas(m[["node", "r"]], preserve_index=False)
+        c = pd.Series(sums, index=keys).reindex(node, fill_value=0).to_numpy()
+    return pa.table({"node": node, "lbl": base + 85 * c // 100})
+
+
+def _pagerank(graph: EncodedGraph, iters: int, scale: int) -> Blocks:
+    # up-front overflow validation: contribution sums are bounded by
+    # the total mass n*scale (see _MAX_SAFE_SUM note) — checking here
+    # also covers the map-side partial sums, and cannot be fooled by
+    # silent int64 wraparound the way a post-hoc max() check could.
+    if int(graph.offsets[-1]) * scale > _MAX_SAFE_SUM:
+        raise OverflowError(
+            "pagerank fixed-point mass num_nodes*scale exceeds int64/85; "
+            "lower scale"
+        )
+    base = 15 * scale // 100
+    n = graph.num_ranges
+    # each step is K contribution tasks + K reduce tasks chained purely
+    # by ObjectRefs — the driver never syncs until the decode
+    ranks = [_rt_init_labels.remote(lo, hi, scale)
+             for lo, hi in graph.ranges()]
+    for _ in range(iters):
+        partials = [_split_remote(_rt_pr_step, n, ranks[k], graph.offsets,
+                                  [graph.adj[k]]) for k in range(n)]
+        ranks = [_rt_pr_reduce.remote(ranks[k], base,
+                                      *[p[k] for p in partials])
+                 for k in range(n)]
+    return _decode(ranks, graph, "rank_fp")
 
 
 def pagerank_over(
-    edges: ray.data.Dataset,
+    edges: Blocks | ray.data.Dataset,
     iters: int = PAGERANK_ITERS,
     scale: int = PAGERANK_SCALE,
-    num_buckets: int | None = None,
-    id_tables: tuple | None = None,
-) -> ray.data.Dataset:
+) -> Blocks | ray.data.Dataset:
     """Fixed-point PageRank (damping 0.85, ``iters`` synchronous steps)
-    over distinct (subj, obj) pairs of an edge dataset.
+    over distinct (subj, obj) pairs of an edge table (:class:`Blocks`
+    or a Dataset; the result is of the same kind).
 
     Update rule, all-BIGINT:  r'(v) = 15*scale//100
     + 85 * sum_{u->v}( r(u) // outdeg(u) ) // 100.
 
     Output: (node, rank_fp) for every node appearing in any edge,
-    sorted by node. Node keys are first densely int64-encoded
-    (_encode_pairs), so the one edge exchange and the pinned,
-    degree-attached adjacency carry 8-byte keys. Each step is K
-    contribution tasks over the pinned adjacency plus K reduce tasks
-    over node-sized rank rows, chained by ObjectRefs alone: the driver
-    never waits on a step, only on the final decode. The ranks are
+    sorted by node. Each step is one contribution task per range over
+    the pinned adjacency (out-degrees derived in the task) plus one
+    reduce task per range over node-sized rank rows. The ranks are
     pure arithmetic over the graph structure, so the encoding cannot
     change any output value."""
-
-    if num_buckets is None:
-        # buckets double as reduce parallelism AND per-iteration task
-        # fan-in; scale them with the cluster instead of a fixed 64
-        num_buckets = target_blocks()
-
-    ids, rev_store, store = _encode_pairs(
-        edges.map_batches(_pair_rows, batch_format="pyarrow"),
-        num_buckets,
-        reduce_fn=_dedup_deg,
-        id_tables=id_tables,
-    )
-    # up-front overflow validation: contribution sums are bounded by
-    # the total mass n*scale (see _MAX_SAFE_SUM note) — checking here
-    # also covers the map-side partial sums, and cannot be fooled by
-    # silent int64 wraparound the way a post-hoc max() check could.
-    n_nodes = ids.count()
-    if n_nodes * scale > _MAX_SAFE_SUM:
-        raise OverflowError(
-            "pagerank fixed-point mass num_nodes*scale exceeds int64/85; "
-            "lower scale"
-        )
-
-    base = 15 * scale // 100
-
-    def init_rank(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "node": df["nid"].astype("int64"),
-                "r": np.int64(scale),
-                "__bucket": _ibucket(df["nid"], num_buckets),
-            }
-        )
-
-    ranks = ids.map_batches(init_rank, batch_format="pandas")
-
-    if iters > 0:
-        # raw-task power iteration (see the raw-task core note): each
-        # step is K contribution tasks + K reduce tasks chained purely
-        # by ObjectRefs — the driver never syncs until the decode
-        rank_refs = _label_store_refs(ranks, num_buckets)
-        for _ in range(iters):
-            partials = [
-                _kret(_rt_pr_step.options(num_returns=num_buckets).remote(
-                    rank_refs[k], num_buckets, store.pieces[k]
-                ), num_buckets)
-                for k in range(num_buckets)
-            ]
-            rank_refs = [
-                _rt_pr_reduce.remote(
-                    rank_refs[k], base,
-                    *[partials[j][k] for j in range(num_buckets)],
-                )
-                for k in range(num_buckets)
-            ]
-        ranks = ray.data.from_arrow_refs(rank_refs)
-
-    return _decode(ranks, rev_store, "r", "rank_fp")
+    return _over(edges, _pagerank, iters=iters, scale=scale)
 
 
 def pagerank_oracle_sql(
@@ -662,10 +600,9 @@ def pagerank_oracle_sql(
 
 def kg_components(sf_dir: str, max_iters: int = CC_MAX_ITERS) -> ray.data.Dataset:
     """True connected components (min-label ids) over the final KG
-    edge table (see :func:`components_over`), from the once-per-corpus
-    built edge table."""
-    return _kg_over(sf_dir, components_over, ["subj", "obj"],
-                    max_iters=max_iters)
+    edge table (see :func:`components_over`), on the once-per-corpus
+    encoded edge table."""
+    return _kg(sf_dir, _components, max_iters=max_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -675,103 +612,73 @@ def kg_components(sf_dir: str, max_iters: int = CC_MAX_ITERS) -> ray.data.Datase
 # labels), but a Ray Data sort-based exchange costs ~2 s of planning +
 # sort-stage scheduling per round regardless of payload — at sf0.1 the
 # actual label exchange inside a pagerank round was ~0.6 s of a 2.6 s
-# round. So the inner loops run as raw Ray tasks over bucket-pinned
-# label tables instead (the one place the Dataset API genuinely can't
-# express the semantics cheaply: a per-round bucket→bucket all-to-all
-# with driver-free chaining). Partitioning contract: labels for bucket
-# k are exactly the nodes with _ibucket(nid) == k, matching the pinned
-# adjacency's _ibucket(src) tags, so step task k needs only adjacency
-# piece k and emits candidate partials routed by _ibucket(dst). Each
-# round is K step tasks (num_returns=K min-combined partials) + K
-# reduce tasks (num_returns=2: new labels + (changed, rows)); the driver
-# syncs only on K tiny int pairs per round. Step tasks read their
-# adjacency piece through the worker bucket cache (bucketing.bucket_frame),
-# so a reused worker process fetches each piece once across all rounds.
-# At cluster scale every object stays in the object store and K scales
-# with the cluster (target_blocks), exactly like the BucketStore pieces.
+# round. So the inner loops run as raw Ray tasks over range-pinned label
+# tables (a per-round range→range all-to-all with driver-free
+# chaining). Partitioning contract: range k's labels are exactly the
+# ids in [offsets[k], offsets[k+1]), matching the pinned adjacency's
+# src ranges, so step task k needs only adjacency object k and routes
+# its candidate partials by searchsorted(offsets, dst). Each round is K
+# step tasks (num_returns=K+1: min-combined partials, then a row count)
+# + K reduce tasks (num_returns=2: new labels + (changed, rows)); the
+# driver syncs only on K tiny int pairs per round. Step tasks read
+# their adjacency through the worker bucket cache
+# (bucketing.cached_view), so a reused worker process fetches each
+# range and derives its per-op view once across all rounds and ops.
+# K = blocks_for(adjacency bytes), so a graph that fits a block runs in
+# one range and at cluster scale K grows with the data up to the
+# cluster's cap.
 # ---------------------------------------------------------------------------
 
 
-def _empty_label_tbl() -> pa.Table:
-    return pa.table(
-        {
-            "node": pa.array([], pa.int64()),
-            "lbl": pa.array([], pa.int64()),
-            "chg": pa.array([], pa.bool_()),
-        }
-    )
-
-
-def _route_by_bucket(df: pd.DataFrame, col, num_buckets: int):
-    """Split ``df`` into a K-tuple of per-bucket Arrow tables (None for
-    empty buckets) routed by _ibucket(df[col]). With K == 1 the bare
-    element is returned instead: these values are task returns under
-    ``num_returns=K``, and Ray only unpacks a tuple when K > 1."""
-    if df.empty:
-        return _route_empty(num_buckets)
-    ids = _ibucket(df[col], num_buckets)
-    out: list = [None] * num_buckets
-    for k in np.unique(ids):
-        out[int(k)] = pa.Table.from_pandas(
-            df[ids == k], preserve_index=False
-        )
-    return out[0] if num_buckets == 1 else tuple(out)
-
-
-def _route_empty(num_buckets: int):
-    """The all-empty value of _route_by_bucket for K buckets."""
-    return None if num_buckets == 1 else tuple([None] * num_buckets)
-
-
-def _kret(refs, num_buckets: int) -> list:
-    """Normalize ``options(num_returns=K).remote(...)``: Ray hands back
-    a bare ObjectRef when K == 1, a list otherwise — callers index
-    ``refs[k]`` either way."""
-    return [refs] if num_buckets == 1 else refs
+def _weighted(weights: tuple, table: pa.Table) -> pd.DataFrame:
+    """Distinct directed (src, dst, w): w = _SSSP_CHEAP_W for the pred
+    codes in ``weights[0]``, ``weights[1]`` for the rest."""
+    cheap, far_w = weights
+    df = table.to_pandas()
+    w = np.where(df["pred"].isin(cheap), _SSSP_CHEAP_W, far_w)
+    return pd.DataFrame({"src": df["src"], "dst": df["dst"],
+                         "w": w.astype("int64")}).drop_duplicates()
 
 
 @ray.remote
-def _rt_min_step(lbl, num_buckets, cutoff, weight_col, adj_refs):
-    """One bucket's propagation map: min-combined neighbor candidates
-    (node, cand = lbl + edge weight, or lbl when ``weight_col`` is
-    None) for this bucket's frontier rows, routed by dst bucket.
-    ``adj_refs`` arrives unresolved (inside a list) so the
-    worker-process cache can key on ref identity."""
-    empty = _route_empty(num_buckets)
-    if lbl is None or lbl.num_rows == 0:
-        return empty
+def _rt_min_step(lbl: pa.Table, offsets: np.ndarray, cutoff, weights,
+                 adj_refs: list):
+    """One range's propagation map: min-combined neighbor candidates
+    (node, cand = lbl + edge weight) for its frontier rows, routed by
+    the range of dst. ``weights`` = (cheap pred codes, far weight) over
+    the directed adjacency, or None over the symmetric one (weight 0).
+    ``adj_refs`` arrives unresolved (inside a list) so the worker cache
+    can key on ref identity."""
     df = lbl.to_pandas()
     fr = df[df["chg"]]
     if cutoff is not None:
         fr = fr[fr["lbl"] < cutoff]
     if fr.empty:
-        return empty
-    adj = bucket_frame(adj_refs)
-    if adj.empty:
-        return empty
+        return _routed(fr, "node", offsets)
+    if weights is None:
+        adj = bucket_frame(adj_refs)
+    else:
+        adj = cached_view(adj_refs, ("weighted", weights),
+                          functools.partial(_weighted, weights))
     m = adj.merge(fr[["node", "lbl"]], left_on="src", right_on="node")
-    if m.empty:
-        return empty
-    step = m[weight_col] if weight_col else 0
+    step = m["w"] if weights is not None else 0
     node, cand = _reduce_by(m["dst"], m["lbl"] + step, np.minimum)
-    return _route_by_bucket(
-        pd.DataFrame({"node": node, "cand": cand}), "node", num_buckets
-    )
+    return _routed(pd.DataFrame({"node": node, "cand": cand}), "node",
+                   offsets)
 
 
 @ray.remote(num_returns=2)
-def _rt_min_reduce(lbl, *partials):
-    """One bucket's reduce: lbl ← min(lbl, candidates); returns the new
+def _rt_min_reduce(lbl: pa.Table, *partials):
+    """One range's reduce: lbl ← min(lbl, candidates); returns the new
     label table and (how many labels changed, rows) — the driver's
-    convergence signal and, once converged, which buckets hold labels
+    convergence signal and, once converged, which ranges hold labels
     (K int pairs per round, never tables)."""
-    if lbl is None or lbl.num_rows == 0:
-        return _empty_label_tbl(), (0, 0)
+    if lbl.num_rows == 0:
+        return lbl, (0, 0)
     tabs = [t for t in partials if t is not None]
     df = lbl.to_pandas()
     if not tabs:
         if bool(df["chg"].any()):
-            df = df.copy()
             df["chg"] = False
             return pa.Table.from_pandas(df, preserve_index=False), (0, len(df))
         return lbl, (0, len(df))
@@ -796,12 +703,10 @@ def _rt_min_reduce(lbl, *partials):
 
 
 @ray.remote
-def _rt_jump_seek(lbl, num_buckets):
-    """Pointer-jump phase 1: every label row asks bucket-of-lbl for its
-    own label. Emits (node, val=lbl, chg, key=lbl) routed by
-    _ibucket(lbl)."""
-    if lbl is None or lbl.num_rows == 0:
-        return _route_empty(num_buckets)
+def _rt_jump_seek(lbl: pa.Table, offsets: np.ndarray):
+    """Pointer-jump phase 1: every label row asks the range of its lbl
+    for that node's own label. Emits (key=lbl, node, val=lbl, chg)
+    routed by the range of lbl."""
     df = lbl.to_pandas()
     seek = pd.DataFrame(
         {
@@ -811,24 +716,20 @@ def _rt_jump_seek(lbl, num_buckets):
             "chg": df["chg"].astype(bool),
         }
     )
-    return _route_by_bucket(seek, "key", num_buckets)
+    return _routed(seek, "key", offsets)
 
 
 @ray.remote
-def _rt_jump_answer(lbl, num_buckets, *seeks):
-    """Pointer-jump phase 2: this bucket resolves key → its label for
+def _rt_jump_answer(lbl: pa.Table, offsets: np.ndarray, *seeks):
+    """Pointer-jump phase 2: this range resolves key → its label for
     every seeker; answers (node, lbl=min(val, lbl(lbl)), chg|lowered)
-    are routed back by _ibucket(node)."""
+    are routed back by the range of node."""
     tabs = [t for t in seeks if t is not None]
     if not tabs:
-        return _route_empty(num_buckets)
+        return _routed(pd.DataFrame(), "node", offsets)
     s = pa.concat_tables(tabs).to_pandas()
-    if lbl is None or lbl.num_rows == 0:
-        prov = pd.Series(dtype="int64")
-    else:
-        p = lbl.to_pandas()
-        prov = p.set_index("node")["lbl"]
-    j = s["key"].map(prov).fillna(s["val"]).astype("int64")
+    p = lbl.to_pandas()
+    j = s["key"].map(p.set_index("node")["lbl"]).fillna(s["val"]).astype("int64")
     lowered = j.to_numpy() < s["val"].to_numpy()
     out = pd.DataFrame(
         {
@@ -837,75 +738,54 @@ def _rt_jump_answer(lbl, num_buckets, *seeks):
             "chg": s["chg"].to_numpy() | lowered,
         }
     )
-    return _route_by_bucket(out, "node", num_buckets)
+    return _routed(out, "node", offsets)
 
 
 @ray.remote
 def _rt_concat_labels(*tabs):
-    ts = [t for t in tabs if t is not None and t.num_rows]
-    return pa.concat_tables(ts) if ts else _empty_label_tbl()
+    ts = [t for t in tabs if t is not None]
+    return (pa.concat_tables(ts) if ts
+            else pa.table({"node": pa.array([], pa.int64()),
+                           "lbl": pa.array([], pa.int64()),
+                           "chg": pa.array([], pa.bool_())}))
 
 
-def _rt_pointer_jump(label_refs: list, num_buckets: int) -> list:
-    seeks = [
-        _kret(_rt_jump_seek.options(num_returns=num_buckets).remote(
-            label_refs[k], num_buckets
-        ), num_buckets)
-        for k in range(num_buckets)
-    ]
-    answers = [
-        _kret(_rt_jump_answer.options(num_returns=num_buckets).remote(
-            label_refs[k], num_buckets,
-            *[seeks[j][k] for j in range(num_buckets)],
-        ), num_buckets)
-        for k in range(num_buckets)
-    ]
-    return [
-        _rt_concat_labels.remote(*[answers[j][k] for j in range(num_buckets)])
-        for k in range(num_buckets)
-    ]
-
-
-def _label_store_refs(labels: ray.data.Dataset, num_buckets: int) -> list:
-    """Pin a __bucket-tagged label dataset as one ObjectRef per bucket
-    (None possible for empty buckets — the loop tasks tolerate it)."""
-    store = build_bucket_store(labels, None, num_buckets)
-    return [p[0] for p in store.pieces]
+def _rt_pointer_jump(label_refs: list, offsets: np.ndarray) -> list:
+    n = len(label_refs)
+    seeks = [_split_remote(_rt_jump_seek, n, label_refs[k], offsets)
+             for k in range(n)]
+    answers = [_split_remote(_rt_jump_answer, n, label_refs[k], offsets,
+                             *[s[k] for s in seeks]) for k in range(n)]
+    return [_rt_concat_labels.remote(*[a[k] for a in answers])
+            for k in range(n)]
 
 
 def _rt_label_loop(
-    adj,
+    adj: list,
     label_refs: list,
-    num_buckets: int,
+    offsets: np.ndarray,
     *,
     cutoff: int | None = None,
-    weight_col: str | None = None,
+    weights: tuple | None = None,
     max_iters: int,
     op_name: str,
     jump: bool = False,
     raise_msg: str,
 ) -> list:
-    """Run min-label propagation rounds over bucket-pinned labels until
+    """Run min-label propagation rounds over range-pinned labels until
     the frontier empties; raise past ``max_iters`` (exact — convergence
-    is tested every round). Returns the final label refs of the buckets
+    is tested every round). Returns the final label refs of the ranges
     that hold labels (at least one ref), so sparse graphs' empty
-    buckets never reach the output."""
+    ranges never reach the output."""
+    n = len(label_refs)
     rounds = 0
     while True:
-        partials = [
-            _kret(_rt_min_step.options(num_returns=num_buckets).remote(
-                label_refs[k], num_buckets, cutoff, weight_col,
-                adj.pieces[k],
-            ), num_buckets)
-            for k in range(num_buckets)
-        ]
-        results = [
-            _rt_min_reduce.remote(
-                label_refs[k],
-                *[partials[j][k] for j in range(num_buckets)],
-            )
-            for k in range(num_buckets)
-        ]
+        partials = [_split_remote(_rt_min_step, n, label_refs[k], offsets,
+                                  cutoff, weights, [adj[k]])
+                    for k in range(n)]
+        results = [_rt_min_reduce.remote(label_refs[k],
+                                         *[p[k] for p in partials])
+                   for k in range(n)]
         label_refs = [r[0] for r in results]
         stats = ray.get([r[1] for r in results])
         rounds += 1
@@ -916,155 +796,57 @@ def _rt_label_loop(
         if rounds >= max_iters:
             raise RuntimeError(raise_msg.format(max_iters=max_iters))
         if jump and rounds % _CHAIN_CHECKPOINT == 0:
-            label_refs = _rt_pointer_jump(label_refs, num_buckets)
+            label_refs = _rt_pointer_jump(label_refs, offsets)
 
 
-@ray.remote
-def _rt_init_labels_from_adj(*pieces):
-    """Seed a bucket's label table from its pinned symmetric adjacency
-    piece: distinct src = exactly this bucket's node set (symmetry puts
-    every endpoint on the src side of its own bucket), label = own id.
-    Runs next to the pinned object — no extra exchange for init."""
-    tabs = [t for t in pieces if t is not None and t.num_rows]
-    if not tabs:
-        return _empty_label_tbl()
-    src = np.unique(
-        np.concatenate(
-            [t.column("src").to_numpy(zero_copy_only=False) for t in tabs]
-        ).astype("int64")
-    )
-    return pa.table(
-        {
-            "node": pa.array(src, pa.int64()),
-            "lbl": pa.array(src, pa.int64()),
-            "chg": pa.array(np.ones(len(src), bool)),
-        }
-    )
-
-
-def _components(adj, num_buckets: int, max_iters: int, op_name: str,
-                who: str) -> ray.data.Dataset:
-    """The one components core: labels seeded per bucket from the
-    pinned SYMMETRIC int adjacency, min-label rounds with pointer
-    jumps until the frontier empties. Returns (node, lbl, chg) label
-    rows, lbl = the minimum int id of node's component."""
+def _components(graph: EncodedGraph, max_iters: int) -> Blocks:
+    """Every node labeled with its own id, min-label rounds over the
+    symmetric adjacency with pointer jumps until the frontier empties;
+    the labels decoded to the component's minimum key."""
+    if max_iters < 1:
+        raise ValueError("components_over requires max_iters >= 1")
     label_refs = _rt_label_loop(
-        adj,
-        [
-            _rt_init_labels_from_adj.remote(*adj.pieces[k])
-            for k in range(num_buckets)
-        ],
-        num_buckets,
+        graph.sym(),
+        [_rt_init_labels.remote(lo, hi, None) for lo, hi in graph.ranges()],
+        graph.offsets,
         max_iters=max_iters,
-        op_name=op_name,
+        op_name="components",
         jump=True,
         raise_msg=(
-            who + " did not converge within {max_iters} "
+            "components_over did not converge within {max_iters} "
             "min-label rounds; raise max_iters"
         ),
     )
-    return ray.data.from_arrow_refs(label_refs)
+    return _decode(label_refs, graph, "comp", val_is_nid=True)
 
 
 def components_over(
-    edges: ray.data.Dataset,
+    edges: Blocks | ray.data.Dataset,
     max_iters: int = CC_MAX_ITERS,
-    num_buckets: int | None = None,
-    id_tables: tuple | None = None,
-) -> ray.data.Dataset:
+) -> Blocks | ray.data.Dataset:
     """TRUE connected components over the symmetric closure of the
-    distinct (subj, obj) pairs: every node starts labeled with its own
-    key; synchronous min-label rounds (each taking the MIN over its
-    own and all neighbors' labels) run UNTIL THE FRONTIER EMPTIES,
-    with a pointer-jump (label ← label-of-label) every
+    distinct (subj, obj) pairs of an edge table (:class:`Blocks` or a
+    Dataset; the result is of the same kind): every node starts labeled
+    with its own key; synchronous min-label rounds (each taking the MIN
+    over its own and all neighbors' labels) run UNTIL THE FRONTIER
+    EMPTIES, with a pointer-jump (label ← label-of-label) every
     _CHAIN_CHECKPOINT rounds so path-shaped components converge in
     O(log n) rounds rather than O(diameter). At the fixpoint every
     node's label is exactly its component's minimum key — this is the
     real CC semantics, and the oracle (components_oracle_sql) is an
     until-fixpoint recursive reachability query, not an unrolled
-    approximation.
+    approximation. Keys may be of any one orderable type: int64 keys
+    (``data_ops.dup_clusters``' doc ids) get numeric MIN.
 
     ``max_iters`` is a pure runaway guard: if the frontier is still
     non-empty after that many propagation rounds the op RAISES rather
     than returning partial labels (with jumping, hitting 512 would
     take a graph beyond any physical size).
 
-    Plan: encode → components_over_int's core → decode. The
-    symmetric pairs map to dense ORDER-PRESERVING int64 ids
-    (assign_order_ids, so integer MIN agrees with lexicographic MIN)
-    and are pinned, deduped, as the adjacency store in the one edge
-    exchange; the label loop then runs on those ids exactly as
-    components_over_int does, and only the final labels map back to
-    keys. Output (node, comp), sorted by node."""
-    if max_iters < 1:
-        raise ValueError("components_over requires max_iters >= 1")
-    if num_buckets is None:
-        num_buckets = target_blocks()
-    _ids, rev_store, adj = _encode_pairs(
-        edges.map_batches(_pair_rows, fn_kwargs={"sym": True},
-                          batch_format="pyarrow"),
-        num_buckets,
-        id_tables=id_tables,
-    )
-    labels = _components(adj, num_buckets, max_iters, "components",
-                         "components_over")
-    return _decode(labels, rev_store, "lbl", "comp",
-                   val_is_nid=True)
-
-
-def components_over_int(
-    pairs: ray.data.Dataset,
-    *,
-    max_iters: int = CC_MAX_ITERS,
-    num_buckets: int | None = None,
-    src: str = "src",
-    dst: str = "dst",
-    op_name: str = "components_int",
-) -> ray.data.Dataset:
-    """components_over for pairs whose endpoints are ALREADY int64:
-    skips the string-id encode/decode round trip entirely — numeric
-    MIN over the caller's own ids is the wanted semantics, so the
-    pinned adjacency, per-round 8-byte label exchanges, and the final
-    output all carry those ids directly. Symmetrizes map-side; one
-    edge-sized exchange total (the store split, deduped per bucket);
-    labels seeded per bucket from the pinned adjacency (no init
-    exchange). Returns (node, comp) sorted by node; raises past
-    ``max_iters`` like components_over (exact bound)."""
-    if max_iters < 1:
-        raise ValueError("components_over_int requires max_iters >= 1")
-    if num_buckets is None:
-        num_buckets = target_blocks()
-
-    def sym(b: pa.Table) -> pa.Table:
-        a = b[src].to_numpy(zero_copy_only=False).astype("int64")
-        c = b[dst].to_numpy(zero_copy_only=False).astype("int64")
-        df = pd.DataFrame(
-            {
-                "src": np.concatenate([a, c]),
-                "dst": np.concatenate([c, a]),
-            }
-        ).drop_duplicates()
-        df["__bucket"] = _ibucket(df["src"], num_buckets)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    adj = build_bucket_store(
-        pairs.map_batches(sym, batch_format="pyarrow"), None, num_buckets,
-        reduce_fn=_dedup,
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node": batch.column("node"),
-                "comp": batch.column("lbl"),
-            }
-        )
-
-    return (
-        _components(adj, num_buckets, max_iters, op_name, op_name)
-        .map_batches(finish, batch_format="pyarrow")
-        .sort("node")
-    )
+    The labels run on the order-preserving int64 ids (integer MIN is
+    key MIN) over the pinned symmetric adjacency, and only the final
+    labels map back to keys. Output (node, comp), sorted by node."""
+    return _over(edges, _components, max_iters=max_iters)
 
 
 def components_oracle_sql(edges_cte: str) -> str:
@@ -1113,59 +895,33 @@ SSSP_MAX_ITERS = 256  # ≥ budget/min-weight rounds always suffice
 def kg_bfs_depth(sf_dir: str, max_iters: int = BFS_MAX_ITERS) -> ray.data.Dataset:
     """Directed BFS depth from the repo roots (subjects of
     BFS_ROOT_PRED edges) over the final KG edge table (see
-    :func:`bfs_depth_over`), from the once-per-corpus built edge
+    :func:`bfs_depth_over`), on the once-per-corpus encoded edge
     table."""
-    return _kg_over(sf_dir, bfs_depth_over, ["subj", "pred", "obj"],
-                    max_iters=max_iters)
+    return _kg(sf_dir, _bfs_depth, roots_pred=BFS_ROOT_PRED,
+               max_iters=max_iters)
 
 
 def kg_sssp(sf_dir: str, max_iters: int = SSSP_MAX_ITERS) -> ray.data.Dataset:
     """Weighted shortest distance from the repo roots over the final KG
-    edge table (see :func:`sssp_over`), from the once-per-corpus built
+    edge table (see :func:`sssp_over`), on the once-per-corpus encoded
     edge table."""
-    return _kg_over(sf_dir, sssp_over, ["subj", "pred", "obj"],
-                    max_iters=max_iters)
+    return _kg(sf_dir, _sssp, roots_pred=BFS_ROOT_PRED,
+               cheap_preds=_SSSP_CHEAP_PREDS, budget=SSSP_MAX_DIST,
+               max_iters=max_iters)
 
 
-class _InitDist(_LookupJoin):
-    """ids (node, nid) → bucket-tagged label rows: 0 for the nodes the
-    roots store holds, the unreached sentinel for every other node."""
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        if not len(batch):
-            return pd.DataFrame(
-                {
-                    "node": pd.Series([], dtype="int64"),
-                    "lbl": pd.Series([], dtype="int64"),
-                    "chg": pd.Series([], dtype=bool),
-                    "__bucket": pd.Series([], dtype="int32"),
-                }
-            )
-        is_root = self._mapping(batch["node"], "node", "is_root").notna()
-        return pd.DataFrame(
-            {
-                "node": batch["nid"].astype("int64"),
-                "lbl": np.where(is_root, 0, _UNREACHED).astype("int64"),
-                "chg": True,
-                "__bucket": _ibucket(batch["nid"], self._k),
-            }
-        )
-
-
-def _root_distance_over(
-    edges: ray.data.Dataset,
+def _root_distance(
+    graph: EncodedGraph,
     *,
     roots_pred: str,
     cheap_preds: tuple[str, ...],
     far_w: int,
     budget: int,
     max_iters: int,
-    num_buckets: int | None,
-    id_tables: tuple | None,
     op_name: str,
     out: str,
     raise_msg: str,
-) -> ray.data.Dataset:
+) -> Blocks:
     """The body shared by bfs_depth_over and sssp_over: multi-source
     min-distance relaxation over the directed distinct (subj, obj, w)
     edges, w = _SSSP_CHEAP_W for ``cheap_preds`` and ``far_w``
@@ -1173,78 +929,60 @@ def _root_distance_over(
     until the frontier empties. Output (node, ``out``) for every node
     at distance ≤ ``budget``, sorted by node.
 
-    Same machinery as components (dense int64 ids, pinned int-encoded
-    adjacency — the weight rides in it, never an exchange — frontier
-    steps, one node-sized exchange per round) minus the pointer jump
-    (distances are not node ids, so shortcutting does not apply);
-    roots are marked by store lookup, never a driver-side collection.
+    Same machinery as components minus the pointer jump (distances are
+    not node ids, so shortcutting does not apply): the weights and the
+    roots are derived from the pinned adjacency's pred codes inside the
+    range tasks, never by an exchange or a driver-side collection.
     ``budget`` is also the frontier cutoff: a node at distance ≥
     budget cannot relax any neighbor to ≤ budget (weights ≥ 1), and
     every ≤-budget path's prefixes are below it, so pruning loses
     nothing."""
-    if num_buckets is None:
-        num_buckets = target_blocks()
-    cheap = set(cheap_preds)
-
-    def wpairs(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()[["subj", "pred", "obj"]]
-        w = np.where(df["pred"].isin(cheap), _SSSP_CHEAP_W, far_w)
-        out = pd.DataFrame(
-            {"src": df["subj"], "dst": df["obj"], "w": w.astype("int64")}
-        ).drop_duplicates()
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    ids, rev_store, adj = _encode_pairs(
-        edges.map_batches(wpairs, batch_format="pyarrow"), num_buckets,
-        id_tables=id_tables, extra=("w",),
-    )
-
-    def root_rows(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        r = df.loc[df["pred"] == roots_pred, ["subj"]].drop_duplicates()
-        return pa.table(
-            {
-                "node": pa.array(r["subj"].to_numpy(), pa.string()),
-                "is_root": pa.array(np.ones(len(r), "int64")),
-            }
-        )
-
-    roots_store = build_bucket_store(
-        edges.map_batches(root_rows, batch_format="pyarrow"), ["node"],
-        num_buckets, reduce_fn=_dedup,
-    )
-    labels = ids.map_batches(
-        _InitDist(roots_store),
-        batch_format="pandas",
-        batch_size=None,
-    )
+    root = graph.code(roots_pred)
+    cheap = tuple(c for c in map(graph.code, cheap_preds) if c is not None)
+    labels = [
+        _rt_init_labels.remote(lo, hi, _UNREACHED,
+                               None if root is None else ([a], root))
+        for (lo, hi), a in zip(graph.ranges(), graph.adj)
+    ]
     # convergence is tested every round, so a graph whose max finite
     # distance needs max_iters+1 rounds RAISES at exactly max_iters — it
     # can never converge past the bound and return distances the
     # oracle's capped walk doesn't generate
     label_refs = _rt_label_loop(
-        adj,
-        _label_store_refs(labels, num_buckets),
-        num_buckets,
+        graph.adj,
+        labels,
+        graph.offsets,
         cutoff=budget,
-        weight_col="w",
+        weights=(cheap, far_w),
         max_iters=max_iters,
         op_name=op_name,
         raise_msg=raise_msg,
     )
-    return _decode(ray.data.from_arrow_refs(label_refs), rev_store, "lbl",
-                   out, max_val=budget)
+    return _decode(label_refs, graph, out, max_val=budget)
+
+
+def _bfs_depth(graph: EncodedGraph, roots_pred: str, max_iters: int) -> Blocks:
+    if max_iters < 1:
+        raise ValueError("bfs_depth_over requires max_iters >= 1")
+    return _root_distance(
+        graph, roots_pred=roots_pred, cheap_preds=(), far_w=1,
+        budget=_UNREACHED - 1, max_iters=max_iters, op_name="bfs",
+        out="depth",
+        raise_msg=(
+            "bfs_depth_over did not converge within {max_iters} "
+            "rounds; raise max_iters (and the oracle cap) together"
+        ),
+    )
 
 
 def bfs_depth_over(
-    edges: ray.data.Dataset,
+    edges: Blocks | ray.data.Dataset,
     roots_pred: str = BFS_ROOT_PRED,
     max_iters: int = BFS_MAX_ITERS,
-    num_buckets: int | None = None,
-    id_tables: tuple | None = None,
-) -> ray.data.Dataset:
-    """Multi-source BFS over the DIRECTED distinct (subj, obj) pairs,
-    run UNTIL THE WAVE EMPTIES: roots (distinct subjects of
+) -> Blocks | ray.data.Dataset:
+    """Multi-source BFS over the DIRECTED distinct (subj, obj) pairs of
+    an edge table (:class:`Blocks` or a Dataset; the result is of the
+    same kind), run UNTIL THE WAVE EMPTIES: roots (distinct subjects of
     ``roots_pred`` edges) start at depth 0, everything else at an
     unreached sentinel; each synchronous round takes
     min(depth, min over in-neighbors (their depth + 1)). Output
@@ -1258,20 +996,10 @@ def bfs_depth_over(
     whenever the Ray side succeeds the two are exactly equal — raise
     both together for unusually deep graphs.
 
-    The unit-weight case of sssp_over's relaxation
-    (_root_distance_over), with no budget short of the sentinel."""
-    if max_iters < 1:
-        raise ValueError("bfs_depth_over requires max_iters >= 1")
-    return _root_distance_over(
-        edges, roots_pred=roots_pred, cheap_preds=(), far_w=1,
-        budget=_UNREACHED - 1, max_iters=max_iters,
-        num_buckets=num_buckets, id_tables=id_tables, op_name="bfs",
-        out="depth",
-        raise_msg=(
-            "bfs_depth_over did not converge within {max_iters} "
-            "rounds; raise max_iters (and the oracle cap) together"
-        ),
-    )
+    The unit-weight case of sssp_over's relaxation (_root_distance),
+    with no budget short of the sentinel."""
+    return _over(edges, _bfs_depth, roots_pred=roots_pred,
+                 max_iters=max_iters)
 
 
 def bfs_depth_oracle_sql(
@@ -1304,22 +1032,37 @@ def bfs_depth_oracle_sql(
     """
 
 
+def _sssp(graph: EncodedGraph, roots_pred: str, cheap_preds: tuple,
+          budget: int, max_iters: int) -> Blocks:
+    if max_iters < 1:
+        raise ValueError("sssp_over requires max_iters >= 1")
+    return _root_distance(
+        graph, roots_pred=roots_pred, cheap_preds=tuple(cheap_preds),
+        far_w=_SSSP_FAR_W, budget=budget, max_iters=max_iters,
+        op_name="sssp", out="dist",
+        raise_msg=(
+            "sssp_over did not converge within {max_iters} "
+            "relaxation rounds; raise max_iters"
+        ),
+    )
+
+
 def sssp_over(
-    edges: ray.data.Dataset,
+    edges: Blocks | ray.data.Dataset,
     roots_pred: str = BFS_ROOT_PRED,
     cheap_preds: tuple[str, ...] = _SSSP_CHEAP_PREDS,
     budget: int = SSSP_MAX_DIST,
     max_iters: int = SSSP_MAX_ITERS,
-    num_buckets: int | None = None,
-    id_tables: tuple | None = None,
-) -> ray.data.Dataset:
+) -> Blocks | ray.data.Dataset:
     """Multi-source WEIGHTED shortest distance (synchronous Bellman-Ford
     relaxation with frontier deltas) over the directed distinct
-    (subj, obj, w) edges, where w = _SSSP_CHEAP_W for ``cheap_preds``
-    and _SSSP_FAR_W otherwise: roots (subjects of ``roots_pred`` edges)
-    start at 0; each round takes min(dist, min over in-edges
-    (src dist + w)). Runs until the frontier empties; output
-    (node, dist) for every node with dist ≤ ``budget``, sorted by node.
+    (subj, obj, w) edges of an edge table (:class:`Blocks` or a
+    Dataset; the result is of the same kind), where w = _SSSP_CHEAP_W
+    for ``cheap_preds`` and _SSSP_FAR_W otherwise: roots (subjects of
+    ``roots_pred`` edges) start at 0; each round takes min(dist, min
+    over in-edges (src dist + w)). Runs until the frontier empties;
+    output (node, dist) for every node with dist ≤ ``budget``, sorted
+    by node.
 
     The budget is the op's contract on BOTH sides: the oracle caps its
     recursive walk at the same total cost (which also bounds its cycle
@@ -1328,19 +1071,10 @@ def sssp_over(
     integer weights bound convergence by budget/min-weight rounds, so
     ``max_iters`` = 256 can only trip on a genuine runaway — and then
     it RAISES rather than returning partial distances (see
-    _root_distance_over for the shared plan)."""
-    if max_iters < 1:
-        raise ValueError("sssp_over requires max_iters >= 1")
-    return _root_distance_over(
-        edges, roots_pred=roots_pred, cheap_preds=tuple(cheap_preds),
-        far_w=_SSSP_FAR_W, budget=budget, max_iters=max_iters,
-        num_buckets=num_buckets, id_tables=id_tables, op_name="sssp",
-        out="dist",
-        raise_msg=(
-            "sssp_over did not converge within {max_iters} "
-            "relaxation rounds; raise max_iters"
-        ),
-    )
+    _root_distance for the shared plan)."""
+    return _over(edges, _sssp, roots_pred=roots_pred,
+                 cheap_preds=tuple(cheap_preds), budget=budget,
+                 max_iters=max_iters)
 
 
 def sssp_oracle_sql(
@@ -1384,105 +1118,103 @@ def sssp_oracle_sql(
 
 def kg_triangles(sf_dir: str, k: int = TRIANGLE_TOPK_K) -> ray.data.Dataset:
     """Triangle participation top-k over the final KG edge table (see
-    :func:`triangles_over`). Reads the once-per-corpus built edge table
-    (``ensure_kg``'s edges/); the canonical-undirected-pair
-    collapse still folds preds/directions."""
-    return _kg_over(sf_dir, triangles_over, ["subj", "obj"], k=k)
+    :func:`triangles_over`), on the once-per-corpus encoded edge
+    table; the symmetric view folds preds and directions."""
+    return _kg(sf_dir, _triangles, k=k)
 
 
-class _BucketTriangles(_LookupJoin):
-    """One bucket of the pinned symmetric, degree-attached adjacency
-    (src, dst, d = deg(src)) → per-node triangle-participation partial
-    counts (node, n_tri), tagged by _ibucket(node) for the count merge.
+def _tri_view(table: pa.Table) -> tuple[pd.DataFrame, pd.Series]:
+    """A range's self-loop-free symmetric (src, dst, d = deg(src)) rows
+    and its src → degree Series."""
+    df = table.to_pandas()
+    df = df[df["src"] != df["dst"]]
+    deg = df["src"].value_counts()
+    return df.assign(d=df["src"].map(deg).astype("int64")), deg
 
-    In one task: look up deg(dst) in dst's own bucket (where dst is a
-    src row), keep the edges oriented from their (degree, nid)-smaller
-    endpoint — every oriented out-edge of a src sits in src's bucket,
+
+@ray.remote
+def _rt_triangles(k: int, offsets: np.ndarray, sym: list):
+    """Range ``k`` of the symmetric adjacency → per-node triangle
+    partial counts (node, n_tri) routed by the range of node.
+
+    In one task: look up deg(dst) in dst's own range (where dst is a
+    src row), keep the edges oriented from their (degree, id)-smaller
+    endpoint — every oriented out-edge of a src sits in src's range,
     so wedges (center = src, a < b its oriented out-neighbors) are
     generated locally — and close each wedge by looking (a, b) up in
-    a's bucket. The O(m^1.5) wedge rows never leave the task."""
+    a's range. The O(m^1.5) wedge rows never leave the task."""
+    def view(r):
+        return cached_view([sym[r]], "triangles", _tri_view)
 
-    def __call__(self, adj: pd.DataFrame) -> pd.DataFrame:
-        s = adj["src"].to_numpy(dtype="int64")
-        t = adj["dst"].to_numpy(dtype="int64")
-        ds = adj["d"].to_numpy(dtype="int64")
-        dt = self._mapping(adj["dst"], "src", "d").to_numpy(dtype="int64")
-        # (degree, nid) order ≡ (degree, key) order: nids preserve it
-        fwd = (ds < dt) | ((ds == dt) & (s < t))
-        o = pd.DataFrame({"center": s[fwd], "a": t[fwd]})
-        wedges = o.merge(o.rename(columns={"a": "b"}), on="center")
-        wedges = wedges[wedges["a"] < wedges["b"]]
-        ka = _ibucket(wedges["a"], self._k)
-        hits = []
-        for k in np.unique(ka):
-            e = bucket_frame(self._store.pieces[int(k)])[["src", "dst"]]
-            m = wedges[ka == k].merge(
-                e.rename(columns={"src": "a", "dst": "b"}), on=["a", "b"]
-            )
-            hits += [m["center"], m["a"], m["b"]]
-        cnt = (
-            pd.concat(hits).value_counts()
-            if hits
-            else pd.Series([], dtype="int64")
+    adj = view(k)[0]
+    s = adj["src"].to_numpy(dtype="int64")
+    t = adj["dst"].to_numpy(dtype="int64")
+    ds = adj["d"].to_numpy(dtype="int64")
+    rt = np.searchsorted(offsets, t, side="right") - 1
+    dt = np.empty(len(t), dtype="int64")
+    for r in np.unique(rt):
+        dt[rt == r] = view(r)[1].reindex(t[rt == r]).to_numpy()
+    # (degree, id) order ≡ (degree, key) order: ids preserve it
+    fwd = (ds < dt) | ((ds == dt) & (s < t))
+    o = pd.DataFrame({"center": s[fwd], "a": t[fwd]})
+    wedges = o.merge(o.rename(columns={"a": "b"}), on="center")
+    wedges = wedges[wedges["a"] < wedges["b"]]
+    ra = np.searchsorted(offsets, wedges["a"].to_numpy(), side="right") - 1
+    hits = []
+    for r in np.unique(ra):
+        e = view(r)[0][["src", "dst"]]
+        m = wedges[ra == r].merge(
+            e.rename(columns={"src": "a", "dst": "b"}), on=["a", "b"]
         )
-        nodes = cnt.index.to_numpy(dtype="int64")
-        return pd.DataFrame(
-            {
-                "node": nodes,
-                "n_tri": cnt.to_numpy().astype("int64"),
-                "__bucket": _ibucket(nodes, self._k),
-            }
-        )
+        hits += [m["center"], m["a"], m["b"]]
+    cnt = pd.concat(hits).value_counts() if hits else pd.Series([], dtype="int64")
+    return _routed(
+        pd.DataFrame({"node": cnt.index.to_numpy(dtype="int64"),
+                      "n_tri": cnt.to_numpy().astype("int64")}),
+        "node", offsets,
+    )
+
+
+@ray.remote
+def _rt_top_counts(k: int, *parts) -> pa.Table:
+    """The top ``k`` (n_tri desc, node asc — id order is key order) of
+    the per-node sums of the (node, n_tri) count ``parts``."""
+    tabs = [t for t in parts if t is not None]
+    cat = pa.concat_tables(tabs) if tabs else pa.table(
+        {"node": pa.array([], pa.int64()), "n_tri": pa.array([], pa.int64())})
+    node, n_tri = _reduce_by(cat["node"].to_numpy(), cat["n_tri"].to_numpy())
+    df = pd.DataFrame({"node": node, "n_tri": n_tri}).sort_values(
+        ["n_tri", "node"], ascending=[False, True], kind="stable"
+    ).head(k)
+    return pa.Table.from_pandas(df, preserve_index=False)
+
+
+def _triangles(graph: EncodedGraph, k: int) -> Blocks:
+    sym, n = graph.sym(), graph.num_ranges
+    partials = [_split_remote(_rt_triangles, n, r, graph.offsets, sym)
+                for r in range(n)]
+    tops = [_rt_top_counts.remote(k, *[p[r] for p in partials])
+            for r in range(n)]
+    return _decode([_rt_top_counts.remote(k, *tops)], graph, "n_tri",
+                   val="n_tri")
 
 
 def triangles_over(
-    edges: ray.data.Dataset,
+    edges: Blocks | ray.data.Dataset,
     k: int = TRIANGLE_TOPK_K,
-    num_buckets: int | None = None,
-    id_tables: tuple | None = None,
-) -> ray.data.Dataset:
+) -> Blocks | ray.data.Dataset:
     """Top-k nodes by triangle participation over the undirected,
-    self-loop-free distinct pair graph of an edge dataset.
+    self-loop-free distinct pair graph of an edge table
+    (:class:`Blocks` or a Dataset; the result is of the same kind).
 
     Plan (Cohen's degree-oriented MapReduce scheme), entirely over
-    dense int64 node ids: symmetric self-loop-free string pairs
-    map-side → int encoding pinned as the symmetric adjacency with
-    exact degrees attached (_encode_pairs: the one edge exchange) →
-    one task per bucket orients, generates and closes wedges by
-    bucket lookups (_BucketTriangles: no exchange) → count merge (one
-    node-sized exchange) + local top-k / global top-k, tie-broken by
-    nid ≡ key order → decode the ≤k winners back to strings. Output
+    dense int64 node ids: one task per range of the symmetric
+    adjacency (degrees derived in the task) orients, generates and
+    closes wedges by range lookups (no exchange) → count merge (one
+    node-sized exchange) + per-range top-k → global top-k, tie-broken
+    by id ≡ key order → decode the ≤k winners back to keys. Output
     (node, n_tri), ordered by node."""
-
-    if num_buckets is None:
-        num_buckets = target_blocks()
-
-    _ids, rev_store, adj = _encode_pairs(
-        edges.map_batches(_pair_rows, fn_kwargs={"sym": True, "loops": False},
-                          batch_format="pyarrow"),
-        num_buckets,
-        reduce_fn=_dedup_deg,
-        id_tables=id_tables,
-    )
-    partials = apply_store(adj, _BucketTriangles(adj))
-
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(
-            ["n_tri", "node"], ascending=[False, True], kind="stable"
-        ).head(k)
-        df["n_tri"] = df["n_tri"].astype("int64")
-        return df
-
-    def merge_counts(df: pd.DataFrame) -> pd.DataFrame:
-        node, n_tri = _reduce_by(df["node"], df["n_tri"])
-        return topk(pd.DataFrame({"node": node, "n_tri": n_tri}))
-
-    counts = apply_store(
-        build_bucket_store(partials, None, num_buckets, consolidate=False),
-        merge_counts,
-    )
-    winners = bucketed_apply_tasks(counts, [], topk)
-    return _decode(winners, rev_store, "n_tri", "n_tri")
+    return _over(edges, _triangles, k=k)
 
 
 def triangles_oracle_sql(edges_cte: str, k: int = TRIANGLE_TOPK_K) -> str:

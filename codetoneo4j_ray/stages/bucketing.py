@@ -111,6 +111,24 @@ class Blocks:
         return Blocks(self.refs + other.refs, total(self.rows, other.rows),
                       total(self.nbytes, other.nbytes))
 
+    @classmethod
+    def of_dataset(cls, ds: ray.data.Dataset) -> "Blocks":
+        """``ds`` materialized (its one execution), as the refs of its
+        non-empty blocks with their sizes from the block metadata."""
+        refs, sizes = [], []
+        for bundle in ds.materialize().iter_internal_ref_bundles():
+            for ref, meta in zip(bundle.block_refs, bundle.metadata):
+                refs.append(ref)
+                sizes.append((meta.num_rows, meta.size_bytes))
+        return cls.of(refs, sizes)
+
+    def dataset(self) -> ray.data.Dataset:
+        """The blocks as a Dataset, in order, with no execution; with no
+        blocks, an empty one without columns."""
+        if not self.refs:
+            return ray.data.from_pandas(pd.DataFrame())
+        return ray.data.from_arrow_refs(self.refs)
+
     def table(self) -> pa.Table | None:
         """The pinned tables concatenated on the driver (None when
         empty): only for metadata-sized results."""
@@ -447,18 +465,15 @@ def hash_bucket_series(s: pd.Series, num_buckets: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Pinned bucket store: the partitioned-broadcast side of iterative and
-# lookup joins. The big side is hashed into per-bucket object-store
-# pieces ONCE; consumers (raw tasks and map_batches callables) fetch
-# only the buckets they touch and keep them in the worker cache below.
-# This is what lets PageRank move the edge list a single time instead
-# of once per iteration, and lets wedge-closing in triangle counting
-# avoid shuffling the wedge stream.
+# Pinned bucket store: the partitioned-broadcast side of lookup joins.
+# The big side is hashed into per-bucket object-store pieces ONCE;
+# consumers (raw tasks) fetch only the buckets they touch and keep them
+# in the worker cache below.
 # At cluster scale each piece lives in the object store (spillable) and
 # is served to whichever node asks. A store sized by blocks_for keeps
-# buckets near a block's size until the cap; an explicit count (graph
-# ops pass target_blocks()) fixes it, so at a fixed cluster size a
-# bucket grows with the data and must still fit a worker's heap.
+# buckets near a block's size until the cap, past which, at a fixed
+# cluster size, a bucket grows with the data and must still fit a
+# worker's heap.
 # ---------------------------------------------------------------------------
 
 
@@ -468,12 +483,12 @@ def _split_block(num_buckets: int, key_cols: list[str] | None, map_fn,
     """One shuffle map task: split block(s) into K pieces (None for
     empty buckets), hashing rows by ``key_cols`` — or, for None, by the
     ``__bucket`` column the rows were tagged with map-side — after
-    ``map_fn(block)`` when given. Returned as
-    num_returns=K objects so the driver only ever holds refs, never
-    data. Accepts several blocks per task (grouped by the caller) so a
-    fragmented input doesn't create O(blocks × buckets) tiny objects —
-    object creation/registration, not the filter, dominates the wave
-    once blocks outnumber CPUs."""
+    ``map_fn(block)`` when given. Returned as num_returns=K+1 objects
+    (the pieces, then the rows split) so the driver only ever holds
+    refs, never data. Accepts several blocks per task (grouped by the
+    caller) so a fragmented input doesn't create O(blocks × buckets)
+    tiny objects — object creation/registration, not the split,
+    dominates the wave once blocks outnumber CPUs."""
     tables = []
     for block in blocks:
         block = map_fn(block) if map_fn is not None else load_block(block)
@@ -482,9 +497,7 @@ def _split_block(num_buckets: int, key_cols: list[str] | None, map_fn,
         ):
             tables.append(block)
     if not tables:
-        # num_returns=1 makes the whole return value ONE object — a
-        # 1-tuple would reach consumers ununwrapped
-        return None if num_buckets == 1 else tuple([None] * num_buckets)
+        return (*[None] * num_buckets, 0)
     # permissive: blocks of a unioned input can disagree on all-null
     # column types (null vs the real dtype)
     body = (
@@ -496,8 +509,25 @@ def _split_block(num_buckets: int, key_cols: list[str] | None, map_fn,
     if key_cols is None:
         ids = body["__bucket"]
         body = body.drop_columns(["__bucket"])
-    pieces = split_table(body, key_cols, num_buckets, ids)
-    return pieces[0] if num_buckets == 1 else tuple(pieces)
+    return (*split_table(body, key_cols, num_buckets, ids), body.num_rows)
+
+
+def split_by_ids(table: pa.Table | None, ids, n: int) -> list:
+    """``table``'s rows cut into ``n`` pieces by their ``ids`` in
+    [0, ``n``), keeping input order within each piece; an empty piece
+    is None. The one split of the package: hash buckets
+    (:func:`split_table`), key ranges (``canonicalize.split_ranges``)
+    and the graph ops' node-id ranges all cut through it."""
+    if table is None or not table.num_rows:
+        return [None] * n
+    if n == 1:
+        return [table]
+    if isinstance(ids, (pa.Array, pa.ChunkedArray)):
+        ids = ids.to_numpy(zero_copy_only=False)
+    order = np.argsort(ids, kind="stable")
+    cuts = np.searchsorted(ids[order], np.arange(n + 1))
+    return [table.take(order[a:b]) if b > a else None
+            for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def split_table(table: pa.Table, key_cols: list[str] | None,
@@ -506,13 +536,9 @@ def split_table(table: pa.Table, key_cols: list[str] | None,
     one), by the hash of ``key_cols`` or by the bucket ``ids`` given:
     the split of :func:`build_bucket_store`, also run by raw tasks that
     split their own output for :func:`keyed_store`."""
-    if num_buckets == 1:
-        return [table if table.num_rows else None]
-    if ids is None:
+    if ids is None and num_buckets > 1:
         ids = _bucket_ids(table, key_cols, num_buckets)
-    ids = ids.to_numpy(zero_copy_only=False)
-    return [table.filter(pa.array(ids == k)) if (ids == k).any() else None
-            for k in range(num_buckets)]
+    return split_by_ids(table, ids, num_buckets)
 
 
 class BucketStore:
@@ -570,16 +596,9 @@ def build_bucket_store(
     matrix dominated per-iteration wall time. One-shot consumers
     (``bucketed_apply_tasks``) pass ``consolidate=False``: their single
     apply wave concatenates the pieces itself."""
-    if isinstance(ds, Blocks):
-        block_refs, nbytes = ds.refs, ds.nbytes
-    else:
-        mat = ds.materialize()
-        nbytes = mat.size_bytes()
-        block_refs = [
-            br
-            for bundle in mat.iter_internal_ref_bundles()
-            for br in bundle.block_refs
-        ]
+    if not isinstance(ds, Blocks):
+        ds = Blocks.of_dataset(ds)
+    block_refs, nbytes = ds.refs, ds.nbytes
     if num_buckets is None:
         num_buckets = blocks_for(nbytes, min_buckets)
     ngroups = blocks_for(nbytes, cluster_cpus())
@@ -590,12 +609,9 @@ def build_bucket_store(
         ]
     else:
         groups = [[r] for r in block_refs]
-    split = _split_block.options(num_returns=num_buckets)
-    per_group = [split.remote(num_buckets, key_cols, map_fn, *grp)
+    split = _split_block.options(num_returns=num_buckets + 1)
+    per_group = [split.remote(num_buckets, key_cols, map_fn, *grp)[:-1]
                  for grp in groups]
-    if num_buckets == 1:
-        # num_returns=1 yields a bare ObjectRef, not a 1-list
-        per_group = [[r] for r in per_group]
     pieces = [[pg[k] for pg in per_group] for k in range(num_buckets)]
     if reduce_fn is not None or (consolidate and len(per_group) > 1):
         pieces = [[_apply_bucket_pieces.remote(reduce_fn, *p)[0]] for p in pieces]
@@ -660,11 +676,7 @@ def apply_store(store: BucketStore, fn,
     sizes."""
     refs = [_apply_bucket_pieces.remote(fn, *p) for p in store.pieces]
     done = Blocks.of([t for t, _ in refs], ray.get([s for _, s in refs]))
-    if as_blocks:
-        return done
-    if not done.refs:
-        return ray.data.from_pandas(pd.DataFrame())
-    return ray.data.from_arrow_refs(done.refs)
+    return done if as_blocks else done.dataset()
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
+from codetoneo4j_ray.stages.bucketing import split_by_ids
+
 # Total tie-break order: replicated exactly in the DuckDB oracles.
 _TIEBREAK = ["path", "start_line", "end_line", "repo", "namespace", "kind", "accessibility"]
 _FILE_TIEBREAK = ["path", "repo"]
@@ -83,11 +85,12 @@ def canonical(table: pa.Table, canon: Canon) -> pa.Table:
 
 
 def key_sample(keys, rate: float) -> np.ndarray:
-    """Sorted sample of the non-null ``keys`` whose hash falls below
-    ``rate`` — a pure function of each key, so the union over blocks is
-    the same however the rows are blocked — thinned evenly to at most
-    2 × ``SAMPLE_KEYS``. ``rate`` = ``SAMPLE_KEYS`` / rows keeps the
-    driver's total near ``SAMPLE_KEYS``."""
+    """Sorted sample of the non-null ``keys`` (of any one orderable
+    type) whose hash falls below ``rate`` — a pure function of each
+    key, so the union over blocks is the same however the rows are
+    blocked — thinned evenly to at most 2 × ``SAMPLE_KEYS``. ``rate`` =
+    ``SAMPLE_KEYS`` / rows keeps the driver's total near
+    ``SAMPLE_KEYS``."""
     v = np.asarray(pc.drop_null(keys).to_numpy(zero_copy_only=False),
                    dtype=object)
     if rate < 1.0:
@@ -113,25 +116,24 @@ def range_bounds(samples: list[np.ndarray], num_ranges: int) -> np.ndarray:
 
 
 def range_ids(keys, bounds: np.ndarray) -> np.ndarray:
-    """Range of each key: the count of bounds ≤ key (nulls go to 0)."""
-    v = pc.fill_null(keys, "").to_numpy(zero_copy_only=False)
-    return np.searchsorted(bounds, np.asarray(v, dtype=object), side="right")
+    """Range of each key: the count of bounds ≤ key (nulls go to 0).
+    Keys and bounds share one orderable type (strings compare by code
+    point, as DuckDB's ORDER BY does)."""
+    ids = np.zeros(len(keys), dtype=np.int64)
+    if len(bounds):
+        valid = pc.is_valid(keys).to_numpy(zero_copy_only=False)
+        v = pc.drop_null(keys).to_numpy(zero_copy_only=False)
+        ids[valid] = np.searchsorted(bounds, np.asarray(v, dtype=object),
+                                     side="right")
+    return ids
 
 
 def split_ranges(table: pa.Table | None, col: str,
                  bounds: np.ndarray) -> list:
     """``table`` cut into ``len(bounds) + 1`` pieces by :func:`range_ids`
     of ``col``; an empty piece is None."""
-    n = len(bounds) + 1
-    if table is None or not table.num_rows:
-        return [None] * n
-    if n == 1:
-        return [table]
-    ids = range_ids(table[col], bounds)
-    order = np.argsort(ids, kind="stable")
-    cuts = np.searchsorted(ids[order], np.arange(n + 1))
-    return [table.take(order[a:b]) if b > a else None
-            for a, b in zip(cuts[:-1], cuts[1:])]
+    ids = None if table is None else range_ids(table[col], bounds)
+    return split_by_ids(table, ids, len(bounds) + 1)
 
 
 @ray.remote(num_returns=2)

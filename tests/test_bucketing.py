@@ -183,10 +183,10 @@ def test_bucket_cache_holds_no_object_refs(ray_session):
     import ray
     import ray.data
 
-    from codetoneo4j_ray.pipelines.graph_ops import _LookupJoin
     from codetoneo4j_ray.stages.bucketing import (
         BucketStore,
         blob_frame,
+        cached_view,
         load_blobs,
     )
 
@@ -201,7 +201,8 @@ def test_bucket_cache_holds_no_object_refs(ray_session):
         "r1": {"v": 1}, "r7": {"v": 7}}
     for k in range(4):
         bucket_frame(frames.pieces[k])
-        _LookupJoin(frames)._bucket_series(k, "repo", "val")
+        cached_view(frames.pieces[k], ("series", "repo", "val"),
+                    lambda t: t.to_pandas().set_index("repo")["val"])
     assert len(bucketing._VIEWS) >= 6
 
     def walk(obj):
@@ -226,23 +227,72 @@ def test_bucket_cache_holds_no_object_refs(ray_session):
     assert all(r() is None for r in gone)
 
 
-def test_assign_order_ids_dense_and_order_preserving(ray_session):
+def test_assign_order_ids_dense_and_order_preserving(ray_session,
+                                                     monkeypatch):
+    """The graph ops' key encoding over 157 shuffled keys in 5 blocks,
+    split in 4 key ranges: the ids are 0..156 in key order (a key's id
+    is its range's offset plus its row in the range's sorted keys)."""
+    import ray
     import ray.data
 
-    from codetoneo4j_ray.pipelines.graph_ops import assign_order_ids
+    from codetoneo4j_ray.pipelines.graph_ops import encode_graph
+    from codetoneo4j_ray.stages.bucketing import Blocks
 
     vals = [f"s{i:03d}" for i in range(157)]
     rng = np.random.default_rng(3)
     shuffled = list(rng.permutation(vals))
     ds = ray.data.from_pandas(
         [
-            pd.DataFrame({"node": shuffled[i::5]})
+            pd.DataFrame({"subj": shuffled[i::5], "obj": shuffled[i::5]})
             for i in range(5)
         ]
     )
-    ids = assign_order_ids(ds).to_pandas().sort_values("node")
+    monkeypatch.setattr(bucketing, "target_blocks", lambda: 4)
+    monkeypatch.setattr(ray.data.DataContext.get_current(),
+                        "target_min_block_size", 1)
+    graph = encode_graph(Blocks.of_dataset(ds))
+    assert graph.num_ranges == 4
+    keys = pa.concat_tables(ray.get(graph.nodes))["node"].to_pylist()
+    adj = pa.concat_tables(ray.get(graph.adj)).to_pandas()
+    ids = pd.DataFrame({"node": [keys[i] for i in adj["src"]],
+                        "nid": adj["src"]}).sort_values("node")
     assert list(ids["nid"]) == list(range(157))
     assert list(ids["node"]) == sorted(vals)
+    assert list(graph.offsets) == [0, *np.cumsum(
+        [len(t) for t in ray.get(graph.nodes)])]
+
+
+def test_split_by_ids_matches_the_three_splits_it_replaced():
+    """``split_by_ids`` cuts a table with one hot id and several empty
+    ids into the pieces the three splits it replaced gave, row for
+    row: K boolean filters (``split_table``), a stable argsort with a
+    searchsorted cut (``canonicalize.split_ranges``) and K pandas masks
+    (the graph ops' routing); an empty piece is None either way."""
+    from codetoneo4j_ray.stages.bucketing import split_by_ids
+
+    n = 7
+    rng = np.random.default_rng(11)
+    ids = np.where(rng.random(500) < 0.8, 3, rng.choice([0, 5], 500))
+    table = pa.table({"row": np.arange(500), "v": rng.integers(0, 9, 500)})
+    filters = [table.filter(pa.array(ids == k)) if (ids == k).any() else None
+               for k in range(n)]
+    order = np.argsort(ids, kind="stable")
+    cuts = np.searchsorted(ids[order], np.arange(n + 1))
+    ranges = [table.take(order[a:b]) if b > a else None
+              for a, b in zip(cuts[:-1], cuts[1:])]
+    df = table.to_pandas()
+    masks = [None] * n
+    for k in np.unique(ids):
+        masks[int(k)] = pa.Table.from_pandas(df[ids == k],
+                                             preserve_index=False)
+    got = split_by_ids(table, ids, n)
+    assert [p is None for p in got] == [k not in (0, 3, 5) for k in range(n)]
+    for old in (filters, ranges, masks):
+        assert [None if p is None else p.to_pylist() for p in got] == [
+            None if p is None else p.to_pylist() for p in old]
+    assert split_by_ids(table, np.zeros(500, int), 1) == [table]
+    assert split_by_ids(table.slice(0, 0), ids[:0], n) == [None] * n
+    assert split_by_ids(None, None, n) == [None] * n
 
 
 def test_bucketed_apply_empty_input(ray_session):

@@ -501,19 +501,19 @@ def _int_pairs_ds(pairs):
     import ray.data
 
     return ray.data.from_items(
-        [{"src": int(a), "dst": int(b)} for a, b in pairs]
+        [{"subj": int(a), "obj": int(b)} for a, b in pairs]
     )
 
 
 def test_components_over_int_known_graph():
-    from codetoneo4j_ray.pipelines.graph_ops import components_over_int
+    from codetoneo4j_ray.pipelines.graph_ops import components_over
 
     # sparse, non-dense int64 ids (incl. one beyond 2**53 to catch any
     # float round-trip) — numeric MIN semantics, not lexicographic:
     # 9 < 10 even though "9" > "10"
     big = 2**60 + 7
     pairs = [(10, 9), (9, 1000), (big, big - 1), (42, 42)]
-    got = components_over_int(_int_pairs_ds(pairs)).to_pandas()
+    got = components_over(_int_pairs_ds(pairs)).to_pandas()
     assert dict(zip(got["node"], got["comp"])) == {
         9: 9, 10: 9, 1000: 9, big - 1: big - 1, big: big - 1, 42: 42,
     }
@@ -522,10 +522,10 @@ def test_components_over_int_known_graph():
 
 
 def test_components_over_int_long_path_converges():
-    from codetoneo4j_ray.pipelines.graph_ops import components_over_int
+    from codetoneo4j_ray.pipelines.graph_ops import components_over
 
     chain = [(i * 3 + 5, (i + 1) * 3 + 5) for i in range(60)]
-    got = components_over_int(_int_pairs_ds(chain)).to_pandas()
+    got = components_over(_int_pairs_ds(chain)).to_pandas()
     assert len(got) == 61
     assert set(got["comp"]) == {5}
 
@@ -533,37 +533,41 @@ def test_components_over_int_long_path_converges():
 def test_components_over_int_raises_past_max_iters():
     import pytest as _pytest
 
-    from codetoneo4j_ray.pipelines.graph_ops import components_over_int
+    from codetoneo4j_ray.pipelines.graph_ops import components_over
 
     chain = [(i, i + 1) for i in range(40)]
     with _pytest.raises(RuntimeError, match="did not converge"):
-        components_over_int(_int_pairs_ds(chain), max_iters=2)
+        components_over(_int_pairs_ds(chain), max_iters=2)
     with _pytest.raises(ValueError):
-        components_over_int(_int_pairs_ds(chain), max_iters=0)
+        components_over(_int_pairs_ds(chain), max_iters=0)
 
 
-def test_iterative_ops_single_bucket():
-    """num_buckets=1 is a legal configuration of every raw-task loop:
+def _force_ranges(monkeypatch, n: int) -> None:
+    """Make ``blocks_for`` give any non-empty input ``n`` blocks, so an
+    encoded graph of at least ``n`` keys takes ``n`` key ranges."""
+    import ray.data
+
+    from codetoneo4j_ray.stages import bucketing
+
+    monkeypatch.setattr(bucketing, "target_blocks", lambda: n)
+    monkeypatch.setattr(ray.data.DataContext.get_current(),
+                        "target_min_block_size", 1)
+
+
+def test_iterative_ops_single_bucket(monkeypatch):
+    """One key range is a legal configuration of every raw-task loop:
     Ray returns a bare ObjectRef under num_returns=1 (no tuple unpack),
-    which the step/jump tasks and the driver loop must both normalize
-    (_kret / _route_by_bucket's K==1 unwrap)."""
+    so every routing task returns its pieces plus a row count and the
+    loops run at one range as at two."""
     import ray.data
 
     from codetoneo4j_ray.pipelines.graph_ops import (
         bfs_depth_over,
         components_over,
-        components_over_int,
         pagerank_over,
         sssp_over,
         triangles_over,
     )
-
-    got = components_over_int(
-        _int_pairs_ds([(10, 9), (9, 1000), (42, 42)]), num_buckets=1
-    ).to_pandas()
-    assert dict(zip(got["node"], got["comp"])) == {
-        9: 9, 10: 9, 1000: 9, 42: 42,
-    }
 
     # f1 -> s1 -> s2 plus the closing s2 -> f1: one triangle, and no
     # new shortest path from the root
@@ -577,29 +581,43 @@ def test_iterative_ops_single_bucket():
     )
     pairs = edges.select_columns(["subj", "obj"])
     for nb in (1, 2):
-        cc = components_over(pairs, num_buckets=nb).to_pandas()
+        _force_ranges(monkeypatch, nb)
+        got = components_over(
+            _int_pairs_ds([(10, 9), (9, 1000), (42, 42)])
+        ).to_pandas()
+        assert dict(zip(got["node"], got["comp"])) == {
+            9: 9, 10: 9, 1000: 9, 42: 42,
+        }
+        cc = components_over(pairs).to_pandas()
         assert set(cc["comp"]) == {"f1"}
         assert len(cc) == 4
-        bfs = bfs_depth_over(edges, num_buckets=nb).to_pandas()
+        bfs = bfs_depth_over(edges).to_pandas()
         assert dict(zip(bfs["node"], bfs["depth"])) == {
             "repo:r": 0, "f1": 1, "s1": 2, "s2": 3,
         }
-        dist = sssp_over(edges, num_buckets=nb).to_pandas()
+        dist = sssp_over(edges).to_pandas()
         assert len(dist) == 4
-        pr = pagerank_over(pairs, num_buckets=nb).to_pandas()
+        pr = pagerank_over(pairs).to_pandas()
         assert len(pr) == 4
         assert (pr["rank_fp"] > 0).all()
-        tri = triangles_over(pairs, num_buckets=nb).to_pandas()
+        tri = triangles_over(pairs).to_pandas()
         assert dict(zip(tri["node"], tri["n_tri"])) == {
             "f1": 1, "s1": 1, "s2": 1,
         }
 
 
+GRAPH_OPS = ("pagerank", "components", "bfs_depth", "sssp", "triangles")
+
+
+def _canon(df):
+    return sorted(map(tuple, df.astype(str).to_numpy().tolist()))
+
+
 def test_graph_ops_run_without_sort_based_exchange(monkeypatch):
     """Every graph op runs on the raw-task exchange alone: with
     ray.data.Dataset.groupby made to raise, the five string ops and
-    components_over_int still match their DuckDB oracles on a graph
-    with a triangle, a self-loop and an unreachable island."""
+    components over int64 keys still match their DuckDB oracles on a
+    graph with a triangle, a self-loop and an unreachable island."""
     import pandas as pd
     import ray.data
 
@@ -625,15 +643,12 @@ def test_graph_ops_run_without_sort_based_exchange(monkeypatch):
     )
     cte = "all_edges AS (SELECT subj, pred, obj FROM edge_rows)"
 
-    def canon(df):
-        return sorted(map(tuple, df.astype(str).to_numpy().tolist()))
-
-    for op in ("pagerank", "components", "bfs_depth", "sssp", "triangles"):
+    for op in GRAPH_OPS:
         got = getattr(graph_ops, f"{op}_over")(_edges_ds(rows)).to_pandas()
         want = con.execute(getattr(graph_ops, f"{op}_oracle_sql")(cte)).df()
         assert len(got) > 0, op
         assert list(got.columns) == list(want.columns), op
-        assert canon(got) == canon(want), op
+        assert _canon(got) == _canon(want), op
 
     ids = {n: i for i, n in enumerate(sorted({r[0] for r in rows}
                                              | {r[2] for r in rows}))}
@@ -641,12 +656,86 @@ def test_graph_ops_run_without_sort_based_exchange(monkeypatch):
     con.register(
         "int_rows", pd.DataFrame(int_rows, columns=["subj", "pred", "obj"])
     )
-    got = graph_ops.components_over_int(
+    got = graph_ops.components_over(
         _int_pairs_ds([(a, b) for a, _, b in int_rows])
     ).to_pandas()
     want = con.execute(graph_ops.components_oracle_sql(
         "all_edges AS (SELECT subj, pred, obj FROM int_rows)")).df()
-    assert canon(got) == canon(want)
+    assert _canon(got) == _canon(want)
+
+
+def test_graph_ops_on_blocks_run_no_ray_data_execution(monkeypatch):
+    """Given Blocks, each of the five ops runs no Ray Data execution
+    and returns Blocks; given a Dataset, at most one (its materialize).
+    On a graph whose keys straddle the range bounds, with non-ASCII
+    keys ("é" sorts after "z" by code point, as in DuckDB's ORDER BY),
+    every op gives the same rows in the same order at 1, 2 and 3 key
+    ranges, and those rows are its DuckDB oracle's, ORDER BY included."""
+    import pandas as pd
+    import pyarrow as pa
+    import ray
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from codetoneo4j_ray.pipelines import graph_ops
+    from codetoneo4j_ray.stages.bucketing import Blocks
+
+    rows = [
+        ("r", "src__HAS_FILE", "f"),
+        ("f", "src__DECLARES", "a"),
+        ("a", "sym__INVOKES", "b"),
+        ("b", "sym__INVOKES", "c"),
+        ("c", "sym__INVOKES", "a"),
+        ("a", "sym__INVOKES", "é"),
+        ("é", "sym__INVOKES", "z"),
+        ("z", "sym__INVOKES", "a"),
+        ("é", "sym__INVOKES", "b"),
+        ("b", "sym__DEPENDS_ON", "b"),
+        ("f", "src__DECLARES", "zz"),
+        ("Ω", "src__HAS_FILE", "é"),
+        ("x", "sym__INVOKES", "y"),
+    ]
+    frame = pd.DataFrame(rows, columns=["subj", "pred", "obj"])
+    con = duckdb.connect()
+    con.register("edge_rows", frame)
+    cte = "all_edges AS (SELECT subj, pred, obj FROM edge_rows)"
+    want = {op: con.execute(getattr(graph_ops, f"{op}_oracle_sql")(cte)).df()
+            for op in GRAPH_OPS}
+
+    real = StreamingExecutor.execute
+    runs = []
+
+    def counted(self, *args, **kwargs):
+        runs.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    table = pa.Table.from_pandas(frame, preserve_index=False)
+    parts = [table.slice(i, 4) for i in range(0, len(rows), 4)]
+    blocks = Blocks.of([ray.put(t) for t in parts],
+                       [(t.num_rows, t.nbytes) for t in parts])
+    results = {}
+    for nb in (1, 2, 3):
+        _force_ranges(monkeypatch, nb)
+        assert graph_ops.encode_graph(blocks).num_ranges == nb
+        for op in GRAPH_OPS:
+            fn = getattr(graph_ops, f"{op}_over")
+            del runs[:]
+            out = fn(blocks)
+            assert isinstance(out, Blocks) and not runs, (op, nb)
+            got = out.table().to_pandas()
+            results.setdefault(op, got)
+            pd.testing.assert_frame_equal(got, results[op])
+            assert list(got.columns) == list(want[op].columns), op
+            assert (got.astype(str).values.tolist()
+                    == want[op].astype(str).values.tolist()), (op, nb)
+            ds = ray.data.from_arrow(parts)
+            del runs[:]
+            out = fn(ds)
+            assert len(runs) <= 1, (op, nb)
+            pd.testing.assert_frame_equal(out.to_pandas(), got)
 
 
 def test_reduce_by_matches_pandas_groupby():
