@@ -368,10 +368,10 @@ def _graph_tail(records: Blocks, no_key: bool,
                 raise RuntimeError("records checkpoint write failed") from e
         walls.lap("scan")
         # tasks sized from the index rows' bytes pin the per-repo
-        # indices; no index row reaches the driver
+        # indices, finished before any map task reads them; no index
+        # row reaches the driver
         link_store = keyed_store([s[:-1] for s in scans], num_ranges,
                                  _index_blobs, sum(n for *_, n in metas))
-        submit(list(dict.fromkeys(r for p in link_store.pieces for r in p)))
         bounds = [range_bounds([s[i] for s, _, _ in metas if s is not None],
                                num_ranges) for i in range(len(_OUTPUTS))]
         nret = sum(len(b) + 1 for b in bounds) + 1

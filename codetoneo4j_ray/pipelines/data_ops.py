@@ -159,7 +159,7 @@ def _minhash_sig(sh: set[int]) -> np.ndarray:
 
 
 def doc_dedup_minhash(
-    sf_dir: str, jaccard_threshold: float = 0.8, _apply=None
+    sf_dir: str, jaccard_threshold: float = 0.8
 ) -> ray.data.Dataset:
     """Near-duplicate pairs (a < b) with band-LSH candidates verified by
     exact shingle Jaccard. Returns (doc_a, doc_b).
@@ -168,8 +168,7 @@ def doc_dedup_minhash(
     are one-shot, so they run as raw split+per-bucket tasks
     (:func:`bucketed_apply_tasks`) rather than sort-based groupbys —
     the same exactness contract, minus the sort/sample machinery whose
-    fixed latency dominated this op (tests pin equivalence to the
-    groupby path via ``_apply=bucketed_apply``).
+    fixed latency dominated this op.
 
     The shingle hash (md5-derived), permutation mixing (mod-2^64
     xor-multiply) and band buckets (a position-salted multiply-sum fold
@@ -196,8 +195,6 @@ def doc_dedup_minhash(
     attach_a -> verify_b -> sort. Distinct-but-near-identical floods
     still cost O(pairs) — the size of the required output."""
 
-    if _apply is None:
-        _apply = bucketed_apply_tasks
     rows_per_band = _MINHASH_PERMS // _LSH_BANDS
 
     def to_bands(batch: pa.Table) -> pa.Table:
@@ -275,7 +272,7 @@ def doc_dedup_minhash(
             }
         )
 
-    cand = _apply(
+    cand = bucketed_apply_tasks(
         _docs(sf_dir, ["doc_id", "text"]).map_batches(
             to_bands, batch_format="pyarrow"
         ),
@@ -418,13 +415,13 @@ def doc_dedup_minhash(
             )
         return pa.table(cols, schema=_JOIN_SCHEMA)
 
-    pass_a = _apply(
+    pass_a = bucketed_apply_tasks(
         cand.map_batches(norm, batch_format="pyarrow")
         .union(shingles_ds.map_batches(norm, batch_format="pyarrow")),
         ["key"],
         attach_a,
     )
-    verified = _apply(
+    verified = bucketed_apply_tasks(
         pass_a.map_batches(norm, batch_format="pyarrow")
         .union(shingles_ds.map_batches(norm, batch_format="pyarrow")),
         ["key"],
@@ -2020,12 +2017,23 @@ def doc_pack(sf_dir: str, capacity: int = _PACK_CAPACITY) -> ray.data.Dataset:
     bucketed exchange. The ranger only affects balance: r is monotone
     in doc_id under ANY boundary set, so the scan stays exact."""
     docs = _docs(sf_dir, ["doc_id", "lang", "n_chars"])
-    from codetoneo4j_ray.stages.bucketing import (
-        sampled_range_bounds,
-        target_blocks,
+    from codetoneo4j_ray.stages.bucketing import target_blocks
+    from codetoneo4j_ray.stages.canonicalize import (
+        SAMPLE_KEYS,
+        key_sample,
+        range_bounds,
     )
 
-    bounds = sampled_range_bounds(docs, "doc_id", target_blocks())
+    n = docs.count()
+    rate = min(1.0, SAMPLE_KEYS / n) if n else 1.0
+
+    def sample(batch: pa.Table) -> pa.Table:
+        return pa.table({"k": pa.array(key_sample(batch["doc_id"], rate),
+                                       pa.int64())})
+
+    samples = docs.map_batches(sample, batch_format="pyarrow").to_pandas()
+    bounds = range_bounds([samples["k"].to_numpy()],
+                          target_blocks()).astype("int64")
 
     def add_r(batch: pa.Table) -> pa.Table:
         r = np.searchsorted(

@@ -95,6 +95,7 @@ from codetoneo4j_ray.stages.bucketing import (
     cached_view,
     load_block,
     parquet_files,
+    pinned,
     plan_reads,
     read_blocks,
     split_by_ids,
@@ -200,19 +201,9 @@ class EncodedGraph:
             n = self.num_ranges
             rev = [_split_remote(_rt_symmetric, n, a, self.offsets)
                    for a in self.adj]
-            self._sym = _pinned([_rt_distinct.remote(
+            self._sym = pinned([_rt_distinct.remote(
                 _SYM, *[r[k] for r in rev]) for k in range(n)])
         return self._sym
-
-
-def _pinned(refs: list) -> list:
-    """``refs`` once their tasks have finished. Range tasks get these
-    refs inside a list (unresolved, so the worker cache keys on their
-    identity), which Ray does not wait for: a task blocked on one in
-    ``ray.get`` gives up its CPU, and Ray starts another worker process
-    to run what it waits on."""
-    ray.wait(refs, num_returns=len(refs), fetch_local=False)
-    return refs
 
 
 def _endpoints(table: pa.Table) -> pa.ChunkedArray:
@@ -353,7 +344,7 @@ def encode_graph(edges: Blocks) -> EncodedGraph:
     enc = [_split_remote(_rt_encode, n, b, nodes, offsets, bounds, preds)
            for b in edges.refs]
     adj = [_rt_distinct.remote(_ADJ, *[e[k] for e in enc]) for k in range(n)]
-    return EncodedGraph(nodes, offsets, preds, _pinned(adj))
+    return EncodedGraph(nodes, offsets, preds, pinned(adj))
 
 
 def _over(edges: Blocks | ray.data.Dataset, op, **kw):

@@ -96,8 +96,9 @@ def ensure_kg(sf_dir: str) -> dict[str, str]:
     # per-repo member-index buckets, one raw task per block; the oracle
     # reads the resolved mentions back from parquet
     mentions = read_records_blocks(paths["records"], "mention")
-    store = build_bucket_store(mentions, ["repo"], reduce_fn=_index_blobs,
-                               map_fn=index_rows)
+    store = build_bucket_store(
+        read_records_blocks(paths["records"], "mention", fn=index_rows),
+        ["repo"], _index_blobs)
     shutil.rmtree(paths["mentions"], ignore_errors=True)
     os.makedirs(paths["mentions"])
     ray.get([_write_resolved.remote(

@@ -7,11 +7,11 @@ hash keys into a bounded number of buckets, split every input block
 into per-bucket object-store pieces with raw tasks (one wave), then run
 a *vectorized* pandas function once per bucket in one task per bucket;
 every row of a given key lands in exactly one bucket, so per-key
-semantics (dedup, LWW winner, aggregation) stay exact. The same split
-either feeds that apply wave once (:func:`bucketed_apply_tasks`) or is
-pinned as a :class:`BucketStore` that iterative and lookup consumers
-read many times (:func:`build_bucket_store`, optionally reduced per
-bucket on the way in).
+semantics (dedup, LWW winner, aggregation) stay exact. The one split
+wave has two consumers: the apply wave that runs once
+(:func:`bucketed_apply_tasks`), and :func:`keyed_store`, the only way
+a :class:`BucketStore` gets pinned for keyed lookups
+(:func:`build_bucket_store` is the split wave plus ``keyed_store``).
 
 Every block and bucket count on the build path comes from one rule,
 :func:`blocks_for`: the bytes the stage carries over Ray Data's own
@@ -371,145 +371,62 @@ def _apply_bucket_pieces(fn, *pieces):
     return table, (table.num_rows, table.nbytes)
 
 
-def bucketed_apply_tasks(
-    ds: ray.data.Dataset | Blocks,
-    key_cols: list[str],
-    bucket_fn,
-    num_buckets: int | None = None,
-    min_buckets: int = 1,
-    map_fn=None,
-) -> ray.data.Dataset | Blocks:
-    """Hash rows into buckets by ``key_cols`` with raw split tasks, then
-    run ``bucket_fn(pandas_df)`` once per bucket in one task per bucket
-    (:func:`apply_store`) — no sort-based groupby exchange. Every row
-    of a key lands in exactly one bucket, and ``bucket_fn`` must not
-    depend on bucket identity. ``num_buckets`` defaults to
-    ``blocks_for(input bytes, min_buckets)``; CPU-bound bucket fns pass
-    ``min_buckets=cluster_cpus()``. Empty ``key_cols`` (one global
-    group) always use one bucket. The split is left unconsolidated:
-    the apply task concatenates its bucket's pieces anyway, so a
-    per-bucket concat layer would only add a task wave plus one extra
-    object-store copy of the whole input.
-
-    A Dataset in gives a Dataset out; :class:`Blocks` in give Blocks
-    out, and ``map_fn(block)`` (see :func:`build_bucket_store`) runs in
-    the split tasks."""
-    if not key_cols:
-        num_buckets = 1
-    store = build_bucket_store(
-        ds, key_cols, num_buckets, consolidate=False, min_buckets=min_buckets,
-        map_fn=map_fn,
-    )
-    return apply_store(store, bucket_fn, as_blocks=isinstance(ds, Blocks))
-
-
-def sampled_range_bounds(
-    ds: ray.data.Dataset,
-    col: str,
-    num_ranges: int,
-    sample_cap: int = 65536,
-) -> np.ndarray:
-    """Quantile boundaries for a MONOTONE range-bucketing of an int64
-    order key — the skew-safe replacement for a fixed-width ranger
-    (``key // width``), which collapses to a handful of buckets when
-    keys are sparse or clustered. Callers assign
-    ``r = np.searchsorted(bounds, key, side="right")``; r is monotone
-    in the key, so ordered two-pass prefix scans stay exact regardless
-    of which ranger produced it — only balance changes.
-
-    One column-pruned pass samples keys by a deterministic hash
-    threshold sized from row-count metadata, so the driver holds at
-    most ~sample_cap values no matter the dataset size, and repeated
-    runs see the same sample. Returns a sorted, deduped int64 array
-    (possibly shorter than num_ranges-1; empty for empty/tiny inputs —
-    everything then lands in range 0, which is correct, just
-    unbalanced at toy scale)."""
-    n = ds.count()
-    if not n:
-        return np.array([], dtype="int64")
-    rate = min(1.0, sample_cap / n)
-    thresh = np.uint64(int(rate * 2**64)) if rate < 1.0 else None
-
-    def samp(b: pa.Table) -> pa.Table:
-        v = b[col].to_numpy(zero_copy_only=False).astype("int64")
-        if thresh is not None:
-            h = pd.util.hash_array(v, categorize=False)
-            v = v[h < thresh]
-        return pa.table({col: pa.array(v, pa.int64())})
-
-    sample = (
-        ds.select_columns([col])
-        .map_batches(samp, batch_format="pyarrow")
-        .to_pandas()[col]
-        .to_numpy()
-    )
-    if sample.size == 0:
-        return np.array([], dtype="int64")
-    qs = np.quantile(
-        sample, np.arange(1, num_ranges) / num_ranges, method="lower"
-    ).astype("int64")
-    return np.unique(qs)
-
-
-def hash_bucket_series(s: pd.Series, num_buckets: int) -> np.ndarray:
-    """Map-side bucket ids for a pandas column — the SAME hash as
-    add_bucket_column on a single key column, so rows tagged here
-    co-locate with keep_bucket=True outputs of that key. Non-string
-    dtypes are stringified first, matching _key_strings' Arrow cast
-    (int64 → decimal string)."""
-    if s.dtype != object:
-        s = s.astype(str)
-    obj = s.to_numpy(dtype=object, copy=False)
-    h = pd.util.hash_array(np.asarray(obj, dtype=object), categorize=False)
-    return (h % num_buckets).astype(np.int32)
-
-
-# ---------------------------------------------------------------------------
-# Pinned bucket store: the partitioned-broadcast side of lookup joins.
-# The big side is hashed into per-bucket object-store pieces ONCE;
-# consumers (raw tasks) fetch only the buckets they touch and keep them
-# in the worker cache below.
-# At cluster scale each piece lives in the object store (spillable) and
-# is served to whichever node asks. A store sized by blocks_for keeps
-# buckets near a block's size until the cap, past which, at a fixed
-# cluster size, a bucket grows with the data and must still fit a
-# worker's heap.
-# ---------------------------------------------------------------------------
-
-
 @ray.remote
-def _split_block(num_buckets: int, key_cols: list[str] | None, map_fn,
-                 *blocks):
-    """One shuffle map task: split block(s) into K pieces (None for
-    empty buckets), hashing rows by ``key_cols`` — or, for None, by the
-    ``__bucket`` column the rows were tagged with map-side — after
-    ``map_fn(block)`` when given. Returned as num_returns=K+1 objects
-    (the pieces, then the rows split) so the driver only ever holds
-    refs, never data. Accepts several blocks per task (grouped by the
-    caller) so a fragmented input doesn't create O(blocks × buckets)
-    tiny objects — object creation/registration, not the split,
-    dominates the wave once blocks outnumber CPUs."""
-    tables = []
-    for block in blocks:
-        block = map_fn(block) if map_fn is not None else load_block(block)
-        if block.num_rows and (
-            key_cols is not None or "__bucket" in block.column_names
-        ):
-            tables.append(block)
+def _split_block(num_buckets: int, key_cols: list[str], *blocks):
+    """One split task: block(s) (tables or :class:`ParquetSlice` specs)
+    hashed by ``key_cols`` into ``num_buckets`` pieces (None for empty
+    buckets). Returned as num_returns=K+1 objects (the pieces, then the
+    rows split) so the driver only ever holds refs, never data."""
+    tables = [t for t in map(load_block, blocks) if t.num_rows]
     if not tables:
         return (*[None] * num_buckets, 0)
     # permissive: blocks of a unioned input can disagree on all-null
     # column types (null vs the real dtype)
-    body = (
-        tables[0]
-        if len(tables) == 1
-        else pa.concat_tables(tables, promote_options="permissive")
-    )
-    ids = None
-    if key_cols is None:
-        ids = body["__bucket"]
-        body = body.drop_columns(["__bucket"])
-    return (*split_table(body, key_cols, num_buckets, ids), body.num_rows)
+    body = (tables[0] if len(tables) == 1
+            else pa.concat_tables(tables, promote_options="permissive"))
+    return (*split_table(body, key_cols, num_buckets), body.num_rows)
+
+
+def _split_wave(blocks: Blocks, key_cols: list[str], num_buckets: int) -> list:
+    """The one split wave: ``blocks`` grouped into at most
+    ``blocks_for(input bytes, cluster_cpus())`` split tasks, each
+    returning its ``num_buckets`` piece refs, in input order. Groups
+    are contiguous chunks, so per-bucket row order is identical to an
+    ungrouped split; grouping keeps a fragmented input from creating
+    O(blocks × buckets) tiny objects, whose creation and registration,
+    not the split, dominates the wave once blocks outnumber CPUs."""
+    refs = blocks.refs
+    ngroups = min(len(refs), blocks_for(blocks.nbytes, cluster_cpus()))
+    cuts = np.linspace(0, len(refs), ngroups + 1).astype(int)
+    split = _split_block.options(num_returns=num_buckets + 1)
+    return [split.remote(num_buckets, key_cols, *refs[a:b])[:-1]
+            for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def bucketed_apply_tasks(
+    ds: ray.data.Dataset | Blocks,
+    key_cols: list[str],
+    bucket_fn,
+) -> ray.data.Dataset | Blocks:
+    """Hash rows into ``blocks_for(input bytes)`` buckets by ``key_cols``
+    with one split wave, then run ``bucket_fn(pandas_df)`` once per
+    bucket in one task per bucket — no sort-based groupby exchange.
+    Every row of a key lands in exactly one bucket, and ``bucket_fn``
+    must not depend on bucket identity. Empty ``key_cols`` (one global
+    group) use one bucket. Each apply task concatenates its bucket's
+    pieces itself, so the split needs no consolidating wave. Empty
+    buckets produce no block: each task returns its sizes beside its
+    table, and the driver fetches only the sizes.
+
+    A Dataset in (materialized once, sized from its block metadata)
+    gives a Dataset out; :class:`Blocks` in give Blocks out."""
+    blocks = ds if isinstance(ds, Blocks) else Blocks.of_dataset(ds)
+    num_buckets = blocks_for(blocks.nbytes) if key_cols else 1
+    per_group = _split_wave(blocks, key_cols, num_buckets)
+    refs = [_apply_bucket_pieces.remote(bucket_fn, *[pg[k] for pg in per_group])
+            for k in range(num_buckets)]
+    out = Blocks.of([t for t, _ in refs], ray.get([s for _, s in refs]))
+    return out if isinstance(ds, Blocks) else out.dataset()
 
 
 def split_by_ids(table: pa.Table | None, ids, n: int) -> list:
@@ -530,112 +447,85 @@ def split_by_ids(table: pa.Table | None, ids, n: int) -> list:
             for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def split_table(table: pa.Table, key_cols: list[str] | None,
-                num_buckets: int, ids=None) -> list:
+def split_table(table: pa.Table, key_cols: list[str], num_buckets: int) -> list:
     """``table``'s rows in ``num_buckets`` pieces (None for an empty
-    one), by the hash of ``key_cols`` or by the bucket ``ids`` given:
-    the split of :func:`build_bucket_store`, also run by raw tasks that
-    split their own output for :func:`keyed_store`."""
-    if ids is None and num_buckets > 1:
-        ids = _bucket_ids(table, key_cols, num_buckets)
+    one) by the hash of ``key_cols``: the split of the split wave, also
+    run by raw tasks that split their own output for
+    :func:`keyed_store`."""
+    ids = _bucket_ids(table, key_cols, num_buckets) if num_buckets > 1 else None
     return split_by_ids(table, ids, num_buckets)
 
 
-class BucketStore:
-    """Handle to a dataset pinned as per-bucket object-store pieces.
+# ---------------------------------------------------------------------------
+# Pinned bucket store: the partitioned-broadcast side of lookup joins.
+# The big side is hashed into per-bucket object-store pieces ONCE;
+# consumers (raw tasks) fetch only the buckets they touch and keep them
+# in the worker cache below.
+# At cluster scale each piece lives in the object store (spillable) and
+# is served to whichever node asks. A store sized by blocks_for keeps
+# buckets near a block's size until the cap, past which, at a fixed
+# cluster size, a bucket grows with the data and must still fit a
+# worker's heap.
+# ---------------------------------------------------------------------------
 
-    ``pieces[k]`` is the list of ObjectRefs whose concatenation is the
-    full content of bucket k (minus the __bucket column). Serializable —
-    ship it inside tasks and map_batches callables; consumers read
-    buckets through :func:`cached_view`, so a fetched bucket survives
-    across the tasks and stages each reused worker process runs."""
+
+class BucketStore:
+    """Handle to rows pinned as per-bucket object-store pieces.
+
+    ``pieces[k]`` is the list of ObjectRefs whose concatenation holds
+    bucket k (one object, shared by the buckets of its run: see
+    :func:`keyed_store`). Serializable — ship it inside tasks; consumers
+    read buckets through :func:`cached_view`, so a fetched bucket
+    survives across the tasks and stages each reused worker process
+    runs."""
 
     def __init__(self, pieces: list[list], num_buckets: int):
         self.pieces = pieces
         self.num_buckets = num_buckets
 
 
-def build_bucket_store(
-    ds: ray.data.Dataset | Blocks,
-    key_cols: list[str] | None,
-    num_buckets: int | None = None,
-    consolidate: bool = True,
-    reduce_fn=None,
-    min_buckets: int = 1,
-    map_fn=None,
-) -> BucketStore:
-    """Pin ``ds`` into a BucketStore keyed by ``key_cols``; the split
-    tasks hash the rows. Pass key_cols=None when rows already carry
-    __bucket (tagged map-side). ``num_buckets`` defaults to
-    ``blocks_for(input bytes, min_buckets)``, read from the
-    materialized input's block metadata — no second execution — or
-    from :class:`Blocks`' ``nbytes``. ``map_fn(block)`` turns each input
-    block (a table or a :class:`ParquetSlice`) into the table to split,
-    inside the split task.
+def pinned(refs: list) -> list:
+    """``refs`` once their tasks have finished. Consumers get pinned
+    refs inside a store or a list (unresolved, so the worker cache keys
+    on their identity), which Ray does not wait for: a task blocked on
+    one in ``ray.get`` gives up its CPU, and Ray starts another worker
+    process to run what it waits on."""
+    ray.wait(refs, num_returns=len(refs), fetch_local=False)
+    return refs
 
-    Input blocks are grouped into ``blocks_for(input bytes,
-    cluster_cpus())`` split tasks (contiguous chunks, so per-bucket row
-    order is identical to an ungrouped split): a fragmented input would
-    otherwise create O(blocks × buckets) tiny objects in the split wave.
 
-    ``reduce_fn(pandas_df)`` runs once per bucket over the bucket's
-    whole content and its output is what gets pinned — a dedup or
-    per-key aggregate in the same task that consolidates the bucket,
-    so a reduced store costs one split wave plus one task per bucket,
-    and an empty output pins None. Its output keys must hash to the
-    bucket of the input keys they came from (dedup, aggregate, or
-    columns attached per key), or lookups against the store miss.
-
-    Without ``reduce_fn``, ``consolidate=True`` (default) still runs
-    that per-bucket task as a plain concat whenever the split produced
-    multiple pieces: a store handle then carries num_buckets refs
-    instead of num_groups × num_buckets. The handle rides inside every
-    task of every consumer stage, and each ObjectRef costs
-    serialization + ownership registration per task — for an iterative
-    consumer (PageRank, label propagation) the unconsolidated 64×64 ref
-    matrix dominated per-iteration wall time. One-shot consumers
-    (``bucketed_apply_tasks``) pass ``consolidate=False``: their single
-    apply wave concatenates the pieces itself."""
-    if not isinstance(ds, Blocks):
-        ds = Blocks.of_dataset(ds)
-    block_refs, nbytes = ds.refs, ds.nbytes
-    if num_buckets is None:
-        num_buckets = blocks_for(nbytes, min_buckets)
-    ngroups = blocks_for(nbytes, cluster_cpus())
-    if len(block_refs) > ngroups:
-        bounds = np.linspace(0, len(block_refs), ngroups + 1).astype(int)
-        groups = [
-            block_refs[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a
-        ]
-    else:
-        groups = [[r] for r in block_refs]
-    split = _split_block.options(num_returns=num_buckets + 1)
-    per_group = [split.remote(num_buckets, key_cols, map_fn, *grp)[:-1]
-                 for grp in groups]
-    pieces = [[pg[k] for pg in per_group] for k in range(num_buckets)]
-    if reduce_fn is not None or (consolidate and len(per_group) > 1):
-        pieces = [[_apply_bucket_pieces.remote(reduce_fn, *p)[0]] for p in pieces]
-    return BucketStore(pieces, num_buckets)
+def build_bucket_store(blocks: Blocks, key_cols: list[str],
+                       reduce_fn=None) -> BucketStore:
+    """``blocks`` pinned as a store keyed by ``key_cols``: one split
+    wave into ``blocks_for(input bytes)`` buckets, then
+    :func:`keyed_store`, which at that count pins every bucket in an
+    object of its own."""
+    num_buckets = blocks_for(blocks.nbytes)
+    return keyed_store(_split_wave(blocks, key_cols, num_buckets),
+                       num_buckets, reduce_fn, blocks.nbytes)
 
 
 def keyed_store(per_group: list, num_buckets: int, reduce_fn,
                 nbytes: int) -> BucketStore:
-    """A store for keyed lookups (:func:`load_blobs`) over the outputs
-    of raw tasks that split their own rows (``per_group``: each task's
-    ``num_buckets`` piece refs, from :func:`split_table`, in input
-    order). ``reduce_fn`` pins runs of adjacent buckets in
+    """The one way a :class:`BucketStore` gets pinned: the pieces of
+    split tasks (``per_group``: each task's ``num_buckets`` piece refs,
+    from :func:`split_table`, in input order) concatenated per bucket,
+    through ``reduce_fn(pandas_df)`` when given — a dedup or per-key
+    aggregate in the same task, whose output keys must hash to the
+    bucket of the input keys they came from, or lookups miss; an empty
+    output pins None. Runs of adjacent buckets are pinned in
     ``blocks_for(nbytes)`` tasks, ``nbytes`` being the rows' bytes, so
     a split whose count came from an upper bound costs only the tasks
-    its rows need. A bucket's pinned object then also holds the other
-    buckets of its run, which keyed lookups skip."""
+    its rows need; a bucket's pinned object then also holds the other
+    buckets of its run, which keyed lookups (:func:`load_blobs`) skip.
+    Returns once every pinned object has finished (:func:`pinned`)."""
     runs = np.array_split(np.arange(num_buckets),
                           min(num_buckets, blocks_for(nbytes)))
-    pieces = []
-    for run in runs:
-        ref = _apply_bucket_pieces.remote(
-            reduce_fn, *[pg[k] for k in run for pg in per_group])[0]
-        pieces += [[ref]] * len(run)
-    return BucketStore(pieces, num_buckets)
+    refs = pinned([_apply_bucket_pieces.remote(
+        reduce_fn, *[pg[k] for k in run for pg in per_group])[0]
+        for run in runs])
+    return BucketStore([[ref] for ref, run in zip(refs, runs) for _ in run],
+                       num_buckets)
 
 
 def blob_frame(key: str, objs: dict) -> pd.DataFrame:
@@ -650,8 +540,9 @@ def load_blobs(store: BucketStore, key: str, values) -> dict:
     ``store`` whose ``key`` is in ``values``, fetching only the buckets
     those values hash to, each unpickled once per worker process
     (:func:`cached_view`)."""
-    values = pd.Series(sorted(set(values)), dtype=object)
-    ids = hash_bucket_series(values, store.num_buckets)
+    values = np.array(sorted(set(values)), dtype=object)
+    ids = _bucket_ids(pa.table({key: values}), [key],
+                      store.num_buckets).to_numpy()
     out: dict = {}
     for k in np.unique(ids):
         blobs = cached_view(store.pieces[int(k)], ("blobs", key),
@@ -665,18 +556,6 @@ def _unpickle_blobs(key: str, table: pa.Table | None) -> dict:
         return {}
     return dict(zip(table[key].to_pylist(),
                     map(pickle.loads, table["blob"].to_pylist())))
-
-
-def apply_store(store: BucketStore, fn,
-                as_blocks: bool = False) -> ray.data.Dataset | Blocks:
-    """Run ``fn(pandas_df)`` once per bucket of ``store`` (one task per
-    bucket) and return the outputs as a Dataset, or as :class:`Blocks`
-    with ``as_blocks``. Empty buckets produce no block: each task
-    returns its sizes beside its table, and the driver fetches only the
-    sizes."""
-    refs = [_apply_bucket_pieces.remote(fn, *p) for p in store.pieces]
-    done = Blocks.of([t for t, _ in refs], ray.get([s for _, s in refs]))
-    return done if as_blocks else done.dataset()
 
 
 # ---------------------------------------------------------------------------

@@ -259,10 +259,7 @@ def build_type_index(corpus: Blocks, extra=None):
     sizes = ray.get([s for _, _, s in refs])
     skims = Blocks.of([r[0] for r in refs], [s[0] for s in sizes])
     more = Blocks.of([r[1] for r in refs], [s[1] for s in sizes])
-    store = build_bucket_store(skims, ["repo"], reduce_fn=_assemble_blobs)
-    pinned = [r for p in store.pieces for r in p]
-    ray.wait(pinned, num_returns=len(pinned), fetch_local=False)
-    return store, more
+    return build_bucket_store(skims, ["repo"], _assemble_blobs), more
 
 
 def _records_table(

@@ -1,9 +1,8 @@
 """Invariants of the central shuffle primitive (stages/bucketing.py).
 
 Every exchange in the engine rides on three properties:
-1. the bucket hash is a pure per-value function, identical between the
-   Arrow block path (add_bucket_column) and the pandas map-side path
-   (hash_bucket_series);
+1. the bucket hash (_bucket_ids) is a pure per-value function: a value
+   lands in the same bucket whatever table or block it arrives in;
 2. bucketed_apply co-locates all rows of a key in exactly one group,
    and keep_bucket re-tags outputs with ids that re-hash to themselves;
 3. a BucketStore round-trips its source rows exactly, partitioned so
@@ -11,6 +10,9 @@ Every exchange in the engine rides on three properties:
 """
 
 from __future__ import annotations
+
+import time
+from itertools import groupby
 
 import numpy as np
 import pandas as pd
@@ -21,14 +23,39 @@ from hypothesis import strategies as st
 
 from codetoneo4j_ray.stages import bucketing
 from codetoneo4j_ray.stages.bucketing import (
+    Blocks,
+    _bucket_ids,
     add_bucket_column,
     bucket_frame,
     bucketed_apply,
     build_bucket_store,
-    hash_bucket_series,
 )
 
 K = 16
+
+
+def _force_buckets(monkeypatch, n: int) -> None:
+    """Make ``blocks_for`` give ``n`` for any input of at least ``n``
+    bytes: every exchange then runs ``n`` buckets."""
+    import ray.data
+
+    monkeypatch.setattr(bucketing, "target_blocks", lambda: n)
+    monkeypatch.setattr(ray.data.DataContext.get_current(),
+                        "target_min_block_size", 1)
+
+
+def _blocks(frames: list[pd.DataFrame]) -> Blocks:
+    """``frames`` as raw-task blocks: one pinned Arrow table each."""
+    import ray
+
+    tabs = [pa.Table.from_pandas(f, preserve_index=False) for f in frames]
+    return Blocks.of([ray.put(t) for t in tabs],
+                     [(t.num_rows, t.nbytes) for t in tabs])
+
+
+def _hash(values, n: int = K) -> list[int]:
+    """Bucket ids of ``values`` as one key column."""
+    return _bucket_ids(pa.table({"a": values}), ["a"], n).to_pylist()
 
 
 def _arrow_buckets(values: list[str]) -> list[int]:
@@ -47,8 +74,11 @@ def _arrow_buckets(values: list[str]) -> list[int]:
 )
 @given(st.lists(st.text(min_size=0, max_size=12), min_size=1, max_size=20))
 def test_map_side_hash_matches_arrow_path_single_key(ray_session, vals):
-    got = list(hash_bucket_series(pd.Series(vals, dtype=object), K))
+    """One table of the values, one table per value and the Arrow block
+    path give every value the same bucket."""
+    got = _hash(pa.array(vals, pa.string()))
     assert got == _arrow_buckets(vals)
+    assert got == [_hash(pa.array([v], pa.string()))[0] for v in vals]
 
 
 def test_int_keys_hash_like_their_decimal_strings(ray_session):
@@ -60,11 +90,9 @@ def test_int_keys_hash_like_their_decimal_strings(ray_session):
         r["__bucket"]
         for r in add_bucket_column(ray.data.from_arrow(t), ["a"], K).take_all()
     ]
-    pandas_ints = list(hash_bucket_series(pd.Series(ints, dtype="int64"), K))
-    pandas_strs = list(
-        hash_bucket_series(pd.Series([str(i) for i in ints], dtype=object), K)
-    )
-    assert arrow == pandas_ints == pandas_strs
+    table_ints = _hash(pa.array(ints, pa.int64()))
+    table_strs = _hash(pa.array([str(i) for i in ints], pa.string()))
+    assert arrow == table_ints == table_strs
 
 
 def test_bucketed_apply_colocates_keys_and_keep_bucket_is_fixed_point(
@@ -90,28 +118,30 @@ def test_bucketed_apply_colocates_keys_and_keep_bucket_is_fixed_point(
     assert not df["key"].duplicated().any()
     assert df["n"].sum() == 500
     # keep_bucket ids re-hash to themselves (the iterative-loop contract)
-    rehash = hash_bucket_series(df["key"], K)
-    assert list(df["__bucket"]) == list(rehash)
+    rehash = _hash(pa.array(df["key"], pa.string()))
+    assert list(df["__bucket"]) == rehash
 
 
-def test_bucket_store_round_trip_partitions_exactly(ray_session):
-    import ray.data
-
+def test_bucket_store_round_trip_partitions_exactly(ray_session,
+                                                   monkeypatch):
     df = pd.DataFrame(
         {
             "key": [f"n{i}" for i in range(300)],
             "val": np.arange(300, dtype="int64"),
         }
     )
-    ds = ray.data.from_pandas([df.iloc[i::3].reset_index(drop=True) for i in range(3)])
-    store = build_bucket_store(ds, ["key"], K)
+    _force_buckets(monkeypatch, K)
+    store = build_bucket_store(
+        _blocks([df.iloc[i::3].reset_index(drop=True) for i in range(3)]),
+        ["key"])
+    assert store.num_buckets == K
     seen = []
     for k in range(K):
         part = bucket_frame(store.pieces[k])
         if part.empty:
             continue
         # bucket k holds exactly the rows whose key hashes to k
-        assert set(hash_bucket_series(part["key"], K)) == {k}
+        assert set(_hash(pa.array(part["key"], pa.string()))) == {k}
         seen.append(part)
     got = (
         pd.concat(seen, ignore_index=True)
@@ -125,10 +155,10 @@ def test_bucket_store_round_trip_partitions_exactly(ray_session):
 def test_bucket_cache_eviction_refetches_consistently(ray_session,
                                                     monkeypatch):
     import ray
-    import ray.data
 
     df = pd.DataFrame({"key": [f"x{i}" for i in range(64)], "v": 1})
-    store = build_bucket_store(ray.data.from_pandas([df]), ["key"], K)
+    _force_buckets(monkeypatch, K)
+    store = build_bucket_store(_blocks([df]), ["key"])
     # a bound of about two buckets' bytes
     biggest = max(t.nbytes for p in store.pieces for t in ray.get(p)
                   if t is not None)
@@ -151,11 +181,11 @@ def test_bucket_cache_holds_at_most_its_bound(ray_session, monkeypatch):
     under its bound, and a bucket read again after its eviction holds
     the same rows."""
     import ray
-    import ray.data
 
     df = pd.DataFrame({"key": [f"y{i}" for i in range(400)],
                        "v": np.arange(400, dtype="int64")})
-    store = build_bucket_store(ray.data.from_pandas([df]), ["key"], K)
+    _force_buckets(monkeypatch, K)
+    store = build_bucket_store(_blocks([df]), ["key"])
     sizes = [sum(t.nbytes for t in ray.get(p) if t is not None)
              for p in store.pieces]
     bound = sum(sizes) // 3
@@ -173,7 +203,7 @@ def test_bucket_cache_holds_at_most_its_bound(ray_session, monkeypatch):
     assert sum(len(f) for f in first.values()) == 400
 
 
-def test_bucket_cache_holds_no_object_refs(ray_session):
+def test_bucket_cache_holds_no_object_refs(ray_session, monkeypatch):
     """The cache keeps the views it built (frames, unpickled blobs,
     key → value Series), never the ObjectRefs or store handles they
     were fetched through, so a store nobody else holds is freed."""
@@ -181,7 +211,6 @@ def test_bucket_cache_holds_no_object_refs(ray_session):
     import weakref
 
     import ray
-    import ray.data
 
     from codetoneo4j_ray.stages.bucketing import (
         BucketStore,
@@ -192,11 +221,12 @@ def test_bucket_cache_holds_no_object_refs(ray_session):
 
     df = pd.DataFrame({"repo": [f"r{i}" for i in range(40)],
                        "val": np.arange(40, dtype="int64")})
+    _force_buckets(monkeypatch, 4)
     blobs = build_bucket_store(
-        ray.data.from_pandas([df]), ["repo"], 4,
-        reduce_fn=lambda d: blob_frame(
+        _blocks([df]), ["repo"],
+        lambda d: blob_frame(
             "repo", {r: {"v": int(v)} for r, v in zip(d["repo"], d["val"])}))
-    frames = build_bucket_store(ray.data.from_pandas([df]), ["repo"], 4)
+    frames = build_bucket_store(_blocks([df]), ["repo"])
     assert load_blobs(blobs, "repo", ["r1", "r7"]) == {
         "r1": {"v": 1}, "r7": {"v": 7}}
     for k in range(4):
@@ -295,6 +325,56 @@ def test_split_by_ids_matches_the_three_splits_it_replaced():
     assert split_by_ids(None, None, n) == [None] * n
 
 
+def test_stores_return_with_every_piece_pinned(ray_session, monkeypatch):
+    """``build_bucket_store`` and ``keyed_store`` return only once every
+    pinned object has finished, so consumers never block on one in
+    ``ray.get``. The keyed store's split count is an upper bound (8
+    buckets) over rows that fill 3 pinning tasks, so each pinned object
+    holds a run of buckets; ``load_blobs`` still finds every key."""
+    import ray
+
+    from codetoneo4j_ray.stages.bucketing import (
+        blob_frame,
+        keyed_store,
+        load_blobs,
+        split_table,
+    )
+
+    def _slow_blobs(df: pd.DataFrame) -> pd.DataFrame:
+        # long enough for an unwaited pin to be seen unfinished
+        time.sleep(0.3)
+        return blob_frame("repo",
+                          {r: int(v) for r, v in zip(df["repo"], df["v"])})
+
+    df = pd.DataFrame({"repo": [f"r{i}" for i in range(60)],
+                       "v": np.arange(60, dtype="int64")})
+    want = dict(zip(df["repo"], df["v"]))
+
+    def all_done(store) -> bool:
+        refs = list({r for p in store.pieces for r in p})
+        done, _ = ray.wait(refs, num_returns=len(refs), timeout=0,
+                           fetch_local=False)
+        return len(done) == len(refs)
+
+    _force_buckets(monkeypatch, 3)
+    store = build_bucket_store(_blocks([df.iloc[:30], df.iloc[30:]]),
+                               ["repo"], _slow_blobs)
+    assert store.num_buckets == 3 and all_done(store)
+    assert load_blobs(store, "repo", want) == want
+
+    split = ray.remote(num_returns=8)(
+        lambda t: tuple(split_table(t, ["repo"], 8)))
+    tabs = [pa.Table.from_pandas(d, preserve_index=False)
+            for d in (df.iloc[:20], df.iloc[20:])]
+    per_group = [split.remote(t) for t in tabs]
+    store = keyed_store(per_group, 8, _slow_blobs, sum(t.nbytes for t in tabs))
+    assert all_done(store)
+    runs = [len(list(g)) for _, g in groupby(p[0] for p in store.pieces)]
+    assert runs == [3, 3, 2]
+    assert load_blobs(store, "repo", want) == want
+    assert load_blobs(store, "repo", ["r5", "missing"]) == {"r5": 5}
+
+
 def test_bucketed_apply_empty_input(ray_session):
     import ray.data
 
@@ -305,25 +385,24 @@ def test_bucketed_apply_empty_input(ray_session):
     assert out.count() == 0
 
 
-def test_bucket_store_consolidates_multi_block_input(ray_session):
-    """A store built from a multi-block dataset must hold ONE object per
+def test_bucket_store_consolidates_multi_block_input(ray_session,
+                                                    monkeypatch):
+    """A store built from multi-block input must hold ONE object per
     bucket (ref count per handle = num_buckets, not blocks x buckets):
-    the handle rides inside every consumer map task, and per-task
+    the handle rides inside every consumer task, and per-task
     ObjectRef registration once dominated iterative op wall time."""
-    import ray
-    import ray.data
-
-    ds = ray.data.from_pandas(
-        [pd.DataFrame({"key": [f"k{i}-{b}" for i in range(50)]}) for b in range(6)]
-    )
-    store = build_bucket_store(ds, ["key"], K)
+    _force_buckets(monkeypatch, K)
+    store = build_bucket_store(_blocks(
+        [pd.DataFrame({"key": [f"k{i}-{b}" for i in range(50)]})
+         for b in range(6)]), ["key"])
+    assert len({p[0] for p in store.pieces}) == K
     assert all(len(p) == 1 for p in store.pieces)
     # content unchanged by consolidation: every input row in exactly one bucket
     total = sum(len(bucket_frame(store.pieces[k])) for k in range(K))
     assert total == 300
 
 
-def test_bucketed_apply_tasks_matches_groupby_path(ray_session):
+def test_bucketed_apply_tasks_matches_groupby_path(ray_session, monkeypatch):
     """The raw-task bucketed apply (split tasks + one task per bucket)
     must produce the same multiset of rows as the groupby-based
     bucketed_apply for a key-preserving aggregate."""
@@ -346,8 +425,9 @@ def test_bucketed_apply_tasks_matches_groupby_path(ray_session):
         .to_pandas().sort_values("key").reset_index(drop=True)
     )
     ds2 = ray.data.from_pandas([df.iloc[:150], df.iloc[150:]])
+    _force_buckets(monkeypatch, K)
     b = (
-        bucketed_apply_tasks(ds2, ["key"], _count_per_key, K)
+        bucketed_apply_tasks(ds2, ["key"], _count_per_key)
         .to_pandas().sort_values("key").reset_index(drop=True)
     )
     assert a.equals(b)
@@ -366,12 +446,12 @@ def test_bucketed_apply_tasks_empty_input(ray_session):
         pd.DataFrame({"key": pd.Series([], dtype=str),
                       "v": pd.Series([], dtype="int64")})
     )
-    out = bucketed_apply_tasks(ds, ["key"], _count_per_key, K)
+    out = bucketed_apply_tasks(ds, ["key"], _count_per_key)
     assert out.count() == 0
 
 
-def test_bucketed_apply_tasks_single_bucket(ray_session):
-    """num_buckets=1 regression: Ray's num_returns=1 yields a bare
+def test_bucketed_apply_tasks_single_bucket(ray_session, monkeypatch):
+    """One-bucket regression: Ray's num_returns=1 yields a bare
     ObjectRef whose value is the whole return — the split task must
     return the piece itself, not a 1-tuple."""
     import ray.data
@@ -384,14 +464,16 @@ def test_bucketed_apply_tasks_single_bucket(ray_session):
     ds = ray.data.from_pandas(
         pd.DataFrame({"key": ["a", "b", "a"], "v": [1, 2, 3]})
     )
-    out = bucketed_apply_tasks(ds, [], _total, num_buckets=1).to_pandas()
+    _force_buckets(monkeypatch, 1)
+    out = bucketed_apply_tasks(ds, ["key"], _total).to_pandas()
     assert out["n"].tolist() == [6]
+    assert bucketed_apply_tasks(ds, [], _total).to_pandas()["n"].tolist() == [6]
 
 
-def test_grouped_split_preserves_bucket_row_order(ray_session):
+def test_grouped_split_preserves_bucket_row_order(ray_session, monkeypatch):
     """A fragmented input (blocks >> split groups) must reach each
     bucket fn as the CONTIGUOUS concatenation of its rows in global
-    block order — grouping the split wave (bucketing.build_bucket_store)
+    block order — grouping the split wave (bucketing._split_wave)
     chunks contiguously precisely so per-bucket row order is identical
     to an ungrouped per-block split, keeping order-sensitive bucket fns
     (LWW tie-breaks) deterministic and unchanged."""
@@ -405,14 +487,15 @@ def test_grouped_split_preserves_bucket_row_order(ray_session):
         out["pos"] = range(len(out))
         return out
 
-    # 120 single-row blocks > target_blocks() in the 4-CPU test session,
-    # so the grouped path is exercised; "seq" records global block order
+    # 120 single-row blocks > target_blocks() = 4 split groups, so the
+    # grouped path is exercised; "seq" records global block order
     frames = [
         pd.DataFrame({"key": [f"k{i % 5}"], "seq": [i]}) for i in range(120)
     ]
     ds = ray.data.from_pandas(frames)
+    _force_buckets(monkeypatch, 4)
     out = (
-        bucketed_apply_tasks(ds, ["key"], _rows_in_order, 4)
+        bucketed_apply_tasks(ds, ["key"], _rows_in_order)
         .to_pandas()
         .sort_values(["key", "pos"])
         .reset_index(drop=True)
@@ -495,18 +578,16 @@ def test_global_reduction_stays_one_bucket(ray_session, monkeypatch):
 
     from codetoneo4j_ray.stages import bucketing
 
-    ctx = ray.data.DataContext.get_current()
-    monkeypatch.setattr(ctx, "target_min_block_size", 1)
+    _force_buckets(monkeypatch, 4)
     df = pd.DataFrame({"key": [f"k{i % 50}" for i in range(500)],
                        "v": range(500)})
     ds = ray.data.from_pandas([df.iloc[:250], df.iloc[250:]])
     keyed = bucketing.bucketed_apply_tasks(
-        ds, ["key"], lambda d: d, min_buckets=4
+        ds, ["key"], lambda d: d
     ).materialize()
     assert keyed.num_blocks() > 1
     total = bucketing.bucketed_apply_tasks(
         keyed, [], lambda d: pd.DataFrame({"n": [int(d["v"].sum())]}),
-        min_buckets=4,
     )
     assert total.num_blocks() == 1
     assert total.to_pandas()["n"].tolist() == [sum(range(500))]

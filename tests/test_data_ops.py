@@ -1040,21 +1040,28 @@ def test_doc_pack_sparse_clustered_ids_stay_exact(tmp_path):
     assert list(df["pack_id"]) == list(ref["pack_id"])
 
 
-def test_sampled_range_bounds_balance_skewed_keys(ray_session):
-    """The quantile ranger must spread clustered/sparse keys roughly
-    evenly across ranges where a fixed-width ranger would put ~all rows
-    in one bucket."""
+def test_range_bounds_balance_skewed_keys():
+    """The quantile ranger doc_pack uses (``key_sample`` per batch,
+    pooled by ``range_bounds``) must spread clustered/sparse keys
+    roughly evenly across ranges where a fixed-width ranger would put
+    ~all rows in one bucket."""
     import numpy as np
-    import ray.data as rd
+    import pyarrow as pa
 
-    from codetoneo4j_ray.stages.bucketing import sampled_range_bounds
+    from codetoneo4j_ray.stages.canonicalize import (
+        SAMPLE_KEYS,
+        key_sample,
+        range_bounds,
+    )
 
     # 10k keys: half clustered at 0..4999, half at 1e12..1e12+4999
     keys = np.concatenate(
         [np.arange(5000, dtype=np.int64), 10**12 + np.arange(5000, dtype=np.int64)]
     )
-    ds = rd.from_arrow(__import__("pyarrow").table({"k": keys}))
-    bounds = sampled_range_bounds(ds, "k", 8)
+    rate = SAMPLE_KEYS / len(keys)
+    batches = np.array_split(np.random.default_rng(5).permutation(keys), 4)
+    bounds = range_bounds([key_sample(pa.array(b), rate) for b in batches],
+                          8).astype("int64")
     assert 1 <= len(bounds) <= 7
     r = np.searchsorted(bounds, keys, side="right")
     counts = np.bincount(r, minlength=len(bounds) + 1)

@@ -393,7 +393,6 @@ def test_tasks_load_only_their_repos_buckets(tmp_path, monkeypatch):
     task fetches only the bucket its own repo hashes to, from the type
     store and the link store. The task bodies run in this process,
     where bucket loads are recorded."""
-    import pandas as pd
     import ray
 
     from codetoneo4j_ray.extractors.accessibility import (
@@ -423,8 +422,8 @@ def test_tasks_load_only_their_repos_buckets(tmp_path, monkeypatch):
     monkeypatch.setattr(bucketing, "cached_view", cached_view)
 
     def own_bucket(repo: str, store) -> set:
-        k = bucketing.hash_bucket_series(pd.Series([repo], dtype=object),
-                                         store.num_buckets)[0]
+        k = bucketing._bucket_ids(pa.table({"repo": [repo]}), ["repo"],
+                                  store.num_buckets)[0].as_py()
         return {tuple(r.hex() for r in store.pieces[int(k)])}
 
     type_store, _ = build_type_index(corpus)

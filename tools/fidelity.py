@@ -81,9 +81,11 @@ def measure(root: str, exts: tuple[str, ...]) -> dict:
     records = extract_corpus(corpus)
     # stage 2 as the build runs it: the per-repo index store, then
     # steps A and B over the mentions (a tree's records fit the driver)
-    store = build_bucket_store(records, ["repo"], reduce_fn=_index_blobs,
-                               map_fn=index_rows)
     table = records.table()
+    index = index_rows(table)
+    store = build_bucket_store(
+        Blocks([ray.put(index)], index.num_rows, index.nbytes), ["repo"],
+        _index_blobs)
     rt = table["rec_type"]
     mentions = table.filter(pc.equal(rt, "mention"))
     mentions = mentions.filter(pc.invert(internal_mask(mentions)))
