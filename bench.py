@@ -6,7 +6,11 @@ ONE JSON line:
 
   {"metric": ..., "value": total_sec, "unit": "sec",
    "queries": {name: sec, ...}, "sf": ..., "num_cpus": N,
-   "kg_files": n, "kg_files_per_sec": r}
+   "kg_files": n, "kg_files_per_sec": r, "kg_incremental_...": ...}
+
+``kg_incremental`` times ``build_graph_incremental`` over ``kg_build``'s
+output after a seeded 1% of the C# files rename one member; it runs
+under ``GRAFT_BENCH_ONLY=kg`` too.
 
 ``--scaling`` runs the kg_build pipeline in two fresh processes
 (num_cpus=8 then 32) on the same pre-generated input and reports both
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -83,6 +88,23 @@ def run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
     extras["kg_files_per_sec"] = round(metrics["files"] / timings["kg_build"], 1)
     if metrics.get("stage1_sec"):
         timings["kg_stage1"] = metrics["stage1_sec"]
+
+    # incremental rebuild on top of kg_build's output, after a commit
+    # that renames one member in 1% of the C# files (the edit is untimed)
+    from codetoneo4j_ray.pipelines.incremental import build_graph_incremental
+
+    edited = os.path.join(corpus_dir_for_sf(sf_dir),
+                          f"bench_edited_{num_cpus}.parquet")
+    extras["kg_incremental_edited_files"] = rename_members(corpus_path, edited)
+    incr_dir = f"{out_dir}_incremental"
+    shutil.rmtree(incr_dir, ignore_errors=True)
+    t0 = time.perf_counter()
+    inc = build_graph_incremental(edited, out_dir, incr_dir,
+                                  packages_path=packages_path)
+    timings["kg_incremental"] = round(time.perf_counter() - t0, 3)
+    for k in ("changed_files", "skimmed_files"):
+        extras[f"kg_incremental_{k}"] = inc[k]
+    extras["kg_incremental_skim_sec"] = inc["stage_sec"]["skim"]
 
     only_kg = os.environ.get("GRAFT_BENCH_ONLY") == "kg"
 
@@ -180,6 +202,40 @@ def run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
         "num_cpus": num_cpus,
         **extras,
     }
+
+
+_METHOD_DECL = re.compile(
+    r"^\s*(?:public|private|protected|internal)\s[^=;(]*?\b([A-Z]\w*)\(",
+    re.M,
+)
+
+
+def rename_members(corpus_path: str, out_path: str, share: float = 0.01,
+                   seed: int = 7) -> int:
+    """Write a copy of the corpus in which a seeded ``share`` of the C#
+    files that declare a method each rename one of them, at its
+    declaration and at every call in the file. Returns the files
+    edited."""
+    import random
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    table = pq.read_table(corpus_path)
+    paths = table["path"].to_pylist()
+    content = table["content"].to_pylist()
+    csharp = [i for i, p in enumerate(paths)
+              if p.endswith(".cs") and _METHOD_DECL.search(content[i])]
+    rng = random.Random(seed)
+    edited = sorted(rng.sample(csharp, max(1, round(share * len(csharp)))))
+    for i in edited:
+        name = rng.choice(sorted(
+            {m.group(1) for m in _METHOD_DECL.finditer(content[i])}))
+        content[i] = re.sub(rf"\b{name}\(", f"{name}Renamed(", content[i])
+    table = table.set_column(table.schema.get_field_index("content"),
+                             "content", pa.array(content, pa.string()))
+    pq.write_table(table, out_path)
+    return len(edited)
 
 
 def _burn(n: int) -> int:

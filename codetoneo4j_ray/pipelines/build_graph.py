@@ -6,9 +6,11 @@ execution is on the build path:
       raw read tasks                            corpus blocks (repo, path,
                                                 commit, lang, content),
                                                 pinned under the budget
-      → [1a] pass A: one skim task per block    type-index rows → one task
-                                                per repo bucket pins its
-                                                repos' type indices
+      → [1a] pass A: one skim task per block    type-index rows, written
+                                                as type_index/part-k →
+                                                one task per repo bucket
+                                                pins its repos' type
+                                                indices
       → [1b] pass B: one extraction task        records blocks, pinned in
              per block, with its repos'         the object store
              type-index buckets
@@ -32,6 +34,14 @@ execution is on the build path:
 
 Each wave ends at a driver barrier, where the build takes that stage's
 wall (``stage_sec`` in its metrics, :class:`StageWalls`).
+
+Beside the outputs, a build leaves the state an incremental rebuild
+(``pipelines.incremental``) starts from: ``records/``, the stage-1
+records checkpoint, and ``type_index/``, the pass-A rows with the path
+each came from, each with its manifest. Whenever stage 1 runs both
+manifests are dropped first and both directories rewritten, and
+``type_index/`` is complete before the records manifest is written, so
+a resumed build keeps the type index its records came from.
 
 Every index stages 1 and 2 need is keyed by repo — the reference
 indexes one solution per run and resolves every cross-reference inside
@@ -107,11 +117,14 @@ from codetoneo4j_ray.stages.materialize import (
 )
 from codetoneo4j_ray.state.manifest import (
     corpus_fingerprint,
+    remove_manifest,
     stage_is_complete,
     write_manifest,
 )
 
 CORPUS_COLUMNS = ["repo", "path", "commit", "lang", "content"]
+# the pass-A rows' directory (and manifest) beside records/
+TYPE_INDEX = "type_index"
 
 
 def read_corpus_blocks(
@@ -133,7 +146,8 @@ def read_corpus_blocks(
     blocks. Over the budget (the 100 TB shape) the blocks are
     :class:`~codetoneo4j_ray.stages.bucketing.ParquetSlice` specs and
     each pass's tasks read their own slice, so the corpus is read once
-    per pass and never held whole."""
+    per pass (an incremental rebuild's sha256 pass included) and never
+    held whole."""
     if content_bytes is None:
         content_bytes = corpus_content_bytes(input_path)
     pieces = plan_reads(input_path, blocks_for(content_bytes, cluster_cpus()),
@@ -439,17 +453,36 @@ def extract_corpus(
     pkg_meta: dict | None = None,
     no_key: bool = False,
     walls: StageWalls | None = None,
-) -> Blocks:
-    """Stage 1 over the corpus blocks: pass A (``build_type_index``),
-    then pass B, one extraction task per block with its repos' type
-    indices. ``walls`` gets the skim and extract walls."""
+    type_index_dir: str | None = None,
+) -> tuple[Blocks, int]:
+    """Stage 1 over the corpus blocks: pass A (``build_type_index``,
+    writing its rows into ``type_index_dir`` when given), then pass B,
+    one extraction task per block with its repos' type indices.
+    ``walls`` gets the skim and extract walls. Returns (the records,
+    the files pass A skimmed)."""
     walls = walls or StageWalls()
-    type_store, _ = build_type_index(corpus)
+    type_store, skimmed = build_type_index(corpus, type_index_dir)
     walls.lap("skim")
     records = extract_blocks(corpus, type_store, min_accessibility, pkg_meta,
                              no_key)
     walls.lap("extract")
-    return records
+    return records, skimmed
+
+
+def drop_stage1_manifests(out_dir: str) -> None:
+    """Drop ``out_dir``'s records and type-index manifests: stage 1 is
+    about to rewrite both directories, and a run cut short must leave
+    neither looking complete."""
+    for stage in ("records", TYPE_INDEX):
+        remove_manifest(out_dir, stage)
+
+
+def write_type_index_manifest(out_dir: str, fp: str) -> None:
+    """The manifest of ``out_dir``'s finished ``type_index/``: the build's
+    fingerprint (the records manifest's, which follows) and its part
+    count, so a reader can tell a whole type index from a cut one."""
+    write_manifest(out_dir, TYPE_INDEX, fp, {
+        "parts": len(parquet_files(f"{out_dir}/{TYPE_INDEX}"))})
 
 
 def build_graph(
@@ -461,8 +494,8 @@ def build_graph(
     no_key: bool = False,
     batch_size: int | None = None,
 ) -> dict:
-    """Full run with a records checkpoint; returns metrics.
-    ``batch_size`` caps the rows of a corpus block (see
+    """Full run with a records checkpoint and a type index; returns
+    metrics. ``batch_size`` caps the rows of a corpus block (see
     :func:`read_corpus_blocks`)."""
     walls = StageWalls()
     content_bytes = corpus_content_bytes(input_path)
@@ -482,12 +515,17 @@ def build_graph(
         pkg_meta = load_pkg_meta(packages_path)
 
     records = None
+    skimmed = 0
     if not (resume and stage_is_complete(out_dir, "records", fp)):
+        drop_stage1_manifests(out_dir)
         corpus = read_corpus_blocks(input_path, content_bytes, batch_size)
         walls.lap("read")
-        records = extract_corpus(corpus, min_accessibility, pkg_meta, no_key,
-                                 walls)
+        records, skimmed = extract_corpus(
+            corpus, min_accessibility, pkg_meta, no_key, walls,
+            f"{out_dir}/{TYPE_INDEX}")
+        write_type_index_manifest(out_dir, fp)
     metrics = write_graph(out_dir, fp, no_key, records, walls)
+    metrics["skimmed_files"] = skimmed
     write_manifest(out_dir, "graph", fp, metrics)
     return metrics
 

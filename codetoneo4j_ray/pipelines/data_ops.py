@@ -549,10 +549,13 @@ def dup_clusters(
 def dup_clusters_oracle_sql(jaccard_threshold: float = 0.8) -> str:
     """STRICT DuckDB replica of dup_clusters: the minhash pair oracle as
     a CTE, then transitive closure via a recursive CTE; cluster_rep =
-    least(self, min reachable)."""
+    least(self, min reachable). ``pairs`` and ``edges`` are
+    materialized: inlined, DuckDB re-runs the pair oracle at every
+    recursion step."""
     return f"""
-        WITH RECURSIVE pairs AS ({minhash_oracle_sql(jaccard_threshold)}),
-        edges AS (
+        WITH RECURSIVE pairs AS MATERIALIZED (
+            {minhash_oracle_sql(jaccard_threshold)}),
+        edges AS MATERIALIZED (
             SELECT doc_a AS u, doc_b AS v FROM pairs
             UNION ALL
             SELECT doc_b, doc_a FROM pairs

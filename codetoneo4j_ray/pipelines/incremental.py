@@ -26,10 +26,19 @@ Every step is a raw-task wave over pinned blocks, as in the full build:
 
   read     the corpus blocks (``build_graph.read_corpus_blocks``), and
            the prior file records and tombstones (raw read tasks)
-  pass A   one skim task per corpus block returns its type-index rows
-           AND its handled files' (repo, path, sha256), so one pass over
-           the content feeds both the full-corpus type-index store and
-           the diff (``_diff``, a (repo, path)-bucketed exchange)
+  diff     one task per corpus block returns its handled files'
+           (repo, path, sha256) (``_current_side``), which meet the
+           prior sides in ``_diff``, a (repo, path)-bucketed exchange
+  pass A   the skim of the changed files only (the changed-key filter
+           runs inside the skim tasks), plus raw read tasks over the
+           prior run's ``type_index/`` that drop the stale keys
+           (changed, deleted and carried tombstones); both write their
+           rows as this run's ``type_index/`` and feed the type-index
+           store. The skim is a per-row function of (repo, path,
+           content), every path it reads has a handler (so it is on the
+           diff's current side), and assembly sorts its rows, so the
+           carried and fresh rows give the per-repo indices a full skim
+           gives
   pass B   extraction of the changed files only (the changed-key filter
            runs inside the tasks, which load their block's repos' type
            indices as in the full build); the carried records come from
@@ -41,7 +50,10 @@ Every step is a raw-task wave over pinned blocks, as in the full build:
            each files range in its reduce task, after the LWW dedup
            (``_files_with_tombstones``).
 
-Stage-1 parse cost scales with the delta, not the corpus.
+Stage-1 parse cost (pass A and pass B) scales with the delta, not the
+corpus; what still reads every corpus row is the sha256 of the diff.
+The prior output must hold a complete ``type_index/`` (every build
+writes one); without it the rebuild raises and asks for a full build.
 """
 
 from __future__ import annotations
@@ -60,17 +72,23 @@ import ray
 from codetoneo4j_ray.extractors.accessibility import DEFAULT_MIN_ACCESSIBILITY
 from codetoneo4j_ray.functions.text import sha256_hex
 from codetoneo4j_ray.pipelines.build_graph import (
+    TYPE_INDEX,
     StageWalls,
     corpus_content_bytes,
+    drop_stage1_manifests,
+    parquet_bytes,
     read_corpus_blocks,
     read_records_blocks,
     write_graph,
+    write_type_index_manifest,
 )
 from codetoneo4j_ray.stages.bucketing import (
     Blocks,
     ParquetSlice,
+    blocks_for,
     bucketed_apply_tasks,
     parquet_files,
+    plan_reads,
     read_blocks,
 )
 from codetoneo4j_ray.stages.extract import (
@@ -81,7 +99,11 @@ from codetoneo4j_ray.stages.extract import (
     joined_keys,
 )
 from codetoneo4j_ray.stages.materialize import finalize_files
-from codetoneo4j_ray.state.manifest import corpus_fingerprint, write_manifest
+from codetoneo4j_ray.state.manifest import (
+    corpus_fingerprint,
+    read_manifest,
+    write_manifest,
+)
 
 
 def _side_rows(side: str, table: pa.Table, sha256=None,
@@ -100,8 +122,8 @@ def _side_rows(side: str, table: pa.Table, sha256=None,
 
 def _current_side(block: pa.Table) -> pa.Table:
     """c: the corpus rows some handler takes (the others yield no
-    records, so they are never changed, carried or dropped), run by the
-    pass-A skim task over the same block."""
+    records, so they are never changed, carried or dropped), one raw
+    task per corpus block."""
     block = block.filter(pa.array(
         [has_handler(p) for p in block["path"].to_pylist()], pa.bool_()))
     return _side_rows("c", block, pa.array(
@@ -129,6 +151,26 @@ def _prior_sides(prior_out_dir: str) -> Blocks:
         prior += read_blocks([ParquetSlice(tuple(parquet_files(files_dir)))],
                              _tombstone_side)
     return prior
+
+
+def _prior_type_index(prior_out_dir: str) -> list[ParquetSlice]:
+    """Read slices over the prior run's ``type_index/``, which must be
+    whole: its manifest's part count matches the directory, and its
+    fingerprint the records manifest's (the records came from it).
+    Anything else, such as an output written before builds kept their
+    type index, raises a ValueError."""
+    path = f"{prior_out_dir}/{TYPE_INDEX}"
+    meta = read_manifest(prior_out_dir, TYPE_INDEX)
+    records = read_manifest(prior_out_dir, "records")
+    parts = parquet_files(path) if os.path.isdir(path) else []
+    if (meta is None or records is None
+            or meta["fingerprint"] != records["fingerprint"]
+            or meta["metrics"]["parts"] != len(parts)):
+        raise ValueError(
+            f"{path} is missing or incomplete: an incremental rebuild "
+            "needs the prior run's type index; run a full build "
+            "(build_graph) into the prior output first")
+    return plan_reads(path, blocks_for(parquet_bytes(path)))
 
 
 def _diff_bucket(df: pd.DataFrame) -> pd.DataFrame:
@@ -266,7 +308,9 @@ def build_graph_incremental(
     batch_size: int | None = None,
     deleted_at_sec: int | None = None,
 ) -> dict:
-    """Rebuild against a prior run: extract only changed files.
+    """Rebuild against a prior run: skim and extract only changed files.
+    The prior run's output must hold a complete ``type_index/`` (see
+    :func:`_prior_type_index`), or this raises a ValueError.
 
     ``packages_path`` and ``no_key`` must match the full run's — the
     incremental==full contract includes the URL side-table lookups and
@@ -282,6 +326,7 @@ def build_graph_incremental(
             "out_dir must differ from prior_out_dir: rebuilding in place "
             "would overwrite the prior checkpoint the rebuild reads"
         )
+    carried = _prior_type_index(prior_out_dir)
     walls = StageWalls()
     fp = corpus_fingerprint(input_path, {
         "incremental": True, "min_accessibility": min_accessibility,
@@ -293,31 +338,34 @@ def build_graph_incremental(
         from codetoneo4j_ray.stages.extract import load_pkg_meta
 
         pkg_meta = load_pkg_meta(packages_path)
+    drop_stage1_manifests(out_dir)
     corpus = read_corpus_blocks(input_path, corpus_content_bytes(input_path),
                                 batch_size)
     prior = _prior_sides(prior_out_dir)
     walls.lap("read")
-    # pass-A type index over the FULL corpus: a changed file may reference
-    # types/namespaces declared in unchanged files (receiver typing, base
-    # chains, global usings) — the incremental==full contract requires the
-    # same compilation-wide knowledge the reference re-opens per run
-    # (SolutionProcessor.cs:256-279). Stage-1 *parse* cost still scales
-    # with the delta; the skim is the cheap declaration pass.
-    type_store, current = build_type_index(corpus, extra=_current_side)
-    changed, deleted, carried_tombs = _diff(current, prior)
+    changed, deleted, carried_tombs = _diff(
+        read_blocks(corpus.refs, _current_side), prior)
+    # delta-sized key sets, never the corpus
+    stale = changed | set(deleted) | {(r, p) for r, p, _ in carried_tombs}
+    changed_ref = ray.put(joined_keys(changed))
+    stale_ref = ray.put(joined_keys(stale))
+    # a changed file may reference types/namespaces declared in unchanged
+    # files (receiver typing, base chains, global usings): the store holds
+    # every file's rows, the prior run's for the unchanged ones, as the
+    # reference re-opens the whole compilation per run
+    # (SolutionProcessor.cs:256-279)
+    type_store, skimmed = build_type_index(
+        corpus, f"{out_dir}/{TYPE_INDEX}", changed_ref, carried, stale_ref)
+    write_type_index_manifest(out_dir, fp)
     walls.lap("skim")
 
-    # re-extract only the changed rows (broadcast of the *delta* key set —
-    # bounded by the diff size, never the corpus)
     records = Blocks([], 0, 0)
     if changed:
         records = extract_blocks(corpus, type_store, min_accessibility,
-                                 pkg_meta, no_key,
-                                 ray.put(joined_keys(changed)))
-    stale = changed | set(deleted) | {(r, p) for r, p, _ in carried_tombs}
+                                 pkg_meta, no_key, changed_ref)
     records += read_records_blocks(
         f"{prior_out_dir}/records", fn=functools.partial(
-            filter_keys, keys=ray.put(joined_keys(stale)), keep=False))
+            filter_keys, keys=stale_ref, keep=False))
     tomb_blocks = _tombstone_blocks(f"{prior_out_dir}/files", deleted,
                                     carried_tombs, deleted_at_sec)
     walls.lap("extract")
@@ -326,6 +374,7 @@ def build_graph_incremental(
         "changed_files": len(changed),
         "deleted_files": len(deleted),
         "deleted": [f"{r}:{p}" for r, p in deleted][:1000],
+        "skimmed_files": skimmed,
     }
     metrics.update(write_graph(
         out_dir, fp, no_key, records, walls,

@@ -227,19 +227,20 @@ def load_block(block) -> pa.Table | None:
 
 
 @ray.remote(num_returns=2)
-def _read_block(piece: ParquetSlice, fn):
-    """One read task: the slice, through ``fn`` when given, and its
-    (rows, in-memory bytes)."""
-    table = piece.read()
+def _read_block(piece, fn):
+    """One read task: the block (a slice is read here), through ``fn``
+    when given, and its (rows, in-memory bytes)."""
+    table = load_block(piece)
     if fn is not None:
         table = fn(table)
     return table, (table.num_rows, table.nbytes)
 
 
-def read_blocks(pieces: list[ParquetSlice], fn=None) -> Blocks:
-    """One raw read task per slice, ``fn(table)`` applied inside it;
-    returns once every read has finished, with the non-empty tables'
-    refs, rows and in-memory bytes."""
+def read_blocks(pieces: list, fn=None) -> Blocks:
+    """One raw task per block (a :class:`ParquetSlice` to read, or a
+    pinned table's ref), ``fn(table)`` applied inside it; returns once
+    every task has finished, with the non-empty tables' refs, rows and
+    in-memory bytes."""
     refs = [_read_block.remote(p, fn) for p in pieces]
     return Blocks.of([t for t, _ in refs], ray.get([s for _, s in refs]))
 
@@ -352,8 +353,10 @@ def _apply_bucket_pieces(fn, *pieces):
     or the plain Arrow concatenation when ``fn`` is None. Returns
     (table or None, (rows, in-memory bytes)): the sizes are their own
     small object so the driver learns which buckets are empty without
-    fetching tables."""
-    tabs = [t for t in pieces if t is not None and t.num_rows]
+    fetching tables. A piece may be any block :func:`load_block` reads
+    (the blocks of a one-bucket split)."""
+    tabs = [t for t in map(load_block, pieces)
+            if t is not None and t.num_rows]
     if not tabs:
         return None, (0, 0)
     # permissive: blocks of a unioned input legitimately disagree on
@@ -394,8 +397,13 @@ def _split_wave(blocks: Blocks, key_cols: list[str], num_buckets: int) -> list:
     are contiguous chunks, so per-bucket row order is identical to an
     ungrouped split; grouping keeps a fragmented input from creating
     O(blocks × buckets) tiny objects, whose creation and registration,
-    not the split, dominates the wave once blocks outnumber CPUs."""
+    not the split, dominates the wave once blocks outnumber CPUs. One
+    bucket runs no split task."""
     refs = blocks.refs
+    if num_buckets == 1:
+        # nothing to split: each block is its one bucket's piece, which
+        # the consumer task loads itself
+        return [[ref] for ref in refs]
     ngroups = min(len(refs), blocks_for(blocks.nbytes, cluster_cpus()))
     cuts = np.linspace(0, len(refs), ngroups + 1).astype(int)
     split = _split_block.options(num_returns=num_buckets + 1)

@@ -3,16 +3,19 @@ corpus blocks (``pipelines.build_graph.read_corpus_blocks``: pinned
 table refs, or read slices each task reads itself). Two passes, neither
 of which shuffles file content:
 
-  pass A  ``build_type_index``  — one skim task per corpus block: a cheap
-          declaration skim over C# rows (plus project-root manifest
-          markers) producing type-index rows, reduced into a repo-keyed
-          bucket store of per-repo indices. The index is metadata (≪
-          content) and never reaches the driver — the reference gets
-          the same knowledge from the Roslyn Compilation of one solution
+  pass A  ``build_type_index``  — one skim task per corpus block: a full
+          C# parse of every C# row, keeping only its declarations (plus
+          project-root manifest markers), producing type-index rows,
+          reduced into a repo-keyed bucket store of per-repo indices.
+          The index is metadata (≪ content) and never reaches the
+          driver — the reference gets the same knowledge from the
+          Roslyn Compilation of one solution
           (``SolutionProcessor.cs:256-279``; here a repo is a solution).
-          An incremental build's skim task also returns the block's
-          (repo, path, sha256) rows, so one pass over the content feeds
-          the diff too.
+          Each task also writes its rows as a ``type_index/`` part of
+          the build's output. An incremental build skims only its
+          changed files and carries the prior run's rows of the others
+          (read back from the prior ``type_index/``), so its parse work
+          scales with the delta.
 
   pass B  ``extract_blocks``    — one extraction task per corpus block
           running every handler with the type indices of the block's
@@ -25,8 +28,12 @@ of which shuffles file content:
 
 from __future__ import annotations
 
+import os
+import shutil
+
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 
 from codetoneo4j_ray.config import is_excluded, resolve_handler
@@ -38,6 +45,7 @@ from codetoneo4j_ray.functions.text import sha256_hex
 from codetoneo4j_ray.stages.bucketing import (
     Blocks,
     BucketStore,
+    ParquetSlice,
     blob_frame,
     build_bucket_store,
     load_block,
@@ -105,8 +113,11 @@ _TYPE_INDEX_SCHEMA = pa.schema(
         ("text", pa.string()),
         ("is_static", pa.bool_()),
         ("alias", pa.string()),
+        ("path", pa.string()),           # the corpus row it came from
     ]
 )
+
+_MANIFESTS = ("package.json", "pubspec.yaml")
 
 
 def _manifest_name(path: str, content: str) -> tuple[str, str | None] | None:
@@ -133,9 +144,17 @@ def _manifest_name(path: str, content: str) -> tuple[str, str | None] | None:
     return None
 
 
+def skims(path: str) -> bool:
+    """Whether pass A reads ``path``: a C# source or a project-root
+    manifest outside the excluded directories. Every such path has a
+    handler, so it is on an incremental diff's current side."""
+    return not is_excluded(path) and (
+        path.endswith(".cs") or path.rsplit("/", 1)[-1].lower() in _MANIFESTS)
+
+
 def skim_batch(batch: pa.Table) -> pa.Table:
     """Pass-A batch fn: C# declaration skim + project-root manifest
-    markers → type-index rows."""
+    markers → type-index rows, each with the path it came from."""
     from codetoneo4j_ray.functions.text import dirname
 
     rows: list[dict] = []
@@ -143,24 +162,21 @@ def skim_batch(batch: pa.Table) -> pa.Table:
     paths = batch["path"].to_pylist()
     contents = batch["content"].to_pylist()
     for repo, path, content in zip(repos, paths, contents):
-        if is_excluded(path):
+        if not skims(path):
             continue
         m = _manifest_name(path, content)
         if m is not None:
             rows.append(
                 {"rec_type": "pkg_root", "repo": repo, "kind": m[0],
-                 "full_name": m[1], "file_key": dirname(path)}
+                 "full_name": m[1], "file_key": dirname(path), "path": path}
             )
             continue
-        if not path.endswith(".cs"):
-            continue
         type_rows, using_rows = skim_file(repo, path, content)
-        for r in type_rows:
-            r["rec_type"] = "type"
-            rows.append(r)
-        for r in using_rows:
-            r["rec_type"] = "global_using"
-            rows.append(r)
+        for rec, found in (("type", type_rows), ("global_using", using_rows)):
+            for r in found:
+                r["rec_type"] = rec
+                r["path"] = path
+                rows.append(r)
     return pa.Table.from_pylist(rows, schema=_TYPE_INDEX_SCHEMA)
 
 
@@ -172,10 +188,13 @@ def _assemble_type_indices(df) -> dict[str, RepoTypeIndex]:
 
     # deterministic fragment/using order regardless of shuffle arrival
     # (partial-class merge + first-matching-using resolution); type rows
-    # carry no file, so fragments of one type order by their content
+    # carry no file, so fragments of one type order by their content.
+    # The keys cover every column read below, so the indices depend on
+    # the rows alone: an incremental build's carried and fresh rows
+    # assemble as a full skim's do.
     df = df.sort_values(
         ["repo", "rec_type", "full_name", "arity", "file_key", "text",
-         "bases", "type_params", "members"],
+         "bases", "type_params", "members", "kind", "is_value"],
         kind="stable",
     )
     out: dict[str, RepoTypeIndex] = {}
@@ -227,15 +246,33 @@ def filter_keys(table: pa.Table, keys, keep: bool) -> pa.Table:
     return table.filter(mask if keep else pc.invert(mask))
 
 
-@ray.remote(num_returns=3)
-def _skim_block(block, extra):
-    """Pass A over one corpus block: its type-index rows, ``extra(block)``
-    (an empty table without ``extra``), and the (rows, bytes) of both."""
-    block = load_block(block)
-    skim = skim_batch(block)
-    more = extra(block) if extra is not None else pa.table({})
-    return skim, more, ((skim.num_rows, skim.nbytes),
-                        (more.num_rows, more.nbytes))
+def _written(rows: pa.Table, skimmed: int, part: str | None):
+    """A pass-A task's returns: ``rows``, then (their rows and bytes,
+    ``skimmed``, the error of writing them as ``part``, None when
+    written or not asked)."""
+    err = None
+    if part is not None:
+        try:
+            pq.write_table(rows, part)
+        except OSError as e:  # reported by the driver
+            err = e
+    return rows, (rows.num_rows, rows.nbytes, skimmed, err)
+
+
+@ray.remote(num_returns=2)
+def _skim_block(block, changed, part: str | None):
+    """Pass A over one corpus block (its ``changed`` rows only, when
+    given), counting the files it skims (see :func:`_written`)."""
+    block = filter_keys(load_block(block), changed, keep=True)
+    skimmed = sum(map(skims, block["path"].to_pylist()))
+    return _written(skim_batch(block), skimmed, part)
+
+
+@ray.remote(num_returns=2)
+def _carried_block(piece: ParquetSlice, stale, part: str | None):
+    """The rows of a prior run's type index in ``piece`` whose
+    (repo, path) is not ``stale`` (see :func:`_written`)."""
+    return _written(filter_keys(piece.read(), stale, keep=False), 0, part)
 
 
 def _assemble_blobs(df):
@@ -243,23 +280,47 @@ def _assemble_blobs(df):
     return blob_frame("repo", _assemble_type_indices(df))
 
 
-def build_type_index(corpus: Blocks, extra=None):
+def build_type_index(corpus: Blocks, part_dir: str | None = None,
+                     changed=None, carried: list = (),
+                     stale=None) -> tuple[BucketStore, int]:
     """Pass A: one skim task per corpus block, its rows reduced into a
     repo-keyed :class:`~codetoneo4j_ray.stages.bucketing.BucketStore`
     of per-repo type indices (repo is the pipeline-wide key), sized
     from the rows' bytes. The store is metadata-sized (one row per
     declared type / global using) and the driver never fetches it:
-    each pass-B task loads only its block's repos. ``extra(block)``
-    runs in the same tasks over the same blocks (the incremental
-    diff's current side), so one pass over the content feeds both.
+    each pass-B task loads only its block's repos.
 
-    Returns (the type-index store, ``extra``'s rows as
-    :class:`Blocks`); every skim and assembly task has finished."""
-    refs = [_skim_block.remote(b, extra) for b in corpus.refs]
-    sizes = ray.get([s for _, _, s in refs])
-    skims = Blocks.of([r[0] for r in refs], [s[0] for s in sizes])
-    more = Blocks.of([r[1] for r in refs], [s[1] for s in sizes])
-    return build_bucket_store(skims, ["repo"], _assemble_blobs), more
+    ``changed`` (a :func:`joined_keys` array or ref) skims only those
+    files; ``carried`` (:class:`ParquetSlice` specs over a prior run's
+    ``type_index/``) adds one task per slice with the prior rows whose
+    (repo, path) is not in ``stale``: an incremental build's pass A.
+    With ``part_dir`` (cleared first) every task writes its rows, empty
+    or not, as ``{part_dir}/part-{k:05d}.parquet``; a failed write
+    raises ``RuntimeError("type index write failed")``.
+
+    Returns (the type-index store, the files skimmed); every task has
+    finished."""
+    if part_dir is not None:
+        shutil.rmtree(part_dir, ignore_errors=True)
+        try:
+            os.makedirs(part_dir)
+        except OSError as e:
+            raise RuntimeError("type index write failed") from e
+
+    def part(k: int) -> str | None:
+        return None if part_dir is None else f"{part_dir}/part-{k:05d}.parquet"
+
+    refs = [_skim_block.remote(b, changed, part(k))
+            for k, b in enumerate(corpus.refs)]
+    refs += [_carried_block.remote(p, stale, part(len(corpus.refs) + k))
+             for k, p in enumerate(carried)]
+    metas = ray.get([m for _, m in refs])
+    failed = [err for *_, err in metas if err is not None]
+    if failed:
+        raise RuntimeError("type index write failed") from failed[0]
+    rows = Blocks.of([t for t, _ in refs], [m[:2] for m in metas])
+    return (build_bucket_store(rows, ["repo"], _assemble_blobs),
+            sum(m[2] for m in metas))
 
 
 def _records_table(

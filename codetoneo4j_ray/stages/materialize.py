@@ -58,6 +58,8 @@ def structural_edges_batch(batch: pa.Table, include_project: bool = True) -> pa.
     subjs: list[str] = []
     preds: list[str] = []
     objs: list[str] = []
+    # a batch holds many symbols of few namespaces: parse each once
+    tags_of: dict[str, list[str]] = {}
     for i, rt in enumerate(rec_type):
         if rt == "symbol":
             # File DECLARES Symbol (every raw row; MERGE dedups later)
@@ -66,7 +68,10 @@ def structural_edges_batch(batch: pa.Table, include_project: bool = True) -> pa.
             objs.append(keys[i])
             ns = namespaces[i]
             if ns and ns.strip():
-                for tag in parse_namespace_tags(ns):
+                tags = tags_of.get(ns)
+                if tags is None:
+                    tags = tags_of[ns] = parse_namespace_tags(ns)
+                for tag in tags:
                     subjs.append(keys[i])
                     preds.append(HAS_TAG)
                     objs.append(tag)

@@ -8,6 +8,8 @@ metrics and resume-by-skip; this module implements it:
   out_dir/
     records/ part files …        (stage outputs)
     records.manifest.json        {fingerprint, rows, partitions, metrics}
+    type_index/ part files …
+    type_index.manifest.json     {fingerprint, metrics: {parts}}
 
 A stage is skipped on re-run when its manifest exists and its input
 fingerprint (file names + sizes + pipeline config) still matches.
@@ -78,6 +80,15 @@ def read_manifest(out_dir: str, stage: str) -> dict | None:
             return json.load(f)
     except (json.JSONDecodeError, OSError):
         return None
+
+
+def remove_manifest(out_dir: str, stage: str) -> None:
+    """Drop ``stage``'s manifest (if any) before its outputs are
+    rewritten, so no later run takes them for complete."""
+    try:
+        os.remove(_manifest_path(out_dir, stage))
+    except FileNotFoundError:
+        pass
 
 
 def stage_is_complete(out_dir: str, stage: str, fingerprint: str) -> bool:

@@ -269,7 +269,7 @@ def test_extraction_keeps_the_corpus_block_count(monkeypatch):
     monkeypatch.setattr(ray.data.DataContext.get_current(),
                         "target_min_block_size", 1)
     corpus = read_corpus_blocks(ensure_corpus(SF))
-    records = extract_corpus(corpus)
+    records, _ = extract_corpus(corpus)
     assert len(corpus.refs) > 1
     assert len(records.refs) == len(corpus.refs)
 

@@ -463,3 +463,265 @@ def test_incremental_over_a_ray_data_checkpoint(incr, tmp_path):
             a = a[~a["deleted"]].drop(columns=["deleted", "deleted_at"])
         b = incr["full"][n]
         assert _sorted_rows(a).equals(_sorted_rows(b)), f"{n} differs"
+
+
+# A chain of commits: v2 edits the type another file calls, edits a CSS
+# file, deletes a file and adds one that calls the edited type; v3 (built
+# on v2's incremental output) edits the caller, edits a project-root
+# manifest and deletes another file.
+LIB = ("namespace Lib;\npublic class Helper {\n  public int Count { get; }\n"
+       "  public void Go() { }\n}")
+APP = ("using Lib;\nnamespace App;\npublic class B {\n"
+       "  public void Run() { var h = new Helper(); h.Go(); }\n}")
+CHAIN_V1 = [
+    ("r1", "src/Lib.cs", "c" * 40, "csharp", LIB),
+    ("r1", "src/App.cs", "c" * 40, "csharp", APP),
+    ("r1", "src/Gone.cs", "c" * 40, "csharp",
+     "namespace App;\npublic class Gone { }"),
+    ("r1", "src/Other.cs", "c" * 40, "csharp",
+     "global using Lib;\nnamespace App;\npublic class Other { }"),
+    ("r1", "web/site.css", "c" * 40, "css", ".a { color: red; }\n"),
+    ("r1", "client/package.json", "c" * 40, "json", '{"name": "web"}'),
+    ("r2", "src/Lib.cs", "c" * 40, "csharp", LIB),
+]
+CHAIN_V2 = [
+    ("r1", "src/Lib.cs", "d" * 40, "csharp",
+     LIB.replace("Go()", "Go2()").replace(
+         "{ }\n}", "{ }\n  public void Stop() { }\n}")),
+    CHAIN_V1[1], CHAIN_V1[3],
+    ("r1", "web/site.css", "d" * 40, "css", ".a { color: blue; }\n"),
+    CHAIN_V1[5], CHAIN_V1[6],
+    ("r1", "src/Extra.cs", "d" * 40, "csharp",
+     "using Lib;\nnamespace App;\npublic class Extra {\n"
+     "  public void Go() { var h = new Helper(); h.Stop(); }\n}"),
+]
+CHAIN_V3 = [
+    CHAIN_V2[0],
+    ("r1", "src/App.cs", "e" * 40, "csharp",
+     APP.replace("h.Go();", "h.Go2(); h.Stop();")),
+    CHAIN_V2[3],
+    ("r1", "client/package.json", "e" * 40, "json", '{"name": "web2"}'),
+    CHAIN_V2[5], CHAIN_V2[6],
+]
+
+
+def _tables(out: str) -> dict:
+    """The live rows of ``out``'s outputs and its type-index rows, each
+    in a row-order-insensitive form."""
+    res = {}
+    for n in ("nodes", "edges", "files", "type_index"):
+        df = pq.read_table(f"{out}/{n}").to_pandas()
+        if "deleted" in df:  # live rows only
+            df = df[~df["deleted"]].drop(columns=["deleted", "deleted_at"])
+        res[n] = _sorted_rows(df)
+    return res
+
+
+def _run_chain(base) -> dict:
+    """Full builds of every version, and v2, v3 as chained incrementals."""
+    from codetoneo4j_ray.pipelines.build_graph import build_graph
+    from codetoneo4j_ray.pipelines.incremental import build_graph_incremental
+
+    res: dict = {"full": {}, "incr": {}, "metrics": {}}
+    for i, rows in enumerate((CHAIN_V1, CHAIN_V2, CHAIN_V3), 1):
+        p = str(base / f"v{i}.parquet")
+        pq.write_table(_corpus(rows), p)
+        out = str(base / f"full{i}")
+        res["metrics"][f"full{i}"] = build_graph(p, out, resume=False)
+        res["full"][i] = _tables(out)
+        if i > 1:
+            prior = str(base / ("full1" if i == 2 else "incr2"))
+            out = str(base / f"incr{i}")
+            res["metrics"][f"incr{i}"] = build_graph_incremental(
+                p, prior, out, deleted_at_sec=111 * i)
+            res["incr"][i] = _tables(out)
+    return res
+
+
+@pytest.fixture(scope="module")
+def chain(ray_session, tmp_path_factory):
+    return _run_chain(tmp_path_factory.mktemp("chain"))
+
+
+def test_chained_incremental_equals_full_rebuild(chain):
+    """An incremental built on an incremental output, after commits that
+    edit a type another file calls and delete files, writes the live
+    rows and the type-index rows of a full rebuild."""
+    for i in (2, 3):
+        for n, want in chain["full"][i].items():
+            assert chain["incr"][i][n].equals(want), (i, n)
+    edges = chain["incr"][3]["edges"]
+    inv = set(zip(edges.loc[edges["pred"] == "src__INVOKES", "subj"],
+                  edges.loc[edges["pred"] == "src__INVOKES", "obj"]))
+    assert {("r1:App.B.Run()", "r1:Lib.Helper.Go2()"),
+            ("r1:App.B.Run()", "r1:Lib.Helper.Stop()"),
+            ("r1:App.Extra.Go()", "r1:Lib.Helper.Stop()")} <= inv
+    m = chain["metrics"]
+    assert (m["incr2"]["changed_files"], m["incr2"]["deleted_files"]) == (3, 1)
+    assert (m["incr3"]["changed_files"], m["incr3"]["deleted_files"]) == (2, 1)
+
+
+def test_skimmed_files_counts_what_pass_a_reads(chain):
+    """A full build skims every C# source and project-root manifest; an
+    incremental skims only the changed ones (not the edited CSS file)."""
+    from codetoneo4j_ray.stages.extract import skims
+
+    m = chain["metrics"]
+    for i, rows in enumerate((CHAIN_V1, CHAIN_V2, CHAIN_V3), 1):
+        assert m[f"full{i}"]["skimmed_files"] == sum(
+            skims(r[1]) for r in rows) > 0
+    assert m["incr2"]["skimmed_files"] == 2  # Lib.cs, Extra.cs
+    assert m["incr3"]["skimmed_files"] == 2  # App.cs, package.json
+
+
+def test_incremental_over_the_pin_budget(chain, tmp_path):
+    """With the corpus over the pin budget (each task reads its own
+    ``ParquetSlice``), the chain writes what the pinned chain writes."""
+    import ray
+
+    from codetoneo4j_ray.pipelines.build_graph import read_corpus_blocks
+    from codetoneo4j_ray.stages.bucketing import ParquetSlice
+
+    real = ray.cluster_resources
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("ray.cluster_resources",
+                   lambda: {**real(), "object_store_memory": 4.0})
+        p = str(tmp_path / "probe.parquet")
+        pq.write_table(_corpus(CHAIN_V1), p)
+        assert all(isinstance(b, ParquetSlice)
+                   for b in read_corpus_blocks(p).refs)
+        streamed = _run_chain(tmp_path)
+    for kind in ("full", "incr"):
+        for i, tables in chain[kind].items():
+            for n, want in tables.items():
+                assert streamed[kind][i][n].equals(want), (kind, i, n)
+    assert streamed["metrics"]["incr3"]["skimmed_files"] == 2
+
+
+def test_every_path_pass_a_reads_has_a_handler():
+    """Pass A reads only paths some handler takes, so every file with
+    type-index rows is on the incremental diff's current side."""
+    from codetoneo4j_ray.sources.synth import ensure_corpus
+    from codetoneo4j_ray.stages.extract import has_handler, skim_batch, skims
+
+    corpus = pq.read_table(ensure_corpus("/root/testdata/sf0.001"),
+                           columns=["repo", "path", "content"])
+    extra = pa.table({
+        "repo": ["r"] * 3,
+        "path": ["Foo.CS", "web/Package.JSON", "bin/X.cs"],
+        "content": ["public class Foo { }", '{"name": "w"}',
+                    "public class X { }"],
+    })
+    table = pa.concat_tables([corpus, extra])
+    paths = table["path"].to_pylist()
+    assert all(has_handler(p) for p in paths if skims(p))
+    read = set(skim_batch(table)["path"].to_pylist())
+    assert read and all(skims(p) for p in read)
+    assert "web/Package.JSON" in read
+    assert not {"Foo.CS", "bin/X.cs"} & read
+
+
+def test_incremental_refuses_an_incomplete_prior_type_index(ray_session,
+                                                            tmp_path):
+    """A prior output without a whole ``type_index/`` (one part gone, the
+    directory gone, or no manifest, as in outputs written before builds
+    kept it) fails the rebuild with a ValueError naming the directory
+    and asking for a full build; nothing is written."""
+    import os
+    import shutil
+
+    from codetoneo4j_ray.pipelines.build_graph import build_graph
+    from codetoneo4j_ray.pipelines.incremental import build_graph_incremental
+    from codetoneo4j_ray.state.manifest import read_manifest
+
+    p1, p2 = str(tmp_path / "v1.parquet"), str(tmp_path / "v2.parquet")
+    pq.write_table(_corpus(V1), p1)
+    pq.write_table(_corpus(V2), p2)
+    out1 = str(tmp_path / "o1")
+    build_graph(p1, out1)
+    parts = sorted(os.listdir(f"{out1}/type_index"))
+    assert len(parts) > 1
+
+    def one_part_gone(d):
+        os.remove(f"{d}/type_index/{parts[-1]}")
+
+    def dir_gone(d):
+        shutil.rmtree(f"{d}/type_index")
+
+    def no_manifest(d):
+        os.remove(f"{d}/type_index.manifest.json")
+
+    for damage in (one_part_gone, dir_gone, no_manifest):
+        prior = str(tmp_path / damage.__name__)
+        shutil.copytree(out1, prior)
+        damage(prior)
+        out = str(tmp_path / f"{damage.__name__}_out")
+        with pytest.raises(ValueError, match="type_index.*full build"):
+            build_graph_incremental(p2, prior, out)
+        assert not os.path.exists(out)
+        assert read_manifest(out, "graph") is None
+    build_graph_incremental(p2, out1, str(tmp_path / "o2"))
+
+
+def test_type_index_write_failure_surfaces(ray_session, tmp_path,
+                                           monkeypatch):
+    """A type-index part that fails to write (here: a directory sits where
+    the part file goes) fails a fresh build and an incremental one with
+    the type-index error before any records or graph manifest is
+    written. The failed build over an earlier complete output leaves
+    neither its records nor its type index looking complete."""
+    import os
+
+    from codetoneo4j_ray.pipelines.build_graph import build_graph
+    from codetoneo4j_ray.pipelines.incremental import build_graph_incremental
+    from codetoneo4j_ray.state.manifest import read_manifest
+
+    p1, p2 = str(tmp_path / "v1.parquet"), str(tmp_path / "v2.parquet")
+    pq.write_table(_corpus(V1), p1)
+    pq.write_table(_corpus(V2), p2)
+    out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
+    build_graph(p1, out1)
+    real = os.makedirs
+
+    def makedirs(path, *args, **kwargs):
+        real(path, *args, **kwargs)
+        if str(path).endswith("/type_index"):
+            real(f"{path}/part-00000.parquet")
+
+    monkeypatch.setattr(os, "makedirs", makedirs)
+    for build in (lambda: build_graph_incremental(p2, out1, out2),
+                  lambda: build_graph(p2, out1)):
+        with pytest.raises(RuntimeError, match="type index write failed"):
+            build()
+    for out, stages in ((out1, ("type_index", "records")),
+                        (out2, ("type_index", "records", "graph"))):
+        for stage in stages:
+            assert read_manifest(out, stage) is None, (out, stage)
+
+
+def test_corpus_without_csharp_writes_empty_type_index_parts(ray_session,
+                                                             tmp_path):
+    """A corpus with no C# file and no manifest still writes its type
+    index, as empty parts, so an incremental over it finds it whole."""
+    import os
+
+    from codetoneo4j_ray.pipelines.build_graph import build_graph
+    from codetoneo4j_ray.pipelines.incremental import build_graph_incremental
+
+    def row(path, text, commit="c" * 40):
+        return ("r1", path, commit, "", text)
+
+    v1 = [row("web/index.html", "<html></html>"),
+          row("web/site.css", ".a { }")]
+    v2 = [row("web/index.html", "<html><body></body></html>", "d" * 40),
+          v1[1]]
+    p1, p2 = str(tmp_path / "v1.parquet"), str(tmp_path / "v2.parquet")
+    pq.write_table(_corpus(v1), p1)
+    pq.write_table(_corpus(v2), p2)
+    out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
+    assert build_graph(p1, out1)["skimmed_files"] == 0
+    parts = os.listdir(f"{out1}/type_index")
+    assert parts and pq.read_table(f"{out1}/type_index").num_rows == 0
+    m = build_graph_incremental(p2, out1, out2)
+    assert m["changed_files"] == 1 and m["skimmed_files"] == 0
+    assert os.listdir(f"{out2}/type_index")

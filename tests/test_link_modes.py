@@ -128,7 +128,7 @@ def test_graph_modes_output_identical(add_alive_node):
     )
     from codetoneo4j_ray.sources.synth import ensure_corpus
 
-    records = extract_corpus(
+    records, _ = extract_corpus(
         read_corpus_blocks(ensure_corpus("/root/testdata/sf0.001")))
     assert _graph_digests(records) == SF_GRAPH
     add_alive_node()
@@ -200,7 +200,7 @@ def test_modes_agree_on_cross_repo_shaped_corpus(tmp_path, add_alive_node):
     )
     p = str(tmp_path / "c.parquet")
     pq.write_table(t, p)
-    records = extract_corpus(read_corpus_blocks(p))
+    records, _ = extract_corpus(read_corpus_blocks(p))
     assert _graph_digests(records) == XREPO_GRAPH
     add_alive_node()
     assert _graph_digests(records) == XREPO_GRAPH

@@ -71,7 +71,7 @@ def emitted(ray_session):
             schema=CORPUS_SCHEMA,
         )
     )])
-    records = extract_corpus(corpus)
+    records, _ = extract_corpus(corpus)
     edges = graph_from_records(records)["edges"].to_pandas()
     return set(map(tuple, edges[["subj", "pred", "obj"]].values))
 

@@ -78,7 +78,7 @@ def measure(root: str, exts: tuple[str, ...]) -> dict:
 
     rows = _corpus_rows(root, exts)
     corpus = Blocks([ray.put(pa.Table.from_pylist(rows))])
-    records = extract_corpus(corpus)
+    records, _ = extract_corpus(corpus)
     # stage 2 as the build runs it: the per-repo index store, then
     # steps A and B over the mentions (a tree's records fit the driver)
     table = records.table()

@@ -38,7 +38,7 @@ def main() -> None:
     walls = StageWalls()
     corpus = read_corpus_blocks(corpus_path)
     walls.lap("read")
-    records = extract_corpus(corpus, walls=walls)
+    records, _ = extract_corpus(corpus, walls=walls)
     print("=" * 70)
     print("STAGE 1 (read → skim → extraction)")
     print(f"corpus blocks: {len(corpus.refs)}, records blocks: "
