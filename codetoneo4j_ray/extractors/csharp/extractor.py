@@ -26,7 +26,6 @@ from codetoneo4j_ray.extractors.csharp.types import (
     RepoTypeIndex,
     Resolver,
     ResolutionScope,
-    TypeInfo,
     TypeRef,
 )
 from codetoneo4j_ray.schema import CONTAINS, DEPENDS_ON, INVOKES
@@ -92,36 +91,6 @@ def parse_member_types(blob: str | None) -> dict:
         if name and text:
             out[name] = text
     return out
-
-
-def build_repo_index(type_rows: list[dict], using_rows: list[dict]) -> RepoTypeIndex:
-    # deterministic fragment order: the partial-class merge and the
-    # first-matching-using resolution must not depend on input order
-    type_rows = sorted(
-        type_rows,
-        key=lambda r: (r["full_name"], r["arity"],
-                       r.get("file_key") or "", r.get("members") or ""),
-    )
-    using_rows = sorted(
-        using_rows,
-        key=lambda r: (r.get("file_key") or "", r.get("text") or ""),
-    )
-    idx = RepoTypeIndex()
-    for r in type_rows:
-        idx.add_type(
-            TypeInfo(
-                r["full_name"],
-                int(r["arity"]),
-                bool(r["is_value"]),
-                r["kind"],
-                tuple(b for b in r["bases"].split(";") if b),
-                tuple(p for p in r["type_params"].split(";") if p),
-                parse_member_types(r.get("members")),
-            )
-        )
-    for r in using_rows:
-        idx.global_usings.append((r["file_key"], r["text"]))
-    return idx
 
 
 def _full_name(ns: str, containing: tuple[str, ...], name: str) -> str:

@@ -51,10 +51,12 @@ the driver, and a task holds only the indices of the repos in its
 block. Nothing on the driver grows with the corpus, and no content or
 mention row moves by repo.
 
-Stages 2–4 (``write_graph``, shared with ``build_graph_incremental``)
-run no Ray Data sort and no driver collect: every output is range-
-partitioned on its key (``stages.canonicalize``), so each part file is
-sorted and the parts in name order are globally sorted.
+Both builds run stage 1 through one driver, ``extract_corpus`` (an
+incremental rebuild hands it its delta), and stages 2–4 through one
+entry, ``write_graph``, which writes the outputs. Stages 2–4 run no Ray
+Data sort and no driver collect: every output is range-partitioned on
+its key (``stages.canonicalize``), so each part file is sorted and the
+parts in name order are globally sorted.
 
 Every shuffle is metadata-only (keys + record rows); file *content*
 never moves past stage 1b. The reference's pipeline equivalence is the
@@ -72,7 +74,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
-import ray.data
 
 from codetoneo4j_ray.extractors.accessibility import DEFAULT_MIN_ACCESSIBILITY
 from codetoneo4j_ray.schema import TRIPLE_SCHEMA
@@ -94,6 +95,7 @@ from codetoneo4j_ray.stages.canonicalize import (
     SAMPLE_KEYS,
     canonical,
     key_sample,
+    owned_by,
     range_bounds,
     reduce_range,
     split_ranges,
@@ -102,6 +104,8 @@ from codetoneo4j_ray.stages.extract import (
     RECORD_SCHEMA,
     build_type_index,
     extract_blocks,
+    joined_keys,
+    load_pkg_meta,
 )
 from codetoneo4j_ray.stages.link import (
     MENTION_COLS,
@@ -127,16 +131,14 @@ CORPUS_COLUMNS = ["repo", "path", "commit", "lang", "content"]
 TYPE_INDEX = "type_index"
 
 
-def read_corpus_blocks(
-    input_path: str, content_bytes: int | None = None,
-    batch_size: int | None = None,
-) -> Blocks:
+def read_corpus_blocks(input_path: str,
+                       batch_size: int | None = None) -> Blocks:
     """The corpus in ``blocks_for(content bytes, cluster_cpus())`` raw
     read blocks (:func:`~codetoneo4j_ray.stages.bucketing.plan_reads`):
     every stage-1 pass runs one task per block, so each CPU gets one.
-    ``content_bytes`` is :func:`corpus_content_bytes`, read here from
-    the footers when the caller has not already; ``batch_size`` caps a
-    block's rows where the files allow.
+    The content bytes are :func:`corpus_content_bytes`, from the
+    footers; ``batch_size`` caps a block's rows where the files
+    allow.
 
     When the content fits a quarter of the cluster's object-store
     memory (``ray.cluster_resources()``; no Ray session → over budget)
@@ -148,8 +150,7 @@ def read_corpus_blocks(
     each pass's tasks read their own slice, so the corpus is read once
     per pass (an incremental rebuild's sha256 pass included) and never
     held whole."""
-    if content_bytes is None:
-        content_bytes = corpus_content_bytes(input_path)
+    content_bytes = corpus_content_bytes(input_path)
     pieces = plan_reads(input_path, blocks_for(content_bytes, cluster_cpus()),
                         CORPUS_COLUMNS, batch_size)
     store = (ray.cluster_resources().get("object_store_memory", 0)
@@ -332,33 +333,135 @@ def _empty_output(name: str, files_post=None) -> pa.Table:
         files, lambda keys: pa.array([False] * len(keys), pa.bool_()))
 
 
-def _graph_tail(records: Blocks, no_key: bool,
-                out_dir: str | None = None, files_post=None,
-                checkpoint: tuple[str, dict] | None = None,
-                walls: StageWalls | None = None):
-    """Stages 2–4 over the pinned ``records`` blocks as three raw-task
-    waves (module docstring). Each output has up to ``blocks_for(records'
-    bytes)`` ranges, and the link index is split in as many repo
-    buckets (its rows are a part of the records). With ``out_dir``
-    every non-empty range is written to
-    ``{out_dir}/{output}/part-{k:05d}.parquet``. ``files_post`` runs in
-    each files reduce task (see ``reduce_range``).
+def extract_corpus(
+    corpus: Blocks,
+    out_dir: str,
+    fp: str,
+    min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
+    packages_path: str | None = None,
+    no_key: bool = False,
+    walls: StageWalls | None = None,
+    changed: set | None = None,
+    carried: list = (),
+    stale=None,
+) -> tuple[Blocks, int]:
+    """Stage 1 of a build into ``out_dir`` over the corpus blocks.
 
-    With ``checkpoint`` = (fingerprint, manifest metrics) the scan wave
-    also writes the records checkpoint into ``{out_dir}/records`` and
-    its manifest follows the wave; a failed part or manifest write
-    raises ``RuntimeError("records checkpoint write failed")``.
-    ``walls`` gets the scan, map and reduce walls.
+    First drops ``out_dir``'s records and type-index manifests: stage 1
+    rewrites both directories, and a run cut short must leave neither
+    looking complete. Then pass A (``build_type_index``), whose tasks
+    write ``{out_dir}/type_index/``, followed by its manifest (``fp``
+    and the part count, so a reader can tell a whole type index from a
+    cut one); then pass B (``extract_blocks``), one extraction task per
+    block with its repos' type indices and the package metadata of
+    ``packages_path``. ``walls`` gets the skim and extract walls.
 
-    Returns ({output: [(table ref, rows)] per range}, mentions_in,
-    mentions_resolved). Every task submitted here has finished when it
-    returns or raises."""
+    An incremental rebuild passes its delta: ``changed``, the
+    (repo, path) keys pass A skims and pass B extracts (None: every
+    file; empty: pass B does not run), and ``carried`` and ``stale``,
+    the prior type-index slices and the keys whose rows they drop (see
+    ``build_type_index``). Returns (the records, the files pass A
+    skimmed)."""
     walls = walls or StageWalls()
+    for stage in ("records", TYPE_INDEX):
+        remove_manifest(out_dir, stage)
+    pkg_meta = None if packages_path is None else load_pkg_meta(packages_path)
+    changed_ref = None if changed is None else ray.put(joined_keys(changed))
+    type_dir = f"{out_dir}/{TYPE_INDEX}"
+    type_store, skimmed = build_type_index(corpus, type_dir, changed_ref,
+                                           carried, stale)
+    write_manifest(out_dir, TYPE_INDEX, fp,
+                   {"parts": len(parquet_files(type_dir))})
+    walls.lap("skim")
+    records = Blocks([], 0, 0)
+    if changed is None or changed:
+        records = extract_blocks(corpus, type_store, min_accessibility,
+                                 pkg_meta, no_key, changed_ref)
+    walls.lap("extract")
+    return records, skimmed
+
+
+def build_graph(
+    input_path: str,
+    out_dir: str,
+    min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
+    resume: bool = True,
+    packages_path: str | None = None,
+    no_key: bool = False,
+    batch_size: int | None = None,
+) -> dict:
+    """Full run with a records checkpoint and a type index; returns
+    metrics. ``batch_size`` caps the rows of a corpus block (see
+    :func:`read_corpus_blocks`)."""
+    walls = StageWalls()
+    pkg_stat = None
+    if packages_path is not None:
+        st = os.stat(packages_path)
+        pkg_stat = f"{st.st_size}:{st.st_mtime_ns}"
+    config = {"min_accessibility": min_accessibility, "v": 3,
+              "packages": packages_path, "packages_stat": pkg_stat,
+              "no_key": no_key}
+    fp = corpus_fingerprint(input_path, config)
+
+    records = None
+    skimmed = 0
+    if not (resume and stage_is_complete(out_dir, "records", fp)):
+        corpus = read_corpus_blocks(input_path, batch_size)
+        walls.lap("read")
+        records, skimmed = extract_corpus(
+            corpus, out_dir, fp, min_accessibility, packages_path, no_key,
+            walls)
+    metrics = write_graph(out_dir, fp, no_key, records, walls)
+    metrics["skimmed_files"] = skimmed
+    write_manifest(out_dir, "graph", fp, metrics)
+    return metrics
+
+
+def write_graph(
+    out_dir: str,
+    fp: str,
+    no_key: bool,
+    records: Blocks | None,
+    walls: StageWalls,
+    files_post=None,
+) -> dict:
+    """Stages 2–4 into ``out_dir``'s nodes/, edges/ and files/, as three
+    raw-task waves over the pinned ``records`` blocks (module
+    docstring). Each output has up to ``blocks_for(records' bytes)``
+    ranges, and the link index is split in as many repo buckets (its
+    rows are a part of the records). Every non-empty range is written
+    to ``{output}/part-{k:05d}.parquet``, and an empty output as one
+    empty part. ``files_post(table, in_range)`` runs in each files
+    reduce task after the dedup (see ``reduce_range``).
+
+    The scan wave also writes the ``records/`` checkpoint; its manifest
+    (under ``fp``) follows the wave, so a crash mid-write re-runs stage
+    1, and a failed part or manifest write raises
+    ``RuntimeError("records checkpoint write failed")``.
+    ``records=None`` reads the existing checkpoint instead (a resumed
+    build), sized from the same in-memory bytes as a fresh one.
+
+    Returns the outputs' row counts, ``mentions_in`` (non-internal
+    mention rows), ``mentions_resolved`` (rows left after resolution
+    and the endpoint check, before the distinct), ``stage1_sec`` and
+    ``stage_sec`` (the ``walls``, started when the build started).
+    Every task submitted here has finished when it returns or
+    raises."""
+    records_dir = f"{out_dir}/records"
+    checkpoint = None
+    stage1_sec = 0.0
+    if records is None:
+        records = read_records_blocks(records_dir)
+        walls.lap("read")
+    else:
+        stage1_sec = round(walls.elapsed(), 3)
+        shutil.rmtree(records_dir, ignore_errors=True)
+        checkpoint = (fp, {"rows": records.rows, "wall_sec": stage1_sec})
     blocks = records.refs
     num_ranges = blocks_for(records.nbytes)
     nrows = records.rows
     rate = min(1.0, SAMPLE_KEYS / nrows) if num_ranges > 1 and nrows else 0.0
-    records_dir = f"{out_dir}/records" if checkpoint is not None else None
+    scan_dir = records_dir if checkpoint is not None else None
     submitted: list = []
 
     def submit(refs):
@@ -367,10 +470,10 @@ def _graph_tail(records: Blocks, no_key: bool,
 
     try:
         scan = _scan_block.options(num_returns=num_ranges + 1)
-        scans = [submit(scan.remote(b, num_ranges, rate, records_dir, k))
+        scans = [submit(scan.remote(b, num_ranges, rate, scan_dir, k))
                  for k, b in enumerate(blocks)]
         metas = ray.get([s[-1] for s in scans])
-        if records_dir is not None:
+        if checkpoint is not None:
             failed = [e for _, e, _ in metas if e is not None]
             try:
                 if failed:
@@ -392,181 +495,35 @@ def _graph_tail(records: Blocks, no_key: bool,
         maps = [submit(_map_block.options(num_returns=nret).remote(
             b, link_store, bounds, no_key)) for b in blocks]
 
-        outputs: dict = {}
+        reduces = []
         offset = 0
         for (name, canon), b in zip(_OUTPUTS, bounds):
-            path = None
-            if out_dir is not None:
-                path = f"{out_dir}/{name}"
-                shutil.rmtree(path, ignore_errors=True)
-                os.makedirs(path)
+            path = f"{out_dir}/{name}"
+            shutil.rmtree(path, ignore_errors=True)
+            os.makedirs(path)
             post = files_post if name == "files" else None
-            outputs[name] = []
-            for k in range(len(b) + 1):
-                part = f"{path}/part-{k:05d}.parquet" if path else None
-                outputs[name].append(submit(reduce_range.remote(
-                    canon, part, post, b, k, *[m[offset + k] for m in maps])))
+            reduces.append([submit(reduce_range.remote(
+                canon, f"{path}/part-{k:05d}.parquet", post,
+                functools.partial(owned_by, b, k),
+                *[m[offset + k] for m in maps])) for k in range(len(b) + 1)])
             offset += len(b) + 1
         counts = ray.get([m[-1] for m in maps])
         walls.lap("map")
-        rows = iter(ray.get([r for refs in outputs.values() for _, r in refs]))
-        outputs = {name: [(t, next(rows)) for t, _ in refs]
-                   for name, refs in outputs.items()}
-        for name, parts in outputs.items():
-            if out_dir is not None and not any(n for _, n in parts):
+        metrics: dict = {}
+        for (name, _), refs in zip(_OUTPUTS, reduces):
+            metrics[name] = sum(ray.get(refs))
+            if not metrics[name]:
                 # an empty output still reads back: one empty part
                 pq.write_table(_empty_output(name, files_post),
                                f"{out_dir}/{name}/part-00000.parquet")
         walls.lap("reduce")
-        mentions_in = sum(n for n, _ in counts)
-        resolved = sum(r for _, r in counts)
     finally:
         # no task outlives the build, on success or error
         if submitted:
             ray.wait(submitted, num_returns=len(submitted),
                      fetch_local=False)
-    return outputs, mentions_in, resolved
-
-
-def graph_from_records(
-    records: Blocks | None = None,
-    records_dir: str | None = None,
-    no_key: bool = False,
-) -> dict[str, ray.data.Dataset]:
-    """Stages 2–4 from records blocks or a ``records_dir`` checkpoint,
-    without writing: returns the nodes, edges and files (each sorted by
-    key) as datasets over the reduce tasks' tables."""
-    if records is None:
-        records = read_records_blocks(records_dir)
-    outputs, _, _ = _graph_tail(records, no_key)
-    out = {}
-    for name, parts in outputs.items():
-        tables = [t for t, rows in parts if rows]
-        out[name] = (ray.data.from_arrow_refs(tables) if tables
-                     else ray.data.from_arrow(_empty_output(name)))
-    return out
-
-
-def extract_corpus(
-    corpus: Blocks,
-    min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
-    pkg_meta: dict | None = None,
-    no_key: bool = False,
-    walls: StageWalls | None = None,
-    type_index_dir: str | None = None,
-) -> tuple[Blocks, int]:
-    """Stage 1 over the corpus blocks: pass A (``build_type_index``,
-    writing its rows into ``type_index_dir`` when given), then pass B,
-    one extraction task per block with its repos' type indices.
-    ``walls`` gets the skim and extract walls. Returns (the records,
-    the files pass A skimmed)."""
-    walls = walls or StageWalls()
-    type_store, skimmed = build_type_index(corpus, type_index_dir)
-    walls.lap("skim")
-    records = extract_blocks(corpus, type_store, min_accessibility, pkg_meta,
-                             no_key)
-    walls.lap("extract")
-    return records, skimmed
-
-
-def drop_stage1_manifests(out_dir: str) -> None:
-    """Drop ``out_dir``'s records and type-index manifests: stage 1 is
-    about to rewrite both directories, and a run cut short must leave
-    neither looking complete."""
-    for stage in ("records", TYPE_INDEX):
-        remove_manifest(out_dir, stage)
-
-
-def write_type_index_manifest(out_dir: str, fp: str) -> None:
-    """The manifest of ``out_dir``'s finished ``type_index/``: the build's
-    fingerprint (the records manifest's, which follows) and its part
-    count, so a reader can tell a whole type index from a cut one."""
-    write_manifest(out_dir, TYPE_INDEX, fp, {
-        "parts": len(parquet_files(f"{out_dir}/{TYPE_INDEX}"))})
-
-
-def build_graph(
-    input_path: str,
-    out_dir: str,
-    min_accessibility: str = DEFAULT_MIN_ACCESSIBILITY,
-    resume: bool = True,
-    packages_path: str | None = None,
-    no_key: bool = False,
-    batch_size: int | None = None,
-) -> dict:
-    """Full run with a records checkpoint and a type index; returns
-    metrics. ``batch_size`` caps the rows of a corpus block (see
-    :func:`read_corpus_blocks`)."""
-    walls = StageWalls()
-    content_bytes = corpus_content_bytes(input_path)
-    pkg_stat = None
-    if packages_path is not None:
-        st = os.stat(packages_path)
-        pkg_stat = f"{st.st_size}:{st.st_mtime_ns}"
-    config = {"min_accessibility": min_accessibility, "v": 3,
-              "packages": packages_path, "packages_stat": pkg_stat,
-              "no_key": no_key}
-    fp = corpus_fingerprint(input_path, config)
-
-    pkg_meta = None
-    if packages_path is not None:
-        from codetoneo4j_ray.stages.extract import load_pkg_meta
-
-        pkg_meta = load_pkg_meta(packages_path)
-
-    records = None
-    skimmed = 0
-    if not (resume and stage_is_complete(out_dir, "records", fp)):
-        drop_stage1_manifests(out_dir)
-        corpus = read_corpus_blocks(input_path, content_bytes, batch_size)
-        walls.lap("read")
-        records, skimmed = extract_corpus(
-            corpus, min_accessibility, pkg_meta, no_key, walls,
-            f"{out_dir}/{TYPE_INDEX}")
-        write_type_index_manifest(out_dir, fp)
-    metrics = write_graph(out_dir, fp, no_key, records, walls)
-    metrics["skimmed_files"] = skimmed
-    write_manifest(out_dir, "graph", fp, metrics)
-    return metrics
-
-
-def write_graph(
-    out_dir: str,
-    fp: str,
-    no_key: bool,
-    records: Blocks | None,
-    walls: StageWalls,
-    files_post=None,
-) -> dict:
-    """Stages 2–4 into ``out_dir``'s nodes/, edges/ and files/; returns
-    their row counts, ``mentions_in`` (non-internal mention rows),
-    ``mentions_resolved`` (rows left after resolution and the endpoint
-    check, before the distinct), ``stage1_sec`` and ``stage_sec`` (the
-    ``walls``, started when the build started).
-
-    Stages 2–4 run as raw tasks over the pinned ``records`` blocks
-    (``_graph_tail``), whose scan wave also writes the ``records/``
-    checkpoint; its manifest (under ``fp``) follows the wave, so a
-    crash mid-write re-runs stage 1. ``records=None`` reads the
-    existing checkpoint instead (a resumed build), sized from the same
-    in-memory bytes as a fresh one. ``files_post(table, in_range)``
-    runs in each files reduce task after the dedup."""
-    records_dir = f"{out_dir}/records"
-    checkpoint = None
-    stage1_sec = 0.0
-    if records is None:
-        records = read_records_blocks(records_dir)
-        walls.lap("read")
-    else:
-        stage1_sec = round(walls.elapsed(), 3)
-        shutil.rmtree(records_dir, ignore_errors=True)
-        checkpoint = (fp, {"rows": records.rows, "wall_sec": stage1_sec})
-    outputs, mentions_in, resolved = _graph_tail(
-        records, no_key, out_dir, files_post, checkpoint, walls)
-    metrics: dict = {name: sum(rows for _, rows in parts)
-                     for name, parts in outputs.items()}
-    metrics["mentions_in"] = mentions_in
-    metrics["mentions_resolved"] = resolved
+    metrics["mentions_in"] = sum(n for n, _ in counts)
+    metrics["mentions_resolved"] = sum(r for _, r in counts)
     metrics["stage1_sec"] = stage1_sec
     metrics["stage_sec"] = dict(walls.sec)
     return metrics

@@ -19,8 +19,11 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from codetoneo4j_ray.stages.bucketing import Blocks, bucketed_apply_tasks
-from codetoneo4j_ray.stages.link import _cached_get
+from codetoneo4j_ray.stages.bucketing import (
+    Blocks,
+    bucketed_apply_tasks,
+    cached_get,
+)
 
 
 def _docs(sf_dir: str, columns=None) -> ray.data.Dataset:
@@ -767,7 +770,7 @@ def decontaminate(
     ref = ray.put(bench)
 
     def scan(batch: pa.Table) -> pa.Table:
-        bset = _cached_get(ref)
+        bset = cached_get(ref)
         out_id: list[int] = []
         out_n: list[int] = []
         for did, text in zip(
@@ -1073,7 +1076,7 @@ def ann_topk(sf_dir: str, n_queries: int = 8, k: int = 10) -> ray.data.Dataset:
     q_ref = ray.put((q_ids, qn))
 
     def score(batch: pa.Table) -> pa.Table:
-        b_q_ids, b_qn = _cached_get(q_ref)
+        b_q_ids, b_qn = cached_get(q_ref)
         vec_ids = np.asarray(batch["vec_id"].to_pylist(), dtype=np.int64)
         m = np.stack(
             [np.asarray(v, dtype=np.float64) for v in batch["embedding"].to_pylist()]
@@ -1140,7 +1143,7 @@ def _near_dup_exact(
     ref = ray.put((ids_all, mn_all))
 
     def scan(batch: pa.Table) -> pa.Table:
-        b_ids_all, b_mn_all = _cached_get(ref)
+        b_ids_all, b_mn_all = cached_get(ref)
         b_ids, bm = _batch_matrix(batch)
         bmn = bm / np.linalg.norm(bm, axis=1, keepdims=True)
         micro = np.floor((bmn @ b_mn_all.T) * 1_000_000).astype(np.int64)
@@ -1204,7 +1207,7 @@ def embedding_near_dup(
     c_ref = ray.put(centers)
 
     def assign_cells(batch: pa.Table) -> pa.Table:
-        c = _cached_get(c_ref)
+        c = cached_get(c_ref)
         vec_ids, m = _batch_matrix(batch)
         mn = m / np.linalg.norm(m, axis=1, keepdims=True)
         sims = mn @ c.T
@@ -1282,7 +1285,7 @@ def ann_ivf(sf_dir: str, n_queries: int = 8, k: int = 10, n_cells: int = 16,
     ref = ray.put((centers, q_ids, qn, probe))
 
     def scan(batch: pa.Table) -> pa.Table:
-        c, b_q_ids, b_qn, b_probe = _cached_get(ref)
+        c, b_q_ids, b_qn, b_probe = cached_get(ref)
         vec_ids, m = _batch_matrix(batch)
         mn = m / np.linalg.norm(m, axis=1, keepdims=True)
         assign = np.argmax(mn @ c.T, axis=1)
@@ -1327,7 +1330,7 @@ def embedding_kmeans(sf_dir: str, k: int = 8, iters: int = 10) -> ray.data.Datas
         ref = ray.put(centers)
 
         def partials(batch: pa.Table) -> pa.Table:
-            c = _cached_get(ref)
+            c = cached_get(ref)
             m = np_mod.stack(
                 [np_mod.asarray(v, dtype=np_mod.float64)
                  for v in batch["embedding"].to_pylist()]
@@ -1361,7 +1364,7 @@ def embedding_kmeans(sf_dir: str, k: int = 8, iters: int = 10) -> ray.data.Datas
     ref = ray.put(centers)
 
     def assign_final(batch: pa.Table) -> pa.Table:
-        c = _cached_get(ref)
+        c = cached_get(ref)
         vec_ids = batch["vec_id"]
         m = np_mod.stack(
             [np_mod.asarray(v, dtype=np_mod.float64)
@@ -2069,7 +2072,7 @@ def doc_pack(sf_dir: str, capacity: int = _PACK_CAPACITY) -> ray.data.Dataset:
     off_ref = ray.put(sums[["lang", "r", "base"]])
 
     def pack(df: pd.DataFrame) -> pd.DataFrame:
-        off = _cached_get(off_ref)
+        off = cached_get(off_ref)
         df = df.sort_values(["lang", "r", "doc_id"])
         cum = (
             df.groupby(["lang", "r"])["n_chars"].cumsum() - df["n_chars"]
@@ -2492,7 +2495,7 @@ def revenue_by_nation(sf_dir: str) -> ray.data.Dataset:
 
     def cust_side(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
-        df["n_name"] = df["c_nationkey"].map(_cached_get(nation_ref))
+        df["n_name"] = df["c_nationkey"].map(cached_get(nation_ref))
         n = len(df)
         return pa.table(
             {

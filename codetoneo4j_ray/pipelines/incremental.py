@@ -29,6 +29,8 @@ Every step is a raw-task wave over pinned blocks, as in the full build:
   diff     one task per corpus block returns its handled files'
            (repo, path, sha256) (``_current_side``), which meet the
            prior sides in ``_diff``, a (repo, path)-bucketed exchange
+  stage 1  ``build_graph.extract_corpus``, the full build's stage-1
+           driver, handed the delta:
   pass A   the skim of the changed files only (the changed-key filter
            runs inside the skim tasks), plus raw read tasks over the
            prior run's ``type_index/`` that drop the stale keys
@@ -74,13 +76,11 @@ from codetoneo4j_ray.functions.text import sha256_hex
 from codetoneo4j_ray.pipelines.build_graph import (
     TYPE_INDEX,
     StageWalls,
-    corpus_content_bytes,
-    drop_stage1_manifests,
+    extract_corpus,
     parquet_bytes,
     read_corpus_blocks,
     read_records_blocks,
     write_graph,
-    write_type_index_manifest,
 )
 from codetoneo4j_ray.stages.bucketing import (
     Blocks,
@@ -92,8 +92,6 @@ from codetoneo4j_ray.stages.bucketing import (
     read_blocks,
 )
 from codetoneo4j_ray.stages.extract import (
-    build_type_index,
-    extract_blocks,
     filter_keys,
     has_handler,
     joined_keys,
@@ -333,41 +331,28 @@ def build_graph_incremental(
         "packages": packages_path, "no_key": no_key,
         "prior": os.path.realpath(prior_out_dir),
     })
-    pkg_meta = None
-    if packages_path is not None:
-        from codetoneo4j_ray.stages.extract import load_pkg_meta
-
-        pkg_meta = load_pkg_meta(packages_path)
-    drop_stage1_manifests(out_dir)
-    corpus = read_corpus_blocks(input_path, corpus_content_bytes(input_path),
-                                batch_size)
+    corpus = read_corpus_blocks(input_path, batch_size)
     prior = _prior_sides(prior_out_dir)
     walls.lap("read")
     changed, deleted, carried_tombs = _diff(
         read_blocks(corpus.refs, _current_side), prior)
     # delta-sized key sets, never the corpus
     stale = changed | set(deleted) | {(r, p) for r, p, _ in carried_tombs}
-    changed_ref = ray.put(joined_keys(changed))
     stale_ref = ray.put(joined_keys(stale))
     # a changed file may reference types/namespaces declared in unchanged
-    # files (receiver typing, base chains, global usings): the store holds
-    # every file's rows, the prior run's for the unchanged ones, as the
-    # reference re-opens the whole compilation per run
+    # files (receiver typing, base chains, global usings): the type
+    # index holds every file's rows, the prior run's for the unchanged
+    # ones, as the reference re-opens the whole compilation per run
     # (SolutionProcessor.cs:256-279)
-    type_store, skimmed = build_type_index(
-        corpus, f"{out_dir}/{TYPE_INDEX}", changed_ref, carried, stale_ref)
-    write_type_index_manifest(out_dir, fp)
-    walls.lap("skim")
-
-    records = Blocks([], 0, 0)
-    if changed:
-        records = extract_blocks(corpus, type_store, min_accessibility,
-                                 pkg_meta, no_key, changed_ref)
+    records, skimmed = extract_corpus(
+        corpus, out_dir, fp, min_accessibility, packages_path, no_key, walls,
+        changed, carried, stale_ref)
     records += read_records_blocks(
         f"{prior_out_dir}/records", fn=functools.partial(
             filter_keys, keys=stale_ref, keep=False))
     tomb_blocks = _tombstone_blocks(f"{prior_out_dir}/files", deleted,
                                     carried_tombs, deleted_at_sec)
+    # the carried records and tombstones add to the extract wall
     walls.lap("extract")
 
     metrics: dict = {

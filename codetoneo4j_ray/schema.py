@@ -142,17 +142,3 @@ LABEL_TAG = "src__Tag"
 LABEL_URL = "src__Url"
 
 
-def empty_table(schema: pa.Schema) -> pa.Table:
-    return schema.empty_table()
-
-
-def table_from_pylist(rows: list[dict], schema: pa.Schema) -> pa.Table:
-    """Build an Arrow table from row dicts, filling absent keys with null."""
-    if not rows:
-        return schema.empty_table()
-    cols = {}
-    for field in schema:
-        cols[field.name] = pa.array(
-            [r.get(field.name) for r in rows], type=field.type
-        )
-    return pa.table(cols, schema=schema)

@@ -30,10 +30,14 @@ rows and in-memory bytes), read parquet with raw tasks over
 :class:`ParquetSlice` specs (:func:`read_blocks`), and feed the same
 split/apply primitive with them, which then returns :class:`Blocks`.
 
-Consumers that read a pinned bucket more than once (index lookups,
-iterative graph ops) go through one worker-process cache,
+Worker processes keep two caches. Consumers that read a pinned bucket
+more than once (index lookups, iterative graph ops) go through
 :func:`cached_view`, keyed by the bucket's pinned objects and bounded by
-the Arrow bytes it was built from.
+the Arrow bytes its views were built from (:func:`cache_bound`, a
+quarter of the memory Ray reports per CPU). An object broadcast to
+every task of a stage as one ref (a key set, package metadata, a
+centroid table) goes through :func:`cached_get`, keyed by its ref and
+bounded at ``BROADCAST_CACHE_MAX`` (8) objects.
 """
 
 from __future__ import annotations
@@ -612,6 +616,29 @@ def cached_view(refs: list, view, build):
     while held > bound:
         held -= _VIEWS.popitem(last=False)[1][1]
     return value
+
+
+# The worker-process broadcast cache: a task's first ask for a broadcast
+# ref pays one ray.get from the local object store, later tasks on the
+# same worker hit the dict. Least-recently-used objects drop past
+# BROADCAST_CACHE_MAX: a long-lived session broadcasts many refs (one
+# per k-means iteration, one per build), and unbounded, every one would
+# stay pinned in every worker for the session's lifetime.
+BROADCAST_CACHE_MAX = 8
+_BROADCAST_CACHE: dict = {}
+
+
+def cached_get(ref):
+    """``ray.get(ref)`` of a broadcast object, once per worker process
+    while it stays among the ``BROADCAST_CACHE_MAX`` most recently
+    used."""
+    obj = _BROADCAST_CACHE.pop(ref, None)
+    if obj is None:
+        obj = ray.get(ref)
+        while len(_BROADCAST_CACHE) >= BROADCAST_CACHE_MAX:
+            _BROADCAST_CACHE.pop(next(iter(_BROADCAST_CACHE)))
+    _BROADCAST_CACHE[ref] = obj  # re-insert = move to MRU position
+    return obj
 
 
 def bucket_frame(refs: list) -> pd.DataFrame:

@@ -136,25 +136,27 @@ def split_ranges(table: pa.Table | None, col: str,
     return split_by_ids(table, ids, len(bounds) + 1)
 
 
-@ray.remote(num_returns=2)
-def reduce_range(canon: Canon, path: str | None, post, bounds: np.ndarray,
-                 k: int, *pieces):
-    """Range ``k`` of one output: :func:`canonical` over its pieces, then
+def owned_by(bounds: np.ndarray, k: int, keys) -> pa.Array:
+    """Mask of the ``keys`` that range ``k`` of ``bounds`` owns."""
+    return pa.array(range_ids(keys, bounds) == k)
+
+
+@ray.remote
+def reduce_range(canon: Canon, path: str, post, in_range, *pieces) -> int:
+    """One range of one output: :func:`canonical` over its pieces, then
     ``post(table or None, in_range)`` when given, where
-    ``in_range(keys)`` masks the keys range ``k`` owns. With ``path``
-    the non-empty result is written there and (None, rows) returned;
-    else (table, rows). A range with no rows writes no file."""
+    ``in_range(keys)`` masks the keys the range owns (``owned_by`` bound
+    to the output's bounds and the range). A non-empty result is
+    written to ``path`` (a range with no rows writes no file); returns
+    its rows."""
     tabs = [t for t in pieces if t is not None and t.num_rows]
     # permissive: pieces can disagree on all-null column types
     table = (canonical(pa.concat_tables(tabs, promote_options="permissive"),
                        canon) if tabs else None)
     if post is not None:
-        table = post(table,
-                     lambda keys: pa.array(range_ids(keys, bounds) == k))
+        table = post(table, in_range)
     rows = table.num_rows if table is not None else 0
-    if path is None:
-        return table, rows
     if rows:
         pq.write_table(table, path)
-    return None, rows
+    return rows
 

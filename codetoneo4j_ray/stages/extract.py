@@ -48,10 +48,10 @@ from codetoneo4j_ray.stages.bucketing import (
     ParquetSlice,
     blob_frame,
     build_bucket_store,
+    cached_get,
     load_block,
     load_blobs,
 )
-from codetoneo4j_ray.stages.link import _cached_get
 
 # Unified stage-1 record schema (symbol ∪ mention ∪ file ∪ url columns).
 RECORD_SCHEMA = pa.schema(
@@ -241,7 +241,7 @@ def filter_keys(table: pa.Table, keys, keep: bool) -> pa.Table:
     if keys is None:
         return table
     if isinstance(keys, ray.ObjectRef):
-        keys = _cached_get(keys)
+        keys = cached_get(keys)
     mask = pc.is_in(_join_cols(table), value_set=keys)
     return table.filter(mask if keep else pc.invert(mask))
 
@@ -380,7 +380,7 @@ def _extract_block(block, type_store: BucketStore, pkg_refs: list,
     cache."""
     block = filter_keys(load_block(block), changed, keep=True)
     repos = block["repo"].to_pylist()
-    pkg_meta = _cached_get(pkg_refs[0]) if pkg_refs else None
+    pkg_meta = cached_get(pkg_refs[0]) if pkg_refs else None
     table = _records_table(
         repos, block["path"].to_pylist(),
         block["commit"].to_pylist(), block["content"].to_pylist(),

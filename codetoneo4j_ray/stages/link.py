@@ -45,7 +45,6 @@ from collections import defaultdict
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
 from codetoneo4j_ray.extractors.csharp.extractor import BASE_PRED, MEMBER_PRED
 from codetoneo4j_ray.stages.bucketing import BucketStore, blob_frame, load_blobs
@@ -130,27 +129,6 @@ def _member_indices(df) -> dict[str, MemberIndex]:
 # ---------------------------------------------------------------------------
 # step A: resolve deferred INVOKES
 # ---------------------------------------------------------------------------
-
-
-# Worker-local cache for broadcast objects: map_batches *tasks* reuse the
-# already-warm worker pool (no actor spin-up); the first task per worker
-# pays one zero-copy local-object-store ray.get, later tasks hit the dict.
-# Bounded LRU — long-lived sessions broadcast many refs (one per k-means
-# iteration, one per pipeline run); unbounded, every ref stays pinned in
-# every worker for the session's lifetime.
-_BROADCAST_CACHE_MAX = 8
-_BROADCAST_CACHE: dict = {}
-
-
-def _cached_get(ref):
-    obj = _BROADCAST_CACHE.pop(ref, None)
-    if obj is None:
-        obj = ray.get(ref)
-        while len(_BROADCAST_CACHE) >= _BROADCAST_CACHE_MAX:
-            _BROADCAST_CACHE.pop(next(iter(_BROADCAST_CACHE)))
-    _BROADCAST_CACHE[ref] = obj  # re-insert = move to MRU position
-    return obj
-
 
 # call-site kinds with no IMethodSymbol fallback: unresolved, Roslyn
 # emits nothing for them

@@ -45,7 +45,11 @@ def test_no_key_drops_repo_prefix_and_project_edges(ray_session, tmp_path):
 
 
 def test_cli_build_and_purge(ray_session, tmp_path, monkeypatch, capsys):
+    """``build`` prints the build's own statistics: a wall for every
+    stage, and node, edge and file counts equal to the rows of the
+    written tables. ``purge`` removes the output."""
     from codetoneo4j_ray import cli
+    from codetoneo4j_ray.pipelines.build_graph import StageWalls
 
     p = _corpus(tmp_path)
     out = str(tmp_path / "cli_out")
@@ -58,6 +62,9 @@ def test_cli_build_and_purge(ray_session, tmp_path, monkeypatch, capsys):
 
     metrics = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert metrics["nodes"] >= 2 and os.path.isdir(f"{out}/edges")
+    assert set(metrics["stage_sec"]) == set(StageWalls.STAGES)
+    for name in ("nodes", "edges", "files"):
+        assert metrics[name] == pq.read_table(f"{out}/{name}").num_rows, name
 
     rc = cli.main(["purge", "--output", out, "--yes"])
     assert rc == 0
@@ -159,9 +166,9 @@ def test_build_graph_honors_byte_budget(ray_session, tmp_path, report_memory):
 
 def test_checkpoint_write_failure_surfaces(ray_session, tmp_path,
                                            monkeypatch):
-    """A failure inside the background records-checkpoint thread must
-    fail the build (re-raised at the join), not report success over a
-    partial, manifest-less checkpoint dir."""
+    """A failure to write the records manifest after the scan wave has
+    written the records checkpoint must fail the build, not report
+    success over a partial, manifest-less checkpoint dir."""
     import pytest
 
     import codetoneo4j_ray.pipelines.build_graph as bg

@@ -4,22 +4,21 @@ values derived from the reference's key/display semantics (SURVEY §1.4)."""
 
 from __future__ import annotations
 
+import pyarrow as pa
+
 from codetoneo4j_ray.extractors import extract_file
-from codetoneo4j_ray.extractors.csharp.extractor import (  # noqa: F401
-    BASE_PRED,
-    MEMBER_PRED,
-    build_repo_index,
-    skim_file,
-)
+from codetoneo4j_ray.extractors.csharp.extractor import BASE_PRED, MEMBER_PRED
+from codetoneo4j_ray.extractors.csharp.types import RepoTypeIndex
+from codetoneo4j_ray.stages.extract import _assemble_type_indices, skim_batch
 
 
 def run(files: dict[str, str], min_acc: str = "Private", repo: str = "repo"):
-    trows, urows = [], []
-    for path, content in files.items():
-        t, u = skim_file(repo, path, content)
-        trows += t
-        urows += u
-    idx = build_repo_index(trows, urows)
+    """Every file extracted with the repo's type index, built as pass A
+    builds it: the skim rows of every file, assembled per repo."""
+    rows = skim_batch(pa.table({"repo": [repo] * len(files),
+                                "path": list(files),
+                                "content": list(files.values())}))
+    idx = _assemble_type_indices(rows.to_pandas()).get(repo, RepoTypeIndex())
     out = {}
     for path, content in files.items():
         out[path] = extract_file(repo, path, content, min_acc, idx)

@@ -1,5 +1,5 @@
 """Stages 2–4 as raw tasks over the pinned records (``build_graph.
-_graph_tail``): the exchange contract, its edge cases, the stage-2
+write_graph``): the exchange contract, its edge cases, the stage-2
 counts it reports, and the block counts around it.
 
 The sf0.001 digests below are the outputs of the Ray Data sort-based
@@ -254,7 +254,7 @@ def test_resumed_build_writes_the_fresh_part_files(tmp_path, monkeypatch):
     assert _digests(out) == digests
 
 
-def test_extraction_keeps_the_corpus_block_count(monkeypatch):
+def test_extraction_keeps_the_corpus_block_count(monkeypatch, tmp_path):
     """At 4 CPUs with a 1-byte minimum block size, extraction yields
     one records block per corpus block (one task per block),
     so the corpus read's CPU floor reaches extraction."""
@@ -269,7 +269,7 @@ def test_extraction_keeps_the_corpus_block_count(monkeypatch):
     monkeypatch.setattr(ray.data.DataContext.get_current(),
                         "target_min_block_size", 1)
     corpus = read_corpus_blocks(ensure_corpus(SF))
-    records, _ = extract_corpus(corpus)
+    records, _ = extract_corpus(corpus, str(tmp_path), "fp")
     assert len(corpus.refs) > 1
     assert len(records.refs) == len(corpus.refs)
 

@@ -308,9 +308,9 @@ def test_tombstone_chain_and_resurrection(ray_session, tmp_path):
 def test_incremental_checkpoint_write_failure_surfaces(
     ray_session, tmp_path, monkeypatch,
 ):
-    """A failure inside the background records-checkpoint thread fails
-    the incremental rebuild too, and no graph manifest lands: a later
-    rebuild must never take a partial records dir as its prior."""
+    """A failure to write the records manifest fails the incremental
+    rebuild too, and no graph manifest lands: a later rebuild must
+    never take a partial records dir as its prior."""
     import codetoneo4j_ray.pipelines.build_graph as bg
     from codetoneo4j_ray.pipelines.incremental import build_graph_incremental
     from codetoneo4j_ray.state.manifest import read_manifest
@@ -338,8 +338,8 @@ def test_chained_incremental_over_same_corpus(ray_session, tmp_path):
     """A rebuild whose prior is an incremental run over the same corpus
     changes nothing: no file re-extracts, every output row and the
     records count per rec_type equal the prior's. The second run reads
-    the first's records/, so this also pins that the background
-    checkpoint write is complete when the first rebuild returns."""
+    the first's records/, so this also pins that the checkpoint the
+    scan wave writes is complete when the first rebuild returns."""
     import os
 
     import ray.data as rd

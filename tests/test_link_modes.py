@@ -16,9 +16,9 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-# {output: (rows, digest)} of graph_from_records over sf0.001 (the same
-# as the full build's, tests/test_graph_tail.py FULL) and over the
-# cross-repo-shaped corpus below
+# {output: (rows, digest)} of the outputs a build writes over sf0.001
+# (tests/test_graph_tail.py FULL) and over the cross-repo-shaped corpus
+# below
 SF_GRAPH = {"nodes": (271, "a98facd5751c0ab7"),
             "edges": (1180, "3330f7b26a7e9ec7"),
             "files": (41, "afe0d7e6f8f35427")}
@@ -39,17 +39,6 @@ def _digest(t: pa.Table) -> tuple[int, str]:
     rows = sorted(repr(r) for r in zip(*[t[c].to_pylist() for c in cols]))
     h = hashlib.sha256("\n".join([repr(cols)] + rows).encode())
     return t.num_rows, h.hexdigest()[:16]
-
-
-def _graph_digests(records) -> dict:
-    """{output: (rows, digest)} of stages 2-4 over records blocks."""
-    import ray
-
-    from codetoneo4j_ray.pipelines.build_graph import graph_from_records
-
-    out = graph_from_records(records)
-    return {n: _digest(pa.concat_tables(ray.get(out[n].to_arrow_refs())))
-            for n in OUTPUTS}
 
 
 def _out_digests(out: str) -> dict:
@@ -118,21 +107,18 @@ def test_type_index_assembly_ignores_row_order():
         assert shape(_assemble_type_indices(shuffled)) == want
 
 
-def test_graph_modes_output_identical(add_alive_node):
-    """Stages 2-4 over the sf0.001 records write the digests both
-    former paths wrote, on one node and on a session reporting a
-    second alive node."""
-    from codetoneo4j_ray.pipelines.build_graph import (
-        extract_corpus,
-        read_corpus_blocks,
-    )
+def test_graph_modes_output_identical(tmp_path, add_alive_node):
+    """A build over sf0.001 writes the digests both former paths wrote,
+    on one node and on a session reporting a second alive node."""
+    from codetoneo4j_ray.pipelines.build_graph import build_graph
     from codetoneo4j_ray.sources.synth import ensure_corpus
 
-    records, _ = extract_corpus(
-        read_corpus_blocks(ensure_corpus("/root/testdata/sf0.001")))
-    assert _graph_digests(records) == SF_GRAPH
+    corpus = ensure_corpus("/root/testdata/sf0.001")
+    build_graph(corpus, str(tmp_path / "one"), resume=False)
+    assert _out_digests(str(tmp_path / "one")) == SF_GRAPH
     add_alive_node()
-    assert _graph_digests(records) == SF_GRAPH
+    build_graph(corpus, str(tmp_path / "two"), resume=False)
+    assert _out_digests(str(tmp_path / "two")) == SF_GRAPH
 
 
 def test_kg_cache_is_the_build_output(tmp_path, monkeypatch, add_alive_node):
@@ -170,10 +156,7 @@ def test_modes_agree_on_cross_repo_shaped_corpus(tmp_path, add_alive_node):
     A imports a file only repo B has) and the graph keeps the digests
     the global check wrote, on one node and under a second node."""
 
-    from codetoneo4j_ray.pipelines.build_graph import (
-        extract_corpus,
-        read_corpus_blocks,
-    )
+    from codetoneo4j_ray.pipelines.build_graph import build_graph
     from codetoneo4j_ray.schema import CORPUS_SCHEMA
 
     rows = [
@@ -200,10 +183,11 @@ def test_modes_agree_on_cross_repo_shaped_corpus(tmp_path, add_alive_node):
     )
     p = str(tmp_path / "c.parquet")
     pq.write_table(t, p)
-    records, _ = extract_corpus(read_corpus_blocks(p))
-    assert _graph_digests(records) == XREPO_GRAPH
+    build_graph(p, str(tmp_path / "one"), resume=False)
+    assert _out_digests(str(tmp_path / "one")) == XREPO_GRAPH
     add_alive_node()
-    assert _graph_digests(records) == XREPO_GRAPH
+    build_graph(p, str(tmp_path / "two"), resume=False)
+    assert _out_digests(str(tmp_path / "two")) == XREPO_GRAPH
 
 
 def test_outputs_do_not_depend_on_bucket_count(tmp_path, monkeypatch):
@@ -438,7 +422,7 @@ def test_tasks_load_only_their_repos_buckets(tmp_path, monkeypatch):
 
     records = extract_blocks(corpus, type_store)
     assert all(len(r) == 1 for r in _block_repos(records))
-    # the build's scan wave and bucket pinning (``_graph_tail``)
+    # the build's scan wave and bucket pinning (``write_graph``)
     n = bucketing.blocks_for(records.nbytes)
     assert n == 8
     scans = [bg._scan_block.options(num_returns=n + 1).remote(

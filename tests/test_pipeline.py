@@ -169,8 +169,12 @@ def test_entry_contract(ray_session):
 def _range_exchange(tables, canon, num_ranges):
     """The build's canonicalize exchange over ``tables`` (one per map
     task): sample, bounds, map-side dedup + range split, one reduce task
-    per range; the ranges concatenated in order."""
+    per range writing its part; the parts read back in order."""
+    import os
+    import tempfile
+
     import pyarrow as pa
+    import pyarrow.parquet as pq
     import ray
 
     from codetoneo4j_ray.stages.canonicalize import (
@@ -185,10 +189,13 @@ def _range_exchange(tables, canon, num_ranges):
                           num_ranges)
     pieces = [split_ranges(canonical(t, canon), canon.split, bounds)
               for t in tables]
-    refs = [reduce_range.remote(canon, None, None, bounds, k,
-                                *[p[k] for p in pieces])[0]
-            for k in range(len(bounds) + 1)]
-    return pa.concat_tables([t for t in ray.get(refs) if t is not None])
+    with tempfile.TemporaryDirectory() as out:
+        parts = [f"{out}/part-{k:05d}.parquet" for k in range(len(bounds) + 1)]
+        ray.get([reduce_range.remote(canon, part, None, None,
+                                     *[p[k] for p in pieces])
+                 for k, part in enumerate(parts)])
+        return pa.concat_tables([pq.read_table(p) for p in parts
+                                 if os.path.exists(p)])
 
 
 def _blocks(df, n):

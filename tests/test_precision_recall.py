@@ -89,26 +89,22 @@ for s in [_SVC, f"{_SVC}.Make(int)", f"{_SVC}.Log()"]:
 
 
 @pytest.fixture(scope="module")
-def emitted(ray_session):
-    import ray
+def emitted(ray_session, tmp_path_factory):
+    import pyarrow.parquet as pq
 
-    from codetoneo4j_ray.pipelines.build_graph import (
-        extract_corpus,
-        graph_from_records,
-    )
-    from codetoneo4j_ray.stages.bucketing import Blocks
+    from codetoneo4j_ray.pipelines.build_graph import build_graph
 
     rows = [("fix", p, "c" * 40, "csharp", c) for p, c in FILES.items()]
     cols = list(zip(*rows))
-    corpus = Blocks([ray.put(
-        pa.table(
-            {f.name: pa.array(list(cols[i]), pa.string())
-             for i, f in enumerate(CORPUS_SCHEMA)},
-            schema=CORPUS_SCHEMA,
-        )
-    )])
-    records, _ = extract_corpus(corpus)
-    edges = graph_from_records(records)["edges"].to_pandas()
+    tmp = tmp_path_factory.mktemp("emitted")
+    corpus, out = str(tmp / "corpus.parquet"), str(tmp / "out")
+    pq.write_table(pa.table(
+        {f.name: pa.array(list(cols[i]), pa.string())
+         for i, f in enumerate(CORPUS_SCHEMA)},
+        schema=CORPUS_SCHEMA,
+    ), corpus)
+    build_graph(corpus, out)
+    edges = pq.read_table(f"{out}/edges").to_pandas()
     return set(map(tuple, edges[["subj", "pred", "obj"]].values))
 
 

@@ -159,7 +159,8 @@ def test_pipeline_collects_manifest_roots(ray_session, tmp_path):
     )
     p = str(tmp_path / "c.parquet")
     pq.write_table(t, p)
-    recs = extract_corpus(read_corpus_blocks(p))[0].table().to_pandas()
+    recs = extract_corpus(read_corpus_blocks(p), str(tmp_path / "out"),
+                          "fp")[0].table().to_pandas()
     sym = recs[recs["rec_type"] == "symbol"]
     fqns = set(sym["fqn"])
     assert "@web-client/src/app.ts::AppRoot" in fqns

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import tempfile
 
 # manifests ride along: the TS/Dart handlers analyze only inside a
 # project root (package.json / pubspec.yaml), matching the reference's
@@ -78,7 +79,9 @@ def measure(root: str, exts: tuple[str, ...]) -> dict:
 
     rows = _corpus_rows(root, exts)
     corpus = Blocks([ray.put(pa.Table.from_pylist(rows))])
-    records, _ = extract_corpus(corpus)
+    # stage 1 writes its type index beside the records, as in a build
+    with tempfile.TemporaryDirectory() as out:
+        records, _ = extract_corpus(corpus, out, "fidelity")
     # stage 2 as the build runs it: the per-repo index store, then
     # steps A and B over the mentions (a tree's records fit the driver)
     table = records.table()
