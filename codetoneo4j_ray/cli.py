@@ -21,9 +21,14 @@ Option parity:
   --batch-size          stage-1 extraction batch size in rows; default
                         one batch per corpus block (Program.cs:71-73
                         flush batching analog)
-  --commits             commits side table → commit subgraph
-                        (the --diff-base git-ingestion analog)
+  --commits             commits side table → commit subgraph and the
+                        File nodes' commits/tags lists (GitService /
+                        GitLogParser analog)
   --packages            package-metadata side table (nuspec analog)
+  --prior               incremental: the prior run's output, rebuilt
+                        against (the --diff-base analog)
+  --no-resume           build: rerun stage 1 even when the output's
+                        records checkpoint matches the input
   --show-supported-files  handler registry listing
   --purge-data          via the ``purge`` subcommand
 
@@ -146,8 +151,6 @@ def _write_commit_graph(commits_path: str, out_dir: str, metrics: dict) -> None:
     import os
     import shutil
 
-    import ray.data
-
     from codetoneo4j_ray.pipelines.commits import (
         attach_file_versions,
         authored_stats,
@@ -173,14 +176,13 @@ def _write_commit_graph(commits_path: str, out_dir: str, metrics: dict) -> None:
 
     # File nodes carry their commit/tag lists (UpsertFile.cypher:12-13
     # ``f.commits = file.commits, f.tags = file.tags``): rewrite files/
-    # with the list columns joined on, atomically via a sibling dir swap
+    # part by part with the list columns appended, atomically via a
+    # sibling dir swap
     files_dir = f"{out_dir}/files"
     if os.path.isdir(files_dir):
         tmp = f"{out_dir}/files.withversions"
         shutil.rmtree(tmp, ignore_errors=True)
-        attach_file_versions(
-            ray.data.read_parquet(files_dir), commits
-        ).write_parquet(tmp)
+        attach_file_versions(files_dir, commits, tmp)
         old = f"{out_dir}/files.old"
         shutil.rmtree(old, ignore_errors=True)
         os.rename(files_dir, old)

@@ -439,7 +439,8 @@ def write_graph(
     1, and a failed part or manifest write raises
     ``RuntimeError("records checkpoint write failed")``.
     ``records=None`` reads the existing checkpoint instead (a resumed
-    build), sized from the same in-memory bytes as a fresh one.
+    build), sized from the same in-memory bytes as a fresh one. The
+    graph manifest is dropped first, so a run cut short leaves none.
 
     Returns the outputs' row counts, ``mentions_in`` (non-internal
     mention rows), ``mentions_resolved`` (rows left after resolution
@@ -447,6 +448,7 @@ def write_graph(
     ``stage_sec`` (the ``walls``, started when the build started).
     Every task submitted here has finished when it returns or
     raises."""
+    remove_manifest(out_dir, "graph")
     records_dir = f"{out_dir}/records"
     checkpoint = None
     stage1_sec = 0.0

@@ -26,11 +26,23 @@ structural edges in stages/materialize.py.
 
 from __future__ import annotations
 
+import os
+
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray.data
 
-from codetoneo4j_ray.stages.bucketing import bucketed_apply_tasks
+from codetoneo4j_ray.stages.bucketing import (
+    Blocks,
+    BucketStore,
+    _bucket_ids,
+    bucketed_apply_tasks,
+    build_bucket_store,
+    cached_view,
+    parquet_files,
+)
 
 COMMITTED = "src__COMMITTED"
 PART_OF_PROJECT = "src__PART_OF_PROJECT"
@@ -45,6 +57,16 @@ def read_commits(commits_path: str) -> ray.data.Dataset:
 def _date_sec(col: pd.Series) -> pd.Series:
     # tz-aware us timestamps → epoch seconds (engine-exact vs DuckDB)
     return (col.astype("int64") // 1_000_000).astype("int64")
+
+
+def _fold(commits: ray.data.Dataset, partial, keys: list[str], merge,
+          values: list[str]) -> ray.data.Dataset:
+    """``merge`` over the ``partial`` rows of ``commits`` in one
+    ``keys``-bucketed exchange, as columns ``keys + values`` sorted by
+    ``keys``."""
+    return (bucketed_apply_tasks(
+        commits.map_batches(partial, batch_format="pyarrow"), keys, merge)
+        .select_columns(keys + values).sort(keys))
 
 
 def commit_nodes(commits: ray.data.Dataset) -> ray.data.Dataset:
@@ -69,13 +91,8 @@ def commit_nodes(commits: ray.data.Dataset) -> ray.data.Dataset:
         df = df.sort_values(_TIE, kind="stable", na_position="first")
         return df.drop_duplicates(subset=["hash"], keep="last")
 
-    return (
-        bucketed_apply_tasks(
-            commits.map_batches(local, batch_format="pyarrow"), ["hash"], merge
-        )
-        .select_columns(["hash", "repo", "author", "email", "date_sec", "message"])
-        .sort("hash")
-    )
+    return _fold(commits, local, ["hash"], merge,
+                 ["repo", "author", "email", "date_sec", "message"])
 
 
 def commit_edges(commits: ray.data.Dataset) -> ray.data.Dataset:
@@ -152,15 +169,8 @@ def authored_stats(commits: ray.data.Dataset) -> ray.data.Dataset:
             commit_count=("commit_count", "sum"),
         )
 
-    return (
-        bucketed_apply_tasks(
-            commits.map_batches(partial, batch_format="pyarrow"),
-            ["author", "path"],
-            merge,
-        )
-        .select_columns(["author", "path", "first_sec", "last_sec", "commit_count"])
-        .sort(["author", "path"])
-    )
+    return _fold(commits, partial, ["author", "path"], merge,
+                 ["first_sec", "last_sec", "commit_count"])
 
 
 # internal list separator for the version fold: U+001F cannot appear in
@@ -168,6 +178,41 @@ def authored_stats(commits: ray.data.Dataset) -> ray.data.Dataset:
 # the joined form keeps every exchange all-string (no per-block Arrow
 # list-type inference) and IS the strict-oracle-comparable shape
 _SEP = "\x1f"
+
+
+def _version_rows(batch: pa.Table) -> pa.Table:
+    """The version fold's map side: one (repo, hash, tags, date_sec,
+    path) row per changed path of each commit, its tag list pre-joined,
+    so the exploded frame stays all-scalar through the exchange."""
+    df = batch.select(["repo", "hash", "date", "changed_paths", "tags"]
+                      ).to_pandas()
+    df["date_sec"] = _date_sec(df["date"])
+    df["tags"] = [
+        _SEP.join(lst) if lst is not None and len(lst) else ""
+        for lst in df["tags"]
+    ]
+    df = df.drop(columns="date").explode("changed_paths")
+    df = df.rename(columns={"changed_paths": "path"})
+    df = df.dropna(subset=["path"])
+    return pa.Table.from_pandas(df, preserve_index=False)
+
+
+def _fold_versions(df: pd.DataFrame) -> pd.DataFrame:
+    """The version fold's reduce side: one (repo, path, commits_csv,
+    tags_csv) row per file of ``df``'s version rows."""
+    df = df.sort_values(["repo", "path", "date_sec", "hash"],
+                        ascending=[True, True, False, True],
+                        kind="stable")
+
+    def fold_tags(s: pd.Series) -> str:
+        return _SEP.join(sorted(
+            {t for joined in s if joined for t in joined.split(_SEP)}
+        ))
+
+    return df.groupby(["repo", "path"], sort=False, as_index=False).agg(
+        commits_csv=("hash", _SEP.join),
+        tags_csv=("tags", fold_tags),
+    )
 
 
 def file_versions(commits: ray.data.Dataset) -> ray.data.Dataset:
@@ -186,124 +231,68 @@ def file_versions(commits: ray.data.Dataset) -> ray.data.Dataset:
 
     One (repo, path)-bucketed exchange; list building needs every commit
     of a file co-located, so there is no map-side combine beyond the
-    explode projection. ``attach_file_versions`` materializes the real
-    list columns onto the files table.
+    explode projection. ``attach_file_versions`` pins the same fold as a
+    store and materializes the real list columns onto the files table.
     """
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.select(["repo", "hash", "date", "changed_paths", "tags"]
-                          ).to_pandas()
-        df["date_sec"] = _date_sec(df["date"])
-        # pre-join each commit's tag list: the exploded frame stays
-        # all-scalar through the exchange
-        df["tags"] = [
-            _SEP.join(lst) if lst is not None and len(lst) else ""
-            for lst in df["tags"]
-        ]
-        df = df.drop(columns="date").explode("changed_paths")
-        df = df.rename(columns={"changed_paths": "path"})
-        df = df.dropna(subset=["path"])
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["repo", "path", "date_sec", "hash"],
-                            ascending=[True, True, False, True],
-                            kind="stable")
-
-        def fold_tags(s: pd.Series) -> str:
-            return _SEP.join(sorted(
-                {t for joined in s if joined for t in joined.split(_SEP)}
-            ))
-
-        return df.groupby(["repo", "path"], sort=False, as_index=False).agg(
-            commits_csv=("hash", _SEP.join),
-            tags_csv=("tags", fold_tags),
-        )
-
-    return (
-        bucketed_apply_tasks(
-            commits.map_batches(partial, batch_format="pyarrow"),
-            ["repo", "path"],
-            merge,
-        )
-        .select_columns(["repo", "path", "commits_csv", "tags_csv"])
-        .sort(["repo", "path"])
-    )
+    return _fold(commits, _version_rows, ["repo", "path"], _fold_versions,
+                 ["commits_csv", "tags_csv"])
 
 
-_FILE_COLS = [
-    "key", "path", "file_name", "namespace", "sha256", "language",
-    "technology", "repo", "commit",
-]
+def _version_lists(table: pa.Table | None) -> dict:
+    """{(repo, path): (commits, tags)} of a pinned bucket of the fold."""
+    if table is None:
+        return {}
+    return {
+        (r, p): (c.split(_SEP) if c else [], t.split(_SEP) if t else [])
+        for r, p, c, t in zip(*(table[col].to_pylist() for col in (
+            "repo", "path", "commits_csv", "tags_csv")))
+    }
 
 
-def attach_file_versions(
-    files: ray.data.Dataset, commits: ray.data.Dataset
-) -> ray.data.Dataset:
-    """files table ⇒ files table + ``commits``/``tags`` list columns.
+@ray.remote
+def _attach_part(src: str, dst: str, versions: BucketStore) -> int:
+    """One files part written to ``dst`` with its rows' ``commits`` /
+    ``tags`` lists appended (empty for untracked files), every input
+    column and the row order kept; looks up only the buckets of
+    ``versions`` its (repo, path) keys hash to. Returns its rows."""
+    files = pq.read_table(src)
+    found: dict = {}
+    ids = _bucket_ids(files, ["repo", "path"], versions.num_buckets)
+    for k in np.unique(ids.to_numpy()):
+        found.update(cached_view(versions.pieces[int(k)], "versions",
+                                 _version_lists))
+    hits = [found.get(key, ([], [])) for key in zip(
+        files["repo"].to_pylist(), files["path"].to_pylist())]
+    out = files.append_column(
+        "commits", pa.array([c for c, _ in hits], pa.list_(pa.string())))
+    out = out.append_column(
+        "tags", pa.array([t for _, t in hits], pa.list_(pa.string())))
+    pq.write_table(out, dst)
+    return out.num_rows
 
-    Bucketed join on (repo, path); files with no git history get empty
-    lists, exactly as the reference upserts empty ``file.commits`` /
-    ``file.tags`` for untracked files (UpsertFile.cypher:12-13). The
-    list columns materialize only in the final Arrow map — every
-    exchange moves scalar strings."""
-    versions = file_versions(commits)
-    _COMMON = _FILE_COLS + ["commits_csv", "tags_csv", "__side"]
 
-    def file_side(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        batch = batch.select(_FILE_COLS)
-        batch = batch.append_column("commits_csv", pa.nulls(n, pa.string()))
-        batch = batch.append_column("tags_csv", pa.nulls(n, pa.string()))
-        return batch.append_column("__side", pa.array(["f"] * n, pa.string()))
+def attach_file_versions(files_dir: str, commits: ray.data.Dataset,
+                         out_dir: str) -> int:
+    """``files_dir``'s parts ⇒ the same parts under ``out_dir``, each
+    with ``commits``/``tags`` list columns; returns the rows written.
 
-    def version_side(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols: dict = {}
-        for c in _FILE_COLS:
-            cols[c] = batch[c] if c in ("repo", "path") else pa.nulls(
-                n, pa.string()
-            )
-        cols["commits_csv"] = batch["commits_csv"]
-        cols["tags_csv"] = batch["tags_csv"]
-        cols["__side"] = pa.array(["v"] * n, pa.string())
-        return pa.table({c: cols[c] for c in _COMMON})
-
-    both = files.map_batches(file_side, batch_format="pyarrow").union(
-        versions.map_batches(version_side, batch_format="pyarrow")
-    )
-
-    def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        v = df[df["__side"] == "v"]
-        lookup = {
-            (r, p): (c, t)
-            for r, p, c, t in zip(v["repo"], v["path"], v["commits_csv"],
-                                  v["tags_csv"])
-        }
-        out = df[df["__side"] == "f"].drop(columns="__side").copy()
-        hits = [lookup.get((r, p), ("", ""))
-                for r, p in zip(out["repo"], out["path"])]
-        out["commits_csv"] = [h[0] for h in hits]
-        out["tags_csv"] = [h[1] for h in hits]
-        return out
-
-    def to_lists(batch: pa.Table) -> pa.Table:
-        def split(col: str) -> pa.Array:
-            return pa.array(
-                [v.split(_SEP) if v else [] for v in
-                 batch[col].to_pylist()],
-                pa.list_(pa.string()),
-            )
-
-        out = batch.select(_FILE_COLS)
-        out = out.append_column("commits", split("commits_csv"))
-        return out.append_column("tags", split("tags_csv"))
-
-    return (
-        bucketed_apply_tasks(both, ["repo", "path"], join_bucket)
-        .map_batches(to_lists, batch_format="pyarrow")
-        .sort("key")
-    )
+    The version fold is pinned as a store keyed by (repo, path)
+    (``build_bucket_store`` with the fold as its reduce), then one raw
+    task per ``part-*.parquet`` maps its rows: files with no git history
+    get empty lists, exactly as the reference upserts empty
+    ``file.commits`` / ``file.tags`` for untracked files
+    (UpsertFile.cypher:12-13). No files row moves: each part keeps its
+    name, columns (an incremental's ``deleted``/``deleted_at`` too) and
+    key order."""
+    versions = build_bucket_store(
+        Blocks.of_dataset(
+            commits.map_batches(_version_rows, batch_format="pyarrow")),
+        ["repo", "path"], _fold_versions)
+    os.makedirs(out_dir)
+    return sum(ray.get([
+        _attach_part.remote(src, f"{out_dir}/{os.path.basename(src)}",
+                            versions)
+        for src in parquet_files(files_dir)]))
 
 
 def file_history(commits: ray.data.Dataset) -> ray.data.Dataset:
@@ -331,12 +320,5 @@ def file_history(commits: ray.data.Dataset) -> ray.data.Dataset:
             n_commits=("n_commits", "sum"),
         )
 
-    return (
-        bucketed_apply_tasks(
-            commits.map_batches(partial, batch_format="pyarrow"),
-            ["repo", "path"],
-            merge,
-        )
-        .select_columns(["repo", "path", "created_sec", "modified_sec", "n_commits"])
-        .sort(["repo", "path"])
-    )
+    return _fold(commits, partial, ["repo", "path"], merge,
+                 ["created_sec", "modified_sec", "n_commits"])

@@ -45,8 +45,8 @@ Every step is a raw-task wave over pinned blocks, as in the full build:
            runs inside the tasks, which load their block's repos' type
            indices as in the full build); the carried records come from
            raw read tasks over the prior checkpoint, which drop the
-           stale keys; the tombstone rows from one raw task over the
-           prior files/
+           stale keys; the tombstone rows from raw read tasks over
+           the prior files/
   tail     ``build_graph.write_graph``, the full build's raw-task tail,
            whose scan wave writes ``records/``; the tombstone rows join
            each files range in its reduce task, after the LWW dedup
@@ -55,7 +55,8 @@ Every step is a raw-task wave over pinned blocks, as in the full build:
 Stage-1 parse cost (pass A and pass B) scales with the delta, not the
 corpus; what still reads every corpus row is the sha256 of the diff.
 The prior output must hold a complete ``type_index/`` (every build
-writes one); without it the rebuild raises and asks for a full build.
+writes one) and a graph manifest with its records' fingerprint;
+without them the rebuild raises and asks for a full build.
 """
 
 from __future__ import annotations
@@ -146,28 +147,31 @@ def _prior_sides(prior_out_dir: str) -> Blocks:
                                 functools.partial(_side_rows, "p"))
     files_dir = f"{prior_out_dir}/files"
     if "deleted" in pq.read_schema(parquet_files(files_dir)[0]).names:
-        prior += read_blocks([ParquetSlice(tuple(parquet_files(files_dir)))],
-                             _tombstone_side)
+        prior += read_blocks(plan_reads(
+            files_dir, blocks_for(parquet_bytes(files_dir))), _tombstone_side)
     return prior
 
 
 def _prior_type_index(prior_out_dir: str) -> list[ParquetSlice]:
     """Read slices over the prior run's ``type_index/``, which must be
     whole: its manifest's part count matches the directory, and its
-    fingerprint the records manifest's (the records came from it).
+    fingerprint, and the graph manifest's (stages 2–4 drop it first, so
+    a build cut short there leaves none), the records manifest's.
     Anything else, such as an output written before builds kept their
     type index, raises a ValueError."""
     path = f"{prior_out_dir}/{TYPE_INDEX}"
     meta = read_manifest(prior_out_dir, TYPE_INDEX)
     records = read_manifest(prior_out_dir, "records")
+    graph = read_manifest(prior_out_dir, "graph")
     parts = parquet_files(path) if os.path.isdir(path) else []
-    if (meta is None or records is None
+    if (meta is None or records is None or graph is None
             or meta["fingerprint"] != records["fingerprint"]
+            or graph["fingerprint"] != records["fingerprint"]
             or meta["metrics"]["parts"] != len(parts)):
         raise ValueError(
-            f"{path} is missing or incomplete: an incremental rebuild "
-            "needs the prior run's type index; run a full build "
-            "(build_graph) into the prior output first")
+            f"{path} or the prior's graph outputs are missing or "
+            "incomplete: an incremental rebuild needs a whole prior run; "
+            "run a full build (build_graph) into the prior output first")
     return plan_reads(path, blocks_for(parquet_bytes(path)))
 
 
@@ -263,17 +267,18 @@ def _tombstone_blocks(
     carried_tombs: list[tuple[str, str, int]],
     deleted_at_sec: int | None,
 ) -> list:
-    """Refs of the tombstone rows, from one raw task over the prior
-    files table (new deletions get this run's stamp; carried tombstones
-    keep their original). What moves is the delta-sized key set, never
-    a file table. No deletions → []."""
+    """Refs of the tombstone rows, one raw task per read slice of the
+    prior files table (new deletions get this run's stamp; carried
+    tombstones keep their original). What moves is the delta-sized key
+    set, never a file table. No deletions → []."""
     run_ts = int(time.time()) if deleted_at_sec is None else int(deleted_at_sec)
     stamp = {(r, p): run_ts for r, p in deleted}
     stamp.update({(r, p): ts for r, p, ts in carried_tombs})
     if not stamp:
         return []
-    files = ParquetSlice(tuple(parquet_files(prior_files_dir)))
-    return [_tombstone_rows.remote(files, joined_keys(stamp), stamp)]
+    keys = joined_keys(stamp)
+    return [_tombstone_rows.remote(files, keys, stamp) for files in plan_reads(
+        prior_files_dir, blocks_for(parquet_bytes(prior_files_dir)))]
 
 
 def _files_with_tombstones(tomb_blocks: list, live: pa.Table | None,

@@ -6,14 +6,15 @@ a 10^12-file batch run the north rule requires per-partition lineage +
 metrics and resume-by-skip; this module implements it:
 
   out_dir/
-    records/ part files …        (stage outputs)
-    records.manifest.json        {fingerprint, rows, partitions, metrics}
-    type_index/ part files …
-    type_index.manifest.json     {fingerprint, metrics: {parts}}
+    records/ type_index/ …       (stage-1 checkpoint, pass-A rows)
+    nodes/ edges/ files/ …       (graph outputs)
+    <stage>.manifest.json        {stage, fingerprint, completed_at, metrics}
 
-A stage is skipped on re-run when its manifest exists and its input
-fingerprint (file names + sizes + pipeline config) still matches.
-Writes are atomic (tmp file + rename).
+for the stages ``records``, ``type_index``, ``graph`` and, in the
+query KG cache, ``kgcache``. A stage is skipped on re-run when its
+manifest exists and its input fingerprint (file names + sizes +
+pipeline config) still matches. Writes are atomic (tmp file + rename),
+and a stage's manifest is dropped before its outputs are rewritten.
 """
 
 from __future__ import annotations

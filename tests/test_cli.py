@@ -13,16 +13,40 @@ ROWS = [
 ]
 
 
-def _corpus(tmp_path):
-    cols = list(zip(*ROWS))
+def _corpus(tmp_path, rows=ROWS, name="corpus.parquet"):
+    cols = list(zip(*rows))
     t = pa.table(
         {f.name: pa.array(list(cols[i]), pa.string())
          for i, f in enumerate(CORPUS_SCHEMA)},
         schema=CORPUS_SCHEMA,
     )
-    p = str(tmp_path / "corpus.parquet")
+    p = str(tmp_path / name)
     pq.write_table(t, p)
     return p
+
+
+def _commits(tmp_path):
+    """A commits side table: two commits of MyRepo's src/A.cs."""
+    import datetime as dt
+
+    from codetoneo4j_ray.sources.synth import _COMMITS_SCHEMA
+
+    utc = dt.timezone.utc
+    commit_rows = [
+        ("MyRepo", "h1", "Ada", "ada@x", dt.datetime(2024, 1, 1, tzinfo=utc),
+         "m", ["src/A.cs"], [False], ["v1.0"]),
+        ("MyRepo", "h2", "Ada", "ada@x", dt.datetime(2024, 1, 2, tzinfo=utc),
+         "m", ["src/A.cs"], [False], []),
+    ]
+    cols = list(zip(*commit_rows))
+    ct = pa.table(
+        {f.name: pa.array(list(cols[i]), f.type)
+         for i, f in enumerate(_COMMITS_SCHEMA)},
+        schema=_COMMITS_SCHEMA,
+    )
+    cp = str(tmp_path / "commits.parquet")
+    pq.write_table(ct, cp)
+    return cp
 
 
 def test_no_key_drops_repo_prefix_and_project_edges(ray_session, tmp_path):
@@ -84,30 +108,12 @@ def test_cli_build_with_commits_attaches_file_versions(
 ):
     """--commits rewrites files/ with commits/tags list columns
     (UpsertFile.cypher:12-13 f.commits/f.tags)."""
-    import datetime as dt
-
     import ray.data as rd
 
     from codetoneo4j_ray import cli
-    from codetoneo4j_ray.sources.synth import _COMMITS_SCHEMA
 
     p = _corpus(tmp_path)
-    utc = dt.timezone.utc
-    commit_rows = [
-        ("MyRepo", "h1", "Ada", "ada@x", dt.datetime(2024, 1, 1, tzinfo=utc),
-         "m", ["src/A.cs"], [False], ["v1.0"]),
-        ("MyRepo", "h2", "Ada", "ada@x", dt.datetime(2024, 1, 2, tzinfo=utc),
-         "m", ["src/A.cs"], [False], []),
-    ]
-    cols = list(zip(*commit_rows))
-    ct = pa.table(
-        {f.name: pa.array(list(cols[i]), f.type)
-         for i, f in enumerate(_COMMITS_SCHEMA)},
-        schema=_COMMITS_SCHEMA,
-    )
-    cp = str(tmp_path / "commits.parquet")
-    pq.write_table(ct, cp)
-
+    cp = _commits(tmp_path)
     out = str(tmp_path / "cli_commits_out")
     monkeypatch.setattr("ray.shutdown", lambda: None)
     rc = cli.main(["build", "--input", p, "--output", out, "--commits", cp])
@@ -120,6 +126,47 @@ def test_cli_build_with_commits_attaches_file_versions(
     import os
 
     assert os.path.isdir(f"{out}/commit_nodes")
+
+
+def test_cli_incremental_with_commits_keeps_tombstones(
+    ray_session, tmp_path, monkeypatch, capsys
+):
+    """``incremental --commits`` keeps the files table's deletion marks
+    beside the commits/tags lists (MarkFileAsDeleted.cypher:1-5 and
+    UpsertFile.cypher:12-13 on one File node): the deleted file's row
+    has deleted=true and its stamp, every live row has its lists, and a
+    second incremental from that output carries the tombstone with its
+    original stamp."""
+    import os
+
+    import pandas as pd
+
+    from codetoneo4j_ray import cli
+
+    gone = ("MyRepo", "src/Gone.cs", "c" * 40, "csharp",
+            "namespace N;\npublic class Gone { }")
+    p1 = _corpus(tmp_path, ROWS + [gone], "v1.parquet")
+    p2 = _corpus(tmp_path, ROWS, "v2.parquet")
+    cp = _commits(tmp_path)
+    monkeypatch.setattr("ray.shutdown", lambda: None)
+    outs = [str(tmp_path / f"o{i}") for i in (1, 2, 3)]
+    assert cli.main(["build", "--input", p1, "--output", outs[0]]) == 0
+    for prior, out in zip(outs, outs[1:]):
+        assert cli.main(["incremental", "--input", p2, "--prior", prior,
+                         "--output", out, "--commits", cp]) == 0
+    capsys.readouterr()
+    stamps = []
+    for out in outs[1:]:
+        assert not os.path.exists(f"{out}/files.withversions")
+        files = pq.read_table(f"{out}/files").to_pandas().set_index("path")
+        assert list(files["deleted"]) == [False, True]
+        live, tomb = files.loc["src/A.cs"], files.loc["src/Gone.cs"]
+        assert list(live["commits"]) == ["h2", "h1"]
+        assert list(live["tags"]) == ["v1.0"]
+        assert pd.isna(live["deleted_at"])
+        assert list(tomb["commits"]) == [] and list(tomb["tags"]) == []
+        stamps.append(tomb["deleted_at"])
+    assert stamps[0] > 0 and stamps[1] == stamps[0]
 
 
 def test_build_graph_honors_byte_budget(ray_session, tmp_path, report_memory):

@@ -125,10 +125,11 @@ def test_file_versions_fold(commits_ds):
     assert df.loc["src/C.cs", "tags_csv"] == "v1.1"
 
 
-def test_attach_file_versions(commits_ds):
-    """files table gains commits/tags LIST columns; untracked files get
-    empty lists (UpsertFile.cypher:12-13)."""
-    import ray.data
+def test_attach_file_versions(commits_ds, tmp_path):
+    """Each files part is rewritten under its own name with commits/tags
+    LIST columns appended, rows in order; untracked files get empty
+    lists (UpsertFile.cypher:12-13)."""
+    import os
 
     from codetoneo4j_ray.pipelines.commits import attach_file_versions
 
@@ -139,12 +140,23 @@ def test_attach_file_versions(commits_ds):
             "technology": "dotnet", "repo": "RepoA", "commit": "c0",
         }
 
-    files = ray.data.from_items(
-        [file_row("k-a", "src/A.cs"), file_row("k-d", "src/D.cs")]
-    )
-    out = attach_file_versions(files, commits_ds).to_pandas().set_index("key")
+    files = tmp_path / "files"
+    files.mkdir()
+    pq.write_table(pa.Table.from_pylist(
+        [file_row("k-a", "src/A.cs"), file_row("k-c", "src/C.cs")]),
+        files / "part-00000.parquet")
+    pq.write_table(pa.Table.from_pylist([file_row("k-d", "src/D.cs")]),
+                   files / "part-00001.parquet")
+    out_dir = str(tmp_path / "out")
+    assert attach_file_versions(str(files), commits_ds, out_dir) == 3
+    assert sorted(os.listdir(out_dir)) == ["part-00000.parquet",
+                                           "part-00001.parquet"]
+    out = pq.read_table(out_dir).to_pandas()
+    assert list(out["key"]) == ["k-a", "k-c", "k-d"]
+    out = out.set_index("key")
     assert list(out.loc["k-a", "commits"]) == ["h2", "h1"]
     assert list(out.loc["k-a", "tags"]) == ["v1.0"]
+    assert list(out.loc["k-c", "commits"]) == ["h3"]
     assert list(out.loc["k-d", "commits"]) == []
     assert list(out.loc["k-d", "tags"]) == []
     # original file columns survive the join

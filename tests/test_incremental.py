@@ -725,3 +725,95 @@ def test_corpus_without_csharp_writes_empty_type_index_parts(ray_session,
     m = build_graph_incremental(p2, out1, out2)
     assert m["changed_files"] == 1 and m["skimmed_files"] == 0
     assert os.listdir(f"{out2}/type_index")
+
+
+def test_rebuild_refuses_a_prior_cut_short_in_stages_2_4(ray_session,
+                                                         tmp_path,
+                                                         monkeypatch):
+    """A resumed build over a complete output whose files reduce raises
+    (here: a directory sits where its part file goes) leaves no graph
+    manifest beside the partial tables. A rebuild from it, or from a
+    prior whose graph manifest carries another fingerprint than its
+    records, raises the full-build ValueError and writes nothing."""
+    import os
+    import shutil
+
+    from codetoneo4j_ray.pipelines.build_graph import build_graph
+    from codetoneo4j_ray.pipelines.incremental import build_graph_incremental
+    from codetoneo4j_ray.state.manifest import read_manifest, write_manifest
+
+    p1, p2 = str(tmp_path / "v1.parquet"), str(tmp_path / "v2.parquet")
+    pq.write_table(_corpus(V1), p1)
+    pq.write_table(_corpus(V2), p2)
+    out1 = str(tmp_path / "o1")
+    build_graph(p1, out1)
+
+    cut = str(tmp_path / "cut")
+    shutil.copytree(out1, cut)
+    real = os.makedirs
+
+    def makedirs(path, *args, **kwargs):
+        real(path, *args, **kwargs)
+        if str(path).endswith("/files"):
+            real(f"{path}/part-00000.parquet")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "makedirs", makedirs)
+        with pytest.raises(OSError):
+            build_graph(p1, cut)
+    assert read_manifest(cut, "records") is not None  # stage 1 was resumed
+    assert read_manifest(cut, "graph") is None
+
+    other = str(tmp_path / "other_fp")
+    shutil.copytree(out1, other)
+    graph = read_manifest(other, "graph")
+    write_manifest(other, "graph", "another build", graph["metrics"])
+
+    for prior in (cut, other):
+        out = f"{prior}_out"
+        with pytest.raises(ValueError, match="full build"):
+            build_graph_incremental(p2, prior, out)
+        assert not os.path.exists(out)
+
+
+def test_tombstones_read_in_several_slices(ray_session, tmp_path,
+                                           monkeypatch):
+    """The prior files table read in several slices (block size patched
+    down) gives the tombstone rows, stamps and row order of a one-slice
+    read, for new deletions and for carried tombstones alike."""
+    import ray.data
+
+    from codetoneo4j_ray.pipelines.build_graph import build_graph, parquet_bytes
+    from codetoneo4j_ray.pipelines.incremental import build_graph_incremental
+    from codetoneo4j_ray.stages import bucketing
+
+    rows = [("r1", f"src/F{i}.cs", "c" * 40, "csharp",
+             f"namespace N;\npublic class F{i} {{ }}") for i in range(6)]
+    p1, p2 = str(tmp_path / "v1.parquet"), str(tmp_path / "v2.parquet")
+    pq.write_table(_corpus(rows), p1)
+    pq.write_table(_corpus(rows[:2]), p2)  # F2..F5 deleted
+    out1 = str(tmp_path / "o1")
+    build_graph(p1, out1)
+
+    def slices(files_dir):
+        return bucketing.plan_reads(
+            files_dir, bucketing.blocks_for(parquet_bytes(files_dir)))
+
+    def chain(name):
+        o2, o3 = str(tmp_path / f"{name}2"), str(tmp_path / f"{name}3")
+        build_graph_incremental(p2, out1, o2, deleted_at_sec=111)
+        build_graph_incremental(p2, o2, o3, deleted_at_sec=222)
+        return [pq.read_table(f"{o}/files").to_pandas() for o in (o2, o3)]
+
+    whole = chain("whole")
+    assert len(slices(f"{out1}/files")) == 1
+    monkeypatch.setattr(bucketing, "target_blocks", lambda: 4)
+    monkeypatch.setattr(ray.data.DataContext.get_current(),
+                        "target_min_block_size", 1)
+    assert len(slices(f"{out1}/files")) > 1
+    sliced = chain("sliced")
+    for a, b in zip(whole, sliced):
+        tomb = a[a["deleted"]]
+        assert list(tomb["path"]) == [f"src/F{i}.cs" for i in range(2, 6)]
+        assert list(tomb["deleted_at"]) == [111] * 4
+        assert a.equals(b)
