@@ -1,8 +1,8 @@
 """Ray-Data-native knowledge-graph construction engine.
 
 Reproduces the extraction semantics of ChaseFlorell/CodeToNeo4j (a .NET
-Roslyn → Neo4j CLI) as idiomatic ``ray.data.Dataset`` pipelines over a
-Parquet corpus of ``(repo, path, commit, lang, content)`` rows, emitting
+Roslyn → Neo4j CLI) as raw Ray tasks over pinned Arrow blocks, read from
+a Parquet corpus of ``(repo, path, commit, lang, content)`` rows, emitting
 canonical ``(subj, pred, obj)`` triple tables instead of Neo4j writes.
 
 Layout:
@@ -10,7 +10,7 @@ Layout:
     config        handler registry (extension → extractor / language / technology)
     functions/    pure scalar/vector functions (tags, urls, hashing, paths)
     extractors/   per-language symbol+mention extractors (stage 1 inner loop)
-    stages/       Ray Data stages: extract, link, canonicalize, materialize
+    stages/       raw-task stages: extract, link, canonicalize, materialize
     pipelines/    end-to-end pipelines (build_graph flagship, data ops)
     sources/      corpus reader + deterministic synthetic corpus generator
     state/        per-partition checkpoint manifests (resume support)

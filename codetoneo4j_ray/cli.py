@@ -43,6 +43,8 @@ import argparse
 import json
 import sys
 
+from codetoneo4j_ray import __version__
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="codetoneo4j_ray")
@@ -88,7 +90,7 @@ def _show_supported_files() -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.version:
-        print("codetoneo4j_ray 0.2 (round 2)")
+        print(f"codetoneo4j_ray {__version__}")
         return 0
     if args.show_supported_files:
         _show_supported_files()
@@ -115,6 +117,8 @@ def main(argv: list[str] | None = None) -> int:
         ray.init(address="local", include_dashboard=False,
                  logging_level="ERROR")
     try:
+        from codetoneo4j_ray.pipelines.commits import write_commit_graph
+
         if args.command == "build":
             from codetoneo4j_ray.pipelines.build_graph import build_graph
 
@@ -126,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
                 batch_size=args.batch_size,
             )
             if args.commits:
-                _write_commit_graph(args.commits, args.output, metrics)
+                metrics.update(write_commit_graph(args.commits, args.output))
             print(json.dumps(metrics))
         elif args.command == "incremental":
             from codetoneo4j_ray.pipelines.incremental import (
@@ -140,54 +144,11 @@ def main(argv: list[str] | None = None) -> int:
                 batch_size=args.batch_size,
             )
             if args.commits:
-                _write_commit_graph(args.commits, args.output, metrics)
+                metrics.update(write_commit_graph(args.commits, args.output))
             print(json.dumps(metrics))
     finally:
         ray.shutdown()
     return 0
-
-
-def _write_commit_graph(commits_path: str, out_dir: str, metrics: dict) -> None:
-    import os
-    import shutil
-
-    from codetoneo4j_ray.pipelines.commits import (
-        attach_file_versions,
-        authored_stats,
-        commit_edges,
-        commit_nodes,
-        read_commits,
-    )
-
-    commits = read_commits(commits_path)
-    for name, ds in (
-        ("commit_nodes", commit_nodes(commits)),
-        ("commit_edges", commit_edges(commits)),
-        ("authored", authored_stats(commits)),
-    ):
-        path = f"{out_dir}/{name}"
-        shutil.rmtree(path, ignore_errors=True)
-        ds.write_parquet(path)
-        # row count from the written footers — a lazy dataset would
-        # re-execute its whole lineage on a second consumer
-        from codetoneo4j_ray.pipelines.build_graph import _parquet_rows
-
-        metrics[name] = _parquet_rows(path)
-
-    # File nodes carry their commit/tag lists (UpsertFile.cypher:12-13
-    # ``f.commits = file.commits, f.tags = file.tags``): rewrite files/
-    # part by part with the list columns appended, atomically via a
-    # sibling dir swap
-    files_dir = f"{out_dir}/files"
-    if os.path.isdir(files_dir):
-        tmp = f"{out_dir}/files.withversions"
-        shutil.rmtree(tmp, ignore_errors=True)
-        attach_file_versions(files_dir, commits, tmp)
-        old = f"{out_dir}/files.old"
-        shutil.rmtree(old, ignore_errors=True)
-        os.rename(files_dir, old)
-        os.rename(tmp, files_dir)
-        shutil.rmtree(old, ignore_errors=True)
 
 
 if __name__ == "__main__":

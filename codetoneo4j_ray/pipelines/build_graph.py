@@ -82,6 +82,8 @@ from codetoneo4j_ray.stages.bucketing import (
     BucketStore,
     blocks_for,
     cluster_cpus,
+    footers,
+    parquet_bytes,
     parquet_files,
     plan_reads,
     read_blocks,
@@ -208,19 +210,6 @@ class StageWalls:
         return time.perf_counter() - self._start
 
 
-def _footers(path: str) -> list:
-    """Parquet footers (``FileMetaData``) of ``path`` or of every
-    ``.parquet`` file below it."""
-    return [pq.ParquetFile(p).metadata for p in parquet_files(path)]
-
-
-def parquet_bytes(path: str) -> int:
-    """Uncompressed bytes of every row group under ``path``, from the
-    footers only (no data read)."""
-    return sum(md.row_group(rg).total_byte_size
-               for md in _footers(path) for rg in range(md.num_row_groups))
-
-
 def corpus_content_bytes(input_path: str) -> int | None:
     """Uncompressed byte size of the corpus ``content`` column, from
     parquet footers only (no data read). None when the estimate can't
@@ -228,7 +217,7 @@ def corpus_content_bytes(input_path: str) -> int | None:
     total = 0
     seen = False
     try:
-        for md in _footers(input_path):
+        for md in footers(input_path):
             names = {md.schema.column(i).name: i
                      for i in range(md.num_columns)}
             if "content" not in names:
@@ -529,8 +518,3 @@ def write_graph(
     metrics["stage1_sec"] = stage1_sec
     metrics["stage_sec"] = dict(walls.sec)
     return metrics
-
-
-def _parquet_rows(path: str) -> int:
-    """Row count from parquet footers — no dataset re-read."""
-    return sum(md.num_rows for md in _footers(path))

@@ -5,7 +5,10 @@ driver-side (``VersionControl/GitService.cs:17-94``,
 ``GitLogParser.cs:65-114``); a Parquet corpus carries no git repo, so
 the same facts arrive as an optional ``commits`` side table
 ``(repo, hash, author, email, date, message, changed_paths,
-changed_deleted)`` and every fold becomes a distributed aggregate:
+changed_deleted)``, pinned by one raw read wave (:func:`read_commits`),
+and every fold is a map side over those blocks plus one sorted
+key-range fold (``stages.canonicalize.sorted_fold``); no Ray Data
+execution runs here:
 
   - Commit nodes + COMMITTED / PART_OF_PROJECT / MODIFIED_FILE edges
     reproduce ``Cypher/UpsertCommit.cypher:1-20``: Author MERGEd by
@@ -13,8 +16,7 @@ changed_deleted)`` and every fold becomes a distributed aggregate:
     MODIFIED_FILE edge per changed file.
   - The per-(file, author) AUTHORED fold (firstCommit = min date,
     lastCommit = max date, commitCount) reproduces
-    ``GitLogParser.BuildFileMetadata`` + ``Cypher/UpsertFile.cypher:31-36``
-    as map-side partials + a bucketed merge — one metadata shuffle.
+    ``GitLogParser.BuildFileMetadata`` + ``Cypher/UpsertFile.cypher:31-36``.
 
 Key namespace: triples flatten Neo4j's per-label key spaces
 (``src__Author {name}``, ``src__Commit {hash}`` —
@@ -26,32 +28,53 @@ structural edges in stages/materialize.py.
 
 from __future__ import annotations
 
+import functools
 import os
+import shutil
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray.data
+import ray
 
+from codetoneo4j_ray.schema import TRIPLE_SCHEMA
 from codetoneo4j_ray.stages.bucketing import (
     Blocks,
     BucketStore,
     _bucket_ids,
-    bucketed_apply_tasks,
     build_bucket_store,
     cached_view,
     parquet_files,
+    plan_reads,
+    read_blocks,
+)
+from codetoneo4j_ray.stages.canonicalize import (
+    EDGES,
+    Canon,
+    canonical,
+    sorted_fold,
 )
 
 COMMITTED = "src__COMMITTED"
 PART_OF_PROJECT = "src__PART_OF_PROJECT"
 MODIFIED_FILE = "src__MODIFIED_FILE"
 AUTHORED = "src__AUTHORED"
+_AUTHORED = ("author", "path", "first_sec", "last_sec", "commit_count")
 
 
-def read_commits(commits_path: str) -> ray.data.Dataset:
-    return ray.data.read_parquet(commits_path)
+# one row per commit hash (MERGE (c:src__Commit {hash}) — last writer
+# wins on props; hashes are globally unique so dedup is a safety net,
+# deterministic by full-column tiebreak)
+COMMIT_NODES = Canon("hash", ("hash", "repo", "author", "email",
+                              "date_sec", "message"), ("hash",))
+
+
+def read_commits(commits_path: str) -> Blocks:
+    """The commits table pinned by one raw read wave; every fold maps
+    these refs."""
+    return read_blocks(plan_reads(commits_path))
 
 
 def _date_sec(col: pd.Series) -> pd.Series:
@@ -59,118 +82,65 @@ def _date_sec(col: pd.Series) -> pd.Series:
     return (col.astype("int64") // 1_000_000).astype("int64")
 
 
-def _fold(commits: ray.data.Dataset, partial, keys: list[str], merge,
-          values: list[str]) -> ray.data.Dataset:
-    """``merge`` over the ``partial`` rows of ``commits`` in one
-    ``keys``-bucketed exchange, as columns ``keys + values`` sorted by
-    ``keys``."""
-    return (bucketed_apply_tasks(
-        commits.map_batches(partial, batch_format="pyarrow"), keys, merge)
-        .select_columns(keys + values).sort(keys))
+def _fold(commits: Blocks, rows, order, fold) -> Blocks:
+    """``sorted_fold`` over the ``rows(block)`` of every commits block."""
+    return sorted_fold(read_blocks(commits.refs, rows), order, fold)
 
 
-def commit_nodes(commits: ray.data.Dataset) -> ray.data.Dataset:
-    """One row per commit hash (MERGE (c:src__Commit {hash}) — last
-    writer wins on props; hashes are globally unique so dedup is a
-    safety net, deterministic by full-column tiebreak)."""
-    _TIE = ["hash", "repo", "author", "email", "date_sec", "message"]
-
-    def local(batch: pa.Table) -> pa.Table:
-        df = batch.select(
-            ["hash", "repo", "author", "email", "date", "message"]
-        ).to_pandas()
-        df["date_sec"] = _date_sec(df["date"])
-        df = df.drop(columns="date")
-        df = df.sort_values(_TIE, kind="stable", na_position="first")
-        return pa.Table.from_pandas(
-            df.drop_duplicates(subset=["hash"], keep="last"),
-            preserve_index=False,
-        )
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(_TIE, kind="stable", na_position="first")
-        return df.drop_duplicates(subset=["hash"], keep="last")
-
-    return _fold(commits, local, ["hash"], merge,
-                 ["repo", "author", "email", "date_sec", "message"])
+def _canonical_fold(commits: Blocks, rows, canon: Canon) -> Blocks:
+    """``canonical`` on every block's ``rows`` and again per range."""
+    fold = functools.partial(canonical, canon=canon)
+    return _fold(commits, lambda b: fold(rows(b)), canon.order, fold)
 
 
-def commit_edges(commits: ray.data.Dataset) -> ray.data.Dataset:
+def _node_rows(batch: pa.Table) -> pa.Table:
+    date_sec = pa.array(_date_sec(batch["date"].to_pandas()), pa.int64())
+    return pa.table({c: date_sec if c == "date_sec" else batch[c]
+                     for c in COMMIT_NODES.order})
+
+
+def commit_nodes(commits: Blocks) -> Blocks:
+    """One row per commit hash, sorted by hash (``COMMIT_NODES``)."""
+    return _canonical_fold(commits, _node_rows, COMMIT_NODES)
+
+
+def _edge_rows(batch: pa.Table) -> pa.Table:
+    commit = pc.binary_join_element_wise("commit:", batch["hash"], "")
+    paths = batch["changed_paths"]
+    # the Project key is lower(repo) as in the structural edges
+    project = pa.array([r.lower() for r in batch["repo"].to_pylist()])
+    return pa.concat_tables(
+        pa.table([s, pa.repeat(pa.scalar(p), len(s)), o], schema=TRIPLE_SCHEMA)
+        for s, p, o in (
+            (pc.binary_join_element_wise("author:", batch["author"], ""),
+             COMMITTED, commit),
+            (commit, PART_OF_PROJECT, project),
+            (pc.take(commit, pc.list_parent_indices(paths)), MODIFIED_FILE,
+             pc.list_flatten(paths))))
+
+
+def commit_edges(commits: Blocks) -> Blocks:
     """COMMITTED + PART_OF_PROJECT + MODIFIED_FILE triples, distinct +
     sorted (each cypher MERGE is a distinct edge)."""
-
-    def explode(batch: pa.Table) -> pa.Table:
-        hashes = batch["hash"].to_pylist()
-        repos = batch["repo"].to_pylist()
-        authors = batch["author"].to_pylist()
-        changed = batch["changed_paths"].to_pylist()
-        subjs: list[str] = []
-        preds: list[str] = []
-        objs: list[str] = []
-        for h, repo, author, paths in zip(hashes, repos, authors, changed):
-            ck = f"commit:{h}"
-            subjs.append(f"author:{author}")
-            preds.append(COMMITTED)
-            objs.append(ck)
-            subjs.append(ck)
-            preds.append(PART_OF_PROJECT)
-            objs.append(repo.lower())
-            for p in paths or []:
-                subjs.append(ck)
-                preds.append(MODIFIED_FILE)
-                objs.append(p)
-        return pa.table(
-            {
-                "subj": pa.array(subjs, pa.string()),
-                "pred": pa.array(preds, pa.string()),
-                "obj": pa.array(objs, pa.string()),
-            }
-        )
-
-    def local(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    return (
-        bucketed_apply_tasks(
-            commits.map_batches(explode, batch_format="pyarrow")
-            .map_batches(local, batch_format="pyarrow"),
-            ["subj", "pred", "obj"],
-            lambda df: df.drop_duplicates(),
-        )
-        .sort(["subj", "pred", "obj"])
-    )
+    return _canonical_fold(commits, _edge_rows, EDGES)
 
 
-def authored_stats(commits: ray.data.Dataset) -> ray.data.Dataset:
+def _date_stats(cols: tuple, table: pa.Table) -> pd.DataFrame:
+    """Per ``cols[:2]`` key of version rows, the min and max commit date
+    and the commit count, as columns ``cols[2:]``."""
+    first, last, count = cols[2:]
+    return table.to_pandas().groupby(list(cols[:2]), as_index=False).agg(
+        **{first: ("date_sec", "min"), last: ("date_sec", "max"),
+           count: ("date_sec", "size")})
+
+
+def authored_stats(commits: Blocks) -> Blocks:
     """The AUTHORED fold: per (file, author) min/max commit date + count
     (``GitLogParser.cs:83-99`` authorMap fold, one edge per pair with
     firstCommit/lastCommit/commitCount props —
-    ``UpsertFile.cypher:31-36``). Map-side partials collapse each
-    (path, author) to one row per block before the single shuffle."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.select(["author", "date", "changed_paths"]).to_pandas()
-        df["date_sec"] = _date_sec(df["date"])
-        df = df.drop(columns="date").explode("changed_paths")
-        df = df.rename(columns={"changed_paths": "path"})
-        df = df.dropna(subset=["path"])
-        g = df.groupby(["author", "path"], as_index=False).agg(
-            first_sec=("date_sec", "min"),
-            last_sec=("date_sec", "max"),
-            commit_count=("date_sec", "size"),
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["author", "path"], as_index=False).agg(
-            first_sec=("first_sec", "min"),
-            last_sec=("last_sec", "max"),
-            commit_count=("commit_count", "sum"),
-        )
-
-    return _fold(commits, partial, ["author", "path"], merge,
-                 ["first_sec", "last_sec", "commit_count"])
+    ``UpsertFile.cypher:31-36``)."""
+    return _fold(commits, _version_rows, _AUTHORED[:2],
+                 functools.partial(_date_stats, _AUTHORED))
 
 
 # internal list separator for the version fold: U+001F cannot appear in
@@ -181,11 +151,12 @@ _SEP = "\x1f"
 
 
 def _version_rows(batch: pa.Table) -> pa.Table:
-    """The version fold's map side: one (repo, hash, tags, date_sec,
-    path) row per changed path of each commit, its tag list pre-joined,
-    so the exploded frame stays all-scalar through the exchange."""
-    df = batch.select(["repo", "hash", "date", "changed_paths", "tags"]
-                      ).to_pandas()
+    """The map side of the per-file folds: one (repo, hash, author, tags,
+    date_sec, path) row per changed path of each commit, its tag list
+    pre-joined, so the exploded frame stays all-scalar through the
+    exchange."""
+    df = batch.select(["repo", "hash", "author", "date", "changed_paths",
+                       "tags"]).to_pandas()
     df["date_sec"] = _date_sec(df["date"])
     df["tags"] = [
         _SEP.join(lst) if lst is not None and len(lst) else ""
@@ -215,7 +186,7 @@ def _fold_versions(df: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def file_versions(commits: ray.data.Dataset) -> ray.data.Dataset:
+def file_versions(commits: Blocks) -> Blocks:
     """Per-file commit-hash list + distinct tag list, as joined strings.
 
     The ``FileMetadata.Commits``/``Tags`` fold (``GitLogParser.cs:83-114``
@@ -229,13 +200,11 @@ def file_versions(commits: ray.data.Dataset) -> ray.data.Dataset:
       HashSet keeps first-seen casing in insertion order; sorted-distinct
       is the deterministic analog.
 
-    One (repo, path)-bucketed exchange; list building needs every commit
-    of a file co-located, so there is no map-side combine beyond the
-    explode projection. ``attach_file_versions`` pins the same fold as a
-    store and materializes the real list columns onto the files table.
+    ``attach_file_versions`` pins the same fold as a store and
+    materializes the real list columns onto the files table.
     """
-    return _fold(commits, _version_rows, ["repo", "path"], _fold_versions,
-                 ["commits_csv", "tags_csv"])
+    return _fold(commits, _version_rows, ("repo", "path"),
+                 lambda table: _fold_versions(table.to_pandas()))
 
 
 def _version_lists(table: pa.Table | None) -> dict:
@@ -271,23 +240,21 @@ def _attach_part(src: str, dst: str, versions: BucketStore) -> int:
     return out.num_rows
 
 
-def attach_file_versions(files_dir: str, commits: ray.data.Dataset,
+def attach_file_versions(files_dir: str, commits: Blocks,
                          out_dir: str) -> int:
     """``files_dir``'s parts ⇒ the same parts under ``out_dir``, each
     with ``commits``/``tags`` list columns; returns the rows written.
 
     The version fold is pinned as a store keyed by (repo, path)
-    (``build_bucket_store`` with the fold as its reduce), then one raw
-    task per ``part-*.parquet`` maps its rows: files with no git history
-    get empty lists, exactly as the reference upserts empty
-    ``file.commits`` / ``file.tags`` for untracked files
-    (UpsertFile.cypher:12-13). No files row moves: each part keeps its
-    name, columns (an incremental's ``deleted``/``deleted_at`` too) and
-    key order."""
-    versions = build_bucket_store(
-        Blocks.of_dataset(
-            commits.map_batches(_version_rows, batch_format="pyarrow")),
-        ["repo", "path"], _fold_versions)
+    (``build_bucket_store`` over the commits blocks' version rows, with
+    the fold as its reduce), then one raw task per ``part-*.parquet``
+    maps its rows: files with no git history get empty lists, exactly
+    as the reference upserts empty ``file.commits`` / ``file.tags`` for
+    untracked files (UpsertFile.cypher:12-13). No files row moves: each
+    part keeps its name, columns (an incremental's
+    ``deleted``/``deleted_at`` too) and key order."""
+    versions = build_bucket_store(read_blocks(commits.refs, _version_rows),
+                                  ["repo", "path"], _fold_versions)
     os.makedirs(out_dir)
     return sum(ray.get([
         _attach_part.remote(src, f"{out_dir}/{os.path.basename(src)}",
@@ -295,30 +262,56 @@ def attach_file_versions(files_dir: str, commits: ray.data.Dataset,
         for src in parquet_files(files_dir)]))
 
 
-def file_history(commits: ray.data.Dataset) -> ray.data.Dataset:
+def file_history(commits: Blocks) -> Blocks:
     """Per-file created/lastModified/commit count (the FileMetadata fold:
     ``GitLogParser.cs:70-81`` created=min, lastModified=max; commit list
     length as n_commits)."""
+    return _fold(commits, _version_rows, ("repo", "path"), functools.partial(
+        _date_stats, ("repo", "path", "created_sec", "modified_sec",
+                      "n_commits")))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.select(["date", "changed_paths", "repo"]).to_pandas()
-        df["date_sec"] = _date_sec(df["date"])
-        df = df.drop(columns="date").explode("changed_paths")
-        df = df.rename(columns={"changed_paths": "path"})
-        df = df.dropna(subset=["path"])
-        g = df.groupby(["repo", "path"], as_index=False).agg(
-            created_sec=("date_sec", "min"),
-            modified_sec=("date_sec", "max"),
-            n_commits=("date_sec", "size"),
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["repo", "path"], as_index=False).agg(
-            created_sec=("created_sec", "min"),
-            modified_sec=("modified_sec", "max"),
-            n_commits=("n_commits", "sum"),
-        )
+@ray.remote
+def _write_part(table: pa.Table, path: str) -> None:
+    pq.write_table(table, path)
 
-    return _fold(commits, partial, ["repo", "path"], merge,
-                 ["created_sec", "modified_sec", "n_commits"])
+
+def write_commit_graph(commits_path: str, out_dir: str) -> dict:
+    """The ``--commits`` pass over a built ``out_dir``: ``commit_nodes/``,
+    ``commit_edges/`` and ``authored/`` written as one
+    ``part-{k:05d}.parquet`` per non-empty key range (an empty table as
+    one empty part), and ``files/`` rewritten with its rows'
+    ``commits``/``tags`` lists. Returns the three tables' rows."""
+    commits = read_commits(commits_path)
+    counts = {}
+    for name, fold, cols in (("commit_nodes", commit_nodes, COMMIT_NODES.order),
+                             ("commit_edges", commit_edges, EDGES.order),
+                             ("authored", authored_stats, _AUTHORED)):
+        path = f"{out_dir}/{name}"
+        shutil.rmtree(path, ignore_errors=True)
+        os.makedirs(path)
+        out = fold(commits)
+        ray.get([_write_part.remote(ref, f"{path}/part-{k:05d}.parquet")
+                 for k, ref in enumerate(out.refs)])
+        if not out.refs:  # every integer column is a *_sec or *_count
+            pq.write_table(pa.schema([
+                (c, pa.int64() if c.endswith(("_sec", "_count"))
+                 else pa.string()) for c in cols]).empty_table(),
+                f"{path}/part-00000.parquet")
+        counts[name] = out.rows
+
+    # File nodes carry their commit/tag lists (UpsertFile.cypher:12-13
+    # ``f.commits = file.commits, f.tags = file.tags``): rewrite files/
+    # part by part with the list columns appended, atomically via a
+    # sibling dir swap
+    files_dir = f"{out_dir}/files"
+    if os.path.isdir(files_dir):
+        tmp = f"{out_dir}/files.withversions"
+        shutil.rmtree(tmp, ignore_errors=True)
+        attach_file_versions(files_dir, commits, tmp)
+        old = f"{out_dir}/files.old"
+        shutil.rmtree(old, ignore_errors=True)
+        os.rename(files_dir, old)
+        os.rename(tmp, files_dir)
+        shutil.rmtree(old, ignore_errors=True)
+    return counts

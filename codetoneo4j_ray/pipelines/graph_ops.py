@@ -363,7 +363,6 @@ _KG_GRAPHS: dict[tuple, EncodedGraph] = {}
 def _kg(sf_dir: str, op, **kw) -> ray.data.Dataset:
     """``op`` on the encoded edge table of ``ensure_kg(sf_dir)``, read
     by raw tasks once per corpus and session."""
-    from codetoneo4j_ray.pipelines.build_graph import parquet_bytes
     from codetoneo4j_ray.pipelines.kg_queries import ensure_kg
 
     path = ensure_kg(sf_dir)["edges"]
@@ -371,7 +370,7 @@ def _kg(sf_dir: str, op, **kw) -> ray.data.Dataset:
     graph = _KG_GRAPHS.get(key)
     if graph is None:
         graph = encode_graph(read_blocks(plan_reads(
-            path, blocks_for(parquet_bytes(path)), ["subj", "pred", "obj"])))
+            path, columns=["subj", "pred", "obj"])))
         while len(_KG_GRAPHS) >= 4:
             _KG_GRAPHS.pop(next(iter(_KG_GRAPHS)))
         _KG_GRAPHS[key] = graph

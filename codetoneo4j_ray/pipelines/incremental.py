@@ -78,7 +78,6 @@ from codetoneo4j_ray.pipelines.build_graph import (
     TYPE_INDEX,
     StageWalls,
     extract_corpus,
-    parquet_bytes,
     read_corpus_blocks,
     read_records_blocks,
     write_graph,
@@ -86,7 +85,6 @@ from codetoneo4j_ray.pipelines.build_graph import (
 from codetoneo4j_ray.stages.bucketing import (
     Blocks,
     ParquetSlice,
-    blocks_for,
     bucketed_apply_tasks,
     parquet_files,
     plan_reads,
@@ -147,8 +145,7 @@ def _prior_sides(prior_out_dir: str) -> Blocks:
                                 functools.partial(_side_rows, "p"))
     files_dir = f"{prior_out_dir}/files"
     if "deleted" in pq.read_schema(parquet_files(files_dir)[0]).names:
-        prior += read_blocks(plan_reads(
-            files_dir, blocks_for(parquet_bytes(files_dir))), _tombstone_side)
+        prior += read_blocks(plan_reads(files_dir), _tombstone_side)
     return prior
 
 
@@ -172,7 +169,7 @@ def _prior_type_index(prior_out_dir: str) -> list[ParquetSlice]:
             f"{path} or the prior's graph outputs are missing or "
             "incomplete: an incremental rebuild needs a whole prior run; "
             "run a full build (build_graph) into the prior output first")
-    return plan_reads(path, blocks_for(parquet_bytes(path)))
+    return plan_reads(path)
 
 
 def _diff_bucket(df: pd.DataFrame) -> pd.DataFrame:
@@ -277,8 +274,8 @@ def _tombstone_blocks(
     if not stamp:
         return []
     keys = joined_keys(stamp)
-    return [_tombstone_rows.remote(files, keys, stamp) for files in plan_reads(
-        prior_files_dir, blocks_for(parquet_bytes(prior_files_dir)))]
+    return [_tombstone_rows.remote(files, keys, stamp)
+            for files in plan_reads(prior_files_dir)]
 
 
 def _files_with_tombstones(tomb_blocks: list, live: pa.Table | None,

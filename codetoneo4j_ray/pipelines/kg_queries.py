@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import shutil
 
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -28,13 +29,22 @@ import ray.data
 
 from codetoneo4j_ray.extractors.csharp.extractor import BASE_PRED, MEMBER_PRED
 from codetoneo4j_ray.functions.tags import parse_namespace_tags
+from codetoneo4j_ray.pipelines import commits as commit_folds
 from codetoneo4j_ray.pipelines.build_graph import build_graph, read_records_blocks
 from codetoneo4j_ray.sources.synth import (
     corpus_dir_for_sf,
+    ensure_commits,
     ensure_corpus,
     ensure_packages,
 )
-from codetoneo4j_ray.stages.bucketing import build_bucket_store
+from codetoneo4j_ray.stages.bucketing import (
+    Blocks,
+    bucketed_apply_tasks,
+    build_bucket_store,
+    plan_reads,
+    read_blocks,
+)
+from codetoneo4j_ray.stages.canonicalize import sorted_fold
 from codetoneo4j_ray.stages.link import (
     MENTION_COLS,
     _index_blobs,
@@ -135,32 +145,27 @@ def ensure_kg(sf_dir: str) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
-def _read_table(sf_dir: str, name: str,
-                columns: list[str] | None = None) -> ray.data.Dataset:
-    return ray.data.read_parquet(ensure_kg(sf_dir)[name], columns=columns)
+def _read_table(sf_dir: str, name: str) -> ray.data.Dataset:
+    return ray.data.read_parquet(ensure_kg(sf_dir)[name])
 
 
-def _group_counts(ds: ray.data.Dataset, by: list[str],
-                  then=None) -> ray.data.Dataset:
-    """Row count per ``by`` group as column ``n``: per-batch partial
-    counts, then one bucketed exact merge; ``then`` maps each merged
-    bucket."""
-    import pandas as pd
-
-    from codetoneo4j_ray.stages.bucketing import bucketed_apply_tasks
+def _group_counts(path: str, by: list[str], then=None) -> Blocks:
+    """Row count per ``by`` group of the table at ``path`` as column
+    ``n``, sorted by ``by``: per-block partial counts in the read tasks,
+    then one merge per key range; ``then`` maps each merged range."""
 
     def partial(b: pa.Table) -> pa.Table:
         df = b.to_pandas().groupby(by, as_index=False).size()
         return pa.Table.from_pandas(df.rename(columns={"size": "n"}),
                                     preserve_index=False)
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.groupby(by, as_index=False).agg(n=("n", "sum"))
+    def merge(table: pa.Table) -> pd.DataFrame:
+        df = table.to_pandas().groupby(by, as_index=False).agg(
+            n=("n", "sum"))
         return df if then is None else then(df)
 
-    return bucketed_apply_tasks(
-        ds.map_batches(partial, batch_format="pyarrow"), by, merge
-    )
+    return sorted_fold(read_blocks(plan_reads(path, columns=by), partial),
+                       by, merge)
 
 
 def q_kg_nodes(sf_dir: str) -> ray.data.Dataset:
@@ -177,67 +182,52 @@ def q_kg_files(sf_dir: str) -> ray.data.Dataset:
 
 def q_kg_symbol_kinds(sf_dir: str) -> ray.data.Dataset:
     """Node count per (language, kind) — aggregate sanity."""
-    by = ["language", "kind"]
-    return _group_counts(_read_table(sf_dir, "nodes", by), by).sort(by)
+    return _group_counts(ensure_kg(sf_dir)["nodes"],
+                         ["language", "kind"]).dataset()
 
 
 def q_kg_pred_counts(sf_dir: str) -> ray.data.Dataset:
     """Edge count per predicate over the final edge table."""
-    return _group_counts(_read_table(sf_dir, "edges", ["pred"]),
-                         ["pred"]).sort("pred")
+    return _group_counts(ensure_kg(sf_dir)["edges"], ["pred"]).dataset()
 
 
-def _commits_path(sf_dir: str) -> str:
-    from codetoneo4j_ray.sources.synth import ensure_commits
-
-    return ensure_commits(sf_dir)
+def _commit_fold(sf_dir: str, fold) -> ray.data.Dataset:
+    return fold(commit_folds.read_commits(ensure_commits(sf_dir))).dataset()
 
 
 def q_kg_commits(sf_dir: str) -> ray.data.Dataset:
     """Commit nodes (UpsertCommit.cypher:1-3 MERGE by hash)."""
-    from codetoneo4j_ray.pipelines.commits import commit_nodes, read_commits
-
-    return commit_nodes(read_commits(_commits_path(sf_dir)))
+    return _commit_fold(sf_dir, commit_folds.commit_nodes)
 
 
 def q_kg_commit_edges(sf_dir: str) -> ray.data.Dataset:
     """COMMITTED / PART_OF_PROJECT / MODIFIED_FILE triples."""
-    from codetoneo4j_ray.pipelines.commits import commit_edges, read_commits
-
-    return commit_edges(read_commits(_commits_path(sf_dir)))
+    return _commit_fold(sf_dir, commit_folds.commit_edges)
 
 
 def q_kg_authored(sf_dir: str) -> ray.data.Dataset:
     """Per-(author, file) AUTHORED fold with first/last/count props."""
-    from codetoneo4j_ray.pipelines.commits import authored_stats, read_commits
-
-    return authored_stats(read_commits(_commits_path(sf_dir)))
+    return _commit_fold(sf_dir, commit_folds.authored_stats)
 
 
 def q_kg_file_history(sf_dir: str) -> ray.data.Dataset:
     """Per-file created/lastModified/commit-count fold."""
-    from codetoneo4j_ray.pipelines.commits import file_history, read_commits
-
-    return file_history(read_commits(_commits_path(sf_dir)))
+    return _commit_fold(sf_dir, commit_folds.file_history)
 
 
 def q_kg_file_versions(sf_dir: str) -> ray.data.Dataset:
     """Per-file commit list (newest first) + distinct tag list, in the
     \\x1f-joined strict-comparable form — the ``f.commits`` / ``f.tags``
     File-node properties (UpsertFile.cypher:12-13, GitLogParser.cs:83-114)."""
-    from codetoneo4j_ray.pipelines.commits import file_versions, read_commits
-
-    return file_versions(read_commits(_commits_path(sf_dir)))
+    return _commit_fold(sf_dir, commit_folds.file_versions)
 
 
 def q_kg_mentions_raw(sf_dir: str) -> ray.data.Dataset:
     """Raw mention triples (relBuffer analog, pre-linking) — rows-only."""
-    paths = ensure_kg(sf_dir)
-    return (
-        ray.data.read_parquet(paths["mentions"])
-        .select_columns(["subj", "pred", "obj"])
-        .sort(["subj", "pred", "obj"])
-    )
+    order = ["subj", "pred", "obj"]
+    return sorted_fold(read_blocks(plan_reads(ensure_kg(sf_dir)["mentions"],
+                                              columns=order)),
+                       order, lambda table: table).dataset()
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +449,9 @@ DEGREE_TOPK_K = 20
 def q_kg_degree_topk(sf_dir: str, k: int = DEGREE_TOPK_K) -> ray.data.Dataset:
     """Top-k node keys by out-degree over the final edge table — the
     graph-analytics heavy-hitter a KG consumer runs first. Same partial/
-    merge/global-top-k pattern as top_tokens: per-batch counts, bucketed
-    exact merge by subj, per-bucket local top-k, one global merge."""
-    import pandas as pd
-
-    from codetoneo4j_ray.stages.bucketing import bucketed_apply_tasks
+    merge/global-top-k pattern as top_tokens: per-block counts, exact
+    merge per subj range, per-range local top-k, then one global top-k
+    task, which sorts its k rows by subj."""
 
     def topk(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["n", "subj"], ascending=[False, True],
@@ -471,6 +459,6 @@ def q_kg_degree_topk(sf_dir: str, k: int = DEGREE_TOPK_K) -> ray.data.Dataset:
         df["n"] = df["n"].astype("int64")
         return df
 
-    per_subj = _group_counts(_read_table(sf_dir, "edges", ["subj"]),
-                             ["subj"], then=topk)
-    return bucketed_apply_tasks(per_subj, [], topk).sort("subj")
+    per_subj = _group_counts(ensure_kg(sf_dir)["edges"], ["subj"], then=topk)
+    return bucketed_apply_tasks(
+        per_subj, [], lambda df: topk(df).sort_values("subj")).dataset()

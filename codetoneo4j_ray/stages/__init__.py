@@ -1,1 +1,2 @@
-"""Ray Data pipeline stages: extract → link → canonicalize → materialize."""
+"""Pipeline stages as raw Ray tasks over pinned blocks: extract → link →
+canonicalize → materialize."""

@@ -192,16 +192,32 @@ class ParquetSlice:
         return t
 
 
-def plan_reads(path: str, num_blocks: int, columns=None,
+def footers(path: str) -> list:
+    """Parquet footers (``FileMetaData``) of ``path`` or of every
+    ``.parquet`` file below it."""
+    return [pq.ParquetFile(p).metadata for p in parquet_files(path)]
+
+
+def parquet_bytes(path: str) -> int:
+    """Uncompressed bytes of every row group under ``path``, from the
+    footers only (no data read)."""
+    return sum(md.row_group(rg).total_byte_size
+               for md in footers(path) for rg in range(md.num_row_groups))
+
+
+def plan_reads(path: str, num_blocks: int | None = None, columns=None,
                max_rows: int | None = None) -> list[ParquetSlice]:
-    """About ``num_blocks`` read blocks over the parquet files of
-    ``path``: contiguous groups of whole files when there are at least
-    that many files, else each file cut into equal row slices.
-    ``max_rows`` raises the count to at least total rows / ``max_rows``.
-    Row counts come from the footers (no data read)."""
+    """About ``num_blocks`` (default ``blocks_for(parquet_bytes(path))``)
+    read blocks over the parquet files of ``path``: contiguous groups of
+    whole files when there are at least that many files, else each file
+    cut into equal row slices. ``max_rows`` raises the count to at least
+    total rows / ``max_rows``. Row counts come from the footers (no data
+    read)."""
     paths = parquet_files(path)
     if not paths:
         return []
+    if num_blocks is None:
+        num_blocks = blocks_for(parquet_bytes(path))
     cols = tuple(columns) if columns is not None else None
     rows = [pq.ParquetFile(p).metadata.num_rows for p in paths]
     if max_rows:

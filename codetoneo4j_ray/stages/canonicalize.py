@@ -24,6 +24,9 @@ copy of an edge, which shares its subj) lands in one range and the
 per-range reduce is globally exact. Ranges are ordered by key and each
 part is sorted, so the parts read back in name order are globally
 sorted. The bounds only decide balance, never the result.
+
+:func:`sorted_fold` runs the same exchange for any per-key fold with a
+sorted output, returning the ranges as pinned blocks.
 """
 
 from __future__ import annotations
@@ -37,7 +40,12 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
-from codetoneo4j_ray.stages.bucketing import split_by_ids
+from codetoneo4j_ray.stages.bucketing import (
+    Blocks,
+    blocks_for,
+    load_block,
+    split_by_ids,
+)
 
 # Total tie-break order: replicated exactly in the DuckDB oracles.
 _TIEBREAK = ["path", "start_line", "end_line", "repo", "namespace", "kind", "accessibility"]
@@ -74,14 +82,17 @@ def canonical(table: pa.Table, canon: Canon) -> pa.Table:
     never beats a non-NULL one. The sort is stable."""
     if not table.num_rows:
         return table
-    idx = pc.sort_indices(
-        table, sort_keys=[(c, "ascending") for c in canon.order],
-        null_placement="at_start",
-    )
-    table = table.take(idx)
+    table = _sorted(table, canon.order)
     dup = (table.select(list(canon.unique)).to_pandas()
            .duplicated(keep="last").to_numpy())
     return table.filter(pa.array(~dup)) if dup.any() else table
+
+
+def _sorted(table: pa.Table, order) -> pa.Table:
+    """``table`` in a stable sort by the columns ``order``, nulls first."""
+    return table.take(pc.sort_indices(
+        table, sort_keys=[(c, "ascending") for c in order],
+        null_placement="at_start"))
 
 
 def key_sample(keys, rate: float) -> np.ndarray:
@@ -160,3 +171,49 @@ def reduce_range(canon: Canon, path: str, post, in_range, *pieces) -> int:
         pq.write_table(table, path)
     return rows
 
+
+@ray.remote
+def _range_sample(block, col: str, rate: float) -> np.ndarray:
+    return key_sample(load_block(block)[col], rate)
+
+
+@ray.remote
+def _range_split(block, col: str, bounds: np.ndarray):
+    return tuple(split_ranges(load_block(block), col, bounds))
+
+
+@ray.remote(num_returns=2)
+def _fold_range(fold, order, *pieces):
+    """One range of :func:`sorted_fold`, as (table or None, sizes)."""
+    tabs = [t for t in map(load_block, pieces) if t is not None and t.num_rows]
+    if not tabs:
+        return None, (0, 0)
+    table = fold(pa.concat_tables(tabs, promote_options="permissive"))
+    if isinstance(table, pd.DataFrame):
+        table = pa.Table.from_pandas(table, preserve_index=False)
+    if not table.num_rows:  # an empty frame's object columns are null-type
+        return None, (0, 0)
+    table = _sorted(table, order)
+    return table, (table.num_rows, table.nbytes)
+
+
+def sorted_fold(blocks: Blocks, order, fold) -> Blocks:
+    """``fold(table)`` (an Arrow table in, a table or pandas frame out)
+    per key range of ``blocks``, then a stable sort by the columns
+    ``order``, nulls first: the non-empty ranges come back in key order,
+    so the blocks are globally sorted. ``blocks_for(input bytes)``
+    ranges split on ``order[0]``, so a fold keyed on columns that
+    include it is exact: a sample wave places the bounds and one split
+    task per block cuts it; one range has neither."""
+    col, num_ranges = order[0], blocks_for(blocks.nbytes)
+    bounds = range_bounds([] if num_ranges == 1 else ray.get([
+        _range_sample.remote(b, col, min(1.0, SAMPLE_KEYS / blocks.rows))
+        for b in blocks.refs]), num_ranges)
+    if len(bounds):
+        split = _range_split.options(num_returns=len(bounds) + 1)
+        pieces = [split.remote(b, col, bounds) for b in blocks.refs]
+    else:
+        pieces = [[b] for b in blocks.refs]
+    refs = [_fold_range.remote(fold, order, *[p[k] for p in pieces])
+            for k in range(len(bounds) + 1)]
+    return Blocks.of([t for t, _ in refs], ray.get([s for _, s in refs]))

@@ -107,10 +107,16 @@ def test_cli_build_with_commits_attaches_file_versions(
     ray_session, tmp_path, monkeypatch, capsys
 ):
     """--commits rewrites files/ with commits/tags list columns
-    (UpsertFile.cypher:12-13 f.commits/f.tags)."""
+    (UpsertFile.cypher:12-13 f.commits/f.tags) and writes the three
+    commit tables as ``part-*.parquet`` in key order, each equal to its
+    fold, with the printed counts equal to the written rows."""
+    import json
+    import os
+
     import ray.data as rd
 
     from codetoneo4j_ray import cli
+    from codetoneo4j_ray.pipelines import commits as cm
 
     p = _corpus(tmp_path)
     cp = _commits(tmp_path)
@@ -118,14 +124,62 @@ def test_cli_build_with_commits_attaches_file_versions(
     monkeypatch.setattr("ray.shutdown", lambda: None)
     rc = cli.main(["build", "--input", p, "--output", out, "--commits", cp])
     assert rc == 0
-    capsys.readouterr()
+    metrics = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     files = rd.read_parquet(f"{out}/files").to_pandas().set_index("path")
     assert list(files.loc["src/A.cs", "commits"]) == ["h2", "h1"]
     assert list(files.loc["src/A.cs", "tags"]) == ["v1.0"]
-    # commit subgraph outputs exist alongside
-    import os
+    commits = cm.read_commits(cp)
+    for name, fold, order in (
+            ("commit_nodes", cm.commit_nodes, ["hash"]),
+            ("commit_edges", cm.commit_edges, ["subj", "pred", "obj"]),
+            ("authored", cm.authored_stats, ["author", "path"])):
+        assert os.listdir(f"{out}/{name}") == ["part-00000.parquet"], name
+        table = pq.read_table(f"{out}/{name}/part-00000.parquet")
+        assert table.equals(table.sort_by([(c, "ascending") for c in order]))
+        assert table.equals(fold(commits).table()), name
+        assert metrics[name] == table.num_rows > 0, name
 
-    assert os.path.isdir(f"{out}/commit_nodes")
+
+def test_cli_commits_run_no_ray_data_execution(ray_session, tmp_path,
+                                               monkeypatch, capsys):
+    """``build --commits`` and ``incremental --commits`` finish with
+    ``ray.data.read_parquet``, ``Dataset.materialize``,
+    ``Dataset.write_parquet`` and every Ray Data execution raising."""
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from codetoneo4j_ray import cli
+
+    def no_ray_data(*args, **kwargs):
+        raise AssertionError("a Ray Data execution ran")
+
+    monkeypatch.setattr(ray.data, "read_parquet", no_ray_data)
+    for obj, name in ((ray.data.Dataset, "materialize"),
+                      (ray.data.Dataset, "write_parquet"),
+                      (StreamingExecutor, "execute")):
+        monkeypatch.setattr(obj, name, no_ray_data)
+    monkeypatch.setattr("ray.shutdown", lambda: None)
+    p, cp = _corpus(tmp_path), _commits(tmp_path)
+    v1, v2 = str(tmp_path / "v1"), str(tmp_path / "v2")
+    assert cli.main(["build", "--input", p, "--output", v1,
+                     "--commits", cp]) == 0
+    assert cli.main(["incremental", "--input", p, "--prior", v1,
+                     "--output", v2, "--commits", cp]) == 0
+    capsys.readouterr()
+    for out in (v1, v2):
+        files = pq.read_table(f"{out}/files")
+        assert files["commits"].to_pylist() == [["h2", "h1"]]
+
+
+def test_cli_version_is_the_package_version(capsys):
+    import codetoneo4j_ray
+    from codetoneo4j_ray import cli
+
+    assert cli.main(["--version"]) == 0
+    assert capsys.readouterr().out == (
+        f"codetoneo4j_ray {codetoneo4j_ray.__version__}\n")
 
 
 def test_cli_incremental_with_commits_keeps_tombstones(

@@ -38,27 +38,35 @@ ROWS = [
 
 
 @pytest.fixture(scope="module")
-def commits_ds(ray_session, tmp_path_factory):
-    import ray.data
-
-    p = _write(tmp_path_factory.mktemp("commits"), ROWS)
-    return ray.data.read_parquet(p)
+def commits_path(ray_session, tmp_path_factory):
+    return _write(tmp_path_factory.mktemp("commits"), ROWS)
 
 
-def test_commit_nodes(commits_ds):
+@pytest.fixture(scope="module")
+def commits(commits_path):
+    from codetoneo4j_ray.pipelines.commits import read_commits
+
+    return read_commits(commits_path)
+
+
+FOLDS = ("commit_nodes", "commit_edges", "authored_stats", "file_history",
+         "file_versions")
+
+
+def test_commit_nodes(commits):
     from codetoneo4j_ray.pipelines.commits import commit_nodes
 
-    df = commit_nodes(commits_ds).to_pandas()
+    df = commit_nodes(commits).table().to_pandas()
     assert list(df["hash"]) == ["h1", "h2", "h3"]
     assert df.loc[df["hash"] == "h1", "date_sec"].iloc[0] == int(
         dt.datetime(2024, 1, 1, tzinfo=UTC).timestamp()
     )
 
 
-def test_commit_edges_shapes(commits_ds):
+def test_commit_edges_shapes(commits):
     from codetoneo4j_ray.pipelines.commits import commit_edges
 
-    edges = set(map(tuple, commit_edges(commits_ds).to_pandas().values))
+    edges = set(map(tuple, commit_edges(commits).table().to_pandas().values))
     assert ("author:Ada", "src__COMMITTED", "commit:h1") in edges
     assert ("author:Ada", "src__COMMITTED", "commit:h2") in edges
     assert ("commit:h1", "src__PART_OF_PROJECT", "repoa") in edges
@@ -67,10 +75,10 @@ def test_commit_edges_shapes(commits_ds):
     assert len(edges) == 11
 
 
-def test_authored_fold(commits_ds):
+def test_authored_fold(commits):
     from codetoneo4j_ray.pipelines.commits import authored_stats
 
-    df = authored_stats(commits_ds).to_pandas()
+    df = authored_stats(commits).table().to_pandas()
     ada_a = df[(df["author"] == "Ada") & (df["path"] == "src/A.cs")].iloc[0]
     assert ada_a["commit_count"] == 2
     assert ada_a["first_sec"] == int(dt.datetime(2024, 1, 1, tzinfo=UTC).timestamp())
@@ -79,10 +87,10 @@ def test_authored_fold(commits_ds):
     assert bob_b["commit_count"] == 1
 
 
-def test_file_history_fold(commits_ds):
+def test_file_history_fold(commits):
     from codetoneo4j_ray.pipelines.commits import file_history
 
-    df = file_history(commits_ds).to_pandas()
+    df = file_history(commits).table().to_pandas()
     a = df[df["path"] == "src/A.cs"].iloc[0]
     assert a["n_commits"] == 2
     assert a["created_sec"] == int(dt.datetime(2024, 1, 1, tzinfo=UTC).timestamp())
@@ -91,6 +99,30 @@ def test_file_history_fold(commits_ds):
     assert b["n_commits"] == 2
     assert b["created_sec"] == int(dt.datetime(2024, 1, 1, tzinfo=UTC).timestamp())
     assert b["modified_sec"] == int(dt.datetime(2024, 1, 2, tzinfo=UTC).timestamp())
+
+
+def test_folds_equal_across_blocks_and_ranges(commits, commits_path,
+                                              monkeypatch):
+    """Every fold over the commits read in two blocks, split into
+    several key ranges, equals the one-block, one-range fold: rows,
+    types and order."""
+    import ray.data
+
+    from codetoneo4j_ray.pipelines import commits as cm
+    from codetoneo4j_ray.stages import bucketing
+
+    one = {f: getattr(cm, f)(commits) for f in FOLDS}
+    assert all(len(one[f].refs) == 1 for f in FOLDS)
+    two = bucketing.read_blocks(bucketing.plan_reads(commits_path, 2))
+    assert len(two.refs) == 2
+    monkeypatch.setattr(ray.data.DataContext.get_current(),
+                        "target_min_block_size", 1)
+    monkeypatch.setattr(bucketing, "target_blocks", lambda: 3)
+    for f in FOLDS:
+        many = getattr(cm, f)(two)
+        if f in FOLDS[:3]:  # the others split on repo: one range
+            assert len(many.refs) > 1, f
+        assert many.table().equals(one[f].table()), f
 
 
 def test_synth_commits_deterministic(ray_session):
@@ -111,12 +143,12 @@ def test_synth_commits_deterministic(ray_session):
             assert (repo, p_) in valid
 
 
-def test_file_versions_fold(commits_ds):
+def test_file_versions_fold(commits):
     """Per-file commits (newest first) + distinct sorted tags
     (FileMetadata.Commits/Tags — GitLogParser.cs:83-114)."""
     from codetoneo4j_ray.pipelines.commits import _SEP, file_versions
 
-    df = file_versions(commits_ds).to_pandas().set_index("path")
+    df = file_versions(commits).table().to_pandas().set_index("path")
     assert df.loc["src/A.cs", "commits_csv"] == _SEP.join(["h2", "h1"])
     assert df.loc["src/A.cs", "tags_csv"] == "v1.0"
     assert df.loc["src/B.cs", "commits_csv"] == _SEP.join(["h3", "h1"])
@@ -125,7 +157,7 @@ def test_file_versions_fold(commits_ds):
     assert df.loc["src/C.cs", "tags_csv"] == "v1.1"
 
 
-def test_attach_file_versions(commits_ds, tmp_path):
+def test_attach_file_versions(commits, tmp_path):
     """Each files part is rewritten under its own name with commits/tags
     LIST columns appended, rows in order; untracked files get empty
     lists (UpsertFile.cypher:12-13)."""
@@ -148,7 +180,7 @@ def test_attach_file_versions(commits_ds, tmp_path):
     pq.write_table(pa.Table.from_pylist([file_row("k-d", "src/D.cs")]),
                    files / "part-00001.parquet")
     out_dir = str(tmp_path / "out")
-    assert attach_file_versions(str(files), commits_ds, out_dir) == 3
+    assert attach_file_versions(str(files), commits, out_dir) == 3
     assert sorted(os.listdir(out_dir)) == ["part-00000.parquet",
                                            "part-00001.parquet"]
     out = pq.read_table(out_dir).to_pandas()
@@ -171,3 +203,26 @@ def test_synth_commits_have_tags(ray_session):
     assert "tags" in t.schema.names
     tag_lists = [l for l in t["tags"].to_pylist() if l]
     assert tag_lists, "synthetic history should carry some tags"
+
+
+def test_write_commit_graph_empty_table(commits, tmp_path):
+    """An empty commits table writes each commit table as one empty
+    part with the columns and types the folds give, and counts 0
+    rows."""
+    import os
+
+    from codetoneo4j_ray.pipelines import commits as cm
+    from codetoneo4j_ray.sources.synth import _COMMITS_SCHEMA
+
+    path = str(tmp_path / "commits.parquet")
+    pq.write_table(_COMMITS_SCHEMA.empty_table(), path)
+    out = str(tmp_path / "out")
+    counts = cm.write_commit_graph(path, out)
+    assert counts == {"commit_nodes": 0, "commit_edges": 0, "authored": 0}
+    for name, fold in (("commit_nodes", cm.commit_nodes),
+                       ("commit_edges", cm.commit_edges),
+                       ("authored", cm.authored_stats)):
+        assert os.listdir(f"{out}/{name}") == ["part-00000.parquet"]
+        table = pq.read_table(f"{out}/{name}/part-00000.parquet")
+        assert table.num_rows == 0
+        assert table.schema.equals(fold(commits).table().schema), name

@@ -344,8 +344,9 @@ def test_chained_incremental_over_same_corpus(ray_session, tmp_path):
 
     import ray.data as rd
 
-    from codetoneo4j_ray.pipelines.build_graph import _parquet_rows, build_graph
+    from codetoneo4j_ray.pipelines.build_graph import build_graph
     from codetoneo4j_ray.pipelines.incremental import build_graph_incremental
+    from codetoneo4j_ray.stages.bucketing import footers
 
     p1, p2 = str(tmp_path / "v1.parquet"), str(tmp_path / "v2.parquet")
     pq.write_table(_corpus(V1), p1)
@@ -363,7 +364,8 @@ def test_chained_incremental_over_same_corpus(ray_session, tmp_path):
 
     def rows_per_rec_type(out: str) -> dict[str, int]:
         rec = f"{out}/records"
-        return {d: _parquet_rows(f"{rec}/{d}") for d in os.listdir(rec)}
+        return {d: sum(md.num_rows for md in footers(f"{rec}/{d}"))
+                for d in os.listdir(rec)}
 
     prior = rows_per_rec_type(out2)
     assert {"rec_type=symbol", "rec_type=file"} <= set(prior)
