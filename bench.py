@@ -6,7 +6,11 @@ ONE JSON line:
 
   {"metric": ..., "value": total_sec, "unit": "sec",
    "queries": {name: sec, ...}, "sf": ..., "num_cpus": N,
-   "kg_files": n, "kg_files_per_sec": r, "kg_incremental_...": ...}
+   "kg_files": n, "kg_files_per_sec": r, "kg_incremental_...": ...,
+   "ray_data_executions": {name: n, ...}}
+
+``ray_data_executions`` counts the Ray Data executions each timed
+query runs, in its call and in the ``.count()`` that consumes it.
 
 ``kg_incremental`` times ``build_graph_incremental`` over ``kg_build``'s
 output after a seeded 1% of the C# files rename one member; it runs
@@ -107,14 +111,32 @@ def run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
     extras["kg_incremental_skim_sec"] = inc["stage_sec"]["skim"]
 
     only_kg = os.environ.get("GRAFT_BENCH_ONLY") == "kg"
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    executions = extras["ray_data_executions"] = {}
 
     def timed(name, fn):
+        """Time ``fn(sf_dir).count()`` and count the Ray Data executions
+        it runs, in the call and in the count."""
         if only_kg:
             return 0
-        t = time.perf_counter()
-        ds = fn(sf_dir)
-        n = ds.count()
-        timings[name] = round(time.perf_counter() - t, 3)
+        real, runs = StreamingExecutor.execute, []
+
+        def counted(self, *args, **kwargs):
+            runs.append(1)
+            return real(self, *args, **kwargs)
+
+        StreamingExecutor.execute = counted
+        try:
+            t = time.perf_counter()
+            ds = fn(sf_dir)
+            n = ds.count()
+            timings[name] = round(time.perf_counter() - t, 3)
+        finally:
+            StreamingExecutor.execute = real
+        executions[name] = len(runs)
         return n
 
     timed("doc_dedup_exact", data_ops.doc_dedup_exact)

@@ -1,14 +1,19 @@
 """Large-scale training-data operations over the driver's testdata tables.
 
-Every op is a Ray Data pipeline (vectorized map_batches + map-side
-combine before any groupby). Ops with float outputs use per-row
-``floor(x * K) → int64`` before summing so Ray and the DuckDB oracle
-agree bit-exactly regardless of summation order.
+Every op runs on the build's raw-task substrate: one raw read task per
+parquet block (``_read``, the per-block map inside it), keyed merges on
+the hash exchange (:func:`bucketed_apply_tasks` over :class:`Blocks`)
+and every sorted output from one sorted key-range fold
+(``canonicalize.sorted_fold``), which also runs the merge when its keys
+include the sort's first column. An op returns its finished blocks as
+a Dataset (``Blocks.dataset()``) and runs no Ray Data execution. Ops
+with float outputs use per-row ``floor(x * K) → int64`` before summing
+so Ray and the DuckDB oracle agree bit-exactly regardless of summation
+order.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import re
 
@@ -21,17 +26,32 @@ import ray.data
 
 from codetoneo4j_ray.stages.bucketing import (
     Blocks,
+    blocks_for,
     bucketed_apply_tasks,
     cached_get,
+    cluster_cpus,
+    footers,
+    plan_reads,
+    read_blocks,
+)
+from codetoneo4j_ray.stages.canonicalize import (
+    SAMPLE_KEYS,
+    key_sample,
+    range_bounds,
+    sorted_fold,
 )
 
 
-def _docs(sf_dir: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
+def _read(sf_dir: str, table: str, columns=None, fn=None) -> Blocks:
+    """``table`` of ``sf_dir`` pinned by one raw read task per block,
+    each mapped through ``fn(block)`` when given."""
+    return read_blocks(
+        plan_reads(f"{sf_dir}/{table}.parquet", columns=columns), fn)
 
 
-def _emb(sf_dir: str) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
+def _same(table: pa.Table) -> pa.Table:
+    """The fold of a sorted fold that only orders its rows."""
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +61,7 @@ def _emb(sf_dir: str) -> ray.data.Dataset:
 
 def doc_dedup_exact(sf_dir: str) -> ray.data.Dataset:
     """One row per distinct text: (doc_id = min id, n_dups). The combine
-    step collapses duplicates per batch before the shuffle."""
+    step collapses duplicates per read block before the exchange."""
 
     def combine(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -58,17 +78,10 @@ def doc_dedup_exact(sf_dir: str) -> ray.data.Dataset:
             doc_id=("doc_id", "min"), n_dups=("n_dups", "sum")
         )
 
-    return (
-        bucketed_apply_tasks(
-            _docs(sf_dir, ["doc_id", "text"]).map_batches(
-                combine, batch_format="pyarrow"
-            ),
-            ["h"],
-            merge,
-        )
-        .select_columns(["doc_id", "n_dups"])
-        .sort("doc_id")
-    )
+    groups = bucketed_apply_tasks(
+        _read(sf_dir, "documents", ["doc_id", "text"], combine), ["h"], merge)
+    return sorted_fold(groups, ["doc_id"],
+                       lambda t: t.select(["doc_id", "n_dups"])).dataset()
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +208,16 @@ def doc_dedup_minhash(
     ('m', emitted once per distinct text from band 0, which every copy
     of a text shares) ride the two existing verification exchanges, so
     the collapse adds NO exchange: the op still runs band/pairs ->
-    attach_a -> verify_b -> sort. Distinct-but-near-identical floods
+    attach_a -> verify_b -> sorted fold. Distinct-but-near-identical floods
     still cost O(pairs) — the size of the required output."""
 
+    return sorted_fold(_minhash_pairs(sf_dir, jaccard_threshold),
+                       ["doc_a", "doc_b"], _same).dataset()
+
+
+def _minhash_pairs(sf_dir: str, jaccard_threshold: float) -> Blocks:
+    """The verified (doc_a, doc_b) pairs of :func:`doc_dedup_minhash`,
+    unsorted."""
     rows_per_band = _MINHASH_PERMS // _LSH_BANDS
 
     def to_bands(batch: pa.Table) -> pa.Table:
@@ -275,14 +295,6 @@ def doc_dedup_minhash(
             }
         )
 
-    cand = bucketed_apply_tasks(
-        _docs(sf_dir, ["doc_id", "text"]).map_batches(
-            to_bands, batch_format="pyarrow"
-        ),
-        ["band", "bucket"],
-        bucket_pairs,
-    )
-
     # Exact-Jaccard verification, fully distributed: candidates bucket-join
     # back to per-doc shingle sets on rep_a, then rep_b (two co-partitioned
     # exchanges of metadata-sized rows) — no whole-corpus driver state.
@@ -303,13 +315,6 @@ def doc_dedup_minhash(
                 "side": pa.array(["s"] * n, pa.string()),
             }
         )
-
-    # consumed by both join passes; recomputing the lineage per pass is
-    # cheaper than a materialize barrier (shingling is ~2% of op wall —
-    # the op's cost is the fixed latency of its four exchanges)
-    shingles_ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        doc_shingles, batch_format="pyarrow"
-    )
 
     def attach_a(df: pd.DataFrame) -> pd.DataFrame:
         s = df[df["side"] == "s"]
@@ -418,19 +423,15 @@ def doc_dedup_minhash(
             )
         return pa.table(cols, schema=_JOIN_SCHEMA)
 
-    pass_a = bucketed_apply_tasks(
-        cand.map_batches(norm, batch_format="pyarrow")
-        .union(shingles_ds.map_batches(norm, batch_format="pyarrow")),
-        ["key"],
-        attach_a,
-    )
-    verified = bucketed_apply_tasks(
-        pass_a.map_batches(norm, batch_format="pyarrow")
-        .union(shingles_ds.map_batches(norm, batch_format="pyarrow")),
-        ["key"],
-        verify_b,
-    )
-    return verified.sort(["doc_a", "doc_b"])
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
+    # the shingle rows join both verification passes
+    shingles = read_blocks(docs.refs, lambda t: norm(doc_shingles(t)))
+    cand = bucketed_apply_tasks(read_blocks(docs.refs, to_bands),
+                                ["band", "bucket"],
+                                lambda df: norm(bucket_pairs(df)))
+    pass_a = bucketed_apply_tasks(cand + shingles, ["key"],
+                                  lambda df: norm(attach_a(df)))
+    return bucketed_apply_tasks(pass_a + shingles, ["key"], verify_b)
 
 
 _SHINGLE_SQL = r"""
@@ -517,11 +518,6 @@ def minhash_oracle_sql(jaccard_threshold: float = 0.8) -> str:
     """
 
 
-@ray.remote
-def _as_clusters(comp: pa.Table) -> pa.Table:
-    return comp.rename_columns(["doc_id", "cluster_rep"])
-
-
 def dup_clusters(
     sf_dir: str, jaccard_threshold: float = 0.8, max_iters: int = 50
 ) -> ray.data.Dataset:
@@ -542,11 +538,11 @@ def dup_clusters(
     oracle is a true transitive closure)."""
     from codetoneo4j_ray.pipelines.graph_ops import components_over
 
-    pairs = Blocks.of_dataset(doc_dedup_minhash(sf_dir, jaccard_threshold)
-                              .rename_columns({"doc_a": "subj",
-                                               "doc_b": "obj"}))
+    pairs = read_blocks(_minhash_pairs(sf_dir, jaccard_threshold).refs,
+                        lambda t: t.rename_columns(["subj", "obj"]))
     comp = components_over(pairs, max_iters=max_iters)
-    return Blocks([_as_clusters.remote(r) for r in comp.refs]).dataset()
+    return read_blocks(comp.refs, lambda t: t.rename_columns(
+        ["doc_id", "cluster_rep"])).dataset()
 
 
 def dup_clusters_oracle_sql(jaccard_threshold: float = 0.8) -> str:
@@ -744,11 +740,11 @@ def decontaminate(
 
     Scale shape: the benchmark side is bounded-small by definition
     (eval suites are MBs against a 100 TB corpus), so its distinct
-    grams reduce per-batch, union once on the driver, and broadcast
+    grams reduce per block, union once on the driver, and broadcast
     via ray.put — the production pattern (a hash/bloom set of eval
     n-grams shipped to every worker). The training-side scan is then
-    a pure map with no shuffle."""
-    docs = _docs(sf_dir, ["doc_id", "text"])
+    a pure map inside the output's sorted fold."""
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def bench_grams(batch: pa.Table) -> pa.Table:
         # Arrow-side slice to the 1/bench_mod benchmark rows BEFORE any
@@ -762,12 +758,8 @@ def decontaminate(
             out.update(_gram_strs(text, k))
         return pa.table({"gram": pa.array(sorted(out), pa.string())})
 
-    bench: set[str] = set()
-    for b in docs.map_batches(
-        bench_grams, batch_format="pyarrow"
-    ).iter_batches(batch_format="pyarrow"):
-        bench.update(b["gram"].to_pylist())
-    ref = ray.put(bench)
+    grams = read_blocks(docs.refs, bench_grams).table()
+    ref = ray.put(set() if grams is None else set(grams["gram"].to_pylist()))
 
     def scan(batch: pa.Table) -> pa.Table:
         bset = cached_get(ref)
@@ -788,7 +780,7 @@ def decontaminate(
             }
         )
 
-    return docs.map_batches(scan, batch_format="pyarrow").sort("doc_id")
+    return sorted_fold(docs, ["doc_id"], scan).dataset()
 
 
 def decontaminate_oracle_sql(
@@ -862,9 +854,8 @@ def doc_simhash(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        simhash, batch_format="pyarrow"
-    ).sort("doc_id")
+    return sorted_fold(_read(sf_dir, "documents", ["doc_id", "text"]),
+                       ["doc_id"], simhash).dataset()
 
 
 # ---------------------------------------------------------------------------
@@ -937,12 +928,9 @@ def doc_ngram_jaccard(sf_dir: str, threshold: float = 0.5) -> ray.data.Dataset:
                                  "doc_b": pd.Series([], dtype="int64")})
         return pd.DataFrame(sorted(set(out)), columns=["doc_a", "doc_b"])
 
-    banded = _docs(sf_dir, ["doc_id", "text", "source"]).map_batches(
-        to_bands, batch_format="pyarrow"
-    )
-    return bucketed_apply_tasks(banded, ["source", "bucket"], pairs).sort(
-        ["doc_a", "doc_b"]
-    )
+    banded = _read(sf_dir, "documents", ["doc_id", "text", "source"], to_bands)
+    return sorted_fold(bucketed_apply_tasks(banded, ["source", "bucket"], pairs),
+                       ["doc_a", "doc_b"], _same).dataset()
 
 
 # ---------------------------------------------------------------------------
@@ -958,33 +946,31 @@ def _batch_matrix(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     return vec_ids, m
 
 
-def _query_vectors(sf_dir: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Embeddings of the n smallest vec_ids — distributed min-k (per-batch
+def _query_vectors(emb: Blocks, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Embeddings of the n smallest vec_ids — distributed min-k (per-block
     partial top-n, driver merge of n-row partials), never the full table."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        return pa.Table.from_pandas(
-            df.nsmallest(n, "vec_id"), preserve_index=False
-        )
+        return batch.sort_by("vec_id").slice(0, n)
 
-    rows = _emb(sf_dir).map_batches(partial, batch_format="pyarrow").take_all()
-    rows.sort(key=lambda r: r["vec_id"])
-    rows = rows[:n]
-    ids = np.array([r["vec_id"] for r in rows], dtype=np.int64)
-    mat = np.stack([np.asarray(r["embedding"], dtype=np.float64) for r in rows])
-    return ids, mat
+    return _batch_matrix(
+        read_blocks(emb.refs, partial).table().sort_by("vec_id").slice(0, n))
 
 
 def _train_centroids(
-    sf_dir: str, n_cells: int, sample_rows: int = 4096, iters: int = 5,
+    emb: Blocks, n_cells: int, sample_rows: int = 4096, iters: int = 5,
     normalize: bool = True, seed: int = 13,
 ) -> np.ndarray:
     """Spherical k-means-lite centroids from a BOUNDED head sample (the
-    IVF training convention) — k×dim result, sample never exceeds
-    ``sample_rows`` regardless of table size."""
-    rows = _emb(sf_dir).limit(sample_rows).take_all()
-    m = np.stack([np.asarray(r["embedding"], dtype=np.float64) for r in rows])
+    IVF training convention: the first ``sample_rows`` rows in file
+    order) — k×dim result, sample never exceeds ``sample_rows``
+    regardless of table size."""
+    heads, tabs = read_blocks(emb.refs, lambda t: t.slice(0, sample_rows)), []
+    for ref in heads.refs:  # fetched in order, only until the sample is full
+        tabs.append(ray.get(ref))
+        if sum(t.num_rows for t in tabs) >= sample_rows:
+            break
+    m = _batch_matrix(pa.concat_tables(tabs).slice(0, sample_rows))[1]
     if normalize:
         m = m / np.linalg.norm(m, axis=1, keepdims=True)
     rng = np.random.RandomState(seed)
@@ -1030,31 +1016,27 @@ def embedding_quantize(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return _emb(sf_dir).map_batches(quant, batch_format="pyarrow").sort(
-        "vec_id"
-    )
+    return sorted_fold(_read(sf_dir, "embeddings"), ["vec_id"], quant).dataset()
 
 
-def _topk_rows(k: int, df: pd.DataFrame) -> pd.DataFrame:
-    """The ``k`` best rows of each query_id (highest sim_micro, then
-    lowest vec_id), ranked from 1."""
-    df = df.sort_values(["query_id", "sim_micro", "vec_id"],
-                        ascending=[True, False, True],
-                        kind="stable").groupby("query_id", sort=False).head(k)
-    return pd.DataFrame({
-        "query_id": df["query_id"].to_numpy(),
-        "rank": df.groupby("query_id", sort=False).cumcount().to_numpy() + 1,
-        "vec_id": df["vec_id"].to_numpy(),
-        "sim_micro": df["sim_micro"].to_numpy(),
-    })
+def _topk_per_query(scored: Blocks, k: int) -> ray.data.Dataset:
+    """Per-query top-k merge of both ann ops: one sorted fold on
+    query_id, the ``k`` best rows of each query_id (highest sim_micro,
+    then lowest vec_id), ranked from 1, in one vectorized task per key
+    range."""
 
+    def topk(table: pa.Table) -> pd.DataFrame:
+        df = table.to_pandas().sort_values(
+            ["query_id", "sim_micro", "vec_id"], ascending=[True, False, True],
+            kind="stable").groupby("query_id", sort=False).head(k)
+        return pd.DataFrame({
+            "query_id": df["query_id"].to_numpy(),
+            "rank": df.groupby("query_id", sort=False).cumcount().to_numpy() + 1,
+            "vec_id": df["vec_id"].to_numpy(),
+            "sim_micro": df["sim_micro"].to_numpy(),
+        })
 
-def _topk_per_query(scored: ray.data.Dataset, k: int) -> ray.data.Dataset:
-    """Per-query top-k merge of both ann ops: one raw-task hash exchange
-    on query_id, the top-k in one vectorized task per bucket."""
-    return bucketed_apply_tasks(
-        scored, ["query_id"], functools.partial(_topk_rows, k)
-    ).sort(["query_id", "rank"])
+    return sorted_fold(scored, ["query_id", "rank"], topk).dataset()
 
 
 def ann_topk(sf_dir: str, n_queries: int = 8, k: int = 10) -> ray.data.Dataset:
@@ -1069,9 +1051,10 @@ def ann_topk(sf_dir: str, n_queries: int = 8, k: int = 10) -> ray.data.Dataset:
     integer-exact constructions instead).
 
     Queries = embeddings of the first n_queries vec_ids; numpy matmul
-    per batch against the broadcast query matrix (``ray.put`` once).
+    per block against the broadcast query matrix (``ray.put`` once).
     Ties broken by vec_id ascending."""
-    q_ids, q = _query_vectors(sf_dir, n_queries)
+    emb = _read(sf_dir, "embeddings")
+    q_ids, q = _query_vectors(emb, n_queries)
     qn = q / np.linalg.norm(q, axis=1, keepdims=True)
     q_ref = ray.put((q_ids, qn))
 
@@ -1101,8 +1084,7 @@ def ann_topk(sf_dir: str, n_queries: int = 8, k: int = 10) -> ray.data.Dataset:
             }
         )
 
-    scored = _emb(sf_dir).map_batches(score, batch_format="pyarrow")
-    return _topk_per_query(scored, k)
+    return _topk_per_query(read_blocks(emb.refs, score), k)
 
 
 # Below this row count the near-dup pair search runs EXACT (distributed
@@ -1119,26 +1101,23 @@ def _micro_floor(x: float) -> int:
     return int(np.floor(x * 1_000_000))
 
 
-def _near_dup_exact(
-    emb: ray.data.Dataset, threshold: float
-) -> ray.data.Dataset:
+def _near_dup_exact(emb: Blocks, threshold: float) -> ray.data.Dataset:
     """Exact all-pairs cosine ≥ threshold, (vec_a < vec_b, sim_micro).
 
     Distributed scan: the full normalized matrix (bounded by
     ``_NEAR_DUP_EXACT_CUTOFF`` — the caller checked) broadcasts once via
-    ray.put; each batch scores its rows against it and emits only the
+    ray.put; each block scores its rows against it and emits only the
     a < b half, so every qualifying pair is produced exactly once, by
-    the batch holding its smaller id."""
+    the block holding its smaller id."""
     thr_micro = _micro_floor(threshold)
-    df = emb.to_pandas()
-    if not len(df):
+    table = emb.table()
+    if table is None:
         return ray.data.from_arrow(
             pa.table({"vec_a": pa.array([], pa.int64()),
                       "vec_b": pa.array([], pa.int64()),
                       "sim_micro": pa.array([], pa.int64())})
         )
-    ids_all = df["vec_id"].to_numpy(dtype=np.int64)
-    m_all = np.stack([np.asarray(v, dtype=np.float64) for v in df["embedding"]])
+    ids_all, m_all = _batch_matrix(table)
     mn_all = m_all / np.linalg.norm(m_all, axis=1, keepdims=True)
     ref = ray.put((ids_all, mn_all))
 
@@ -1159,7 +1138,8 @@ def _near_dup_exact(
             }
         )
 
-    return emb.map_batches(scan, batch_format="pyarrow").sort(["vec_a", "vec_b"])
+    return sorted_fold(read_blocks(emb.refs, scan), ["vec_a", "vec_b"],
+                       _same).dataset()
 
 
 def near_dup_oracle_sql(threshold: float = _NEAR_DUP_GATE_THRESHOLD) -> str:
@@ -1199,11 +1179,11 @@ def embedding_near_dup(
     shared cell); all-pairs cosine runs only within cells via a
     hash-partitioned bucket exchange. No full-matrix broadcast on the
     IVF path — per-worker state is the k×dim centroid block."""
-    emb = _emb(sf_dir)
-    if emb.count() <= exact_cutoff:
+    emb = _read(sf_dir, "embeddings")
+    if emb.rows <= exact_cutoff:
         return _near_dup_exact(emb, threshold)
     thr_micro = _micro_floor(threshold)
-    centers = _train_centroids(sf_dir, n_cells)
+    centers = _train_centroids(emb, n_cells)
     c_ref = ray.put(centers)
 
     def assign_cells(batch: pa.Table) -> pa.Table:
@@ -1246,40 +1226,24 @@ def embedding_near_dup(
              "sim_micro": pd.Series(out_s, dtype="int64")}
         )
 
-    def norm_pairs(batch: pa.Table) -> pa.Table:
-        # pin the (vec_a, vec_b, sim_micro) schema even when every bucket
-        # was empty
-        cols = {}
-        for name in ("vec_a", "vec_b", "sim_micro"):
-            col = (batch[name] if name in batch.column_names
-                   else pa.nulls(batch.num_rows, pa.int64()))
-            cols[name] = (
-                pa.nulls(batch.num_rows, pa.int64())
-                if pa.types.is_null(col.type)
-                else col.combine_chunks().cast(pa.int64())
-            )
-        return pa.table(cols)
-
-    cells = _emb(sf_dir).map_batches(assign_cells, batch_format="pyarrow")
-    pairs = bucketed_apply_tasks(cells, ["cell"], cell_pairs)
+    pairs = bucketed_apply_tasks(read_blocks(emb.refs, assign_cells),
+                                 ["cell"], cell_pairs)
     # a pair found in both of its shared cells appears twice → distinct
-    return (
-        bucketed_apply_tasks(pairs, ["vec_a", "vec_b"],
-                       lambda df: df.drop_duplicates())
-        .map_batches(norm_pairs, batch_format="pyarrow")
-        .sort(["vec_a", "vec_b"])
-    )
+    return sorted_fold(pairs, ["vec_a", "vec_b"],
+                       lambda t: t.to_pandas().drop_duplicates()).dataset()
 
 
 def ann_ivf(sf_dir: str, n_queries: int = 8, k: int = 10, n_cells: int = 16,
             n_probe: int = 4) -> ray.data.Dataset:
     """IVF ANN as a distributed pipeline: centroids train on a bounded
     sample (driver holds k×dim only); the inverted-file *scan* runs as
-    map_batches — each batch assigns its vectors to cells and scores them
-    against only the queries probing that cell set; per-query top-k
-    merges as in ann_topk. Approximate — recall vs ann_topk in pytest."""
-    centers = _train_centroids(sf_dir, n_cells)
-    q_ids, q = _query_vectors(sf_dir, n_queries)
+    one raw task per pinned block — each assigns its vectors to cells and
+    scores them against only the queries probing that cell set;
+    per-query top-k merges as in ann_topk. Approximate — recall vs
+    ann_topk in pytest."""
+    emb = _read(sf_dir, "embeddings")
+    centers = _train_centroids(emb, n_cells)
+    q_ids, q = _query_vectors(emb, n_queries)
     qn = q / np.linalg.norm(q, axis=1, keepdims=True)
     probe = np.argsort(-(qn @ centers.T), axis=1)[:, :n_probe]
     ref = ray.put((centers, q_ids, qn, probe))
@@ -1305,80 +1269,59 @@ def ann_ivf(sf_dir: str, n_queries: int = 8, k: int = 10, n_cells: int = 16,
             }
         )
 
-    scored = _emb(sf_dir).map_batches(scan, batch_format="pyarrow")
-    return _topk_per_query(scored, k)
+    return _topk_per_query(read_blocks(emb.refs, scan), k)
 
 
 def embedding_kmeans(sf_dir: str, k: int = 8, iters: int = 10) -> ray.data.Dataset:
     """Deterministic distributed k-means over the embedding column:
     (vec_id, cluster_id). Centers iterate on the driver (k×dim floats —
-    tiny); per-iteration assignment + partial sums run as one
-    map_batches over the data, merged driver-side — the classic
-    broadcast-iterate loop."""
-    import numpy as np_mod
-
-    # seed centers from a BOUNDED head sample (never the full table) and
-    # pin the embedding dataset once — the loop re-reads it every
-    # iteration otherwise
+    tiny); per-iteration assignment + partial sums run as one raw task
+    per pinned block, merged driver-side — the classic broadcast-iterate
+    loop."""
+    # read and pin the embeddings once: the seed sample, every iteration
+    # and the final assignment map the same blocks; the centers seed
+    # from a BOUNDED head sample (never the full table)
+    emb = _read(sf_dir, "embeddings")
     centers = _train_centroids(
-        sf_dir, k, sample_rows=max(1024, 64 * k), iters=0,
+        emb, k, sample_rows=max(1024, 64 * k), iters=0,
         normalize=False, seed=29,
     )
-    emb = _emb(sf_dir).materialize()
+
+    def nearest(batch: pa.Table, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m = _batch_matrix(batch)[1]
+        return m, ((m[:, None, :] - c[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
 
     for _ in range(iters):
         ref = ray.put(centers)
 
         def partials(batch: pa.Table) -> pa.Table:
-            c = cached_get(ref)
-            m = np_mod.stack(
-                [np_mod.asarray(v, dtype=np_mod.float64)
-                 for v in batch["embedding"].to_pylist()]
-            )
-            d2 = ((m[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
-            assign = d2.argmin(axis=1)
-            rows_c, rows_n, rows_s = [], [], []
-            for ci in range(len(c)):
-                mask = assign == ci
-                if mask.any():
-                    rows_c.append(ci)
-                    rows_n.append(int(mask.sum()))
-                    rows_s.append(m[mask].sum(axis=0).tolist())
+            m, assign = nearest(batch, cached_get(ref))
+            rows_c = np.unique(assign)
             return pa.table(
                 {
                     "cluster": pa.array(rows_c, pa.int32()),
-                    "n": pa.array(rows_n, pa.int64()),
-                    "s": pa.array(rows_s, pa.list_(pa.float64())),
+                    "n": pa.array([int((assign == ci).sum()) for ci in rows_c],
+                                  pa.int64()),
+                    "s": pa.array([m[assign == ci].sum(axis=0).tolist()
+                                   for ci in rows_c], pa.list_(pa.float64())),
                 }
             )
 
-        parts = emb.map_batches(partials, batch_format="pyarrow").to_pandas()
+        parts = read_blocks(emb.refs, partials).table().to_pandas()
         for ci in range(len(centers)):
             sel = parts[parts["cluster"] == ci]
             n = sel["n"].sum()
             if n > 0:
-                centers[ci] = np_mod.sum(
-                    np_mod.stack(sel["s"].to_list()), axis=0
-                ) / n
+                centers[ci] = np.sum(np.stack(sel["s"].to_list()), axis=0) / n
 
     ref = ray.put(centers)
 
     def assign_final(batch: pa.Table) -> pa.Table:
-        c = cached_get(ref)
-        vec_ids = batch["vec_id"]
-        m = np_mod.stack(
-            [np_mod.asarray(v, dtype=np_mod.float64)
-             for v in batch["embedding"].to_pylist()]
-        )
-        d2 = ((m[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
-        return pa.table(
-            {
-                "vec_id": vec_ids,
-                "cluster_id": pa.array(d2.argmin(axis=1).astype("int64"), pa.int64()),
-            }
-        )
+        assign = nearest(batch, cached_get(ref))[1]
+        return pa.table({"vec_id": batch["vec_id"],
+                         "cluster_id": pa.array(assign.astype("int64"), pa.int64())})
 
-    return emb.map_batches(assign_final, batch_format="pyarrow").sort("vec_id")
+    return sorted_fold(emb, ["vec_id"], assign_final).dataset()
 
 
 # ---------------------------------------------------------------------------
@@ -1417,9 +1360,8 @@ def text_stats(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        stats, batch_format="pyarrow"
-    ).sort("doc_id")
+    return sorted_fold(_read(sf_dir, "documents", ["doc_id", "text"]),
+                       ["doc_id"], stats).dataset()
 
 
 def lang_id(sf_dir: str) -> ray.data.Dataset:
@@ -1444,15 +1386,14 @@ def lang_id(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        classify, batch_format="pyarrow"
-    ).sort("doc_id")
+    return sorted_fold(_read(sf_dir, "documents", ["doc_id", "text"]),
+                       ["doc_id"], classify).dataset()
 
 
 def top_tokens(sf_dir: str, k: int = 50) -> ray.data.Dataset:
     """Corpus-wide top-k token counts (whitespace tokens, lowercased):
-    the heavy-hitter aggregate — per-batch partial counts collapse each
-    hot token to one row per block before the shuffle."""
+    the heavy-hitter aggregate — per-block partial counts collapse each
+    hot token to one row per block before the exchange."""
 
     def partial(batch: pa.Table) -> pa.Table:
         counts: dict[str, int] = {}
@@ -1466,35 +1407,24 @@ def top_tokens(sf_dir: str, k: int = 50) -> ray.data.Dataset:
             }
         )
 
+    def top(df: pd.DataFrame) -> pd.DataFrame:
+        # top-k with deterministic ties: n desc, token asc
+        return df.sort_values(["n", "token"], ascending=[False, True],
+                              kind="stable").head(k)
+
     def merge(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("token", as_index=False).agg(n=("n", "sum"))
+        return top(df.groupby("token", as_index=False).agg(n=("n", "sum")))
 
-    merged = bucketed_apply_tasks(
-        _docs(sf_dir, ["text"]).map_batches(partial, batch_format="pyarrow"),
-        ["token"],
-        merge,
-    )
-    # top-k with deterministic ties: n desc, token asc
-    import pandas as pd_mod
-
-    def localtop(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().sort_values(
-            ["n", "token"], ascending=[False, True], kind="stable"
-        ).head(k)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    def final(df: pd_mod.DataFrame) -> pd_mod.DataFrame:
-        df = df.sort_values(["n", "token"], ascending=[False, True],
-                            kind="stable").head(k)
-        df = df.reset_index(drop=True)
+    def final(df: pd.DataFrame) -> pd.DataFrame:
+        df = top(df).reset_index(drop=True)
         df["rank"] = df.index + 1
         return df[["rank", "token", "n"]]
 
-    return bucketed_apply_tasks(
-        merged.map_batches(localtop, batch_format="pyarrow"),
-        [],
-        final,
-    ).sort("rank")
+    # each token bucket keeps its own top k; the one global bucket ranks
+    # those, in rank order
+    merged = bucketed_apply_tasks(_read(sf_dir, "documents", ["text"], partial),
+                                  ["token"], merge)
+    return bucketed_apply_tasks(merged, [], final).dataset()
 
 
 _INDEX_MAX_POSTINGS = 256
@@ -1511,8 +1441,8 @@ def inverted_index(
     — the cap bounds the row size for stop-word-grade tokens whose true
     posting list is the whole corpus (at index-serving scale the tail
     of a hot posting list lives in the next index shard, not one row).
-    Per-batch (token, doc_id) pairs are already distinct (a doc's text
-    is one row), so the bucket merge by token is the only exchange."""
+    Per-block (token, doc_id) pairs are already distinct (a doc's text
+    is one row), so the sorted fold by token is the only exchange."""
 
     def pairs(batch: pa.Table) -> pa.Table:
         toks: list[str] = []
@@ -1530,8 +1460,8 @@ def inverted_index(
             }
         )
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["token", "doc_id"], kind="stable")
+    def merge(table: pa.Table) -> pd.DataFrame:
+        df = table.to_pandas().sort_values(["token", "doc_id"], kind="stable")
         freq = df.groupby("token", sort=False).size().rename("df")
         df["rn"] = df.groupby("token", sort=False).cumcount()
         capped = df[df["rn"] < max_postings].copy()
@@ -1546,10 +1476,8 @@ def inverted_index(
         out["postings_csv"] = out["postings_csv"].fillna("")
         return out[["token", "df", "postings_csv"]]
 
-    parts = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        pairs, batch_format="pyarrow"
-    )
-    return bucketed_apply_tasks(parts, ["token"], merge).sort("token")
+    parts = _read(sf_dir, "documents", ["doc_id", "text"], pairs)
+    return sorted_fold(parts, ["token"], merge).dataset()
 
 
 def inverted_index_oracle_sql(max_postings: int = _INDEX_MAX_POSTINGS) -> str:
@@ -1584,14 +1512,13 @@ def tfidf_topk(sf_dir: str, k: int = _TFIDF_K) -> ray.data.Dataset:
     all-BIGINT so a distributed run is hash-exact against SQL — float
     log-idf could never be). Ties break by token.
 
-    Plan: per-batch exact (doc_id, token, tf) triples (a doc is one
+    Plan: per-block exact (doc_id, token, tf) triples (a doc is one
     row, so tf is exact map-side) → ONE exchange bucketed by token
     attaches df (= group size, since (doc,token) rows are distinct) and
-    the score → ONE exchange bucketed by doc_id takes the per-doc
-    top-k. N is a parquet-metadata count, not a materialization.
-    Output (doc_id, token, tf, df, score) ordered by (doc_id, token)."""
-    docs = _docs(sf_dir, ["doc_id", "text"])
-    n_docs = docs.count()
+    the score → ONE sorted fold by doc_id takes the per-doc top-k. N is
+    a parquet-metadata count, not a materialization. Output (doc_id,
+    token, tf, df, score) ordered by (doc_id, token)."""
+    n_docs = sum(md.num_rows for md in footers(f"{sf_dir}/documents.parquet"))
 
     def tf_pairs(batch: pa.Table) -> pa.Table:
         ids: list[int] = []
@@ -1622,13 +1549,11 @@ def tfidf_topk(sf_dir: str, k: int = _TFIDF_K) -> ray.data.Dataset:
         return df[["doc_id", "token", "tf", "df", "score"]]
 
     with_df = bucketed_apply_tasks(
-        docs.map_batches(tf_pairs, batch_format="pyarrow"),
-        ["token"],
-        attach_df,
-    )
+        _read(sf_dir, "documents", ["doc_id", "text"], tf_pairs), ["token"],
+        attach_df)
 
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(
+    def topk(table: pa.Table) -> pd.DataFrame:
+        df = table.to_pandas().sort_values(
             ["doc_id", "score", "token"],
             ascending=[True, False, True],
             kind="stable",
@@ -1636,7 +1561,7 @@ def tfidf_topk(sf_dir: str, k: int = _TFIDF_K) -> ray.data.Dataset:
         df = df[df.groupby("doc_id").cumcount() < k]
         return df[["doc_id", "token", "tf", "df", "score"]]
 
-    return bucketed_apply_tasks(with_df, ["doc_id"], topk).sort(["doc_id", "token"])
+    return sorted_fold(with_df, ["doc_id", "token"], topk).dataset()
 
 
 def tfidf_topk_oracle_sql(k: int = _TFIDF_K) -> str:
@@ -1696,9 +1621,8 @@ def doc_quality(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        score, batch_format="pyarrow"
-    ).sort("doc_id")
+    return sorted_fold(_read(sf_dir, "documents", ["doc_id", "text"]),
+                       ["doc_id"], score).dataset()
 
 
 def doc_repetition(sf_dir: str) -> ray.data.Dataset:
@@ -1709,7 +1633,8 @@ def doc_repetition(sf_dir: str) -> ray.data.Dataset:
     (all occurrences) / chars in all non-empty lines; top_bigram_frac =
     occurrences of the most frequent word 2-gram / total 2-grams.
     keep = dup_line_frac < 0.30 AND top_bigram_frac < 0.20 — the Gopher
-    repetition-filter shape. Pure per-doc map, no shuffle."""
+    repetition-filter shape. Pure per-doc map inside the output's
+    sorted fold."""
 
     def score(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_pylist()
@@ -1748,9 +1673,8 @@ def doc_repetition(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        score, batch_format="pyarrow"
-    ).sort("doc_id")
+    return sorted_fold(_read(sf_dir, "documents", ["doc_id", "text"]),
+                       ["doc_id"], score).dataset()
 
 
 def doc_repetition_oracle_sql() -> str:
@@ -1872,9 +1796,8 @@ def doc_winnow(
             }
         )
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        winnow, batch_format="pyarrow"
-    ).sort("doc_id")
+    return sorted_fold(_read(sf_dir, "documents", ["doc_id", "text"]),
+                       ["doc_id"], winnow).dataset()
 
 
 def doc_scrub(sf_dir: str) -> ray.data.Dataset:
@@ -1907,9 +1830,8 @@ def doc_scrub(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        scrub, batch_format="pyarrow"
-    ).sort("doc_id")
+    return sorted_fold(_read(sf_dir, "documents", ["doc_id", "text"]),
+                       ["doc_id"], scrub).dataset()
 
 
 def doc_fingerprint(sf_dir: str) -> ray.data.Dataset:
@@ -1932,9 +1854,8 @@ def doc_fingerprint(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        fp, batch_format="pyarrow"
-    ).sort("doc_id")
+    return sorted_fold(_read(sf_dir, "documents", ["doc_id", "text"]),
+                       ["doc_id"], fp).dataset()
 
 
 # per-language keep rates (parts per million) for stratified_sample; the
@@ -1965,16 +1886,15 @@ def stratified_sample(sf_dir: str) -> ray.data.Dataset:
             mask.append(h % 1_000_000 < rate)
         return batch.filter(pa.array(mask, pa.bool_()))
 
-    return _docs(sf_dir, ["doc_id", "lang", "n_chars"]).map_batches(
-        keep, batch_format="pyarrow"
-    ).sort("doc_id")
+    return sorted_fold(_read(sf_dir, "documents", ["doc_id", "lang", "n_chars"]),
+                       ["doc_id"], keep).dataset()
 
 
 def group_quota(sf_dir: str, quota: int = 40) -> ray.data.Dataset:
     """Per-language document cap (the curation quota step): keep the
     top ``quota`` docs per lang by (n_chars DESC, doc_id ASC) and rank
-    them 1..quota. Map-side partial top-k per batch bounds the shuffle
-    to quota × langs rows per block; the per-lang bucket merge re-ranks
+    them 1..quota. Map-side partial top-k per block bounds the exchange
+    to quota × langs rows per block; the sorted fold by lang re-ranks
     globally — the same partial/merge shape as top_tokens, so no
     language group ever has to fit unpruned in one task."""
 
@@ -1985,21 +1905,16 @@ def group_quota(sf_dir: str, quota: int = 40) -> ray.data.Dataset:
         df = df.groupby("lang", as_index=False, sort=False).head(quota)
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(
+    def merge(table: pa.Table) -> pd.DataFrame:
+        df = table.to_pandas().sort_values(
             ["lang", "n_chars", "doc_id"], ascending=[True, False, True]
         )
         df = df.groupby("lang", as_index=False, sort=False).head(quota).copy()
         df["rank"] = (df.groupby("lang").cumcount() + 1).astype("int64")
         return df[["lang", "rank", "doc_id", "n_chars"]]
 
-    return bucketed_apply_tasks(
-        _docs(sf_dir, ["doc_id", "lang", "n_chars"]).map_batches(
-            partial, batch_format="pyarrow"
-        ),
-        ["lang"],
-        merge,
-    ).sort(["lang", "rank"])
+    parts = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"], partial)
+    return sorted_fold(parts, ["lang", "rank"], merge).dataset()
 
 
 _PACK_CAPACITY = 2048  # chars per pack; shared into the oracle SQL
@@ -2013,7 +1928,7 @@ def doc_pack(sf_dir: str, capacity: int = _PACK_CAPACITY) -> ray.data.Dataset:
     An ordered prefix sum is inherently sequential, so it's computed as
     the classic two-pass distributed scan: docs range-bucket by a
     monotone map of the order key (r from sampled-quantile boundaries,
-    sized so r-buckets ≈ cluster parallelism — balanced even when
+    at least one r-bucket per cluster CPU — balanced even when
     doc_ids are sparse or clustered, where a fixed-width ``id // width``
     ranger would collapse to a few hot buckets); pass 1 reduces each
     (lang, r) to ONE partial sum and the driver prefix-sums that
@@ -2021,25 +1936,18 @@ def doc_pack(sf_dir: str, capacity: int = _PACK_CAPACITY) -> ray.data.Dataset:
     parallelism knob), never by rows; pass 2 broadcasts the per-bucket
     base offsets and computes exact in-bucket cumsums vectorized, one
     bucketed exchange. The ranger only affects balance: r is monotone
-    in doc_id under ANY boundary set, so the scan stays exact."""
-    docs = _docs(sf_dir, ["doc_id", "lang", "n_chars"])
-    from codetoneo4j_ray.stages.bucketing import target_blocks
-    from codetoneo4j_ray.stages.canonicalize import (
-        SAMPLE_KEYS,
-        key_sample,
-        range_bounds,
-    )
-
-    n = docs.count()
-    rate = min(1.0, SAMPLE_KEYS / n) if n else 1.0
+    in doc_id under ANY boundary set, so the scan stays exact. The
+    documents are read once; every pass maps their pinned blocks."""
+    docs = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
+    rate = min(1.0, SAMPLE_KEYS / docs.rows) if docs.rows else 1.0
 
     def sample(batch: pa.Table) -> pa.Table:
         return pa.table({"k": pa.array(key_sample(batch["doc_id"], rate),
                                        pa.int64())})
 
-    samples = docs.map_batches(sample, batch_format="pyarrow").to_pandas()
-    bounds = range_bounds([samples["k"].to_numpy()],
-                          target_blocks()).astype("int64")
+    samples = read_blocks(docs.refs, sample).table()
+    bounds = range_bounds([] if samples is None else [samples["k"].to_numpy()],
+                          blocks_for(docs.nbytes, cluster_cpus())).astype("int64")
 
     def add_r(batch: pa.Table) -> pa.Table:
         r = np.searchsorted(
@@ -2047,7 +1955,7 @@ def doc_pack(sf_dir: str, capacity: int = _PACK_CAPACITY) -> ray.data.Dataset:
         )
         return batch.append_column("r", pa.array(r.astype("int64"), pa.int64()))
 
-    with_r = docs.map_batches(add_r, batch_format="pyarrow").materialize()
+    with_r = read_blocks(docs.refs, add_r)
 
     def partial(batch: pa.Table) -> pa.Table:
         g = (
@@ -2060,7 +1968,7 @@ def doc_pack(sf_dir: str, capacity: int = _PACK_CAPACITY) -> ray.data.Dataset:
     # driver-side merge of METADATA-scale partials: one row per
     # (block, lang, r) in, one per (lang, r) out — bounded by the
     # bucket count, independent of row count
-    parts = with_r.map_batches(partial, batch_format="pyarrow").to_pandas()
+    parts = read_blocks(with_r.refs, partial).table().to_pandas()
     sums = (
         parts.groupby(["lang", "r"], as_index=False)["n_chars"]
         .sum()
@@ -2088,9 +1996,8 @@ def doc_pack(sf_dir: str, capacity: int = _PACK_CAPACITY) -> ray.data.Dataset:
         out["pack_id"] = (out["cum_before"] // capacity).astype("int64")
         return out
 
-    return bucketed_apply_tasks(with_r, ["lang", "r"], pack).sort(
-        ["lang", "doc_id"]
-    )
+    packed = bucketed_apply_tasks(with_r, ["lang", "r"], pack)
+    return sorted_fold(packed, ["lang", "doc_id"], _same).dataset()
 
 
 _CHUNK_SIZE = 500  # chars per chunk; shared into the oracle SQL
@@ -2104,8 +2011,9 @@ def doc_chunk(
     each doc expands to ceil-strided character windows — rows
     (doc_id, chunk_idx, n_chunk_chars, chunk_md5). An empty doc yields
     one empty chunk (chunkers must not silently drop rows). Pure
-    flat-map expansion before any shuffle — the 100 TB-safe shape:
-    expansion happens inside map_batches, blocks split downstream."""
+    flat-map expansion after the exchange — the 100 TB-safe shape: the
+    documents split by doc_id range, and each range's task expands and
+    sorts only its own rows."""
 
     def chunk(batch: pa.Table) -> pa.Table:
         out_id, out_idx, out_n, out_md5 = [], [], [], []
@@ -2127,9 +2035,8 @@ def doc_chunk(
             }
         )
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        chunk, batch_format="pyarrow"
-    ).sort(["doc_id", "chunk_idx"])
+    return sorted_fold(_read(sf_dir, "documents", ["doc_id", "text"]),
+                       ["doc_id", "chunk_idx"], chunk).dataset()
 
 
 def doc_chunk_oracle_sql(
@@ -2157,7 +2064,7 @@ def doc_chunk_oracle_sql(
 def events_tumbling(sf_dir: str) -> ray.data.Dataset:
     """Per (user, hour) tumbling window: count + exact integer value sum
     (floor(value*1000) per row so the oracle matches bit-exactly).
-    Map-side partials per batch, then a small groupby."""
+    Map-side partials per block, then one sorted fold that merges them."""
 
     def partial(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -2169,22 +2076,14 @@ def events_tumbling(sf_dir: str) -> ray.data.Dataset:
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["user_id", "window_hour"], as_index=False).agg(
-            n_events=("n_events", "sum"), sum_milli=("sum_milli", "sum")
-        )
+    def merge(table: pa.Table) -> pd.DataFrame:
+        return table.to_pandas().groupby(
+            ["user_id", "window_hour"], as_index=False
+        ).agg(n_events=("n_events", "sum"), sum_milli=("sum_milli", "sum"))
 
-    return (
-        bucketed_apply_tasks(
-            ray.data.read_parquet(
-                f"{sf_dir}/events.parquet",
-                columns=["event_id", "ts", "user_id", "value"],
-            ).map_batches(partial, batch_format="pyarrow"),
-            ["user_id", "window_hour"],
-            merge,
-        )
-        .sort(["user_id", "window_hour"])
-    )
+    parts = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"],
+                  partial)
+    return sorted_fold(parts, ["user_id", "window_hour"], merge).dataset()
 
 
 def events_hopping(
@@ -2193,8 +2092,8 @@ def events_hopping(
     """Hopping (sliding) window per user: 1h windows advancing every
     15min — each event lands in window_sec/hop_sec = 4 windows. The
     map-side explode assigns each event its window starts (pure
-    arithmetic, no state), partials collapse per block, then one small
-    bucketed merge: the streaming-window shape expressed batch-first.
+    arithmetic, no state), partials collapse per block, then one sorted
+    fold merges them: the streaming-window shape expressed batch-first.
     Membership is w <= t < w + window over hop-aligned w — exact for
     any window/hop ratio (an event sits in ceil(window/hop) or one
     fewer windows when hop does not divide window)."""
@@ -2219,22 +2118,13 @@ def events_hopping(
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["user_id", "window_start"], as_index=False).agg(
-            n_events=("n_events", "sum"), sum_milli=("sum_milli", "sum")
-        )
+    def merge(table: pa.Table) -> pd.DataFrame:
+        return table.to_pandas().groupby(
+            ["user_id", "window_start"], as_index=False
+        ).agg(n_events=("n_events", "sum"), sum_milli=("sum_milli", "sum"))
 
-    return (
-        bucketed_apply_tasks(
-            ray.data.read_parquet(
-                f"{sf_dir}/events.parquet",
-                columns=["ts", "user_id", "value"],
-            ).map_batches(partial, batch_format="pyarrow"),
-            ["user_id", "window_start"],
-            merge,
-        )
-        .sort(["user_id", "window_start"])
-    )
+    parts = _read(sf_dir, "events", ["ts", "user_id", "value"], partial)
+    return sorted_fold(parts, ["user_id", "window_start"], merge).dataset()
 
 
 def events_sessionize(sf_dir: str, gap_sec: int = 1800) -> ray.data.Dataset:
@@ -2242,8 +2132,8 @@ def events_sessionize(sf_dir: str, gap_sec: int = 1800) -> ray.data.Dataset:
     (user_id, session_id, n_events, start_sec, end_sec).
 
     The streaming-shaped pattern from the guide: partition by key, sort
-    by ts within the partition, window inside the group. Users hash into
-    buckets; each bucket sessionizes all its users vectorized."""
+    by ts within the partition, window inside the group. Users split
+    into key ranges; each range sessionizes all its users vectorized."""
 
     def to_secs(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -2252,8 +2142,9 @@ def events_sessionize(sf_dir: str, gap_sec: int = 1800) -> ray.data.Dataset:
             df[["user_id", "event_id", "sec"]], preserve_index=False
         )
 
-    def sessionize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "sec", "event_id"], kind="stable")
+    def sessionize(table: pa.Table) -> pd.DataFrame:
+        df = table.to_pandas().sort_values(["user_id", "sec", "event_id"],
+                                           kind="stable")
         new_user = df["user_id"].ne(df["user_id"].shift())
         gap = df["sec"].diff().gt(gap_sec)
         # global running session counter, then renumbered 1..n per user
@@ -2269,16 +2160,8 @@ def events_sessionize(sf_dir: str, gap_sec: int = 1800) -> ray.data.Dataset:
         )
         return g
 
-    return (
-        bucketed_apply_tasks(
-            ray.data.read_parquet(
-                f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id"]
-            ).map_batches(to_secs, batch_format="pyarrow"),
-            ["user_id"],
-            sessionize,
-        )
-        .sort(["user_id", "session_id"])
-    )
+    secs = _read(sf_dir, "events", ["event_id", "ts", "user_id"], to_secs)
+    return sorted_fold(secs, ["user_id", "session_id"], sessionize).dataset()
 
 
 def events_asof_join(sf_dir: str, ref_type: str = "signup") -> ray.data.Dataset:
@@ -2290,7 +2173,7 @@ def events_asof_join(sf_dir: str, ref_type: str = "signup") -> ray.data.Dataset:
     standard one — co-partition by the as-of key (user_id), sort each
     partition once by (ts, event_id), then the match is a vectorized
     forward-fill merge. The partitioning assumption: all rows of one key
-    share a bucket (bucketed_apply guarantees it), so no cross-partition
+    share a bucket (bucketed_apply_tasks guarantees it), so no cross-partition
     time ordering is ever needed."""
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -2324,17 +2207,10 @@ def events_asof_join(sf_dir: str, ref_type: str = "signup") -> ray.data.Dataset:
         )
         return out
 
-    return (
-        bucketed_apply_tasks(
-            ray.data.read_parquet(
-                f"{sf_dir}/events.parquet",
-                columns=["event_id", "ts", "user_id", "event_type"],
-            ).map_batches(prep, batch_format="pyarrow"),
-            ["user_id"],
-            asof,
-        )
-        .sort("event_id")
-    )
+    events = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"],
+                   prep)
+    return sorted_fold(bucketed_apply_tasks(events, ["user_id"], asof),
+                       ["event_id"], _same).dataset()
 
 
 # ---------------------------------------------------------------------------
@@ -2349,9 +2225,9 @@ def top_orders(
     """TPC-H Q3 shape: top-k unshipped orders by discounted revenue for
     one market segment. Distributed plan with no broadcast at all:
     customer (linear in TPC-H — not a dimension at 100 TB) is filtered
-    to the segment per batch and semi-joins orders in a hash-partitioned
+    to the segment per block and semi-joins orders in a hash-partitioned
     bucket join on custkey; the surviving (orderkey, date, priority)
-    stream then meets lineitem — pre-aggregated per batch — in a second
+    stream then meets lineitem — pre-aggregated per block — in a second
     bucket join on orderkey; each bucket emits its local top-k and one
     global merge ranks k·buckets candidate rows (exact, since an order
     lives in exactly one bucket). Returns
@@ -2388,40 +2264,28 @@ def top_orders(
             }
         )
 
-    def seg_orders(df: pd.DataFrame) -> pd.DataFrame:
+    def seg_orders(df: pd.DataFrame) -> pa.Table:
         keys = df.loc[df["side"] == "c", "custkey"]
         o = df.loc[df["side"] == "o"]
         o = o[o["custkey"].isin(set(keys))]
-        return pd.DataFrame(
-            {
-                "orderkey": o["orderkey"].astype("int64"),
-                "orderdate_sec": o["orderdate_sec"].astype("int64"),
-                "priority": o["priority"],
-            }
-        )
-
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
-    ).map_batches(cust_side, batch_format="pyarrow")
-    order_keys = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"],
-    ).map_batches(orders_key_side, batch_format="pyarrow")
-    seg_order_stream = bucketed_apply_tasks(
-        cust.union(order_keys), ["custkey"], seg_orders
-    )
-
-    def orders_side(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
+        n = len(o)
         return pa.table(
             {
-                "orderkey": pc.cast(batch["orderkey"], pa.int64()),
-                "orderdate_sec": pc.cast(batch["orderdate_sec"], pa.int64()),
-                "priority": batch["priority"],
+                "orderkey": pa.array(o["orderkey"].astype("int64"), pa.int64()),
+                "orderdate_sec": pa.array(o["orderdate_sec"].astype("int64"),
+                                          pa.int64()),
+                "priority": pa.array(o["priority"], pa.string()),
                 "revenue_cents": pa.nulls(n, pa.int64()),
                 "side": pa.array(["o"] * n, pa.string()),
             }
         )
+
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"], cust_side)
+    order_keys = _read(
+        sf_dir, "orders",
+        ["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"],
+        orders_key_side)
+    orders = bucketed_apply_tasks(cust + order_keys, ["custkey"], seg_orders)
 
     def lineitem_side(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -2443,11 +2307,10 @@ def top_orders(
             }
         )
 
-    orders = seg_order_stream.map_batches(orders_side, batch_format="pyarrow")
-    items = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
-    ).map_batches(lineitem_side, batch_format="pyarrow")
+    items = _read(
+        sf_dir, "lineitem",
+        ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
+        lineitem_side)
 
     def topk(df: pd.DataFrame) -> pd.DataFrame:
         return df.sort_values(
@@ -2473,8 +2336,10 @@ def top_orders(
         )
         return topk(out)
 
-    joined = bucketed_apply_tasks(orders.union(items), ["orderkey"], join_bucket)
-    return bucketed_apply_tasks(joined, [], topk).sort("o_orderkey")
+    joined = bucketed_apply_tasks(orders + items, ["orderkey"], join_bucket)
+    # the one global bucket holds the k winners, in o_orderkey order
+    return bucketed_apply_tasks(
+        joined, [], lambda df: topk(df).sort_values("o_orderkey")).dataset()
 
 
 def revenue_by_nation(sf_dir: str) -> ray.data.Dataset:
@@ -2485,13 +2350,13 @@ def revenue_by_nation(sf_dir: str) -> ray.data.Dataset:
     dimension at 100 TB — meets orders in a hash-partitioned bucket
     join on custkey (stage A); the (orderkey, n_name) stream then meets
     lineitem in a second bucket join on orderkey (stage B) with
-    lineitem pre-aggregated per (orderkey) inside map_batches first, so
-    that shuffle carries one row per order, not one per line item. No
-    table is ever collected on the driver."""
-    nation = ray.data.read_parquet(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
-    ).to_pandas()
-    nation_ref = ray.put(dict(zip(nation["n_nationkey"], nation["n_name"])))
+    lineitem pre-aggregated per (orderkey) inside its read tasks first,
+    so that exchange carries one row per order, not one per line item;
+    a sorted fold by n_name merges the per-bucket sums. No table but
+    nation is ever collected on the driver."""
+    nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).table()
+    nation_ref = ray.put(dict(zip(nation["n_nationkey"].to_pylist(),
+                                  nation["n_name"].to_pylist())))
 
     def cust_side(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -2517,38 +2382,26 @@ def revenue_by_nation(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    def attach_nation(df: pd.DataFrame) -> pd.DataFrame:
+    def attach_nation(df: pd.DataFrame) -> pa.Table:
         c = df.loc[df["side"] == "c", ["custkey", "n_name"]]
         o = df.loc[df["side"] == "o", ["custkey", "orderkey"]]
         m = o.merge(c, on="custkey", how="inner")
-        return pd.DataFrame(
-            {
-                "orderkey": m["orderkey"].astype("int64"),
-                "n_name": m["n_name"],
-            }
-        )
-
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-    ).map_batches(cust_side, batch_format="pyarrow")
-    orders_keys = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
-    ).map_batches(orders_key_side, batch_format="pyarrow")
-    order_nation = bucketed_apply_tasks(
-        cust.union(orders_keys), ["custkey"], attach_nation
-    )
-
-    def orders_side(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
+        n = len(m)
         return pa.table(
             {
-                "orderkey": pc.cast(batch["orderkey"], pa.int64()),
-                "n_name": batch["n_name"],
+                "orderkey": pa.array(m["orderkey"].astype("int64"), pa.int64()),
+                "n_name": pa.array(m["n_name"], pa.string()),
                 "revenue_cents": pa.nulls(n, pa.int64()),
                 "n_items": pa.nulls(n, pa.int64()),
                 "side": pa.array(["o"] * n, pa.string()),
             }
         )
+
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"], cust_side)
+    orders_keys = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"],
+                        orders_key_side)
+    orders = bucketed_apply_tasks(cust + orders_keys, ["custkey"],
+                                  attach_nation)
 
     def lineitem_side(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -2569,11 +2422,9 @@ def revenue_by_nation(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    orders = order_nation.map_batches(orders_side, batch_format="pyarrow")
-    items = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount"],
-    ).map_batches(lineitem_side, batch_format="pyarrow")
+    items = _read(sf_dir, "lineitem",
+                  ["l_orderkey", "l_extendedprice", "l_discount"],
+                  lineitem_side)
 
     def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
         o = df.loc[df["side"] == "o", ["orderkey", "n_name"]]
@@ -2591,16 +2442,16 @@ def revenue_by_nation(sf_dir: str) -> ray.data.Dataset:
         g["n_items"] = g["n_items"].astype("int64")
         return g
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("n_name", as_index=False).agg(
+    def merge(table: pa.Table) -> pd.DataFrame:
+        g = table.to_pandas().groupby("n_name", as_index=False).agg(
             revenue_cents=("revenue_cents", "sum"), n_items=("n_items", "sum")
         )
         g["revenue_cents"] = g["revenue_cents"].astype("int64")
         g["n_items"] = g["n_items"].astype("int64")
         return g
 
-    partial = bucketed_apply_tasks(orders.union(items), ["orderkey"], join_bucket)
-    return bucketed_apply_tasks(partial, ["n_name"], merge).sort("n_name")
+    partial = bucketed_apply_tasks(orders + items, ["orderkey"], join_bucket)
+    return sorted_fold(partial, ["n_name"], merge).dataset()
 
 
 def orders_running_total(sf_dir: str) -> ray.data.Dataset:
@@ -2621,8 +2472,9 @@ def orders_running_total(sf_dir: str) -> ray.data.Dataset:
             preserve_index=False,
         )
 
-    def scan(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["o_custkey", "ts", "o_orderkey"], kind="stable")
+    def scan(table: pa.Table) -> pd.DataFrame:
+        df = table.to_pandas().sort_values(["o_custkey", "ts", "o_orderkey"],
+                                           kind="stable")
         run = df.groupby("o_custkey", sort=False)["cents"].cumsum()
         return pd.DataFrame(
             {
@@ -2632,14 +2484,10 @@ def orders_running_total(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return bucketed_apply_tasks(
-        ray.data.read_parquet(
-            f"{sf_dir}/orders.parquet",
-            columns=["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"],
-        ).map_batches(to_cents, batch_format="pyarrow"),
-        ["o_custkey"],
-        scan,
-    ).sort(["o_custkey", "o_orderkey"])
+    orders = _read(sf_dir, "orders",
+                   ["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"],
+                   to_cents)
+    return sorted_fold(orders, ["o_custkey", "o_orderkey"], scan).dataset()
 
 
 ORDERS_RUNNING_TOTAL_SQL = """
@@ -2665,8 +2513,8 @@ def price_quantiles(sf_dir: str) -> ray.data.Dataset:
     Scale plan: a low-cardinality group key makes "co-locate the group
     and sort it" a non-starter at 100 TB (one group ≈ the whole
     table), so the quantiles come from a VALUE HISTOGRAM instead:
-    per-batch partial counts per (group, price) → one well-distributed
-    exchange keyed by (group, price) → one tiny exchange collapsing
+    per-block partial counts per (group, price) → one well-distributed
+    exchange keyed by (group, price) → one tiny sorted fold collapsing
     each group's histogram (bounded by the price domain, never row
     count) into cumulative ranks. Ranks use integer ceil division —
     float ceil(0.95·n) rounds wrong for exact multiples (0.95 is not
@@ -2682,19 +2530,18 @@ def price_quantiles(sf_dir: str) -> ray.data.Dataset:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     hist = bucketed_apply_tasks(
-        ray.data.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_returnflag", "l_linestatus", "l_extendedprice"],
-        ).map_batches(partial, batch_format="pyarrow"),
+        _read(sf_dir, "lineitem",
+              ["l_returnflag", "l_linestatus", "l_extendedprice"], partial),
         ["l_returnflag", "l_linestatus", "p"],
         lambda df: df.groupby(
             ["l_returnflag", "l_linestatus", "p"], as_index=False
         ).agg(cnt=("cnt", "sum")),
     )
 
-    def quantiles(df: pd.DataFrame) -> pd.DataFrame:
+    def quantiles(table: pa.Table) -> pd.DataFrame:
         rows = []
-        for (rf, ls), g in df.groupby(["l_returnflag", "l_linestatus"]):
+        for (rf, ls), g in table.to_pandas().groupby(
+                ["l_returnflag", "l_linestatus"]):
             g = g.sort_values("p")
             cum = g["cnt"].cumsum().to_numpy()
             n = int(cum[-1])
@@ -2706,9 +2553,8 @@ def price_quantiles(sf_dir: str) -> ray.data.Dataset:
             rows.append(row)
         return pd.DataFrame(rows)
 
-    return bucketed_apply_tasks(
-        hist, ["l_returnflag", "l_linestatus"], quantiles
-    ).sort(["l_returnflag", "l_linestatus"])
+    return sorted_fold(hist, ["l_returnflag", "l_linestatus"],
+                       quantiles).dataset()
 
 
 def price_quantiles_oracle_sql() -> str:
@@ -2759,10 +2605,9 @@ def pricing_summary(sf_dir: str) -> ray.data.Dataset:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     keys = ["l_returnflag", "l_linestatus"]
-    partials = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=[*keys, "l_quantity", "l_extendedprice", "l_discount"],
-    ).map_batches(partial, batch_format="pyarrow")
-    return bucketed_apply_tasks(
-        partials, keys, lambda df: df.groupby(keys, as_index=False).sum()
-    ).sort(keys)
+    partials = _read(sf_dir, "lineitem",
+                     [*keys, "l_quantity", "l_extendedprice", "l_discount"],
+                     partial)
+    return sorted_fold(
+        partials, keys,
+        lambda t: t.to_pandas().groupby(keys, as_index=False).sum()).dataset()

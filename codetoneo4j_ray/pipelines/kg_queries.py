@@ -146,7 +146,9 @@ def ensure_kg(sf_dir: str) -> dict[str, str]:
 
 
 def _read_table(sf_dir: str, name: str) -> ray.data.Dataset:
-    return ray.data.read_parquet(ensure_kg(sf_dir)[name])
+    """One output table of the KG cache: its parts read in name order,
+    which is key order, by one raw read task per block."""
+    return read_blocks(plan_reads(ensure_kg(sf_dir)[name])).dataset()
 
 
 def _group_counts(path: str, by: list[str], then=None) -> Blocks:

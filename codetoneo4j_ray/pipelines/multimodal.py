@@ -1,13 +1,15 @@
 """Multimodal column plumbing (decode stubbed — no image/audio libs here).
 
 Pattern for 100 TB media pipelines: opaque ``binary`` payload column +
-typed metadata, small batches (payload × batch_size × concurrent tasks
-must fit the worker heap), decode/feature stages as plain batch
-functions that run in Ray Data's task pool. A real codec would load
+typed metadata, small decode slices (payload × slice rows × concurrent
+tasks must fit the worker heap), decode/feature stages as plain batch
+functions that run inside the raw tasks of one sorted key-range fold
+(``canonicalize.sorted_fold``) over the payloads' pinned read blocks,
+with no Ray Data execution. A real codec would load
 once per worker process (behind ``functools.cache``) where
 :func:`media_decode` calls ``_fake_decode``; this container has no
 imaging libraries, so the decode is a deterministic fake over the
-payload bytes — the Ray-side plumbing (schema, batch sizing, output
+payload bytes — the Ray-side plumbing (schema, slice sizing, output
 layout) is real and tested.
 """
 
@@ -15,6 +17,9 @@ from __future__ import annotations
 
 import pyarrow as pa
 import ray.data
+
+from codetoneo4j_ray.stages.bucketing import Blocks, plan_reads, read_blocks
+from codetoneo4j_ray.stages.canonicalize import sorted_fold
 
 MEDIA_SCHEMA = pa.schema(
     [
@@ -52,8 +57,9 @@ def media_decode(batch: pa.Table) -> pa.Table:
     )
 
 
-def media_from_documents(sf_dir: str) -> ray.data.Dataset:
-    """Wrap documents.text as opaque binary payloads (media_id=doc_id)."""
+def media_from_documents(sf_dir: str) -> Blocks:
+    """Wrap documents.text as opaque binary payloads (media_id=doc_id),
+    pinned by one raw read task per block."""
 
     def wrap(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_pylist()
@@ -67,25 +73,22 @@ def media_from_documents(sf_dir: str) -> ray.data.Dataset:
             schema=MEDIA_SCHEMA,
         )
 
-    return ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).map_batches(wrap, batch_format="pyarrow")
+    return read_blocks(plan_reads(f"{sf_dir}/documents.parquet",
+                                  columns=["doc_id", "text"]), wrap)
 
 
-def _decoded(sf_dir: str) -> ray.data.Dataset:
-    """documents → binary payloads → decode (shared by every media query
-    so batch sizing lives in one place).
-
-    batch_size kept small: with real media each row is MBs and a batch ×
-    concurrent tasks must fit in the worker heap."""
-    return media_from_documents(sf_dir).map_batches(
-        media_decode, batch_format="pyarrow", batch_size=64
-    )
+def _decoded(table: pa.Table) -> pa.Table:
+    """Decode in 64-row slices (shared by every media query so slice
+    sizing lives in one place): with real media each row is MBs and a
+    slice × concurrent tasks must fit in the worker heap."""
+    return pa.concat_tables([media_decode(table.slice(i, 64))
+                             for i in range(0, table.num_rows, 64)])
 
 
 def media_decode_meta(sf_dir: str) -> ray.data.Dataset:
     """documents → binary payloads → decode → typed metadata."""
-    return _decoded(sf_dir).sort("media_id")
+    return sorted_fold(media_from_documents(sf_dir), ["media_id"],
+                       _decoded).dataset()
 
 
 def media_frame_sample(sf_dir: str, stride: int = 2) -> ray.data.Dataset:
@@ -93,9 +96,8 @@ def media_frame_sample(sf_dir: str, stride: int = 2) -> ray.data.Dataset:
     becomes its own row with a deterministic per-frame feature digest
     (the real pipeline would emit a decoded frame tensor / embedding
     here). The expansion is the flat-map shape of video pipelines: row
-    counts grow by the sample factor, so it runs AFTER the decode and
-    before any shuffle, letting the streaming executor pipeline the
-    fan-out."""
+    counts grow by the sample factor, so it runs AFTER the exchange,
+    inside each key range's task, right after that range's decode."""
     import hashlib
 
     def sample(batch: pa.Table) -> pa.Table:
@@ -121,8 +123,5 @@ def media_frame_sample(sf_dir: str, stride: int = 2) -> ray.data.Dataset:
             }
         )
 
-    return (
-        _decoded(sf_dir)
-        .map_batches(sample, batch_format="pyarrow")
-        .sort(["media_id", "frame_idx"])
-    )
+    return sorted_fold(media_from_documents(sf_dir), ["media_id", "frame_idx"],
+                       lambda t: sample(_decoded(t))).dataset()

@@ -24,11 +24,14 @@ block metadata, and hash inside the split tasks, so choosing the count
 costs no second execution. Hot single keys are still collapsed
 beforehand by map-side combine in the callers.
 
-The build path runs no Ray Data execution at all: its stages hold
+No library op runs a Ray Data execution inside its call: the build's
+stages, the graph ops, the commit folds and the data and media ops hold
 :class:`Blocks` (refs of Arrow tables in the object store, with their
 rows and in-memory bytes), read parquet with raw tasks over
 :class:`ParquetSlice` specs (:func:`read_blocks`), and feed the same
 split/apply primitive with them, which then returns :class:`Blocks`.
+Only a Dataset handed in (the graph ops' Dataset wrappers, the
+benchmark's bucketing probe) costs its one materialize.
 
 Worker processes keep two caches. Consumers that read a pinned bucket
 more than once (index lookups, iterative graph ops) go through

@@ -101,9 +101,10 @@ def key_sample(keys, rate: float) -> np.ndarray:
     key, so the union over blocks is the same however the rows are
     blocked — thinned evenly to at most 2 × ``SAMPLE_KEYS``. ``rate`` =
     ``SAMPLE_KEYS`` / rows keeps the driver's total near
-    ``SAMPLE_KEYS``."""
-    v = np.asarray(pc.drop_null(keys).to_numpy(zero_copy_only=False),
-                   dtype=object)
+    ``SAMPLE_KEYS``. Numeric keys stay in their numpy type (strings
+    come out as objects), so a numeric sample costs no Python object
+    per key."""
+    v = pc.drop_null(keys).to_numpy(zero_copy_only=False)
     if rate < 1.0:
         h = pd.util.hash_array(v, categorize=False)
         v = v[h < np.uint64(int(rate * 2**64))]
@@ -134,8 +135,7 @@ def range_ids(keys, bounds: np.ndarray) -> np.ndarray:
     if len(bounds):
         valid = pc.is_valid(keys).to_numpy(zero_copy_only=False)
         v = pc.drop_null(keys).to_numpy(zero_copy_only=False)
-        ids[valid] = np.searchsorted(bounds, np.asarray(v, dtype=object),
-                                     side="right")
+        ids[valid] = np.searchsorted(bounds, v, side="right")
     return ids
 
 

@@ -1150,3 +1150,116 @@ def test_doc_chunk_boundaries_and_unicode(tmp_path):
         ("b" * 100).encode()).hexdigest()
     assert list(df[df.doc_id == 2]["n_chunk_chars"]) == [0]
     assert g.loc[(2, 0), "chunk_md5"] == hashlib.md5(b"").hexdigest()
+
+
+# every data and media op bench.py times
+_BENCH_OPS = (
+    "doc_dedup_exact", "doc_dedup_minhash", "dup_clusters", "doc_simhash",
+    "doc_ngram_jaccard", "ann_topk", "ann_ivf", "embedding_near_dup",
+    "text_stats", "lang_id", "doc_fingerprint", "doc_scrub", "doc_winnow",
+    "stratified_sample", "group_quota", "doc_pack", "doc_chunk",
+    "doc_repetition", "decontaminate", "events_tumbling", "events_hopping",
+    "events_sessionize", "events_asof_join", "top_orders", "top_tokens",
+    "doc_quality", "embedding_kmeans", "embedding_quantize",
+    "revenue_by_nation", "pricing_summary", "inverted_index", "tfidf_topk",
+    "price_quantiles", "orders_running_total", "media_decode_meta",
+    "media_frame_sample",
+)
+
+
+def test_ops_run_no_ray_data_execution(monkeypatch):
+    """Every op bench.py times runs on raw tasks alone: with
+    ``ray.data.read_parquet`` and ``Dataset.materialize`` raising, no op
+    runs a Ray Data execution inside its call, and each returns what it
+    returned unpatched."""
+    import pandas as pd
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from codetoneo4j_ray.pipelines import data_ops, multimodal
+
+    ops = {name: getattr(data_ops, name, None) or getattr(multimodal, name)
+           for name in _BENCH_OPS}
+    want = {name: op(SF).to_pandas() for name, op in ops.items()}
+
+    def forbidden(*_a, **_k):
+        raise AssertionError("Ray Data read or materialize used")
+
+    real = StreamingExecutor.execute
+    runs = []
+
+    def counted(self, *args, **kwargs):
+        runs.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ray.data, "read_parquet", forbidden)
+    monkeypatch.setattr(ray.data.Dataset, "materialize", forbidden)
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    for name, op in ops.items():
+        del runs[:]
+        ds = op(SF)
+        assert not runs, name
+        pd.testing.assert_frame_equal(ds.to_pandas(), want[name], obj=name)
+
+
+def test_keyed_ops_equal_across_ranges(monkeypatch):
+    """The ops whose keyed merge and output sort run as one sorted fold,
+    plus doc_dedup_minhash, doc_pack and top_orders, return the same
+    rows, dtypes and row order from one read block, bucket and key
+    range as from four."""
+    import functools
+
+    import pandas as pd
+    import ray.data
+
+    from codetoneo4j_ray.pipelines import data_ops
+    from codetoneo4j_ray.stages import bucketing
+
+    ops = {name: getattr(data_ops, name) for name in (
+        "inverted_index", "group_quota", "tfidf_topk", "embedding_quantize",
+        "ann_topk", "events_tumbling", "events_hopping", "events_sessionize",
+        "orders_running_total", "revenue_by_nation", "price_quantiles",
+        "pricing_summary", "doc_dedup_minhash", "doc_pack", "top_orders")}
+    # the IVF path, whose cell pairs meet in the distinct's fold
+    ops["embedding_near_dup"] = functools.partial(
+        data_ops.embedding_near_dup, threshold=0.4, exact_cutoff=0)
+    got, ranges = {}, {}
+    for n in (1, 4):
+        monkeypatch.setattr(bucketing, "target_blocks", lambda: n)
+        monkeypatch.setattr(ray.data.DataContext.get_current(),
+                            "target_min_block_size", 1)
+        for name, op in ops.items():
+            ds = op(SF)
+            ranges[name] = ds._plan.initial_num_blocks()
+            df = ds.to_pandas()
+            assert len(df), name
+            got.setdefault(name, df)
+            pd.testing.assert_frame_equal(df, got[name], obj=name)
+    # all but top_orders' one global bucket and a sample that may miss
+    # every key of a low-cardinality split column ran several ranges
+    assert sum(r > 1 for r in ranges.values()) >= len(ops) - 2, ranges
+
+
+def test_train_centroids_sample_the_first_rows(monkeypatch):
+    """The IVF/k-means training sample is the first ``sample_rows`` rows
+    in file order, gathered across read blocks."""
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data
+
+    from codetoneo4j_ray.pipelines.data_ops import _read, _train_centroids
+    from codetoneo4j_ray.stages import bucketing
+
+    head = pq.read_table(f"{SF}/embeddings.parquet").slice(0, 300)
+    want = _train_centroids(
+        bucketing.Blocks.of([ray.put(head)], [(head.num_rows, head.nbytes)]),
+        8, sample_rows=300)
+    monkeypatch.setattr(bucketing, "target_blocks", lambda: 4)
+    monkeypatch.setattr(ray.data.DataContext.get_current(),
+                        "target_min_block_size", 1)
+    emb = _read(SF, "embeddings")
+    assert len(emb.refs) == 4 and emb.rows == 500
+    np.testing.assert_array_equal(_train_centroids(emb, 8, sample_rows=300),
+                                  want)
